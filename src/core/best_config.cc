@@ -1,10 +1,7 @@
 #include "core/best_config.h"
 
-#include <cstdlib>
-#include <cstring>
 #include <utility>
 
-#include "core/executor/streaming_executor.h"
 #include "obs/run_progress.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
@@ -36,61 +33,30 @@ EvalResult EvaluateConfig(const PipelineConfig& config,
   std::vector<PipelineResult> per_clip =
       ParallelMap(ThreadPool::Default(), static_cast<int64_t>(clips.size()),
                   [&](int64_t i) {
-                    // Tag this task's timeline events with the clip index
-                    // (the tuner and harness evaluations all funnel here).
+                    // Tag this task's timeline events and fault decisions
+                    // with the clip index (the tuner, Otif::Execute and the
+                    // harness all funnel here).
                     telemetry::timeline::ScopedContext ctx({.clip = i});
                     return pipeline.Run(clips[static_cast<size_t>(i)]);
                   });
   if (obs::ProgressEnabled()) obs::RunProgress::Global().EndRun();
   EvalResult result;
-  for (PipelineResult& r : per_clip) {
+  for (size_t i = 0; i < per_clip.size(); ++i) {
+    PipelineResult& r = per_clip[i];
+    if (!r.status.ok()) {
+      result.failed_clips.push_back(
+          {static_cast<int>(i), std::move(r.status), r.retries});
+    }
+    if (r.proxy_degraded) result.degraded_clips.push_back(static_cast<int>(i));
     result.clock.Merge(r.clock);
     result.tracks_per_clip.push_back(std::move(r.tracks));
   }
-  result.seconds = result.clock.TotalSeconds();
-  result.accuracy = accuracy_fn(result.tracks_per_clip);
-  return result;
-}
-
-const char* ExecutorKindName(ExecutorKind kind) {
-  return kind == ExecutorKind::kStreaming ? "streaming" : "serial";
-}
-
-ExecutorKind ExecutorKindFromEnv() {
-  const char* value = std::getenv("OTIF_EXECUTOR");
-  if (value == nullptr || *value == '\0') return ExecutorKind::kStreaming;
-  if (std::strcmp(value, "streaming") == 0) return ExecutorKind::kStreaming;
-  if (std::strcmp(value, "serial") == 0) return ExecutorKind::kSerial;
-  OTIF_LOG(kWarning) << "OTIF_EXECUTOR=\"" << value
-                     << "\" is not \"serial\" or \"streaming\"; using "
-                        "the streaming executor";
-  return ExecutorKind::kStreaming;
-}
-
-EvalResult EvaluateConfigWith(ExecutorKind kind, const PipelineConfig& config,
-                              const TrainedModels* trained,
-                              const std::vector<sim::Clip>& clips,
-                              const AccuracyFn& accuracy_fn) {
-  if (kind == ExecutorKind::kSerial) {
-    return EvaluateConfig(config, trained, clips, accuracy_fn);
-  }
-  StreamingExecutor executor(config, trained, StreamingOptionsFromEnv());
-  StatusOr<StreamingRunReport> report = executor.Run(clips);
-  // The serial path CHECKs the same config invariants in the Pipeline
-  // constructor, and nothing cancels this executor — a failure here is a
-  // programming error, not a recoverable condition.
-  OTIF_CHECK(report.ok()) << report.status().ToString();
-  if (!report->failed_clips.empty()) {
-    // Quarantined clips (fault runs only) contribute empty track lists, so
-    // the accuracy below understates the config. Config search under
-    // injected faults is a chaos exercise, not a measurement — warn.
-    OTIF_LOG(kWarning) << "config evaluation: " << report->failed_clips.size()
+  if (!result.failed_clips.empty()) {
+    // Quarantined clips contribute empty track lists, so the accuracy below
+    // understates the config. Config search under injected faults is a
+    // chaos exercise, not a measurement — warn.
+    OTIF_LOG(kWarning) << "config evaluation: " << result.failed_clips.size()
                        << " clip(s) quarantined; accuracy is a lower bound";
-  }
-  EvalResult result;
-  for (PipelineResult& r : report->results) {
-    result.clock.Merge(r.clock);
-    result.tracks_per_clip.push_back(std::move(r.tracks));
   }
   result.seconds = result.clock.TotalSeconds();
   result.accuracy = accuracy_fn(result.tracks_per_clip);

@@ -7,6 +7,7 @@
 #include "core/pipeline.h"
 #include "sim/world.h"
 #include "track/types.h"
+#include "util/status.h"
 
 namespace otif::core {
 
@@ -16,46 +17,48 @@ namespace otif::core {
 using AccuracyFn =
     std::function<double(const std::vector<std::vector<track::Track>>&)>;
 
+/// One clip that fault recovery gave up on: its detector kept failing
+/// after bounded retries, so Pipeline::Run quarantined it.
+struct FailedClip {
+  int clip_index = -1;
+  Status status;    // The fault that exhausted the retry budget.
+  int retries = 0;  // Transient retries the clip consumed before giving up.
+};
+
 /// Result of evaluating one configuration over a clip set.
 struct EvalResult {
   double accuracy = 0.0;
   double seconds = 0.0;
   models::SimClock clock;
+  /// Positional by clip index; a quarantined clip's entry is empty.
   std::vector<std::vector<track::Track>> tracks_per_clip;
+  /// Quarantined clips, ascending. Empty unless OTIF_FAULTS is armed.
+  std::vector<FailedClip> failed_clips;
+  /// Clips whose proxy failed persistently and fell back to full-frame
+  /// detection, ascending. Empty unless OTIF_FAULTS is armed.
+  std::vector<int> degraded_clips;
 };
 
 /// Runs the pipeline under `config` over every clip and scores the outputs.
+/// Clips run independently across the default worker pool, one
+/// Pipeline::Run each; results are bit-identical at any pool width.
 EvalResult EvaluateConfig(const PipelineConfig& config,
                           const TrainedModels* trained,
                           const std::vector<sim::Clip>& clips,
                           const AccuracyFn& accuracy_fn);
 
-/// How a clip set is executed. Both produce bit-identical results; they
-/// differ in how wall-clock parallelism and model batching are organized.
-enum class ExecutorKind {
-  /// Serial reference path: one Pipeline::Run per clip, fanned out over
-  /// the worker pool clip-by-clip (model batches never span clips).
-  kSerial,
-  /// Cross-stream dataflow executor: bounded stage queues with proxy and
-  /// detector invocations batched across clips.
-  kStreaming,
-};
-
-/// "serial" / "streaming".
-const char* ExecutorKindName(ExecutorKind kind);
-
-/// Reads OTIF_EXECUTOR ("serial" or "streaming"; default streaming).
-/// Unrecognized values fall back to streaming with a logged warning.
-ExecutorKind ExecutorKindFromEnv();
-
-/// EvaluateConfig routed through the chosen executor. kSerial is exactly
-/// EvaluateConfig; kStreaming runs the clips through a StreamingExecutor
-/// (options from the environment) and merges per-clip results in clip
-/// order, reproducing the serial totals bit-for-bit.
-EvalResult EvaluateConfigWith(ExecutorKind kind, const PipelineConfig& config,
-                              const TrainedModels* trained,
-                              const std::vector<sim::Clip>& clips,
-                              const AccuracyFn& accuracy_fn);
+// Pass-throughs kept only so the source of the perfbench/ benchmark, which
+// names an executor kind, still compiles. Nothing else may call them: the
+// one clip executor is EvaluateConfig.
+enum class ExecutorKind { kSerial };
+inline const char* ExecutorKindName(ExecutorKind) { return "serial"; }
+inline ExecutorKind ExecutorKindFromEnv() { return ExecutorKind::kSerial; }
+inline EvalResult EvaluateConfigWith(ExecutorKind, const PipelineConfig& config,
+                                     const TrainedModels* trained,
+                                     const std::vector<sim::Clip>& clips,
+                                     const AccuracyFn& accuracy_fn) {
+  return EvaluateConfig(config, trained, clips, accuracy_fn);
+}
 
 /// Selects the best-accuracy configuration theta_best (paper Sec 3.3):
 /// starting from the slowest configuration (no proxy, full resolution,

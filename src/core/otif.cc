@@ -9,6 +9,7 @@
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
+#include "util/trace_timeline.h"
 
 namespace otif::core {
 
@@ -272,6 +273,9 @@ void Otif::Prepare(const AccuracyFn& validation_accuracy,
     std::vector<PipelineResult> per_clip = ParallelMap(
         ThreadPool::Default(), static_cast<int64_t>(train_clips_.size()),
         [&](int64_t ci) {
+          // Clip context: timeline attribution, and non-negative fault
+          // decision tokens independent of thread interleaving.
+          telemetry::timeline::ScopedContext ctx({.clip = ci});
           return pipeline.Run(train_clips_[static_cast<size_t>(ci)]);
         });
     int frame_offset = 0;
@@ -323,12 +327,7 @@ const TunerPoint& Otif::FastestWithinTolerance(double tolerance) const {
 EvalResult Otif::Execute(const PipelineConfig& config,
                          const std::vector<sim::Clip>& clips,
                          const AccuracyFn& accuracy_fn) const {
-  // Execution-phase runs (as opposed to the tuner's evaluation loop) go
-  // through the environment-selected executor; the streaming default
-  // batches proxy and detector invocations across clips. Results are
-  // bit-identical either way.
-  return EvaluateConfigWith(ExecutorKindFromEnv(), config, &trained_, clips,
-                            accuracy_fn);
+  return EvaluateConfig(config, &trained_, clips, accuracy_fn);
 }
 
 }  // namespace otif::core

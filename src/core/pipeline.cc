@@ -1,12 +1,16 @@
 #include "core/pipeline.h"
 
+#include <algorithm>
 #include <array>
+#include <chrono>
 #include <cmath>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "core/stages.h"
 #include "obs/run_progress.h"
+#include "util/fault_injection.h"
 #include "util/logging.h"
 #include "util/strings.h"
 #include "util/trace.h"
@@ -25,7 +29,9 @@ struct StageTelemetry {
   telemetry::Gauge* sim_seconds;
 };
 
-constexpr int kNumStages = internal::kNumStages;
+/// Number of execution stages (decode, proxy, detect, track, refine); maps
+/// 1:1 onto the first five cost categories.
+constexpr int kNumStages = 5;
 
 const std::array<StageTelemetry, kNumStages>& GetStageTelemetry() {
   static const std::array<StageTelemetry, kNumStages> stages = [] {
@@ -63,14 +69,6 @@ const RunTelemetry& GetRunTelemetry() {
   return t;
 }
 
-}  // namespace
-
-namespace internal {
-
-telemetry::SpanSite* StageSpan(int stage) {
-  return GetStageTelemetry()[static_cast<size_t>(stage)].span;
-}
-
 /// Folds one finished run into the global registry. Observation only: must
 /// never influence the result (the telemetry on/off regression test pins
 /// this down).
@@ -88,7 +86,85 @@ void RecordRunTelemetry(const PipelineResult& result) {
   t.run_sim_seconds->Record(result.clock.TotalSeconds());
 }
 
-}  // namespace internal
+// Recovery counters (fault runs only; never incremented while disarmed).
+telemetry::Counter* RetriesCounter() {
+  static telemetry::Counter* const c =
+      telemetry::MetricsRegistry::Global().GetCounter("executor.retries");
+  return c;
+}
+
+telemetry::Counter* QuarantinedCounter() {
+  static telemetry::Counter* const c =
+      telemetry::MetricsRegistry::Global().GetCounter(
+          "executor.quarantined_clips");
+  return c;
+}
+
+telemetry::Counter* DegradedCounter() {
+  static telemetry::Counter* const c =
+      telemetry::MetricsRegistry::Global().GetCounter(
+          "executor.degraded_clips");
+  return c;
+}
+
+/// How many consecutive injected transient errors exhaust a stage's retry
+/// budget for one group.
+constexpr int kMaxFaultAttempts = 4;
+
+/// Consults a model-invocation fault site before the stage runs. Transient
+/// (kError) decisions retry in place with bounded exponential backoff;
+/// because the fault fires before the invocation, no stage state was
+/// touched and the retry is just a fresh decision with the next attempt
+/// token. kStall sleeps (latency spike) and succeeds; other kinds are not
+/// meaningful for an invocation and pass through. Returns non-OK only after
+/// kMaxFaultAttempts consecutive error decisions.
+Status AttemptStage(fault::Site* site, int64_t clip, int group,
+                    int* retries) {
+  for (int attempt = 0;; ++attempt) {
+    // Token encodes (clip, group, attempt): each retry re-rolls the site
+    // RNG, and the roll sequence is a pure function of the work item.
+    const int64_t token = (clip * 1000003 + group) * 16 + attempt;
+    fault::Injection inj;
+    if (!site->Inject(clip, token, &inj)) return Status::OK();
+    if (inj.kind == fault::Kind::kStall) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(inj.stall_ms));
+      return Status::OK();
+    }
+    if (inj.kind != fault::Kind::kError) return Status::OK();
+    if (attempt + 1 >= kMaxFaultAttempts) {
+      return Status::IoError(StrFormat(
+          "injected %s fault: clip %lld group %d failed %d attempts",
+          site->name().c_str(), static_cast<long long>(clip), group,
+          kMaxFaultAttempts));
+    }
+    ++*retries;
+    RetriesCounter()->Add(1);
+    std::this_thread::sleep_for(
+        std::chrono::milliseconds(std::min(1 << attempt, 4)));
+  }
+}
+
+/// The result of a quarantined clip: the failure and nothing else. Reported
+/// through the quarantine counter, the live-progress registry (/statusz) and
+/// the flight recorder.
+PipelineResult Quarantine(int64_t clip, Status status, int retries) {
+  QuarantinedCounter()->Add(1);
+  OTIF_LOG(kWarning) << "clip " << clip << " quarantined after " << retries
+                     << " retrie(s): " << status.ToString()
+                     << " — remaining clips continue";
+  if (obs::ProgressEnabled()) {
+    obs::RunProgress::Global().MarkClipQuarantined(static_cast<int>(clip),
+                                                   status.ToString());
+  }
+  telemetry::timeline::ReportError(
+      status, "pipeline: quarantined clip " + std::to_string(clip));
+  PipelineResult result;
+  result.status = std::move(status);
+  result.retries = retries;
+  return result;
+}
+
+}  // namespace
 
 std::string PipelineConfig::ToString() const {
   return StrFormat(
@@ -178,7 +254,10 @@ PipelineResult Pipeline::Run(const sim::Clip& clip) const {
   std::vector<FrameContext> ctxs(static_cast<size_t>(config_.frame_batch));
   std::vector<FrameContext*> batch;
   batch.reserve(ctxs.size());
-  for (int f = 0; f < clip.num_frames();) {
+  // The clip the scheduler tagged on this thread (-1 outside per-clip work):
+  // keys fault decisions and attributes live progress.
+  const int64_t clip_index = telemetry::timeline::CurrentContext().clip;
+  for (int f = 0, group = 0; f < clip.num_frames(); ++group) {
     batch.clear();
     for (int b = 0; b < config_.frame_batch && f < clip.num_frames();
          ++b, f += config_.sampling_gap) {
@@ -187,7 +266,35 @@ PipelineResult Pipeline::Run(const sim::Clip& clip) const {
       batch.push_back(&ctx);
       ++result.frames_processed;
     }
+    // Fault recovery: one relaxed flag load while disarmed.
+    if (fault::Enabled()) {
+      if (config_.use_proxy && !result.proxy_degraded) {
+        static fault::Site* const proxy_site =
+            fault::GetSite("proxy.invoke");
+        const Status st =
+            AttemptStage(proxy_site, clip_index, group, &result.retries);
+        if (!st.ok()) {
+          // Graceful degradation: from this group on the proxy stage is
+          // skipped, frames keep proxy_ran == false, and the detect stage
+          // falls back to full-frame detection.
+          result.proxy_degraded = true;
+          DegradedCounter()->Add(1);
+          OTIF_LOG(kWarning)
+              << "clip " << clip_index << ": proxy stage failing ("
+              << st.ToString()
+              << "); degrading to full-frame detection — accuracy may drop";
+        }
+      }
+      static fault::Site* const detect_site = fault::GetSite("detect.invoke");
+      Status st =
+          AttemptStage(detect_site, clip_index, group, &result.retries);
+      // Detection has no degraded fallback: the clip is quarantined.
+      if (!st.ok()) {
+        return Quarantine(clip_index, std::move(st), result.retries);
+      }
+    }
     for (int s = 0; s < kNumStages; ++s) {
+      if (stages[s] == &proxy && result.proxy_degraded) continue;
       telemetry::ScopedSpan span(stage_telemetry[static_cast<size_t>(s)].span);
       stages[s]->ProcessBatch(batch, &result);
     }
@@ -197,15 +304,14 @@ PipelineResult Pipeline::Run(const sim::Clip& clip) const {
     // run total and the stall watchdog).
     if (obs::ProgressEnabled()) {
       obs::RunProgress::Global().OnFramesCommitted(
-          static_cast<int>(telemetry::timeline::CurrentContext().clip),
-          static_cast<int64_t>(batch.size()));
+          static_cast<int>(clip_index), static_cast<int64_t>(batch.size()));
     }
   }
   for (int s = 0; s < kNumStages; ++s) {
     telemetry::ScopedSpan span(stage_telemetry[static_cast<size_t>(s)].span);
     stages[s]->EndClip(&result);
   }
-  if (telemetry::Enabled()) internal::RecordRunTelemetry(result);
+  if (telemetry::Enabled()) RecordRunTelemetry(result);
   return result;
 }
 

@@ -15,7 +15,7 @@
 #include "sim/world.h"
 #include "track/refine.h"
 #include "track/types.h"
-#include "util/trace.h"
+#include "util/status.h"
 
 namespace otif::core {
 
@@ -81,6 +81,17 @@ struct PipelineResult {
   /// Mean fraction of ground-truth detections covered by proxy windows
   /// (1.0 when the proxy is disabled); diagnostic for the tuner.
   double mean_window_coverage = 1.0;
+
+  // --- Fault recovery (only ever set while OTIF_FAULTS is armed) ---
+  /// Non-OK when the clip was quarantined: its detector kept failing after
+  /// bounded retries. A quarantined result carries only this status and
+  /// `retries` — no tracks, frames or simulated charges.
+  Status status;
+  /// Transient model-invocation faults retried during the run.
+  int retries = 0;
+  /// The proxy kept failing, so the clip fell back to full-frame detection
+  /// from the failing frame group on.
+  bool proxy_degraded = false;
 };
 
 /// The OTIF execution pipeline (paper Fig 2): the tracker selects frames by
@@ -96,6 +107,15 @@ class Pipeline {
   const PipelineConfig& config() const { return config_; }
 
   /// Runs the pipeline over a clip, returning tracks and simulated costs.
+  ///
+  /// Fault recovery (reachable only with OTIF_FAULTS armed): before each
+  /// frame group Run consults the `proxy.invoke` and `detect.invoke`
+  /// sites. Transient errors retry with bounded backoff; a proxy that keeps
+  /// failing degrades the rest of the clip to full-frame detection; a
+  /// detector that keeps failing quarantines the clip (see
+  /// PipelineResult::status). Decisions are keyed by the clip index in the
+  /// calling thread's timeline context, so they replay identically under
+  /// any thread interleaving.
   PipelineResult Run(const sim::Clip& clip) const;
 
   /// Simulated decode seconds for processing a clip at the configured gap
@@ -108,24 +128,6 @@ class Pipeline {
   PipelineConfig config_;
   const TrainedModels* trained_;  // Not owned; may be null (see ctor).
 };
-
-namespace internal {
-
-/// Number of execution stages (decode, proxy, detect, track, refine); maps
-/// 1:1 onto the first five cost categories.
-constexpr int kNumStages = 5;
-
-/// Wall-clock span site for stage `stage` (0..kNumStages-1). Shared by the
-/// serial driver and the streaming executor so both report through the
-/// same "stage/<name>" telemetry names.
-telemetry::SpanSite* StageSpan(int stage);
-
-/// Folds one finished run into the global registry (per-stage simulated
-/// seconds, run counters, run-total histogram). Observation only: must
-/// never influence the result. Callers check telemetry::Enabled() first.
-void RecordRunTelemetry(const PipelineResult& result);
-
-}  // namespace internal
 
 /// The standard detector-scale ladder used by the tuner: each step reduces
 /// pixel count by the tuning coarseness C = 30%.

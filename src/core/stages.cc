@@ -17,9 +17,7 @@ namespace {
 constexpr int kGopSize = 16;
 
 // Frames per batched model invocation, recorded at the point the model is
-// actually invoked (so the serial driver and the streaming executor's
-// cross-clip batcher report through the same histograms; the streaming
-// release records once for the whole multi-clip wave instead).
+// actually invoked.
 telemetry::Histogram* ProxyInvocationFrames() {
   static telemetry::Histogram* const h =
       telemetry::MetricsRegistry::Global().GetHistogram(
@@ -68,12 +66,6 @@ void DecodeStage::BeginClip(PipelineResult* result) {
                        SimulatedDecodeSeconds(config_, clip_));
 }
 
-void DecodeStage::ProcessFrame(FrameContext* ctx, PipelineResult* result) {
-  // Sampled frames arrive already decoded; the cost is clip-level.
-  (void)ctx;
-  (void)result;
-}
-
 // --- ProxyStage -------------------------------------------------------------
 
 ProxyStage::ProxyStage(const PipelineConfig& config,
@@ -99,14 +91,6 @@ ProxyStage::ProxyStage(const PipelineConfig& config,
   scaled_h_ = clip_.spec().height * scale;
 }
 
-void ProxyStage::ChargeFrame(PipelineResult* result) {
-  const models::CostConstants& costs = models::DefaultCostConstants();
-  result->clock.Charge(
-      models::CostCategory::kProxy,
-      costs.proxy_sec_per_frame +
-          costs.proxy_sec_per_pixel * proxy_->resolution().world_pixels());
-}
-
 void ProxyStage::ComputeWindows(const nn::Tensor& scores, FrameContext* ctx) {
   ctx->proxy_ran = true;
   const CellGrid grid = CellGrid::FromScores(scores, config_.proxy_threshold);
@@ -118,7 +102,6 @@ void ProxyStage::ComputeWindows(const nn::Tensor& scores, FrameContext* ctx) {
   OTIF_SPAN("proxy/group_cells");
   const GroupingResult grouping =
       GroupCells(grid, scaled_sizes_, arch_, scaled_w_, scaled_h_);
-  ctx->windowed_detect_seconds = grouping.est_seconds;
   ctx->window_sizes.reserve(grouping.windows.size());
   for (const PlacedWindow& w : grouping.windows) {
     ctx->window_sizes.push_back(w.size);
@@ -128,28 +111,8 @@ void ProxyStage::ComputeWindows(const nn::Tensor& scores, FrameContext* ctx) {
                                       config_.detector_scale);
 }
 
-void ProxyStage::ProcessFrame(FrameContext* ctx, PipelineResult* result) {
-  if (proxy_ == nullptr) return;
-  {
-    OTIF_SPAN("proxy/render");
-    raster_->RenderInto(ctx->frame, proxy_->resolution().raster_w(),
-                        proxy_->resolution().raster_h(), &ctx->low_res_frame);
-  }
-  ctx->have_low_res_frame = true;
-  // Cell scores are cached across tuner evaluations (many thresholds score
-  // the same frames); the cache is shared and thread-safe.
-  const ProxyScoreCache::Key key = std::make_tuple(
-      clip_.clip_seed(), ctx->frame, config_.proxy_resolution_index);
-  const nn::Tensor scores = [&] {
-    OTIF_SPAN("proxy/score");
-    return trained_->proxy_cache.GetOrCompute(
-        key, [&] { return proxy_->Score(ctx->low_res_frame); });
-  }();
-  ChargeFrame(result);
-  ComputeWindows(scores, ctx);
-}
-
-void ProxyStage::ComputeBatch(const std::vector<FrameContext*>& batch) {
+void ProxyStage::ProcessBatch(const std::vector<FrameContext*>& batch,
+                              PipelineResult* result) {
   if (proxy_ == nullptr) return;
   // Render every frame up front so the cache misses can be scored in one
   // batched network invocation.
@@ -160,6 +123,8 @@ void ProxyStage::ComputeBatch(const std::vector<FrameContext*>& batch) {
     ctx->have_low_res_frame = true;
   }
 
+  // Cell scores are cached across tuner evaluations (many thresholds score
+  // the same frames); the cache is shared and thread-safe.
   std::vector<nn::Tensor> scores(batch.size());
   std::vector<size_t> missing;
   {
@@ -174,15 +139,9 @@ void ProxyStage::ComputeBatch(const std::vector<FrameContext*>& batch) {
       std::vector<const video::Image*> frames;
       frames.reserve(missing.size());
       for (size_t i : missing) frames.push_back(&batch[i]->low_res_frame);
-      std::vector<nn::Tensor> fresh;
-      if (score_batch_fn_) {
-        fresh = score_batch_fn_(*proxy_, frames);
-      } else {
-        fresh = proxy_->ScoreBatch(frames);
-        if (telemetry::Enabled()) {
-          ProxyInvocationFrames()->Record(
-              static_cast<double>(frames.size()));
-        }
+      std::vector<nn::Tensor> fresh = proxy_->ScoreBatch(frames);
+      if (telemetry::Enabled()) {
+        ProxyInvocationFrames()->Record(static_cast<double>(frames.size()));
       }
       for (size_t m = 0; m < missing.size(); ++m) {
         const size_t i = missing[m];
@@ -195,28 +154,15 @@ void ProxyStage::ComputeBatch(const std::vector<FrameContext*>& batch) {
     }
   }
 
+  // One fixed charge per frame, in frame order.
+  const models::CostConstants& costs = models::DefaultCostConstants();
+  const double frame_seconds =
+      costs.proxy_sec_per_frame +
+      costs.proxy_sec_per_pixel * proxy_->resolution().world_pixels();
   for (size_t i = 0; i < batch.size(); ++i) {
     ComputeWindows(scores[i], batch[i]);
+    result->clock.Charge(models::CostCategory::kProxy, frame_seconds);
   }
-}
-
-void ProxyStage::CommitBatch(const std::vector<FrameContext*>& batch,
-                             PipelineResult* result) {
-  if (proxy_ == nullptr) return;
-  // One fixed charge per frame, in frame order — the same kProxy
-  // accumulation sequence the per-frame path produces. Frames whose proxy
-  // computation never ran (a degraded clip falling back to full-frame
-  // detection) charge nothing; in normal operation ComputeBatch marks
-  // every frame, so this guard never changes the charge sequence.
-  for (size_t i = 0; i < batch.size(); ++i) {
-    if (batch[i]->proxy_ran) ChargeFrame(result);
-  }
-}
-
-void ProxyStage::ProcessBatch(const std::vector<FrameContext*>& batch,
-                              PipelineResult* result) {
-  ComputeBatch(batch);
-  CommitBatch(batch, result);
 }
 
 // --- DetectStage ------------------------------------------------------------
@@ -225,34 +171,10 @@ DetectStage::DetectStage(const PipelineConfig& config, const sim::Clip& clip,
                          const models::DetectorArch& arch)
     : config_(config), clip_(clip), detector_(arch) {}
 
-void DetectStage::ProcessFrame(FrameContext* ctx, PipelineResult* result) {
+void DetectStage::ProcessBatch(const std::vector<FrameContext*>& batch,
+                               PipelineResult* result) {
   const double scale = config_.detector_scale;
-  if (ctx->proxy_ran) {
-    if (ctx->skip_detector) {
-      coverage_sum_ += 1.0;
-      ++coverage_frames_;
-    } else {
-      result->clock.Charge(models::CostCategory::kDetect,
-                           ctx->windowed_detect_seconds);
-      ctx->detections = models::FilterByWindows(
-          detector_.Detect(clip_, ctx->frame, scale), ctx->windows);
-      coverage_sum_ += track::DetectionCoverage(
-          clip_.GroundTruthDetections(ctx->frame), ctx->windows);
-      ++coverage_frames_;
-    }
-  } else {
-    result->clock.Charge(models::CostCategory::kDetect,
-                         detector_.FullFrameSeconds(clip_, scale));
-    ctx->detections = detector_.Detect(clip_, ctx->frame, scale);
-  }
-
-  ctx->detections =
-      models::FilterByConfidence(ctx->detections, config_.detector_confidence);
-  result->detections_kept += static_cast<int64_t>(ctx->detections.size());
-}
-
-void DetectStage::ComputeBatch(const std::vector<FrameContext*>& batch) {
-  const double scale = config_.detector_scale;
+  const models::DetectorArch& arch = detector_.arch();
 
   // Partition the batch: windowed frames and full frames become batched
   // detector invocations; proxy-empty frames skip the detector.
@@ -265,9 +187,10 @@ void DetectStage::ComputeBatch(const std::vector<FrameContext*>& batch) {
     }
   }
 
-  const auto invoke = [&](const std::vector<int>& frames) {
-    if (detect_batch_fn_) return detect_batch_fn_(detector_, clip_, frames,
-                                                  scale);
+  const auto invoke = [&](const std::vector<FrameContext*>& ctxs) {
+    std::vector<int> frames;
+    frames.reserve(ctxs.size());
+    for (const FrameContext* ctx : ctxs) frames.push_back(ctx->frame);
     if (telemetry::Enabled()) {
       DetectInvocationFrames()->Record(static_cast<double>(frames.size()));
     }
@@ -275,61 +198,11 @@ void DetectStage::ComputeBatch(const std::vector<FrameContext*>& batch) {
   };
 
   if (!windowed.empty()) {
-    std::vector<int> frames;
-    frames.reserve(windowed.size());
-    for (FrameContext* ctx : windowed) frames.push_back(ctx->frame);
-    const std::vector<track::FrameDetections> dets = invoke(frames);
+    const std::vector<track::FrameDetections> dets = invoke(windowed);
     for (size_t i = 0; i < windowed.size(); ++i) {
       windowed[i]->detections =
           models::FilterByWindows(dets[i], windowed[i]->windows);
     }
-  }
-
-  if (!full.empty()) {
-    std::vector<int> frames;
-    frames.reserve(full.size());
-    for (FrameContext* ctx : full) frames.push_back(ctx->frame);
-    std::vector<track::FrameDetections> dets = invoke(frames);
-    for (size_t i = 0; i < full.size(); ++i) {
-      full[i]->detections = std::move(dets[i]);
-    }
-  }
-
-  // Per-frame coverage value and the confidence filter, in frame order.
-  // Coverage is stored on the context and accumulated at commit time so
-  // the per-clip sum keeps the serial accumulation order.
-  for (FrameContext* ctx : batch) {
-    if (ctx->proxy_ran) {
-      ctx->window_coverage =
-          ctx->skip_detector
-              ? 1.0
-              : track::DetectionCoverage(
-                    clip_.GroundTruthDetections(ctx->frame), ctx->windows);
-    }
-    ctx->detections = models::FilterByConfidence(ctx->detections,
-                                                 config_.detector_confidence);
-  }
-}
-
-void DetectStage::CommitBatch(const std::vector<FrameContext*>& batch,
-                              PipelineResult* result) {
-  const double scale = config_.detector_scale;
-  const models::DetectorArch& arch = detector_.arch();
-
-  // Charges follow the serial grouping: one windowed charge and one
-  // full-frame charge per frame_batch group, independent of how the
-  // compute half actually batched the model invocations. This is the
-  // invariant that makes cross-clip batching cost-neutral.
-  std::vector<FrameContext*> windowed, full;
-  for (FrameContext* ctx : batch) {
-    if (ctx->proxy_ran) {
-      if (!ctx->skip_detector) windowed.push_back(ctx);
-    } else {
-      full.push_back(ctx);
-    }
-  }
-
-  if (!windowed.empty()) {
     // Windows come from the fixed trained size set W, so the batch's
     // windows group into few distinct shapes; each shape batches into one
     // detector invocation (uniform input shape), amortizing the
@@ -352,6 +225,10 @@ void DetectStage::CommitBatch(const std::vector<FrameContext*>& batch,
   }
 
   if (!full.empty()) {
+    std::vector<track::FrameDetections> dets = invoke(full);
+    for (size_t i = 0; i < full.size(); ++i) {
+      full[i]->detections = std::move(dets[i]);
+    }
     // Full frames all share one input shape: one invocation for the batch.
     const double pixel_seconds_per_frame =
         arch.sec_per_pixel * clip_.spec().width * scale *
@@ -362,21 +239,21 @@ void DetectStage::CommitBatch(const std::vector<FrameContext*>& batch,
             arch.sec_per_invocation);
   }
 
-  // Coverage and the kept-detections counter accumulate in frame order,
-  // exactly as the per-frame path would.
+  // Window coverage, the confidence filter, and the kept-detections
+  // counter, in frame order.
   for (FrameContext* ctx : batch) {
     if (ctx->proxy_ran) {
-      coverage_sum_ += ctx->window_coverage;
+      coverage_sum_ +=
+          ctx->skip_detector
+              ? 1.0
+              : track::DetectionCoverage(
+                    clip_.GroundTruthDetections(ctx->frame), ctx->windows);
       ++coverage_frames_;
     }
+    ctx->detections = models::FilterByConfidence(ctx->detections,
+                                                 config_.detector_confidence);
     result->detections_kept += static_cast<int64_t>(ctx->detections.size());
   }
-}
-
-void DetectStage::ProcessBatch(const std::vector<FrameContext*>& batch,
-                               PipelineResult* result) {
-  ComputeBatch(batch);
-  CommitBatch(batch, result);
 }
 
 void DetectStage::EndClip(PipelineResult* result) {
@@ -454,12 +331,6 @@ void TrackStage::EndClip(PipelineResult* result) {
 RefineStage::RefineStage(const PipelineConfig& config,
                          const TrainedModels* trained, const sim::Clip& clip)
     : config_(config), trained_(trained), clip_(clip) {}
-
-void RefineStage::ProcessFrame(FrameContext* ctx, PipelineResult* result) {
-  // Refinement is a clip-level post-pass over finished tracks.
-  (void)ctx;
-  (void)result;
-}
 
 void RefineStage::EndClip(PipelineResult* result) {
   if (!config_.refine || trained_ == nullptr ||

@@ -1,7 +1,6 @@
 #ifndef OTIF_CORE_STAGES_H_
 #define OTIF_CORE_STAGES_H_
 
-#include <functional>
 #include <vector>
 
 #include "core/cell_grouping.h"
@@ -43,16 +42,10 @@ struct FrameContext {
   /// trained set W, scaled). DetectStage's batched path uses these to count
   /// distinct window shapes when amortizing per-invocation overhead.
   std::vector<WindowSize> window_sizes;
-  /// Simulated cost of running the detector inside `windows` one window
-  /// per invocation (the unbatched reference charge).
-  double windowed_detect_seconds = 0.0;
 
   // --- Written by DetectStage ---
   /// Confidence-filtered detections for this frame.
   track::FrameDetections detections;
-  /// Window-coverage value for this frame (1.0 when the proxy skipped the
-  /// detector); folded into the per-clip mean at commit time.
-  double window_coverage = 1.0;
 
   /// Re-arms the context for frame `frame`, clearing every per-frame field
   /// while keeping the low_res_frame pixel buffer (and the vectors'
@@ -65,9 +58,7 @@ struct FrameContext {
     have_low_res_frame = false;
     windows.clear();
     window_sizes.clear();
-    windowed_detect_seconds = 0.0;
     detections.clear();
-    window_coverage = 1.0;
   }
 };
 
@@ -78,19 +69,9 @@ struct FrameContext {
 /// The driver groups consecutive sampled frames into batches of
 /// PipelineConfig::frame_batch contexts; ProcessBatch defaults to calling
 /// ProcessFrame on each context in frame order, so stages without a batched
-/// implementation behave exactly as before. Stages communicate through the
+/// implementation stay per-frame. Stages communicate through the
 /// FrameContext and charge their simulated costs to the PipelineResult
 /// clock; no stage reaches into another's internals.
-///
-/// Compute/commit split: ProxyStage and DetectStage additionally expose
-/// ComputeBatch (pure per-frame work: rendering, model invocations,
-/// window grouping — writes only FrameContext fields, no stage or result
-/// mutation) and CommitBatch (ordered side effects: SimClock charges,
-/// coverage accumulation, counters). ProcessBatch == ComputeBatch followed
-/// by CommitBatch. The streaming executor runs ComputeBatch on stage
-/// workers in any order and replays CommitBatch per clip in serial frame
-/// order, which is what makes cross-clip batching bit-identical to the
-/// serial driver.
 class Stage {
  public:
   virtual ~Stage() = default;
@@ -98,8 +79,12 @@ class Stage {
   /// Clip-level setup / one-off charges (e.g. decode cost).
   virtual void BeginClip(PipelineResult* result) { (void)result; }
 
-  /// Per-frame work; reads/writes the shared FrameContext.
-  virtual void ProcessFrame(FrameContext* ctx, PipelineResult* result) = 0;
+  /// Per-frame work; reads/writes the shared FrameContext. The default does
+  /// nothing (stages whose work is clip-level or batched).
+  virtual void ProcessFrame(FrameContext* ctx, PipelineResult* result) {
+    (void)ctx;
+    (void)result;
+  }
 
   /// Batched work over consecutive sampled frames (frame order). Override
   /// to amortize work across the batch (batched model invocations); the
@@ -122,7 +107,6 @@ class DecodeStage : public Stage {
   DecodeStage(const PipelineConfig& config, const sim::Clip& clip);
 
   void BeginClip(PipelineResult* result) override;
-  void ProcessFrame(FrameContext* ctx, PipelineResult* result) override;
 
  private:
   const PipelineConfig& config_;
@@ -131,51 +115,24 @@ class DecodeStage : public Stage {
 
 /// Runs the segmentation proxy model: renders the frame at the proxy
 /// resolution, scores cells (through the shared ProxyScoreCache), groups
-/// positive cells into detector windows, and publishes the windows plus the
-/// windowed detector cost estimate. No-op when the proxy is disabled.
+/// positive cells into detector windows, and publishes the windows and their
+/// sizes. No-op when the proxy is disabled.
 class ProxyStage : public Stage {
  public:
-  /// Batched scoring hook: scores the given rendered frames (cache misses
-  /// of one batch) with `proxy`, returning one cell-score tensor per frame.
-  /// Defaults to a direct ProxyModel::ScoreBatch invocation; the streaming
-  /// executor substitutes a cross-clip batcher route so one network
-  /// invocation spans frames of many clips. Must return bit-identical
-  /// tensors to ProxyModel::Score per frame (ScoreBatch guarantees this).
-  using ScoreBatchFn = std::function<std::vector<nn::Tensor>(
-      const models::ProxyModel& proxy,
-      const std::vector<const video::Image*>& frames)>;
-
   ProxyStage(const PipelineConfig& config, const TrainedModels* trained,
              const sim::Clip& clip, const models::DetectorArch& arch,
              sim::Rasterizer* raster);
 
-  /// Replaces the batched scoring invocation (streaming executor hook).
-  void set_score_batch_fn(ScoreBatchFn fn) { score_batch_fn_ = std::move(fn); }
-
-  void ProcessFrame(FrameContext* ctx, PipelineResult* result) override;
-
-  /// Batched proxy pass: renders every frame, then scores all cache-missed
-  /// frames in a single batched network invocation before grouping cells
-  /// per frame. Identical per-frame results to ProcessFrame.
+  /// Batched proxy pass: renders every frame, scores all cache-missed
+  /// frames in a single batched network invocation, groups each frame's
+  /// positive cells into detector windows, and charges the per-frame proxy
+  /// cost in frame order.
   void ProcessBatch(const std::vector<FrameContext*>& batch,
                     PipelineResult* result) override;
 
-  /// Pure half of ProcessBatch: render + score + window grouping. Writes
-  /// only FrameContext fields (and the thread-safe score cache); safe to
-  /// run concurrently with other batches of the same clip.
-  void ComputeBatch(const std::vector<FrameContext*>& batch);
-
-  /// Ordered half: charges the per-frame proxy cost in frame order.
-  void CommitBatch(const std::vector<FrameContext*>& batch,
-                   PipelineResult* result);
-
  private:
-  /// Pure post-scoring work: threshold cells and group them into detector
-  /// windows for one frame (no charges; those happen in CommitBatch or,
-  /// for the per-frame path, in ProcessFrame).
+  /// Thresholds one frame's cells and groups them into detector windows.
   void ComputeWindows(const nn::Tensor& scores, FrameContext* ctx);
-  /// Charges the fixed per-frame proxy cost.
-  void ChargeFrame(PipelineResult* result);
 
   const PipelineConfig& config_;
   const TrainedModels* trained_;  // Null iff the proxy is disabled.
@@ -183,7 +140,6 @@ class ProxyStage : public Stage {
   const models::DetectorArch& arch_;
   sim::Rasterizer* raster_;  // Shared per-run render service, not owned.
   const models::ProxyModel* proxy_ = nullptr;
-  ScoreBatchFn score_batch_fn_;  // Empty => direct ScoreBatch.
   /// Window sizes scaled to the detector resolution (W is selected in
   /// native coordinates; windows shrink with the frame).
   std::vector<WindowSize> scaled_sizes_;
@@ -197,44 +153,15 @@ class ProxyStage : public Stage {
 /// window-coverage diagnostic.
 class DetectStage : public Stage {
  public:
-  /// Batched detection hook: detects on `frames` of `clip` at `scale` with
-  /// `detector`, one result per frame. Defaults to a direct
-  /// SimulatedDetector::DetectBatch invocation; the streaming executor
-  /// substitutes a cross-clip batcher route. Element i must be
-  /// bit-identical to Detect(clip, frames[i], scale).
-  using DetectBatchFn = std::function<std::vector<track::FrameDetections>(
-      const models::SimulatedDetector& detector, const sim::Clip& clip,
-      const std::vector<int>& frames, double scale)>;
-
   DetectStage(const PipelineConfig& config, const sim::Clip& clip,
               const models::DetectorArch& arch);
-
-  /// Replaces the batched detector invocation (streaming executor hook).
-  void set_detect_batch_fn(DetectBatchFn fn) {
-    detect_batch_fn_ = std::move(fn);
-  }
-
-  void ProcessFrame(FrameContext* ctx, PipelineResult* result) override;
 
   /// Batched detect pass: aggregates the batch's frames into one detector
   /// invocation per group (windowed frames batch per distinct window shape,
   /// full frames share one shape), charging the per-invocation overhead
-  /// once per group instead of once per window/frame. Detections are
-  /// bit-identical to the per-frame path; only the simulated overhead
-  /// charge is amortized.
+  /// once per group instead of once per window/frame.
   void ProcessBatch(const std::vector<FrameContext*>& batch,
                     PipelineResult* result) override;
-
-  /// Pure half of ProcessBatch: detector invocations, window/confidence
-  /// filtering, and the per-frame coverage value (stored on the context).
-  /// Writes only FrameContext fields; safe to run concurrently with other
-  /// batches of the same clip.
-  void ComputeBatch(const std::vector<FrameContext*>& batch);
-
-  /// Ordered half: SimClock charges (identical grouping and order to the
-  /// serial batch), coverage accumulation, and the kept-detections counter.
-  void CommitBatch(const std::vector<FrameContext*>& batch,
-                   PipelineResult* result);
 
   void EndClip(PipelineResult* result) override;
 
@@ -242,7 +169,6 @@ class DetectStage : public Stage {
   const PipelineConfig& config_;
   const sim::Clip& clip_;
   models::SimulatedDetector detector_;
-  DetectBatchFn detect_batch_fn_;  // Empty => direct DetectBatch.
   double coverage_sum_ = 0.0;
   int coverage_frames_ = 0;
 };
@@ -274,7 +200,6 @@ class RefineStage : public Stage {
   RefineStage(const PipelineConfig& config, const TrainedModels* trained,
               const sim::Clip& clip);
 
-  void ProcessFrame(FrameContext* ctx, PipelineResult* result) override;
   void EndClip(PipelineResult* result) override;
 
  private:

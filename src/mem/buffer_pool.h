@@ -23,7 +23,7 @@ struct Block {
         data(std::make_unique<float[]>(capacity_floats)) {}
 
   std::atomic<int32_t> refs{0};
-  uint32_t size_class = 0;      // Freelist index; kUnpooledClass if oversize.
+  uint32_t size_class = 0;      // Freelist index; kUnpooledClass if unpooled.
   size_t capacity = 0;          // Floats.
   BufferPool* pool = nullptr;   // Owning pool; receives the last release.
   std::unique_ptr<float[]> data;
@@ -86,12 +86,14 @@ class PooledBuffer {
 };
 
 /// Thread-safe size-class buffer pool for the frame/tensor data path.
-/// Capacities round up to power-of-two size classes (min 256 floats);
-/// released blocks park on a per-class freelist (mutex-guarded, LIFO) and
-/// satisfy later acquires without touching the heap, so a steady-state
-/// pipeline run performs zero frame-buffer allocations after warmup. The
-/// pool also aggregates the nn scratch-arena's chunk reservations so the
-/// whole hot-path memory story shows up in one set of counters.
+/// Requests of 4 KiB and up round up to power-of-two size classes; released
+/// blocks park on a per-class freelist (mutex-guarded, LIFO) and satisfy
+/// later acquires without touching the heap, so after warmup a pipeline run
+/// recycles its frame-sized buffers instead of allocating them. Smaller
+/// requests (tracker and score tensors) come straight from malloc at their
+/// exact size and never touch the freelists or the stats. The pool also
+/// aggregates the nn scratch-arena's chunk reservations so the whole
+/// hot-path memory story shows up in one set of counters.
 ///
 /// Statistics are intrinsic relaxed atomics (not the telemetry registry) so
 /// benches can delta them across a measurement window independently of
@@ -110,10 +112,12 @@ class BufferPool {
 
   /// Returns a handle to at least `n_floats` floats. Contents are
   /// unspecified (possibly a recycled buffer); callers must write before
-  /// reading. `n_floats` == 0 returns a null handle.
+  /// reading. `n_floats` == 0 returns a null handle. Requests below the
+  /// smallest size class are heap blocks of exactly `n_floats` floats.
   PooledBuffer Acquire(size_t n_floats);
 
   struct Stats {
+    // Pooled (>= 4 KiB) requests only; smaller ones are not counted.
     int64_t hits = 0;            // Acquires served from a freelist.
     int64_t misses = 0;          // Acquires that allocated a new block.
     int64_t bytes_in_flight = 0;  // Bytes currently held by live handles.
@@ -143,16 +147,16 @@ class BufferPool {
  private:
   friend class PooledBuffer;
 
-  // 2^8 .. 2^28 floats (1 KiB .. 1 GiB); larger requests bypass pooling.
-  static constexpr uint32_t kMinClassLog2 = 8;
-  static constexpr uint32_t kNumClasses = 21;
+  // 2^10 .. 2^28 floats (4 KiB .. 1 GiB); smaller requests come from the
+  // heap (see Acquire) and larger ones bypass pooling.
+  static constexpr uint32_t kMinClassLog2 = 10;
+  static constexpr uint32_t kNumClasses = 19;
   static constexpr uint32_t kUnpooledClass = ~0u;
-  // Per-class retention cap, in bytes rather than blocks: small classes may
-  // park thousands of blocks (the executor keeps one tiny score tensor live
-  // per in-flight frame, so peak demand scales with clips x frames), while a
-  // class of 32 MiB blocks parks at most kMinRetainedPerClass. Blocks above
-  // the byte cap still park a couple deep so repeated large acquires don't
-  // thrash the heap.
+  // Per-class retention cap, in bytes rather than blocks: the 4 KiB class
+  // may park thousands of blocks (one low-res render or activation per
+  // in-flight frame), while a class of 32 MiB blocks parks at most
+  // kMinRetainedPerClass. Blocks above the byte cap still park a couple
+  // deep so repeated large acquires don't thrash the heap.
   static constexpr size_t kMaxRetainedBytesPerClass = size_t{32} << 20;
   static constexpr size_t kMinRetainedPerClass = 2;
 

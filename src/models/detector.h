@@ -76,20 +76,6 @@ class SimulatedDetector {
       const sim::Clip& clip, const std::vector<int>& frames,
       double scale) const;
 
-  /// One clip's slice of a cross-clip batched invocation.
-  struct ClipBatchRequest {
-    const sim::Clip* clip = nullptr;
-    std::vector<int> frames;
-  };
-
-  /// Batched detection across clips: one invocation spanning every
-  /// request's frames (the streaming executor's cross-clip batcher feeds
-  /// this so one model call amortizes over many streams, paper Sec 4).
-  /// Result [r][i] is bit-identical to Detect(*requests[r].clip,
-  /// requests[r].frames[i], scale).
-  std::vector<std::vector<track::FrameDetections>> DetectBatchMulti(
-      const std::vector<ClipBatchRequest>& requests, double scale) const;
-
   /// Simulated seconds to run this detector on the full frame at `scale`.
   double FullFrameSeconds(const sim::Clip& clip, double scale) const;
 

@@ -82,7 +82,6 @@ std::string RenderStatusz() {
   // Snapshot everything first (each snapshot takes only the brief locks
   // its registry already uses), then serialize lock-free.
   const ProgressSnapshot progress = RunProgress::Global().Snapshot();
-  const telemetry::TelemetrySnapshot telemetry = telemetry::CaptureSnapshot();
   const mem::BufferPool::Stats pool = mem::BufferPool::Global().GetStats();
 
   JsonWriter w;
@@ -107,8 +106,7 @@ std::string RenderStatusz() {
     w.EndObject();
   }
   w.EndArray();
-  // Clips the executor gave up on this run (fault recovery); empty in
-  // healthy runs.
+  // Clips fault recovery quarantined this run; empty in healthy runs.
   w.Key("quarantined").BeginArray();
   for (const QuarantineSample& q : progress.quarantined) {
     w.BeginObject();
@@ -117,47 +115,6 @@ std::string RenderStatusz() {
     w.EndObject();
   }
   w.EndArray();
-  w.EndObject();
-
-  // Executor pressure: channel depth gauges and batcher fill histograms are
-  // registered by the streaming executor under fixed name patterns; strip
-  // the pattern so /statusz keys read as plain stage names.
-  w.Key("executor").BeginObject();
-  w.Key("channels").BeginObject();
-  constexpr std::string_view kChannelPrefix = "executor.channel.";
-  constexpr std::string_view kDepthSuffix = ".depth";
-  for (const telemetry::GaugeSample& g : telemetry.gauges) {
-    if (!StartsWith(g.name, kChannelPrefix)) continue;
-    if (g.name.size() <= kChannelPrefix.size() + kDepthSuffix.size() ||
-        g.name.compare(g.name.size() - kDepthSuffix.size(),
-                       kDepthSuffix.size(), kDepthSuffix) != 0) {
-      continue;
-    }
-    const std::string channel = g.name.substr(
-        kChannelPrefix.size(),
-        g.name.size() - kChannelPrefix.size() - kDepthSuffix.size());
-    w.Key(channel).Value(g.value);
-  }
-  w.EndObject();
-  w.Key("batchers").BeginObject();
-  constexpr std::string_view kBatchPrefix = "executor.batch.";
-  constexpr std::string_view kFillSuffix = ".fill";
-  for (const telemetry::HistogramSample& h : telemetry.histograms) {
-    if (!StartsWith(h.name, kBatchPrefix)) continue;
-    if (h.name.size() <= kBatchPrefix.size() + kFillSuffix.size() ||
-        h.name.compare(h.name.size() - kFillSuffix.size(), kFillSuffix.size(),
-                       kFillSuffix) != 0) {
-      continue;
-    }
-    const std::string batcher = h.name.substr(
-        kBatchPrefix.size(),
-        h.name.size() - kBatchPrefix.size() - kFillSuffix.size());
-    w.Key(batcher).BeginObject();
-    w.Key("waves").Value(h.count);
-    w.Key("mean_fill").Value(h.count > 0 ? h.sum / h.count : 0.0);
-    w.EndObject();
-  }
-  w.EndObject();
   w.EndObject();
 
   w.Key("pool").BeginObject();
@@ -201,7 +158,7 @@ const char kIndexBody[] =
     "otif introspection endpoints:\n"
     "  /metrics   Prometheus text exposition of the telemetry registry\n"
     "  /healthz   liveness + commit-stall watchdog\n"
-    "  /statusz   JSON run status (per-clip progress, queues, pool)\n"
+    "  /statusz   JSON run status (per-clip progress, pool)\n"
     "  /tracez    last completed spans from the timeline rings (?n=<1..10000>)\n"
     "  /profilez  sampling CPU profile (?seconds=<0.01..60>, "
     "?fmt=collapsed|json)\n";

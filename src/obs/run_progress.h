@@ -30,8 +30,8 @@ struct ClipProgressSample {
   int64_t total = 0;      ///< Sampled frames the run will commit.
 };
 
-/// One clip the executor quarantined during the current run (fault
-/// recovery; see StreamingExecutor::Run).
+/// One clip the pipeline quarantined during the current run (fault
+/// recovery; see core::Pipeline::Run).
 struct QuarantineSample {
   int clip = 0;
   std::string reason;  ///< Status text of the fault that exhausted retries.
@@ -58,12 +58,11 @@ struct ProgressSnapshot {
 /// Live progress of the run in flight: per-clip atomic frame counters, the
 /// run phase, and a last-commit timestamp the /healthz watchdog ages.
 ///
-/// One "run" is one executor invocation over a clip set (a streaming
-/// Run(), one serial EvaluateConfig sweep, one bench repetition). Runs are
-/// modeled as strictly sequential — a new BeginRun supersedes the previous
-/// run's counters (generation-tagged, so scrapers can tell runs apart) —
-/// which matches every driver in the tree; concurrent executors would
-/// interleave labels but never corrupt counters.
+/// One "run" is one pass over a clip set (one EvaluateConfig sweep, one
+/// bench repetition). Runs are modeled as strictly sequential — a new
+/// BeginRun supersedes the previous run's counters (generation-tagged, so
+/// scrapers can tell runs apart) — which matches every caller in the tree;
+/// concurrent runs would interleave labels but never corrupt counters.
 ///
 /// Concurrency: commit-side updates are relaxed atomic adds on a run state
 /// reached through a briefly-held pointer-copy mutex; Snapshot copies the
@@ -89,7 +88,7 @@ class RunProgress {
   void EndRun();
 
   /// Overrides the displayed phase (harness stages like "prepare" or
-  /// "baselines" that span many executor runs). Overrides persist across
+  /// "baselines" that span many runs). Overrides persist across
   /// BeginRun/EndRun until the next SetPhase.
   void SetPhase(std::string phase);
 
@@ -100,7 +99,7 @@ class RunProgress {
   /// paying the call; the method re-checks and early-returns regardless.
   void OnFramesCommitted(int clip, int64_t frames);
 
-  /// Records that the executor quarantined `clip` (rare — fault recovery
+  /// Records that the pipeline quarantined `clip` (rare — fault recovery
   /// only, so a mutex-guarded list rather than an atomic structure).
   /// Surfaces in Snapshot().quarantined and /statusz.
   void MarkClipQuarantined(int clip, std::string reason);

@@ -21,9 +21,7 @@ namespace otif::sim {
 /// Thread safety: Render/RenderInto may be called concurrently (the
 /// background cache is guarded by a mutex; map entries are never erased, so
 /// returned references stay valid). Output is deterministic in
-/// (frame, width, height) regardless of call order or interleaving — the
-/// streaming executor relies on this to render the same frame contents from
-/// any stage worker.
+/// (frame, width, height) regardless of call order or interleaving.
 class Rasterizer {
  public:
   /// `clip` must outlive the rasterizer.

@@ -50,8 +50,6 @@ bool ParseKind(std::string_view text, Kind* out) {
     *out = Kind::kStall;
   } else if (text == "deny") {
     *out = Kind::kDeny;
-  } else if (text == "close") {
-    *out = Kind::kClose;
   } else {
     return false;
   }

@@ -12,14 +12,14 @@
 namespace otif::fault {
 
 /// What an armed site does when its deterministic RNG fires. Sites ignore
-/// kinds they cannot express (a Channel has no output to corrupt), so one
-/// spec can be pointed at any site without crashing the host layer.
+/// kinds they cannot express (a model invocation has no output to
+/// corrupt), so one spec can be pointed at any site without crashing the
+/// host layer.
 enum class Kind {
   kError,    // Return a transient error (Status::IoError at the site).
   kCorrupt,  // Deliver damaged output (decoder: zeroed bottom half).
   kStall,    // Sleep `stall_ms` before proceeding (latency spike).
   kDeny,     // Refuse a resource (BufferPool: bypass the freelist).
-  kClose,    // Close the channel out from under the producer.
 };
 
 /// One fired injection, reported to the instrumented call site.
@@ -110,10 +110,10 @@ Site* GetSite(const std::string& name);
 
 /// Parses and installs a fault spec: comma-separated entries of
 ///   site:kind:rate:seed[:clip=K][:ms=N]
-/// where kind is error|corrupt|stall|deny|close, rate is a probability in
+/// where kind is error|corrupt|stall|deny, rate is a probability in
 /// [0, 1], seed is a non-negative integer, clip=K limits firing to clip K,
 /// and ms=N sets the stall duration (default 1). Example:
-///   OTIF_FAULTS=detect.invoke:error:0.5:7:clip=1,channel.proxy:stall:1:9:ms=2
+///   OTIF_FAULTS=detect.invoke:error:0.5:7:clip=1,proxy.invoke:stall:1:9:ms=2
 /// Replaces any previous configuration and sets the fault flag when at
 /// least one site is armed. Not synchronized with in-flight runs: call
 /// between runs (tests, process startup).

@@ -1,10 +1,14 @@
 // Determinism tests for the staged pipeline executor: parallel execution
 // over the worker pool must reproduce the single-threaded results
-// bit-for-bit (tracks, simulated clock charges, coverage diagnostics).
+// bit-for-bit (tracks, simulated clock charges, coverage diagnostics) —
+// including under injected faults, where Pipeline::Run retries, degrades
+// or quarantines clips and every unaffected clip stays bit-identical.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/best_config.h"
@@ -15,6 +19,10 @@
 #include "sim/dataset.h"
 #include "sim/raster.h"
 #include "track/metrics.h"
+#include "track/refine.h"
+#include "util/fault_injection.h"
+#include "util/status.h"
+#include "util/telemetry.h"
 #include "util/thread_pool.h"
 
 namespace otif::core {
@@ -43,8 +51,8 @@ AccuracyFn CountAccuracyFn(const std::vector<sim::Clip>* clips) {
 
 /// Trained artifacts for the matrix: one lightly trained proxy (enough to
 /// produce non-trivial cell scores), a freshly seeded (deterministic)
-/// recurrent tracker net, and a hand-picked window set. No refiner: the
-/// refine path needs S*, which is out of scope for these tests.
+/// recurrent tracker net, and a hand-picked window set. No refiner (see
+/// AttachRefiner).
 std::unique_ptr<TrainedModels> MakeTrained(
     const std::vector<sim::Clip>& clips) {
   auto trained = std::make_unique<TrainedModels>();
@@ -74,38 +82,70 @@ std::unique_ptr<TrainedModels> MakeTrained(
   return trained;
 }
 
-void ExpectIdentical(const EvalResult& a, const EvalResult& b) {
-  // Exact floating-point equality: the parallel schedule must not change a
-  // single bit of the accounting.
+/// Builds a refiner the way Otif::Prepare does (clusters from a track set,
+/// spatial parameters scaled to the clip resolution), using SORT tracks as
+/// the stand-in for S*.
+void AttachRefiner(TrainedModels* trained,
+                   const std::vector<sim::Clip>& clips) {
+  PipelineConfig config;
+  config.tracker = TrackerKind::kSort;
+  Pipeline pipeline(config, nullptr);
+  std::vector<track::Track> all;
+  for (const sim::Clip& clip : clips) {
+    PipelineResult r = pipeline.Run(clip);
+    all.insert(all.end(), r.tracks.begin(), r.tracks.end());
+  }
+  const double dim = std::max(clips[0].spec().width, clips[0].spec().height);
+  track::DbscanOptions dbscan;
+  dbscan.epsilon = 0.04 * dim;
+  track::TrackRefiner::Options opts;
+  opts.max_cluster_distance = 0.12 * dim;
+  opts.index_cell_px = 0.05 * dim;
+  trained->refiner = std::make_unique<track::TrackRefiner>(
+      track::ClusterTracks(all, dbscan), opts);
+}
+
+/// Exact equality of one clip's tracks.
+void ExpectSameTracks(const std::vector<track::Track>& ta,
+                      const std::vector<track::Track>& tb, size_t clip) {
+  ASSERT_EQ(ta.size(), tb.size()) << "clip " << clip;
+  for (size_t t = 0; t < ta.size(); ++t) {
+    EXPECT_EQ(ta[t].id, tb[t].id);
+    EXPECT_EQ(ta[t].cls, tb[t].cls);
+    ASSERT_EQ(ta[t].detections.size(), tb[t].detections.size());
+    for (size_t d = 0; d < ta[t].detections.size(); ++d) {
+      const track::Detection& da = ta[t].detections[d];
+      const track::Detection& db = tb[t].detections[d];
+      EXPECT_EQ(da.frame, db.frame);
+      EXPECT_EQ(da.box.cx, db.box.cx);
+      EXPECT_EQ(da.box.cy, db.box.cy);
+      EXPECT_EQ(da.box.w, db.box.w);
+      EXPECT_EQ(da.box.h, db.box.h);
+      EXPECT_EQ(da.confidence, db.confidence);
+    }
+  }
+}
+
+/// Exact equality of every category of two simulated clocks.
+void ExpectSameClock(const models::SimClock& a, const models::SimClock& b) {
   for (const models::CostCategory cat :
        {models::CostCategory::kDecode, models::CostCategory::kProxy,
         models::CostCategory::kDetect, models::CostCategory::kTrack,
         models::CostCategory::kRefine}) {
-    EXPECT_EQ(a.clock.Seconds(cat), b.clock.Seconds(cat))
+    EXPECT_EQ(a.Seconds(cat), b.Seconds(cat))
         << "category " << static_cast<int>(cat);
   }
+}
+
+void ExpectIdentical(const EvalResult& a, const EvalResult& b) {
+  // Exact floating-point equality: the parallel schedule must not change a
+  // single bit of the accounting.
+  ExpectSameClock(a.clock, b.clock);
   EXPECT_EQ(a.seconds, b.seconds);
   EXPECT_EQ(a.accuracy, b.accuracy);
   ASSERT_EQ(a.tracks_per_clip.size(), b.tracks_per_clip.size());
   for (size_t c = 0; c < a.tracks_per_clip.size(); ++c) {
-    const auto& ta = a.tracks_per_clip[c];
-    const auto& tb = b.tracks_per_clip[c];
-    ASSERT_EQ(ta.size(), tb.size()) << "clip " << c;
-    for (size_t t = 0; t < ta.size(); ++t) {
-      EXPECT_EQ(ta[t].id, tb[t].id);
-      EXPECT_EQ(ta[t].cls, tb[t].cls);
-      ASSERT_EQ(ta[t].detections.size(), tb[t].detections.size());
-      for (size_t d = 0; d < ta[t].detections.size(); ++d) {
-        const track::Detection& da = ta[t].detections[d];
-        const track::Detection& db = tb[t].detections[d];
-        EXPECT_EQ(da.frame, db.frame);
-        EXPECT_EQ(da.box.cx, db.box.cx);
-        EXPECT_EQ(da.box.cy, db.box.cy);
-        EXPECT_EQ(da.box.w, db.box.w);
-        EXPECT_EQ(da.box.h, db.box.h);
-        EXPECT_EQ(da.confidence, db.confidence);
-      }
-    }
+    ExpectSameTracks(a.tracks_per_clip[c], b.tracks_per_clip[c], c);
   }
 }
 
@@ -167,6 +207,53 @@ TEST_F(PipelineStagesDeterminismTest, RecurrentWithProxy) {
   CheckConfig(config, trained.get());
 }
 
+TEST_F(PipelineStagesDeterminismTest, RefineEnabled) {
+  const auto trained = MakeTrained(clips_);
+  AttachRefiner(trained.get(), clips_);
+  PipelineConfig config;
+  config.tracker = TrackerKind::kSort;
+  config.use_proxy = true;
+  config.proxy_threshold = 0.3;
+  config.sampling_gap = 2;
+  config.refine = true;
+  CheckConfig(config, trained.get());
+}
+
+TEST_F(PipelineStagesDeterminismTest, ProxySkipsDetectorFrames) {
+  // A high threshold makes the proxy reject most frames, so detect groups
+  // carry ragged (often zero) window counts.
+  const auto trained = MakeTrained(clips_);
+  PipelineConfig config;
+  config.use_proxy = true;
+  config.proxy_threshold = 0.9;
+  config.sampling_gap = 2;
+  CheckConfig(config, trained.get());
+}
+
+TEST_F(PipelineStagesDeterminismTest, RaggedSamplingGap) {
+  // Gap 7 does not divide 120: the last group of every clip is partial.
+  PipelineConfig config;
+  config.sampling_gap = 7;
+  config.frame_batch = 4;
+  CheckConfig(config, nullptr);
+}
+
+TEST_F(PipelineStagesDeterminismTest, FrameBatchExceedsSampledFrames) {
+  // ceil(120 / 32) = 4 sampled frames, far below the frame batch: each clip
+  // is a single partial group.
+  PipelineConfig config;
+  config.sampling_gap = 32;
+  config.frame_batch = 64;
+  CheckConfig(config, nullptr);
+}
+
+TEST_F(PipelineStagesDeterminismTest, ScaledDetector) {
+  PipelineConfig config;
+  config.detector_scale = 0.59;
+  config.sampling_gap = 2;
+  CheckConfig(config, nullptr);
+}
+
 TEST_F(PipelineStagesDeterminismTest, ProxyCacheCountsHitsAcrossRuns) {
   const auto trained = MakeTrained(clips_);
   PipelineConfig config;
@@ -184,6 +271,133 @@ TEST_F(PipelineStagesDeterminismTest, ProxyCacheCountsHitsAcrossRuns) {
   // Second evaluation re-scores the same frames: all lookups hit.
   EXPECT_EQ(trained->proxy_cache.misses(), misses_first);
   EXPECT_GE(trained->proxy_cache.hits() - hits_before, misses_first);
+}
+
+/// Fault recovery in Pipeline::Run, driven through EvaluateConfig at 4
+/// workers with OTIF_FAULTS-style specs installed: transient errors retry,
+/// a clip whose detector keeps failing is quarantined while the rest of the
+/// run completes bit-identically, and a proxy that keeps failing falls back
+/// to full-frame detection.
+class PipelineFaultTest : public ::testing::Test {
+ protected:
+  void TearDown() override {
+    fault::ClearFaults();
+    ThreadPool::SetDefaultThreads(1);
+  }
+
+  /// Fault-free single-thread reference evaluation.
+  EvalResult RunReference(const PipelineConfig& config,
+                          const TrainedModels* trained,
+                          const std::vector<sim::Clip>& clips) {
+    ThreadPool::SetDefaultThreads(1);
+    if (trained != nullptr) trained->proxy_cache.Clear();
+    return EvaluateConfig(config, trained, clips, CountAccuracyFn(&clips));
+  }
+
+  /// Evaluation at a 4-lane pool under whatever faults are armed.
+  EvalResult RunFaulted(const PipelineConfig& config,
+                        const TrainedModels* trained) {
+    ThreadPool::SetDefaultThreads(4);
+    if (trained != nullptr) trained->proxy_cache.Clear();
+    return EvaluateConfig(config, trained, clips_, CountAccuracyFn(&clips_));
+  }
+
+  static int64_t CounterValue(const std::string& name) {
+    return telemetry::MetricsRegistry::Global().GetCounter(name)->value();
+  }
+
+  std::vector<sim::Clip> clips_ = MakeClips();
+};
+
+TEST_F(PipelineFaultTest, QuarantineReportsFailedClipCompletesRest) {
+  // Clip 1's detector invocations always fail: the run must exhaust the
+  // retry budget, quarantine clip 1, and still deliver clips 0 and 2
+  // bit-identical to a fault-free evaluation.
+  PipelineConfig config;
+  config.tracker = TrackerKind::kSort;
+  config.sampling_gap = 2;
+  const EvalResult reference = RunReference(config, nullptr, clips_);
+  const std::vector<sim::Clip> survivors = {clips_[0], clips_[2]};
+  const EvalResult survivors_only = RunReference(config, nullptr, survivors);
+
+  ASSERT_TRUE(fault::ConfigureFaults("detect.invoke:error:1:7:clip=1").ok());
+  const int64_t quarantined_before = CounterValue("executor.quarantined_clips");
+  const EvalResult r = RunFaulted(config, nullptr);
+
+  ASSERT_EQ(r.failed_clips.size(), 1u);
+  EXPECT_EQ(r.failed_clips[0].clip_index, 1);
+  EXPECT_EQ(r.failed_clips[0].status.code(), StatusCode::kIoError);
+  EXPECT_GT(r.failed_clips[0].retries, 0);
+  EXPECT_EQ(CounterValue("executor.quarantined_clips"),
+            quarantined_before + 1);
+  EXPECT_TRUE(r.degraded_clips.empty());
+
+  // The quarantined slot stays positional but empty and charges nothing.
+  ASSERT_EQ(r.tracks_per_clip.size(), clips_.size());
+  EXPECT_TRUE(r.tracks_per_clip[1].empty());
+  ExpectSameTracks(reference.tracks_per_clip[0], r.tracks_per_clip[0], 0);
+  ExpectSameTracks(reference.tracks_per_clip[2], r.tracks_per_clip[2], 2);
+  ExpectSameClock(survivors_only.clock, r.clock);
+}
+
+TEST_F(PipelineFaultTest, TransientErrorsRetryToBitIdenticalRun) {
+  // A moderate error rate makes many invocations fail once or twice, but
+  // the per-attempt token reroll means no group exhausts all attempts
+  // (deterministic for a fixed seed). The run must succeed with results
+  // bit-identical to the fault-free reference.
+  PipelineConfig config;
+  config.tracker = TrackerKind::kSort;
+  config.sampling_gap = 2;
+  const EvalResult reference = RunReference(config, nullptr, clips_);
+
+  ASSERT_TRUE(fault::ConfigureFaults("detect.invoke:error:0.3:11").ok());
+  const int64_t retries_before = CounterValue("executor.retries");
+  const EvalResult r = RunFaulted(config, nullptr);
+  EXPECT_TRUE(r.failed_clips.empty());
+  EXPECT_GT(CounterValue("executor.retries"), retries_before);
+  ExpectIdentical(reference, r);
+}
+
+TEST_F(PipelineFaultTest, StallAndDenyFaultsDoNotChangeResults) {
+  // Latency spikes before model invocations and allocation denials in the
+  // buffer pool perturb scheduling and memory reuse but must never change
+  // a single output bit.
+  PipelineConfig config;
+  config.tracker = TrackerKind::kSort;
+  config.sampling_gap = 2;
+  const EvalResult reference = RunReference(config, nullptr, clips_);
+
+  ASSERT_TRUE(fault::ConfigureFaults(
+                  "detect.invoke:stall:0.2:3:ms=1,"
+                  "mem.acquire:deny:0.5:9,"
+                  "decode.frame:stall:0.05:13:ms=1")
+                  .ok());
+  const EvalResult r = RunFaulted(config, nullptr);
+  EXPECT_TRUE(r.failed_clips.empty());
+  ExpectIdentical(reference, r);
+}
+
+TEST_F(PipelineFaultTest, DegradedProxyFallsBackToFullFrame) {
+  // The proxy fails permanently for every clip: instead of quarantining,
+  // the run degrades to full-frame detection — exactly what a run without
+  // the proxy produces.
+  const auto trained = MakeTrained(clips_);
+  PipelineConfig noproxy;
+  noproxy.tracker = TrackerKind::kSort;
+  noproxy.sampling_gap = 2;
+  const EvalResult reference = RunReference(noproxy, trained.get(), clips_);
+
+  PipelineConfig config = noproxy;
+  config.use_proxy = true;
+  config.proxy_threshold = 0.3;
+  ASSERT_TRUE(fault::ConfigureFaults("proxy.invoke:error:1:7").ok());
+  const int64_t degraded_before = CounterValue("executor.degraded_clips");
+  const EvalResult r = RunFaulted(config, trained.get());
+  EXPECT_TRUE(r.failed_clips.empty());
+  EXPECT_EQ(r.degraded_clips, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(CounterValue("executor.degraded_clips"),
+            degraded_before + static_cast<int64_t>(clips_.size()));
+  ExpectIdentical(reference, r);
 }
 
 TEST(ProxyScoreCacheTest, EvictsFifoAtCapacity) {

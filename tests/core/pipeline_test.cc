@@ -105,6 +105,20 @@ TEST(EvaluateConfigTest, AggregatesAcrossClips) {
   EXPECT_GT(r.accuracy, 0.3) << "full-rate SORT should count well";
 }
 
+TEST(EvaluateConfigTest, EmptyClipListReturnsEmpty) {
+  PipelineConfig config;
+  const EvalResult r = EvaluateConfig(
+      config, nullptr, {},
+      [](const std::vector<std::vector<track::Track>>& per_clip) {
+        return per_clip.empty() ? 1.0 : 0.0;
+      });
+  EXPECT_TRUE(r.tracks_per_clip.empty());
+  EXPECT_TRUE(r.failed_clips.empty());
+  EXPECT_TRUE(r.degraded_clips.empty());
+  EXPECT_EQ(r.seconds, 0.0);
+  EXPECT_EQ(r.accuracy, 1.0);
+}
+
 TEST(SelectBestConfigTest, FindsAccurateSlowConfig) {
   const auto clips = TestClips(2);
   const AccuracyFn fn = CountAccuracyFn(&clips);

@@ -16,12 +16,12 @@ namespace {
 
 TEST(BufferPoolTest, AcquireRoundsUpToSizeClass) {
   BufferPool pool;
-  PooledBuffer a = pool.Acquire(1);
-  EXPECT_EQ(a.capacity(), 256u);  // Min class.
-  PooledBuffer b = pool.Acquire(256);
-  EXPECT_EQ(b.capacity(), 256u);  // Exact boundary stays in class.
-  PooledBuffer c = pool.Acquire(257);
-  EXPECT_EQ(c.capacity(), 512u);  // Next class.
+  PooledBuffer a = pool.Acquire(1024);
+  EXPECT_EQ(a.capacity(), 1024u);  // Min class; exact boundary stays in it.
+  PooledBuffer b = pool.Acquire(3000);
+  EXPECT_EQ(b.capacity(), 4096u);
+  PooledBuffer c = pool.Acquire(4097);
+  EXPECT_EQ(c.capacity(), 8192u);  // Next class.
   PooledBuffer d = pool.Acquire(100000);
   EXPECT_EQ(d.capacity(), size_t{1} << 17);  // 131072.
 }
@@ -39,13 +39,13 @@ TEST(BufferPoolTest, ReleaseThenAcquireReusesBlock) {
   BufferPool pool;
   float* first = nullptr;
   {
-    PooledBuffer b = pool.Acquire(1000);
+    PooledBuffer b = pool.Acquire(16000);
     first = b.data();
     b.data()[0] = 42.0f;
   }  // Released to the freelist.
   EXPECT_EQ(pool.GetStats().misses, 1);
   EXPECT_EQ(pool.GetStats().hits, 0);
-  PooledBuffer again = pool.Acquire(900);  // Same class (1024).
+  PooledBuffer again = pool.Acquire(9000);  // Same class (16384).
   EXPECT_EQ(again.data(), first);          // LIFO reuse, same storage.
   EXPECT_EQ(pool.GetStats().hits, 1);
   EXPECT_EQ(pool.GetStats().misses, 1);
@@ -53,7 +53,7 @@ TEST(BufferPoolTest, ReleaseThenAcquireReusesBlock) {
 
 TEST(BufferPoolTest, CopiedHandlesShareBlockUntilLastDrop) {
   BufferPool pool;
-  PooledBuffer a = pool.Acquire(512);
+  PooledBuffer a = pool.Acquire(2048);
   EXPECT_TRUE(a.unique());
   PooledBuffer b = a;
   EXPECT_EQ(a.data(), b.data());
@@ -62,16 +62,16 @@ TEST(BufferPoolTest, CopiedHandlesShareBlockUntilLastDrop) {
   float* p = a.data();
   a.reset();
   // b still owns the block: a new acquire must not steal it.
-  PooledBuffer c = pool.Acquire(512);
+  PooledBuffer c = pool.Acquire(2048);
   EXPECT_NE(c.data(), p);
   b.reset();
-  PooledBuffer d = pool.Acquire(512);  // Now the block is recyclable.
+  PooledBuffer d = pool.Acquire(2048);  // Now the block is recyclable.
   EXPECT_EQ(d.data(), p);
 }
 
 TEST(BufferPoolTest, MoveTransfersOwnershipWithoutRefcountChurn) {
   BufferPool pool;
-  PooledBuffer a = pool.Acquire(256);
+  PooledBuffer a = pool.Acquire(1024);
   float* p = a.data();
   PooledBuffer b = std::move(a);
   EXPECT_EQ(b.data(), p);
@@ -87,12 +87,12 @@ TEST(BufferPoolTest, BytesInFlightAndRetainedAccounting) {
   BufferPool pool;
   EXPECT_EQ(pool.GetStats().bytes_in_flight, 0);
   {
-    PooledBuffer a = pool.Acquire(256);  // 1 KiB class.
-    EXPECT_EQ(pool.GetStats().bytes_in_flight, 1024);
+    PooledBuffer a = pool.Acquire(1024);  // 4 KiB class.
+    EXPECT_EQ(pool.GetStats().bytes_in_flight, 4096);
     EXPECT_EQ(pool.GetStats().bytes_retained, 0);
   }
   EXPECT_EQ(pool.GetStats().bytes_in_flight, 0);
-  EXPECT_EQ(pool.GetStats().bytes_retained, 1024);
+  EXPECT_EQ(pool.GetStats().bytes_retained, 4096);
   pool.TrimAll();
   EXPECT_EQ(pool.GetStats().bytes_retained, 0);
 }
@@ -128,8 +128,8 @@ TEST(BufferPoolTest, OversizeClassStillParksAFewBlocks) {
 
 TEST(BufferPoolTest, PublishTelemetryExportsGauges) {
   BufferPool pool;
-  { PooledBuffer b = pool.Acquire(512); }
-  PooledBuffer live = pool.Acquire(512);
+  { PooledBuffer b = pool.Acquire(2048); }
+  PooledBuffer live = pool.Acquire(2048);
   pool.PublishTelemetry();
   telemetry::TelemetrySnapshot snapshot =
       telemetry::MetricsRegistry::Global().Snapshot();
@@ -161,12 +161,12 @@ TEST(BufferPoolTest, ArenaChunkGrowthIsCounted) {
 TEST(BufferPoolTest, SteadyStateLoopIsAllocationFree) {
   BufferPool pool;
   // Warm every size the loop uses, then assert zero misses afterwards.
-  for (const size_t n : {100, 5000, 20000}) {
+  for (const size_t n : {1500, 5000, 20000}) {
     PooledBuffer warm = pool.Acquire(n);
   }
   const int64_t warm_misses = pool.GetStats().misses;
   for (int iter = 0; iter < 100; ++iter) {
-    for (const size_t n : {100, 5000, 20000}) {
+    for (const size_t n : {1500, 5000, 20000}) {
       PooledBuffer b = pool.Acquire(n);
       b.data()[0] = static_cast<float>(iter);
     }
@@ -189,7 +189,7 @@ TEST(BufferPoolTest, ConcurrentAcquireReleaseIsSafe) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&pool, &checksum, t] {
       for (int i = 0; i < kItersPerThread; ++i) {
-        const size_t n = 200 + static_cast<size_t>((t * 37 + i * 11) % 2000);
+        const size_t n = 1024 + static_cast<size_t>((t * 37 + i * 11) % 4000);
         PooledBuffer b = pool.Acquire(n);
         // Write the whole requested range: overlapping writes from two
         // threads on one block would be a TSan hit and a refcount bug.
@@ -235,9 +235,9 @@ TEST(BufferPoolTest, InjectedDenyForcesHeapMissButValidBuffer) {
   // allocates fresh blocks (a miss), but the returned buffer is fully
   // usable — allocation denial degrades stats, never correctness.
   BufferPool pool;
-  { PooledBuffer warm = pool.Acquire(1000); }  // Park a block.
+  { PooledBuffer warm = pool.Acquire(4000); }  // Park a block.
   ASSERT_TRUE(fault::ConfigureFaults("mem.acquire:deny:1:3").ok());
-  PooledBuffer denied = pool.Acquire(900);  // Same class; freelist skipped.
+  PooledBuffer denied = pool.Acquire(3000);  // Same class; freelist skipped.
   ASSERT_NE(denied.data(), nullptr);
   denied.data()[0] = 1.0f;
   EXPECT_EQ(pool.GetStats().hits, 0);
@@ -245,8 +245,53 @@ TEST(BufferPoolTest, InjectedDenyForcesHeapMissButValidBuffer) {
 
   fault::ClearFaults();
   denied.reset();
-  PooledBuffer reused = pool.Acquire(900);  // Freelist works again.
+  PooledBuffer reused = pool.Acquire(3000);  // Freelist works again.
   EXPECT_EQ(pool.GetStats().hits, 1);
+}
+
+TEST(BufferPoolTest, SmallRequestsBypassFreelistsStatsAndDenySite) {
+  // A request below 4 KiB is an exact-size heap block: it takes no parked
+  // block, moves no counter, and never consults the "mem.acquire" site.
+  // Frame-sized requests keep recycling around it.
+  BufferPool pool;
+  float* parked = nullptr;
+  {
+    PooledBuffer warm = pool.Acquire(1024);
+    parked = warm.data();
+  }  // Parks one 4 KiB block.
+  const BufferPool::Stats before = pool.GetStats();
+  const auto expect_untouched = [&] {
+    const BufferPool::Stats now = pool.GetStats();
+    EXPECT_EQ(now.hits, before.hits);
+    EXPECT_EQ(now.misses, before.misses);
+    EXPECT_EQ(now.bytes_in_flight, before.bytes_in_flight);
+    EXPECT_EQ(now.bytes_retained, before.bytes_retained);
+  };
+  {
+    PooledBuffer small = pool.Acquire(1023);
+    ASSERT_NE(small.data(), nullptr);
+    EXPECT_NE(small.data(), parked);
+    EXPECT_EQ(small.capacity(), 1023u);  // No size-class rounding.
+    small.data()[1022] = 1.0f;
+    PooledBuffer shared = small;
+    EXPECT_FALSE(small.unique());
+    expect_untouched();
+  }
+  expect_untouched();
+
+  const telemetry::Counter* injected =
+      telemetry::MetricsRegistry::Global().GetCounter(
+          "fault.injected.mem.acquire");
+  const int64_t injected_before = injected->value();
+  ASSERT_TRUE(fault::ConfigureFaults("mem.acquire:deny:1:3").ok());
+  { PooledBuffer tiny = pool.Acquire(16); }
+  fault::ClearFaults();
+  EXPECT_EQ(injected->value(), injected_before);
+  expect_untouched();
+
+  PooledBuffer frame = pool.Acquire(1024);
+  EXPECT_EQ(frame.data(), parked);
+  EXPECT_EQ(pool.GetStats().hits, before.hits + 1);
 }
 
 }  // namespace

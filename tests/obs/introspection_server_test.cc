@@ -1,8 +1,8 @@
 // Introspection server endpoint tests: handler rendering for all four
 // endpoints, the /healthz stall watchdog, one real-socket HTTP round trip,
 // concurrent /metrics scrapes racing telemetry writers (the TSan target),
-// and the bit-identity contract — a streaming run with the server up and
-// progress armed must match the server-off run exactly.
+// and the bit-identity contract — a config evaluation with the server up
+// and progress armed must match the server-off evaluation exactly.
 
 #include "obs/introspection_server.h"
 
@@ -21,8 +21,9 @@
 #include <thread>
 #include <vector>
 
-#include "core/executor/streaming_executor.h"
+#include "core/best_config.h"
 #include "core/pipeline.h"
+#include "models/cost_model.h"
 #include "obs/run_progress.h"
 #include "sim/dataset.h"
 #include "util/status.h"
@@ -89,7 +90,7 @@ TEST(IntrospectionServerTest, StatuszReportsRunAndClips) {
   EXPECT_NE(r.body.find("statusz_unit"), std::string::npos);
   EXPECT_NE(r.body.find("\"committed\""), std::string::npos);
   EXPECT_NE(r.body.find("\"pool\""), std::string::npos);
-  EXPECT_NE(r.body.find("\"executor\""), std::string::npos);
+  EXPECT_NE(r.body.find("\"quarantined\""), std::string::npos);
 }
 
 TEST(IntrospectionServerTest, HealthzFlipsToStalledAndBack) {
@@ -343,25 +344,31 @@ TEST(IntrospectionServerTest, ConcurrentScrapesRaceTelemetryUpdates) {
   for (std::thread& t : writers) t.join();
 }
 
-/// Exact equality across the observables the executor tests also compare:
-/// the introspection server must not change a single bit of any run.
-void ExpectSameResult(const core::PipelineResult& a,
-                      const core::PipelineResult& b, size_t clip) {
-  EXPECT_EQ(a.frames_processed, b.frames_processed) << "clip " << clip;
-  EXPECT_EQ(a.detections_kept, b.detections_kept) << "clip " << clip;
-  ASSERT_EQ(a.tracks.size(), b.tracks.size()) << "clip " << clip;
-  for (size_t t = 0; t < a.tracks.size(); ++t) {
-    EXPECT_EQ(a.tracks[t].id, b.tracks[t].id);
-    ASSERT_EQ(a.tracks[t].detections.size(), b.tracks[t].detections.size());
-    for (size_t d = 0; d < a.tracks[t].detections.size(); ++d) {
-      const track::Detection& da = a.tracks[t].detections[d];
-      const track::Detection& db = b.tracks[t].detections[d];
-      EXPECT_EQ(da.frame, db.frame);
-      EXPECT_EQ(da.box.cx, db.box.cx);
-      EXPECT_EQ(da.box.cy, db.box.cy);
-      EXPECT_EQ(da.box.w, db.box.w);
-      EXPECT_EQ(da.box.h, db.box.h);
-      EXPECT_EQ(da.confidence, db.confidence);
+/// Exact equality over every observable of a config evaluation: the
+/// introspection server must not change a single bit of any run.
+void ExpectSameResult(const core::EvalResult& a, const core::EvalResult& b) {
+  for (int c = 0; c < models::kNumCostCategories; ++c) {
+    const auto cat = static_cast<models::CostCategory>(c);
+    EXPECT_EQ(a.clock.Seconds(cat), b.clock.Seconds(cat)) << "category " << c;
+  }
+  ASSERT_EQ(a.tracks_per_clip.size(), b.tracks_per_clip.size());
+  for (size_t clip = 0; clip < a.tracks_per_clip.size(); ++clip) {
+    const std::vector<track::Track>& ta = a.tracks_per_clip[clip];
+    const std::vector<track::Track>& tb = b.tracks_per_clip[clip];
+    ASSERT_EQ(ta.size(), tb.size()) << "clip " << clip;
+    for (size_t t = 0; t < ta.size(); ++t) {
+      EXPECT_EQ(ta[t].id, tb[t].id);
+      ASSERT_EQ(ta[t].detections.size(), tb[t].detections.size());
+      for (size_t d = 0; d < ta[t].detections.size(); ++d) {
+        const track::Detection& da = ta[t].detections[d];
+        const track::Detection& db = tb[t].detections[d];
+        EXPECT_EQ(da.frame, db.frame);
+        EXPECT_EQ(da.box.cx, db.box.cx);
+        EXPECT_EQ(da.box.cy, db.box.cy);
+        EXPECT_EQ(da.box.w, db.box.w);
+        EXPECT_EQ(da.box.h, db.box.h);
+        EXPECT_EQ(da.confidence, db.confidence);
+      }
     }
   }
 }
@@ -375,14 +382,14 @@ TEST(IntrospectionServerTest, RunsAreBitIdenticalWithServerOnOrOff) {
   core::PipelineConfig config;
   config.tracker = core::TrackerKind::kSort;
   config.frame_batch = 4;
+  const core::AccuracyFn no_accuracy =
+      [](const std::vector<std::vector<track::Track>>&) { return 0.0; };
 
   // Reference: server down, progress off.
   SetProgressEnabled(false);
   ThreadPool::SetDefaultThreads(4);
-  core::StreamingExecutor off_executor(config, nullptr,
-                                       core::StreamingOptions{});
-  StatusOr<core::StreamingRunReport> off = off_executor.Run(clips);
-  ASSERT_TRUE(off.ok()) << off.status().ToString();
+  const core::EvalResult off =
+      core::EvaluateConfig(config, nullptr, clips, no_accuracy);
 
   // Same run with the server scraping and progress armed throughout.
   {
@@ -396,16 +403,11 @@ TEST(IntrospectionServerTest, RunsAreBitIdenticalWithServerOnOrOff) {
         server->Handle("/healthz");
       }
     });
-    core::StreamingExecutor on_executor(config, nullptr,
-                                        core::StreamingOptions{});
-    StatusOr<core::StreamingRunReport> on = on_executor.Run(clips);
+    const core::EvalResult on =
+        core::EvaluateConfig(config, nullptr, clips, no_accuracy);
     stop.store(true, std::memory_order_relaxed);
     scraper.join();
-    ASSERT_TRUE(on.ok()) << on.status().ToString();
-    ASSERT_EQ(on->results.size(), off->results.size());
-    for (size_t c = 0; c < off->results.size(); ++c) {
-      ExpectSameResult(off->results[c], on->results[c], c);
-    }
+    ExpectSameResult(off, on);
   }
   ThreadPool::SetDefaultThreads(1);
 }

@@ -2,9 +2,9 @@
 // inclusive top-frames) over hand-built profiles, a live Start/Stop window
 // over a known busy loop (symbolization must find the loop; stage and clip
 // attribution must join in), option validation, and the bit-identity
-// contract — a streaming run with the profiler sampling must match the
-// profiler-off run exactly. Live-sampling tests self-skip under sanitizers
-// (the profiler refuses to start there by design).
+// contract — a config evaluation with the profiler sampling must match the
+// profiler-off evaluation exactly. Live-sampling tests self-skip under
+// sanitizers (the profiler refuses to start there by design).
 
 #include "obs/profiler.h"
 
@@ -16,8 +16,9 @@
 #include <string>
 #include <vector>
 
-#include "core/executor/streaming_executor.h"
+#include "core/best_config.h"
 #include "core/pipeline.h"
+#include "models/cost_model.h"
 #include "sim/dataset.h"
 #include "util/status.h"
 #include "util/telemetry.h"
@@ -212,32 +213,39 @@ TEST(ProfilerTest, ProfileForRunsOneBoundedWindow) {
   EXPECT_FALSE(CpuProfiler::Global().running());
 }
 
-/// Exact equality over the same observables the executor tests compare.
-void ExpectSameResult(const core::PipelineResult& a,
-                      const core::PipelineResult& b, size_t clip) {
-  EXPECT_EQ(a.frames_processed, b.frames_processed) << "clip " << clip;
-  EXPECT_EQ(a.detections_kept, b.detections_kept) << "clip " << clip;
-  ASSERT_EQ(a.tracks.size(), b.tracks.size()) << "clip " << clip;
-  for (size_t t = 0; t < a.tracks.size(); ++t) {
-    EXPECT_EQ(a.tracks[t].id, b.tracks[t].id);
-    ASSERT_EQ(a.tracks[t].detections.size(), b.tracks[t].detections.size());
-    for (size_t d = 0; d < a.tracks[t].detections.size(); ++d) {
-      const track::Detection& da = a.tracks[t].detections[d];
-      const track::Detection& db = b.tracks[t].detections[d];
-      EXPECT_EQ(da.frame, db.frame);
-      EXPECT_EQ(da.box.cx, db.box.cx);
-      EXPECT_EQ(da.box.cy, db.box.cy);
-      EXPECT_EQ(da.box.w, db.box.w);
-      EXPECT_EQ(da.box.h, db.box.h);
-      EXPECT_EQ(da.confidence, db.confidence);
+/// Exact equality over every observable of a config evaluation.
+void ExpectSameResult(const core::EvalResult& a, const core::EvalResult& b) {
+  for (int c = 0; c < models::kNumCostCategories; ++c) {
+    const auto cat = static_cast<models::CostCategory>(c);
+    EXPECT_EQ(a.clock.Seconds(cat), b.clock.Seconds(cat)) << "category " << c;
+  }
+  ASSERT_EQ(a.tracks_per_clip.size(), b.tracks_per_clip.size());
+  for (size_t clip = 0; clip < a.tracks_per_clip.size(); ++clip) {
+    const std::vector<track::Track>& ta = a.tracks_per_clip[clip];
+    const std::vector<track::Track>& tb = b.tracks_per_clip[clip];
+    ASSERT_EQ(ta.size(), tb.size()) << "clip " << clip;
+    for (size_t t = 0; t < ta.size(); ++t) {
+      EXPECT_EQ(ta[t].id, tb[t].id);
+      ASSERT_EQ(ta[t].detections.size(), tb[t].detections.size());
+      for (size_t d = 0; d < ta[t].detections.size(); ++d) {
+        const track::Detection& da = ta[t].detections[d];
+        const track::Detection& db = tb[t].detections[d];
+        EXPECT_EQ(da.frame, db.frame);
+        EXPECT_EQ(da.box.cx, db.box.cx);
+        EXPECT_EQ(da.box.cy, db.box.cy);
+        EXPECT_EQ(da.box.w, db.box.w);
+        EXPECT_EQ(da.box.h, db.box.h);
+        EXPECT_EQ(da.confidence, db.confidence);
+      }
     }
   }
 }
 
 // The bit-identity acceptance gate: sampling must never feed back into
 // pipeline state. SA_RESTART keeps interrupted syscalls transparent and the
-// handler only reads thread-locals and writes its own ring, so a streaming
-// run under full-rate sampling must equal the unprofiled run bit for bit.
+// handler only reads thread-locals and writes its own ring, so a 4-worker
+// evaluation under full-rate sampling must equal the unprofiled one bit for
+// bit.
 TEST(ProfilerTest, RunsAreBitIdenticalWithProfilerOnOrOff) {
   std::vector<sim::Clip> clips;
   const sim::DatasetSpec spec = sim::MakeDataset(sim::DatasetId::kSynthetic);
@@ -247,30 +255,25 @@ TEST(ProfilerTest, RunsAreBitIdenticalWithProfilerOnOrOff) {
   core::PipelineConfig config;
   config.tracker = core::TrackerKind::kSort;
   config.frame_batch = 4;
+  const core::AccuracyFn no_accuracy =
+      [](const std::vector<std::vector<track::Track>>&) { return 0.0; };
   ThreadPool::SetDefaultThreads(4);
 
   // Reference: profiler off.
-  core::StreamingExecutor off_executor(config, nullptr,
-                                       core::StreamingOptions{});
-  StatusOr<core::StreamingRunReport> off = off_executor.Run(clips);
-  ASSERT_TRUE(off.ok()) << off.status().ToString();
+  const core::EvalResult off =
+      core::EvaluateConfig(config, nullptr, clips, no_accuracy);
 
   // Same run sampled at full rate.
   ProfilerOptions options;
   options.hz = 997;
   const bool profiling = StartOrSkip(options);
-  core::StreamingExecutor on_executor(config, nullptr,
-                                      core::StreamingOptions{});
-  StatusOr<core::StreamingRunReport> on = on_executor.Run(clips);
+  const core::EvalResult on =
+      core::EvaluateConfig(config, nullptr, clips, no_accuracy);
   if (profiling) {
     StatusOr<Profile> profile = CpuProfiler::Global().Stop();
     EXPECT_TRUE(profile.ok()) << profile.status().ToString();
   }
-  ASSERT_TRUE(on.ok()) << on.status().ToString();
-  ASSERT_EQ(on->results.size(), off->results.size());
-  for (size_t c = 0; c < off->results.size(); ++c) {
-    ExpectSameResult(off->results[c], on->results[c], c);
-  }
+  ExpectSameResult(off, on);
   ThreadPool::SetDefaultThreads(1);
   if (!profiling) GTEST_SKIP() << "compared without sampling (sanitizer)";
 }

@@ -1,32 +1,28 @@
 #!/usr/bin/env bash
 # Tier-1 verification: clean configure + build + full test suite, a smoke
 # run of bench_throughput that validates the emitted JSON telemetry report
-# (including the buffer-pool memory section: steady-state hot-loop
-# allocations must be exactly zero at the single-worker serial point), a
-# streaming-executor smoke run (validates the cross-clip batch telemetry
-# sections and that streaming detector batches exceed the serial ones), a
-# live-introspection smoke run (all HTTP endpoints scraped over an
-# in-flight run, Prometheus exposition and /statusz schema validated, the
-# /healthz stall watchdog tripped on an induced pause), a /profilez
-# sampling-profiler smoke (2 s window over a busy streaming run must
-# produce >= 100 collapsed samples with the GEMM microkernel on a hot,
-# stage-attributed stack) plus a measured <= 5% profiler-overhead gate, a
-# timeline-trace capture validated as Chrome trace-event JSON, a
+# (including the buffer-pool memory section: the single-worker point must
+# make no pooled allocation after warm-up), a live-introspection smoke run
+# (all HTTP endpoints scraped over an in-flight run, Prometheus exposition
+# and /statusz schema validated, the /healthz stall watchdog tripped on an
+# induced pause), a /profilez sampling-profiler smoke (2 s window over a
+# busy run must produce >= 100 collapsed samples with the GEMM microkernel
+# on a hot, stage-attributed stack) plus a measured <= 5% profiler-overhead
+# gate, a timeline-trace capture validated as Chrome trace-event JSON, a
 # mechanics test of the perf-baseline regression gate (self-compare must
 # pass, a perturbed baseline must fail), a microbench gate that the fused
 # pooled batch-staging path beats the pre-pool copy path, then a
 # ThreadSanitizer build of the concurrency-sensitive tests (thread pool,
 # buffer pool, telemetry registry/spans, timeline ring buffers, proxy
-# score cache, staged-pipeline determinism, executor channels/batcher,
-# cross-executor equivalence).
+# score cache, staged-pipeline determinism, fault recovery).
 #
 # Usage: tools/check.sh [--skip-tsan] [--compare-baseline] [--faults]
 #   --compare-baseline  additionally re-measures and diffs against the
 #                       committed BENCH_baseline.json (exits non-zero on
 #                       regression; tolerance via OTIF_BASELINE_TOL).
-#   --faults            additionally runs the fault-injection smoke (a
-#                       quarantined-clip streaming run must exit 0, report
-#                       the failed clip, and leave every surviving clip
+#   --faults            additionally runs the fault-injection smoke (a run
+#                       with one quarantined clip must exit 0, report the
+#                       failed clip, and leave every surviving clip
 #                       bit-identical to a fault-free run) and the full
 #                       chaos matrix (tools/chaos_matrix.sh).
 set -euo pipefail
@@ -94,11 +90,14 @@ for entry in results:
                 "allocations", "allocations_per_clip", "pool_hit_rate",
                 "bytes_in_flight", "bytes_retained", "arena_bytes_reserved"):
         assert key in mem, mem
-    # Frame buffers recycle through mem::BufferPool: at steady state the
-    # serial hot loop must run essentially allocation-free. Multi-worker
-    # entries see occasional scheduling-dependent liveness peaks, so only
-    # the single-worker entry (an exact replay of its warm-up) gets the
-    # strict bar: hit rate >= 0.99 and exactly zero allocations.
+    # Scope: only pooled buffers (4 KiB and up) and arena chunks are
+    # counted; tensors below 4 KiB come from malloc and show up nowhere
+    # here. The warm window of this workload makes no pooled request at all
+    # (every buffer it acquires is below 4 KiB), so today the bar holds by
+    # counting nothing (0 hits, 0 misses, hit rate 1.0); it still fails if
+    # a change adds a pooled or arena allocation to the warm loop. Only the
+    # single-worker entry (an exact replay of its warm-up) gets the strict
+    # bar: hit rate >= 0.99 and exactly zero pooled or arena allocations.
     if entry["workers"] == 1:
         assert mem["pool_hit_rate"] >= 0.99, mem
         assert mem["allocations"] == 0, mem
@@ -122,56 +121,8 @@ OTIF_LOG_LEVEL=warning ./build/bench/bench_throughput 4 60 \
   | python3 -c "$VALIDATE_THROUGHPUT"
 require_pipe_ok "${PIPESTATUS[@]}"
 
-echo "== smoke: streaming executor report + cross-clip batching win =="
-# The streaming run must emit the executor telemetry sections (batch fill,
-# channel occupancy) and actually batch across clips: its mean detector
-# batch size at the widest sweep point must exceed the serial run's, whose
-# batches can never span a clip (and so never exceed frame_batch).
-VALIDATE_STREAMING='
-import json, sys
-
-with open(sys.argv[1]) as f:
-    serial = json.load(f)
-report = json.load(sys.stdin)
-
-assert report["executor"] == "streaming", report.get("executor")
-assert serial["executor"] == "serial", serial.get("executor")
-results = report["results"]
-assert results, "empty results"
-for entry in results:
-    for section in ("proxy", "detect"):
-        fill = entry["batch_fill"][section]
-        for key in ("mean_frames", "p50", "p99"):
-            assert key in fill, fill
-    for ch in ("proxy", "detect", "commit"):
-        depth = entry["executor_queue_depth"][ch]
-        for key in ("p50", "p99"):
-            assert key in depth, depth
-    mem = entry["memory"]
-    for key in ("allocations", "pool_hit_rate", "bytes_in_flight"):
-        assert key in mem, mem
-    # Streaming stage threads make the first sweep point pool warm-up
-    # scheduling-dependent, so the bar is a high hit rate rather than the
-    # exact-zero allocation count demanded of the serial executor.
-    assert mem["pool_hit_rate"] >= 0.9, (entry["workers"], mem)
-streaming_mean = results[-1]["detect_batch"]["mean_frames"]
-serial_mean = serial["results"][-1]["detect_batch"]["mean_frames"]
-assert streaming_mean > serial_mean, (
-    f"cross-clip batching did not grow detector batches: "
-    f"streaming {streaming_mean} <= serial {serial_mean}")
-print(f"streaming report ok: {len(results)} sweep points, detector batch "
-      f"{streaming_mean:.1f} frames vs {serial_mean:.1f} serial")
-'
-OTIF_LOG_LEVEL=warning ./build/bench/bench_throughput --executor=serial \
-  8 120 > build/throughput_serial_8x120.json
-OTIF_LOG_LEVEL=warning ./build/bench/bench_throughput --executor=streaming \
-  8 120 \
-  | tee build/throughput_streaming_report.json \
-  | python3 -c "$VALIDATE_STREAMING" build/throughput_serial_8x120.json
-require_pipe_ok "${PIPESTATUS[@]}"
-
 echo "== smoke: live introspection endpoints over an in-flight run =="
-# A streaming bench with the HTTP introspection server on an ephemeral port
+# A bench with the HTTP introspection server on an ephemeral port
 # (OTIF_METRICS_PORT=0; the bound port lands in OTIF_METRICS_PORT_FILE).
 # The validator scrapes all four endpoints mid-run: /metrics must be legal
 # Prometheus 0.0.4 exposition, /statusz must show per-clip commits growing
@@ -183,7 +134,7 @@ rm -f build/metrics_port
 OTIF_LOG_LEVEL=warning OTIF_METRICS_PORT=0 \
   OTIF_METRICS_PORT_FILE=build/metrics_port \
   OTIF_STALL_SEC=0.2 OTIF_BENCH_STALL_SEC=2 \
-  ./build/bench/bench_throughput --executor=streaming 12 1200 \
+  ./build/bench/bench_throughput 12 1200 \
   > build/throughput_introspect.json &
 INTROSPECT_PID=$!
 if ! python3 tools/validate_introspection.py build/metrics_port; then
@@ -195,7 +146,7 @@ fi
 wait "$INTROSPECT_PID"
 
 echo "== smoke: /profilez sampling profiler over an in-flight run =="
-# A second background streaming bench; the validator rejects malformed
+# A second background bench; the validator rejects malformed
 # query parameters (400s), profiles a 2 s window mid-run, checks the
 # collapsed-stack grammar, demands >= 100 samples with the GEMM microkernel
 # (GemmBias) on a hot stack and stage attribution joined in, and keeps the
@@ -205,7 +156,7 @@ echo "== smoke: /profilez sampling profiler over an in-flight run =="
 rm -f build/profile_port build/profile.collapsed
 OTIF_LOG_LEVEL=warning OTIF_METRICS_PORT=0 \
   OTIF_METRICS_PORT_FILE=build/profile_port \
-  ./build/bench/bench_throughput --executor=streaming 12 1200 \
+  ./build/bench/bench_throughput 12 1200 \
   > build/throughput_profile_run.json &
 PROFILE_PID=$!
 if ! python3 tools/validate_profile.py build/profile_port \
@@ -285,11 +236,9 @@ OTIF_LOG_LEVEL=warning OTIF_BENCH_JSON=build/fig6_cost.json \
   OTIF_BENCH_SCALE=tiny ./build/bench/bench_fig6_cost_breakdown > /dev/null
 python3 tools/bench_baseline.py record --out build/BENCH_selftest.json \
   --from-throughput build/throughput_report.json \
-  --from-throughput-streaming build/throughput_streaming_report.json \
   --from-cost build/fig6_cost.json
 python3 tools/bench_baseline.py compare --baseline build/BENCH_selftest.json \
   --from-throughput build/throughput_report.json \
-  --from-throughput-streaming build/throughput_streaming_report.json \
   --from-cost build/fig6_cost.json > /dev/null
 python3 - build/BENCH_selftest.json build/BENCH_perturbed.json <<'EOF'
 import json, sys
@@ -303,7 +252,6 @@ EOF
 if python3 tools/bench_baseline.py compare \
     --baseline build/BENCH_perturbed.json \
     --from-throughput build/throughput_report.json \
-    --from-throughput-streaming build/throughput_streaming_report.json \
     --from-cost build/fig6_cost.json > /dev/null; then
   echo "ERROR: baseline gate failed to flag a synthetic 10x regression" >&2
   exit 1
@@ -341,7 +289,7 @@ fi
 
 if [[ "$RUN_FAULTS" == "1" ]]; then
   echo "== faults: quarantine smoke (failed clip reported, rest bit-identical) =="
-  # A fault-free streaming run records per-clip digests; a second run with
+  # A fault-free run records per-clip digests; a second run with
   # clip 1's detector failing permanently must still exit 0, report exactly
   # clip 1 in failed_clips, and leave every other clip's digest untouched.
   VALIDATE_FAULT_RUN='
@@ -365,19 +313,20 @@ for entry in faulted["clip_digests"]:
         assert entry["failed"], entry
         continue
     assert not entry["failed"], entry
-    assert entry["digest"] == clean_digests[entry["clip"]], (
-        f"clip {entry['clip']} digest changed under an unrelated fault: "
-        f"{entry['digest']} != {clean_digests[entry['clip']]}")
+    clip, digest = entry["clip"], entry["digest"]
+    assert digest == clean_digests[clip], (
+        f"clip {clip} digest changed under an unrelated fault: "
+        f"{digest} != {clean_digests[clip]}")
     survivors += 1
 assert survivors >= 2, faulted["clip_digests"]
-print(f"fault smoke ok: clip 1 quarantined after {failed[0]['retries']} "
+retries = failed[0]["retries"]
+print(f"fault smoke ok: clip 1 quarantined after {retries} "
       f"retries, {survivors} surviving clips bit-identical")
 '
-  OTIF_LOG_LEVEL=warning ./build/bench/bench_throughput \
-    --executor=streaming 4 120 > build/fault_clean.json
+  OTIF_LOG_LEVEL=warning ./build/bench/bench_throughput 4 120 \
+    > build/fault_clean.json
   OTIF_LOG_LEVEL=warning OTIF_FAULTS='detect.invoke:error:1:7:clip=1' \
-    ./build/bench/bench_throughput --executor=streaming 4 120 \
-    > build/fault_quarantine.json
+    ./build/bench/bench_throughput 4 120 > build/fault_quarantine.json
   python3 -c "$VALIDATE_FAULT_RUN" build/fault_clean.json \
     build/fault_quarantine.json
 
@@ -399,7 +348,7 @@ echo "== tsan: run concurrency tests =="
   --gtest_filter='ThreadPool*:Telemetry*:Trace*:TraceTimeline*:FaultInjection*'
 ./build-tsan/tests/mem_test --gtest_filter='BufferPool*'
 ./build-tsan/tests/core_test \
-  --gtest_filter='PipelineStagesDeterminismTest.*:ProxyScoreCache*:PipelineTelemetry*:Channel*:CrossClipBatcher*:StreamingExecutor*'
+  --gtest_filter='PipelineStagesDeterminismTest.*:ProxyScoreCache*:PipelineTelemetry*:PipelineFaultTest.*'
 # Profiler live-sampling tests self-skip under TSan (the profiler refuses
 # to start there); the filter still exercises the renderers, option
 # validation, and the refusal path.
