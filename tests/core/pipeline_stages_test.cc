@@ -273,6 +273,80 @@ TEST_F(PipelineStagesDeterminismTest, ProxyCacheCountsHitsAcrossRuns) {
   EXPECT_GE(trained->proxy_cache.hits() - hits_before, misses_first);
 }
 
+/// The clip-set executor (EvaluateConfig at a 4-lane pool) against
+/// standalone single-thread Pipeline::Run calls, one per clip: per-clip
+/// tracks and the clock merged in clip order must agree bit-for-bit. The
+/// suite keeps the name it had when a separate streaming executor ran clip
+/// sets; EvaluateConfig replaced it and inherits the same contract.
+class StreamingExecutorEquivalenceTest : public ::testing::Test {
+ protected:
+  void TearDown() override { ThreadPool::SetDefaultThreads(1); }
+
+  void CheckConfig(const PipelineConfig& config,
+                   const TrainedModels* trained) {
+    ThreadPool::SetDefaultThreads(1);
+    if (trained != nullptr) trained->proxy_cache.Clear();
+    Pipeline pipeline(config, trained);
+    std::vector<PipelineResult> serial;
+    models::SimClock serial_clock;
+    for (const sim::Clip& clip : clips_) {
+      serial.push_back(pipeline.Run(clip));
+      ASSERT_TRUE(serial.back().status.ok());
+      serial_clock.Merge(serial.back().clock);
+    }
+
+    ThreadPool::SetDefaultThreads(4);
+    if (trained != nullptr) trained->proxy_cache.Clear();
+    const EvalResult pooled =
+        EvaluateConfig(config, trained, clips_, CountAccuracyFn(&clips_));
+    EXPECT_TRUE(pooled.failed_clips.empty());
+    EXPECT_TRUE(pooled.degraded_clips.empty());
+    ExpectSameClock(serial_clock, pooled.clock);
+    EXPECT_EQ(serial_clock.TotalSeconds(), pooled.seconds);
+    ASSERT_EQ(pooled.tracks_per_clip.size(), clips_.size());
+    for (size_t c = 0; c < clips_.size(); ++c) {
+      ExpectSameTracks(serial[c].tracks, pooled.tracks_per_clip[c], c);
+    }
+  }
+
+  std::vector<sim::Clip> clips_ = MakeClips();
+};
+
+TEST_F(StreamingExecutorEquivalenceTest, SortNoProxy) {
+  PipelineConfig config;
+  config.tracker = TrackerKind::kSort;
+  config.frame_batch = 4;
+  CheckConfig(config, nullptr);
+}
+
+TEST_F(StreamingExecutorEquivalenceTest, SortWithProxy) {
+  const auto trained = MakeTrained(clips_);
+  PipelineConfig config;
+  config.tracker = TrackerKind::kSort;
+  config.use_proxy = true;
+  config.proxy_threshold = 0.3;
+  config.sampling_gap = 2;
+  CheckConfig(config, trained.get());
+}
+
+TEST_F(StreamingExecutorEquivalenceTest, RecurrentNoProxy) {
+  const auto trained = MakeTrained(clips_);
+  PipelineConfig config;
+  config.tracker = TrackerKind::kRecurrent;
+  config.sampling_gap = 4;
+  CheckConfig(config, trained.get());
+}
+
+TEST_F(StreamingExecutorEquivalenceTest, RecurrentWithProxy) {
+  const auto trained = MakeTrained(clips_);
+  PipelineConfig config;
+  config.tracker = TrackerKind::kRecurrent;
+  config.use_proxy = true;
+  config.proxy_threshold = 0.3;
+  config.sampling_gap = 2;
+  CheckConfig(config, trained.get());
+}
+
 /// Fault recovery in Pipeline::Run, driven through EvaluateConfig at 4
 /// workers with OTIF_FAULTS-style specs installed: transient errors retry,
 /// a clip whose detector keeps failing is quarantined while the rest of the
