@@ -9,6 +9,7 @@
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
+#include "util/trace.h"
 #include "util/trace_timeline.h"
 
 namespace otif::core {
@@ -44,65 +45,97 @@ std::vector<sim::Clip> Otif::TestClips() const {
   return MakeClips(2, scale_.test_clips);
 }
 
-void Otif::TrainProxies() {
-  const auto resolutions = models::StandardProxyResolutions();
-  Rng rng(spec_.seed * 77 + 5);
-  // theta_best detections provide the training labels (Sec 3.3).
-  const models::DetectorArch arch = models::ArchByName(
-      models::StandardDetectorArchs(), theta_best_.detector_arch);
-  models::SimulatedDetector detector(arch);
+void Otif::TrainProxy(
+    models::ProxyModel* proxy, Rng sampler_rng,
+    const models::SimulatedDetector& detector,
+    const std::vector<std::unique_ptr<sim::Rasterizer>>& rasters) const {
+  OTIF_SPAN("prepare/train_proxy");
+  auto sampler = [&]() {
+    for (int attempt = 0; attempt < 256; ++attempt) {
+      const size_t ci = static_cast<size_t>(
+          sampler_rng.UniformInt(static_cast<uint64_t>(train_clips_.size())));
+      const sim::Clip& clip = train_clips_[ci];
+      const int f = static_cast<int>(
+          sampler_rng.UniformInt(static_cast<uint64_t>(clip.num_frames())));
+      const track::FrameDetections dets = models::FilterByConfidence(
+          detector.Detect(clip, f, theta_best_.detector_scale),
+          theta_best_.detector_confidence);
+      // Paper: sample frames where theta_best produced detections.
+      if (dets.empty()) continue;
+      models::ProxySample s;
+      s.frame = rasters[ci]->Render(f, proxy->resolution().raster_w(),
+                                    proxy->resolution().raster_h());
+      s.labels = proxy->MakeLabels(dets, spec_.width, spec_.height);
+      return s;
+    }
+    // Sparse dataset fallback: train on an empty frame.
+    models::ProxySample s;
+    const sim::Clip& clip = train_clips_[0];
+    s.frame = rasters[0]->Render(0, proxy->resolution().raster_w(),
+                                 proxy->resolution().raster_h());
+    s.labels = proxy->MakeLabels(
+        models::FilterByConfidence(
+            detector.Detect(clip, 0, theta_best_.detector_scale),
+            theta_best_.detector_confidence),
+        spec_.width, spec_.height);
+    return s;
+  };
+  models::TrainProxyModel(proxy, sampler, scale_.proxy_train_steps);
+}
 
+void Otif::TrainModels() {
+  const int num_proxies = scale_.proxy_resolutions;
+  // Fork every resolution's sampler stream up front, in r order, so each
+  // model sees the stream a serial loop would give it.
+  Rng rng(spec_.seed * 77 + 5);
+  std::vector<Rng> sampler_rngs;
+  for (int r = 0; r < num_proxies; ++r) sampler_rngs.push_back(rng.Fork());
+  // Build every model here, on the calling thread, and only train them in
+  // the tasks, so their parameters come from this thread's heap as in a
+  // serial run. Building the tracker net inside its task put the weights
+  // every worker reads during extraction in one pool worker's heap, and
+  // made the later extraction 15-20% slower on the dense perfbench workload
+  // (measured on a 4-core host; the exact cause was not isolated).
+  const auto resolutions = models::StandardProxyResolutions();
+  for (int r = 0; r < num_proxies; ++r) {
+    trained_.proxies.push_back(std::make_unique<models::ProxyModel>(
+        resolutions[static_cast<size_t>(r)], spec_.seed * 13 + r));
+  }
+  trained_.tracker_net =
+      std::make_unique<models::TrackerNet>(spec_.seed * 31 + 7);
+  // theta_best detections provide the proxy labels (Sec 3.3).
+  const models::SimulatedDetector detector(models::ArchByName(
+      models::StandardDetectorArchs(), theta_best_.detector_arch));
   std::vector<std::unique_ptr<sim::Rasterizer>> rasters;
   for (const sim::Clip& clip : train_clips_) {
     rasters.push_back(std::make_unique<sim::Rasterizer>(&clip));
   }
 
-  for (int r = 0; r < scale_.proxy_resolutions; ++r) {
-    auto proxy = std::make_unique<models::ProxyModel>(
-        resolutions[static_cast<size_t>(r)], spec_.seed * 13 + r);
-    Rng sampler_rng = rng.Fork();
-    auto sampler = [&]() {
-      for (int attempt = 0; attempt < 256; ++attempt) {
-        const size_t ci = static_cast<size_t>(
-            sampler_rng.UniformInt(static_cast<uint64_t>(train_clips_.size())));
-        const sim::Clip& clip = train_clips_[ci];
-        const int f = static_cast<int>(sampler_rng.UniformInt(
-            static_cast<uint64_t>(clip.num_frames())));
-        const track::FrameDetections dets = models::FilterByConfidence(
-            detector.Detect(clip, f, theta_best_.detector_scale),
-            theta_best_.detector_confidence);
-        // Paper: sample frames where theta_best produced detections.
-        if (dets.empty()) continue;
-        models::ProxySample s;
-        s.frame = rasters[ci]->Render(f, proxy->resolution().raster_w(),
-                                      proxy->resolution().raster_h());
-        s.labels = proxy->MakeLabels(dets, spec_.width, spec_.height);
-        return s;
-      }
-      // Sparse dataset fallback: train on an empty frame.
-      models::ProxySample s;
-      const sim::Clip& clip = train_clips_[0];
-      s.frame = rasters[0]->Render(0, proxy->resolution().raster_w(),
-                                   proxy->resolution().raster_h());
-      s.labels = proxy->MakeLabels(
-          models::FilterByConfidence(
-              detector.Detect(clip, 0, theta_best_.detector_scale),
-              theta_best_.detector_confidence),
-          spec_.width, spec_.height);
-      return s;
-    };
-    models::TrainProxyModel(proxy.get(), sampler, scale_.proxy_train_steps);
-    trained_.proxies.push_back(std::move(proxy));
-  }
+  // One task per proxy resolution (largest first, the longest task) plus
+  // one for the tracker net. Each model trains on one thread and its caches
+  // belong to it alone; Detect is const and Render is safe to call
+  // concurrently, so the trained models are bit-identical at every pool
+  // width.
+  bool tracker_trained = false;
+  ThreadPool::Default()->ParallelFor(num_proxies + 1, [&](int64_t task) {
+    if (task == num_proxies) {
+      tracker_trained = TrainTrackerNet();
+      return;
+    }
+    const size_t r = static_cast<size_t>(task);
+    TrainProxy(trained_.proxies[r].get(), sampler_rngs[r], detector, rasters);
+  });
   // Simulated training cost: the paper reports <10 min for all proxies;
   // charge proportional to steps at a V100-class rate.
   simulated_training_seconds_ +=
       0.02 * scale_.proxy_train_steps * scale_.proxy_resolutions;
+  if (tracker_trained) {
+    simulated_training_seconds_ += 0.01 * scale_.tracker_train_steps;
+  }
 }
 
-void Otif::TrainTrackerNet() {
-  trained_.tracker_net =
-      std::make_unique<models::TrackerNet>(spec_.seed * 31 + 7);
+bool Otif::TrainTrackerNet() {
+  OTIF_SPAN("prepare/train_tracker");
   Rng rng(spec_.seed * 131 + 11);
 
   // Appearance provider: low-res renders of training frames, cached.
@@ -131,7 +164,7 @@ void Otif::TrainTrackerNet() {
   for (size_t i = 0; i < s_star_.size(); ++i) {
     if (s_star_[i].detections.size() >= 4) usable.push_back(i);
   }
-  if (usable.empty()) return;
+  if (usable.empty()) return false;
   // Frame -> detections of all tracks (for negatives).
   std::map<int, track::FrameDetections> by_frame;
   for (const track::Track& t : s_star_) {
@@ -198,10 +231,11 @@ void Otif::TrainTrackerNet() {
     }
     trained_.tracker_net->TrainStep(ex);
   }
-  simulated_training_seconds_ += 0.01 * scale_.tracker_train_steps;
+  return true;
 }
 
 void Otif::SelectWindows() {
+  OTIF_SPAN("prepare/select_windows");
   // Oracle cells from theta_best detections over sampled training frames
   // (the paper assumes a perfect proxy when selecting W). Use the largest
   // proxy resolution's grid geometry.
@@ -260,13 +294,17 @@ void Otif::Prepare(const AccuracyFn& validation_accuracy,
 
   // 1. Select theta_best on the validation set (SORT tracker; proxies and
   //    the recurrent model do not exist yet).
-  theta_best_ = SelectBestConfig(validation, validation_accuracy,
-                                 &theta_best_accuracy_);
+  {
+    OTIF_SPAN("prepare/best_config");
+    theta_best_ = SelectBestConfig(validation, validation_accuracy,
+                                   &theta_best_accuracy_);
+  }
 
   // 2. Compute S*: tracks under theta_best over the training set. Frames
   //    are offset per clip so S* detections carry globally unique frames
   //    (used by tracker training to find same-frame negatives).
   {
+    OTIF_SPAN("prepare/sstar");
     Pipeline pipeline(theta_best_, nullptr);
     // Per-clip runs are independent; the offset bookkeeping below stays
     // serial in clip order so S* is identical to a serial pass.
@@ -292,15 +330,15 @@ void Otif::Prepare(const AccuracyFn& validation_accuracy,
     }
   }
 
-  // 3. Train models and build structures.
-  TrainProxies();
-  TrainTrackerNet();
+  // 3. Train models (concurrently) and build structures.
+  TrainModels();
   SelectWindows();
   BuildRefiner();
 
   // 4. Joint parameter tuning. theta_best itself anchors the curve's
   //    slow/accurate end (the paper's Fig 5 shows methods sharing this
   //    naive top-right configuration).
+  OTIF_SPAN("prepare/tune");
   Tuner tuner(&validation, &trained_, validation_accuracy, tuner_options);
   curve_ = tuner.Run(theta_best_);
   {

@@ -7,8 +7,12 @@
 #include "core/best_config.h"
 #include "core/pipeline.h"
 #include "core/tuner.h"
+#include "models/detector.h"
+#include "models/proxy.h"
 #include "sim/dataset.h"
+#include "sim/raster.h"
 #include "sim/world.h"
+#include "util/rng.h"
 
 namespace otif::core {
 
@@ -83,8 +87,18 @@ class Otif {
   }
 
  private:
-  void TrainProxies();
-  void TrainTrackerNet();
+  /// Builds every proxy resolution and the tracker net, then trains them as
+  /// concurrent tasks on the default pool.
+  void TrainModels();
+  /// Trains `proxy`, drawing training frames with `sampler_rng`. Reads only
+  /// shared, read-only state besides the model itself.
+  void TrainProxy(
+      models::ProxyModel* proxy, Rng sampler_rng,
+      const models::SimulatedDetector& detector,
+      const std::vector<std::unique_ptr<sim::Rasterizer>>& rasters) const;
+  /// Trains trained_.tracker_net on S*; returns false when S* has no track
+  /// long enough to train on. Reads only S* and the train clips.
+  bool TrainTrackerNet();
   void SelectWindows();
   void BuildRefiner();
 

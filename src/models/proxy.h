@@ -55,7 +55,8 @@ class ProxyModel {
   /// Scores a frame (any resolution; resized to the raster input size).
   /// Returns per-cell probabilities in a (grid_h, grid_w) tensor. Uses the
   /// cache-free inference path, so concurrent calls on a shared trained
-  /// model are safe (training must stay single-threaded).
+  /// model are safe (TrainStep mutates the model: one model trains on one
+  /// thread at a time, while distinct models may train concurrently).
   nn::Tensor Score(const video::Image& frame) const;
 
   /// Batched Score: one network invocation over a (N, 1, H, W) stack of

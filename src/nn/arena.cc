@@ -5,13 +5,6 @@
 #include "mem/buffer_pool.h"
 
 namespace otif::nn {
-namespace {
-
-// First chunk size; big enough for every proxy-model im2col panel so the
-// common case never chains chunks.
-constexpr size_t kMinChunkFloats = size_t{1} << 16;  // 256 KiB.
-
-}  // namespace
 
 float* ScratchArena::Alloc(size_t n) {
   if (n == 0) n = 1;

@@ -18,6 +18,13 @@ namespace otif::nn {
 /// instance (the inference hot path runs on many pool workers at once).
 class ScratchArena {
  public:
+  /// Size of the first chunk a thread's arena reserves: big enough for
+  /// every proxy-model im2col panel, so the common case never chains
+  /// chunks. Code that tiles its scratch (the conv backward pass) sizes
+  /// each scope to fit here, adding no arena memory beyond what inference
+  /// already reserved.
+  static constexpr size_t kMinChunkFloats = size_t{1} << 16;  // 256 KiB.
+
   ScratchArena() = default;
   ScratchArena(const ScratchArena&) = delete;
   ScratchArena& operator=(const ScratchArena&) = delete;

@@ -17,17 +17,19 @@ constexpr int kNr = 16;
 // while every row of A streams over them.
 constexpr int kNc = 512;
 
-// Full kMr x kNr register tile over the complete k range.
+// Full kMr x kNr register tile over the complete k range. Each accumulator
+// starts at its row's init, or at C's current value when kAccumulate.
+template <bool kAccumulate>
 inline void MicroKernel(int k, int n, const float* a0, const float* a1,
                         const float* a2, const float* a3, const float* b,
                         float init0, float init1, float init2, float init3,
                         float* c0, float* c1, float* c2, float* c3) {
   float acc0[kNr], acc1[kNr], acc2[kNr], acc3[kNr];
   for (int j = 0; j < kNr; ++j) {
-    acc0[j] = init0;
-    acc1[j] = init1;
-    acc2[j] = init2;
-    acc3[j] = init3;
+    acc0[j] = kAccumulate ? c0[j] : init0;
+    acc1[j] = kAccumulate ? c1[j] : init1;
+    acc2[j] = kAccumulate ? c2[j] : init2;
+    acc3[j] = kAccumulate ? c3[j] : init3;
   }
   for (int p = 0; p < k; ++p) {
     const float* brow = b + static_cast<size_t>(p) * n;
@@ -49,14 +51,18 @@ inline void MicroKernel(int k, int n, const float* a0, const float* a1,
 
 // Edge tile: any mb x nb block (mb <= kMr, nb <= kNr). Same per-output
 // ascending-k accumulator chain as the full tile.
+template <bool kAccumulate>
 inline void EdgeKernel(int k, int n, int mb, int nb, const float* a,
                        const float* b, const float* bias_row,
                        const float* bias_col, int i0, int j0, float* c) {
   float acc[kMr][kNr];
   for (int i = 0; i < mb; ++i) {
+    const float* crow = c + static_cast<size_t>(i0 + i) * n + j0;
     const float init = bias_row != nullptr ? bias_row[i0 + i] : 0.0f;
     for (int j = 0; j < nb; ++j) {
-      acc[i][j] = bias_col != nullptr ? bias_col[j0 + j] : init;
+      acc[i][j] = kAccumulate           ? crow[j]
+                  : bias_col != nullptr ? bias_col[j0 + j]
+                                        : init;
     }
   }
   for (int p = 0; p < k; ++p) {
@@ -72,10 +78,11 @@ inline void EdgeKernel(int k, int n, int mb, int nb, const float* a,
   }
 }
 
-}  // namespace
-
-void GemmBias(int m, int n, int k, const float* a, const float* b,
-              const float* bias_row, const float* bias_col, float* c) {
+// Shared loop nest of GemmBias and GemmAccumulate (no bias; chains start
+// from C).
+template <bool kAccumulate>
+void Gemm(int m, int n, int k, const float* a, const float* b,
+          const float* bias_row, const float* bias_col, float* c) {
   // Column panels: for each strip of B, stream all rows of A over it.
   for (int jc = 0; jc < n; jc += kNc) {
     const int nc = std::min(kNc, n - jc);
@@ -91,25 +98,39 @@ void GemmBias(int m, int n, int k, const float* a, const float* b,
       const float init3 = bias_row != nullptr ? bias_row[i + 3] : 0.0f;
       int j = 0;
       if (bias_col == nullptr) {
-        // Fast path: per-row scalar inits let the full register tile run.
+        // Fast path: per-row scalar inits (or C itself) let the full
+        // register tile run.
         for (; j + kNr <= nc; j += kNr) {
           float* crow = c + static_cast<size_t>(i) * n + jc + j;
-          MicroKernel(k, n, a0, a1, a2, a3, b + jc + j, init0, init1, init2,
-                      init3, crow, crow + n, crow + 2 * n, crow + 3 * n);
+          MicroKernel<kAccumulate>(k, n, a0, a1, a2, a3, b + jc + j, init0,
+                                   init1, init2, init3, crow, crow + n,
+                                   crow + 2 * n, crow + 3 * n);
         }
       }
       for (; j < nc; j += kNr) {
-        EdgeKernel(k, n, kMr, std::min(kNr, nc - j), a, b, bias_row,
-                   bias_col, i, jc + j, c);
+        EdgeKernel<kAccumulate>(k, n, kMr, std::min(kNr, nc - j), a, b,
+                                bias_row, bias_col, i, jc + j, c);
       }
     }
     if (i < m) {
       for (int j = 0; j < nc; j += kNr) {
-        EdgeKernel(k, n, m - i, std::min(kNr, nc - j), a, b, bias_row,
-                   bias_col, i, jc + j, c);
+        EdgeKernel<kAccumulate>(k, n, m - i, std::min(kNr, nc - j), a, b,
+                                bias_row, bias_col, i, jc + j, c);
       }
     }
   }
+}
+
+}  // namespace
+
+void GemmBias(int m, int n, int k, const float* a, const float* b,
+              const float* bias_row, const float* bias_col, float* c) {
+  Gemm</*kAccumulate=*/false>(m, n, k, a, b, bias_row, bias_col, c);
+}
+
+void GemmAccumulate(int m, int n, int k, const float* a, const float* b,
+                    float* c) {
+  Gemm</*kAccumulate=*/true>(m, n, k, a, b, nullptr, nullptr, c);
 }
 
 void Im2Col(const float* input, int channels, int h, int w, int kernel,

@@ -21,10 +21,19 @@ namespace otif::nn {
 ///   bias + A[i][0]*B[0][j] + A[i][1]*B[1][j] + ... (k ascending)
 /// with no reassociation across k, so the result is bit-identical to the
 /// naive triple loop regardless of the register-blocking used internally.
-/// The batched/GEMM inference path relies on this to reproduce the
-/// reference (training) forward pass exactly.
+/// The GEMM conv path relies on this to reproduce the reference loops
+/// exactly.
 void GemmBias(int m, int n, int k, const float* a, const float* b,
               const float* bias_row, const float* bias_col, float* c);
+
+/// C += A * B with the shapes above. Every C[i][j]'s chain starts from its
+/// current value:
+///   C[i][j] + A[i][0]*B[0][j] + A[i][1]*B[1][j] + ... (k ascending)
+/// so splitting k into consecutive calls continues the same chain, and a
+/// gradient already held in C is accumulated into exactly as a scalar
+/// `c += a * b` loop would. Used by the conv backward pass.
+void GemmAccumulate(int m, int n, int k, const float* a, const float* b,
+                    float* c);
 
 /// Unrolls conv input patches into the im2col panel consumed by GemmBias.
 ///

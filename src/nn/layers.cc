@@ -11,6 +11,27 @@ namespace {
 
 int OutDim(int in, int stride) { return (in + stride - 1) / stride; }
 
+// Checks that `grad_output` is the output gradient of a conv over `input`.
+void CheckBackwardShapes(const Tensor& input, const Tensor& grad_output,
+                         int in_channels, int out_channels, int stride) {
+  OTIF_CHECK_EQ(input.ndim(), 3);
+  OTIF_CHECK_EQ(input.dim(0), in_channels);
+  OTIF_CHECK_EQ(grad_output.ndim(), 3);
+  OTIF_CHECK_EQ(grad_output.dim(0), out_channels);
+  OTIF_CHECK_EQ(grad_output.dim(1), OutDim(input.dim(1), stride));
+  OTIF_CHECK_EQ(grad_output.dim(2), OutDim(input.dim(2), stride));
+}
+
+// dst (cols x rows) = src (rows x cols) transposed; both row-major.
+void Transpose(const float* src, int rows, int cols, float* dst) {
+  for (int r = 0; r < rows; ++r) {
+    for (int c = 0; c < cols; ++c) {
+      dst[static_cast<size_t>(c) * rows + r] =
+          src[static_cast<size_t>(r) * cols + c];
+    }
+  }
+}
+
 }  // namespace
 
 float StableSigmoid(float x) {
@@ -38,10 +59,8 @@ Conv2d::Conv2d(int in_channels, int out_channels, int kernel, int stride,
 }
 
 Tensor Conv2d::Forward(const Tensor& input) {
-  // Training keeps the reference loops; the GEMM engine reproduces them
-  // bit-for-bit (tests assert this), but gradients are only defined against
-  // the reference path.
-  Tensor out = InferReference(input);
+  OTIF_CHECK_EQ(input.ndim(), 3) << "training takes one (C, H, W) image";
+  Tensor out = Infer(input);
   cache_.push_back(input);
   return out;
 }
@@ -125,11 +144,162 @@ Tensor Conv2d::Backward(const Tensor& grad_output) {
   OTIF_CHECK(!cache_.empty()) << "Backward without matching Forward";
   const Tensor input = std::move(cache_.back());
   cache_.pop_back();
+  CheckBackwardShapes(input, grad_output, in_channels_, out_channels_,
+                      stride_);
+  AccumulateParamGrads(input, grad_output);
+  return InputGrad(grad_output, input.dim(1), input.dim(2));
+}
+
+void Conv2d::AccumulateParamGrads(const Tensor& input,
+                                  const Tensor& grad_output) {
   const int h = input.dim(1), w = input.dim(2);
-  const int oh = OutDim(h, stride_), ow = OutDim(w, stride_);
-  OTIF_CHECK_EQ(grad_output.dim(0), out_channels_);
-  OTIF_CHECK_EQ(grad_output.dim(1), oh);
-  OTIF_CHECK_EQ(grad_output.dim(2), ow);
+  const int oh = grad_output.dim(1), ow = grad_output.dim(2);
+  const int n = oh * ow;
+  const int k = in_channels_ * kernel_ * kernel_;
+  const float* dy = grad_output.data();
+
+  // Bias: per channel, the upstream gradient over output positions,
+  // ascending, starting from the held gradient.
+  for (int oc = 0; oc < out_channels_; ++oc) {
+    const float* row = dy + static_cast<size_t>(oc) * n;
+    float acc = bias_.grad[oc];
+    for (int p = 0; p < n; ++p) acc += row[p];
+    bias_.grad[oc] = acc;
+  }
+
+  // Weights: dW^T (k x out) += col (k x n) * dY^T (n x out). Each weight's
+  // chain starts from its held gradient and runs over output positions
+  // ascending, as the reference loop's does; col is Infer's im2col panel.
+  ScratchArena& arena = ScratchArena::ThreadLocal();
+  ScratchScope scope(arena);
+  float* col = arena.Alloc(static_cast<size_t>(k) * n);
+  float* dyt = arena.Alloc(static_cast<size_t>(n) * out_channels_);
+  float* gwt = arena.Alloc(static_cast<size_t>(k) * out_channels_);
+  Im2Col(input.data(), in_channels_, h, w, kernel_, stride_, oh, ow, col);
+  Transpose(dy, out_channels_, n, dyt);
+  float* gw = weight_.grad.data();
+  Transpose(gw, out_channels_, k, gwt);
+  GemmAccumulate(k, out_channels_, n, col, dyt, gwt);
+  Transpose(gwt, k, out_channels_, gw);
+}
+
+Tensor Conv2d::InputGrad(const Tensor& grad_output, int h, int w) const {
+  const int oh = grad_output.dim(1), ow = grad_output.dim(2);
+  const int pad = kernel_ / 2;
+  const int st = stride_;
+  Tensor grad_in({in_channels_, h, w});
+  const float* wdata = weight_.value.data();
+  ScratchArena& arena = ScratchArena::ThreadLocal();
+
+  // Input pixels fall into stride x stride phases (iy % stride, ix %
+  // stride). Output (oy, ox) reaches pixel (oy*stride - pad + ky,
+  // ox*stride - pad + kx), so within a phase only the taps with
+  // ky = iy + pad (mod stride), and likewise kx, reach a pixel: the other
+  // taps' D entries would be zero in every column, and are left out.
+  for (int py = 0; py < st; ++py) {
+    for (int px = 0; px < st; ++px) {
+      // The phase's taps in descending order: ky_hi, ky_hi - stride, ...
+      const int ry = (py + pad) % st, rx = (px + pad) % st;
+      const int nky = ry < kernel_ ? (kernel_ - 1 - ry) / st + 1 : 0;
+      const int nkx = rx < kernel_ ? (kernel_ - 1 - rx) / st + 1 : 0;
+      const int ky_hi = ry + st * (nky - 1), kx_hi = rx + st * (nkx - 1);
+      const int ph = py < h ? (h - 1 - py) / st + 1 : 0;  // Phase rows.
+      const int pw = px < w ? (w - 1 - px) / st + 1 : 0;  // Phase columns.
+      const int kd = out_channels_ * nky * nkx;           // Rows of D.
+      if (kd == 0 || ph == 0 || pw == 0) continue;  // No output reaches.
+
+      ScratchScope scope(arena);
+      // W~ (in x kd): row ic holds W[oc][ic][ky][kx] at column (oc, ky
+      // descending, kx descending), the order in which the reference loop
+      // adds into each input pixel (later output rows/columns reach a pixel
+      // through smaller ky/kx).
+      float* wt = arena.Alloc(static_cast<size_t>(in_channels_) * kd);
+      float* dst = wt;
+      for (int ic = 0; ic < in_channels_; ++ic) {
+        for (int oc = 0; oc < out_channels_; ++oc) {
+          const float* wk =
+              wdata + (static_cast<size_t>(oc) * in_channels_ + ic) *
+                          kernel_ * kernel_;
+          for (int ky = ky_hi; ky >= 0; ky -= st) {
+            for (int kx = kx_hi; kx >= 0; kx -= st) {
+              *dst++ = wk[ky * kernel_ + kx];
+            }
+          }
+        }
+      }
+
+      // D (kd x phase pixels) and the product C = W~ * D (in x phase
+      // pixels), tiled over phase rows so that W~ plus one tile fits the
+      // arena's first chunk. Row (oc, ky, kx) of D holds, at phase pixel
+      // (jy, jx), dY[oc][oy0 + jy][ox0 + jx] with oy0 = (py + pad - ky) /
+      // stride (ox0 likewise), or 0 where that output does not exist. Each
+      // pixel's chain starts from 0 like the reference loop's fresh
+      // gradient.
+      const size_t wt_floats = static_cast<size_t>(in_channels_) * kd;
+      const size_t budget = ScratchArena::kMinChunkFloats > wt_floats
+                                ? ScratchArena::kMinChunkFloats - wt_floats
+                                : 0;
+      const size_t row_floats =
+          static_cast<size_t>(kd + in_channels_) * pw;  // D and C per row.
+      const int tile_rows =
+          static_cast<int>(std::clamp<size_t>(budget / row_floats, 1, ph));
+      float* d = arena.Alloc(static_cast<size_t>(tile_rows) * kd * pw);
+      float* c = arena.Alloc(static_cast<size_t>(tile_rows) * in_channels_ *
+                             pw);
+      for (int jy0 = 0; jy0 < ph; jy0 += tile_rows) {
+        const int rows = std::min(tile_rows, ph - jy0);
+        const int n = rows * pw;
+        float* drow = d;
+        for (int oc = 0; oc < out_channels_; ++oc) {
+          const float* g =
+              grad_output.data() + static_cast<size_t>(oc) * oh * ow;
+          for (int ky = ky_hi; ky >= 0; ky -= st) {
+            const int oy0 = (py + pad - ky) / st;  // Exact division.
+            for (int kx = kx_hi; kx >= 0; kx -= st) {
+              const int ox0 = (px + pad - kx) / st;
+              const int jx_lo = std::clamp(-ox0, 0, pw);
+              const int jx_hi = std::clamp(ow - ox0, jx_lo, pw);
+              for (int r = 0; r < rows; ++r, drow += pw) {
+                const int oy = oy0 + jy0 + r;
+                if (oy < 0 || oy >= oh) {
+                  std::fill(drow, drow + pw, 0.0f);
+                  continue;
+                }
+                std::fill(drow, drow + jx_lo, 0.0f);
+                if (jx_hi > jx_lo) {
+                  std::copy_n(g + static_cast<size_t>(oy) * ow + ox0 + jx_lo,
+                              jx_hi - jx_lo, drow + jx_lo);
+                }
+                std::fill(drow + jx_hi, drow + pw, 0.0f);
+              }
+            }
+          }
+        }
+        GemmBias(in_channels_, n, kd, wt, d, nullptr, nullptr, c);
+        for (int ic = 0; ic < in_channels_; ++ic) {
+          for (int r = 0; r < rows; ++r) {
+            const float* src = c + static_cast<size_t>(ic) * n +
+                               static_cast<size_t>(r) * pw;
+            float* out = grad_in.data() +
+                         (static_cast<size_t>(ic) * h + py +
+                          static_cast<size_t>(st) * (jy0 + r)) *
+                             w +
+                         px;
+            for (int jx = 0; jx < pw; ++jx) out[st * jx] = src[jx];
+          }
+        }
+      }
+    }
+  }
+  return grad_in;
+}
+
+Tensor Conv2d::BackwardReference(const Tensor& input,
+                                 const Tensor& grad_output) {
+  CheckBackwardShapes(input, grad_output, in_channels_, out_channels_,
+                      stride_);
+  const int h = input.dim(1), w = input.dim(2);
+  const int oh = grad_output.dim(1), ow = grad_output.dim(2);
   const int pad = kernel_ / 2;
 
   Tensor grad_in({in_channels_, h, w});

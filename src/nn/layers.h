@@ -24,7 +24,10 @@ struct Parameter {
 ///
 /// Infer() computes the same output as Forward() without touching the
 /// activation cache, so it is const and safe to call concurrently from many
-/// threads on a shared trained model (training must stay single-threaded).
+/// threads on a shared trained model. Training mutates the cache and the
+/// gradients, so one model trains on one thread at a time; distinct models
+/// may train concurrently (Otif::Prepare trains its proxies and tracker net
+/// as parallel tasks), since layers share no state between instances.
 class Layer {
  public:
   virtual ~Layer() = default;
@@ -40,7 +43,7 @@ class Layer {
   virtual Tensor Backward(const Tensor& grad_output) = 0;
 
   /// Appends this layer's parameters (may be none).
-  virtual void CollectParameters(std::vector<Parameter*>* out) {}
+  virtual void CollectParameters(std::vector<Parameter*>* /*out*/) {}
 
   /// Drops any cached activations (e.g. after an inference-only pass).
   virtual void ClearCache() = 0;
@@ -49,11 +52,23 @@ class Layer {
 /// 2-D convolution over (C, H, W) tensors with 'same' padding (k odd) and
 /// integer stride. Output is (out_channels, ceil(H/stride), ceil(W/stride)).
 ///
-/// Infer() runs the im2col + blocked-GEMM engine and additionally accepts a
-/// batched 4-D (N, C, H, W) input, producing (N, out_channels, OH, OW); the
-/// GEMM path is bit-identical to the reference loops (see gemm.h).
-/// Forward()/Backward() — the training path — keep the naive reference
-/// implementation, exposed as InferReference() for cross-checking.
+/// Every pass runs on the im2col + blocked-GEMM engine (gemm.h) and is
+/// bit-identical to the naive reference loops, which survive only as test
+/// oracles (InferReference, BackwardReference):
+///   - Infer() additionally accepts a batched 4-D (N, C, H, W) input,
+///     producing (N, out_channels, OH, OW). Forward() is Infer() on one
+///     3-D image plus the activation cache.
+///   - Backward() keeps the reference loop's accumulation order for every
+///     gradient (bias: output positions ascending; weights: dW = dY * col^T,
+///     output positions ascending; input: dX = W~ * D per stride phase,
+///     with D's rows ordered (out channel ascending, ky descending, kx
+///     descending)). Terms the reference skips (zero upstream gradient,
+///     padding taps) enter as +-0 products or are left out, which leaves
+///     every accumulator unchanged for finite values (DESIGN.md, "Backward
+///     pass").
+///   - Backward's scratch comes from the calling thread's ScratchArena in
+///     scopes (the weight panel, then tiles of D per stride phase), each
+///     sized to fit the arena's first chunk for the proxy models.
 class Conv2d : public Layer {
  public:
   Conv2d(int in_channels, int out_channels, int kernel, int stride, Rng* rng);
@@ -64,10 +79,15 @@ class Conv2d : public Layer {
   void CollectParameters(std::vector<Parameter*>* out) override;
   void ClearCache() override { cache_.clear(); }
 
-  /// Reference (naive loop) inference over a single 3-D input. Used by the
-  /// training path and by tests/benchmarks as the ground truth the GEMM
-  /// path must reproduce exactly.
+  /// Reference (naive loop) inference over a single 3-D input: the ground
+  /// truth the GEMM path must reproduce exactly (tests and benchmarks).
   Tensor InferReference(const Tensor& input) const;
+
+  /// Reference (naive loop) backward for one Forward over `input`: adds
+  /// the parameter gradients into the held ones and returns the input
+  /// gradient. Test oracle for Backward(); takes its input explicitly, so
+  /// it neither reads nor pops the activation cache.
+  Tensor BackwardReference(const Tensor& input, const Tensor& grad_output);
 
   int in_channels() const { return in_channels_; }
   int out_channels() const { return out_channels_; }
@@ -78,6 +98,11 @@ class Conv2d : public Layer {
   /// thread's ScratchArena.
   void InferInto(const float* input, int h, int w, int oh, int ow,
                  float* out) const;
+
+  /// Backward's two GEMM halves: dW (+ bias) accumulated into the held
+  /// gradients, and dX for an (in_channels, h, w) input.
+  void AccumulateParamGrads(const Tensor& input, const Tensor& grad_output);
+  Tensor InputGrad(const Tensor& grad_output, int h, int w) const;
 
   int in_channels_, out_channels_, kernel_, stride_;
   Parameter weight_;  // (out_ch, in_ch, k, k) flattened as 4-D.

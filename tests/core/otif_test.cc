@@ -4,7 +4,9 @@
 
 #include "eval/workload.h"
 #include "query/queries.h"
+#include "sim/raster.h"
 #include "track/metrics.h"
+#include "util/thread_pool.h"
 
 namespace otif::core {
 namespace {
@@ -133,6 +135,91 @@ TEST(OtifTest, TracksSupportDownstreamQueries) {
     // No crash and plausible cardinality.
     EXPECT_LE(braking.size(), r.tracks_per_clip[c].size());
   }
+}
+
+TEST(OtifTest, PrepareIsIdenticalAcrossPoolWidths) {
+  // Prepare trains its proxies and the tracker net as concurrent tasks;
+  // every trained artifact must be bitwise the same at one lane and at
+  // four.
+  RunScale scale;
+  scale.train_clips = 2;
+  scale.valid_clips = 1;
+  scale.test_clips = 1;
+  scale.clip_seconds = 8;
+  scale.proxy_train_steps = 30;
+  scale.tracker_train_steps = 60;
+  scale.proxy_resolutions = 3;
+  scale.window_sample_frames = 8;
+  Tuner::Options topts;
+  topts.max_iterations = 2;
+  const eval::TrackWorkload workload =
+      eval::MakeTrackWorkload(sim::DatasetId::kSynthetic);
+  const int previous_width = ThreadPool::Default()->num_threads();
+
+  std::vector<std::unique_ptr<Otif>> runs;
+  for (const int width : {1, 4}) {
+    ThreadPool::SetDefaultThreads(width);
+    auto otif = std::make_unique<Otif>(workload.spec, scale);
+    const std::vector<sim::Clip> valid = otif->ValidClips();
+    otif->Prepare(workload.MakeAccuracyFn(&valid), topts);
+    runs.push_back(std::move(otif));
+  }
+  ThreadPool::SetDefaultThreads(previous_width);
+  const Otif& serial = *runs[0];
+  const Otif& parallel = *runs[1];
+
+  // Proxies: each resolution's scores on a fixed frame.
+  const std::vector<sim::Clip> test = serial.TestClips();
+  sim::Rasterizer raster(&test[0]);
+  ASSERT_EQ(serial.trained().proxies.size(), 3u);
+  ASSERT_EQ(parallel.trained().proxies.size(), 3u);
+  for (size_t r = 0; r < 3; ++r) {
+    const models::ProxyModel& a = *serial.trained().proxies[r];
+    const models::ProxyModel& b = *parallel.trained().proxies[r];
+    EXPECT_EQ(a.train_steps(), scale.proxy_train_steps);
+    const video::Image frame = raster.Render(
+        test[0].num_frames() / 2, a.resolution().raster_w(),
+        a.resolution().raster_h());
+    const nn::Tensor sa = a.Score(frame);
+    const nn::Tensor sb = b.Score(frame);
+    ASSERT_EQ(sa.size(), sb.size());
+    for (int64_t i = 0; i < sa.size(); ++i) {
+      ASSERT_EQ(sa[i], sb[i]) << "proxy " << r << " cell " << i;
+    }
+  }
+
+  // Tracker net: a pair score on fixed features.
+  const models::TrackerNet& ta = *serial.trained().tracker_net;
+  const models::TrackerNet& tb = *parallel.trained().tracker_net;
+  EXPECT_GT(ta.train_steps(), 0);
+  EXPECT_EQ(ta.train_steps(), tb.train_steps());
+  track::Detection prev, last, cand;
+  prev.box = geom::BBox{100, 80, 30, 20};
+  last.box = geom::BBox{110, 84, 30, 20};
+  cand.box = geom::BBox{121, 87, 31, 21};
+  const double fps = workload.spec.fps;
+  const double fw = workload.spec.width, fh = workload.spec.height;
+  const nn::Tensor first =
+      models::TrackerNet::DetFeature(last, 2, fps, fw, fh, 0.4, 0.1);
+  const nn::Tensor next =
+      models::TrackerNet::DetFeature(cand, 2, fps, fw, fh, 0.45, 0.12);
+  const nn::Tensor pair =
+      models::TrackerNet::PairFeature(prev, last, cand, fps, fw, fh);
+  EXPECT_EQ(ta.ScorePair(ta.Advance(ta.InitialHidden(), first), next, pair),
+            tb.ScorePair(tb.Advance(tb.InitialHidden(), first), next, pair));
+
+  // Window sizes, the curve, and the simulated set-up cost.
+  EXPECT_EQ(serial.trained().window_sizes, parallel.trained().window_sizes);
+  ASSERT_EQ(serial.curve().size(), parallel.curve().size());
+  for (size_t i = 0; i < serial.curve().size(); ++i) {
+    const TunerPoint& a = serial.curve()[i];
+    const TunerPoint& b = parallel.curve()[i];
+    EXPECT_EQ(a.config.ToString(), b.config.ToString()) << "point " << i;
+    EXPECT_EQ(a.val_seconds, b.val_seconds) << "point " << i;
+    EXPECT_EQ(a.val_accuracy, b.val_accuracy) << "point " << i;
+  }
+  EXPECT_EQ(serial.simulated_training_seconds(),
+            parallel.simulated_training_seconds());
 }
 
 }  // namespace

@@ -10,7 +10,9 @@
 #include <vector>
 
 #include "core/best_config.h"
+#include "core/otif.h"
 #include "core/pipeline.h"
+#include "eval/workload.h"
 #include "models/cost_model.h"
 #include "models/proxy.h"
 #include "query/queries.h"
@@ -218,10 +220,14 @@ TEST_F(PipelineTelemetryTest, DisabledRunsRecordNoPipelineTelemetry) {
   const telemetry::TelemetrySnapshot snapshot = telemetry::CaptureSnapshot();
   const telemetry::CounterSample* runs =
       telemetry::FindCounter(snapshot, "pipeline.runs");
-  if (runs != nullptr) EXPECT_EQ(runs->value, 0);
+  if (runs != nullptr) {
+    EXPECT_EQ(runs->value, 0);
+  }
   const telemetry::SpanSample* span =
       telemetry::FindSpan(snapshot, "stage/detect");
-  if (span != nullptr) EXPECT_EQ(span->count, 0);
+  if (span != nullptr) {
+    EXPECT_EQ(span->count, 0);
+  }
 }
 
 TEST_F(PipelineTelemetryTest, ParallelRunsAggregateExactCounts) {
@@ -253,6 +259,55 @@ TEST_F(PipelineTelemetryTest, ParallelRunsAggregateExactCounts) {
   const int64_t mirrored_hits = hits != nullptr ? hits->value : 0;
   EXPECT_EQ(mirrored_hits, trained->proxy_cache.hits());
   EXPECT_EQ(misses->value, trained->proxy_cache.misses());
+}
+
+TEST_F(PipelineTelemetryTest, PrepareSpansCountEveryPhase) {
+  // Set-up is attributed by phase: one span per phase, one train_proxy
+  // span per resolution task (they run concurrently on the pool), and
+  // nothing at all with telemetry off.
+  RunScale scale;
+  scale.train_clips = 2;
+  scale.valid_clips = 1;
+  scale.clip_seconds = 6;
+  scale.proxy_train_steps = 10;
+  scale.tracker_train_steps = 20;
+  scale.proxy_resolutions = 3;
+  scale.window_sample_frames = 4;
+  Tuner::Options topts;
+  topts.max_iterations = 1;
+  const eval::TrackWorkload workload =
+      eval::MakeTrackWorkload(sim::DatasetId::kSynthetic);
+  const struct {
+    const char* name;
+    int64_t count;
+  } phases[] = {
+      {"prepare/best_config", 1},   {"prepare/sstar", 1},
+      {"prepare/train_proxy", 3},   {"prepare/train_tracker", 1},
+      {"prepare/select_windows", 1}, {"prepare/tune", 1},
+  };
+  ThreadPool::SetDefaultThreads(4);
+  for (const bool enabled : {true, false}) {
+    telemetry::SetEnabled(true);
+    telemetry::ResetAll();
+    telemetry::SetEnabled(enabled);
+    Otif otif(workload.spec, scale);
+    const std::vector<sim::Clip> valid = otif.ValidClips();
+    otif.Prepare(workload.MakeAccuracyFn(&valid), topts);
+    const telemetry::TelemetrySnapshot snapshot = telemetry::CaptureSnapshot();
+    for (const auto& phase : phases) {
+      const telemetry::SpanSample* span =
+          telemetry::FindSpan(snapshot, phase.name);
+      if (!enabled) {
+        if (span != nullptr) {
+          EXPECT_EQ(span->count, 0) << phase.name;
+        }
+        continue;
+      }
+      ASSERT_NE(span, nullptr) << phase.name;
+      EXPECT_EQ(span->count, phase.count) << phase.name;
+      EXPECT_GT(span->total_seconds, 0.0) << phase.name;
+    }
+  }
 }
 
 }  // namespace

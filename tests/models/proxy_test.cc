@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
 #include <vector>
 
 #include "models/detector.h"
+#include "nn/arena.h"
 #include "sim/dataset.h"
 #include "sim/raster.h"
 #include "sim/world.h"
@@ -68,6 +70,34 @@ TEST(ProxyModelTest, ScoreBatchMatchesSingleScoresExactly) {
       ASSERT_EQ(want[j], batched[i][j]) << "frame " << i << " cell " << j;
     }
   }
+}
+
+TEST(ProxyModelTest, TrainingStaysWithinTheArenaFirstChunk) {
+  // Training's scratch (the conv backward's weight panel and row tiles of
+  // D) must fit the first arena chunk, which scoring reserves anyway, so
+  // training adds no arena memory. A fresh thread starts with an empty
+  // arena; the largest resolution has the largest panels.
+  size_t after_score = 0;
+  size_t after_train = 0;
+  std::thread worker([&] {
+    ProxyModel model(StandardProxyResolutions()[0], 23);
+    const ProxyResolution& res = model.resolution();
+    std::vector<video::Image> frames;
+    for (int i = 0; i < 4; ++i) {
+      frames.emplace_back(res.raster_w(), res.raster_h(), 0.2f * i);
+    }
+    std::vector<const video::Image*> ptrs;
+    for (const video::Image& f : frames) ptrs.push_back(&f);
+    model.ScoreBatch(ptrs);
+    after_score = nn::ScratchArena::ThreadLocal().FloatsReserved();
+    nn::Tensor labels({res.grid_h(), res.grid_w()});
+    for (int64_t i = 0; i < labels.size(); i += 3) labels[i] = 1.0f;
+    for (const video::Image& f : frames) model.TrainStep(f, labels);
+    after_train = nn::ScratchArena::ThreadLocal().FloatsReserved();
+  });
+  worker.join();
+  EXPECT_EQ(after_score, nn::ScratchArena::kMinChunkFloats);
+  EXPECT_EQ(after_train, nn::ScratchArena::kMinChunkFloats);
 }
 
 TEST(ProxyModelTest, ScoreBatchEmptyIsNoop) {

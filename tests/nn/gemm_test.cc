@@ -94,6 +94,55 @@ TEST(GemmBiasTest, ColumnBiasMatchesNaive) {
   }
 }
 
+TEST(GemmAccumulateTest, ContinuesEachChainFromC) {
+  // C += A * B must equal a scalar `c += a * b` loop from C's current
+  // value, k ascending, across tile edges and the column-panel boundary;
+  // splitting k into two calls continues the same chains.
+  uint64_t seed = 300;
+  for (int m : {1, 3, 4, 9, 16}) {
+    for (int n : {1, 8, 16, 17, 520}) {
+      for (int k : {1, 9, 104}) {
+        Rng rng(seed++);
+        const std::vector<float> a = RandomVec(static_cast<size_t>(m) * k, &rng);
+        const std::vector<float> b = RandomVec(static_cast<size_t>(k) * n, &rng);
+        const std::vector<float> c0 =
+            RandomVec(static_cast<size_t>(m) * n, &rng);
+        std::vector<float> want = c0;
+        for (int i = 0; i < m; ++i) {
+          for (int j = 0; j < n; ++j) {
+            float acc = want[static_cast<size_t>(i) * n + j];
+            for (int p = 0; p < k; ++p) {
+              acc += a[static_cast<size_t>(i) * k + p] *
+                     b[static_cast<size_t>(p) * n + j];
+            }
+            want[static_cast<size_t>(i) * n + j] = acc;
+          }
+        }
+        std::vector<float> whole = c0;
+        GemmAccumulate(m, n, k, a.data(), b.data(), whole.data());
+        // Split k at k1: A's columns [0, k1) then [k1, k), repacked.
+        const int k1 = k / 2;
+        std::vector<float> a_lo, a_hi;
+        for (int i = 0; i < m; ++i) {
+          const float* row = a.data() + static_cast<size_t>(i) * k;
+          a_lo.insert(a_lo.end(), row, row + k1);
+          a_hi.insert(a_hi.end(), row + k1, row + k);
+        }
+        std::vector<float> split = c0;
+        GemmAccumulate(m, n, k1, a_lo.data(), b.data(), split.data());
+        GemmAccumulate(m, n, k - k1, a_hi.data(),
+                       b.data() + static_cast<size_t>(k1) * n, split.data());
+        for (size_t i = 0; i < want.size(); ++i) {
+          ASSERT_EQ(want[i], whole[i])
+              << "m=" << m << " n=" << n << " k=" << k << " at " << i;
+          ASSERT_EQ(want[i], split[i])
+              << "split m=" << m << " n=" << n << " k=" << k << " at " << i;
+        }
+      }
+    }
+  }
+}
+
 TEST(Im2ColTest, ReproducesPaddedPatchSampling) {
   const int channels = 3, h = 7, w = 9, kernel = 3;
   for (int stride : {1, 2, 3}) {

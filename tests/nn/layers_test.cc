@@ -6,8 +6,10 @@
 #include <cmath>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "nn/optimizer.h"
 #include "util/rng.h"
 
 namespace otif::nn {
@@ -426,6 +428,195 @@ TEST(Conv2dTest, ForwardStillUsesReferencePath) {
   conv.ClearCache();
   const Tensor ref = conv.InferReference(input);
   for (int64_t i = 0; i < ref.size(); ++i) ASSERT_EQ(ref[i], fwd[i]);
+}
+
+// Random upstream gradient in which about a third of the entries are exact
+// zeros of either sign: the terms the reference loop skips.
+Tensor GradWithZeros(std::vector<int> shape, Rng* rng) {
+  Tensor t = RandomTensor(std::move(shape), rng);
+  for (int64_t i = 0; i < t.size(); ++i) {
+    const uint64_t pick = rng->UniformInt(6);
+    if (pick == 0) t[i] = 0.0f;
+    if (pick == 1) t[i] = -0.0f;
+  }
+  return t;
+}
+
+// Fills every parameter gradient with random values: gradients already
+// held on entry, as after an earlier Backward of a shared layer.
+void RandomizeGrads(Layer* layer, Rng* rng) {
+  std::vector<Parameter*> params;
+  layer->CollectParameters(&params);
+  for (Parameter* p : params) {
+    for (int64_t i = 0; i < p->grad.size(); ++i) {
+      p->grad[i] = static_cast<float>(rng->Uniform(-1.0, 1.0));
+    }
+  }
+}
+
+void ExpectBitIdentical(const Tensor& want, const Tensor& got,
+                        const std::string& what) {
+  ASSERT_EQ(want.shape(), got.shape()) << what;
+  for (int64_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(want[i], got[i]) << what << " at " << i;
+  }
+}
+
+void ExpectSameParameters(Layer* want, Layer* got, bool grads,
+                          const std::string& what) {
+  std::vector<Parameter*> pw, pg;
+  want->CollectParameters(&pw);
+  got->CollectParameters(&pg);
+  ASSERT_EQ(pw.size(), pg.size()) << what;
+  for (size_t i = 0; i < pw.size(); ++i) {
+    const std::string tag = what + " param " + std::to_string(i);
+    ExpectBitIdentical(pw[i]->value, pg[i]->value, tag + " value");
+    if (grads) ExpectBitIdentical(pw[i]->grad, pg[i]->grad, tag + " grad");
+  }
+}
+
+TEST(Conv2dTest, BackwardMatchesReferenceBitForBit) {
+  // The GEMM backward must reproduce the naive loops' input, weight and
+  // bias gradients exactly, over the GEMM inference case table plus
+  // ragged last tiles of D (stride 1 and 2) and a kernel smaller than the
+  // stride (pixels no output reaches), with exact zeros in the upstream
+  // gradient and gradients already held on entry.
+  Rng rng(21);
+  struct Case {
+    int in_c, out_c, kernel, stride, h, w;
+  };
+  const Case cases[] = {
+      {1, 8, 3, 2, 64, 104}, {8, 16, 3, 2, 32, 52}, {16, 16, 3, 2, 16, 26},
+      {16, 1, 3, 1, 8, 13},  {3, 5, 5, 1, 9, 7},    {2, 4, 3, 3, 10, 11},
+      {1, 1, 1, 1, 4, 4},    {4, 3, 3, 2, 5, 5},    {3, 8, 3, 1, 61, 97},
+      {8, 16, 3, 2, 120, 200}, {2, 3, 1, 2, 7, 9},
+  };
+  for (const Case& c : cases) {
+    const std::string tag = "ic=" + std::to_string(c.in_c) +
+                            " oc=" + std::to_string(c.out_c) +
+                            " k=" + std::to_string(c.kernel) +
+                            " s=" + std::to_string(c.stride) +
+                            " h=" + std::to_string(c.h);
+    const uint64_t seed = rng.NextUint64();
+    Rng init_a(seed), init_b(seed);
+    Conv2d conv(c.in_c, c.out_c, c.kernel, c.stride, &init_a);
+    Conv2d ref(c.in_c, c.out_c, c.kernel, c.stride, &init_b);
+    const uint64_t grad_seed = rng.NextUint64();
+    Rng grads_a(grad_seed), grads_b(grad_seed);
+    RandomizeGrads(&conv, &grads_a);
+    RandomizeGrads(&ref, &grads_b);
+
+    const Tensor input = RandomTensor({c.in_c, c.h, c.w}, &rng);
+    const Tensor out = conv.Forward(input);
+    const Tensor grad_out = GradWithZeros(out.shape(), &rng);
+    const Tensor got = conv.Backward(grad_out);
+    const Tensor want = ref.BackwardReference(input, grad_out);
+    ExpectBitIdentical(want, got, tag + " input grad");
+    ExpectSameParameters(&ref, &conv, /*grads=*/true, tag);
+  }
+
+  // LIFO weight sharing: two Forwards, then two Backwards in reverse order.
+  // The second Backward starts its parameter chains from the gradients the
+  // first one left, which must equal the reference's exactly.
+  for (const int stride : {1, 2}) {
+    Rng init_a(31), init_b(31);
+    Conv2d conv(3, 8, 3, stride, &init_a);
+    Conv2d ref(3, 8, 3, stride, &init_b);
+    Rng grads_a(32), grads_b(32);
+    RandomizeGrads(&conv, &grads_a);
+    RandomizeGrads(&ref, &grads_b);
+
+    Rng rng(33);
+    const Tensor a = RandomTensor({3, 21, 34}, &rng);
+    const Tensor b = RandomTensor({3, 21, 34}, &rng);
+    const Tensor out_a = conv.Forward(a);
+    const Tensor out_b = conv.Forward(b);
+    const Tensor grad_a = GradWithZeros(out_a.shape(), &rng);
+    const Tensor grad_b = GradWithZeros(out_b.shape(), &rng);
+    const std::string tag = "stride " + std::to_string(stride);
+    ExpectBitIdentical(ref.BackwardReference(b, grad_b), conv.Backward(grad_b),
+                       tag + " second input grad");
+    ExpectBitIdentical(ref.BackwardReference(a, grad_a), conv.Backward(grad_a),
+                       tag + " first input grad");
+    ExpectSameParameters(&ref, &conv, /*grads=*/true, tag);
+  }
+}
+
+// A Conv2d whose training runs through the naive oracle loops.
+class ReferenceConv : public Layer {
+ public:
+  ReferenceConv(int in_c, int out_c, int kernel, int stride, Rng* rng)
+      : conv_(in_c, out_c, kernel, stride, rng) {}
+
+  Tensor Forward(const Tensor& input) override {
+    cache_.push_back(input);
+    return conv_.InferReference(input);
+  }
+  Tensor Infer(const Tensor& input) const override {
+    return conv_.InferReference(input);
+  }
+  Tensor Backward(const Tensor& grad_output) override {
+    const Tensor input = std::move(cache_.back());
+    cache_.pop_back();
+    return conv_.BackwardReference(input, grad_output);
+  }
+  void CollectParameters(std::vector<Parameter*>* out) override {
+    conv_.CollectParameters(out);
+  }
+  void ClearCache() override { cache_.clear(); }
+
+ private:
+  Conv2d conv_;
+  std::vector<Tensor> cache_;
+};
+
+// The proxy model's stack (models::ProxyModel): three stride-2 3x3 convs
+// with ReLU, then a 3x3 conv to one channel of logits.
+template <typename Conv>
+void BuildProxyStack(uint64_t seed, Sequential* net) {
+  Rng rng(seed);
+  net->Add(std::make_unique<Conv>(1, 8, 3, 2, &rng));
+  net->Add(std::make_unique<Relu>());
+  net->Add(std::make_unique<Conv>(8, 16, 3, 2, &rng));
+  net->Add(std::make_unique<Relu>());
+  net->Add(std::make_unique<Conv>(16, 16, 3, 2, &rng));
+  net->Add(std::make_unique<Relu>());
+  net->Add(std::make_unique<Conv>(16, 1, 3, 1, &rng));
+}
+
+TEST(Conv2dTest, TrainingMatchesReferenceLayersOverAdamSteps) {
+  // 20 Adam steps of the proxy stack at its largest raster (64x104): every
+  // parameter must stay bitwise equal to training through the oracle.
+  Sequential gemm_net, ref_net;
+  BuildProxyStack<Conv2d>(41, &gemm_net);
+  BuildProxyStack<ReferenceConv>(41, &ref_net);
+  Adam::Options opts;
+  opts.learning_rate = 2e-3;
+  std::vector<Parameter*> gemm_params, ref_params;
+  gemm_net.CollectParameters(&gemm_params);
+  ref_net.CollectParameters(&ref_params);
+  Adam gemm_adam(gemm_params, opts);
+  Adam ref_adam(ref_params, opts);
+
+  Rng rng(42);
+  for (int step = 0; step < 20; ++step) {
+    const Tensor input = RandomTensor({1, 64, 104}, &rng);
+    Tensor labels({1, 8, 13});
+    for (int64_t i = 0; i < labels.size(); ++i) {
+      labels[i] = rng.UniformInt(3) == 0 ? 1.0f : 0.0f;
+    }
+    Tensor gemm_grad, ref_grad;
+    const double gemm_loss = BceWithLogits(gemm_net.Forward(input), labels,
+                                           nullptr, &gemm_grad);
+    const double ref_loss =
+        BceWithLogits(ref_net.Forward(input), labels, nullptr, &ref_grad);
+    ASSERT_EQ(ref_loss, gemm_loss) << "step " << step;
+    gemm_net.Backward(gemm_grad);
+    ref_net.Backward(ref_grad);
+    gemm_adam.Step();
+    ref_adam.Step();
+  }
+  ExpectSameParameters(&ref_net, &gemm_net, /*grads=*/false, "after 20 steps");
 }
 
 TEST(LinearTest, BatchedInferMatchesPerRowExactly) {

@@ -118,7 +118,9 @@ TEST_F(TraceTimelineTest, WraparoundKeepsTheMostRecentEventsInOrder) {
   ASSERT_EQ(events.size(), 8u);
   for (size_t k = 0; k < events.size(); ++k) {
     EXPECT_EQ(events[k].clip, static_cast<int64_t>(12 + k));
-    if (k > 0) EXPECT_LE(events[k - 1].ts_ns, events[k].ts_ns);
+    if (k > 0) {
+      EXPECT_LE(events[k - 1].ts_ns, events[k].ts_ns);
+    }
   }
 }
 

@@ -348,7 +348,7 @@ echo "== tsan: run concurrency tests =="
   --gtest_filter='ThreadPool*:Telemetry*:Trace*:TraceTimeline*:FaultInjection*'
 ./build-tsan/tests/mem_test --gtest_filter='BufferPool*'
 ./build-tsan/tests/core_test \
-  --gtest_filter='PipelineStagesDeterminismTest.*:ProxyScoreCache*:PipelineTelemetry*:PipelineFaultTest.*'
+  --gtest_filter='PipelineStagesDeterminismTest.*:ProxyScoreCache*:PipelineTelemetry*:PipelineFaultTest.*:OtifTest.PrepareIsIdenticalAcrossPoolWidths'
 # Profiler live-sampling tests self-skip under TSan (the profiler refuses
 # to start there); the filter still exercises the renderers, option
 # validation, and the refusal path.
