@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the individual components:
-// codec encode/decode, proxy CNN inference, cell grouping, Hungarian
-// assignment, tracker steps, track clustering, and query post-processing.
+// frame simulation and rasterization, proxy CNN inference, cell grouping,
+// Hungarian assignment, tracker steps, track clustering, and query
+// post-processing.
 
 #include <benchmark/benchmark.h>
 
@@ -18,7 +19,6 @@
 #include "track/refine.h"
 #include "track/sort_tracker.h"
 #include "util/rng.h"
-#include "video/codec.h"
 
 namespace otif {
 namespace {
@@ -48,31 +48,6 @@ void BM_RasterizeFrame(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RasterizeFrame)->Arg(40)->Arg(104);
-
-void BM_CodecEncode(benchmark::State& state) {
-  sim::Rasterizer raster(&BenchClip());
-  std::vector<video::Image> frames;
-  for (int f = 0; f < 32; ++f) frames.push_back(raster.Render(f, 80, 48));
-  video::Encoder encoder(video::CodecConfig{});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(encoder.Encode(frames));
-  }
-  state.SetItemsProcessed(state.iterations() * 32);
-}
-BENCHMARK(BM_CodecEncode);
-
-void BM_CodecDecode(benchmark::State& state) {
-  sim::Rasterizer raster(&BenchClip());
-  std::vector<video::Image> frames;
-  for (int f = 0; f < 32; ++f) frames.push_back(raster.Render(f, 80, 48));
-  auto encoded = video::Encoder(video::CodecConfig{}).Encode(frames);
-  for (auto _ : state) {
-    video::Decoder decoder(&encoded.value());
-    benchmark::DoNotOptimize(decoder.DecodeAll(nullptr));
-  }
-  state.SetItemsProcessed(state.iterations() * 32);
-}
-BENCHMARK(BM_CodecDecode);
 
 void BM_ProxyInference(benchmark::State& state) {
   models::ProxyModel proxy(models::StandardProxyResolutions()[4], 1);

@@ -10,6 +10,7 @@
 #include "nn/optimizer.h"
 #include "query/queries.h"
 #include "sim/world.h"
+#include "video/image.h"
 
 namespace otif::baselines {
 

@@ -12,8 +12,9 @@
 namespace otif::core {
 namespace {
 
-// GOP size assumed for decode-cost accounting; matches the default
-// video::CodecConfig.
+// Frames per group of pictures (one I-frame, then P-frames that each
+// reference the previous frame) in the analytic decode-cost model below;
+// nothing is actually decoded, frames come from the rasterizer.
 constexpr int kGopSize = 16;
 
 // Frames per batched model invocation, recorded at the point the model is

@@ -98,10 +98,10 @@ class Stage {
   virtual void EndClip(PipelineResult* result) { (void)result; }
 };
 
-/// Charges the simulated video-decode cost for the clip (frames must be
-/// decoded along codec reference chains at the detector resolution; paper
-/// Sec 4 "Implementation"). Per-frame work is a no-op — sampled frames
-/// arrive already decoded.
+/// Charges the simulated video-decode cost for the clip (an analytic model:
+/// frames must be decoded along GOP reference chains at the detector
+/// resolution; paper Sec 4 "Implementation"). Per-frame work is a no-op —
+/// sampled frames arrive already decoded.
 class DecodeStage : public Stage {
  public:
   DecodeStage(const PipelineConfig& config, const sim::Clip& clip);

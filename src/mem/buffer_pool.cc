@@ -1,21 +1,12 @@
 #include "mem/buffer_pool.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "util/fault_injection.h"
-#include "util/logging.h"
 #include "util/telemetry.h"
 
 namespace otif::mem {
 namespace {
-
-/// Whether OTIF_POOL_DEBUG per-miss logging is requested (checked once per
-/// process; the miss path should not pay a getenv per allocation).
-bool PoolDebugFromEnv() {
-  static const bool enabled = std::getenv("OTIF_POOL_DEBUG") != nullptr;
-  return enabled;
-}
 
 /// Smallest size class whose capacity covers `n` floats.
 uint32_t ClassForSize(size_t n, uint32_t min_log2, uint32_t num_classes) {
@@ -29,15 +20,9 @@ uint32_t ClassForSize(size_t n, uint32_t min_log2, uint32_t num_classes) {
 }  // namespace
 
 void PooledBuffer::reset() {
-  if (block_ == nullptr) return;
-  internal::Block* block = block_;
-  block_ = nullptr;
-  // Release ordering so every write through data() happens-before the next
-  // owner's reads; the matching acquire fence runs only on the last drop.
-  if (block->refs.fetch_sub(1, std::memory_order_release) == 1) {
-    std::atomic_thread_fence(std::memory_order_acquire);
-    block->pool->Release(block);
-  }
+  if (data_ == nullptr) return;
+  pool_->Release(std::exchange(data_, nullptr), std::exchange(capacity_, 0));
+  pool_ = nullptr;
 }
 
 BufferPool& BufferPool::Global() {
@@ -51,7 +36,7 @@ BufferPool::~BufferPool() { TrimAll(); }
 
 PooledBuffer BufferPool::Acquire(size_t n_floats) {
   if (n_floats == 0) return PooledBuffer();
-  // Below the smallest size class (4 KiB), serve an exact-size heap block:
+  // Below the smallest size class (4 KiB), serve an exact-size heap array:
   // no freelist, mutex, shared stats atomic or fault point. Over 99% of the
   // millions of requests an end-to-end run makes are tensors of at most 128
   // floats (recurrent-tracker and score tensors), and routing them through
@@ -59,13 +44,13 @@ PooledBuffer BufferPool::Acquire(size_t n_floats) {
   // threads. malloc's per-thread caches serve them without shared state;
   // the frame-sized buffers pooling exists for stay pooled.
   if (n_floats < (size_t{1} << kMinClassLog2)) {
-    auto* block = new internal::Block(n_floats);
-    block->size_class = kUnpooledClass;
-    block->pool = this;
-    block->refs.store(1, std::memory_order_relaxed);
-    return PooledBuffer(block);
+    return PooledBuffer(new float[n_floats], n_floats, this);
   }
   const uint32_t cls = ClassForSize(n_floats, kMinClassLog2, kNumClasses);
+  const size_t capacity = cls != kUnpooledClass
+                              ? (size_t{1} << (kMinClassLog2 + cls))
+                              : n_floats;
+  const auto bytes = static_cast<int64_t>(capacity * sizeof(float));
   // Chaos hook: "mem.acquire" kDeny bypasses the freelist, forcing a heap
   // miss — callers see only a pool-stats change, never a behavioral one,
   // which is exactly the failure shape of a pool under memory pressure.
@@ -77,71 +62,52 @@ PooledBuffer BufferPool::Acquire(size_t n_floats) {
       deny_freelist = true;
     }
   }
-  internal::Block* block = nullptr;
+  float* data = nullptr;
   if (cls != kUnpooledClass && !deny_freelist) {
     SizeClass& sc = classes_[cls];
     std::lock_guard<std::mutex> lock(sc.mu);
     if (!sc.free.empty()) {
-      block = sc.free.back();
+      data = sc.free.back();
       sc.free.pop_back();
     }
   }
-  if (block != nullptr) {
+  if (data != nullptr) {
     hits_.fetch_add(1, std::memory_order_relaxed);
-    bytes_retained_.fetch_sub(
-        static_cast<int64_t>(block->capacity * sizeof(float)),
-        std::memory_order_relaxed);
+    bytes_retained_.fetch_sub(bytes, std::memory_order_relaxed);
   } else {
     misses_.fetch_add(1, std::memory_order_relaxed);
-    // Set OTIF_POOL_DEBUG=1 to log each miss: at steady state misses should
-    // not happen, and each log line is an allocation site to chase. Emitted
-    // at kDebug severity so a long run at the default threshold (kInfo) is
-    // not flooded — pair with OTIF_LOG_LEVEL=debug to see the lines.
-    if (PoolDebugFromEnv()) {
-      OTIF_LOG(kDebug) << "[buffer_pool miss] n_floats=" << n_floats
-                       << " class=" << cls;
-    }
-    const size_t capacity =
-        cls != kUnpooledClass ? (size_t{1} << (kMinClassLog2 + cls))
-                              : n_floats;
-    block = new internal::Block(capacity);
-    block->size_class = cls;
-    block->pool = this;
+    data = new float[capacity];
   }
-  block->refs.store(1, std::memory_order_relaxed);
-  bytes_in_flight_.fetch_add(
-      static_cast<int64_t>(block->capacity * sizeof(float)),
-      std::memory_order_relaxed);
-  return PooledBuffer(block);
+  bytes_in_flight_.fetch_add(bytes, std::memory_order_relaxed);
+  return PooledBuffer(data, capacity, this);
 }
 
-void BufferPool::Release(internal::Block* block) {
-  OTIF_CHECK(block != nullptr);
-  // A small heap block (see Acquire) never entered the shared accounting.
-  if (block->capacity < (size_t{1} << kMinClassLog2)) {
-    delete block;
+void BufferPool::Release(float* data, size_t capacity) {
+  // A small heap array (see Acquire) never entered the shared accounting.
+  if (capacity < (size_t{1} << kMinClassLog2)) {
+    delete[] data;
     return;
   }
-  bytes_in_flight_.fetch_sub(
-      static_cast<int64_t>(block->capacity * sizeof(float)),
-      std::memory_order_relaxed);
-  if (block->size_class != kUnpooledClass) {
-    // All blocks in a class share one capacity, so the byte cap reduces to a
-    // per-class block-count cap.
-    const size_t block_bytes = block->capacity * sizeof(float);
-    const size_t max_blocks = std::max(
-        kMinRetainedPerClass, kMaxRetainedBytesPerClass / block_bytes);
-    SizeClass& sc = classes_[block->size_class];
+  const auto bytes = static_cast<int64_t>(capacity * sizeof(float));
+  bytes_in_flight_.fetch_sub(bytes, std::memory_order_relaxed);
+  // A pooled array's capacity is exactly its class size; an oversize one
+  // maps to no class and is freed.
+  const uint32_t cls = ClassForSize(capacity, kMinClassLog2, kNumClasses);
+  if (cls != kUnpooledClass) {
+    // All arrays in a class share one capacity, so the byte cap reduces to
+    // a per-class count cap.
+    const size_t max_arrays = std::max(
+        kMinRetainedPerClass,
+        kMaxRetainedBytesPerClass / (capacity * sizeof(float)));
+    SizeClass& sc = classes_[cls];
     std::lock_guard<std::mutex> lock(sc.mu);
-    if (sc.free.size() < max_blocks) {
-      sc.free.push_back(block);
-      bytes_retained_.fetch_add(
-          static_cast<int64_t>(block->capacity * sizeof(float)),
-          std::memory_order_relaxed);
+    if (sc.free.size() < max_arrays) {
+      sc.free.push_back(data);
+      bytes_retained_.fetch_add(bytes, std::memory_order_relaxed);
       return;
     }
   }
-  delete block;
+  delete[] data;
 }
 
 BufferPool::Stats BufferPool::GetStats() const {
@@ -178,18 +144,17 @@ void BufferPool::PublishTelemetry() const {
 }
 
 void BufferPool::TrimAll() {
-  for (SizeClass& sc : classes_) {
-    std::vector<internal::Block*> drained;
+  for (uint32_t cls = 0; cls < kNumClasses; ++cls) {
+    SizeClass& sc = classes_[cls];
+    std::vector<float*> drained;
     {
       std::lock_guard<std::mutex> lock(sc.mu);
       drained.swap(sc.free);
     }
-    for (internal::Block* block : drained) {
-      bytes_retained_.fetch_sub(
-          static_cast<int64_t>(block->capacity * sizeof(float)),
-          std::memory_order_relaxed);
-      delete block;
-    }
+    const size_t bytes = (size_t{1} << (kMinClassLog2 + cls)) * sizeof(float);
+    bytes_retained_.fetch_sub(static_cast<int64_t>(drained.size() * bytes),
+                              std::memory_order_relaxed);
+    for (float* data : drained) delete[] data;
   }
 }
 

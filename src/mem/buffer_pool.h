@@ -4,95 +4,65 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 namespace otif::mem {
 
 class BufferPool;
 
-namespace internal {
-
-/// One pooled allocation: the float storage plus the refcount and the
-/// size-class bookkeeping the pool needs to take it back. Blocks are only
-/// ever created by BufferPool and only destroyed by it (or by TrimAll).
-struct Block {
-  explicit Block(size_t capacity_floats)
-      : capacity(capacity_floats),
-        data(std::make_unique<float[]>(capacity_floats)) {}
-
-  std::atomic<int32_t> refs{0};
-  uint32_t size_class = 0;      // Freelist index; kUnpooledClass if unpooled.
-  size_t capacity = 0;          // Floats.
-  BufferPool* pool = nullptr;   // Owning pool; receives the last release.
-  std::unique_ptr<float[]> data;
-};
-
-}  // namespace internal
-
-/// Refcounted handle to a pooled float buffer. Copying shares the block
-/// (refcount increment); the block returns to its pool's freelist when the
-/// last handle drops. Handles are cheap to move and safe to destroy from
-/// any thread. A default-constructed handle is null.
+/// Sole owner of one float array from a BufferPool. Move-only: moving
+/// hands the array over and leaves the source null; reset() or the
+/// destructor returns it to the pool, from any thread. A default-constructed
+/// handle is null.
 class PooledBuffer {
  public:
   PooledBuffer() = default;
   ~PooledBuffer() { reset(); }
 
-  PooledBuffer(const PooledBuffer& o) : block_(o.block_) {
-    if (block_ != nullptr) {
-      block_->refs.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  PooledBuffer& operator=(const PooledBuffer& o) {
-    if (this == &o) return *this;
-    PooledBuffer tmp(o);  // Acquire first: self-block-safe.
-    std::swap(block_, tmp.block_);
-    return *this;
-  }
-  PooledBuffer(PooledBuffer&& o) noexcept : block_(o.block_) {
-    o.block_ = nullptr;
-  }
+  PooledBuffer(const PooledBuffer&) = delete;
+  PooledBuffer& operator=(const PooledBuffer&) = delete;
+  PooledBuffer(PooledBuffer&& o) noexcept
+      : data_(std::exchange(o.data_, nullptr)),
+        capacity_(std::exchange(o.capacity_, 0)),
+        pool_(std::exchange(o.pool_, nullptr)) {}
   PooledBuffer& operator=(PooledBuffer&& o) noexcept {
     if (this == &o) return *this;
     reset();
-    block_ = o.block_;
-    o.block_ = nullptr;
+    data_ = std::exchange(o.data_, nullptr);
+    capacity_ = std::exchange(o.capacity_, 0);
+    pool_ = std::exchange(o.pool_, nullptr);
     return *this;
   }
 
-  float* data() const {
-    return block_ != nullptr ? block_->data.get() : nullptr;
-  }
+  float* data() const { return data_; }
   /// Usable floats (the size-class rounding, >= the requested count).
-  size_t capacity() const { return block_ != nullptr ? block_->capacity : 0; }
-  /// True when this is the only live handle to the block — the holder may
-  /// write in place without aliasing another owner.
-  bool unique() const {
-    return block_ != nullptr &&
-           block_->refs.load(std::memory_order_acquire) == 1;
-  }
-  explicit operator bool() const { return block_ != nullptr; }
+  size_t capacity() const { return capacity_; }
+  explicit operator bool() const { return data_ != nullptr; }
 
-  /// Drops this handle; the last drop releases the block to its pool.
+  /// Returns the array to its pool and leaves this handle null.
   void reset();
 
  private:
   friend class BufferPool;
-  explicit PooledBuffer(internal::Block* block) : block_(block) {}
+  PooledBuffer(float* data, size_t capacity, BufferPool* pool)
+      : data_(data), capacity_(capacity), pool_(pool) {}
 
-  internal::Block* block_ = nullptr;
+  float* data_ = nullptr;
+  size_t capacity_ = 0;
+  BufferPool* pool_ = nullptr;  // Receives the array back.
 };
 
 /// Thread-safe size-class buffer pool for the frame/tensor data path.
 /// Requests of 4 KiB and up round up to power-of-two size classes; released
-/// blocks park on a per-class freelist (mutex-guarded, LIFO) and satisfy
+/// arrays park on a per-class freelist (mutex-guarded, LIFO) and satisfy
 /// later acquires without touching the heap, so after warmup a pipeline run
-/// recycles its frame-sized buffers instead of allocating them. Smaller
-/// requests (tracker and score tensors) come straight from malloc at their
-/// exact size and never touch the freelists or the stats. The pool also
-/// aggregates the nn scratch-arena's chunk reservations so the whole
+/// recycles its frame-sized buffers instead of allocating them. The class
+/// mutex also orders one owner's writes before the next owner's reads.
+/// Smaller requests (tracker and score tensors) come straight from the heap
+/// at their exact size and never touch the freelists or the stats. The pool
+/// also aggregates the nn scratch-arena's chunk reservations so the whole
 /// hot-path memory story shows up in one set of counters.
 ///
 /// Statistics are intrinsic relaxed atomics (not the telemetry registry) so
@@ -111,15 +81,15 @@ class BufferPool {
   ~BufferPool();
 
   /// Returns a handle to at least `n_floats` floats. Contents are
-  /// unspecified (possibly a recycled buffer); callers must write before
+  /// unspecified (a fresh or recycled array); callers must write before
   /// reading. `n_floats` == 0 returns a null handle. Requests below the
-  /// smallest size class are heap blocks of exactly `n_floats` floats.
+  /// smallest size class are heap arrays of exactly `n_floats` floats.
   PooledBuffer Acquire(size_t n_floats);
 
   struct Stats {
     // Pooled (>= 4 KiB) requests only; smaller ones are not counted.
     int64_t hits = 0;            // Acquires served from a freelist.
-    int64_t misses = 0;          // Acquires that allocated a new block.
+    int64_t misses = 0;          // Acquires that allocated a new array.
     int64_t bytes_in_flight = 0;  // Bytes currently held by live handles.
     int64_t bytes_retained = 0;   // Bytes parked on freelists.
     int64_t arena_allocs = 0;     // Scratch-arena chunk allocations.
@@ -141,7 +111,7 @@ class BufferPool {
   /// mem.arena.{allocations,bytes_reserved}.
   void PublishTelemetry() const;
 
-  /// Frees every parked block (tests; live handles are unaffected).
+  /// Frees every parked array (tests; live handles are unaffected).
   void TrimAll();
 
  private:
@@ -152,22 +122,22 @@ class BufferPool {
   static constexpr uint32_t kMinClassLog2 = 10;
   static constexpr uint32_t kNumClasses = 19;
   static constexpr uint32_t kUnpooledClass = ~0u;
-  // Per-class retention cap, in bytes rather than blocks: the 4 KiB class
-  // may park thousands of blocks (one low-res render or activation per
-  // in-flight frame), while a class of 32 MiB blocks parks at most
-  // kMinRetainedPerClass. Blocks above the byte cap still park a couple
+  // Per-class retention cap, in bytes rather than arrays: the 4 KiB class
+  // may park thousands of arrays (one low-res render or activation per
+  // in-flight frame), while a class of 32 MiB arrays parks at most
+  // kMinRetainedPerClass. Arrays above the byte cap still park a couple
   // deep so repeated large acquires don't thrash the heap.
   static constexpr size_t kMaxRetainedBytesPerClass = size_t{32} << 20;
   static constexpr size_t kMinRetainedPerClass = 2;
 
   struct SizeClass {
     std::mutex mu;
-    std::vector<internal::Block*> free;  // mu.
+    std::vector<float*> free;  // mu. Each holds the class's capacity.
   };
 
-  /// Takes `block` back from the last handle: parks it (or frees it when
-  /// the class is full or the block is unpooled).
-  void Release(internal::Block* block);
+  /// Takes an array back from its handle: parks it (or frees it when the
+  /// class is full or the array is below or above the pooled classes).
+  void Release(float* data, size_t capacity);
 
   SizeClass classes_[kNumClasses];
   std::atomic<int64_t> hits_{0};

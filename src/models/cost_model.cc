@@ -50,10 +50,4 @@ const CostConstants& DefaultCostConstants() {
   return kConstants;
 }
 
-double DecodeSeconds(const video::DecodeStats& stats,
-                     const CostConstants& constants) {
-  return stats.pixels_decoded * constants.decode_sec_per_pixel +
-         stats.frames_decoded * constants.decode_sec_per_frame;
-}
-
 }  // namespace otif::models

@@ -5,8 +5,6 @@
 #include <cstdint>
 #include <string>
 
-#include "video/codec.h"
-
 namespace otif::models {
 
 /// Pipeline stages tracked by the simulated clock (Figure 6 cost breakdown).
@@ -74,10 +72,6 @@ struct CostConstants {
 
 /// Returns the default calibrated constants.
 const CostConstants& DefaultCostConstants();
-
-/// Converts decoder statistics into simulated decode seconds.
-double DecodeSeconds(const video::DecodeStats& stats,
-                     const CostConstants& constants);
 
 }  // namespace otif::models
 

@@ -37,8 +37,7 @@ class Tensor {
   Tensor& operator=(const Tensor& o) {
     if (this == &o) return *this;
     shape_ = o.shape_;
-    if (!buffer_ || buffer_.capacity() < static_cast<size_t>(o.size_) ||
-        !buffer_.unique()) {
+    if (buffer_.capacity() < static_cast<size_t>(o.size_)) {
       buffer_ = mem::BufferPool::Global().Acquire(
           static_cast<size_t>(o.size_));
     }

@@ -40,8 +40,8 @@ class Rasterizer {
   /// Same output as Render.
   void RenderInto(int frame, int width, int height, video::Image* out);
 
-  /// Renders the static background only (no objects, no noise); exposed for
-  /// tests and for video-encoding calibration.
+  /// Renders the static background only (no objects, no noise); every
+  /// rendered frame starts from it. Exposed for tests.
   const video::Image& Background(int width, int height);
 
  private:

@@ -44,8 +44,6 @@ Registry& GetRegistry() {
 bool ParseKind(std::string_view text, Kind* out) {
   if (text == "error") {
     *out = Kind::kError;
-  } else if (text == "corrupt") {
-    *out = Kind::kCorrupt;
   } else if (text == "stall") {
     *out = Kind::kStall;
   } else if (text == "deny") {

@@ -12,14 +12,12 @@
 namespace otif::fault {
 
 /// What an armed site does when its deterministic RNG fires. Sites ignore
-/// kinds they cannot express (a model invocation has no output to
-/// corrupt), so one spec can be pointed at any site without crashing the
-/// host layer.
+/// kinds they cannot express (a model invocation has no resource to deny),
+/// so one spec can be pointed at any site without crashing the host layer.
 enum class Kind {
-  kError,    // Return a transient error (Status::IoError at the site).
-  kCorrupt,  // Deliver damaged output (decoder: zeroed bottom half).
-  kStall,    // Sleep `stall_ms` before proceeding (latency spike).
-  kDeny,     // Refuse a resource (BufferPool: bypass the freelist).
+  kError,  // Return a transient error (Status::IoError at the site).
+  kStall,  // Sleep `stall_ms` before proceeding (latency spike).
+  kDeny,   // Refuse a resource (BufferPool: bypass the freelist).
 };
 
 /// One fired injection, reported to the instrumented call site.
@@ -99,7 +97,7 @@ Site* GetSite(const std::string& name);
 /// per-site hit counter); `out` is an Injection*.
 ///
 ///   fault::Injection inj;
-///   if (OTIF_FAULT_POINT("decode.frame", index, &inj)) { ... }
+///   if (OTIF_FAULT_POINT("mem.acquire", -1, &inj)) { ... }
 #define OTIF_FAULT_POINT(name, token, out)                                 \
   ([&]() -> bool {                                                         \
     if (!::otif::fault::Enabled()) return false;                           \
@@ -110,7 +108,7 @@ Site* GetSite(const std::string& name);
 
 /// Parses and installs a fault spec: comma-separated entries of
 ///   site:kind:rate:seed[:clip=K][:ms=N]
-/// where kind is error|corrupt|stall|deny, rate is a probability in
+/// where kind is error|stall|deny, rate is a probability in
 /// [0, 1], seed is a non-negative integer, clip=K limits firing to clip K,
 /// and ms=N sets the stall duration (default 1). Example:
 ///   OTIF_FAULTS=detect.invoke:error:0.5:7:clip=1,proxy.invoke:stall:1:9:ms=2

@@ -67,7 +67,7 @@ void Image::ResizeUninitialized(int width, int height) {
   OTIF_CHECK_GE(width, 0);
   OTIF_CHECK_GE(height, 0);
   const size_t n = static_cast<size_t>(width) * height;
-  if (n > 0 && (!buffer_ || buffer_.capacity() < n || !buffer_.unique())) {
+  if (buffer_.capacity() < n) {
     buffer_ = mem::BufferPool::Global().Acquire(n);
   }
   width_ = width;
@@ -91,7 +91,7 @@ void Image::ResizedInto(int new_width, int new_height, Image* out) const {
   OTIF_CHECK_GT(new_height, 0);
   OTIF_CHECK(!empty());
   OTIF_CHECK(out != nullptr);
-  if (out == this || out->data() == data()) {
+  if (out == this) {
     Image tmp;
     ResizedInto(new_width, new_height, &tmp);
     *out = std::move(tmp);

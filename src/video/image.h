@@ -84,8 +84,8 @@ class Image {
   mem::ConstImageView view() const { return {data(), width_, height_, width_}; }
 
   /// Reshapes to `width` x `height` without initializing pixels, reusing
-  /// the current buffer when it is unshared and its capacity fits. Callers
-  /// must write every pixel before reading any.
+  /// the current buffer when its capacity fits. Callers must write every
+  /// pixel before reading any.
   void ResizeUninitialized(int width, int height);
 
   /// Clamps all pixels into [0, 1].

@@ -443,8 +443,7 @@ TEST_F(PipelineFaultTest, StallAndDenyFaultsDoNotChangeResults) {
 
   ASSERT_TRUE(fault::ConfigureFaults(
                   "detect.invoke:stall:0.2:3:ms=1,"
-                  "mem.acquire:deny:0.5:9,"
-                  "decode.frame:stall:0.05:13:ms=1")
+                  "mem.acquire:deny:0.5:9")
                   .ok());
   const EvalResult r = RunFaulted(config, nullptr);
   EXPECT_TRUE(r.failed_clips.empty());

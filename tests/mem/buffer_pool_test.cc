@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstring>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "nn/arena.h"
@@ -13,6 +14,12 @@
 
 namespace otif::mem {
 namespace {
+
+// A handle is the array's only owner: it can be moved, never copied.
+static_assert(!std::is_copy_constructible_v<PooledBuffer>);
+static_assert(!std::is_copy_assignable_v<PooledBuffer>);
+static_assert(std::is_nothrow_move_constructible_v<PooledBuffer>);
+static_assert(std::is_nothrow_move_assignable_v<PooledBuffer>);
 
 TEST(BufferPoolTest, AcquireRoundsUpToSizeClass) {
   BufferPool pool;
@@ -51,36 +58,28 @@ TEST(BufferPoolTest, ReleaseThenAcquireReusesBlock) {
   EXPECT_EQ(pool.GetStats().misses, 1);
 }
 
-TEST(BufferPoolTest, CopiedHandlesShareBlockUntilLastDrop) {
-  BufferPool pool;
-  PooledBuffer a = pool.Acquire(2048);
-  EXPECT_TRUE(a.unique());
-  PooledBuffer b = a;
-  EXPECT_EQ(a.data(), b.data());
-  EXPECT_FALSE(a.unique());
-  EXPECT_FALSE(b.unique());
-  float* p = a.data();
-  a.reset();
-  // b still owns the block: a new acquire must not steal it.
-  PooledBuffer c = pool.Acquire(2048);
-  EXPECT_NE(c.data(), p);
-  b.reset();
-  PooledBuffer d = pool.Acquire(2048);  // Now the block is recyclable.
-  EXPECT_EQ(d.data(), p);
-}
-
 TEST(BufferPoolTest, MoveTransfersOwnershipWithoutRefcountChurn) {
   BufferPool pool;
-  PooledBuffer a = pool.Acquire(1024);
+  PooledBuffer a = pool.Acquire(3000);
   float* p = a.data();
   PooledBuffer b = std::move(a);
   EXPECT_EQ(b.data(), p);
-  EXPECT_FALSE(static_cast<bool>(a));  // NOLINT(bugprone-use-after-move)
-  EXPECT_TRUE(b.unique());
-  PooledBuffer c;
-  c = std::move(b);
+  EXPECT_EQ(b.capacity(), 4096u);
+  // NOLINTBEGIN(bugprone-use-after-move)
+  EXPECT_FALSE(static_cast<bool>(a));
+  EXPECT_EQ(a.data(), nullptr);
+  EXPECT_EQ(a.capacity(), 0u);
+  // NOLINTEND(bugprone-use-after-move)
+  PooledBuffer c = pool.Acquire(16);
+  c = std::move(b);  // Drops c's own array, takes b's.
   EXPECT_EQ(c.data(), p);
-  EXPECT_TRUE(c.unique());
+  EXPECT_EQ(c.capacity(), 4096u);
+  EXPECT_FALSE(static_cast<bool>(b));  // NOLINT(bugprone-use-after-move)
+  // Moving handles moved no pooled bytes in or out of flight.
+  EXPECT_EQ(pool.GetStats().bytes_in_flight, 4096 * int64_t{sizeof(float)});
+  c.reset();
+  EXPECT_FALSE(static_cast<bool>(c));
+  EXPECT_EQ(pool.GetStats().bytes_in_flight, 0);
 }
 
 TEST(BufferPoolTest, BytesInFlightAndRetainedAccounting) {
@@ -177,8 +176,8 @@ TEST(BufferPoolTest, SteadyStateLoopIsAllocationFree) {
   EXPECT_GE(stats.hit_rate(), 0.99);
 }
 
-// Concurrency: many threads acquiring, writing, sharing, and releasing
-// buffers of overlapping size classes. Run under TSan via check.sh/ci.
+// Concurrency: many threads acquiring, writing, and releasing buffers of
+// overlapping size classes. Run under TSan via check.sh/ci.
 TEST(BufferPoolTest, ConcurrentAcquireReleaseIsSafe) {
   BufferPool pool;
   constexpr int kThreads = 8;
@@ -192,7 +191,7 @@ TEST(BufferPoolTest, ConcurrentAcquireReleaseIsSafe) {
         const size_t n = 1024 + static_cast<size_t>((t * 37 + i * 11) % 4000);
         PooledBuffer b = pool.Acquire(n);
         // Write the whole requested range: overlapping writes from two
-        // threads on one block would be a TSan hit and a refcount bug.
+        // threads on one array would be a TSan hit and an ownership bug.
         for (size_t k = 0; k < n; ++k) {
           b.data()[k] = static_cast<float>(t + 1);
         }
@@ -208,26 +207,33 @@ TEST(BufferPoolTest, ConcurrentAcquireReleaseIsSafe) {
   EXPECT_GT(checksum.load(), 0);
 }
 
-// Cross-thread handoff: one thread fills a buffer, another reads it through
-// a shared handle and drops the last reference. The release/acquire pair on
-// the refcount must make the writes visible (TSan validates).
+// Cross-thread handoff: the main thread fills a buffer and moves the handle
+// into a reader thread, which reads it and drops it; the main thread then
+// reacquires the same array and overwrites it. The only ordering between
+// the reader's reads and those writes is the size-class mutex (the flag is
+// relaxed), so TSan validates that the freelist orders the handoff.
 TEST(BufferPoolTest, ConcurrentSharedHandleHandoff) {
   BufferPool pool;
   for (int round = 0; round < 50; ++round) {
-    PooledBuffer shared = pool.Acquire(1024);
-    for (size_t i = 0; i < 1024; ++i) {
-      shared.data()[i] = static_cast<float>(round);
-    }
-    PooledBuffer reader_handle = shared;
-    std::thread reader([handle = std::move(reader_handle), round] {
+    PooledBuffer owned = pool.Acquire(1024);
+    float* const array = owned.data();
+    for (size_t i = 0; i < 1024; ++i) array[i] = static_cast<float>(round);
+    std::atomic<bool> dropped{false};
+    std::thread reader([handle = std::move(owned), &dropped, round]() mutable {
       float sum = 0.0f;
       for (size_t i = 0; i < 1024; ++i) sum += handle.data()[i];
       EXPECT_EQ(sum, 1024.0f * static_cast<float>(round));
+      handle.reset();
+      dropped.store(true, std::memory_order_relaxed);
     });
-    shared.reset();  // Race the reader's drop for the final release.
+    while (!dropped.load(std::memory_order_relaxed)) std::this_thread::yield();
+    PooledBuffer again = pool.Acquire(1024);
+    EXPECT_EQ(again.data(), array);
+    for (size_t i = 0; i < 1024; ++i) again.data()[i] = -1.0f;
     reader.join();
   }
   EXPECT_EQ(pool.GetStats().bytes_in_flight, 0);
+  EXPECT_EQ(pool.GetStats().misses, 1);
 }
 
 TEST(BufferPoolTest, InjectedDenyForcesHeapMissButValidBuffer) {
@@ -273,8 +279,6 @@ TEST(BufferPoolTest, SmallRequestsBypassFreelistsStatsAndDenySite) {
     EXPECT_NE(small.data(), parked);
     EXPECT_EQ(small.capacity(), 1023u);  // No size-class rounding.
     small.data()[1022] = 1.0f;
-    PooledBuffer shared = small;
-    EXPECT_FALSE(small.unique());
     expect_untouched();
   }
   expect_untouched();

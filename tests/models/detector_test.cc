@@ -225,16 +225,5 @@ TEST(SimClockTest, ChargesAndMerges) {
   EXPECT_DOUBLE_EQ(clock.TotalSeconds(), 0.0);
 }
 
-TEST(CostModelTest, DecodeSecondsScalesWithPixels) {
-  video::DecodeStats stats;
-  stats.frames_decoded = 10;
-  stats.pixels_decoded = 10 * 1280 * 720;
-  const double sec = DecodeSeconds(stats, DefaultCostConstants());
-  EXPECT_GT(sec, 0.0);
-  video::DecodeStats smaller = stats;
-  smaller.pixels_decoded /= 4;
-  EXPECT_LT(DecodeSeconds(smaller, DefaultCostConstants()), sec);
-}
-
 }  // namespace
 }  // namespace otif::models

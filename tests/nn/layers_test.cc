@@ -111,6 +111,24 @@ TEST(TensorTest, AddAndScale) {
   EXPECT_FLOAT_EQ(a[0], 6.0f);
 }
 
+TEST(TensorTest, CopyAssignReusesCapacity) {
+  Tensor src({2, 3});
+  for (int64_t i = 0; i < src.size(); ++i) src[i] = static_cast<float>(i);
+  Tensor dst({4, 4});  // Larger capacity than src needs.
+  const float* before = dst.data();
+  dst = src;
+  EXPECT_EQ(dst.data(), before) << "fitting copy-assign reallocated";
+  EXPECT_EQ(dst.shape(), src.shape());
+  ASSERT_EQ(dst.size(), src.size());
+  for (int64_t i = 0; i < src.size(); ++i) EXPECT_EQ(dst[i], src[i]);
+  // Each tensor owns its elements: writing one leaves the other alone.
+  dst[0] = -1.0f;
+  EXPECT_EQ(src[0], 0.0f);
+  const Tensor copy(src);
+  EXPECT_NE(copy.data(), src.data());
+  EXPECT_EQ(copy[5], 5.0f);
+}
+
 TEST(TensorTest, RandomHeStatistics) {
   Rng rng(1);
   Tensor t = Tensor::RandomHe({64, 64}, 64, &rng);

@@ -50,7 +50,7 @@ TEST_F(FaultInjectionTest, MalformedSpecsRejectedAndPreviousConfigKept) {
   for (const char* bad :
        {"site_only", "a:b", "a:notakind:0.5:1", "a:error:1.5:1",
         "a:error:-0.1:1", "a:error:0.5:notanumber", "a:error:0.5:1:bogus=3",
-        ":error:0.5:1", "a:error:0.5:1:clip=-2"}) {
+        ":error:0.5:1", "a:error:0.5:1:clip=-2", "a:corrupt:0.5:1"}) {
     EXPECT_EQ(ConfigureFaults(bad).code(), StatusCode::kInvalidArgument)
         << "spec: " << bad;
   }

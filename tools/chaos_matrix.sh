@@ -25,13 +25,6 @@ fi
 mkdir -p "$DUMP_DIR"
 
 SPECS=(
-  # Decoder site. The simulated pipeline renders frames through
-  # the rasterizer (decode is a modeled cost), so these specs verify that
-  # an armed-but-unreached site never perturbs a run; the firing behavior
-  # itself is covered by the codec unit tests.
-  'decode.frame:error:0.02:11'
-  'decode.frame:corrupt:0.1:12'
-  'decode.frame:stall:0.05:13:ms=1'
   # Proxy invocation: persistent failure degrades to full-frame detection;
   # transient failure retries; stalls just slow the stage down.
   'proxy.invoke:error:1:21'
@@ -45,7 +38,7 @@ SPECS=(
   # Buffer pool: allocation denial forces heap misses, never failures.
   'mem.acquire:deny:0.5:51'
   # Everything at once.
-  'decode.frame:corrupt:0.05:61,proxy.invoke:error:0.3:62,detect.invoke:error:0.3:63,mem.acquire:deny:0.3:65'
+  'proxy.invoke:error:0.3:62,detect.invoke:error:0.3:63,mem.acquire:deny:0.3:65'
 )
 
 fail=0
