@@ -6,16 +6,20 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "core/cell_grouping.h"
 #include "models/proxy.h"
+#include "models/tracker_net.h"
 #include "nn/layers.h"
 #include "nn/tensor.h"
 #include "query/queries.h"
 #include "sim/raster.h"
 #include "track/hungarian.h"
+#include "track/recurrent_tracker.h"
 #include "track/refine.h"
 #include "track/sort_tracker.h"
 #include "util/rng.h"
@@ -220,6 +224,94 @@ void BM_SortTrackerFrame(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_SortTrackerFrame)->Arg(5)->Arg(20);
+
+// A tracker net trained briefly on constant-velocity tracks at gaps 1-4 in
+// a 1280x720, 10 fps frame, so that it matches linear motion.
+const models::TrackerNet& BenchTrackerNet() {
+  static const models::TrackerNet* net = [] {
+    auto* n = new models::TrackerNet(5);
+    Rng rng(21);
+    const double fw = 1280, fh = 720, fps = 10;
+    auto det = [](int frame, double cx, double cy) {
+      track::Detection d;
+      d.frame = frame;
+      d.box = geom::BBox(cx, cy, 40, 28);
+      return d;
+    };
+    for (int step = 0; step < 300; ++step) {
+      const int gap = 1 << rng.UniformInt(uint64_t{3});
+      const double vx = rng.Uniform(-4, 4), vy = rng.Uniform(-3, 3);
+      double cx = rng.Uniform(100, 1180), cy = rng.Uniform(80, 640);
+      models::TrackerNet::Example ex;
+      track::Detection last;
+      for (int i = 0; i < 3; ++i) {
+        last = det(i * gap, cx, cy);
+        ex.prefix_features.push_back(models::TrackerNet::DetFeature(
+            last, gap, fps, fw, fh, 0.5, 0.1));
+        cx += vx * gap;
+        cy += vy * gap;
+      }
+      ex.positive_index = 0;
+      for (const track::Detection& c :
+           {det(3 * gap, cx, cy),
+            det(3 * gap, rng.Uniform(20, 1260), rng.Uniform(20, 700))}) {
+        ex.candidate_features.push_back(
+            models::TrackerNet::DetFeature(c, gap, fps, fw, fh, 0.5, 0.1));
+        ex.candidate_pair_features.push_back(
+            models::TrackerNet::PairFeature(last, last, c, fps, fw, fh));
+      }
+      n->TrainStep(ex);
+    }
+    return n;
+  }();
+  return *net;
+}
+
+// Recurrent tracker frames: n objects moving linearly (wrapping at the
+// frame edges), so tracks persist and each frame scores about n x n gated
+// pairs. Every 300 frames the clip ends with Finish, as in the pipeline.
+void BM_RecurrentTrackerFrame(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const double fw = 1280, fh = 720;
+  Rng rng(9);
+  struct Object {
+    double x, y, vx, vy;
+  };
+  std::vector<Object> objects;
+  for (int i = 0; i < n; ++i) {
+    objects.push_back({rng.Uniform(0, fw), rng.Uniform(0, fh),
+                       rng.Uniform(-4, 4), rng.Uniform(-3, 3)});
+  }
+  auto wrap = [](double v, double size) {
+    const double w = std::fmod(v, size);
+    return w < 0 ? w + size : w;
+  };
+  track::RecurrentTracker tracker(&BenchTrackerNet(), {});
+  const std::vector<std::pair<double, double>> appearance(
+      static_cast<size_t>(n), {0.5, 0.1});
+  constexpr int kClipFrames = 300;
+  int frame = 0;
+  for (auto _ : state) {
+    track::FrameDetections dets;
+    for (const Object& o : objects) {
+      track::Detection d;
+      d.frame = frame;
+      d.box = geom::BBox(wrap(o.x + o.vx * frame, fw),
+                         wrap(o.y + o.vy * frame, fh), 40, 28);
+      dets.push_back(d);
+    }
+    tracker.ProcessFrameWithAppearance(frame, dets, appearance);
+    if (++frame == kClipFrames) {
+      benchmark::DoNotOptimize(tracker.Finish(2));
+      frame = 0;
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+  state.counters["pairs_per_frame"] =
+      static_cast<double>(tracker.pair_scores_computed()) /
+      static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_RecurrentTrackerFrame)->Arg(5)->Arg(20);
 
 void BM_TrackClustering(benchmark::State& state) {
   Rng rng(11);

@@ -37,12 +37,13 @@ BufferPool::~BufferPool() { TrimAll(); }
 PooledBuffer BufferPool::Acquire(size_t n_floats) {
   if (n_floats == 0) return PooledBuffer();
   // Below the smallest size class (4 KiB), serve an exact-size heap array:
-  // no freelist, mutex, shared stats atomic or fault point. Over 99% of the
-  // millions of requests an end-to-end run makes are tensors of at most 128
-  // floats (recurrent-tracker and score tensors), and routing them through
-  // one per-class mutex and four shared counters serialized the worker
-  // threads. malloc's per-thread caches serve them without shared state;
-  // the frame-sized buffers pooling exists for stay pooled.
+  // no freelist, mutex, shared stats atomic or fault point. About nine in
+  // ten of the million-plus requests an end-to-end run makes are tensors of
+  // at most 128 floats (mostly the recurrent tracker's per-pair and
+  // per-detection features), and routing them through one per-class mutex
+  // and four shared counters serialized the worker threads. malloc's
+  // per-thread caches serve them without shared state; the frame-sized
+  // buffers pooling exists for stay pooled.
   if (n_floats < (size_t{1} << kMinClassLog2)) {
     return PooledBuffer(new float[n_floats], n_floats, this);
   }

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "nn/arena.h"
+#include "nn/gemm.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
@@ -24,10 +26,14 @@ TrackerNet::TrackerNet(uint64_t seed) {
   det_encoder_.Add(std::make_unique<nn::Linear>(kEncodedDim, kEncodedDim,
                                                 &rng));
   gru_ = std::make_unique<nn::GruCell>(kEncodedDim, kHiddenSize, &rng);
-  matcher_.Add(std::make_unique<nn::Linear>(
-      kHiddenSize + kEncodedDim + kPairFeatureDim, 32, &rng));
+  auto matcher_in = std::make_unique<nn::Linear>(
+      kHiddenSize + kEncodedDim + kPairFeatureDim, kMatcherWidth, &rng);
+  auto matcher_out = std::make_unique<nn::Linear>(kMatcherWidth, 1, &rng);
+  matcher_in_ = matcher_in.get();
+  matcher_out_ = matcher_out.get();
+  matcher_.Add(std::move(matcher_in));
   matcher_.Add(std::make_unique<nn::Relu>());
-  matcher_.Add(std::make_unique<nn::Linear>(32, 1, &rng));
+  matcher_.Add(std::move(matcher_out));
 
   std::vector<nn::Parameter*> params;
   det_encoder_.CollectParameters(&params);
@@ -158,6 +164,89 @@ double TrackerNet::ScorePair(const nn::Tensor& hidden,
   nn::Tensor logit =
       matcher_.Infer(MatcherInput(hidden, encoded, pair_feature));
   return nn::StableSigmoid(logit[0]);
+}
+
+nn::Tensor TrackerNet::AdvanceBatch(const nn::Tensor& hidden,
+                                    const nn::Tensor& det_features) const {
+  OTIF_CHECK_EQ(det_features.ndim(), 2);
+  OTIF_CHECK_EQ(det_features.dim(1), kDetFeatureDim);
+  return gru_->StepInferBatch(det_encoder_.Infer(det_features), hidden);
+}
+
+std::vector<double> TrackerNet::ScorePairs(
+    const nn::Tensor& hidden, const nn::Tensor& det_features,
+    const std::vector<PairIndex>& pairs,
+    const nn::Tensor& pair_features) const {
+  OTIF_CHECK(!pairs.empty());
+  OTIF_CHECK_EQ(hidden.ndim(), 2);
+  OTIF_CHECK_EQ(hidden.dim(1), kHiddenSize);
+  OTIF_CHECK_EQ(det_features.ndim(), 2);
+  OTIF_CHECK_EQ(det_features.dim(1), kDetFeatureDim);
+  OTIF_CHECK_EQ(pair_features.ndim(), 2);
+  OTIF_CHECK_EQ(pair_features.dim(0), static_cast<int>(pairs.size()));
+  OTIF_CHECK_EQ(pair_features.dim(1), kPairFeatureDim);
+  const int n_tracks = hidden.dim(0);
+  const int n_dets = det_features.dim(0);
+  const int n_pairs = static_cast<int>(pairs.size());
+  constexpr int kMatcherIn = kHiddenSize + kEncodedDim + kPairFeatureDim;
+  constexpr int kDetPairDim = kEncodedDim + kPairFeatureDim;
+
+  // Each row is bit-identical to EncodeDet's 1-D path on that feature.
+  const nn::Tensor encoded = det_encoder_.Infer(det_features);
+
+  nn::ScratchArena& arena = nn::ScratchArena::ThreadLocal();
+  nn::ScratchScope scope(arena);
+  // The first layer's weight transposed, (kMatcherIn x kMatcherWidth): its
+  // first kHiddenSize rows multiply h, the remaining rows [e; p].
+  const float* w_in = matcher_in_->weight().data();
+  float* w_in_t =
+      arena.Alloc(static_cast<size_t>(kMatcherIn) * kMatcherWidth);
+  for (int o = 0; o < kMatcherWidth; ++o) {
+    for (int i = 0; i < kMatcherIn; ++i) {
+      w_in_t[static_cast<size_t>(i) * kMatcherWidth + o] =
+          w_in[static_cast<size_t>(o) * kMatcherIn + i];
+    }
+  }
+
+  // The 1-D path's first layer is one chain per output, over
+  // [h; e; p] in order: bias + W_h h, then + W_e e, then + W_p p. Its
+  // prefix depends on the track alone, so compute it once per track...
+  float* prefix = arena.Alloc(static_cast<size_t>(n_tracks) * kMatcherWidth);
+  nn::GemmBias(n_tracks, kMatcherWidth, kHiddenSize, hidden.data(), w_in_t,
+               nullptr, matcher_in_->bias().data(), prefix);
+  // ...then seed each pair's chain with its track's prefix and continue it
+  // over the pair's [e; p] row.
+  float* act = arena.Alloc(static_cast<size_t>(n_pairs) * kMatcherWidth);
+  float* det_pair = arena.Alloc(static_cast<size_t>(n_pairs) * kDetPairDim);
+  for (int i = 0; i < n_pairs; ++i) {
+    const PairIndex& pair = pairs[static_cast<size_t>(i)];
+    OTIF_CHECK(pair.track >= 0 && pair.track < n_tracks);
+    OTIF_CHECK(pair.det >= 0 && pair.det < n_dets);
+    std::copy_n(prefix + static_cast<size_t>(pair.track) * kMatcherWidth,
+                kMatcherWidth, act + static_cast<size_t>(i) * kMatcherWidth);
+    float* row = det_pair + static_cast<size_t>(i) * kDetPairDim;
+    std::copy_n(encoded.data() + static_cast<size_t>(pair.det) * kEncodedDim,
+                kEncodedDim, row);
+    std::copy_n(pair_features.data() +
+                    static_cast<size_t>(i) * kPairFeatureDim,
+                kPairFeatureDim, row + kEncodedDim);
+  }
+  nn::GemmAccumulate(n_pairs, kMatcherWidth, kDetPairDim, det_pair,
+                     w_in_t + static_cast<size_t>(kHiddenSize) * kMatcherWidth,
+                     act);
+  const size_t act_size = static_cast<size_t>(n_pairs) * kMatcherWidth;
+  for (size_t i = 0; i < act_size; ++i) act[i] = std::max(0.0f, act[i]);
+
+  // Output layer: its (1 x kMatcherWidth) weight is already the
+  // (kMatcherWidth x 1) B operand.
+  float* logits = arena.Alloc(static_cast<size_t>(n_pairs));
+  nn::GemmBias(n_pairs, 1, kMatcherWidth, act, matcher_out_->weight().data(),
+               nullptr, matcher_out_->bias().data(), logits);
+  std::vector<double> probs(static_cast<size_t>(n_pairs));
+  for (int i = 0; i < n_pairs; ++i) {
+    probs[static_cast<size_t>(i)] = nn::StableSigmoid(logits[i]);
+  }
+  return probs;
 }
 
 double TrackerNet::TrainStep(const Example& example) {

@@ -71,14 +71,43 @@ class TrackerNet {
 
   /// Inference: folds one detection feature into the hidden state. Uses
   /// the cache-free inference path; safe to call concurrently from many
-  /// trackers sharing one trained net.
+  /// trackers sharing one trained net. The per-row reference that
+  /// AdvanceBatch must reproduce (tests compare the two).
   nn::Tensor Advance(const nn::Tensor& hidden,
                      const nn::Tensor& det_feature) const;
 
   /// Inference: match probability (sigmoid of the logit) for a candidate
-  /// against a track hidden state. Thread-safe like Advance.
+  /// against a track hidden state. Thread-safe like Advance. The per-pair
+  /// reference that ScorePairs must reproduce (tests compare the two).
   double ScorePair(const nn::Tensor& hidden, const nn::Tensor& det_feature,
                    const nn::Tensor& pair_feature) const;
+
+  /// Advance over n rows at once: folds row i of `det_features`
+  /// (n, kDetFeatureDim) into row i of `hidden` (n, hidden_size) and
+  /// returns the (n, hidden_size) new states, each row bit-identical to
+  /// Advance on that row. Thread-safe like Advance.
+  nn::Tensor AdvanceBatch(const nn::Tensor& hidden,
+                          const nn::Tensor& det_features) const;
+
+  /// A (track, detection) pair for ScorePairs: row indices into its
+  /// `hidden` and `det_features` matrices.
+  struct PairIndex {
+    int track;
+    int det;
+  };
+
+  /// ScorePair over one frame's pairs at once. `hidden` is (tracks,
+  /// hidden_size), `det_features` is (detections, kDetFeatureDim), and
+  /// `pair_features` is (pairs.size(), kPairFeatureDim) with row i
+  /// belonging to pairs[i]; `pairs` must be non-empty. Returns one
+  /// probability per pair, each bit-identical to ScorePair on the same
+  /// rows: every detection is encoded once, and the matcher's first layer
+  /// runs the track-only prefix of its accumulation chain once per track
+  /// (DESIGN.md, "Tracker scoring"). Thread-safe like ScorePair.
+  std::vector<double> ScorePairs(const nn::Tensor& hidden,
+                                 const nn::Tensor& det_features,
+                                 const std::vector<PairIndex>& pairs,
+                                 const nn::Tensor& pair_features) const;
 
   /// One training example: a track prefix (already gap-subsampled, features
   /// built with their true t_elapsed), candidate detections in the next
@@ -100,6 +129,8 @@ class TrackerNet {
  private:
   static constexpr int kEncodedDim = 24;
   static constexpr int kHiddenSize = 32;
+  /// Width of the matcher's hidden layer.
+  static constexpr int kMatcherWidth = 32;
 
   nn::Tensor EncodeDet(const nn::Tensor& feature);
   nn::Tensor MatcherInput(const nn::Tensor& hidden, const nn::Tensor& encoded,
@@ -108,6 +139,9 @@ class TrackerNet {
   nn::Sequential det_encoder_;
   std::unique_ptr<nn::GruCell> gru_;
   nn::Sequential matcher_;
+  // matcher_'s two Linear layers (owned by matcher_), read by ScorePairs.
+  const nn::Linear* matcher_in_ = nullptr;   // [h; e; p] -> kMatcherWidth.
+  const nn::Linear* matcher_out_ = nullptr;  // kMatcherWidth -> 1 logit.
   std::unique_ptr<nn::Adam> optimizer_;
 };
 

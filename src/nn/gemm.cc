@@ -18,18 +18,26 @@ constexpr int kNr = 16;
 constexpr int kNc = 512;
 
 // Full kMr x kNr register tile over the complete k range. Each accumulator
-// starts at its row's init, or at C's current value when kAccumulate.
+// starts at C's current value when kAccumulate, else at its column's
+// init_col entry when init_col is non-null, else at its row's init.
 template <bool kAccumulate>
 inline void MicroKernel(int k, int n, const float* a0, const float* a1,
                         const float* a2, const float* a3, const float* b,
                         float init0, float init1, float init2, float init3,
-                        float* c0, float* c1, float* c2, float* c3) {
+                        const float* init_col, float* c0, float* c1,
+                        float* c2, float* c3) {
   float acc0[kNr], acc1[kNr], acc2[kNr], acc3[kNr];
-  for (int j = 0; j < kNr; ++j) {
-    acc0[j] = kAccumulate ? c0[j] : init0;
-    acc1[j] = kAccumulate ? c1[j] : init1;
-    acc2[j] = kAccumulate ? c2[j] : init2;
-    acc3[j] = kAccumulate ? c3[j] : init3;
+  if (!kAccumulate && init_col != nullptr) {
+    for (int j = 0; j < kNr; ++j) {
+      acc0[j] = acc1[j] = acc2[j] = acc3[j] = init_col[j];
+    }
+  } else {
+    for (int j = 0; j < kNr; ++j) {
+      acc0[j] = kAccumulate ? c0[j] : init0;
+      acc1[j] = kAccumulate ? c1[j] : init1;
+      acc2[j] = kAccumulate ? c2[j] : init2;
+      acc3[j] = kAccumulate ? c3[j] : init3;
+    }
   }
   for (int p = 0; p < k; ++p) {
     const float* brow = b + static_cast<size_t>(p) * n;
@@ -97,15 +105,12 @@ void Gemm(int m, int n, int k, const float* a, const float* b,
       const float init2 = bias_row != nullptr ? bias_row[i + 2] : 0.0f;
       const float init3 = bias_row != nullptr ? bias_row[i + 3] : 0.0f;
       int j = 0;
-      if (bias_col == nullptr) {
-        // Fast path: per-row scalar inits (or C itself) let the full
-        // register tile run.
-        for (; j + kNr <= nc; j += kNr) {
-          float* crow = c + static_cast<size_t>(i) * n + jc + j;
-          MicroKernel<kAccumulate>(k, n, a0, a1, a2, a3, b + jc + j, init0,
-                                   init1, init2, init3, crow, crow + n,
-                                   crow + 2 * n, crow + 3 * n);
-        }
+      for (; j + kNr <= nc; j += kNr) {
+        float* crow = c + static_cast<size_t>(i) * n + jc + j;
+        MicroKernel<kAccumulate>(
+            k, n, a0, a1, a2, a3, b + jc + j, init0, init1, init2, init3,
+            bias_col != nullptr ? bias_col + jc + j : nullptr, crow,
+            crow + n, crow + 2 * n, crow + 3 * n);
       }
       for (; j < nc; j += kNr) {
         EdgeKernel<kAccumulate>(k, n, kMr, std::min(kNr, nc - j), a, b,

@@ -592,6 +592,49 @@ Tensor GruCell::StepInfer(const Tensor& x, const Tensor& h_prev) const {
   return ComputeStep(x, h_prev, &scratch);
 }
 
+Tensor GruCell::StepInferBatch(const Tensor& x, const Tensor& h_prev) const {
+  OTIF_CHECK_EQ(x.ndim(), 2);
+  OTIF_CHECK_EQ(x.dim(1), input_size_);
+  OTIF_CHECK_EQ(h_prev.ndim(), 2);
+  OTIF_CHECK_EQ(h_prev.dim(0), x.dim(0));
+  OTIF_CHECK_EQ(h_prev.dim(1), hidden_size_);
+  const int n = x.dim(0);
+  const size_t cells = static_cast<size_t>(n) * hidden_size_;
+  const float* h = h_prev.data();
+  ScratchArena& arena = ScratchArena::ThreadLocal();
+  ScratchScope scope(arena);
+
+  // out (n x hidden) = x W^T + b, then += hin U^T: Affine2's chain per row.
+  auto affine2 = [&](const Parameter& w, const Parameter& u, const Parameter& b,
+                     const float* hin) {
+    float* wt = arena.Alloc(static_cast<size_t>(input_size_) * hidden_size_);
+    Transpose(w.value.data(), hidden_size_, input_size_, wt);
+    float* ut = arena.Alloc(static_cast<size_t>(hidden_size_) * hidden_size_);
+    Transpose(u.value.data(), hidden_size_, hidden_size_, ut);
+    float* out = arena.Alloc(cells);
+    GemmBias(n, hidden_size_, input_size_, x.data(), wt, nullptr,
+             b.value.data(), out);
+    GemmAccumulate(n, hidden_size_, hidden_size_, hin, ut, out);
+    return out;
+  };
+
+  float* z = affine2(wz_, uz_, bz_, h);
+  for (size_t i = 0; i < cells; ++i) z[i] = StableSigmoid(z[i]);
+  float* r = affine2(wr_, ur_, br_, h);
+  for (size_t i = 0; i < cells; ++i) r[i] = StableSigmoid(r[i]);
+
+  float* rh = arena.Alloc(cells);
+  for (size_t i = 0; i < cells; ++i) rh[i] = r[i] * h[i];
+  float* h_cand = affine2(wh_, uh_, bh_, rh);
+  for (size_t i = 0; i < cells; ++i) h_cand[i] = std::tanh(h_cand[i]);
+
+  Tensor h_new = Tensor::Uninitialized({n, hidden_size_});
+  for (size_t i = 0; i < cells; ++i) {
+    h_new[static_cast<int64_t>(i)] = (1.0f - z[i]) * h[i] + z[i] * h_cand[i];
+  }
+  return h_new;
+}
+
 std::pair<Tensor, Tensor> GruCell::StepBackward(const Tensor& grad_h_new) {
   OTIF_CHECK(!cache_.empty());
   StepCache c = std::move(cache_.back());

@@ -123,6 +123,12 @@ class Linear : public Layer {
   void CollectParameters(std::vector<Parameter*>* out) override;
   void ClearCache() override { cache_.clear(); }
 
+  /// The trained parameters: weight (out_features, in_features) and bias
+  /// (out_features). Read by batched inference that splits the layer's
+  /// input into parts (TrackerNet::ScorePairs).
+  const Tensor& weight() const { return weight_.value; }
+  const Tensor& bias() const { return bias_.value; }
+
  private:
   int in_features_, out_features_;
   Parameter weight_;  // (out, in)
@@ -182,6 +188,14 @@ class GruCell {
   /// Inference-only recurrence step: identical output to Step, no cache
   /// mutation (thread-safe on a shared trained cell).
   Tensor StepInfer(const Tensor& x, const Tensor& h_prev) const;
+
+  /// StepInfer over n independent rows: x is (n, input_size) and h_prev is
+  /// (n, hidden_size); returns (n, hidden_size). Each gate's
+  /// pre-activation is one GemmBias (W x + b) continued by one
+  /// GemmAccumulate (+ U h), the same ascending chain as the 1-D path, so
+  /// every row is bit-identical to StepInfer on that row. Scratch comes
+  /// from the calling thread's ScratchArena.
+  Tensor StepInferBatch(const Tensor& x, const Tensor& h_prev) const;
 
   /// Backward for the most recent Step: given dL/dh', accumulates parameter
   /// gradients and returns (dL/dx, dL/dh_prev).

@@ -11,8 +11,12 @@ namespace otif::track {
 /// Runtime for the recurrent reduced-rate tracking model (paper Sec 3.4).
 /// Maintains, per active track, the GRU hidden state folded over its
 /// detections; on each processed frame, scores every (track, detection)
-/// pair with the matching network and solves a Hungarian assignment on
-/// (1 - probability), rejecting matches below a probability threshold.
+/// pair inside a distance gate with the matching network and solves a
+/// Hungarian assignment on (1 - probability), rejecting matches below a
+/// probability threshold. A frame's pairs are scored in one batched pass
+/// (TrackerNet::ScorePairs), and its matched and new tracks are folded into
+/// their GRU states in one batched step (TrackerNet::AdvanceBatch); both
+/// are bit-identical to the per-pair ScorePair and Advance.
 class RecurrentTracker : public Tracker {
  public:
   struct Options {
@@ -54,6 +58,12 @@ class RecurrentTracker : public Tracker {
     nn::Tensor hidden;
     int misses = 0;
   };
+
+  /// Scores every (track, detection) pair inside the distance gate in one
+  /// batched pass (`det_features` holds one row per detection) and solves
+  /// the assignment. Returns each track's matched detection, or -1.
+  std::vector<int> MatchDetections(const FrameDetections& detections,
+                                   const nn::Tensor& det_features);
 
   const models::TrackerNet* net_;  // Not owned.
   Options options_;

@@ -7,6 +7,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "nn/optimizer.h"
@@ -342,6 +343,46 @@ TEST(GruCellTest, GradientCheckThroughTime) {
   }
   for (int64_t i = 0; i < x2.size(); ++i) {
     EXPECT_NEAR(gx2[i], NumericalGrad(loss, &x2[i]), 2e-2) << "x2[" << i << "]";
+  }
+}
+
+TEST(GruCellTest, StepInferBatchMatchesStepInferBitForBit) {
+  // (24, 32) is the tracker net's cell; (7, 19) leaves a partial column
+  // strip. n = 1 and 3 run only the GEMM edge tile, n >= 4 also the full
+  // 4-row micro-kernel.
+  for (const auto& [in, hidden] : {std::pair{24, 32}, std::pair{7, 19}}) {
+    Rng rng(static_cast<uint64_t>(in * 100 + hidden));
+    GruCell gru(in, hidden, &rng);
+    // Nonzero biases too, so the bias cannot start the wrong chain unseen.
+    std::vector<Parameter*> params;
+    gru.CollectParameters(&params);
+    for (Parameter* p : params) {
+      for (int64_t i = 0; i < p->value.size(); ++i) {
+        p->value[i] += static_cast<float>(rng.Uniform(-0.3, 0.3));
+      }
+    }
+    for (const int n : {1, 3, 4, 5, 17}) {
+      const Tensor x = RandomTensor({n, in}, &rng);
+      const Tensor h = RandomTensor({n, hidden}, &rng);
+      const Tensor got = gru.StepInferBatch(x, h);
+      ASSERT_EQ(got.ndim(), 2);
+      ASSERT_EQ(got.dim(0), n);
+      ASSERT_EQ(got.dim(1), hidden);
+      for (int b = 0; b < n; ++b) {
+        Tensor x_row({in});
+        Tensor h_row({hidden});
+        std::copy_n(x.data() + static_cast<int64_t>(b) * in, in,
+                    x_row.data());
+        std::copy_n(h.data() + static_cast<int64_t>(b) * hidden, hidden,
+                    h_row.data());
+        const Tensor want = gru.StepInfer(x_row, h_row);
+        for (int o = 0; o < hidden; ++o) {
+          ASSERT_EQ(want[o], got[static_cast<int64_t>(b) * hidden + o])
+              << "cell (" << in << ", " << hidden << ") n " << n << " row "
+              << b << " unit " << o;
+        }
+      }
+    }
   }
 }
 

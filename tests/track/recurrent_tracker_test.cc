@@ -110,6 +110,41 @@ TEST(RecurrentTrackerTest, PairScoreAccounting) {
   EXPECT_EQ(tracker.pair_scores_computed(), 2);  // 1 track x 2 detections.
 }
 
+// The distance gate is half the frame diagonal: 200 px in a 320x240 frame.
+TEST(RecurrentTrackerTest, DistanceGateSkipsFarPairs) {
+  RecurrentTracker tracker(TrainedNet(), SmallFrameOptions());
+  tracker.ProcessFrame(0, {MakeDet(0, 20, 120)});
+  // The track's continuation, a detection 199 px away (inside the gate)
+  // and one 201 px away (outside it).
+  tracker.ProcessFrame(1, {MakeDet(1, 23, 120), MakeDet(1, 219, 120),
+                           MakeDet(1, 221, 120)});
+  EXPECT_EQ(tracker.pair_scores_computed(), 2);
+  EXPECT_EQ(tracker.num_active(), 3u);
+  const auto tracks = tracker.Finish(1);
+  ASSERT_EQ(tracks.size(), 3u);
+  ASSERT_EQ(tracks[0].detections.size(), 2u);
+  EXPECT_EQ(tracks[0].detections[1].box.cx, 23);
+  // The gated-out detection was not matched: it started its own track.
+  EXPECT_EQ(tracks[1].detections.size(), 1u);
+  EXPECT_EQ(tracks[2].detections.size(), 1u);
+  EXPECT_EQ(tracks[2].detections[0].box.cx, 221);
+}
+
+// A frame with tracks and detections but no pair inside the gate scores
+// nothing and starts a new track per detection, in detection order.
+TEST(RecurrentTrackerTest, FrameWithOnlyGatedOutPairsStartsNewTracks) {
+  RecurrentTracker tracker(TrainedNet(), SmallFrameOptions());
+  tracker.ProcessFrame(0, {MakeDet(0, 20, 20)});
+  tracker.ProcessFrame(1, {MakeDet(1, 300, 220), MakeDet(1, 250, 220)});
+  EXPECT_EQ(tracker.pair_scores_computed(), 0);
+  EXPECT_EQ(tracker.num_active(), 3u);
+  const auto tracks = tracker.Finish(1);
+  ASSERT_EQ(tracks.size(), 3u);
+  for (const Track& t : tracks) EXPECT_EQ(t.detections.size(), 1u);
+  EXPECT_EQ(tracks[1].detections[0].box.cx, 300);
+  EXPECT_EQ(tracks[2].detections[0].box.cx, 250);
+}
+
 TEST(RecurrentTrackerTest, FinishResetsState) {
   RecurrentTracker tracker(TrainedNet(), SmallFrameOptions());
   tracker.ProcessFrame(0, {MakeDet(0, 100, 100)});
