@@ -3,19 +3,13 @@
 // size; execution costs (decode, proxy, detection, tracking, refinement)
 // do. The execution breakdown uses the fastest configuration within 5% of
 // the best achieved accuracy.
-//
-// OTIF_BENCH_JSON=<path> additionally writes the breakdown as JSON for the
-// perf-baseline tooling (tools/bench_baseline.py).
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <memory>
 #include <string>
 
 #include "bench/bench_common.h"
 #include "eval/workload.h"
-#include "util/json_writer.h"
 #include "util/strings.h"
 #include "util/table.h"
 #include "util/telemetry.h"
@@ -115,39 +109,6 @@ int Main() {
               pick.config.ToString().c_str(), run.accuracy,
               exec.ToString().c_str());
 
-  if (const char* json_path = std::getenv("OTIF_BENCH_JSON");
-      json_path != nullptr && json_path[0] != '\0') {
-    const telemetry::CounterSample* hits =
-        telemetry::FindCounter(snapshot, "proxy_cache.hits");
-    const telemetry::CounterSample* misses =
-        telemetry::FindCounter(snapshot, "proxy_cache.misses");
-    const int64_t h = hits != nullptr ? hits->value : 0;
-    const int64_t m = misses != nullptr ? misses->value : 0;
-    JsonWriter out;
-    out.BeginObject();
-    out.Key("benchmark").Value("fig6_cost_breakdown");
-    out.Key("dataset").Value(workload.spec.name);
-    out.Key("config").Value(pick.config.ToString());
-    out.Key("test_accuracy").Value(run.accuracy);
-    out.Key("stages").BeginObject();
-    for (const auto& stage : kStages) {
-      out.Key(models::CostCategoryName(stage.category)).BeginObject();
-      out.Key("sim_seconds").Value(StageSimSeconds(snapshot, stage.category));
-      out.Key("wall_seconds")
-          .Value(StageWallSeconds(snapshot, stage.category));
-      out.EndObject();
-    }
-    out.EndObject();
-    out.Key("sim_total").Value(sim_total);
-    out.Key("wall_total").Value(wall_total);
-    out.Key("cache_hit_rate")
-        .Value(h + m > 0 ? static_cast<double>(h) / static_cast<double>(h + m)
-                         : 0.0);
-    out.EndObject();
-    std::ofstream f(json_path, std::ios::trunc);
-    f << std::move(out).TakeString() << "\n";
-    std::printf("wrote %s\n", json_path);
-  }
   return 0;
 }
 

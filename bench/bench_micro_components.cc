@@ -5,7 +5,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <cmath>
 #include <utility>
 #include <vector>
@@ -84,40 +83,9 @@ void BM_ProxyInferenceBatched(benchmark::State& state) {
 }
 BENCHMARK(BM_ProxyInferenceBatched)->Arg(8);
 
-// Proxy batch staging, isolated from the network: the pre-pool copy path
-// (per-frame Image copy, a zero-filled per-frame staging tensor, and a
-// std::copy into the batch slice) versus the fused FillInputSlice path
-// that writes each frame's centered pixels directly into its slice of an
-// uninitialized pooled batch. check.sh gates pooled >= 1.2x copy.
-void BM_ScoreBatchCopyPath(benchmark::State& state) {
-  models::ProxyModel proxy(models::StandardProxyResolutions()[4], 1);
-  sim::Rasterizer raster(&BenchClip());
-  const int rw = proxy.resolution().raster_w();
-  const int rh = proxy.resolution().raster_h();
-  const int n = static_cast<int>(state.range(0));
-  std::vector<video::Image> frames;
-  std::vector<const video::Image*> ptrs;
-  for (int f = 0; f < n; ++f) frames.push_back(raster.Render(f, rw, rh));
-  for (const video::Image& f : frames) ptrs.push_back(&f);
-  const size_t plane = static_cast<size_t>(rh) * rw;
-  for (auto _ : state) {
-    nn::Tensor batch({n, 1, rh, rw});
-    for (int b = 0; b < n; ++b) {
-      video::Image sized = *ptrs[b];  // Frames already match raster dims.
-      nn::Tensor one({1, rh, rw});
-      for (int y = 0; y < rh; ++y) {
-        for (int x = 0; x < rw; ++x) {
-          one.at3(0, y, x) = sized.at(x, y) - 0.5f;
-        }
-      }
-      std::copy(one.data(), one.data() + plane, batch.data() + b * plane);
-    }
-    benchmark::DoNotOptimize(batch.data());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_ScoreBatchCopyPath)->Arg(8);
-
+// Proxy batch staging, isolated from the network: the fused FillInputSlice
+// path writes each frame's centered pixels directly into its slice of an
+// uninitialized pooled batch tensor.
 void BM_ScoreBatchPooled(benchmark::State& state) {
   models::ProxyModel proxy(models::StandardProxyResolutions()[4], 1);
   sim::Rasterizer raster(&BenchClip());
@@ -140,8 +108,7 @@ void BM_ScoreBatchPooled(benchmark::State& state) {
 BENCHMARK(BM_ScoreBatchPooled)->Arg(8);
 
 // Conv engine at detector-typical window shapes: the im2col+GEMM inference
-// path versus the naive reference loops it replaced. The acceptance gate is
-// GEMM >= 3x naive at these shapes (see BENCH_baseline notes).
+// path versus the naive reference loops it replaced.
 nn::Conv2d& DetectorShapeConv() {
   static Rng rng(3);
   static nn::Conv2d conv(16, 32, 3, 1, &rng);

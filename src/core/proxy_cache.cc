@@ -101,18 +101,6 @@ void ProxyScoreCache::Clear() const {
   insertion_order_.clear();
 }
 
-void ProxyScoreCache::ResetCounters() const {
-  hits_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
-  evictions_.store(0, std::memory_order_relaxed);
-}
-
-double ProxyScoreCache::hit_rate() const {
-  const int64_t h = hits();
-  const int64_t lookups = h + misses();
-  return lookups > 0 ? static_cast<double>(h) / lookups : 0.0;
-}
-
 size_t ProxyScoreCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return entries_.size();

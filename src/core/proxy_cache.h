@@ -50,21 +50,14 @@ class ProxyScoreCache {
 
   /// Drops all entries. Counters are kept *by design*: Clear is used to
   /// bound memory between phases while hit/miss/evict statistics keep
-  /// describing the whole session. Call ResetCounters() to start a fresh
-  /// measurement interval (e.g. between benchmark repetitions).
+  /// describing the whole session.
   void Clear() const;
-
-  /// Zeroes the hit/miss/evict counters without touching the entries, so
-  /// run reports do not accumulate across repetitions.
-  void ResetCounters() const;
 
   int64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   int64_t misses() const { return misses_.load(std::memory_order_relaxed); }
   int64_t evictions() const {
     return evictions_.load(std::memory_order_relaxed);
   }
-  /// Hits / lookups over the counters' lifetime; 0 when no lookups ran.
-  double hit_rate() const;
   size_t size() const;
   size_t capacity() const { return capacity_; }
 

@@ -3,21 +3,23 @@
 
 Usage: validate_introspection.py <port-file>
 
-Runs against a bench launched with OTIF_METRICS_PORT=0 and
-OTIF_METRICS_PORT_FILE=<port-file>; waits for the port file, then checks
-against 127.0.0.1:<port>:
+Runs against bench_preprocess_smoke launched with OTIF_METRICS_PORT=0,
+OTIF_METRICS_PORT_FILE=<port-file>, a sub-second OTIF_STALL_SEC watchdog
+window and an OTIF_FAULTS stall spec that holds an extraction in flight;
+waits for the port file, then checks against 127.0.0.1:<port>:
 
   - /metrics  is legal Prometheus 0.0.4 text exposition: every line is a
               `# TYPE` comment or a sample, names match the exposition
               grammar, histogram buckets are cumulative and agree with
-              their `_count`.
+              their `_count`, and each populated histogram yields ordered
+              p50 <= p90 <= p99. The expected series appear with their
+              kinds: pipeline frames, the stage/detect span, thread-pool
+              tasks, and the mem.pool.* and mem.arena.* gauges.
   - /statusz  is JSON with the documented sections (phase, run, pool) and
               per-clip `committed` counters that advance
               monotonically within one run generation (`run.seq`).
-  - /healthz  answers throughout, and flips to 503 "stalled" during the
-              induced post-run pause (the bench's OTIF_BENCH_STALL_SEC run,
-              labeled "induced_stall", paired with a sub-second
-              OTIF_STALL_SEC watchdog window).
+  - /healthz  answers throughout, and flips to 503 "stalled" while a run
+              is in flight and held by the injected stall.
   - /tracez   is JSON with `timeline_armed` true and a `spans` list
               (OTIF_METRICS_PORT arms timeline collection).
 
@@ -78,6 +80,37 @@ SAMPLE_RE = re.compile(
 TYPE_RE = re.compile(
     rf"^# TYPE (?P<name>{NAME_RE}) (?P<kind>counter|gauge|histogram|summary)$")
 
+# Series every run of the pipeline exports, with their Prometheus kinds.
+EXPECTED_SERIES = {
+    "otif_pipeline_frames": "counter",
+    "otif_threadpool_tasks_executed": "counter",
+    "otif_stage_detect": "summary",
+    "otif_mem_pool_hits": "gauge",
+    "otif_mem_pool_misses": "gauge",
+    "otif_mem_pool_hit_rate": "gauge",
+    "otif_mem_pool_bytes_in_flight": "gauge",
+    "otif_mem_pool_bytes_retained": "gauge",
+    "otif_mem_arena_allocations": "gauge",
+    "otif_mem_arena_bytes_reserved": "gauge",
+}
+
+
+def histogram_quantile(series, q):
+    """Quantile q of cumulative (le, count) buckets, interpolated linearly
+    within the bucket that holds the rank (the +Inf bucket answers with the
+    last finite bound)."""
+    rank = q * series[-1][1]
+    lower, below = 0.0, 0.0
+    for le, cumulative in series:
+        if cumulative >= rank:
+            if le == "+Inf":
+                return lower
+            upper = float(le)
+            return lower + (upper - lower) * (rank - below) / (
+                cumulative - below)
+        lower, below = float(le), cumulative
+    return lower
+
 
 def validate_metrics(status, content_type, body):
     if status != 200:
@@ -116,6 +149,7 @@ def validate_metrics(status, content_type, body):
             counts[name[: -len("_count")]] = value
     if samples == 0:
         return 0, ["<any samples>"]  # Nothing registered yet: keep polling.
+    populated = 0
     for base, series in buckets.items():
         if kinds.get(base) != "histogram":
             die(f"/metrics buckets for non-histogram {base}")
@@ -126,8 +160,21 @@ def validate_metrics(status, content_type, body):
             die(f"/metrics {base} buckets not cumulative: {values}")
         if base not in counts or counts[base] != values[-1]:
             die(f"/metrics {base} +Inf bucket disagrees with _count")
-    missing = [name for name in ("otif_pipeline_frames", "otif_mem_pool_hits")
-               if name not in kinds]
+        if values[-1] > 0:
+            p50, p90, p99 = (histogram_quantile(series, q)
+                             for q in (0.5, 0.9, 0.99))
+            if not 0.0 <= p50 <= p90 <= p99:
+                die(f"/metrics {base} quantiles out of order: p50 {p50}, "
+                    f"p90 {p90}, p99 {p99}")
+            populated += 1
+    missing = []
+    for name, kind in EXPECTED_SERIES.items():
+        if name not in kinds:
+            missing.append(name)
+        elif kinds[name] != kind:
+            die(f"/metrics {name} is a {kinds[name]}, want {kind}")
+    if populated == 0:
+        missing.append("<a populated histogram>")
     return len(kinds), missing
 
 
@@ -169,8 +216,7 @@ def check_monotonic_commits(port, deadline_seconds=120.0):
     end = time.monotonic() + deadline_seconds
     while time.monotonic() < end:
         first = statusz(port)
-        if not first["run"]["in_flight"] or \
-                first["run"]["label"] == "induced_stall":
+        if not first["run"]["in_flight"]:
             time.sleep(0.02)
             continue
         time.sleep(0.15)
@@ -188,16 +234,17 @@ def check_monotonic_commits(port, deadline_seconds=120.0):
 
 
 def await_stall(port, deadline_seconds=180.0):
-    """The induced_stall run must trip the /healthz watchdog (503)."""
+    """The injected stall must trip the /healthz watchdog (503) while a run
+    is in flight."""
     end = time.monotonic() + deadline_seconds
     while time.monotonic() < end:
         doc = statusz(port)
-        if doc["run"]["label"] == "induced_stall" and doc["run"]["in_flight"]:
+        if doc["run"]["in_flight"]:
             status, _, body = fetch(port, "/healthz")
             if status == 503 and "stalled" in body:
                 return
         time.sleep(0.02)
-    die("/healthz never reported stalled during the induced pause")
+    die("/healthz never reported stalled during the injected stall")
 
 
 def main():
@@ -206,7 +253,7 @@ def main():
     port = wait_for_port(sys.argv[1])
 
     # Every scrape must be well-formed from the first poll; the expected
-    # series only appear once the bench registers them, so poll for those.
+    # series only appear once the run registers them, so poll for those.
     end = time.monotonic() + 60.0
     while True:
         series, missing = validate_metrics(*fetch(port, "/metrics"))

@@ -3,18 +3,18 @@
 
 Usage: validate_profile.py <port-file> [--out <collapsed-artifact>]
 
-Runs against a bench launched with OTIF_METRICS_PORT=0 and
-OTIF_METRICS_PORT_FILE=<port-file>; waits for the port file, then against
-127.0.0.1:<port>:
+Runs against bench_preprocess_smoke launched with OTIF_METRICS_PORT=0 and
+OTIF_METRICS_PORT_FILE=<port-file>, sized to outlive this check; waits for
+the port file, then against 127.0.0.1:<port>:
 
   - Malformed /profilez and /tracez query parameters must 400 (never start
     a window or fall back to silent defaults).
   - /profilez?seconds=2&fmt=collapsed must return flamegraph-compatible
     collapsed stacks: every line is `seg;seg;...;seg <count>` with a
     positive integer count, at least 100 samples total (97 Hz over 2 s of
-    a busy pipeline), the GEMM microkernel (inlined into GemmBias) on a
-    hot stack, and stage attribution joined in (a `stage/...;clipN;`
-    prefix on at least one stack).
+    a busy Prepare or Execute), the GEMM microkernel (inlined into
+    GemmBias) on a hot stack, and stage attribution joined in (a
+    `stage/...;clipN;` prefix on at least one stack).
   - /profilez?fmt=json must return the documented JSON shape.
 
 The collapsed window is retried for a while: an early scrape can land in a
