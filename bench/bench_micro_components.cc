@@ -64,8 +64,8 @@ void BM_ProxyInference(benchmark::State& state) {
 BENCHMARK(BM_ProxyInference);
 
 void BM_ProxyInferenceBatched(benchmark::State& state) {
-  // The batched proxy path used by ProxyStage::ProcessBatch: one network
-  // invocation over N rasterized frames.
+  // The batched proxy path Pipeline::Run takes for each frame group: one
+  // network invocation over N rasterized frames.
   models::ProxyModel proxy(models::StandardProxyResolutions()[4], 1);
   sim::Rasterizer raster(&BenchClip());
   const int n = static_cast<int>(state.range(0));

@@ -44,10 +44,10 @@ struct PipelineConfig {
   // --- Tracking module ---
   /// Sampling gap g: process 1 in every g frames (power of two).
   int sampling_gap = 1;
-  /// Frames per stage batch: the driver hands consecutive sampled frames to
-  /// each stage in groups of this size, letting the proxy and detector run
-  /// one batched model invocation per group instead of one per frame.
-  /// 1 reproduces strictly per-frame execution.
+  /// Frames per group: Run takes consecutive sampled frames through the
+  /// proxy, detector and tracker in groups of this size, letting the proxy
+  /// and detector run one batched model invocation per group instead of
+  /// one per frame. 1 reproduces strictly per-frame execution.
   int frame_batch = 8;
   TrackerKind tracker = TrackerKind::kSort;
   /// Apply cluster-based start/end refinement (fixed cameras only).
@@ -78,9 +78,6 @@ struct PipelineResult {
   models::SimClock clock;
   int frames_processed = 0;
   int64_t detections_kept = 0;
-  /// Mean fraction of ground-truth detections covered by proxy windows
-  /// (1.0 when the proxy is disabled); diagnostic for the tuner.
-  double mean_window_coverage = 1.0;
 
   // --- Fault recovery (only ever set while OTIF_FAULTS is armed) ---
   /// Non-OK when the clip was quarantined: its detector kept failing after
@@ -117,12 +114,6 @@ class Pipeline {
   /// calling thread's timeline context, so they replay identically under
   /// any thread interleaving.
   PipelineResult Run(const sim::Clip& clip) const;
-
-  /// Simulated decode seconds for processing a clip at the configured gap
-  /// and resolution (frames must be decoded along codec reference chains;
-  /// decoding happens at the detector resolution, per paper Sec 4
-  /// "Implementation").
-  double DecodeSecondsForClip(const sim::Clip& clip) const;
 
  private:
   PipelineConfig config_;

@@ -479,59 +479,12 @@ IntrospectionServer::Response IntrospectionServer::Handle(
   return {404, "text/plain", std::string("not found\n\n") + kIndexBody};
 }
 
-ProgressLogger::ProgressLogger(double interval_seconds)
-    : interval_seconds_(interval_seconds > 0.0 ? interval_seconds : 1.0),
-      thread_([this] { Loop(); }) {}
-
-ProgressLogger::~ProgressLogger() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-}
-
-void ProgressLogger::Loop() {
-  const auto interval = std::chrono::duration<double>(interval_seconds_);
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    if (cv_.wait_for(lock, interval, [this] { return stop_; })) return;
-    lock.unlock();
-    const ProgressSnapshot p = RunProgress::Global().Snapshot();
-    if (p.run_in_flight) {
-      const double pct =
-          p.frames_total > 0
-              ? 100.0 * static_cast<double>(p.frames_committed) /
-                    static_cast<double>(p.frames_total)
-              : 0.0;
-      OTIF_LOG(kInfo) << "[progress] phase=" << p.phase << " run=\""
-                      << p.run_label << "\" frames=" << p.frames_committed
-                      << "/" << p.frames_total << " ("
-                      << StrFormat("%.1f%%", pct) << ") clips_done="
-                      << p.clips_done << "/" << p.clips.size()
-                      << " uptime=" << StrFormat("%.1fs",
-                                                 p.run_uptime_seconds);
-    }
-    lock.lock();
-  }
-}
-
 IntrospectionServer* InitIntrospectionFromEnv() {
   static IntrospectionServer* server = []() -> IntrospectionServer* {
     // Whole-run profiling (OTIF_PROFILE=<path>) rides the same init hook
     // so every entry point that arms introspection also honors it.
     InitProfilerFromEnv();
     const char* port_env = std::getenv("OTIF_METRICS_PORT");
-    const char* progress_env = std::getenv("OTIF_PROGRESS_SEC");
-    if (progress_env != nullptr) {
-      const double interval = std::atof(progress_env);
-      if (interval > 0.0) {
-        SetProgressEnabled(true);
-        // Leaked: logs until process exit, like the server below.
-        new ProgressLogger(interval);
-      }
-    }
     if (port_env == nullptr || *port_env == '\0') return nullptr;
     IntrospectionServer::Options options;
     options.port = std::atoi(port_env);

@@ -1,11 +1,9 @@
 #ifndef OTIF_OBS_INTROSPECTION_SERVER_H_
 #define OTIF_OBS_INTROSPECTION_SERVER_H_
 
-#include <condition_variable>
 #include <cstddef>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -128,28 +126,6 @@ class IntrospectionServer {
   std::thread thread_;
 };
 
-/// Periodic headless progress logger for non-HTTP runs: every
-/// `interval_seconds` logs one OTIF_LOG(kInfo) line summarizing the
-/// in-flight run (phase, frames committed/total, clips done). Quiet while
-/// no run is in flight. Stops (and joins) on destruction.
-class ProgressLogger {
- public:
-  explicit ProgressLogger(double interval_seconds);
-  ~ProgressLogger();
-
-  ProgressLogger(const ProgressLogger&) = delete;
-  ProgressLogger& operator=(const ProgressLogger&) = delete;
-
- private:
-  void Loop();
-
-  const double interval_seconds_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_ = false;  // mu_.
-  std::thread thread_;
-};
-
 /// Applies the introspection environment configuration once per process
 /// (idempotent; later calls return the first outcome):
 ///
@@ -161,9 +137,6 @@ class ProgressLogger {
 ///    bound port is also written (as one decimal line) to this file so
 ///    scripts can find an ephemeral port.
 ///  - OTIF_STALL_SEC: /healthz watchdog window in seconds (default 30).
-///  - OTIF_PROGRESS_SEC: when > 0, arms run-progress recording and starts a
-///    process-lifetime ProgressLogger at that interval — works with or
-///    without the HTTP server.
 ///  - OTIF_PROFILE=<path>: whole-run CPU profile, dumped to <path> at exit
 ///    (delegated to InitProfilerFromEnv; see profiler.h). Works with or
 ///    without the HTTP server.

@@ -16,8 +16,8 @@ namespace otif::obs {
 /// telemetry flag word (telemetry::kProgressFlag), so an instrumentation
 /// site in the commit path pays a single relaxed atomic load to find out —
 /// the same "everything off" cost contract the spans follow. Armed by
-/// InitIntrospectionFromEnv when OTIF_METRICS_PORT or OTIF_PROGRESS_SEC is
-/// set, or explicitly by tests.
+/// InitIntrospectionFromEnv when OTIF_METRICS_PORT is set, or explicitly by
+/// tests.
 inline bool ProgressEnabled() {
   return (telemetry::Flags() & telemetry::kProgressFlag) != 0;
 }

@@ -34,8 +34,8 @@ class Rasterizer {
   video::Image Render(int frame, int width, int height);
 
   /// Renders into `out`, reusing its pixel buffer when the capacity fits
-  /// (the driver re-renders into per-slot FrameContext images to avoid
-  /// per-batch allocation churn; buffers come from the shared
+  /// (Pipeline::Run re-renders into one image per frame-group slot to avoid
+  /// per-group allocation churn; buffers come from the shared
   /// mem::BufferPool, so even a cold `out` is a pool hit at steady state).
   /// Same output as Render.
   void RenderInto(int frame, int width, int height, video::Image* out);

@@ -23,8 +23,6 @@ const char* StatusCodeName(StatusCode code) {
       return "Unimplemented";
     case StatusCode::kIoError:
       return "IoError";
-    case StatusCode::kCancelled:
-      return "Cancelled";
   }
   return "Unknown";
 }

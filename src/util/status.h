@@ -19,7 +19,6 @@ enum class StatusCode : uint8_t {
   kInternal,
   kUnimplemented,
   kIoError,
-  kCancelled,
 };
 
 /// Returns a stable human-readable name for a status code ("InvalidArgument").
@@ -57,9 +56,6 @@ class Status {
   }
   static Status IoError(std::string msg) {
     return Status(StatusCode::kIoError, std::move(msg));
-  }
-  static Status Cancelled(std::string msg) {
-    return Status(StatusCode::kCancelled, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

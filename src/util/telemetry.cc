@@ -3,12 +3,9 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
-#include <sstream>
 
 #include "util/json_writer.h"
 #include "util/logging.h"
-#include "util/strings.h"
-#include "util/table.h"
 
 namespace otif::telemetry {
 namespace {
@@ -278,50 +275,6 @@ std::string SnapshotToJson(const TelemetrySnapshot& snapshot) {
   w.EndObject();
   w.EndObject();
   return std::move(w).TakeString();
-}
-
-std::string SnapshotToTable(const TelemetrySnapshot& snapshot) {
-  std::ostringstream out;
-  if (!snapshot.spans.empty()) {
-    TextTable spans({"span", "count", "total s", "min s", "max s"});
-    for (const SpanSample& s : snapshot.spans) {
-      spans.AddRow({s.name, StrFormat("%lld", static_cast<long long>(s.count)),
-                    StrFormat("%.4f", s.total_seconds),
-                    StrFormat("%.6f", s.min_seconds),
-                    StrFormat("%.6f", s.max_seconds)});
-    }
-    out << spans.ToString() << "\n";
-  }
-  if (!snapshot.counters.empty()) {
-    TextTable counters({"counter", "value"});
-    for (const CounterSample& s : snapshot.counters) {
-      counters.AddRow(
-          {s.name, StrFormat("%lld", static_cast<long long>(s.value))});
-    }
-    out << counters.ToString() << "\n";
-  }
-  if (!snapshot.gauges.empty()) {
-    TextTable gauges({"gauge", "value"});
-    for (const GaugeSample& s : snapshot.gauges) {
-      gauges.AddRow({s.name, StrFormat("%.6f", s.value)});
-    }
-    out << gauges.ToString() << "\n";
-  }
-  if (!snapshot.histograms.empty()) {
-    TextTable histograms(
-        {"histogram", "count", "sum", "mean", "p50", "p90", "p99"});
-    for (const HistogramSample& s : snapshot.histograms) {
-      histograms.AddRow(
-          {s.name, StrFormat("%lld", static_cast<long long>(s.count)),
-           StrFormat("%.4f", s.sum),
-           StrFormat("%.6f", s.count > 0 ? s.sum / s.count : 0.0),
-           StrFormat("%.6f", HistogramQuantile(s, 0.50)),
-           StrFormat("%.6f", HistogramQuantile(s, 0.90)),
-           StrFormat("%.6f", HistogramQuantile(s, 0.99))});
-    }
-    out << histograms.ToString() << "\n";
-  }
-  return out.str();
 }
 
 }  // namespace otif::telemetry

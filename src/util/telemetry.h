@@ -225,11 +225,6 @@ class MetricsRegistry {
 /// Histogram entries carry "p50"/"p90"/"p99" estimates (HistogramQuantile).
 std::string SnapshotToJson(const TelemetrySnapshot& snapshot);
 
-/// Renders a snapshot as aligned text tables (one section per metric kind,
-/// empty sections omitted) for human-readable run reports. Histogram rows
-/// include p50/p90/p99 columns.
-std::string SnapshotToTable(const TelemetrySnapshot& snapshot);
-
 }  // namespace otif::telemetry
 
 #endif  // OTIF_UTIL_TELEMETRY_H_

@@ -17,9 +17,9 @@ namespace otif::video {
 /// Pixel storage comes from the shared mem::BufferPool, so constructing,
 /// copying, and destroying images at steady state recycles pooled buffers
 /// instead of touching the heap. Copy-assignment reuses the destination's
-/// buffer when its capacity fits (FrameContext/Rasterizer rely on this);
-/// view() borrows the pixels as a non-owning mem::ImageView for
-/// strided/zero-copy consumers.
+/// buffer when its capacity fits (Pipeline::Run's frame slots and the
+/// Rasterizer rely on this); view() borrows the pixels as a non-owning
+/// mem::ImageView for strided/zero-copy consumers.
 class Image {
  public:
   Image() = default;

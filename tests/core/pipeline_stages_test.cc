@@ -1,8 +1,8 @@
-// Determinism tests for the staged pipeline executor: parallel execution
-// over the worker pool must reproduce the single-threaded results
-// bit-for-bit (tracks, simulated clock charges, coverage diagnostics) —
-// including under injected faults, where Pipeline::Run retries, degrades
-// or quarantines clips and every unaffected clip stays bit-identical.
+// Determinism tests for the pipeline executor: parallel execution over the
+// worker pool must reproduce the single-threaded results bit-for-bit
+// (tracks and simulated clock charges) — including under injected faults,
+// where Pipeline::Run retries, degrades or quarantines clips and every
+// unaffected clip stays bit-identical.
 
 #include <gtest/gtest.h>
 

@@ -18,6 +18,7 @@
 #include "query/queries.h"
 #include "sim/dataset.h"
 #include "track/metrics.h"
+#include "track/refine.h"
 #include "util/telemetry.h"
 #include "util/thread_pool.h"
 #include "util/trace.h"
@@ -185,7 +186,33 @@ TEST_F(PipelineTelemetryTest, StageSimSecondsMatchTheRunClock) {
   EXPECT_EQ(runs->value, static_cast<int64_t>(clips_.size()));
 }
 
+/// Expected count of one `stage/*` span over a run.
+struct SpanCount {
+  const char* name;
+  int64_t count;
+};
+
+void ExpectSpanCounts(const std::vector<SpanCount>& expected) {
+  const telemetry::TelemetrySnapshot snapshot = telemetry::CaptureSnapshot();
+  for (const SpanCount& e : expected) {
+    const telemetry::SpanSample* span = telemetry::FindSpan(snapshot, e.name);
+    ASSERT_NE(span, nullptr) << e.name;
+    EXPECT_EQ(span->count, e.count) << e.name;
+    EXPECT_GE(span->total_seconds, 0.0) << e.name;
+    EXPECT_LE(span->min_seconds, span->max_seconds) << e.name;
+  }
+}
+
+/// Number of frame groups Run walks for `result`.
+int64_t Groups(const PipelineConfig& config, const PipelineResult& result) {
+  return (result.frames_processed + config.frame_batch - 1) /
+         config.frame_batch;
+}
+
 TEST_F(PipelineTelemetryTest, StageSpansCoverEveryStageAndFrame) {
+  // A stage span wraps only work the stage does: decode once per clip,
+  // detect once per group, track once per group plus once for Finish; no
+  // proxy and no refiner, so those spans never record.
   telemetry::SetEnabled(true);
   telemetry::ResetAll();
   PipelineConfig config;
@@ -193,21 +220,40 @@ TEST_F(PipelineTelemetryTest, StageSpansCoverEveryStageAndFrame) {
   config.sampling_gap = 4;
   const Pipeline pipeline(config, nullptr);
   const PipelineResult result = pipeline.Run(clips_[0]);
+  const int64_t groups = Groups(config, result);
+  ASSERT_GT(groups, 1);
+  ExpectSpanCounts({{"stage/decode", 1},
+                    {"stage/proxy", 0},
+                    {"stage/detect", groups},
+                    {"stage/track", groups + 1},
+                    {"stage/refine", 0}});
+}
 
-  const telemetry::TelemetrySnapshot snapshot = telemetry::CaptureSnapshot();
-  for (const char* name :
-       {"stage/decode", "stage/proxy", "stage/detect", "stage/track",
-        "stage/refine"}) {
-    const telemetry::SpanSample* span = telemetry::FindSpan(snapshot, name);
-    ASSERT_NE(span, nullptr) << name;
-    // BeginClip + one call per frame batch + EndClip.
-    const int64_t batches =
-        (result.frames_processed + config.frame_batch - 1) /
-        config.frame_batch;
-    EXPECT_EQ(span->count, batches + 2) << name;
-    EXPECT_GE(span->total_seconds, 0.0) << name;
-    EXPECT_LE(span->min_seconds, span->max_seconds) << name;
-  }
+TEST_F(PipelineTelemetryTest, StageSpansCountProxyGroupsAndOneRefine) {
+  // With the proxy on and a refiner attached, the proxy span records once
+  // per group it scores and the refine span once for the clip.
+  const auto trained = MakeUntrainedProxy();
+  // Any attached refiner makes a fixed-camera clip refine; one without
+  // clusters leaves the tracks as they are.
+  trained->refiner = std::make_unique<track::TrackRefiner>(
+      std::vector<track::TrackCluster>{}, track::TrackRefiner::Options{});
+  telemetry::SetEnabled(true);
+  telemetry::ResetAll();
+  PipelineConfig config;
+  config.tracker = TrackerKind::kSort;
+  config.use_proxy = true;
+  config.proxy_threshold = 0.3;
+  config.sampling_gap = 4;
+  config.refine = true;
+  const Pipeline pipeline(config, trained.get());
+  const PipelineResult result = pipeline.Run(clips_[0]);
+  const int64_t groups = Groups(config, result);
+  ASSERT_GT(groups, 1);
+  ExpectSpanCounts({{"stage/decode", 1},
+                    {"stage/proxy", groups},
+                    {"stage/detect", groups},
+                    {"stage/track", groups + 1},
+                    {"stage/refine", 1}});
 }
 
 TEST_F(PipelineTelemetryTest, DisabledRunsRecordNoPipelineTelemetry) {

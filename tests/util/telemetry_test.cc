@@ -335,21 +335,5 @@ TEST(TelemetryExportTest, EmptySnapshotIsValidJson) {
   EXPECT_NE(json.find("\"spans\": {}"), std::string::npos);
 }
 
-TEST(TelemetryExportTest, TableListsEveryMetric) {
-  MetricsRegistry registry;
-  registry.GetCounter("table.counter")->Add(1);
-  registry.GetGauge("table.gauge")->Set(2.0);
-  registry.GetHistogram("table.histogram", {1.0, 4.0})->Record(2.0);
-  TelemetrySnapshot snapshot = registry.Snapshot();
-  snapshot.spans.push_back({"table.span", 1, 0.25, 0.25, 0.25});
-  const std::string table = SnapshotToTable(snapshot);
-  EXPECT_NE(table.find("table.counter"), std::string::npos);
-  EXPECT_NE(table.find("table.gauge"), std::string::npos);
-  EXPECT_NE(table.find("table.histogram"), std::string::npos);
-  EXPECT_NE(table.find("table.span"), std::string::npos);
-  EXPECT_NE(table.find("p50"), std::string::npos);
-  EXPECT_NE(table.find("p99"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace otif::telemetry

@@ -13,9 +13,8 @@
 #   - the whole-run profile (OTIF_PROFILE) must keep the profiler's measured
 #     overhead <= 5%;
 #   - a timeline-trace capture validated as Chrome trace-event JSON;
-# then a ThreadSanitizer build of the concurrency-sensitive tests (thread
-# pool, buffer pool, telemetry registry/spans, timeline ring buffers, proxy
-# score cache, staged-pipeline determinism, fault recovery).
+# then a ThreadSanitizer build of the concurrency-sensitive tests
+# (tools/tsan_tests.sh, the list CI's tsan job runs too).
 #
 # Usage: tools/check.sh [--skip-tsan] [--faults]
 #   --faults  additionally runs the fault-injection smoke (a run with one
@@ -216,20 +215,8 @@ if [[ "$SKIP_TSAN" == "1" ]]; then
   exit 0
 fi
 
-echo "== tsan: build concurrency tests =="
+echo "== tsan: build and run concurrency tests =="
 cmake -B build-tsan -S . -DOTIF_SANITIZE=thread >/dev/null
-cmake --build build-tsan -j --target util_test mem_test core_test obs_test
-
-echo "== tsan: run concurrency tests =="
-./build-tsan/tests/util_test \
-  --gtest_filter='ThreadPool*:Telemetry*:Trace*:TraceTimeline*:FaultInjection*'
-./build-tsan/tests/mem_test --gtest_filter='BufferPool*'
-./build-tsan/tests/core_test \
-  --gtest_filter='PipelineStagesDeterminismTest.*:ProxyScoreCache*:PipelineTelemetry*:PipelineFaultTest.*:OtifTest.PrepareIsIdenticalAcrossPoolWidths'
-# Profiler live-sampling tests self-skip under TSan (the profiler refuses
-# to start there); the filter still exercises the renderers, option
-# validation, and the refusal path.
-./build-tsan/tests/obs_test \
-  --gtest_filter='IntrospectionServer*:RunProgress*:Profiler*'
+tools/tsan_tests.sh build-tsan
 
 echo "== all checks passed =="
