@@ -65,17 +65,8 @@ int Main() {
       otif_query_sec += models::DefaultCostConstants().query_sec_per_track *
                         per_clip.size() * clip_frames[0];
     }
-    int good = 0;
-    for (const auto& [ci, f] : chosen) {
-      if (query::GroundTruthMatches(test[static_cast<size_t>(ci)], f,
-                                    *predicate)) {
-        ++good;
-      }
-    }
     const double otif_acc =
-        chosen.empty() ? 1.0
-                       : static_cast<double>(good) /
-                             static_cast<double>(chosen.size());
+        query::LimitQueryAccuracy(test, chosen, *predicate);
 
     // --- BlazeIt ---
     baselines::BlazeIt::Options bopts;

@@ -67,17 +67,9 @@ int main() {
         run.tracks_per_clip, *q.predicate, clip_frames, 10,
         5 * workload.spec.fps);
     const auto t1 = std::chrono::steady_clock::now();
-    int good = 0;
-    for (const auto& [ci, f] : frames) {
-      if (query::GroundTruthMatches(test[static_cast<size_t>(ci)], f,
-                                    *q.predicate)) {
-        ++good;
-      }
-    }
     std::printf("%-48s -> %2zu frames, accuracy %.2f, wall %.1f ms\n", q.name,
                 frames.size(),
-                frames.empty() ? 1.0
-                               : static_cast<double>(good) / frames.size(),
+                query::LimitQueryAccuracy(test, frames, *q.predicate),
                 std::chrono::duration<double, std::milli>(t1 - t0).count());
   }
   std::printf("\nEach query touched only the track store; no video was "

@@ -153,19 +153,11 @@ void VerifyByScore(const std::vector<sim::Clip>& clips,
     if (predicate.Matches(boxes)) accepted.push_back(ref);
   }
   report->output_frames = accepted;
-  if (accepted.empty()) {
-    report->accuracy = 1.0;
-  } else {
-    int good = 0;
-    for (const FrameRef& ref : accepted) {
-      if (query::GroundTruthMatches(clips[static_cast<size_t>(ref.clip_index)],
-                                    ref.frame, predicate)) {
-        ++good;
-      }
-    }
-    report->accuracy =
-        static_cast<double>(good) / static_cast<double>(accepted.size());
+  std::vector<std::pair<int, int>> pairs;
+  for (const FrameRef& ref : accepted) {
+    pairs.emplace_back(ref.clip_index, ref.frame);
   }
+  report->accuracy = query::LimitQueryAccuracy(clips, pairs, predicate);
 }
 
 }  // namespace otif::baselines

@@ -107,7 +107,7 @@ PipelineConfig SelectBestConfig(const std::vector<sim::Clip>& validation,
   }
 
   // Then walk up the sampling gap while accuracy does not decrease.
-  while (config.sampling_gap < 64) {
+  while (config.sampling_gap < kMaxSamplingGap) {
     PipelineConfig next = config;
     next.sampling_gap *= 2;
     const double acc =

@@ -60,6 +60,10 @@ inline EvalResult EvaluateConfigWith(ExecutorKind, const PipelineConfig& config,
   return EvaluateConfig(config, trained, clips, accuracy_fn);
 }
 
+/// Largest sampling gap, in frames, that SelectBestConfig's walk and the
+/// tuner's gap module choose.
+inline constexpr int kMaxSamplingGap = 64;
+
 /// Selects the best-accuracy configuration theta_best (paper Sec 3.3):
 /// starting from the slowest configuration (no proxy, full resolution,
 /// gap 1, SORT tracker — proxy and recurrent models are not yet trained at

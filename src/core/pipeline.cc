@@ -309,9 +309,9 @@ class ClipRun {
   const PipelineConfig& config_;
   const TrainedModels* trained_;  // Not owned; may be null.
   const sim::Clip& clip_;
-  // Render service shared by the proxy and the recurrent tracker (its
-  // background cache makes it non-reentrant, so it must not outlive the
-  // run).
+  // Render service shared by the proxy and the recurrent tracker. It points
+  // at `clip_` and caches that clip's backgrounds, so it lives as long as
+  // this run.
   sim::Rasterizer raster_;
   models::SimulatedDetector detector_;
   const models::ProxyModel* proxy_ = nullptr;  // Null iff the proxy is off.

@@ -33,35 +33,6 @@ ProxyScoreCache::ProxyScoreCache(size_t capacity) : capacity_(capacity) {
   OTIF_CHECK_GE(capacity, 1u);
 }
 
-nn::Tensor ProxyScoreCache::GetOrCompute(
-    const Key& key, const std::function<nn::Tensor()>& compute) const {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      if (telemetry::Enabled()) GetCacheTelemetry().hits->Add(1);
-      return it->second;
-    }
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  if (telemetry::Enabled()) GetCacheTelemetry().misses->Add(1);
-  nn::Tensor scores = compute();
-
-  std::lock_guard<std::mutex> lock(mu_);
-  // Another thread may have inserted the key meanwhile; first write wins.
-  if (entries_.emplace(key, scores).second) {
-    insertion_order_.push_back(key);
-    while (entries_.size() > capacity_) {
-      entries_.erase(insertion_order_.front());
-      insertion_order_.pop_front();
-      evictions_.fetch_add(1, std::memory_order_relaxed);
-      if (telemetry::Enabled()) GetCacheTelemetry().evictions->Add(1);
-    }
-  }
-  return scores;
-}
-
 bool ProxyScoreCache::Lookup(const Key& key, nn::Tensor* out) const {
   {
     std::lock_guard<std::mutex> lock(mu_);

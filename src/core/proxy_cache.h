@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <tuple>
@@ -33,18 +32,13 @@ class ProxyScoreCache {
   ProxyScoreCache(const ProxyScoreCache&) = delete;
   ProxyScoreCache& operator=(const ProxyScoreCache&) = delete;
 
-  /// Returns the cached scores for `key`, or runs `compute` and caches its
-  /// result. `compute` runs outside the lock (scoring is the expensive
-  /// part); if two threads miss on the same key concurrently, both compute
-  /// and the first insertion wins — compute must be deterministic per key.
-  nn::Tensor GetOrCompute(const Key& key,
-                          const std::function<nn::Tensor()>& compute) const;
-
-  /// Batched-miss protocol: Lookup probes the cache (counting a hit or a
-  /// miss) without computing; the caller scores all missing keys in one
-  /// batched model invocation and stores them with Insert. Insert follows
-  /// the same first-write-wins rule as GetOrCompute and returns the entry
-  /// actually stored under the key.
+  /// Lookup probes the cache and counts a hit or a miss; it never computes.
+  /// On a miss the caller scores the frame outside the lock, since scoring
+  /// is the expensive part, and stores the result with Insert.
+  /// Pipeline::Run batches its misses; the tuner's caching phase scores
+  /// them one frame at a time. Two threads that miss on the same key both
+  /// score it and the first Insert wins: Insert returns the entry actually
+  /// stored under the key. Scores must therefore be deterministic per key.
   bool Lookup(const Key& key, nn::Tensor* out) const;
   nn::Tensor Insert(const Key& key, nn::Tensor value) const;
 

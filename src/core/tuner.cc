@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <utility>
 
 #include "track/metrics.h"
@@ -82,28 +83,42 @@ void Tuner::CacheProxyModule(const PipelineConfig& theta_best) {
   models::SimulatedDetector detector(arch);
 
   // Sample frames across the validation clips (bounded for cache cost).
+  // theta_best's detections on a frame (the best automatic labels) are the
+  // recall reference for every (resolution, threshold), so take them once.
   const int stride = std::max(theta_best.sampling_gap, 8);
+  struct SampledFrame {
+    size_t clip;
+    int frame;
+    track::FrameDetections labels;
+  };
+  std::vector<SampledFrame> sampled;
+  std::deque<sim::Rasterizer> rasters;  // One per clip, for every resolution.
+  for (size_t c = 0; c < validation_->size(); ++c) {
+    const sim::Clip& clip = (*validation_)[c];
+    rasters.emplace_back(&clip);
+    for (int f = 0; f < clip.num_frames(); f += stride) {
+      sampled.push_back(
+          {c, f,
+           models::FilterByConfidence(
+               detector.Detect(clip, f, theta_best.detector_scale),
+               theta_best.detector_confidence)});
+    }
+  }
+
+  std::vector<nn::Tensor> scores(sampled.size());
   for (size_t res = 0; res < trained_->proxies.size(); ++res) {
     models::ProxyModel* proxy = trained_->proxies[res].get();
-    // Pre-score sampled frames once per resolution.
-    struct FrameScore {
-      const sim::Clip* clip;
-      int frame;
-      nn::Tensor scores;
-    };
-    std::vector<FrameScore> scored;
-    for (const sim::Clip& clip : *validation_) {
-      sim::Rasterizer raster(&clip);
-      for (int f = 0; f < clip.num_frames(); f += stride) {
-        nn::Tensor scores = trained_->proxy_cache.GetOrCompute(
-            std::make_tuple(clip.clip_seed(), f, static_cast<int>(res)),
-            [&] {
-              return proxy->Score(
-                  raster.Render(f, proxy->resolution().raster_w(),
-                                proxy->resolution().raster_h()));
-            });
-        scored.push_back({&clip, f, std::move(scores)});
-      }
+    // Score the sampled frames with the pipeline's cache protocol: look up,
+    // and on a miss score the frame and insert it.
+    for (size_t i = 0; i < sampled.size(); ++i) {
+      const SampledFrame& s = sampled[i];
+      const ProxyScoreCache::Key key((*validation_)[s.clip].clip_seed(),
+                                     s.frame, static_cast<int>(res));
+      if (trained_->proxy_cache.Lookup(key, &scores[i])) continue;
+      scores[i] = trained_->proxy_cache.Insert(
+          key, proxy->Score(rasters[s.clip].Render(
+                   s.frame, proxy->resolution().raster_w(),
+                   proxy->resolution().raster_h())));
     }
     // Thresholds only re-read the shared scores; profile them in parallel
     // and append in threshold order (tie-breaking below scans in order).
@@ -120,9 +135,8 @@ void Tuner::CacheProxyModule(const PipelineConfig& theta_best) {
               costs.proxy_sec_per_pixel * proxy->resolution().world_pixels();
           double cost_sum = 0.0;
           double recall_sum = 0.0;
-          int frames = 0;
-          for (const FrameScore& fs : scored) {
-            const CellGrid grid = CellGrid::FromScores(fs.scores, threshold);
+          for (size_t i = 0; i < sampled.size(); ++i) {
+            const CellGrid grid = CellGrid::FromScores(scores[i], threshold);
             GroupingResult grouping;
             std::vector<geom::BBox> rects;
             if (grid.CountPositive() > 0) {
@@ -132,18 +146,13 @@ void Tuner::CacheProxyModule(const PipelineConfig& theta_best) {
                                            grid.grid_w, grid.grid_h, 1.0);
             }
             cost_sum += grouping.est_seconds / full_cost;
-            // Recall against theta_best detections (the best automatic
-            // labels).
-            const track::FrameDetections dets = models::FilterByConfidence(
-                detector.Detect(*fs.clip, fs.frame,
-                                theta_best.detector_scale),
-                theta_best.detector_confidence);
-            recall_sum += track::DetectionCoverage(dets, rects);
-            ++frames;
+            recall_sum += track::DetectionCoverage(sampled[i].labels, rects);
           }
-          profile.relative_detector_cost =
-              frames > 0 ? cost_sum / frames : 1.0;
-          profile.recall = frames > 0 ? recall_sum / frames : 1.0;
+          if (!sampled.empty()) {
+            const double n = static_cast<double>(sampled.size());
+            profile.relative_detector_cost = cost_sum / n;
+            profile.recall = recall_sum / n;
+          }
           return profile;
         });
     for (ProxyProfile& profile : profiles) {
@@ -242,7 +251,7 @@ bool Tuner::ProposeGapUpdate(const PipelineConfig& current,
   const double target = current.sampling_gap / (1.0 - options_.coarseness);
   while (next < target) next *= 2;
   if (next == current.sampling_gap) next *= 2;
-  if (next > options_.max_gap) return false;
+  if (next > kMaxSamplingGap) return false;
   *out = current;
   out->sampling_gap = next;
   return true;

@@ -37,10 +37,9 @@ class Tuner {
     double coarseness = 0.3;
     /// Maximum number of curve points after theta_1.
     int max_iterations = 14;
-    /// Enable the tracking module's sampling-gap parameter.
+    /// Enable the tracking module's sampling-gap parameter (capped at
+    /// kMaxSamplingGap).
     bool enable_gap_tuning = true;
-    /// Cap on the sampling gap.
-    int max_gap = 64;
     /// Tracker used by tuned configurations.
     TrackerKind tracker = TrackerKind::kRecurrent;
     /// Enable the segmentation proxy model module.

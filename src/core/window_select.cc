@@ -6,6 +6,12 @@
 #include "util/logging.h"
 
 namespace otif::core {
+namespace {
+
+/// Candidate window side lengths are multiples of this many cells.
+constexpr int kCandidateStepCells = 2;
+
+}  // namespace
 
 WindowSizeSelector::WindowSizeSelector(double frame_w, double frame_h,
                                        Options options)
@@ -41,14 +47,13 @@ std::vector<WindowSize> WindowSizeSelector::Select(
   std::vector<WindowSize> selected = {full};
   if (options_.k == 1) return selected;
 
-  // Candidate sizes: rectangles of cells at the configured step, capped to
-  // the frame; deduplicated.
+  // Candidate sizes: rectangles of cells at kCandidateStepCells steps,
+  // capped to the frame; deduplicated.
   std::vector<WindowSize> candidates;
   std::set<std::pair<int, int>> seen;
-  for (int cw = options_.candidate_step_cells; cw <= grid_w;
-       cw += options_.candidate_step_cells) {
-    for (int ch = options_.candidate_step_cells; ch <= grid_h;
-         ch += options_.candidate_step_cells) {
+  for (int cw = kCandidateStepCells; cw <= grid_w; cw += kCandidateStepCells) {
+    for (int ch = kCandidateStepCells; ch <= grid_h;
+         ch += kCandidateStepCells) {
       WindowSize s{static_cast<int>(cw * cell_w + 0.5),
                    static_cast<int>(ch * cell_h + 0.5)};
       if (s.w >= full.w && s.h >= full.h) continue;

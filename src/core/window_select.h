@@ -20,8 +20,6 @@ class WindowSizeSelector {
   struct Options {
     /// Target cardinality |W| (paper: k = 3, set by GPU memory).
     int k = 3;
-    /// Candidate side lengths are multiples of this many cells.
-    int candidate_step_cells = 2;
   };
 
   /// `frame_w`/`frame_h` are the scaled detector-input dimensions; grids

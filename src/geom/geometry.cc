@@ -33,19 +33,8 @@ bool BBox::Contains(const Point& p) const {
   return p.x >= Left() && p.x <= Right() && p.y >= Top() && p.y <= Bottom();
 }
 
-bool BBox::ContainsBox(const BBox& o) const {
-  return o.Left() >= Left() && o.Right() <= Right() && o.Top() >= Top() &&
-         o.Bottom() <= Bottom();
-}
-
 bool BBox::Intersects(const BBox& o) const {
   return IntersectionArea(o) > 0.0;
-}
-
-BBox BBox::Union(const BBox& o) const {
-  return FromCorners(std::min(Left(), o.Left()), std::min(Top(), o.Top()),
-                     std::max(Right(), o.Right()),
-                     std::max(Bottom(), o.Bottom()));
 }
 
 BBox BBox::ClippedTo(double width, double height) const {
@@ -79,16 +68,6 @@ bool Polygon::Contains(const Point& p) const {
     }
   }
   return inside;
-}
-
-double Polygon::SignedArea() const {
-  if (empty()) return 0.0;
-  double area = 0.0;
-  const size_t n = vertices_.size();
-  for (size_t i = 0, j = n - 1; i < n; j = i++) {
-    area += vertices_[j].x * vertices_[i].y - vertices_[i].x * vertices_[j].y;
-  }
-  return area / 2.0;
 }
 
 BBox Polygon::Bounds() const {
@@ -148,15 +127,6 @@ std::vector<Point> ResamplePolyline(const std::vector<Point>& polyline,
     out.push_back(polyline[seg] + (polyline[seg + 1] - polyline[seg]) * frac);
   }
   return out;
-}
-
-double PolylineDistance(const std::vector<Point>& a,
-                        const std::vector<Point>& b, int n) {
-  const std::vector<Point> pa = ResamplePolyline(a, n);
-  const std::vector<Point> pb = ResamplePolyline(b, n);
-  double sum = 0.0;
-  for (int i = 0; i < n; ++i) sum += pa[i].DistanceTo(pb[i]);
-  return sum / n;
 }
 
 Point PointAlong(const std::vector<Point>& polyline, double t) {

@@ -58,20 +58,11 @@ struct BBox {
   /// True when the point lies inside or on the boundary.
   bool Contains(const Point& p) const;
 
-  /// True when `o` lies entirely within this box.
-  bool ContainsBox(const BBox& o) const;
-
   /// True when the two boxes overlap (positive intersection area).
   bool Intersects(const BBox& o) const;
 
-  /// Smallest box covering both this and `o`.
-  BBox Union(const BBox& o) const;
-
   /// This box translated by (dx, dy).
   BBox Shifted(double dx, double dy) const { return {cx + dx, cy + dy, w, h}; }
-
-  /// This box with coordinates scaled by `s` (resolution change).
-  BBox Scaled(double s) const { return {cx * s, cy * s, w * s, h * s}; }
 
   /// This box clipped to [0,width]x[0,height]; may become empty (w or h 0).
   BBox ClippedTo(double width, double height) const;
@@ -91,9 +82,6 @@ class Polygon {
   /// Even-odd rule point-in-polygon test; boundary points count as inside.
   bool Contains(const Point& p) const;
 
-  /// Signed area (positive when counter-clockwise in a y-down frame).
-  double SignedArea() const;
-
   /// Axis-aligned bounding box of the polygon.
   BBox Bounds() const;
 
@@ -109,11 +97,6 @@ double PolylineLength(const std::vector<Point>& polyline);
 /// Requires n >= 2 and a non-empty polyline; a single-point polyline yields
 /// n copies of that point.
 std::vector<Point> ResamplePolyline(const std::vector<Point>& polyline, int n);
-
-/// Paper Sec 3.4 track distance: average Euclidean distance between the i-th
-/// evenly spaced points of the two polylines, using n sample points.
-double PolylineDistance(const std::vector<Point>& a,
-                        const std::vector<Point>& b, int n);
 
 /// Position along a polyline at arc-length fraction t in [0,1].
 Point PointAlong(const std::vector<Point>& polyline, double t);

@@ -2,7 +2,6 @@
 #define OTIF_MEM_VIEW_H_
 
 #include <cstddef>
-#include <cstdint>
 
 namespace otif::mem {
 
@@ -42,27 +41,6 @@ struct ImageView {
   operator ConstImageView() const {  // NOLINT(google-explicit-constructor)
     return ConstImageView{data, width, height, row_stride};
   }
-};
-
-/// Non-owning dense row-major tensor view, up to 4 dimensions. Same lifetime
-/// rules as ImageView. `shape` holds `ndim` leading entries; trailing
-/// entries are 1 so stride math is uniform.
-struct TensorView {
-  float* data = nullptr;
-  int ndim = 0;
-  int64_t shape[4] = {1, 1, 1, 1};
-
-  int64_t size() const {
-    return shape[0] * shape[1] * shape[2] * shape[3];
-  }
-  /// Contiguous plane covered by trailing dimensions from `dim` on (e.g.
-  /// dim=1 of an (N, C, H, W) view is one batch element's C*H*W block).
-  int64_t plane(int dim) const {
-    int64_t p = 1;
-    for (int d = dim; d < 4; ++d) p *= shape[d];
-    return p;
-  }
-  float* slice(int i) const { return data + i * plane(1); }
 };
 
 }  // namespace otif::mem

@@ -243,13 +243,4 @@ track::FrameDetections FilterByConfidence(
   return out;
 }
 
-track::FrameDetections FilterByClass(const track::FrameDetections& detections,
-                                     track::ObjectClass cls) {
-  track::FrameDetections out;
-  for (const track::Detection& d : detections) {
-    if (d.cls == cls) out.push_back(d);
-  }
-  return out;
-}
-
 }  // namespace otif::models

@@ -98,10 +98,6 @@ track::FrameDetections FilterByWindows(
 track::FrameDetections FilterByConfidence(
     const track::FrameDetections& detections, double threshold);
 
-/// Keeps detections of the given class.
-track::FrameDetections FilterByClass(const track::FrameDetections& detections,
-                                     track::ObjectClass cls);
-
 }  // namespace otif::models
 
 #endif  // OTIF_MODELS_DETECTOR_H_

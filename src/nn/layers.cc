@@ -444,29 +444,6 @@ Tensor Relu::Backward(const Tensor& grad_output) {
   return grad_in;
 }
 
-Tensor Sigmoid::Forward(const Tensor& input) {
-  Tensor out = Infer(input);
-  cache_.push_back(out);
-  return out;
-}
-
-Tensor Sigmoid::Infer(const Tensor& input) const {
-  Tensor out = input;
-  for (int64_t i = 0; i < out.size(); ++i) out[i] = StableSigmoid(out[i]);
-  return out;
-}
-
-Tensor Sigmoid::Backward(const Tensor& grad_output) {
-  OTIF_CHECK(!cache_.empty());
-  const Tensor out = std::move(cache_.back());
-  cache_.pop_back();
-  Tensor grad_in = grad_output;
-  for (int64_t i = 0; i < grad_in.size(); ++i) {
-    grad_in[i] *= out[i] * (1.0f - out[i]);
-  }
-  return grad_in;
-}
-
 Tensor Tanh::Forward(const Tensor& input) {
   Tensor out = Infer(input);
   cache_.push_back(out);
@@ -750,21 +727,6 @@ double BceWithLogits(const Tensor& logits, const Tensor& targets,
   const float inv = 1.0f / static_cast<float>(count);
   grad->Scale(inv);
   return loss / static_cast<double>(count);
-}
-
-double MseLoss(const Tensor& pred, const Tensor& target, Tensor* grad) {
-  OTIF_CHECK_EQ(pred.size(), target.size());
-  OTIF_CHECK_GT(pred.size(), 0);
-  *grad = Tensor(pred.shape());
-  double loss = 0.0;
-  for (int64_t i = 0; i < pred.size(); ++i) {
-    const float d = pred[i] - target[i];
-    loss += 0.5 * d * d;
-    (*grad)[i] = d;
-  }
-  const float inv = 1.0f / static_cast<float>(pred.size());
-  grad->Scale(inv);
-  return loss / static_cast<double>(pred.size());
 }
 
 }  // namespace otif::nn

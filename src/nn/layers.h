@@ -148,18 +148,6 @@ class Relu : public Layer {
   std::vector<Tensor> cache_;  // Cached outputs (mask source).
 };
 
-/// Elementwise logistic sigmoid.
-class Sigmoid : public Layer {
- public:
-  Tensor Forward(const Tensor& input) override;
-  Tensor Infer(const Tensor& input) const override;
-  Tensor Backward(const Tensor& grad_output) override;
-  void ClearCache() override { cache_.clear(); }
-
- private:
-  std::vector<Tensor> cache_;  // Cached outputs.
-};
-
 /// Elementwise tanh.
 class Tanh : public Layer {
  public:
@@ -247,9 +235,6 @@ class Sequential : public Layer {
 /// Returns the mean loss and writes dL/dlogits into `grad`.
 double BceWithLogits(const Tensor& logits, const Tensor& targets,
                      const Tensor* mask, Tensor* grad);
-
-/// Mean squared error, averaged over all elements; writes dL/dpred.
-double MseLoss(const Tensor& pred, const Tensor& target, Tensor* grad);
 
 /// Numerically stable logistic function.
 float StableSigmoid(float x);

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "mem/buffer_pool.h"
-#include "mem/view.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
@@ -87,16 +86,6 @@ class Tensor {
   const float* data() const { return buffer_.data(); }
   float& operator[](int64_t i) { return data()[i]; }
   float operator[](int64_t i) const { return data()[i]; }
-
-  /// Borrows the elements as a non-owning dense view (see mem/view.h for
-  /// lifetime rules). Tensors are at most 4-D by construction.
-  mem::TensorView view() {
-    mem::TensorView v;
-    v.data = data();
-    v.ndim = ndim();
-    for (int i = 0; i < v.ndim; ++i) v.shape[i] = shape_[static_cast<size_t>(i)];
-    return v;
-  }
 
   /// 3-D accessor (c, y, x) for (C, H, W) tensors.
   float& at3(int c, int y, int x) {

@@ -28,6 +28,9 @@
 namespace otif::obs {
 namespace {
 
+/// Completed spans /tracez returns (newest first) without ?n=.
+constexpr int kTracezDefaultSpans = 200;
+
 /// One completed span paired up from the timeline rings.
 struct CompletedSpan {
   std::string name;
@@ -247,6 +250,10 @@ IntrospectionServer::IntrospectionServer(const Options& options)
 
 StatusOr<std::unique_ptr<IntrospectionServer>> IntrospectionServer::Start(
     const Options& options) {
+  if (options.port < 0 || options.port > 65535) {
+    return Status::InvalidArgument(StrFormat(
+        "introspection port must be in [0, 65535], got %d", options.port));
+  }
   std::unique_ptr<IntrospectionServer> server(
       new IntrospectionServer(options));
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -389,7 +396,7 @@ IntrospectionServer::Response IntrospectionServer::Handle(
     path.resize(query);
   }
   if (path == "/tracez") {
-    int limit = options_.tracez_limit;
+    int limit = kTracezDefaultSpans;
     if (const auto it = params.find("n"); it != params.end()) {
       int64_t n = 0;
       if (!ParseInt64(it->second, &n) || n < 1 || n > 10000) {
@@ -487,10 +494,23 @@ IntrospectionServer* InitIntrospectionFromEnv() {
     const char* port_env = std::getenv("OTIF_METRICS_PORT");
     if (port_env == nullptr || *port_env == '\0') return nullptr;
     IntrospectionServer::Options options;
-    options.port = std::atoi(port_env);
+    int64_t port = 0;
+    if (!ParseInt64(port_env, &port) || port < 0 || port > 65535) {
+      OTIF_LOG(kWarning) << "OTIF_METRICS_PORT=\"" << port_env
+                         << "\" is not a port in [0, 65535]; introspection "
+                            "server off";
+      return nullptr;
+    }
+    options.port = static_cast<int>(port);
     if (const char* stall = std::getenv("OTIF_STALL_SEC")) {
-      const double window = std::atof(stall);
-      if (window > 0.0) options.stall_seconds = window;
+      double window = 0.0;
+      if (ParseFiniteDouble(stall, &window) && window > 0.0) {
+        options.stall_seconds = window;
+      } else {
+        OTIF_LOG(kWarning) << "OTIF_STALL_SEC=\"" << stall
+                           << "\" is not a positive number; using "
+                           << options.stall_seconds << " s";
+      }
     }
     SetProgressEnabled(true);
     // Arm the timeline rings so /tracez has spans to show. Harmless to

@@ -37,7 +37,7 @@ bool ParseQueryString(std::string_view query,
 ///   /tracez   Last-N completed spans paired up from the seqlock timeline
 ///             rings (requires timeline collection to be armed; reports
 ///             timeline_armed so scrapers can tell "off" from "idle").
-///             ?n=<1..10000> overrides the span limit.
+///             ?n=<1..10000> overrides the span limit (default 200).
 ///   /profilez On-demand sampling CPU profile (profiler.h): starts a
 ///             windowed profile, blocks the (single-threaded) serving loop
 ///             for the window, and returns the result.
@@ -62,18 +62,18 @@ bool ParseQueryString(std::string_view query,
 class IntrospectionServer {
  public:
   struct Options {
-    /// TCP port to bind on 127.0.0.1; 0 picks an ephemeral port (read it
-    /// back via port()).
+    /// TCP port to bind on 127.0.0.1, in [0, 65535]; 0 picks an ephemeral
+    /// port (read it back via port()).
     int port = 0;
     /// /healthz reports stalled when the in-flight run has not committed
     /// for this long.
     double stall_seconds = 30.0;
-    /// Completed spans /tracez keeps (newest first).
-    int tracez_limit = 200;
   };
 
-  /// Binds, listens, and starts the accept thread. Fails (IoError) when
-  /// the port is taken or sockets are unavailable.
+  /// Binds, listens, and starts the accept thread. Fails with
+  /// InvalidArgument, before opening any socket, when `port` is outside
+  /// [0, 65535], and with IoError when the port is taken or sockets are
+  /// unavailable.
   static StatusOr<std::unique_ptr<IntrospectionServer>> Start(
       const Options& options);
 
@@ -132,11 +132,15 @@ class IntrospectionServer {
 ///  - OTIF_METRICS_PORT: when set, arms run-progress recording and timeline
 ///    collection, starts a process-lifetime IntrospectionServer on that
 ///    port (0 = ephemeral), and logs the bound address. Unset leaves the
-///    whole subsystem off (cost: nothing beyond the flag word).
+///    whole subsystem off (cost: nothing beyond the flag word); so does a
+///    value that is not a decimal integer in [0, 65535], with a warning
+///    naming it.
 ///  - OTIF_METRICS_PORT_FILE: when set alongside OTIF_METRICS_PORT, the
 ///    bound port is also written (as one decimal line) to this file so
 ///    scripts can find an ephemeral port.
-///  - OTIF_STALL_SEC: /healthz watchdog window in seconds (default 30).
+///  - OTIF_STALL_SEC: /healthz watchdog window in seconds (default 30). A
+///    value that is not a positive number keeps the default, with a
+///    warning naming it.
 ///  - OTIF_PROFILE=<path>: whole-run CPU profile, dumped to <path> at exit
 ///    (delegated to InitProfilerFromEnv; see profiler.h). Works with or
 ///    without the HTTP server.

@@ -51,6 +51,10 @@ constexpr int kSkipFrames = 2;
 /// (thread churn across many profiling sessions can exhaust the pool, in
 /// which case further threads' samples land in the dropped counter).
 constexpr size_t kMaxRings = 128;
+/// Pending-sample slots per ring (a power of two). The collector drains
+/// every ~50 ms; overflow increments the dropped counter rather than
+/// blocking or overwriting.
+constexpr size_t kRingSlots = 256;
 
 struct RawSample {
   const telemetry::SpanSite* stage;
@@ -97,12 +101,6 @@ int64_t MonotonicNs() {
   timespec ts;
   clock_gettime(CLOCK_MONOTONIC, &ts);
   return int64_t{ts.tv_sec} * 1000000000 + ts.tv_nsec;
-}
-
-size_t RoundUpPow2(size_t n) {
-  size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
 }
 
 }  // namespace
@@ -436,15 +434,12 @@ Status CpuProfiler::Start(const ProfilerOptions& options) {
     return Status::FailedPrecondition("profiler already running");
   }
 
-  // Build (or reuse) the leaked ring pool. Slot capacity is fixed by the
-  // first Start; later windows reuse the same rings.
+  // Build the leaked ring pool once; later windows reuse the same rings.
   if (g_pool.load(std::memory_order_acquire) == nullptr) {
-    const size_t capacity = RoundUpPow2(std::max<size_t>(options.ring_slots,
-                                                         64));
     RingPool* pool = new RingPool();
     for (SampleRing& ring : pool->rings) {
-      ring.slots = new RawSample[capacity];
-      ring.capacity = capacity;
+      ring.slots = new RawSample[kRingSlots];
+      ring.capacity = kRingSlots;
     }
     g_pool.store(pool, std::memory_order_release);
   }
@@ -614,29 +609,6 @@ std::string ProfileToJson(const Profile& profile) {
   w.EndArray();
   w.EndObject();
   return std::move(w).TakeString();
-}
-
-std::vector<std::pair<std::string, int64_t>> TopFrames(const Profile& profile,
-                                                       size_t top_k) {
-  std::map<std::string, int64_t> inclusive;
-  std::vector<const std::string*> seen;
-  for (const ProfileStack& stack : profile.stacks) {
-    seen.clear();
-    for (const std::string& frame : stack.frames) {
-      bool duplicate = false;
-      for (const std::string* s : seen) duplicate |= (*s == frame);
-      if (duplicate) continue;  // Recursion: count each sample once.
-      seen.push_back(&frame);
-      inclusive[frame] += stack.count;
-    }
-  }
-  std::vector<std::pair<std::string, int64_t>> out(inclusive.begin(),
-                                                   inclusive.end());
-  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
-    return a.second != b.second ? a.second > b.second : a.first < b.first;
-  });
-  if (out.size() > top_k) out.resize(top_k);
-  return out;
 }
 
 bool InitProfilerFromEnv() {

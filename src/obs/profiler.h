@@ -1,7 +1,6 @@
 #ifndef OTIF_OBS_PROFILER_H_
 #define OTIF_OBS_PROFILER_H_
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -53,11 +52,6 @@ struct ProfilerOptions {
   /// Sampling frequency in Hz of process CPU time. 97 (a prime) by
   /// default so sampling cannot phase-lock with 10ms/1ms periodic work.
   int hz = 97;
-  /// Per-thread pending-sample ring capacity (slots). The collector
-  /// drains every ~50 ms; overflow increments the dropped counter rather
-  /// than blocking or overwriting. Fixed by the first Start of the
-  /// process (the ring pool is built once and reused).
-  size_t ring_slots = 256;
 };
 
 /// One aggregated, symbolized call stack.
@@ -125,13 +119,6 @@ std::string ToCollapsed(const Profile& profile, bool with_context);
 /// "dropped", "duration_seconds", "signal_overhead_seconds", "stacks":
 /// [{"stage", "clip", "count", "frames": [...]}]}.
 std::string ProfileToJson(const Profile& profile);
-
-/// Inclusive flat view: per-symbol sample counts, where each sample
-/// contributes at most once to every distinct symbol on its stack. Sorted
-/// by count descending, truncated to `top_k`. This is what bench reports
-/// embed ("which functions are the CPU actually inside or beneath").
-std::vector<std::pair<std::string, int64_t>> TopFrames(const Profile& profile,
-                                                       size_t top_k);
 
 /// Applies OTIF_PROFILE=<path> once per process: starts a whole-run
 /// profile immediately and registers an atexit hook that stops it and

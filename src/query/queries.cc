@@ -314,13 +314,16 @@ bool GroundTruthMatches(const sim::Clip& clip, int frame,
   return predicate.Matches(boxes);
 }
 
-double LimitQueryAccuracy(const sim::Clip& clip,
-                          const std::vector<int>& frames,
+double LimitQueryAccuracy(const std::vector<sim::Clip>& clips,
+                          const std::vector<std::pair<int, int>>& frames,
                           const FramePredicate& predicate) {
   if (frames.empty()) return 1.0;
   int good = 0;
-  for (int f : frames) {
-    if (GroundTruthMatches(clip, f, predicate)) ++good;
+  for (const auto& [clip, frame] : frames) {
+    if (GroundTruthMatches(clips[static_cast<size_t>(clip)], frame,
+                           predicate)) {
+      ++good;
+    }
   }
   return static_cast<double>(good) / static_cast<double>(frames.size());
 }

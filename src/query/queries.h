@@ -121,10 +121,12 @@ std::vector<std::pair<int, int>> ExecuteLimitQueryMultiClip(
 bool GroundTruthMatches(const sim::Clip& clip, int frame,
                         const FramePredicate& predicate);
 
-/// Fraction of produced frames whose ground truth satisfies the predicate
-/// (the frame-level query accuracy from Sec 4.2). Returns 1 for no output.
-double LimitQueryAccuracy(const sim::Clip& clip,
-                          const std::vector<int>& frames,
+/// Fraction of produced (clip index, frame) pairs, as returned by
+/// ExecuteLimitQueryMultiClip, whose ground truth in `clips` satisfies the
+/// predicate (the frame-level query accuracy from Sec 4.2). Returns 1 for
+/// no output.
+double LimitQueryAccuracy(const std::vector<sim::Clip>& clips,
+                          const std::vector<std::pair<int, int>>& frames,
                           const FramePredicate& predicate);
 
 }  // namespace otif::query

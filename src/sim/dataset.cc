@@ -235,28 +235,6 @@ DatasetSpec MakeSynthetic() {
 
 }  // namespace
 
-const char* DatasetName(DatasetId id) {
-  switch (id) {
-    case DatasetId::kCaldot1:
-      return "caldot1";
-    case DatasetId::kCaldot2:
-      return "caldot2";
-    case DatasetId::kTokyo:
-      return "tokyo";
-    case DatasetId::kUav:
-      return "uav";
-    case DatasetId::kWarsaw:
-      return "warsaw";
-    case DatasetId::kAmsterdam:
-      return "amsterdam";
-    case DatasetId::kJackson:
-      return "jackson";
-    case DatasetId::kSynthetic:
-      return "synthetic";
-  }
-  return "unknown";
-}
-
 std::vector<DatasetId> AllPaperDatasets() {
   return {DatasetId::kCaldot1, DatasetId::kCaldot2, DatasetId::kTokyo,
           DatasetId::kUav,     DatasetId::kWarsaw,  DatasetId::kAmsterdam,

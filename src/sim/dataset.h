@@ -60,9 +60,6 @@ enum class DatasetId {
   kSynthetic,
 };
 
-/// Names matching the paper ("caldot1", ..., plus "synthetic").
-const char* DatasetName(DatasetId id);
-
 /// All seven paper datasets, in Table 2 order.
 std::vector<DatasetId> AllPaperDatasets();
 

@@ -121,28 +121,6 @@ track::FrameDetections Clip::GroundTruthDetections(int frame) const {
   return dets;
 }
 
-std::vector<track::Track> Clip::GroundTruthTracks(int min_detections) const {
-  std::vector<track::Track> tracks;
-  for (const GtObject& obj : objects_) {
-    if (static_cast<int>(obj.states.size()) < min_detections) continue;
-    track::Track t;
-    t.id = obj.id;
-    t.cls = obj.cls;
-    t.detections.reserve(obj.states.size());
-    for (const ObjectFrameState& st : obj.states) {
-      track::Detection d;
-      d.frame = st.frame;
-      d.box = st.box;
-      d.cls = obj.cls;
-      d.confidence = 1.0;
-      d.gt_id = obj.id;
-      t.detections.push_back(d);
-    }
-    tracks.push_back(std::move(t));
-  }
-  return tracks;
-}
-
 uint64_t ClipSeed(const DatasetSpec& spec, int split, int clip_index) {
   uint64_t h = spec.seed * 0x9e3779b97f4a7c15ULL;
   h ^= static_cast<uint64_t>(split + 1) * 0xbf58476d1ce4e5b9ULL;

@@ -66,10 +66,6 @@ class Clip {
   /// Ground-truth boxes visible in a frame, as Detections with gt_id set.
   track::FrameDetections GroundTruthDetections(int frame) const;
 
-  /// Converts ground-truth objects into Track structures (one per object
-  /// with at least `min_detections` visible frames).
-  std::vector<track::Track> GroundTruthTracks(int min_detections) const;
-
  private:
   DatasetSpec spec_;
   uint64_t clip_seed_ = 0;

@@ -14,17 +14,6 @@ double CountAccuracy(double estimated, double ground_truth) {
                     0.0, 1.0);
 }
 
-double MeanCountAccuracy(const std::vector<double>& estimated,
-                         const std::vector<double>& ground_truth) {
-  OTIF_CHECK_EQ(estimated.size(), ground_truth.size());
-  OTIF_CHECK(!estimated.empty());
-  double sum = 0.0;
-  for (size_t i = 0; i < estimated.size(); ++i) {
-    sum += CountAccuracy(estimated[i], ground_truth[i]);
-  }
-  return sum / static_cast<double>(estimated.size());
-}
-
 double AveragePrecision50(const std::vector<Detection>& detections,
                           const std::vector<Detection>& ground_truth) {
   if (ground_truth.empty()) return detections.empty() ? 1.0 : 0.0;

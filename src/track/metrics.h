@@ -12,11 +12,6 @@ namespace otif::track {
 /// zero, else 0.
 double CountAccuracy(double estimated, double ground_truth);
 
-/// Mean of CountAccuracy over paired count vectors (e.g. per path type or
-/// per clip). Vectors must be the same length and non-empty.
-double MeanCountAccuracy(const std::vector<double>& estimated,
-                         const std::vector<double>& ground_truth);
-
 /// A detection-level precision/recall operating point.
 struct PrPoint {
   double threshold = 0.0;

@@ -1,25 +1,10 @@
 #include "track/types.h"
 
 #include <algorithm>
-#include <map>
 
 #include "util/logging.h"
 
 namespace otif::track {
-
-const char* ObjectClassName(ObjectClass cls) {
-  switch (cls) {
-    case ObjectClass::kCar:
-      return "car";
-    case ObjectClass::kBus:
-      return "bus";
-    case ObjectClass::kTruck:
-      return "truck";
-    case ObjectClass::kPedestrian:
-      return "pedestrian";
-  }
-  return "unknown";
-}
 
 int Track::StartFrame() const {
   OTIF_CHECK(!detections.empty());
@@ -62,13 +47,6 @@ geom::BBox Track::InterpolatedBoxAt(int frame) const {
                     lo.box.h + u * (hi.box.h - lo.box.h));
 }
 
-bool Track::VisibleNear(int frame, int tolerance) const {
-  for (const Detection& d : detections) {
-    if (std::abs(d.frame - frame) <= tolerance) return true;
-  }
-  return false;
-}
-
 double Track::MeanSpeedPxPerFrame() const {
   if (detections.size() < 2) return 0.0;
   double dist = 0.0;
@@ -79,18 +57,6 @@ double Track::MeanSpeedPxPerFrame() const {
   const int frames = EndFrame() - StartFrame();
   if (frames <= 0) return 0.0;
   return dist / frames;
-}
-
-std::vector<std::pair<int, FrameDetections>> GroupByFrame(
-    const std::vector<Detection>& detections) {
-  std::map<int, FrameDetections> by_frame;
-  for (const Detection& d : detections) by_frame[d.frame].push_back(d);
-  std::vector<std::pair<int, FrameDetections>> out;
-  out.reserve(by_frame.size());
-  for (auto& [frame, dets] : by_frame) {
-    out.emplace_back(frame, std::move(dets));
-  }
-  return out;
 }
 
 }  // namespace otif::track

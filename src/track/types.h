@@ -18,9 +18,6 @@ enum class ObjectClass : uint8_t {
   kPedestrian = 3,
 };
 
-/// Stable display name ("car", "bus", ...).
-const char* ObjectClassName(ObjectClass cls);
-
 /// A single object detection d = (t, x, y, w, h) plus class and confidence
 /// (paper Sec 3, Table 1). Coordinates are native-resolution frame pixels.
 struct Detection {
@@ -56,10 +53,6 @@ struct Track {
   /// Linearly interpolated box at `frame`; clamps outside the track's span.
   geom::BBox InterpolatedBoxAt(int frame) const;
 
-  /// True when the track has a detection within `tolerance` frames of
-  /// `frame`.
-  bool VisibleNear(int frame, int tolerance) const;
-
   /// Average speed (pixels/frame) between consecutive detections over the
   /// whole track; 0 for tracks with fewer than two detections.
   double MeanSpeedPxPerFrame() const;
@@ -67,11 +60,6 @@ struct Track {
 
 /// Detections of several objects in one frame.
 using FrameDetections = std::vector<Detection>;
-
-/// Groups a flat list of detections by frame index (ascending frames;
-/// original order preserved within a frame).
-std::vector<std::pair<int, FrameDetections>> GroupByFrame(
-    const std::vector<Detection>& detections);
 
 }  // namespace otif::track
 

@@ -96,14 +96,6 @@ class Rng {
     return mean + stddev * Gaussian();
   }
 
-  /// Exponential draw with the given rate (mean 1/rate).
-  double Exponential(double rate) {
-    OTIF_CHECK_GT(rate, 0.0);
-    double u = 0.0;
-    while (u <= 1e-300) u = NextDouble();
-    return -std::log(u) / rate;
-  }
-
   /// Derives an independent child generator (for splitting streams across
   /// components without coupling their consumption order).
   Rng Fork() { return Rng(NextUint64()); }

@@ -1,7 +1,6 @@
 #include "util/stats.h"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 
 #include "util/logging.h"
@@ -22,25 +21,6 @@ double Median(std::vector<double> values) {
   if (values.size() % 2 == 1) return hi;
   double lo = *std::max_element(values.begin(), values.begin() + mid);
   return 0.5 * (lo + hi);
-}
-
-double StdDev(const std::vector<double>& values) {
-  if (values.size() < 2) return 0.0;
-  const double mean = Mean(values);
-  double sum_sq = 0.0;
-  for (double v : values) sum_sq += (v - mean) * (v - mean);
-  return std::sqrt(sum_sq / static_cast<double>(values.size()));
-}
-
-double Percentile(std::vector<double> values, double p) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const double rank =
-      (p / 100.0) * static_cast<double>(values.size() - 1);
-  const size_t lo = static_cast<size_t>(rank);
-  const size_t hi = std::min(lo + 1, values.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return values[lo] * (1.0 - frac) + values[hi] * frac;
 }
 
 double WeightedMedian(const std::vector<double>& values,

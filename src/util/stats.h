@@ -11,12 +11,6 @@ double Mean(const std::vector<double>& values);
 /// Median (average of middle two for even sizes); 0 for an empty input.
 double Median(std::vector<double> values);
 
-/// Population standard deviation; 0 for fewer than two values.
-double StdDev(const std::vector<double>& values);
-
-/// Linear-interpolated percentile, p in [0, 100]; 0 for an empty input.
-double Percentile(std::vector<double> values, double p);
-
 /// Weighted median: smallest value v such that the weight of values <= v is
 /// at least half the total weight. Weights must be non-negative with a
 /// positive sum.

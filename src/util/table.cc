@@ -5,20 +5,6 @@
 #include "util/logging.h"
 
 namespace otif {
-namespace {
-
-std::string CsvEscape(const std::string& cell) {
-  if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
-  std::string out = "\"";
-  for (char c : cell) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
-}  // namespace
 
 TextTable::TextTable(std::vector<std::string> headers)
     : headers_(std::move(headers)) {
@@ -57,20 +43,6 @@ std::string TextTable::ToString() const {
   out.append(total, '-');
   out += '\n';
   for (const auto& row : rows_) out += render_row(row);
-  return out;
-}
-
-std::string TextTable::ToCsv() const {
-  std::string out;
-  auto render = [&](const std::vector<std::string>& row) {
-    for (size_t c = 0; c < row.size(); ++c) {
-      if (c > 0) out += ',';
-      out += CsvEscape(row[c]);
-    }
-    out += '\n';
-  };
-  render(headers_);
-  for (const auto& row : rows_) render(row);
   return out;
 }
 

@@ -19,9 +19,6 @@ class TextTable {
   /// Renders the table with aligned columns and a header separator.
   std::string ToString() const;
 
-  /// Renders as CSV (no alignment), for machine consumption.
-  std::string ToCsv() const;
-
   size_t num_rows() const { return rows_.size(); }
 
  private:

@@ -315,10 +315,6 @@ std::string DumpPath() { return Config().dump_path; }
 
 void InitFromEnv() {
   static const bool initialized = [] {
-    if (const char* env = std::getenv("OTIF_TRACE_TIMELINE_EVENTS")) {
-      const long n = std::atol(env);
-      if (n > 0) SetBufferCapacity(static_cast<size_t>(n));
-    }
     if (const char* env = std::getenv("OTIF_DUMP_PATH")) {
       if (*env != '\0') Config().dump_path = env;
     }

@@ -75,9 +75,9 @@ bool CollectionEnabled();
 /// in-flight ScopedSpans that began while armed still emit their end event).
 void SetCollectionEnabled(bool enabled);
 
-/// Per-thread ring capacity (events). Applies to buffers created *after*
-/// the call; existing threads keep their rings. Rounded up to a power of
-/// two; default 32768 (override with OTIF_TRACE_TIMELINE_EVENTS).
+/// Per-thread ring capacity (events), 32768 unless a test shrinks it to
+/// exercise ring wraparound. Applies to buffers created *after* the call;
+/// existing threads keep their rings. Rounded up to a power of two.
 void SetBufferCapacity(size_t capacity);
 size_t BufferCapacity();
 
@@ -133,7 +133,6 @@ std::string DumpPath();
 ///    Chrome trace to "otif_trace.json" at process exit; any other
 ///    non-empty, non-false value does the same with the value as the output
 ///    path; unset/"0"/"off"/"false" leaves the timeline off.
-///  - OTIF_TRACE_TIMELINE_EVENTS: per-thread ring capacity.
 ///  - OTIF_DUMP_ON_ERROR=1: arms collection and enables the flight
 ///    recorder (ReportError dumps, and fatal OTIF_CHECK failures dump
 ///    before aborting).

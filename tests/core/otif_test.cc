@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
+#include "core/cell_grouping.h"
 #include "eval/workload.h"
+#include "models/cost_model.h"
+#include "models/detector.h"
 #include "query/queries.h"
 #include "sim/raster.h"
 #include "track/metrics.h"
@@ -220,6 +227,81 @@ TEST(OtifTest, PrepareIsIdenticalAcrossPoolWidths) {
   }
   EXPECT_EQ(serial.simulated_training_seconds(),
             parallel.simulated_training_seconds());
+}
+
+TEST(TunerTest, ProxyProfilesMatchPerFrameReference) {
+  // The caching phase takes theta_best's detections once per sampled frame
+  // and scores frames through the score cache. Its profiles must equal,
+  // bit for bit, a reference built frame by frame: Render + Score per
+  // resolution, and Detect + GroupCells + DetectionCoverage per (frame,
+  // threshold).
+  PreparedOtif* p = Shared();
+  const TrainedModels& trained = p->otif->trained();
+  const PipelineConfig& theta_best = p->otif->theta_best();
+  Tuner::Options topts;
+  topts.max_iterations = 0;
+  Tuner tuner(&p->valid, &trained, p->valid_fn, topts);
+  tuner.Run(theta_best);
+  const std::vector<Tuner::ProxyProfile>& profiles = tuner.proxy_profiles();
+  const std::vector<double> thresholds = StandardProxyThresholds();
+  ASSERT_EQ(profiles.size(), trained.proxies.size() * thresholds.size());
+
+  const sim::DatasetSpec& spec = p->valid[0].spec();
+  const models::DetectorArch arch = models::ArchByName(
+      models::StandardDetectorArchs(), theta_best.detector_arch);
+  const double full_cost =
+      models::DetectorWindowSeconds(arch, spec.width, spec.height);
+  const models::CostConstants& costs = models::DefaultCostConstants();
+  const models::SimulatedDetector detector(arch);
+  const int stride = std::max(theta_best.sampling_gap, 8);
+  size_t next = 0;
+  for (size_t res = 0; res < trained.proxies.size(); ++res) {
+    const models::ProxyModel& proxy = *trained.proxies[res];
+    std::vector<std::pair<const sim::Clip*, int>> frames;
+    std::vector<nn::Tensor> scores;
+    for (const sim::Clip& clip : p->valid) {
+      sim::Rasterizer raster(&clip);
+      for (int f = 0; f < clip.num_frames(); f += stride) {
+        frames.emplace_back(&clip, f);
+        scores.push_back(proxy.Score(raster.Render(
+            f, proxy.resolution().raster_w(), proxy.resolution().raster_h())));
+      }
+    }
+    ASSERT_FALSE(frames.empty());
+    for (const double threshold : thresholds) {
+      double cost_sum = 0.0;
+      double recall_sum = 0.0;
+      for (size_t i = 0; i < frames.size(); ++i) {
+        const CellGrid grid = CellGrid::FromScores(scores[i], threshold);
+        GroupingResult grouping;
+        std::vector<geom::BBox> rects;
+        if (grid.CountPositive() > 0) {
+          grouping = GroupCells(grid, trained.window_sizes, arch, spec.width,
+                                spec.height);
+          rects = WindowsToNativeRects(grouping, spec.width, spec.height,
+                                       grid.grid_w, grid.grid_h, 1.0);
+        }
+        cost_sum += grouping.est_seconds / full_cost;
+        const track::FrameDetections dets = models::FilterByConfidence(
+            detector.Detect(*frames[i].first, frames[i].second,
+                            theta_best.detector_scale),
+            theta_best.detector_confidence);
+        recall_sum += track::DetectionCoverage(dets, rects);
+      }
+      const double n = static_cast<double>(frames.size());
+      const Tuner::ProxyProfile& got = profiles[next++];
+      EXPECT_EQ(got.resolution_index, static_cast<int>(res));
+      EXPECT_EQ(got.threshold, threshold);
+      EXPECT_EQ(got.proxy_sec_per_frame,
+                costs.proxy_sec_per_frame +
+                    costs.proxy_sec_per_pixel *
+                        proxy.resolution().world_pixels());
+      EXPECT_EQ(got.relative_detector_cost, cost_sum / n)
+          << "resolution " << res << " threshold " << threshold;
+      EXPECT_EQ(got.recall, recall_sum / n)
+          << "resolution " << res << " threshold " << threshold;
+    }
+  }
 }
 
 }  // namespace

@@ -473,26 +473,31 @@ TEST_F(PipelineFaultTest, DegradedProxyFallsBackToFullFrame) {
   ExpectIdentical(reference, r);
 }
 
+/// The cache protocol Pipeline::Run and the tuner follow: look up; on a
+/// miss "score" (a one-element tensor holding `value`), count it in
+/// `computes`, and insert. Returns the entry the cache holds for `key`.
+nn::Tensor Fetch(const ProxyScoreCache& cache, const ProxyScoreCache::Key& key,
+                 float value, int* computes = nullptr) {
+  nn::Tensor scores;
+  if (cache.Lookup(key, &scores)) return scores;
+  if (computes != nullptr) ++*computes;
+  nn::Tensor fresh({1});
+  fresh[0] = value;
+  return cache.Insert(key, std::move(fresh));
+}
+
 TEST(ProxyScoreCacheTest, EvictsFifoAtCapacity) {
   ProxyScoreCache cache(/*capacity=*/2);
   int computes = 0;
-  auto make = [&](float v) {
-    return [&computes, v] {
-      ++computes;
-      nn::Tensor t({1});
-      t[0] = v;
-      return t;
-    };
-  };
-  EXPECT_EQ(cache.GetOrCompute({1, 0, 0}, make(1.0f))[0], 1.0f);
-  EXPECT_EQ(cache.GetOrCompute({2, 0, 0}, make(2.0f))[0], 2.0f);
-  EXPECT_EQ(cache.GetOrCompute({3, 0, 0}, make(3.0f))[0], 3.0f);
+  EXPECT_EQ(Fetch(cache, {1, 0, 0}, 1.0f, &computes)[0], 1.0f);
+  EXPECT_EQ(Fetch(cache, {2, 0, 0}, 2.0f, &computes)[0], 2.0f);
+  EXPECT_EQ(Fetch(cache, {3, 0, 0}, 3.0f, &computes)[0], 3.0f);
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(computes, 3);
   // Key 1 was evicted (FIFO) and recomputes; key 3 is still resident.
-  EXPECT_EQ(cache.GetOrCompute({1, 0, 0}, make(1.5f))[0], 1.5f);
+  EXPECT_EQ(Fetch(cache, {1, 0, 0}, 1.5f, &computes)[0], 1.5f);
   EXPECT_EQ(computes, 4);
-  EXPECT_EQ(cache.GetOrCompute({3, 0, 0}, make(9.0f))[0], 3.0f);
+  EXPECT_EQ(Fetch(cache, {3, 0, 0}, 9.0f, &computes)[0], 3.0f);
   EXPECT_EQ(computes, 4);
   EXPECT_EQ(cache.hits(), 1);
   EXPECT_EQ(cache.misses(), 4);
@@ -500,18 +505,11 @@ TEST(ProxyScoreCacheTest, EvictsFifoAtCapacity) {
 
 TEST(ProxyScoreCacheTest, CountsEvictionsAndResetsCounters) {
   ProxyScoreCache cache(/*capacity=*/2);
-  auto make = [](float v) {
-    return [v] {
-      nn::Tensor t({1});
-      t[0] = v;
-      return t;
-    };
-  };
-  cache.GetOrCompute({1, 0, 0}, make(1.0f));
-  cache.GetOrCompute({2, 0, 0}, make(2.0f));
-  cache.GetOrCompute({3, 0, 0}, make(3.0f));  // Evicts key 1.
-  cache.GetOrCompute({4, 0, 0}, make(4.0f));  // Evicts key 2.
-  cache.GetOrCompute({4, 0, 0}, make(9.0f));  // Hit.
+  Fetch(cache, {1, 0, 0}, 1.0f);
+  Fetch(cache, {2, 0, 0}, 2.0f);
+  Fetch(cache, {3, 0, 0}, 3.0f);  // Evicts key 1.
+  Fetch(cache, {4, 0, 0}, 4.0f);  // Evicts key 2.
+  Fetch(cache, {4, 0, 0}, 9.0f);  // Hit.
   EXPECT_EQ(cache.evictions(), 2);
   EXPECT_EQ(cache.hits(), 1);
   EXPECT_EQ(cache.misses(), 4);
@@ -524,22 +522,30 @@ TEST(ProxyScoreCacheTest, CountsEvictionsAndResetsCounters) {
   EXPECT_EQ(cache.evictions(), 2);
 }
 
-TEST(ProxyScoreCacheTest, ConcurrentGetOrComputeIsConsistent) {
+TEST(ProxyScoreCacheTest, ConcurrentLookupInsertIsConsistent) {
   ProxyScoreCache cache;
   ThreadPool pool(4);
   std::vector<float> got(256, -1.0f);
+  std::vector<float> writer(256, -1.0f);
   pool.ParallelFor(256, [&](int64_t i) {
     const int key = static_cast<int>(i % 16);
-    const nn::Tensor t = cache.GetOrCompute(
-        {7, key, 0}, [key] {
-          nn::Tensor v({1});
-          v[0] = static_cast<float>(key);
-          return v;
-        });
+    nn::Tensor t;
+    if (!cache.Lookup({7, key, 0}, &t)) {
+      // Every miss scores the same value but tags it with its own index:
+      // Insert must hand back the first writer's entry, not its own.
+      nn::Tensor v({2});
+      v[0] = static_cast<float>(key);
+      v[1] = static_cast<float>(i);
+      t = cache.Insert({7, key, 0}, std::move(v));
+    }
     got[static_cast<size_t>(i)] = t[0];
+    writer[static_cast<size_t>(i)] = t[1];
   });
   for (int64_t i = 0; i < 256; ++i) {
     EXPECT_EQ(got[static_cast<size_t>(i)], static_cast<float>(i % 16));
+    // First write wins: every reader of a key sees one writer's entry.
+    EXPECT_EQ(writer[static_cast<size_t>(i)],
+              writer[static_cast<size_t>(i % 16)]);
   }
   EXPECT_EQ(cache.size(), 16u);
   EXPECT_EQ(cache.hits() + cache.misses(), 256);

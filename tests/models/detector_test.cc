@@ -201,16 +201,6 @@ TEST(FilterTest, WindowsKeepOnlyCoveredDetections) {
   EXPECT_TRUE(FilterByWindows(dets, {}).empty());
 }
 
-TEST(FilterTest, ByClass) {
-  track::FrameDetections dets;
-  track::Detection d;
-  d.cls = track::ObjectClass::kCar;
-  dets.push_back(d);
-  d.cls = track::ObjectClass::kPedestrian;
-  dets.push_back(d);
-  EXPECT_EQ(FilterByClass(dets, track::ObjectClass::kCar).size(), 1u);
-}
-
 TEST(SimClockTest, ChargesAndMerges) {
   SimClock clock;
   clock.Charge(CostCategory::kDecode, 1.5);

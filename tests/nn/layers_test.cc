@@ -225,12 +225,6 @@ TEST(ActivationTest, ReluForwardBackward) {
   EXPECT_FLOAT_EQ(gx[2], 1);
 }
 
-TEST(ActivationTest, SigmoidGradientCheck) {
-  Rng rng(8);
-  Sigmoid sig;
-  CheckInputGradient(&sig, RandomTensor({6}, &rng), 1e-2);
-}
-
 TEST(ActivationTest, TanhGradientCheck) {
   Rng rng(9);
   Tanh tanh_layer;
@@ -701,20 +695,6 @@ TEST(LinearTest, BatchedInferMatchesPerRowExactly) {
           << "row " << b << " out " << o;
     }
   }
-}
-
-TEST(MseLossTest, LossAndGradient) {
-  Tensor pred({2});
-  pred[0] = 1.0f;
-  pred[1] = 3.0f;
-  Tensor target({2});
-  target[0] = 0.0f;
-  target[1] = 3.0f;
-  Tensor grad;
-  const double loss = MseLoss(pred, target, &grad);
-  EXPECT_NEAR(loss, 0.25, 1e-6);  // (0.5*1 + 0) / 2.
-  EXPECT_NEAR(grad[0], 0.5f, 1e-6);
-  EXPECT_NEAR(grad[1], 0.0f, 1e-6);
 }
 
 }  // namespace

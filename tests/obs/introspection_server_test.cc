@@ -64,6 +64,23 @@ TEST(IntrospectionServerTest, EphemeralPortIsReported) {
   EXPECT_LE(server->port(), 65535);
 }
 
+TEST(IntrospectionServerTest, RejectsPortsOutsideRangeWithoutBinding) {
+  // Truncated to 16 bits these would bind 4464 and 65535. Socket failures
+  // are IoError, so InvalidArgument means no socket was opened.
+  for (const int port : {70000, -1}) {
+    IntrospectionServer::Options options;
+    options.port = port;
+    const StatusOr<std::unique_ptr<IntrospectionServer>> server =
+        IntrospectionServer::Start(options);
+    ASSERT_FALSE(server.ok()) << "port " << port;
+    EXPECT_EQ(server.status().code(), StatusCode::kInvalidArgument)
+        << server.status().ToString();
+    EXPECT_NE(server.status().message().find(std::to_string(port)),
+              std::string::npos)
+        << server.status().ToString();
+  }
+}
+
 TEST(IntrospectionServerTest, MetricsEndpointServesExposition) {
   telemetry::MetricsRegistry::Global()
       .GetCounter("obs_test.metrics_probe")

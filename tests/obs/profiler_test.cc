@@ -88,26 +88,6 @@ TEST(ProfilerRenderTest, JsonCarriesCountsAndStacks) {
   EXPECT_NE(json.find("\"clip\": -1"), std::string::npos);
 }
 
-TEST(ProfilerRenderTest, TopFramesAreInclusiveAndDeduplicated) {
-  Profile p;
-  p.samples = 4;
-  // "main" appears twice in one stack (recursion): it must count once per
-  // sample, not once per frame.
-  ProfileStack recursive;
-  recursive.frames = {"main", "main", "Leaf"};
-  recursive.count = 3;
-  ProfileStack other;
-  other.frames = {"main", "Other"};
-  other.count = 1;
-  p.stacks = {recursive, other};
-  const auto top = TopFrames(p, 10);
-  ASSERT_GE(top.size(), 3u);
-  EXPECT_EQ(top[0].first, "main");
-  EXPECT_EQ(top[0].second, 4);  // Inclusive: on every sample's stack.
-  // Truncation honors top_k.
-  EXPECT_EQ(TopFrames(p, 1).size(), 1u);
-}
-
 TEST(ProfilerTest, RejectsBadOptions) {
   ProfilerOptions options;
   options.hz = 0;
@@ -155,12 +135,6 @@ TEST(ProfilerTest, CapturesAndSymbolizesBusyLoop) {
     }
   }
   EXPECT_GT(busy_samples, 0) << ToCollapsed(*profile, true);
-  // The flat view agrees.
-  bool in_top = false;
-  for (const auto& [symbol, count] : TopFrames(*profile, 10)) {
-    in_top = in_top || symbol == "OtifProfilerTestBusyLoop";
-  }
-  EXPECT_TRUE(in_top);
   // Self-metrics published.
   const telemetry::TelemetrySnapshot snapshot = telemetry::CaptureSnapshot();
   const telemetry::CounterSample* samples =

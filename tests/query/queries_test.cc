@@ -177,8 +177,9 @@ TEST(ExecuteLimitQueryTest, NoMatchesNoOutput) {
 }
 
 TEST(LimitQueryAccuracyTest, ChecksGroundTruth) {
-  sim::Clip clip = sim::SimulateClip(
-      sim::MakeDataset(sim::DatasetId::kSynthetic), 7, 100);
+  const std::vector<sim::Clip> clips = {sim::SimulateClip(
+      sim::MakeDataset(sim::DatasetId::kSynthetic), 7, 100)};
+  const sim::Clip& clip = clips[0];
   CountPredicate p(1);
   // Find a frame with objects and one without.
   int with = -1, without = -1;
@@ -188,10 +189,11 @@ TEST(LimitQueryAccuracyTest, ChecksGroundTruth) {
     if (!matches && without < 0) without = f;
   }
   if (with >= 0 && without >= 0) {
-    EXPECT_DOUBLE_EQ(LimitQueryAccuracy(clip, {with}, p), 1.0);
-    EXPECT_DOUBLE_EQ(LimitQueryAccuracy(clip, {with, without}, p), 0.5);
+    EXPECT_DOUBLE_EQ(LimitQueryAccuracy(clips, {{0, with}}, p), 1.0);
+    EXPECT_DOUBLE_EQ(
+        LimitQueryAccuracy(clips, {{0, with}, {0, without}}, p), 0.5);
   }
-  EXPECT_DOUBLE_EQ(LimitQueryAccuracy(clip, {}, p), 1.0);
+  EXPECT_DOUBLE_EQ(LimitQueryAccuracy(clips, {}, p), 1.0);
 }
 
 }  // namespace

@@ -26,10 +26,6 @@ TEST(CountAccuracyTest, ZeroGroundTruth) {
   EXPECT_DOUBLE_EQ(CountAccuracy(3, 0), 0.0);
 }
 
-TEST(MeanCountAccuracyTest, Averages) {
-  EXPECT_DOUBLE_EQ(MeanCountAccuracy({10, 5}, {10, 10}), 0.75);
-}
-
 TEST(AveragePrecisionTest, PerfectDetections) {
   std::vector<Detection> gt = {MakeDet(0, 50, 50), MakeDet(1, 80, 80)};
   EXPECT_DOUBLE_EQ(AveragePrecision50(gt, gt), 1.0);

@@ -17,13 +17,6 @@ Track MakeTrack(std::vector<std::pair<int, geom::BBox>> dets) {
   return t;
 }
 
-TEST(ObjectClassTest, Names) {
-  EXPECT_STREQ(ObjectClassName(ObjectClass::kCar), "car");
-  EXPECT_STREQ(ObjectClassName(ObjectClass::kBus), "bus");
-  EXPECT_STREQ(ObjectClassName(ObjectClass::kTruck), "truck");
-  EXPECT_STREQ(ObjectClassName(ObjectClass::kPedestrian), "pedestrian");
-}
-
 TEST(TrackTest, FrameAccessors) {
   Track t = MakeTrack({{3, {0, 0, 2, 2}}, {7, {10, 0, 2, 2}}});
   EXPECT_EQ(t.StartFrame(), 3);
@@ -63,40 +56,12 @@ TEST(TrackTest, InterpolatedBoxClampsOutsideSpan) {
   EXPECT_DOUBLE_EQ(t.InterpolatedBoxAt(10).cx, 9.0);
 }
 
-TEST(TrackTest, VisibleNear) {
-  Track t = MakeTrack({{10, {0, 0, 1, 1}}, {20, {5, 5, 1, 1}}});
-  EXPECT_TRUE(t.VisibleNear(10, 0));
-  EXPECT_TRUE(t.VisibleNear(12, 2));
-  EXPECT_FALSE(t.VisibleNear(15, 2));
-}
-
 TEST(TrackTest, MeanSpeed) {
   // 10 px over 10 frames = 1 px/frame.
   Track t = MakeTrack({{0, {0, 0, 1, 1}}, {10, {10, 0, 1, 1}}});
   EXPECT_DOUBLE_EQ(t.MeanSpeedPxPerFrame(), 1.0);
   Track single = MakeTrack({{0, {0, 0, 1, 1}}});
   EXPECT_DOUBLE_EQ(single.MeanSpeedPxPerFrame(), 0.0);
-}
-
-TEST(GroupByFrameTest, GroupsAndSortsByFrame) {
-  std::vector<Detection> dets;
-  Detection d;
-  d.frame = 5;
-  dets.push_back(d);
-  d.frame = 2;
-  dets.push_back(d);
-  d.frame = 5;
-  dets.push_back(d);
-  const auto grouped = GroupByFrame(dets);
-  ASSERT_EQ(grouped.size(), 2u);
-  EXPECT_EQ(grouped[0].first, 2);
-  EXPECT_EQ(grouped[0].second.size(), 1u);
-  EXPECT_EQ(grouped[1].first, 5);
-  EXPECT_EQ(grouped[1].second.size(), 2u);
-}
-
-TEST(GroupByFrameTest, EmptyInput) {
-  EXPECT_TRUE(GroupByFrame({}).empty());
 }
 
 }  // namespace

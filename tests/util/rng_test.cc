@@ -97,14 +97,6 @@ TEST(RngTest, GaussianWithParams) {
   EXPECT_NEAR(sum / n, 10.0, 0.1);
 }
 
-TEST(RngTest, ExponentialMean) {
-  Rng rng(29);
-  double sum = 0.0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) sum += rng.Exponential(2.0);
-  EXPECT_NEAR(sum / n, 0.5, 0.03);
-}
-
 TEST(RngTest, ForkProducesIndependentStream) {
   Rng parent(31);
   Rng child = parent.Fork();

@@ -18,19 +18,6 @@ TEST(StatsTest, MedianOddAndEven) {
   EXPECT_DOUBLE_EQ(Median({7}), 7.0);
 }
 
-TEST(StatsTest, StdDevBasic) {
-  EXPECT_DOUBLE_EQ(StdDev({2, 2, 2}), 0.0);
-  EXPECT_NEAR(StdDev({1, 3}), 1.0, 1e-12);
-  EXPECT_DOUBLE_EQ(StdDev({5}), 0.0);
-}
-
-TEST(StatsTest, PercentileInterpolates) {
-  std::vector<double> v = {10, 20, 30, 40};
-  EXPECT_DOUBLE_EQ(Percentile(v, 0), 10.0);
-  EXPECT_DOUBLE_EQ(Percentile(v, 100), 40.0);
-  EXPECT_DOUBLE_EQ(Percentile(v, 50), 25.0);
-}
-
 TEST(StatsTest, WeightedMedianSkewsTowardWeight) {
   // Value 10 carries most of the weight.
   EXPECT_DOUBLE_EQ(WeightedMedian({1, 10, 100}, {1, 10, 1}), 10.0);

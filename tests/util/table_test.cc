@@ -19,14 +19,6 @@ TEST(TextTableTest, RendersAlignedColumns) {
   EXPECT_EQ(t.num_rows(), 2u);
 }
 
-TEST(TextTableTest, CsvEscapesSpecialCharacters) {
-  TextTable t({"a", "b"});
-  t.AddRow({"with,comma", "with\"quote"});
-  const std::string csv = t.ToCsv();
-  EXPECT_NE(csv.find("\"with,comma\""), std::string::npos);
-  EXPECT_NE(csv.find("\"with\"\"quote\""), std::string::npos);
-}
-
 TEST(TextTableDeathTest, WrongArityRowAborts) {
   TextTable t({"only"});
   EXPECT_DEATH(t.AddRow({"a", "b"}), "Check failed");

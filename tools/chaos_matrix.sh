@@ -14,6 +14,14 @@
 #   - detect.invoke:error:1:31:clip=0 reports clip 0 as failed;
 #   - proxy.invoke:error:1:21 degrades every clip and fails none.
 #
+# One more run, with no faults, poisons the heap: glibc fills every chunk
+# malloc hands out and every chunk freed (glibc.malloc.perturb), and with
+# its per-thread cache off (tcache_count=0) no chunk skips the fill. It
+# probes reads before writes in the arrays under 4 KiB that bypass the
+# buffer pool, which mem.acquire:deny cannot reach. Its Prepare digest and
+# every clip digest must equal the reference's. TSan's allocator ignores
+# the tunable, so under TSan it is an ordinary run.
+#
 # Usage: tools/chaos_matrix.sh [build_dir] [clips] [clip_seconds]
 #
 # Flight-recorder dumps (armed via OTIF_DUMP_ON_ERROR) and each spec's
@@ -57,6 +65,17 @@ OTIF_LOG_LEVEL=warning "$SMOKE" "$CLIPS" "$CLIP_SECONDS" > "$REFERENCE"
 
 fail=0
 RUNS=()  # spec, report path, spec, report path, ...
+
+echo "== chaos: heap poison (GLIBC_TUNABLES, no faults) =="
+POISON="$DUMP_DIR/heap_poison.report.json"
+if GLIBC_TUNABLES=glibc.malloc.tcache_count=0:glibc.malloc.perturb=165 \
+    OTIF_LOG_LEVEL=warning "$SMOKE" "$CLIPS" "$CLIP_SECONDS" > "$POISON"; then
+  RUNS+=("heap-poison" "$POISON")
+else
+  echo "ERROR: heap-poison run failed" >&2
+  fail=1
+fi
+
 for spec in "${SPECS[@]}"; do
   # One dump file per spec, named by the first site in the spec.
   tag="$(echo "$spec" | tr ':,=' '___' | cut -c1-60)"
@@ -92,9 +111,13 @@ for spec, path in zip(sys.argv[2::2], sys.argv[3::2]):
         failed = {e["clip"] for e in report["failed_clips"]}
         degraded = set(report["degraded_clips"])
         same_prepare = report["prepare_digest"] == reference["prepare_digest"]
-        kinds = {part.split(":")[1] for part in spec.split(",")}
+        # The heap-poison run injects no fault: like stall and deny specs,
+        # it must move no digest.
+        kinds = (set() if spec == "heap-poison" else
+                 {part.split(":")[1] for part in spec.split(",")})
         if kinds <= {"stall", "deny"}:
-            assert same_prepare, "Prepare digest moved under a stall/deny spec"
+            assert same_prepare, (
+                "Prepare digest moved under a stall, deny or heap-poison run")
             assert not failed and not degraded, (failed, degraded)
         if same_prepare:
             for clip, digest in digests.items():
@@ -124,4 +147,4 @@ if [[ "$fail" -ne 0 ]]; then
   echo "== chaos matrix FAILED — dumps in $DUMP_DIR =="
   exit 1
 fi
-echo "== chaos matrix passed: ${#SPECS[@]} specs survived with the expected outcomes =="
+echo "== chaos matrix passed: ${#SPECS[@]} specs and the heap-poison run survived with the expected outcomes =="
