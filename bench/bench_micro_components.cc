@@ -52,6 +52,8 @@ void BM_RasterizeFrame(benchmark::State& state) {
 }
 BENCHMARK(BM_RasterizeFrame)->Arg(40)->Arg(104);
 
+// One frame's proxy forward pass, as Pipeline::Run scores each cache miss:
+// staging, activations and im2col panels all in the thread's scratch arena.
 void BM_ProxyInference(benchmark::State& state) {
   models::ProxyModel proxy(models::StandardProxyResolutions()[4], 1);
   sim::Rasterizer raster(&BenchClip());
@@ -62,50 +64,6 @@ void BM_ProxyInference(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ProxyInference);
-
-void BM_ProxyInferenceBatched(benchmark::State& state) {
-  // The batched proxy path Pipeline::Run takes for each frame group: one
-  // network invocation over N rasterized frames.
-  models::ProxyModel proxy(models::StandardProxyResolutions()[4], 1);
-  sim::Rasterizer raster(&BenchClip());
-  const int n = static_cast<int>(state.range(0));
-  std::vector<video::Image> frames;
-  std::vector<const video::Image*> ptrs;
-  for (int f = 0; f < n; ++f) {
-    frames.push_back(raster.Render(f, proxy.resolution().raster_w(),
-                                   proxy.resolution().raster_h()));
-  }
-  for (const video::Image& f : frames) ptrs.push_back(&f);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(proxy.ScoreBatch(ptrs));
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_ProxyInferenceBatched)->Arg(8);
-
-// Proxy batch staging, isolated from the network: the fused FillInputSlice
-// path writes each frame's centered pixels directly into its slice of an
-// uninitialized pooled batch tensor.
-void BM_ScoreBatchPooled(benchmark::State& state) {
-  models::ProxyModel proxy(models::StandardProxyResolutions()[4], 1);
-  sim::Rasterizer raster(&BenchClip());
-  const int rw = proxy.resolution().raster_w();
-  const int rh = proxy.resolution().raster_h();
-  const int n = static_cast<int>(state.range(0));
-  std::vector<video::Image> frames;
-  std::vector<const video::Image*> ptrs;
-  for (int f = 0; f < n; ++f) frames.push_back(raster.Render(f, rw, rh));
-  for (const video::Image& f : frames) ptrs.push_back(&f);
-  for (auto _ : state) {
-    nn::Tensor batch = nn::Tensor::Uninitialized({n, 1, rh, rw});
-    for (int b = 0; b < n; ++b) {
-      proxy.FillInputSlice(*ptrs[b], &batch, b);
-    }
-    benchmark::DoNotOptimize(batch.data());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_ScoreBatchPooled)->Arg(8);
 
 // Conv engine at detector-typical window shapes: the im2col+GEMM inference
 // path versus the naive reference loops it replaced.

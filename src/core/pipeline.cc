@@ -95,16 +95,8 @@ void RecordRunTelemetry(const PipelineResult& result) {
   t.run_sim_seconds->Record(result.clock.TotalSeconds());
 }
 
-// Frames per batched model invocation, recorded at the point the model is
-// actually invoked.
-telemetry::Histogram* ProxyInvocationFrames() {
-  static telemetry::Histogram* const h =
-      telemetry::MetricsRegistry::Global().GetHistogram(
-          "proxy.invocation_frames",
-          {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0});
-  return h;
-}
-
+// Frames per batched detector invocation, recorded at the point the
+// detector is actually invoked.
 telemetry::Histogram* DetectInvocationFrames() {
   static telemetry::Histogram* const h =
       telemetry::MetricsRegistry::Global().GetHistogram(
@@ -142,9 +134,8 @@ constexpr int kMaxFaultAttempts = 4;
 /// (kError) decisions retry in place with bounded exponential backoff;
 /// because the fault fires before the invocation, no stage state was
 /// touched and the retry is just a fresh decision with the next attempt
-/// token. kStall sleeps (latency spike) and succeeds; other kinds are not
-/// meaningful for an invocation and pass through. Returns non-OK only after
-/// kMaxFaultAttempts consecutive error decisions.
+/// token. kStall sleeps (latency spike) and succeeds. Returns non-OK only
+/// after kMaxFaultAttempts consecutive error decisions.
 Status AttemptStage(fault::Site* site, int64_t clip, int group,
                     int* retries) {
   for (int attempt = 0;; ++attempt) {
@@ -157,7 +148,6 @@ Status AttemptStage(fault::Site* site, int64_t clip, int group,
       std::this_thread::sleep_for(std::chrono::milliseconds(inj.stall_ms));
       return Status::OK();
     }
-    if (inj.kind != fault::Kind::kError) return Status::OK();
     if (attempt + 1 >= kMaxFaultAttempts) {
       return Status::IoError(StrFormat(
           "injected %s fault: clip %lld group %d failed %d attempts",
@@ -232,8 +222,8 @@ struct FrameContext {
   /// Proxy saw an empty frame: the detector can be skipped entirely.
   bool skip_detector = false;
   /// Low-resolution render of the frame (reused by the recurrent tracker
-  /// for appearance statistics when available). Pixels come from the
-  /// shared mem::BufferPool and are re-rendered in place across groups.
+  /// for appearance statistics when available). The slot keeps its pixel
+  /// array across groups and is re-rendered in place.
   video::Image low_res_frame;
   bool have_low_res_frame = false;
   /// Native-coordinate detector windows covering positive proxy cells.
@@ -281,9 +271,10 @@ class ClipRun {
            trained_->refiner != nullptr && !clip_.spec().moving_camera;
   }
 
-  /// Renders every frame, scores all cache-missed frames in a single
-  /// batched network invocation, groups each frame's positive cells into
-  /// detector windows, and charges the per-frame proxy cost in frame order.
+  /// For each frame in order: renders it, looks its scores up in the
+  /// shared cache and on a miss scores and inserts them, groups its
+  /// positive cells into detector windows, and charges the per-frame proxy
+  /// cost.
   void Proxy(const std::vector<FrameContext*>& batch, PipelineResult* result);
 
   /// Runs the detector inside the proxy's windows when they exist, over
@@ -380,53 +371,31 @@ void ClipRun::ComputeWindows(const nn::Tensor& scores, FrameContext* ctx) {
 
 void ClipRun::Proxy(const std::vector<FrameContext*>& batch,
                     PipelineResult* result) {
-  // Render every frame up front so the cache misses can be scored in one
-  // batched network invocation.
-  for (FrameContext* ctx : batch) {
-    OTIF_SPAN("proxy/render");
-    raster_.RenderInto(ctx->frame, proxy_->resolution().raster_w(),
-                       proxy_->resolution().raster_h(), &ctx->low_res_frame);
-    ctx->have_low_res_frame = true;
-  }
-
-  // Cell scores are cached across tuner evaluations (many thresholds score
-  // the same frames); the cache is shared and thread-safe.
-  std::vector<nn::Tensor> scores(batch.size());
-  std::vector<size_t> missing;
-  {
-    OTIF_SPAN("proxy/score");
-    for (size_t i = 0; i < batch.size(); ++i) {
-      const ProxyScoreCache::Key key =
-          std::make_tuple(clip_.clip_seed(), batch[i]->frame,
-                          config_.proxy_resolution_index);
-      if (!trained_->proxy_cache.Lookup(key, &scores[i])) missing.push_back(i);
-    }
-    if (!missing.empty()) {
-      std::vector<const video::Image*> frames;
-      frames.reserve(missing.size());
-      for (size_t i : missing) frames.push_back(&batch[i]->low_res_frame);
-      std::vector<nn::Tensor> fresh = proxy_->ScoreBatch(frames);
-      if (telemetry::Enabled()) {
-        ProxyInvocationFrames()->Record(static_cast<double>(frames.size()));
-      }
-      for (size_t m = 0; m < missing.size(); ++m) {
-        const size_t i = missing[m];
-        const ProxyScoreCache::Key key =
-            std::make_tuple(clip_.clip_seed(), batch[i]->frame,
-                            config_.proxy_resolution_index);
-        scores[i] =
-            trained_->proxy_cache.Insert(key, std::move(fresh[m]));
-      }
-    }
-  }
-
-  // One fixed charge per frame, in frame order.
   const models::CostConstants& costs = models::DefaultCostConstants();
   const double frame_seconds =
       costs.proxy_sec_per_frame +
       costs.proxy_sec_per_pixel * proxy_->resolution().world_pixels();
-  for (size_t i = 0; i < batch.size(); ++i) {
-    ComputeWindows(scores[i], batch[i]);
+  nn::Tensor scores;
+  for (FrameContext* ctx : batch) {
+    {
+      OTIF_SPAN("proxy/render");
+      raster_.RenderInto(ctx->frame, proxy_->resolution().raster_w(),
+                         proxy_->resolution().raster_h(),
+                         &ctx->low_res_frame);
+      ctx->have_low_res_frame = true;
+    }
+    {
+      // Cell scores are cached across tuner evaluations (many thresholds
+      // score the same frames); the cache is shared and thread-safe.
+      OTIF_SPAN("proxy/score");
+      const ProxyScoreCache::Key key = std::make_tuple(
+          clip_.clip_seed(), ctx->frame, config_.proxy_resolution_index);
+      if (!trained_->proxy_cache.Lookup(key, &scores)) {
+        scores = trained_->proxy_cache.Insert(
+            key, proxy_->Score(ctx->low_res_frame));
+      }
+    }
+    ComputeWindows(scores, ctx);
     result->clock.Charge(models::CostCategory::kProxy, frame_seconds);
   }
 }
@@ -620,8 +589,8 @@ PipelineResult Pipeline::Run(const sim::Clip& clip) const {
   }
 
   // Sampled frames run through proxy -> detect -> track in groups of
-  // frame_batch consecutive contexts, so the proxy and the detector issue
-  // one model invocation per group.
+  // frame_batch consecutive contexts, so the detector issues one batched
+  // invocation per group; the proxy scores the group's frames one by one.
   //
   // Context slots are allocated once and re-armed per group (Reset keeps
   // the low-res render buffer and vector capacities), so the hot loop does

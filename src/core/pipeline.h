@@ -45,9 +45,10 @@ struct PipelineConfig {
   /// Sampling gap g: process 1 in every g frames (power of two).
   int sampling_gap = 1;
   /// Frames per group: Run takes consecutive sampled frames through the
-  /// proxy, detector and tracker in groups of this size, letting the proxy
-  /// and detector run one batched model invocation per group instead of
-  /// one per frame. 1 reproduces strictly per-frame execution.
+  /// proxy, detector and tracker in groups of this size. Only the detector
+  /// batches: it runs one invocation per group instead of one per frame,
+  /// and is charged for it. The proxy scores each frame on its own. 1
+  /// reproduces strictly per-frame execution.
   int frame_batch = 8;
   TrackerKind tracker = TrackerKind::kSort;
   /// Apply cluster-based start/end refinement (fixed cameras only).

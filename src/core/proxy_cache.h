@@ -35,10 +35,10 @@ class ProxyScoreCache {
   /// Lookup probes the cache and counts a hit or a miss; it never computes.
   /// On a miss the caller scores the frame outside the lock, since scoring
   /// is the expensive part, and stores the result with Insert.
-  /// Pipeline::Run batches its misses; the tuner's caching phase scores
-  /// them one frame at a time. Two threads that miss on the same key both
-  /// score it and the first Insert wins: Insert returns the entry actually
-  /// stored under the key. Scores must therefore be deterministic per key.
+  /// Pipeline::Run and the tuner's caching phase both score one frame at a
+  /// time. Two threads that miss on the same key both score it and the
+  /// first Insert wins: Insert returns the entry actually stored under the
+  /// key. Scores must therefore be deterministic per key.
   bool Lookup(const Key& key, nn::Tensor* out) const;
   nn::Tensor Insert(const Key& key, nn::Tensor value) const;
 

@@ -6,9 +6,10 @@
 namespace otif::mem {
 
 /// Non-owning 2-D view over row-major float pixels. Borrowed from an owning
-/// container (video::Image, a tensor slice, a pool buffer); the borrower
-/// must not outlive the storage, and must not hold the view across any
-/// operation that may reallocate it (resize, assignment, pool release).
+/// container (video::Image) or from scratch (the proxy's input staging);
+/// the borrower must not outlive the storage, and must not hold the view
+/// across any operation that may reallocate or release it (resize,
+/// assignment, the end of a ScratchScope).
 /// Accessors skip bounds checks: views are the hot-path interface, the
 /// owning containers keep the checked accessors.
 struct ConstImageView {

@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "mem/view.h"
+#include "nn/arena.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
@@ -18,13 +19,18 @@ ProxyModel::ProxyModel(ProxyResolution resolution, uint64_t seed)
   OTIF_CHECK_EQ(resolution_.world_w % 32, 0);
   OTIF_CHECK_EQ(resolution_.world_h % 32, 0);
   Rng rng(seed);
-  net_.Add(std::make_unique<nn::Conv2d>(1, 8, 3, 2, &rng));
+  const auto add_conv = [&](int in, int out, int stride) {
+    auto conv = std::make_unique<nn::Conv2d>(in, out, 3, stride, &rng);
+    convs_.push_back(conv.get());
+    net_.Add(std::move(conv));
+  };
+  add_conv(1, 8, 2);
   net_.Add(std::make_unique<nn::Relu>());
-  net_.Add(std::make_unique<nn::Conv2d>(8, 16, 3, 2, &rng));
+  add_conv(8, 16, 2);
   net_.Add(std::make_unique<nn::Relu>());
-  net_.Add(std::make_unique<nn::Conv2d>(16, 16, 3, 2, &rng));
+  add_conv(16, 16, 2);
   net_.Add(std::make_unique<nn::Relu>());
-  net_.Add(std::make_unique<nn::Conv2d>(16, 1, 3, 1, &rng));
+  add_conv(16, 1, 1);
   std::vector<nn::Parameter*> params;
   net_.CollectParameters(&params);
   nn::Adam::Options opts;
@@ -32,25 +38,18 @@ ProxyModel::ProxyModel(ProxyResolution resolution, uint64_t seed)
   optimizer_ = std::make_unique<nn::Adam>(std::move(params), opts);
 }
 
-void ProxyModel::FillInputSlice(const video::Image& frame, nn::Tensor* batch,
-                                int b) const {
-  OTIF_CHECK(batch != nullptr);
-  const int rh = resolution_.raster_h(), rw = resolution_.raster_w();
-  const int nd = batch->ndim();
-  OTIF_CHECK(nd == 3 || nd == 4) << "batch must be (1,H,W) or (N,1,H,W)";
-  OTIF_CHECK_EQ(batch->dim(nd - 2), rh);
-  OTIF_CHECK_EQ(batch->dim(nd - 1), rw);
-  OTIF_CHECK(b >= 0 && b < (nd == 4 ? batch->dim(0) : 1)) << b;
+void ProxyModel::StageInto(const video::Image& frame, float* dst) const {
   OTIF_CHECK(!frame.empty());
+  OTIF_CHECK(dst != nullptr);
+  const int rh = resolution_.raster_h(), rw = resolution_.raster_w();
   const size_t plane = static_cast<size_t>(rh) * rw;
-  float* dst = batch->data() + static_cast<size_t>(b) * plane;
   if (frame.width() == rw && frame.height() == rh) {
-    // Already at raster size: stream pixels straight into the slice,
-    // centering around zero for conditioning. No copy, no temporary.
+    // Already at raster size: stream pixels straight into `dst`, centering
+    // around zero for conditioning. No copy, no temporary.
     const float* src = frame.data();
     for (size_t i = 0; i < plane; ++i) dst[i] = src[i] - 0.5f;
   } else {
-    // Resize directly into the slice, then center in place. Same float op
+    // Resize directly into `dst`, then center in place. Same float op
     // order as resize-then-subtract through a temporary image.
     frame.ResizedInto(mem::ImageView{dst, rw, rh, rw});
     for (size_t i = 0; i < plane; ++i) dst[i] -= 0.5f;
@@ -60,7 +59,7 @@ void ProxyModel::FillInputSlice(const video::Image& frame, nn::Tensor* batch,
 nn::Tensor ProxyModel::ImageToTensor(const video::Image& frame) const {
   nn::Tensor t = nn::Tensor::Uninitialized(
       {1, resolution_.raster_h(), resolution_.raster_w()});
-  FillInputSlice(frame, &t, 0);
+  StageInto(frame, t.data());
   return t;
 }
 
@@ -73,6 +72,40 @@ nn::Tensor ProxyModel::ForwardLogits(const video::Image& frame) {
 }
 
 nn::Tensor ProxyModel::Score(const video::Image& frame) const {
+  // The same layers as ScoreReference's net_.Infer, with every
+  // intermediate in the arena: the staged input, each conv's output
+  // (ReLU applied in place) and, in InferInto's inner scope, its im2col
+  // panel. At the largest resolution the peak is conv2's, 56,576 floats,
+  // which fits the arena's first chunk.
+  nn::ScratchArena& arena = nn::ScratchArena::ThreadLocal();
+  nn::ScratchScope scope(arena);
+  int h = resolution_.raster_h(), w = resolution_.raster_w();
+  float* x = arena.Alloc(static_cast<size_t>(h) * w);
+  StageInto(frame, x);
+  for (size_t i = 0; i < convs_.size(); ++i) {
+    const nn::Conv2d& conv = *convs_[i];
+    const int oh = (h + conv.stride() - 1) / conv.stride();
+    const int ow = (w + conv.stride() - 1) / conv.stride();
+    const size_t n = static_cast<size_t>(conv.out_channels()) * oh * ow;
+    float* y = arena.Alloc(n);
+    conv.InferInto(x, h, w, oh, ow, y);
+    if (i + 1 < convs_.size()) {
+      for (size_t j = 0; j < n; ++j) y[j] = std::max(0.0f, y[j]);
+    }
+    x = y;
+    h = oh;
+    w = ow;
+  }
+  OTIF_CHECK_EQ(h, resolution_.grid_h());
+  OTIF_CHECK_EQ(w, resolution_.grid_w());
+  nn::Tensor probs = nn::Tensor::Uninitialized({h, w});
+  for (int64_t i = 0; i < probs.size(); ++i) {
+    probs[i] = nn::StableSigmoid(x[i]);
+  }
+  return probs;
+}
+
+nn::Tensor ProxyModel::ScoreReference(const video::Image& frame) const {
   nn::Tensor logits = net_.Infer(ImageToTensor(frame));
   OTIF_CHECK_EQ(logits.dim(0), 1);
   OTIF_CHECK_EQ(logits.dim(1), resolution_.grid_h());
@@ -82,39 +115,6 @@ nn::Tensor ProxyModel::Score(const video::Image& frame) const {
     probs[i] = nn::StableSigmoid(logits[i]);
   }
   return probs;
-}
-
-std::vector<nn::Tensor> ProxyModel::ScoreBatch(
-    const std::vector<const video::Image*>& frames) const {
-  std::vector<nn::Tensor> out;
-  out.reserve(frames.size());
-  if (frames.empty()) return out;
-  const int rh = resolution_.raster_h(), rw = resolution_.raster_w();
-  const int nb = static_cast<int>(frames.size());
-  // Each frame stages directly into its batch slice — no per-frame tensor,
-  // no copy; the batch buffer itself comes from the shared pool.
-  nn::Tensor batch = nn::Tensor::Uninitialized({nb, 1, rh, rw});
-  for (int b = 0; b < nb; ++b) {
-    OTIF_CHECK(frames[b] != nullptr);
-    FillInputSlice(*frames[b], &batch, b);
-  }
-  nn::Tensor logits = net_.Infer(batch);
-  OTIF_CHECK_EQ(logits.ndim(), 4);
-  OTIF_CHECK_EQ(logits.dim(0), nb);
-  OTIF_CHECK_EQ(logits.dim(1), 1);
-  OTIF_CHECK_EQ(logits.dim(2), resolution_.grid_h());
-  OTIF_CHECK_EQ(logits.dim(3), resolution_.grid_w());
-  const size_t cells = static_cast<size_t>(resolution_.grid_h()) *
-                       resolution_.grid_w();
-  for (int b = 0; b < nb; ++b) {
-    nn::Tensor probs({resolution_.grid_h(), resolution_.grid_w()});
-    const float* src = logits.data() + b * cells;
-    for (size_t i = 0; i < cells; ++i) {
-      probs[static_cast<int64_t>(i)] = nn::StableSigmoid(src[i]);
-    }
-    out.push_back(std::move(probs));
-  }
-  return out;
 }
 
 double ProxyModel::TrainStep(const video::Image& frame,

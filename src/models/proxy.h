@@ -53,26 +53,25 @@ class ProxyModel {
   const ProxyResolution& resolution() const { return resolution_; }
 
   /// Scores a frame (any resolution; resized to the raster input size).
-  /// Returns per-cell probabilities in a (grid_h, grid_w) tensor. Uses the
-  /// cache-free inference path, so concurrent calls on a shared trained
-  /// model are safe (TrainStep mutates the model: one model trains on one
-  /// thread at a time, while distinct models may train concurrently).
+  /// Returns per-cell probabilities in a (grid_h, grid_w) tensor. The whole
+  /// forward pass (staged input, activations, im2col panels) runs in one
+  /// scope of the calling thread's ScratchArena; only the returned
+  /// probabilities come from the heap. Uses the cache-free inference path,
+  /// so concurrent calls on a shared trained model are safe (TrainStep
+  /// mutates the model: one model trains on one thread at a time, while
+  /// distinct models may train concurrently).
   nn::Tensor Score(const video::Image& frame) const;
 
-  /// Batched Score: one network invocation over a (N, 1, H, W) stack of
-  /// rasterized frames. Element i of the result is bit-identical to
-  /// Score(frames[i]). Thread-safe like Score.
-  std::vector<nn::Tensor> ScoreBatch(
-      const std::vector<const video::Image*>& frames) const;
+  /// Score through Sequential::Infer on heap tensors: the test oracle that
+  /// Score must match bit for bit.
+  nn::Tensor ScoreReference(const video::Image& frame) const;
 
-  /// Fused resize + zero-centering of `frame` written directly into batch
-  /// element `b` of a (N, 1, raster_h, raster_w) tensor (or element 0 of
-  /// the (1, raster_h, raster_w) single-frame form): the zero-copy input
-  /// staging path. A frame already at raster size streams through one
-  /// subtract pass without the intermediate image copy; other sizes resize
-  /// straight into the slice. Bit-identical to the old copy path.
-  void FillInputSlice(const video::Image& frame, nn::Tensor* batch,
-                      int b) const;
+  /// Writes `frame`, resized to the raster input size and centered around
+  /// zero (pixel - 0.5), to the raster_h x raster_w plane at `dst`. A frame
+  /// already at raster size streams through one subtract pass; other sizes
+  /// resize straight into `dst` and are centered in place. Every element of
+  /// the plane is written.
+  void StageInto(const video::Image& frame, float* dst) const;
 
   /// One training step on (frame, cell labels); returns the BCE loss.
   /// `labels` must be (grid_h, grid_w) with 0/1 entries.
@@ -94,6 +93,9 @@ class ProxyModel {
 
   ProxyResolution resolution_;
   nn::Sequential net_;
+  // net_'s convolutions in order, for Score's pass in the arena; ReLU
+  // follows every one but the last.
+  std::vector<const nn::Conv2d*> convs_;
   std::unique_ptr<nn::Adam> optimizer_;
 };
 

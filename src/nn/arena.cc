@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "mem/buffer_pool.h"
-
 namespace otif::nn {
 
 float* ScratchArena::Alloc(size_t n) {
@@ -24,11 +22,10 @@ float* ScratchArena::Alloc(size_t n) {
   // chunk (existing chunks are never moved — live pointers stay valid).
   size_t size = std::max(n, kMinChunkFloats);
   if (!chunks_.empty()) size = std::max(size, 2 * chunks_.back().size);
-  // Chunk growth is a real hot-path heap allocation; report it to the
-  // shared pool so im2col scratch shows up in the same accounting as the
-  // frame-buffer misses (bench memory section, mem.arena.* gauges).
-  mem::BufferPool::Global().NoteArenaAlloc(size * sizeof(float));
-  chunks_.push_back(Chunk{std::make_unique<float[]>(size), size});
+  // Not filled: Alloc's contract is uninitialized memory, and an unfilled
+  // chunk lets heap poisoning reach every read-before-write in scratch.
+  chunks_.push_back(
+      Chunk{std::make_unique_for_overwrite<float[]>(size), size});
   chunk_index_ = chunks_.size() - 1;
   offset_ = n;
   return chunks_.back().data.get();

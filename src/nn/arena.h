@@ -8,21 +8,23 @@
 namespace otif::nn {
 
 /// Bump-pointer scratch arena for inference temporaries (im2col panels,
-/// packed weight panels). Memory is organized as a list of chunks that are
-/// never reallocated, so pointers returned by Alloc stay valid until the
-/// enclosing ScratchScope unwinds — even if later allocations grow the
-/// arena. Chunks are retained across scopes, so steady-state inference does
-/// no heap allocation at all.
+/// packed weight panels, a proxy frame's staged input and activations).
+/// Memory is organized as a list of chunks that are never reallocated, so
+/// pointers returned by Alloc stay valid until the enclosing ScratchScope
+/// unwinds — even if later allocations grow the arena. Chunks are retained
+/// across scopes, so steady-state inference does no heap allocation for
+/// scratch.
 ///
 /// Not thread-safe by itself; use ThreadLocal() to get this thread's
 /// instance (the inference hot path runs on many pool workers at once).
 class ScratchArena {
  public:
-  /// Size of the first chunk a thread's arena reserves: big enough for
-  /// every proxy-model im2col panel, so the common case never chains
-  /// chunks. Code that tiles its scratch (the conv backward pass) sizes
-  /// each scope to fit here, adding no arena memory beyond what inference
-  /// already reserved.
+  /// Size of the first chunk a thread's arena reserves: big enough for one
+  /// frame's whole proxy forward pass at the largest resolution (input,
+  /// two activations and the largest im2col panel, 56,576 floats), so
+  /// scoring never chains chunks. Code that tiles its scratch (the conv
+  /// backward pass) sizes each scope to fit here, adding no arena memory
+  /// beyond what inference already reserved.
   static constexpr size_t kMinChunkFloats = size_t{1} << 16;  // 256 KiB.
 
   ScratchArena() = default;

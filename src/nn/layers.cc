@@ -78,20 +78,6 @@ void Conv2d::InferInto(const float* input, int h, int w, int oh, int ow,
 }
 
 Tensor Conv2d::Infer(const Tensor& input) const {
-  if (input.ndim() == 4) {
-    OTIF_CHECK_EQ(input.dim(1), in_channels_);
-    const int nb = input.dim(0);
-    const int h = input.dim(2), w = input.dim(3);
-    const int oh = OutDim(h, stride_), ow = OutDim(w, stride_);
-    Tensor out({nb, out_channels_, oh, ow});
-    const size_t in_stride = static_cast<size_t>(in_channels_) * h * w;
-    const size_t out_stride = static_cast<size_t>(out_channels_) * oh * ow;
-    for (int b = 0; b < nb; ++b) {
-      InferInto(input.data() + b * in_stride, h, w, oh, ow,
-                out.data() + b * out_stride);
-    }
-    return out;
-  }
   OTIF_CHECK_EQ(input.ndim(), 3);
   OTIF_CHECK_EQ(input.dim(0), in_channels_);
   const int h = input.dim(1), w = input.dim(2);

@@ -55,9 +55,8 @@ class Layer {
 /// Every pass runs on the im2col + blocked-GEMM engine (gemm.h) and is
 /// bit-identical to the naive reference loops, which survive only as test
 /// oracles (InferReference, BackwardReference):
-///   - Infer() additionally accepts a batched 4-D (N, C, H, W) input,
-///     producing (N, out_channels, OH, OW). Forward() is Infer() on one
-///     3-D image plus the activation cache.
+///   - Infer() runs InferInto() into a new tensor; Forward() is Infer()
+///     plus the activation cache.
 ///   - Backward() keeps the reference loop's accumulation order for every
 ///     gradient (bias: output positions ascending; weights: dW = dY * col^T,
 ///     output positions ascending; input: dX = W~ * D per stride phase,
@@ -79,6 +78,14 @@ class Conv2d : public Layer {
   void CollectParameters(std::vector<Parameter*>* out) override;
   void ClearCache() override { cache_.clear(); }
 
+  /// im2col + GEMM over one (in_channels, h, w) image laid out at `input`;
+  /// writes the (out_channels, oh, ow) result to `out`, where oh and ow are
+  /// ceil(h / stride) and ceil(w / stride). The im2col panel comes from the
+  /// calling thread's ScratchArena, in a scope of its own, so `input` and
+  /// `out` may live in that arena too (ProxyModel::Score).
+  void InferInto(const float* input, int h, int w, int oh, int ow,
+                 float* out) const;
+
   /// Reference (naive loop) inference over a single 3-D input: the ground
   /// truth the GEMM path must reproduce exactly (tests and benchmarks).
   Tensor InferReference(const Tensor& input) const;
@@ -91,14 +98,9 @@ class Conv2d : public Layer {
 
   int in_channels() const { return in_channels_; }
   int out_channels() const { return out_channels_; }
+  int stride() const { return stride_; }
 
  private:
-  /// im2col + GEMM over one (C, H, W) image laid out at `input`; writes the
-  /// (out_channels, oh, ow) result to `out`. Scratch comes from the calling
-  /// thread's ScratchArena.
-  void InferInto(const float* input, int h, int w, int oh, int ow,
-                 float* out) const;
-
   /// Backward's two GEMM halves: dW (+ bias) accumulated into the held
   /// gradients, and dX for an (in_channels, h, w) input.
   void AccumulateParamGrads(const Tensor& input, const Tensor& grad_output);

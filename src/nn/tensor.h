@@ -1,33 +1,35 @@
 #ifndef OTIF_NN_TENSOR_H_
 #define OTIF_NN_TENSOR_H_
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
-#include "mem/buffer_pool.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
 namespace otif::nn {
 
-/// Dense float tensor with up to 4 dimensions. Layout is row-major over the
-/// shape vector; conv layers interpret 3-D tensors as (channels, height,
-/// width) and 4-D tensors as a batch (batch, channels, height, width).
-/// Designed for single-example training of small models on CPU; inference
-/// paths accept the batched 4-D form.
+/// Dense float tensor. Layout is row-major over the shape vector; conv
+/// layers interpret 3-D tensors as (channels, height, width). Designed for
+/// single-example training and inference of small models on CPU.
 ///
-/// Element storage comes from the shared mem::BufferPool: steady-state
-/// inference recycles pooled buffers instead of allocating. Construction
-/// zero-fills as before; Uninitialized() skips the fill for buffers whose
-/// every element is written before any read (batch staging, output planes).
+/// Each tensor owns one plain heap array. Construction zero-fills;
+/// Uninitialized() skips the fill for tensors whose every element is
+/// written before any read (output planes, staged rows). Copy-assignment
+/// reuses the destination's array when it is large enough. Inference
+/// temporaries that never leave a call live in the calling thread's
+/// ScratchArena instead (nn/arena.h).
 class Tensor {
  public:
   Tensor() = default;
   explicit Tensor(std::vector<int> shape) : Tensor(std::move(shape), true) {}
 
-  /// Like the shape constructor but leaves the elements unspecified
-  /// (possibly recycled pool contents). Callers must write every element
-  /// before reading any.
+  /// Like the shape constructor but leaves the elements unspecified.
+  /// Callers must write every element before reading any.
   static Tensor Uninitialized(std::vector<int> shape) {
     return Tensor(std::move(shape), false);
   }
@@ -36,27 +38,22 @@ class Tensor {
   Tensor& operator=(const Tensor& o) {
     if (this == &o) return *this;
     shape_ = o.shape_;
-    if (buffer_.capacity() < static_cast<size_t>(o.size_)) {
-      buffer_ = mem::BufferPool::Global().Acquire(
-          static_cast<size_t>(o.size_));
-    }
+    Reserve(o.size_);
     size_ = o.size_;
     if (size_ > 0) std::copy(o.data(), o.data() + size_, data());
     return *this;
   }
   Tensor(Tensor&& o) noexcept
-      : shape_(std::move(o.shape_)), size_(o.size_),
-        buffer_(std::move(o.buffer_)) {
-    o.shape_.clear();
-    o.size_ = 0;
-  }
+      : shape_(std::exchange(o.shape_, {})),
+        size_(std::exchange(o.size_, 0)),
+        capacity_(std::exchange(o.capacity_, 0)),
+        data_(std::move(o.data_)) {}
   Tensor& operator=(Tensor&& o) noexcept {
     if (this == &o) return *this;
-    shape_ = std::move(o.shape_);
-    size_ = o.size_;
-    buffer_ = std::move(o.buffer_);
-    o.shape_.clear();
-    o.size_ = 0;
+    shape_ = std::exchange(o.shape_, {});
+    size_ = std::exchange(o.size_, 0);
+    capacity_ = std::exchange(o.capacity_, 0);
+    data_ = std::move(o.data_);
     return *this;
   }
 
@@ -82,8 +79,8 @@ class Tensor {
   int64_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
-  float* data() { return buffer_.data(); }
-  const float* data() const { return buffer_.data(); }
+  float* data() { return data_.get(); }
+  const float* data() const { return data_.get(); }
   float& operator[](int64_t i) { return data()[i]; }
   float operator[](int64_t i) const { return data()[i]; }
 
@@ -92,12 +89,6 @@ class Tensor {
     return data()[Index3(c, y, x)];
   }
   float at3(int c, int y, int x) const { return data()[Index3(c, y, x)]; }
-
-  /// 4-D accessor (n, c, y, x) for batched (N, C, H, W) tensors.
-  float& at4(int n, int c, int y, int x) { return data()[Index4(n, c, y, x)]; }
-  float at4(int n, int c, int y, int x) const {
-    return data()[Index4(n, c, y, x)];
-  }
 
   void Fill(float v) {
     float* d = data();
@@ -135,7 +126,7 @@ class Tensor {
       OTIF_CHECK_GT(d, 0);
       n *= d;
     }
-    buffer_ = mem::BufferPool::Global().Acquire(static_cast<size_t>(n));
+    Reserve(n);
     size_ = n;
     if (zero_fill) Fill(0.0f);
   }
@@ -148,19 +139,18 @@ class Tensor {
     return (static_cast<size_t>(c) * shape_[1] + y) * shape_[2] + x;
   }
 
-  size_t Index4(int n, int c, int y, int x) const {
-    OTIF_CHECK_EQ(shape_.size(), 4u);
-    OTIF_CHECK(n >= 0 && n < shape_[0] && c >= 0 && c < shape_[1] && y >= 0 &&
-               y < shape_[2] && x >= 0 && x < shape_[3])
-        << n << "," << c << "," << y << "," << x;
-    return ((static_cast<size_t>(n) * shape_[1] + c) * shape_[2] + y) *
-               shape_[3] +
-           x;
+  /// Makes room for `n` elements, keeping the current array when it is
+  /// large enough. A new array is not filled.
+  void Reserve(int64_t n) {
+    if (capacity_ >= n) return;
+    data_ = std::make_unique_for_overwrite<float[]>(static_cast<size_t>(n));
+    capacity_ = n;
   }
 
   std::vector<int> shape_;
   int64_t size_ = 0;
-  mem::PooledBuffer buffer_;
+  int64_t capacity_ = 0;  // Elements the array holds (>= size_).
+  std::unique_ptr<float[]> data_;
 };
 
 }  // namespace otif::nn

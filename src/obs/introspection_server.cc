@@ -15,7 +15,6 @@
 #include <utility>
 #include <vector>
 
-#include "mem/buffer_pool.h"
 #include "obs/profiler.h"
 #include "obs/prometheus.h"
 #include "obs/run_progress.h"
@@ -82,10 +81,9 @@ std::vector<CompletedSpan> PairCompletedSpans(
 }
 
 std::string RenderStatusz() {
-  // Snapshot everything first (each snapshot takes only the brief locks
-  // its registry already uses), then serialize lock-free.
+  // Snapshot first (the snapshot takes only the brief lock the progress
+  // registry already uses), then serialize lock-free.
   const ProgressSnapshot progress = RunProgress::Global().Snapshot();
-  const mem::BufferPool::Stats pool = mem::BufferPool::Global().GetStats();
 
   JsonWriter w;
   w.BeginObject();
@@ -118,15 +116,6 @@ std::string RenderStatusz() {
     w.EndObject();
   }
   w.EndArray();
-  w.EndObject();
-
-  w.Key("pool").BeginObject();
-  w.Key("hits").Value(pool.hits);
-  w.Key("misses").Value(pool.misses);
-  w.Key("hit_rate").Value(pool.hit_rate());
-  w.Key("bytes_in_flight").Value(pool.bytes_in_flight);
-  w.Key("bytes_retained").Value(pool.bytes_retained);
-  w.Key("arena_bytes_reserved").Value(pool.arena_bytes_reserved);
   w.EndObject();
   w.EndObject();
   return std::move(w).TakeString();
@@ -161,7 +150,7 @@ const char kIndexBody[] =
     "otif introspection endpoints:\n"
     "  /metrics   Prometheus text exposition of the telemetry registry\n"
     "  /healthz   liveness + commit-stall watchdog\n"
-    "  /statusz   JSON run status (per-clip progress, pool)\n"
+    "  /statusz   JSON run status (per-clip progress, quarantined clips)\n"
     "  /tracez    last completed spans from the timeline rings (?n=<1..10000>)\n"
     "  /profilez  sampling CPU profile (?seconds=<0.01..60>, "
     "?fmt=collapsed|json)\n";
@@ -457,9 +446,6 @@ IntrospectionServer::Response IntrospectionServer::Handle(
                               path.empty() ? "/" : path.c_str()));
   }
   if (path == "/metrics") {
-    // Refresh the mem.* mirror gauges so a scrape sees current pool state
-    // (they are otherwise only published at report time).
-    mem::BufferPool::Global().PublishTelemetry();
     return {200, "text/plain; version=0.0.4",
             ToPrometheusText(telemetry::CaptureSnapshot())};
   }

@@ -33,11 +33,9 @@ class Rasterizer {
   /// Renders frame `frame` at `width` x `height` output pixels.
   video::Image Render(int frame, int width, int height);
 
-  /// Renders into `out`, reusing its pixel buffer when the capacity fits
-  /// (Pipeline::Run re-renders into one image per frame-group slot to avoid
-  /// per-group allocation churn; buffers come from the shared
-  /// mem::BufferPool, so even a cold `out` is a pool hit at steady state).
-  /// Same output as Render.
+  /// Renders into `out`, reusing its pixel array when it is large enough
+  /// (Pipeline::Run re-renders into one image per frame-group slot, so a
+  /// clip allocates each slot's pixels once). Same output as Render.
   void RenderInto(int frame, int width, int height, video::Image* out);
 
   /// Renders the static background only (no objects, no noise); every

@@ -7,7 +7,6 @@
 
 #include "util/logging.h"
 #include "util/strings.h"
-#include "util/trace_timeline.h"
 
 namespace otif::fault {
 namespace {
@@ -46,8 +45,6 @@ bool ParseKind(std::string_view text, Kind* out) {
     *out = Kind::kError;
   } else if (text == "stall") {
     *out = Kind::kStall;
-  } else if (text == "deny") {
-    *out = Kind::kDeny;
   } else {
     return false;
   }
@@ -95,22 +92,14 @@ bool Site::Inject(int64_t clip, int64_t token, Injection* out) {
       config_.load(std::memory_order_acquire);
   if (config == nullptr) return false;
   if (config->clip >= 0 && clip != config->clip) return false;
-  // The auto-token counter only advances for decisions that passed the
-  // clip filter, so clip-scoped specs see a dense token sequence.
-  const uint64_t effective_token =
-      token >= 0 ? static_cast<uint64_t>(token)
-                 : hits_.fetch_add(1, std::memory_order_relaxed);
-  if (MixToUnit(MixToken(config->seed, effective_token)) >= config->rate) {
+  if (MixToUnit(MixToken(config->seed, static_cast<uint64_t>(token))) >=
+      config->rate) {
     return false;
   }
   out->kind = config->kind;
   out->stall_ms = config->stall_ms;
   injected_->Add(1);
   return true;
-}
-
-bool Site::Inject(int64_t token, Injection* out) {
-  return Inject(telemetry::timeline::CurrentContext().clip, token, out);
 }
 
 Site* GetSite(const std::string& name) {

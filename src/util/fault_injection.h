@@ -11,13 +11,10 @@
 
 namespace otif::fault {
 
-/// What an armed site does when its deterministic RNG fires. Sites ignore
-/// kinds they cannot express (a model invocation has no resource to deny),
-/// so one spec can be pointed at any site without crashing the host layer.
+/// What an armed site does when its deterministic RNG fires.
 enum class Kind {
   kError,  // Return a transient error (Status::IoError at the site).
   kStall,  // Sleep `stall_ms` before proceeding (latency spike).
-  kDeny,   // Refuse a resource (BufferPool: bypass the freelist).
 };
 
 /// One fired injection, reported to the instrumented call site.
@@ -60,15 +57,10 @@ class Site {
 
   /// Decides whether a fault fires here for (`clip`, `token`). The decision
   /// is a pure function of (site seed, token): replaying a run with the
-  /// same spec and the same tokens reproduces the same faults regardless of
-  /// thread interleaving. Pass token = -1 to use a per-site hit counter
-  /// instead (deterministic only for serially-invoked sites). Returns true
-  /// and fills `out` when a fault fires; bumps `fault.injected.<name>`.
+  /// same spec and the same non-negative tokens reproduces the same faults
+  /// regardless of thread interleaving. Returns true and fills `out` when a
+  /// fault fires; bumps `fault.injected.<name>`.
   bool Inject(int64_t clip, int64_t token, Injection* out);
-
-  /// As above, attributing the decision to the calling thread's timeline
-  /// clip context (timeline::CurrentContext().clip).
-  bool Inject(int64_t token, Injection* out);
 
   // Configuration plumbing (ConfigureFaults / ClearFaults only).
   void SetConfig(const internal::SiteConfig* config) {
@@ -81,34 +73,18 @@ class Site {
  private:
   const std::string name_;
   std::atomic<const internal::SiteConfig*> config_{nullptr};
-  std::atomic<uint64_t> hits_{0};  // Auto-token counter (token == -1).
   telemetry::Counter* const injected_;
 };
 
 /// Returns the site registered under `name`, creating it on first use. The
 /// pointer is stable for the process lifetime (function-local-static
-/// friendly, same idiom as telemetry::GetSpan).
+/// friendly, same idiom as telemetry::GetSpan). Instrumented layers check
+/// Enabled() first, so a disarmed site costs one relaxed flag-word load.
 Site* GetSite(const std::string& name);
-
-/// Decision macro for instrumented layers. Zero-cost while disarmed: one
-/// relaxed flag-word load, no registry lookup (the site resolves once into
-/// a function-local static). `name` must be a constant expression;
-/// `token` is the deterministic replay token (int64_t, or -1 for the
-/// per-site hit counter); `out` is an Injection*.
-///
-///   fault::Injection inj;
-///   if (OTIF_FAULT_POINT("mem.acquire", -1, &inj)) { ... }
-#define OTIF_FAULT_POINT(name, token, out)                                 \
-  ([&]() -> bool {                                                         \
-    if (!::otif::fault::Enabled()) return false;                           \
-    static ::otif::fault::Site* const otif_fault_site =                    \
-        ::otif::fault::GetSite(name);                                      \
-    return otif_fault_site->Inject((token), (out));                        \
-  }())
 
 /// Parses and installs a fault spec: comma-separated entries of
 ///   site:kind:rate:seed[:clip=K][:ms=N]
-/// where kind is error|stall|deny, rate is a probability in
+/// where kind is error|stall, rate is a probability in
 /// [0, 1], seed is a non-negative integer, clip=K limits firing to clip K,
 /// and ms=N sets the stall duration (default 1). Example:
 ///   OTIF_FAULTS=detect.invoke:error:0.5:7:clip=1,proxy.invoke:stall:1:9:ms=2

@@ -8,7 +8,7 @@ namespace {
 
 // The one resize kernel: Resized and both ResizedInto overloads funnel here,
 // so their outputs are bit-identical by construction. Every output pixel is
-// written, which is what lets callers hand in uninitialized pool buffers.
+// written, which is what lets callers hand in uninitialized arrays.
 void ResizeImpl(mem::ConstImageView src, mem::ImageView out) {
   const int new_width = out.width;
   const int new_height = out.height;
@@ -67,8 +67,9 @@ void Image::ResizeUninitialized(int width, int height) {
   OTIF_CHECK_GE(width, 0);
   OTIF_CHECK_GE(height, 0);
   const size_t n = static_cast<size_t>(width) * height;
-  if (buffer_.capacity() < n) {
-    buffer_ = mem::BufferPool::Global().Acquire(n);
+  if (capacity_ < n) {
+    data_ = std::make_unique_for_overwrite<float[]>(n);
+    capacity_ = n;
   }
   width_ = width;
   height_ = height;

@@ -1,10 +1,11 @@
 #ifndef OTIF_VIDEO_IMAGE_H_
 #define OTIF_VIDEO_IMAGE_H_
 
-#include <cstdint>
 #include <cstddef>
+#include <cstdint>
+#include <memory>
+#include <utility>
 
-#include "mem/buffer_pool.h"
 #include "mem/view.h"
 #include "util/logging.h"
 
@@ -14,12 +15,11 @@ namespace otif::video {
 /// synthetic world are single-channel; the paper's models consume RGB but
 /// nothing in the evaluated pipeline depends on chroma.
 ///
-/// Pixel storage comes from the shared mem::BufferPool, so constructing,
-/// copying, and destroying images at steady state recycles pooled buffers
-/// instead of touching the heap. Copy-assignment reuses the destination's
-/// buffer when its capacity fits (Pipeline::Run's frame slots and the
-/// Rasterizer rely on this); view() borrows the pixels as a non-owning
-/// mem::ImageView for strided/zero-copy consumers.
+/// Each image owns one plain heap array of pixels. Copy-assignment and
+/// ResizeUninitialized reuse the array when it is large enough
+/// (Pipeline::Run's frame slots and the Rasterizer rely on this); view()
+/// borrows the pixels as a non-owning mem::ImageView for strided/zero-copy
+/// consumers.
 class Image {
  public:
   Image() = default;
@@ -34,21 +34,18 @@ class Image {
   Image(const Image& o) { *this = o; }
   Image& operator=(const Image& o);
   Image(Image&& o) noexcept
-      : width_(o.width_), height_(o.height_), size_(o.size_),
-        buffer_(std::move(o.buffer_)) {
-    o.width_ = 0;
-    o.height_ = 0;
-    o.size_ = 0;
-  }
+      : width_(std::exchange(o.width_, 0)),
+        height_(std::exchange(o.height_, 0)),
+        size_(std::exchange(o.size_, 0)),
+        capacity_(std::exchange(o.capacity_, 0)),
+        data_(std::move(o.data_)) {}
   Image& operator=(Image&& o) noexcept {
     if (this == &o) return *this;
-    width_ = o.width_;
-    height_ = o.height_;
-    size_ = o.size_;
-    buffer_ = std::move(o.buffer_);
-    o.width_ = 0;
-    o.height_ = 0;
-    o.size_ = 0;
+    width_ = std::exchange(o.width_, 0);
+    height_ = std::exchange(o.height_, 0);
+    size_ = std::exchange(o.size_, 0);
+    capacity_ = std::exchange(o.capacity_, 0);
+    data_ = std::move(o.data_);
     return *this;
   }
 
@@ -69,8 +66,8 @@ class Image {
     return x >= 0 && x < width_ && y >= 0 && y < height_;
   }
 
-  const float* data() const { return buffer_.data(); }
-  float* data() { return buffer_.data(); }
+  const float* data() const { return data_.get(); }
+  float* data() { return data_.get(); }
   const float* row(int y) const {
     return data() + static_cast<size_t>(y) * width_;
   }
@@ -84,7 +81,7 @@ class Image {
   mem::ConstImageView view() const { return {data(), width_, height_, width_}; }
 
   /// Reshapes to `width` x `height` without initializing pixels, reusing
-  /// the current buffer when its capacity fits. Callers must write every
+  /// the current array when it is large enough. Callers must write every
   /// pixel before reading any.
   void ResizeUninitialized(int width, int height);
 
@@ -94,13 +91,13 @@ class Image {
   /// Area-averaged downscale (or bilinear upscale) to the given size.
   Image Resized(int new_width, int new_height) const;
 
-  /// Resized, but writing into `out` (buffer reused when capacity fits;
+  /// Resized, but writing into `out` (its array reused when large enough;
   /// zero allocation at steady state). Safe when `out` aliases this image —
   /// the result is then routed through a temporary. Bit-identical to
   /// Resized: both run the same kernel.
   void ResizedInto(int new_width, int new_height, Image* out) const;
 
-  /// Resized into a caller-provided view (e.g. a tensor slice); `out`'s
+  /// Resized into a caller-provided view (e.g. proxy input staging); `out`'s
   /// dimensions select the target size and must be positive. `out` must not
   /// alias this image's pixels.
   void ResizedInto(mem::ImageView out) const;
@@ -116,7 +113,8 @@ class Image {
   int width_ = 0;
   int height_ = 0;
   size_t size_ = 0;
-  mem::PooledBuffer buffer_;
+  size_t capacity_ = 0;  // Pixels the array holds (>= size_).
+  std::unique_ptr<float[]> data_;
 };
 
 }  // namespace otif::video

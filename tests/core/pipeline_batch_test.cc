@@ -1,6 +1,6 @@
 // Equivalence tests for the frame-batched pipeline driver: varying
-// PipelineConfig::frame_batch changes how many frames each model invocation
-// sees (and how the detector's per-invocation overhead amortizes), but must
+// PipelineConfig::frame_batch changes how many frames each detector
+// invocation sees (and how its per-invocation overhead amortizes), but must
 // not change any pipeline output — tracks or detections.
 
 #include <gtest/gtest.h>

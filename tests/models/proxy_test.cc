@@ -43,7 +43,7 @@ TEST(ProxyModelTest, ScoreShapeAndRange) {
   }
 }
 
-TEST(ProxyModelTest, ScoreBatchMatchesSingleScoresExactly) {
+TEST(ProxyModelTest, ScoreMatchesReferenceExactly) {
   ProxyModel model({160, 96}, 21);
   // Distinct frames, including one at a non-raster size to exercise the
   // shared resize path.
@@ -59,16 +59,32 @@ TEST(ProxyModelTest, ScoreBatchMatchesSingleScoresExactly) {
   }
   frames.push_back(gradient);
 
-  std::vector<const video::Image*> ptrs;
-  for (const video::Image& f : frames) ptrs.push_back(&f);
-  const std::vector<nn::Tensor> batched = model.ScoreBatch(ptrs);
-  ASSERT_EQ(batched.size(), frames.size());
-  for (size_t i = 0; i < frames.size(); ++i) {
-    const nn::Tensor want = model.Score(frames[i]);
-    ASSERT_EQ(want.shape(), batched[i].shape());
+  const auto expect_reference = [&](const nn::Tensor& got, size_t i,
+                                    const char* pass) {
+    const nn::Tensor want = model.ScoreReference(frames[i]);
+    ASSERT_EQ(want.shape(), got.shape()) << pass << " frame " << i;
     for (int64_t j = 0; j < want.size(); ++j) {
-      ASSERT_EQ(want[j], batched[i][j]) << "frame " << i << " cell " << j;
+      ASSERT_EQ(want[j], got[j]) << pass << " frame " << i << " cell " << j;
     }
+  };
+  // Twice through the frames in alternating order, so each Score reuses
+  // arena memory a different frame's pass left behind: a read of stale
+  // scratch would show as a mismatch.
+  for (size_t i = 0; i < frames.size(); ++i) {
+    expect_reference(model.Score(frames[i]), i, "forward");
+  }
+  for (size_t i = frames.size(); i-- > 0;) {
+    expect_reference(model.Score(frames[i]), i, "backward");
+  }
+  // Once more on a fresh thread, whose arena starts cold.
+  std::vector<nn::Tensor> fresh;
+  std::thread worker([&] {
+    for (const video::Image& f : frames) fresh.push_back(model.Score(f));
+  });
+  worker.join();
+  ASSERT_EQ(fresh.size(), frames.size());
+  for (size_t i = 0; i < frames.size(); ++i) {
+    expect_reference(fresh[i], i, "fresh thread");
   }
 }
 
@@ -86,9 +102,7 @@ TEST(ProxyModelTest, TrainingStaysWithinTheArenaFirstChunk) {
     for (int i = 0; i < 4; ++i) {
       frames.emplace_back(res.raster_w(), res.raster_h(), 0.2f * i);
     }
-    std::vector<const video::Image*> ptrs;
-    for (const video::Image& f : frames) ptrs.push_back(&f);
-    model.ScoreBatch(ptrs);
+    for (const video::Image& f : frames) model.Score(f);
     after_score = nn::ScratchArena::ThreadLocal().FloatsReserved();
     nn::Tensor labels({res.grid_h(), res.grid_w()});
     for (int64_t i = 0; i < labels.size(); i += 3) labels[i] = 1.0f;
@@ -98,11 +112,6 @@ TEST(ProxyModelTest, TrainingStaysWithinTheArenaFirstChunk) {
   worker.join();
   EXPECT_EQ(after_score, nn::ScratchArena::kMinChunkFloats);
   EXPECT_EQ(after_train, nn::ScratchArena::kMinChunkFloats);
-}
-
-TEST(ProxyModelTest, ScoreBatchEmptyIsNoop) {
-  ProxyModel model({160, 96}, 22);
-  EXPECT_TRUE(model.ScoreBatch({}).empty());
 }
 
 TEST(ProxyModelTest, ScoreOfResizedFrameMatchesDirectScore) {
@@ -126,7 +135,7 @@ TEST(ProxyModelTest, ScoreOfResizedFrameMatchesDirectScore) {
   }
 }
 
-TEST(ProxyModelTest, FillInputSliceWritesCenteredPixels) {
+TEST(ProxyModelTest, StageIntoWritesCenteredPixels) {
   ProxyModel model({160, 96}, 24);
   const int rw = model.resolution().raster_w();
   const int rh = model.resolution().raster_h();
@@ -136,26 +145,19 @@ TEST(ProxyModelTest, FillInputSliceWritesCenteredPixels) {
       frame.set(x, y, static_cast<float>(x + y) / (rw + rh));
     }
   }
-  nn::Tensor batch({2, 1, rh, rw});
-  model.FillInputSlice(frame, &batch, 1);
+  // Two zero-filled planes; stage into the second.
+  const size_t plane = static_cast<size_t>(rh) * rw;
+  std::vector<float> planes(2 * plane, 0.0f);
+  model.StageInto(frame, planes.data() + plane);
   for (int y = 0; y < rh; ++y) {
     for (int x = 0; x < rw; ++x) {
-      ASSERT_EQ(batch.at4(1, 0, y, x), frame.at(x, y) - 0.5f)
+      ASSERT_EQ(planes[plane + static_cast<size_t>(y) * rw + x],
+                frame.at(x, y) - 0.5f)
           << x << "," << y;
     }
   }
-  // Slice 0 untouched (still the constructor's zero fill).
-  EXPECT_EQ(batch.at4(0, 0, 0, 0), 0.0f);
-}
-
-TEST(ProxyModelDeathTest, FillInputSliceValidatesShape) {
-  ProxyModel model({160, 96}, 25);
-  video::Image frame(40, 24, 0.5f);
-  nn::Tensor wrong({2, 1, 10, 10});
-  EXPECT_DEATH(model.FillInputSlice(frame, &wrong, 0), "Check failed");
-  nn::Tensor batch({2, 1, model.resolution().raster_h(),
-                    model.resolution().raster_w()});
-  EXPECT_DEATH(model.FillInputSlice(frame, &batch, 2), "Check failed");
+  // Plane 0 untouched (still the zero fill).
+  for (size_t i = 0; i < plane; ++i) ASSERT_EQ(planes[i], 0.0f) << i;
 }
 
 TEST(ProxyModelTest, CellRectTilesFrame) {

@@ -91,8 +91,6 @@ TEST(IntrospectionServerTest, MetricsEndpointServesExposition) {
   EXPECT_NE(r.content_type.find("0.0.4"), std::string::npos);
   EXPECT_NE(r.body.find("# TYPE "), std::string::npos);
   EXPECT_NE(r.body.find("otif_obs_test_metrics_probe"), std::string::npos);
-  // The scrape refreshes the buffer-pool mirror gauges before rendering.
-  EXPECT_NE(r.body.find("otif_mem_pool_hits"), std::string::npos);
 }
 
 TEST(IntrospectionServerTest, StatuszReportsRunAndClips) {
@@ -106,7 +104,6 @@ TEST(IntrospectionServerTest, StatuszReportsRunAndClips) {
   EXPECT_NE(r.body.find("\"phase\""), std::string::npos);
   EXPECT_NE(r.body.find("statusz_unit"), std::string::npos);
   EXPECT_NE(r.body.find("\"committed\""), std::string::npos);
-  EXPECT_NE(r.body.find("\"pool\""), std::string::npos);
   EXPECT_NE(r.body.find("\"quarantined\""), std::string::npos);
 }
 

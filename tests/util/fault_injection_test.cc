@@ -12,7 +12,6 @@
 
 #include "util/status.h"
 #include "util/telemetry.h"
-#include "util/trace_timeline.h"
 
 namespace otif::fault {
 namespace {
@@ -25,8 +24,9 @@ class FaultInjectionTest : public ::testing::Test {
 TEST_F(FaultInjectionTest, DisabledByDefault) {
   EXPECT_FALSE(Enabled());
   Injection inj;
-  // A macro-style probe on an unarmed site never fires.
-  EXPECT_FALSE(OTIF_FAULT_POINT("test.default", 0, &inj));
+  // A probe on an unarmed site never fires.
+  EXPECT_FALSE(
+      GetSite("test.default")->Inject(/*clip=*/0, /*token=*/0, &inj));
 }
 
 TEST_F(FaultInjectionTest, ConfigureArmsAndClearDisarms) {
@@ -36,12 +36,13 @@ TEST_F(FaultInjectionTest, ConfigureArmsAndClearDisarms) {
   EXPECT_NE(std::find(armed.begin(), armed.end(), "test.arm"), armed.end());
 
   Injection inj;
-  EXPECT_TRUE(OTIF_FAULT_POINT("test.arm", 0, &inj));
+  Site* site = GetSite("test.arm");
+  EXPECT_TRUE(site->Inject(/*clip=*/0, /*token=*/0, &inj));
   EXPECT_EQ(inj.kind, Kind::kError);
 
   ClearFaults();
   EXPECT_FALSE(Enabled());
-  EXPECT_FALSE(OTIF_FAULT_POINT("test.arm", 0, &inj));
+  EXPECT_FALSE(site->Inject(/*clip=*/0, /*token=*/0, &inj));
   EXPECT_TRUE(ArmedSites().empty());
 }
 
@@ -50,19 +51,20 @@ TEST_F(FaultInjectionTest, MalformedSpecsRejectedAndPreviousConfigKept) {
   for (const char* bad :
        {"site_only", "a:b", "a:notakind:0.5:1", "a:error:1.5:1",
         "a:error:-0.1:1", "a:error:0.5:notanumber", "a:error:0.5:1:bogus=3",
-        ":error:0.5:1", "a:error:0.5:1:clip=-2", "a:corrupt:0.5:1"}) {
+        ":error:0.5:1", "a:error:0.5:1:clip=-2", "a:corrupt:0.5:1",
+        "a:deny:0.5:1"}) {
     EXPECT_EQ(ConfigureFaults(bad).code(), StatusCode::kInvalidArgument)
         << "spec: " << bad;
   }
   // The last good configuration survived every rejected attempt.
   EXPECT_TRUE(Enabled());
   Injection inj;
-  EXPECT_TRUE(OTIF_FAULT_POINT("test.keep", 0, &inj));
+  EXPECT_TRUE(GetSite("test.keep")->Inject(/*clip=*/0, /*token=*/0, &inj));
 }
 
 TEST_F(FaultInjectionTest, ParsesOptionsAndMultipleEntries) {
   ASSERT_TRUE(
-      ConfigureFaults("test.a:stall:1:3:ms=25, test.b:deny:1:4:clip=2").ok());
+      ConfigureFaults("test.a:stall:1:3:ms=25, test.b:error:1:4:clip=2").ok());
   Injection inj;
   ASSERT_TRUE(GetSite("test.a")->Inject(/*clip=*/0, /*token=*/0, &inj));
   EXPECT_EQ(inj.kind, Kind::kStall);
@@ -71,7 +73,7 @@ TEST_F(FaultInjectionTest, ParsesOptionsAndMultipleEntries) {
   // test.b is scoped to clip 2 only.
   EXPECT_FALSE(GetSite("test.b")->Inject(/*clip=*/0, /*token=*/0, &inj));
   ASSERT_TRUE(GetSite("test.b")->Inject(/*clip=*/2, /*token=*/0, &inj));
-  EXPECT_EQ(inj.kind, Kind::kDeny);
+  EXPECT_EQ(inj.kind, Kind::kError);
 }
 
 TEST_F(FaultInjectionTest, SeededDecisionsAreDeterministicPerToken) {
@@ -110,19 +112,6 @@ TEST_F(FaultInjectionTest, RateEndpoints) {
   }
 }
 
-TEST_F(FaultInjectionTest, AutoTokenUsesTimelineClipContext) {
-  ASSERT_TRUE(ConfigureFaults("test.ctx:error:1:5:clip=3").ok());
-  Injection inj;
-  // No timeline context: clip resolves to the default (not 3) and the
-  // clip-scoped site stays quiet.
-  EXPECT_FALSE(OTIF_FAULT_POINT("test.ctx", -1, &inj));
-  {
-    telemetry::timeline::ScopedContext ctx({.clip = 3});
-    EXPECT_TRUE(OTIF_FAULT_POINT("test.ctx", -1, &inj));
-  }
-  EXPECT_FALSE(OTIF_FAULT_POINT("test.ctx", -1, &inj));
-}
-
 TEST_F(FaultInjectionTest, InjectedCounterCountsFiredFaultsOnly) {
   telemetry::Counter* counter =
       telemetry::MetricsRegistry::Global().GetCounter(
@@ -130,12 +119,13 @@ TEST_F(FaultInjectionTest, InjectedCounterCountsFiredFaultsOnly) {
   const int64_t before = counter->value();
   ASSERT_TRUE(ConfigureFaults("test.count:error:1:1").ok());
   Injection inj;
-  EXPECT_TRUE(OTIF_FAULT_POINT("test.count", 0, &inj));
-  EXPECT_TRUE(OTIF_FAULT_POINT("test.count", 1, &inj));
+  Site* site = GetSite("test.count");
+  EXPECT_TRUE(site->Inject(/*clip=*/0, /*token=*/0, &inj));
+  EXPECT_TRUE(site->Inject(/*clip=*/0, /*token=*/1, &inj));
   EXPECT_EQ(counter->value(), before + 2);
 
   ASSERT_TRUE(ConfigureFaults("test.count:error:0:1").ok());
-  EXPECT_FALSE(OTIF_FAULT_POINT("test.count", 2, &inj));
+  EXPECT_FALSE(site->Inject(/*clip=*/0, /*token=*/2, &inj));
   EXPECT_EQ(counter->value(), before + 2);
 }
 

@@ -2,13 +2,13 @@
 # Chaos matrix: runs bench_preprocess_smoke (a cold Prepare, then Execute
 # over unseen clips) under every fault site x kind the injection layer
 # instruments, at rates high enough to exercise the recovery paths in
-# Pipeline::Run (retry, quarantine, proxy degrade) and allocation denial.
+# Pipeline::Run (retry, quarantine, proxy degrade).
 # Faults reach Prepare as well as Execute. The pipeline's contract is that
 # injected faults are survived, not avoided, and that they touch nothing
 # they did not hit. So after a fault-free reference run, every spec's run
 # must exit 0 with a report that parses, and:
-#   - stall-only and deny-only specs leave the Prepare digest and every
-#     clip digest equal to the reference's;
+#   - stall-only specs leave the Prepare digest and every clip digest
+#     equal to the reference's;
 #   - when a spec leaves the Prepare digest unchanged, every clip outside
 #     failed_clips and degraded_clips keeps its reference digest;
 #   - detect.invoke:error:1:31:clip=0 reports clip 0 as failed;
@@ -16,11 +16,12 @@
 #
 # One more run, with no faults, poisons the heap: glibc fills every chunk
 # malloc hands out and every chunk freed (glibc.malloc.perturb), and with
-# its per-thread cache off (tcache_count=0) no chunk skips the fill. It
-# probes reads before writes in the arrays under 4 KiB that bypass the
-# buffer pool, which mem.acquire:deny cannot reach. Its Prepare digest and
-# every clip digest must equal the reference's. TSan's allocator ignores
-# the tunable, so under TSan it is an ordinary run.
+# its per-thread cache off (tcache_count=0) no chunk skips the fill. It is
+# the one probe for reads before writes: every nn::Tensor and video::Image
+# array and every scratch-arena chunk comes from malloc unfilled, so
+# poison reaches all of them, including every proxy activation. Its
+# Prepare digest and every clip digest must equal the reference's. TSan's
+# allocator ignores the tunable, so under TSan it is an ordinary run.
 #
 # Usage: tools/chaos_matrix.sh [build_dir] [clips] [clip_seconds]
 #
@@ -53,10 +54,8 @@ SPECS=(
   'detect.invoke:error:1:31:clip=0'
   'detect.invoke:error:0.5:32'
   'detect.invoke:stall:0.3:33:ms=2'
-  # Buffer pool: allocation denial forces heap misses, never failures.
-  'mem.acquire:deny:0.5:51'
   # Everything at once.
-  'proxy.invoke:error:0.3:62,detect.invoke:error:0.3:63,mem.acquire:deny:0.3:65'
+  'proxy.invoke:error:0.3:62,detect.invoke:error:0.3:63'
 )
 
 echo "== chaos: fault-free reference =="
@@ -111,13 +110,13 @@ for spec, path in zip(sys.argv[2::2], sys.argv[3::2]):
         failed = {e["clip"] for e in report["failed_clips"]}
         degraded = set(report["degraded_clips"])
         same_prepare = report["prepare_digest"] == reference["prepare_digest"]
-        # The heap-poison run injects no fault: like stall and deny specs,
-        # it must move no digest.
+        # The heap-poison run injects no fault: like stall specs, it must
+        # move no digest.
         kinds = (set() if spec == "heap-poison" else
                  {part.split(":")[1] for part in spec.split(",")})
-        if kinds <= {"stall", "deny"}:
+        if kinds <= {"stall"}:
             assert same_prepare, (
-                "Prepare digest moved under a stall, deny or heap-poison run")
+                "Prepare digest moved under a stall or heap-poison run")
             assert not failed and not degraded, (failed, degraded)
         if same_prepare:
             for clip, digest in digests.items():

@@ -4,8 +4,8 @@
 # Otif::Prepare on Warsaw, then Execute over unseen clips with every OTIF
 # mechanism on (the workload perfbench measures):
 #   - live introspection: all HTTP endpoints scraped over an in-flight run
-#     (Prometheus exposition with the stage, thread-pool, memory and
-#     histogram series; /statusz schema and monotonic commits; /tracez),
+#     (Prometheus exposition with the stage, thread-pool and histogram
+#     series; /statusz schema and monotonic commits; /tracez),
 #     and the /healthz stall watchdog tripped by an injected detector
 #     stall;
 #   - /profilez: a 2 s window over a busy run must produce >= 100 collapsed

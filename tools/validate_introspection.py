@@ -13,9 +13,9 @@ waits for the port file, then checks against 127.0.0.1:<port>:
               grammar, histogram buckets are cumulative and agree with
               their `_count`, and each populated histogram yields ordered
               p50 <= p90 <= p99. The expected series appear with their
-              kinds: pipeline frames, the stage/detect span, thread-pool
-              tasks, and the mem.pool.* and mem.arena.* gauges.
-  - /statusz  is JSON with the documented sections (phase, run, pool) and
+              kinds: pipeline frames, the stage/detect span and thread-pool
+              tasks.
+  - /statusz  is JSON with the documented sections (phase, run) and
               per-clip `committed` counters that advance
               monotonically within one run generation (`run.seq`).
   - /healthz  answers throughout, and flips to 503 "stalled" while a run
@@ -85,13 +85,6 @@ EXPECTED_SERIES = {
     "otif_pipeline_frames": "counter",
     "otif_threadpool_tasks_executed": "counter",
     "otif_stage_detect": "summary",
-    "otif_mem_pool_hits": "gauge",
-    "otif_mem_pool_misses": "gauge",
-    "otif_mem_pool_hit_rate": "gauge",
-    "otif_mem_pool_bytes_in_flight": "gauge",
-    "otif_mem_pool_bytes_retained": "gauge",
-    "otif_mem_arena_allocations": "gauge",
-    "otif_mem_arena_bytes_reserved": "gauge",
 }
 
 
@@ -179,7 +172,7 @@ def validate_metrics(status, content_type, body):
 
 
 def validate_statusz_schema(doc):
-    for key in ("phase", "process_uptime_seconds", "run", "pool"):
+    for key in ("phase", "process_uptime_seconds", "run"):
         if key not in doc:
             die(f"/statusz missing key {key!r}: {sorted(doc)}")
     run = doc["run"]
@@ -195,9 +188,6 @@ def validate_statusz_schema(doc):
         for key in ("clip", "reason"):
             if key not in entry:
                 die(f"/statusz quarantined entry missing {key!r}: {entry}")
-    for key in ("hits", "misses", "bytes_in_flight"):
-        if key not in doc["pool"]:
-            die(f"/statusz pool missing {key!r}")
 
 
 def statusz(port):
