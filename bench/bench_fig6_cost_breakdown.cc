@@ -75,7 +75,8 @@ int Main() {
               }())});
   std::printf("%s\n", pre.ToString().c_str());
 
-  const core::TunerPoint& pick = otif_system.FastestWithinTolerance(0.05);
+  const core::TunerPoint& pick =
+      otif_system.FastestWithinTolerance(core::kAccuracyTolerance);
   // Start the measurement interval at zero: Prepare() above ran many
   // pipelines whose telemetry must not leak into the execution breakdown.
   telemetry::ResetAll();

@@ -48,7 +48,7 @@ int Main() {
         continue;
       }
       const baselines::MethodPoint* pick = baselines::FastestWithinTolerance(
-          it->second, result.best_accuracy, options.tolerance);
+          it->second, result.best_accuracy, core::kAccuracyTolerance);
       row1.push_back(StrFormat("%.1f", eval::SecondsForQueries(*pick, 1)));
       row5.push_back(StrFormat("%.1f", eval::SecondsForQueries(*pick, 5)));
       rowa.push_back(StrFormat("%.2f", pick->accuracy));

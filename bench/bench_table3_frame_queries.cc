@@ -50,7 +50,8 @@ int Main() {
     // --- OTIF: extract all tracks once with the fastest <=5%-loss config.
     core::Tuner::Options topts;
     otif_system.Prepare(valid_fn, topts);
-    const core::TunerPoint& pick = otif_system.FastestWithinTolerance(0.05);
+    const core::TunerPoint& pick =
+        otif_system.FastestWithinTolerance(core::kAccuracyTolerance);
     const core::AccuracyFn test_fn = workload.MakeAccuracyFn(
         const_cast<std::vector<sim::Clip>*>(&test));
     core::EvalResult extraction =

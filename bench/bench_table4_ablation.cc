@@ -84,7 +84,9 @@ int Main() {
       double fallback_best = 0.0;
       double fallback_sec = 1e18;
       for (const auto& [sec, acc] : test_points[static_cast<size_t>(r)]) {
-        if (acc >= best_acc - 0.05) fastest = std::min(fastest, sec);
+        if (acc >= best_acc - core::kAccuracyTolerance) {
+          fastest = std::min(fastest, sec);
+        }
         if (acc > fallback_best ||
             (acc == fallback_best && sec < fallback_sec)) {
           fallback_best = acc;

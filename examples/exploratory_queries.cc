@@ -35,7 +35,8 @@ int main() {
   const core::AccuracyFn metric = workload.MakeAccuracyFn(&valid);
   std::printf("Pre-processing Jackson junction video once...\n");
   system.Prepare(metric, core::Tuner::Options{});
-  const core::TunerPoint& chosen = system.FastestWithinTolerance(0.05);
+  const core::TunerPoint& chosen =
+      system.FastestWithinTolerance(core::kAccuracyTolerance);
 
   auto test = system.TestClips();
   const core::AccuracyFn test_metric = workload.MakeAccuracyFn(&test);

@@ -43,7 +43,8 @@ int main() {
     std::printf("  %6.2f s  acc=%.3f  %s\n", p.val_seconds, p.val_accuracy,
                 p.config.ToString().c_str());
   }
-  const core::TunerPoint& chosen = system.FastestWithinTolerance(0.05);
+  const core::TunerPoint& chosen =
+      system.FastestWithinTolerance(core::kAccuracyTolerance);
   std::printf("\nChosen configuration: %s\n", chosen.config.ToString().c_str());
 
   // 4. Extract all tracks from unseen clips.

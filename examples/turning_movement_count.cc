@@ -38,7 +38,8 @@ int main() {
   std::printf("Preparing OTIF on the Tokyo junction (10 turning "
               "movements)...\n");
   system.Prepare(metric, core::Tuner::Options{});
-  const core::TunerPoint& chosen = system.FastestWithinTolerance(0.05);
+  const core::TunerPoint& chosen =
+      system.FastestWithinTolerance(core::kAccuracyTolerance);
 
   auto test = system.TestClips();
   const core::AccuracyFn test_metric = workload.MakeAccuracyFn(&test);

@@ -54,8 +54,7 @@ FrameQueryReport BlazeIt::RunQuery(const std::vector<sim::Clip>& train,
   // Query execution: verify from the highest-scoring frames down.
   const int separation =
       options.min_separation_sec * (test.empty() ? 30 : test[0].fps());
-  VerifyByScore(test, scored, predicate, options.limit, separation,
-                options.detector_scale, &report);
+  VerifyByScore(test, scored, predicate, options.limit, separation, &report);
   return report;
 }
 

@@ -16,7 +16,6 @@ class BlazeIt {
     int train_steps = 400;
     int limit = 25;
     int min_separation_sec = 5;
-    double detector_scale = 1.0;
   };
 
   /// Trains the per-query proxy on `train` (cost excluded per the paper),

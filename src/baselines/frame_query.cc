@@ -50,9 +50,7 @@ CountRegressor::CountRegressor(uint64_t seed) {
   net_.Add(std::make_unique<nn::Relu>());  // Non-negative cell counts.
   std::vector<nn::Parameter*> params;
   net_.CollectParameters(&params);
-  nn::Adam::Options opts;
-  opts.learning_rate = 2e-3;
-  optimizer_ = std::make_unique<nn::Adam>(std::move(params), opts);
+  optimizer_ = std::make_unique<nn::Adam>(std::move(params), 2e-3);
 }
 
 namespace {
@@ -81,10 +79,8 @@ double SumCells(const nn::Tensor& grid) {
 
 }  // namespace
 
-double CountRegressor::Predict(const video::Image& frame32) {
-  nn::Tensor grid = net_.Forward(ImageToTensor32(frame32));
-  net_.ClearCache();
-  return SumCells(grid);
+double CountRegressor::Predict(const video::Image& frame32) const {
+  return SumCells(net_.Infer(ImageToTensor32(frame32)));
 }
 
 double CountRegressor::TrainStep(const video::Image& frame32, double target) {
@@ -115,8 +111,7 @@ std::vector<geom::BBox> GtVehicleBoxes(const sim::Clip& clip, int frame) {
 void VerifyByScore(const std::vector<sim::Clip>& clips,
                    const std::vector<std::pair<double, FrameRef>>& scored,
                    const query::FramePredicate& predicate, int limit,
-                   int min_separation_frames, double detector_scale,
-                   FrameQueryReport* report) {
+                   int min_separation_frames, FrameQueryReport* report) {
   OTIF_CHECK(report != nullptr);
   std::vector<std::pair<double, FrameRef>> order = scored;
   std::stable_sort(order.begin(), order.end(),
@@ -141,11 +136,10 @@ void VerifyByScore(const std::vector<sim::Clip>& clips,
     if (!separated) continue;
     const sim::Clip& clip = clips[static_cast<size_t>(ref.clip_index)];
     report->query_seconds += models::DetectorWindowSeconds(
-        arch, clip.spec().width * detector_scale,
-        clip.spec().height * detector_scale);
+        arch, clip.spec().width, clip.spec().height);
     ++report->detector_invocations;
     const track::FrameDetections dets = models::FilterByConfidence(
-        detector.Detect(clip, ref.frame, detector_scale), 0.4);
+        detector.Detect(clip, ref.frame, 1.0), 0.4);
     std::vector<geom::BBox> boxes;
     for (const track::Detection& d : dets) {
       if (d.cls != track::ObjectClass::kPedestrian) boxes.push_back(d.box);

@@ -55,7 +55,7 @@ class CountRegressor {
   CountRegressor& operator=(const CountRegressor&) = delete;
 
   /// Predicted target value for a frame (rendered at 32x32).
-  double Predict(const video::Image& frame32);
+  double Predict(const video::Image& frame32) const;
 
   /// One MSE training step; returns the loss.
   double TrainStep(const video::Image& frame32, double target);
@@ -72,15 +72,14 @@ class CountRegressor {
 std::vector<geom::BBox> GtVehicleBoxes(const sim::Clip& clip, int frame);
 
 /// Shared verification loop used by BlazeIt and TASTI: walk frames from
-/// highest score to lowest, run the full detector on each, accept frames
-/// whose *detected* boxes satisfy the predicate (subject to the minimum
-/// separation), until `limit` outputs are found or the scores are
-/// exhausted. Charges detector time to the report.
+/// highest score to lowest, run the full detector at full resolution on
+/// each, accept frames whose *detected* boxes satisfy the predicate
+/// (subject to the minimum separation), until `limit` outputs are found or
+/// the scores are exhausted. Charges detector time to the report.
 void VerifyByScore(const std::vector<sim::Clip>& clips,
                    const std::vector<std::pair<double, FrameRef>>& scored,
                    const query::FramePredicate& predicate, int limit,
-                   int min_separation_frames, double detector_scale,
-                   FrameQueryReport* report);
+                   int min_separation_frames, FrameQueryReport* report);
 
 }  // namespace otif::baselines
 

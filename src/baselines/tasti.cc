@@ -6,6 +6,12 @@
 #include "util/rng.h"
 
 namespace otif::baselines {
+namespace {
+
+/// Reference frames averaged by the kNN scoring model.
+constexpr size_t kNearestReferences = 8;
+
+}  // namespace
 
 Tasti::Index Tasti::BuildIndex(const std::vector<sim::Clip>& test) {
   Index index;
@@ -59,8 +65,7 @@ FrameQueryReport Tasti::RunQuery(const Index& index,
     for (const auto& [remb, t] : references) {
       dist_target.push_back({emb.DistanceTo(remb), t});
     }
-    const size_t k =
-        std::min<size_t>(static_cast<size_t>(options.knn), dist_target.size());
+    const size_t k = std::min(kNearestReferences, dist_target.size());
     std::partial_sort(dist_target.begin(), dist_target.begin() + k,
                       dist_target.end());
     double score = 0.0;
@@ -71,8 +76,7 @@ FrameQueryReport Tasti::RunQuery(const Index& index,
 
   const int separation =
       options.min_separation_sec * (test.empty() ? 30 : test[0].fps());
-  VerifyByScore(test, scored, predicate, options.limit, separation,
-                options.detector_scale, &report);
+  VerifyByScore(test, scored, predicate, options.limit, separation, &report);
   return report;
 }
 

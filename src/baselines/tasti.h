@@ -8,9 +8,9 @@ namespace otif::baselines {
 
 /// TASTI (Kang et al.): a query-agnostic per-frame embedding index built
 /// once (expensive: every frame at 224x224), plus a cheap query-specific
-/// scoring model — k-nearest-neighbor regression from labeled reference
-/// frames to the query target. Query execution then verifies frames with
-/// the full detector from highest score down, like BlazeIt.
+/// scoring model — k-nearest-neighbor regression (k = 8) from labeled
+/// reference frames to the query target. Query execution then verifies
+/// frames with the full detector from highest score down, like BlazeIt.
 ///
 /// The embedding pass is reusable across queries; only scoring +
 /// verification repeat per query.
@@ -19,10 +19,8 @@ class Tasti {
   struct Options {
     /// Reference frames labeled for kNN scoring (from training clips).
     int reference_frames = 400;
-    int knn = 8;
     int limit = 25;
     int min_separation_sec = 5;
-    double detector_scale = 1.0;
   };
 
   /// Embeds every test frame once; returns the embeddings and charges the

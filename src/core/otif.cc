@@ -13,6 +13,12 @@
 #include "util/trace_timeline.h"
 
 namespace otif::core {
+namespace {
+
+/// Largest power-of-two gap sampled in tracker-training augmentation.
+constexpr int kMaxTrainingGap = 32;
+
+}  // namespace
 
 Otif::Otif(sim::DatasetSpec spec, RunScale scale)
     : spec_(std::move(spec)), scale_(scale) {
@@ -151,7 +157,9 @@ bool Otif::TrainTrackerNet() {
     if (it == render_cache.end()) {
       it = render_cache
                .emplace(std::make_pair(ci, local),
-                        rasters[static_cast<size_t>(ci)]->Render(local, 40, 24))
+                        rasters[static_cast<size_t>(ci)]->Render(
+                            local, models::TrackerNet::kAppearanceRasterW,
+                            models::TrackerNet::kAppearanceRasterH))
                .first;
     }
     return models::TrackerNet::AppearanceStats(it->second, d.box, spec_.width,
@@ -178,11 +186,11 @@ bool Otif::TrainTrackerNet() {
     const size_t track_idx = usable[static_cast<size_t>(
         rng.UniformInt(static_cast<uint64_t>(usable.size())))];
     const track::Track& t = s_star_[track_idx];
-    // Sample a gap g ~ {1, 2, 4, ..., max_training_gap} (Sec 3.4).
+    // Sample a gap g ~ {1, 2, 4, ..., kMaxTrainingGap} (Sec 3.4).
     int gap = 1;
     {
       int levels = 1;
-      while ((1 << levels) <= scale_.max_training_gap) ++levels;
+      while ((1 << levels) <= kMaxTrainingGap) ++levels;
       gap = 1 << rng.UniformInt(static_cast<uint64_t>(levels));
     }
     // Sub-sample detections >= gap frames apart.

@@ -32,9 +32,11 @@ struct RunScale {
   int proxy_resolutions = 3;
   /// Frames sampled for window-size selection.
   int window_sample_frames = 40;
-  /// Maximal power-of-two gap used in tracker-training augmentation.
-  int max_training_gap = 32;
 };
+
+/// Accuracy tolerance of the paper's selection rule for Tables 2-4: run the
+/// fastest configuration within 5% of the best accuracy.
+inline constexpr double kAccuracyTolerance = 0.05;
 
 /// The OTIF system facade (paper Fig 1 workflow): sample train/validation
 /// splits, select the best-accuracy configuration theta_best, compute S*
@@ -70,8 +72,8 @@ class Otif {
   double theta_best_accuracy() const { return theta_best_accuracy_; }
 
   /// Picks the fastest curve point with accuracy within `tolerance` of the
-  /// best accuracy achieved on the curve (the paper's "within 5% of best"
-  /// selection rule for Tables 2-4).
+  /// best accuracy achieved on the curve (the paper's rule for Tables 2-4
+  /// passes kAccuracyTolerance).
   const TunerPoint& FastestWithinTolerance(double tolerance) const;
 
   /// Runs a tuned configuration over a clip set, returning per-clip tracks

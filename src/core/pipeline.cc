@@ -416,21 +416,21 @@ void ClipRun::Detect(const std::vector<FrameContext*>& batch,
     }
   }
 
+  // One simulated invocation covers all of `ctxs`; the detector emits each
+  // frame's detections on its own.
   const auto invoke = [&](const std::vector<FrameContext*>& ctxs) {
-    std::vector<int> frames;
-    frames.reserve(ctxs.size());
-    for (const FrameContext* ctx : ctxs) frames.push_back(ctx->frame);
     if (telemetry::Enabled()) {
-      DetectInvocationFrames()->Record(static_cast<double>(frames.size()));
+      DetectInvocationFrames()->Record(static_cast<double>(ctxs.size()));
     }
-    return detector_.DetectBatch(clip_, frames, scale);
+    for (FrameContext* ctx : ctxs) {
+      ctx->detections = detector_.Detect(clip_, ctx->frame, scale);
+    }
   };
 
   if (!windowed.empty()) {
-    const std::vector<track::FrameDetections> dets = invoke(windowed);
-    for (size_t i = 0; i < windowed.size(); ++i) {
-      windowed[i]->detections =
-          models::FilterByWindows(dets[i], windowed[i]->windows);
+    invoke(windowed);
+    for (FrameContext* ctx : windowed) {
+      ctx->detections = models::FilterByWindows(ctx->detections, ctx->windows);
     }
     // Windows come from the fixed trained size set W, so the batch's
     // windows group into few distinct shapes; each shape batches into one
@@ -454,10 +454,7 @@ void ClipRun::Detect(const std::vector<FrameContext*>& batch,
   }
 
   if (!full.empty()) {
-    std::vector<track::FrameDetections> dets = invoke(full);
-    for (size_t i = 0; i < full.size(); ++i) {
-      full[i]->detections = std::move(dets[i]);
-    }
+    invoke(full);
     // Full frames all share one input shape: one invocation for the batch.
     const double pixel_seconds_per_frame =
         arch.sec_per_pixel * clip_.spec().width * scale *
@@ -489,11 +486,13 @@ void ClipRun::Track(FrameContext* ctx, PipelineResult* result) {
   }
 
   // Appearance statistics from a low-res render (reuse the proxy's when
-  // available; otherwise render at the smallest standard proxy resolution
-  // — charged as tracker time).
+  // available; otherwise render the raster the tracker trained on —
+  // charged as tracker time).
   const sim::DatasetSpec& spec = clip_.spec();
   if (!ctx->have_low_res_frame) {
-    raster_.RenderInto(ctx->frame, 40, 24, &ctx->low_res_frame);
+    raster_.RenderInto(ctx->frame, models::TrackerNet::kAppearanceRasterW,
+                       models::TrackerNet::kAppearanceRasterH,
+                       &ctx->low_res_frame);
     ctx->have_low_res_frame = true;
   }
   std::vector<std::pair<double, double>> appearance;
@@ -543,12 +542,12 @@ std::string PipelineConfig::ToString() const {
 }
 
 std::vector<double> StandardDetectorScales() {
-  // Each step multiplies pixel count by 0.7 (the tuning coarseness C=30%).
+  // Each step multiplies pixel count by 1 - kCoarseness.
   std::vector<double> scales;
   double s = 1.0;
   for (int i = 0; i < 10; ++i) {
     scales.push_back(s);
-    s *= std::sqrt(0.7);
+    s *= std::sqrt(1.0 - kCoarseness);
   }
   return scales;
 }

@@ -19,6 +19,11 @@
 
 namespace otif::core {
 
+/// Tuning coarseness C = 30% (paper Sec 3.5): each tuner step targets a ~C
+/// overall speedup, and each step of the detector-scale ladder cuts the
+/// pixel count by C.
+inline constexpr double kCoarseness = 0.3;
+
 /// Which tracker the pipeline runs on top of the detector.
 enum class TrackerKind {
   /// Heuristic SORT tracker (used inside theta_best and ablations).
@@ -122,7 +127,7 @@ class Pipeline {
 };
 
 /// The standard detector-scale ladder used by the tuner: each step reduces
-/// pixel count by the tuning coarseness C = 30%.
+/// pixel count by the tuning coarseness kCoarseness.
 std::vector<double> StandardDetectorScales();
 
 /// The standard proxy threshold grid used by the tuner's caching phase.

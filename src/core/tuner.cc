@@ -22,8 +22,6 @@ Tuner::Tuner(const std::vector<sim::Clip>* validation,
   OTIF_CHECK(validation != nullptr);
   OTIF_CHECK(!validation->empty());
   OTIF_CHECK(trained != nullptr);
-  OTIF_CHECK_GT(options_.coarseness, 0.0);
-  OTIF_CHECK_LT(options_.coarseness, 1.0);
   if (options_.enable_proxy) {
     OTIF_CHECK(!trained_->proxies.empty());
     OTIF_CHECK(!trained_->window_sizes.empty());
@@ -200,7 +198,7 @@ bool Tuner::ProposeDetectionUpdate(const PipelineConfig& current,
     }
   }
   if (current_det == 0.0) return false;
-  const double budget = (1.0 - options_.coarseness) * current_det;
+  const double budget = (1.0 - kCoarseness) * current_det;
   const DetectionProfile* best = nullptr;
   for (const DetectionProfile& p : detection_profiles_) {
     if (p.per_frame_sec > budget) continue;
@@ -220,7 +218,7 @@ bool Tuner::ProposeProxyUpdate(const PipelineConfig& current,
   // threshold) with highest recall whose estimated cost is at least C
   // lower (Sec 3.5.2).
   const double current_cost = EstimatedPerFrameCost(current);
-  const double budget = (1.0 - options_.coarseness) * current_cost;
+  const double budget = (1.0 - kCoarseness) * current_cost;
   double det_cost = 0.0;
   {
     PipelineConfig plain = current;
@@ -248,7 +246,7 @@ bool Tuner::ProposeGapUpdate(const PipelineConfig& current,
   // g / (1 - C) rounded up to the next power of two doubles the gap at
   // C = 30% (Sec 3.5.3).
   int next = current.sampling_gap;
-  const double target = current.sampling_gap / (1.0 - options_.coarseness);
+  const double target = current.sampling_gap / (1.0 - kCoarseness);
   while (next < target) next *= 2;
   if (next == current.sampling_gap) next *= 2;
   if (next > kMaxSamplingGap) return false;

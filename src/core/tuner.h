@@ -24,17 +24,15 @@ struct TunerPoint {
 /// The OTIF joint parameter tuner (paper Sec 3.5). Starting from the
 /// best-accuracy configuration, each iteration asks every enabled module
 /// for an update that speeds the pipeline up by roughly the coarseness
-/// C (30%), evaluates each candidate on the validation set, and keeps the
-/// most accurate. The result approximates the Pareto frontier with O(mn)
-/// validation evaluations.
+/// kCoarseness (C = 30%), evaluates each candidate on the validation set,
+/// and keeps the most accurate. The result approximates the Pareto frontier
+/// with O(mn) validation evaluations.
 ///
 /// Module subsets support the Table 4 ablation: detector-only, +sampling
 /// rate, +recurrent tracker, +segmentation proxy model.
 class Tuner {
  public:
   struct Options {
-    /// Tuning coarseness C: each step targets a ~C overall speedup.
-    double coarseness = 0.3;
     /// Maximum number of curve points after theta_1.
     int max_iterations = 14;
     /// Enable the tracking module's sampling-gap parameter (capped at

@@ -77,8 +77,7 @@ StatusOr<TrackExperimentResult> RunTrackExperimentImpl(
   // so the result is identical to the serial loop.
   std::vector<std::unique_ptr<baselines::TrackBaseline>> to_run;
   for (const std::string& method : options.methods) {
-    if (method == "centertrack" && options.centertrack_skips_moving_camera &&
-        workload.spec.moving_camera) {
+    if (method == "centertrack" && workload.spec.moving_camera) {
       continue;  // Paper Table 2 reports "-" for CenterTrack on UAV.
     }
     std::unique_ptr<baselines::TrackBaseline> baseline;

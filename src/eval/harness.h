@@ -20,7 +20,8 @@ struct TrackExperimentResult {
   std::string dataset;
   /// Speed-accuracy points per method, measured on the test set.
   std::map<std::string, std::vector<baselines::MethodPoint>> curves;
-  /// Best accuracy achieved by any method (reference for the 5% rule).
+  /// Best accuracy achieved by any method (reference for the
+  /// core::kAccuracyTolerance rule).
   double best_accuracy = 0.0;
   /// The OTIF system used (exposes trained models and the tuner curve).
   std::shared_ptr<core::Otif> otif;
@@ -29,13 +30,9 @@ struct TrackExperimentResult {
 /// Options controlling experiment size (CPU-bounded defaults).
 struct ExperimentOptions {
   core::RunScale scale;
-  /// Accuracy tolerance for the "fastest within tolerance" rule; the paper
-  /// uses 5%.
-  double tolerance = 0.05;
-  /// Skip CenterTrack on moving-camera datasets (matching the paper's "-"
-  /// entry for UAV in Table 2).
-  bool centertrack_skips_moving_camera = true;
-  /// Baselines to run (all by default); OTIF always runs.
+  /// Baselines to run (all by default); OTIF always runs. CenterTrack is
+  /// skipped on moving-camera datasets (the paper's "-" for UAV in
+  /// Table 2).
   std::vector<std::string> methods = {"miris", "chameleon", "noscope",
                                       "catdet", "centertrack"};
 };

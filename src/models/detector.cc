@@ -16,24 +16,12 @@ int ScaleBucket(double scale) {
   return static_cast<int>(std::lround(scale * 100.0));
 }
 
-// Frame-independent part of DetectSeed; XOR with FrameSeedTerm(frame) to get
-// the full per-frame seed. Split out so batched calls hash the arch name and
-// bucket the scale once per invocation instead of once per frame.
-uint64_t DetectSeedBase(const sim::Clip& clip, const DetectorArch& arch,
-                        double scale) {
+uint64_t DetectSeed(const sim::Clip& clip, int frame,
+                    const DetectorArch& arch, double scale) {
   uint64_t h = clip.clip_seed() * 0x9e3779b97f4a7c15ULL;
   h ^= std::hash<std::string>{}(arch.name) * 0x94d049bb133111ebULL;
   h ^= static_cast<uint64_t>(ScaleBucket(scale) + 7) * 0xd6e8feb86659fd93ULL;
-  return h;
-}
-
-uint64_t FrameSeedTerm(int frame) {
-  return static_cast<uint64_t>(frame + 1) * 0xbf58476d1ce4e5b9ULL;
-}
-
-uint64_t DetectSeed(const sim::Clip& clip, int frame,
-                    const DetectorArch& arch, double scale) {
-  return DetectSeedBase(clip, arch, scale) ^ FrameSeedTerm(frame);
+  return h ^ static_cast<uint64_t>(frame + 1) * 0xbf58476d1ce4e5b9ULL;
 }
 
 // Fraction of `box` covered by `other` (0..1).
@@ -117,27 +105,7 @@ track::FrameDetections SimulatedDetector::Detect(const sim::Clip& clip,
                                                  double scale) const {
   OTIF_CHECK_GT(scale, 0.0);
   OTIF_CHECK_LE(scale, 1.0);
-  return DetectSeeded(clip, frame, scale, DetectSeed(clip, frame, arch_, scale));
-}
-
-std::vector<track::FrameDetections> SimulatedDetector::DetectBatch(
-    const sim::Clip& clip, const std::vector<int>& frames,
-    double scale) const {
-  OTIF_CHECK_GT(scale, 0.0);
-  OTIF_CHECK_LE(scale, 1.0);
-  const uint64_t base = DetectSeedBase(clip, arch_, scale);
-  std::vector<track::FrameDetections> out;
-  out.reserve(frames.size());
-  for (int frame : frames) {
-    out.push_back(DetectSeeded(clip, frame, scale, base ^ FrameSeedTerm(frame)));
-  }
-  return out;
-}
-
-track::FrameDetections SimulatedDetector::DetectSeeded(const sim::Clip& clip,
-                                                       int frame, double scale,
-                                                       uint64_t seed) const {
-  Rng rng(seed);
+  Rng rng(DetectSeed(clip, frame, arch_, scale));
   track::FrameDetections out;
 
   const auto& visible = clip.VisibleAt(frame);

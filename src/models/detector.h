@@ -67,23 +67,10 @@ class SimulatedDetector {
   track::FrameDetections Detect(const sim::Clip& clip, int frame,
                                 double scale) const;
 
-  /// Batched Detect: full-frame detections for every frame index in
-  /// `frames` at the same scale, in order. Element i is bit-identical to
-  /// Detect(clip, frames[i], scale); the per-invocation seed work
-  /// (arch-name hashing, scale bucketing) is hoisted out of the per-frame
-  /// loop, which is what makes aggregating a clip batch into one call pay.
-  std::vector<track::FrameDetections> DetectBatch(
-      const sim::Clip& clip, const std::vector<int>& frames,
-      double scale) const;
-
   /// Simulated seconds to run this detector on the full frame at `scale`.
   double FullFrameSeconds(const sim::Clip& clip, double scale) const;
 
  private:
-  /// Shared emission path: detections for `frame` from a fully mixed seed.
-  track::FrameDetections DetectSeeded(const sim::Clip& clip, int frame,
-                                      double scale, uint64_t seed) const;
-
   DetectorArch arch_;
 };
 

@@ -33,9 +33,7 @@ ProxyModel::ProxyModel(ProxyResolution resolution, uint64_t seed)
   add_conv(16, 1, 1);
   std::vector<nn::Parameter*> params;
   net_.CollectParameters(&params);
-  nn::Adam::Options opts;
-  opts.learning_rate = 2e-3;
-  optimizer_ = std::make_unique<nn::Adam>(std::move(params), opts);
+  optimizer_ = std::make_unique<nn::Adam>(std::move(params), 2e-3);
 }
 
 void ProxyModel::StageInto(const video::Image& frame, float* dst) const {

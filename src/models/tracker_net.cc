@@ -39,9 +39,7 @@ TrackerNet::TrackerNet(uint64_t seed) {
   det_encoder_.CollectParameters(&params);
   gru_->CollectParameters(&params);
   matcher_.CollectParameters(&params);
-  nn::Adam::Options opts;
-  opts.learning_rate = 1e-3;
-  optimizer_ = std::make_unique<nn::Adam>(std::move(params), opts);
+  optimizer_ = std::make_unique<nn::Adam>(std::move(params), 1e-3);
 }
 
 nn::Tensor TrackerNet::DetFeature(const track::Detection& d,

@@ -59,9 +59,15 @@ class TrackerNet {
                                 const track::Detection& candidate, double fps,
                                 double frame_w, double frame_h);
 
+  /// Size of the low-resolution render that training reads appearance
+  /// statistics from. Inference renders this size only on frames the proxy
+  /// did not score; on the others it reuses the proxy's render, whose size
+  /// is the proxy resolution's.
+  static constexpr int kAppearanceRasterW = 40;
+  static constexpr int kAppearanceRasterH = 24;
+
   /// Appearance statistics (mean, std) of a native-coordinate box inside a
-  /// low-resolution render; used for both training and inference so the
-  /// feature distributions match.
+  /// low-resolution render; used for both training and inference.
   static std::pair<double, double> AppearanceStats(
       const video::Image& raster, const geom::BBox& native_box,
       double native_w, double native_h);

@@ -687,10 +687,6 @@ void Sequential::CollectParameters(std::vector<Parameter*>* out) {
   for (auto& layer : layers_) layer->CollectParameters(out);
 }
 
-void Sequential::ClearCache() {
-  for (auto& layer : layers_) layer->ClearCache();
-}
-
 // --- Losses --------------------------------------------------------------------
 
 double BceWithLogits(const Tensor& logits, const Tensor& targets,

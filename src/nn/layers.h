@@ -20,7 +20,9 @@ struct Parameter {
 /// Base class for layers. Layers cache forward activations on an internal
 /// stack so the same layer may be applied several times in one example
 /// (weight sharing across time steps or detections); Backward() must then be
-/// called once per Forward() in reverse order (LIFO).
+/// called once per Forward() in reverse order (LIFO). Forward() is for
+/// training only: a pass that will not be backpropagated calls Infer(), so
+/// the cache never holds an activation no Backward() will pop.
 ///
 /// Infer() computes the same output as Forward() without touching the
 /// activation cache, so it is const and safe to call concurrently from many
@@ -44,9 +46,6 @@ class Layer {
 
   /// Appends this layer's parameters (may be none).
   virtual void CollectParameters(std::vector<Parameter*>* /*out*/) {}
-
-  /// Drops any cached activations (e.g. after an inference-only pass).
-  virtual void ClearCache() = 0;
 };
 
 /// 2-D convolution over (C, H, W) tensors with 'same' padding (k odd) and
@@ -76,7 +75,6 @@ class Conv2d : public Layer {
   Tensor Infer(const Tensor& input) const override;
   Tensor Backward(const Tensor& grad_output) override;
   void CollectParameters(std::vector<Parameter*>* out) override;
-  void ClearCache() override { cache_.clear(); }
 
   /// im2col + GEMM over one (in_channels, h, w) image laid out at `input`;
   /// writes the (out_channels, oh, ow) result to `out`, where oh and ow are
@@ -123,7 +121,6 @@ class Linear : public Layer {
   Tensor Infer(const Tensor& input) const override;
   Tensor Backward(const Tensor& grad_output) override;
   void CollectParameters(std::vector<Parameter*>* out) override;
-  void ClearCache() override { cache_.clear(); }
 
   /// The trained parameters: weight (out_features, in_features) and bias
   /// (out_features). Read by batched inference that splits the layer's
@@ -144,7 +141,6 @@ class Relu : public Layer {
   Tensor Forward(const Tensor& input) override;
   Tensor Infer(const Tensor& input) const override;
   Tensor Backward(const Tensor& grad_output) override;
-  void ClearCache() override { cache_.clear(); }
 
  private:
   std::vector<Tensor> cache_;  // Cached outputs (mask source).
@@ -156,7 +152,6 @@ class Tanh : public Layer {
   Tensor Forward(const Tensor& input) override;
   Tensor Infer(const Tensor& input) const override;
   Tensor Backward(const Tensor& grad_output) override;
-  void ClearCache() override { cache_.clear(); }
 
  private:
   std::vector<Tensor> cache_;
@@ -192,7 +187,6 @@ class GruCell {
   std::pair<Tensor, Tensor> StepBackward(const Tensor& grad_h_new);
 
   void CollectParameters(std::vector<Parameter*>* out);
-  void ClearCache() { cache_.clear(); }
 
  private:
   struct StepCache {
@@ -224,7 +218,6 @@ class Sequential : public Layer {
   Tensor Infer(const Tensor& input) const override;
   Tensor Backward(const Tensor& grad_output) override;
   void CollectParameters(std::vector<Parameter*>* out) override;
-  void ClearCache() override;
 
   size_t num_layers() const { return layers_.size(); }
 

@@ -3,9 +3,18 @@
 #include <cmath>
 
 namespace otif::nn {
+namespace {
 
-Adam::Adam(std::vector<Parameter*> params, Options options)
-    : params_(std::move(params)), options_(options) {
+constexpr double kBeta1 = 0.9;
+constexpr double kBeta2 = 0.999;
+constexpr double kEpsilon = 1e-8;
+/// Gradients are clipped to this global L2 norm.
+constexpr double kClipNorm = 5.0;
+
+}  // namespace
+
+Adam::Adam(std::vector<Parameter*> params, double learning_rate)
+    : params_(std::move(params)), learning_rate_(learning_rate) {
   m_.reserve(params_.size());
   v_.reserve(params_.size());
   for (Parameter* p : params_) {
@@ -17,38 +26,28 @@ Adam::Adam(std::vector<Parameter*> params, Options options)
 
 void Adam::Step() {
   ++step_;
-  // Optional global-norm clipping stabilizes RNN training.
-  double scale = 1.0;
-  if (options_.clip_norm > 0) {
-    double sq = 0.0;
-    for (Parameter* p : params_) sq += p->grad.SumSquares();
-    const double norm = std::sqrt(sq);
-    if (norm > options_.clip_norm) scale = options_.clip_norm / norm;
-  }
-  const double bc1 = 1.0 - std::pow(options_.beta1, step_);
-  const double bc2 = 1.0 - std::pow(options_.beta2, step_);
+  // Global-norm clipping stabilizes RNN training.
+  double sq = 0.0;
+  for (Parameter* p : params_) sq += p->grad.SumSquares();
+  const double norm = std::sqrt(sq);
+  const double scale = norm > kClipNorm ? kClipNorm / norm : 1.0;
+  const double bc1 = 1.0 - std::pow(kBeta1, step_);
+  const double bc2 = 1.0 - std::pow(kBeta2, step_);
   for (size_t pi = 0; pi < params_.size(); ++pi) {
     Parameter* p = params_[pi];
     Tensor& m = m_[pi];
     Tensor& v = v_[pi];
     for (int64_t i = 0; i < p->value.size(); ++i) {
       const double g = p->grad[i] * scale;
-      m[i] = static_cast<float>(options_.beta1 * m[i] +
-                                (1.0 - options_.beta1) * g);
-      v[i] = static_cast<float>(options_.beta2 * v[i] +
-                                (1.0 - options_.beta2) * g * g);
+      m[i] = static_cast<float>(kBeta1 * m[i] + (1.0 - kBeta1) * g);
+      v[i] = static_cast<float>(kBeta2 * v[i] + (1.0 - kBeta2) * g * g);
       const double m_hat = m[i] / bc1;
       const double v_hat = v[i] / bc2;
-      p->value[i] -= static_cast<float>(
-          options_.learning_rate * m_hat /
-          (std::sqrt(v_hat) + options_.epsilon));
+      p->value[i] -= static_cast<float>(learning_rate_ * m_hat /
+                                        (std::sqrt(v_hat) + kEpsilon));
     }
     p->ZeroGrad();
   }
-}
-
-void Adam::ZeroGrad() {
-  for (Parameter* p : params_) p->ZeroGrad();
 }
 
 }  // namespace otif::nn

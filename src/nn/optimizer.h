@@ -8,33 +8,21 @@
 namespace otif::nn {
 
 /// Adam optimizer over a fixed set of parameters. Call Step() after each
-/// backward pass (gradients are consumed and zeroed).
+/// backward pass (gradients are consumed and zeroed). The moment decays,
+/// epsilon and the global gradient-norm clip are constants of the
+/// optimizer; only the learning rate varies between models.
 class Adam {
  public:
-  struct Options {
-    double learning_rate = 1e-3;
-    double beta1 = 0.9;
-    double beta2 = 0.999;
-    double epsilon = 1e-8;
-    /// Gradients are clipped to this global L2 norm (0 disables clipping).
-    double clip_norm = 5.0;
-  };
-
-  Adam(std::vector<Parameter*> params, Options options);
+  Adam(std::vector<Parameter*> params, double learning_rate);
 
   /// Applies one update from the accumulated gradients, then zeroes them.
   void Step();
 
-  /// Zeroes all gradients without updating (e.g. to discard a bad example).
-  void ZeroGrad();
-
   int64_t steps_taken() const { return step_; }
-  double learning_rate() const { return options_.learning_rate; }
-  void set_learning_rate(double lr) { options_.learning_rate = lr; }
 
  private:
   std::vector<Parameter*> params_;
-  Options options_;
+  double learning_rate_;
   std::vector<Tensor> m_;
   std::vector<Tensor> v_;
   int64_t step_ = 0;

@@ -7,6 +7,12 @@
 #include "util/logging.h"
 
 namespace otif::track {
+namespace {
+
+/// The greedy matcher takes pairs whose cost is below 1 - kIouThreshold / 2.
+constexpr double kIouThreshold = 0.1;
+
+}  // namespace
 
 IouTracker::IouTracker(Options options) : options_(options) {}
 
@@ -33,7 +39,7 @@ void IouTracker::ProcessFrame(int frame, const FrameDetections& detections) {
         cost[t][d] = (1.0 - iou) * 0.5 + (shift / diag) * 0.5;
       }
     }
-    det_for_track = GreedyAssignment(cost, 1.0 - options_.iou_threshold * 0.5);
+    det_for_track = GreedyAssignment(cost, 1.0 - kIouThreshold * 0.5);
   }
 
   std::vector<char> det_used(n_dets, 0);

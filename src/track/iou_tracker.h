@@ -15,7 +15,6 @@ namespace otif::track {
 class IouTracker : public Tracker {
  public:
   struct Options {
-    double iou_threshold = 0.1;
     /// Maximum center displacement as a fraction of the frame diagonal per
     /// processed frame step (displacement gate for reduced-rate matching).
     double max_center_shift_frac = 0.25;

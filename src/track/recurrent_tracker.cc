@@ -7,6 +7,12 @@
 #include "util/logging.h"
 
 namespace otif::track {
+namespace {
+
+/// A track is dropped after this many processed frames without a match.
+constexpr int kMaxMisses = 3;
+
+}  // namespace
 
 RecurrentTracker::RecurrentTracker(const models::TrackerNet* net,
                                    Options options)
@@ -183,7 +189,7 @@ void RecurrentTracker::ProcessFrameWithAppearance(
   }
 
   for (size_t t = active_.size(); t-- > 0;) {
-    if (active_[t].misses > options_.max_misses) {
+    if (active_[t].misses > kMaxMisses) {
       finished_.push_back(std::move(active_[t].track));
       active_[t] = std::move(active_.back());
       active_.pop_back();

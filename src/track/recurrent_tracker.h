@@ -22,8 +22,6 @@ class RecurrentTracker : public Tracker {
   struct Options {
     /// Minimum match probability to accept an assignment.
     double match_threshold = 0.5;
-    /// A track is dropped after this many processed frames without a match.
-    int max_misses = 3;
     /// Frame dimensions used for feature normalization.
     double frame_w = 1280;
     double frame_h = 720;

@@ -9,11 +9,18 @@
 namespace otif::track {
 namespace {
 
+/// Minimum neighbors (incl. self) for a core track in DBSCAN.
+constexpr int kMinPoints = 2;
+/// Nearest cluster paths a refinement consults (paper: k = 10).
+constexpr size_t kNearestClusters = 10;
+
+static_assert(kPathSamples >= 2, "a resampled path needs both endpoints");
+
 std::vector<geom::Point> CenterOfMembers(
-    const std::vector<const std::vector<geom::Point>*>& members, int n) {
-  std::vector<geom::Point> center(static_cast<size_t>(n));
+    const std::vector<const std::vector<geom::Point>*>& members) {
+  std::vector<geom::Point> center(static_cast<size_t>(kPathSamples));
   for (const auto* path : members) {
-    for (int i = 0; i < n; ++i) {
+    for (int i = 0; i < kPathSamples; ++i) {
       center[static_cast<size_t>(i)].x += (*path)[static_cast<size_t>(i)].x;
       center[static_cast<size_t>(i)].y += (*path)[static_cast<size_t>(i)].y;
     }
@@ -38,14 +45,13 @@ double ResampledDistance(const std::vector<geom::Point>& a,
 
 std::vector<TrackCluster> ClusterTracks(const std::vector<Track>& tracks,
                                         const DbscanOptions& options) {
-  OTIF_CHECK_GE(options.num_samples, 2);
   const size_t n = tracks.size();
   std::vector<std::vector<geom::Point>> resampled;
   resampled.reserve(n);
   for (const Track& t : tracks) {
     OTIF_CHECK(!t.empty());
     resampled.push_back(
-        geom::ResamplePolyline(t.CenterPolyline(), options.num_samples));
+        geom::ResamplePolyline(t.CenterPolyline(), kPathSamples));
   }
 
   // Pairwise neighbor lists under the resampled distance.
@@ -65,7 +71,7 @@ std::vector<TrackCluster> ClusterTracks(const std::vector<Track>& tracks,
   int next_cluster = 0;
   for (size_t i = 0; i < n; ++i) {
     if (label[i] != kUnvisited) continue;
-    if (static_cast<int>(neighbors[i].size()) + 1 < options.min_points) {
+    if (static_cast<int>(neighbors[i].size()) + 1 < kMinPoints) {
       label[i] = kNoise;
       continue;
     }
@@ -81,7 +87,7 @@ std::vector<TrackCluster> ClusterTracks(const std::vector<Track>& tracks,
       if (label[static_cast<size_t>(j)] != kUnvisited) continue;
       label[static_cast<size_t>(j)] = cluster;
       if (static_cast<int>(neighbors[static_cast<size_t>(j)].size()) + 1 >=
-          options.min_points) {
+          kMinPoints) {
         for (int k : neighbors[static_cast<size_t>(j)]) {
           if (label[static_cast<size_t>(k)] == kUnvisited ||
               label[static_cast<size_t>(k)] == kNoise) {
@@ -105,7 +111,7 @@ std::vector<TrackCluster> ClusterTracks(const std::vector<Track>& tracks,
   for (const auto& m : members) {
     if (m.empty()) continue;
     TrackCluster c;
-    c.center = CenterOfMembers(m, options.num_samples);
+    c.center = CenterOfMembers(m);
     c.size = static_cast<int>(m.size());
     clusters.push_back(std::move(c));
   }
@@ -122,7 +128,6 @@ std::vector<TrackCluster> ClusterTracks(const std::vector<Track>& tracks,
 
 TrackRefiner::TrackRefiner(std::vector<TrackCluster> clusters, Options options)
     : clusters_(std::move(clusters)), options_(options) {
-  OTIF_CHECK_GT(options_.k_nearest, 0);
   index_ = std::make_unique<geom::GridIndex>(options_.index_cell_px);
   for (size_t ci = 0; ci < clusters_.size(); ++ci) {
     // Index only path endpoints: the query probes with the track's first
@@ -136,14 +141,14 @@ TrackRefiner::TrackRefiner(std::vector<TrackCluster> clusters, Options options)
 
 Track TrackRefiner::Refine(const Track& t) const {
   if (t.detections.size() < 2 || clusters_.empty()) return t;
-  const std::vector<geom::Point> path = geom::ResamplePolyline(
-      t.CenterPolyline(), options_.num_samples);
+  const std::vector<geom::Point> path =
+      geom::ResamplePolyline(t.CenterPolyline(), kPathSamples);
 
   // Candidate clusters: those passing near either endpoint.
-  std::vector<int64_t> candidates = index_->QueryNearest(
-      path.front(), static_cast<size_t>(options_.k_nearest) * 2);
-  const std::vector<int64_t> more = index_->QueryNearest(
-      path.back(), static_cast<size_t>(options_.k_nearest) * 2);
+  std::vector<int64_t> candidates =
+      index_->QueryNearest(path.front(), kNearestClusters * 2);
+  const std::vector<int64_t> more =
+      index_->QueryNearest(path.back(), kNearestClusters * 2);
   candidates.insert(candidates.end(), more.begin(), more.end());
   std::sort(candidates.begin(), candidates.end());
   candidates.erase(std::unique(candidates.begin(), candidates.end()),
@@ -159,9 +164,7 @@ Track TrackRefiner::Refine(const Track& t) const {
   }
   if (ranked.empty()) return t;
   std::sort(ranked.begin(), ranked.end());
-  if (static_cast<int>(ranked.size()) > options_.k_nearest) {
-    ranked.resize(static_cast<size_t>(options_.k_nearest));
-  }
+  if (ranked.size() > kNearestClusters) ranked.resize(kNearestClusters);
   // Keep only clusters competitive with the best match: a junction's other
   // roads also pass "nearby" in absolute terms but are far relative to the
   // true path, and blending them corrupts the endpoint medians.

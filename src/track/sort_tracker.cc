@@ -6,10 +6,16 @@
 #include "util/logging.h"
 
 namespace otif::track {
+namespace {
+
+/// A track is dropped after this many *processed frames* without a match
+/// (so the tolerance in frames scales with the sampling gap).
+constexpr int kMaxMisses = 3;
+
+}  // namespace
 
 SortTracker::SortTracker(Options options) : options_(options) {
   OTIF_CHECK_GT(options_.iou_threshold, 0.0);
-  OTIF_CHECK_GT(options_.max_misses, 0);
 }
 
 void SortTracker::ProcessFrame(int frame, const FrameDetections& detections) {
@@ -62,7 +68,7 @@ void SortTracker::ProcessFrame(int frame, const FrameDetections& detections) {
 
   // Retire stale tracks.
   for (size_t t = active_.size(); t-- > 0;) {
-    if (active_[t].misses > options_.max_misses) {
+    if (active_[t].misses > kMaxMisses) {
       finished_.push_back(std::move(active_[t].track));
       active_[t] = std::move(active_.back());
       active_.pop_back();

@@ -17,9 +17,6 @@ class SortTracker : public Tracker {
   struct Options {
     /// Minimum IoU between a predicted box and a detection to allow a match.
     double iou_threshold = 0.25;
-    /// A track is dropped after this many *processed frames* without a
-    /// match (scaled by the sampling gap at reduced rates).
-    int max_misses = 3;
   };
 
   explicit SortTracker(Options options);

@@ -78,7 +78,7 @@ TEST(VerifyByScoreTest, RespectsLimitAndSeparation) {
   }
   query::CountPredicate predicate(1);
   FrameQueryReport report;
-  VerifyByScore(clips, scored, predicate, 5, 20, 1.0, &report);
+  VerifyByScore(clips, scored, predicate, 5, 20, &report);
   EXPECT_LE(report.output_frames.size(), 5u);
   for (size_t i = 0; i < report.output_frames.size(); ++i) {
     for (size_t j = i + 1; j < report.output_frames.size(); ++j) {

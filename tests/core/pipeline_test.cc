@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/best_config.h"
 #include "query/queries.h"
 #include "sim/dataset.h"
@@ -141,6 +143,8 @@ TEST(StandardScalesTest, GeometricLadder) {
     const double ratio =
         (scales[i] * scales[i]) / (scales[i - 1] * scales[i - 1]);
     EXPECT_NEAR(ratio, 0.7, 0.01);
+    // Exactly the tuner's coarseness step, so the two cannot drift apart.
+    EXPECT_EQ(scales[i], scales[i - 1] * std::sqrt(1.0 - kCoarseness));
   }
 }
 

@@ -49,30 +49,6 @@ TEST(SimulatedDetectorTest, Deterministic) {
   }
 }
 
-TEST(SimulatedDetectorTest, DetectBatchMatchesSequentialCalls) {
-  sim::Clip clip = TestClip();
-  SimulatedDetector det(StandardDetectorArchs()[0]);
-  for (double scale : {1.0, 0.5}) {
-    std::vector<int> frames;
-    for (int f = 0; f < 64; f += 4) frames.push_back(f);
-    const auto batched = det.DetectBatch(clip, frames, scale);
-    ASSERT_EQ(batched.size(), frames.size());
-    for (size_t i = 0; i < frames.size(); ++i) {
-      const auto single = det.Detect(clip, frames[i], scale);
-      ASSERT_EQ(single.size(), batched[i].size()) << "frame " << frames[i];
-      for (size_t d = 0; d < single.size(); ++d) {
-        EXPECT_EQ(single[d].box.cx, batched[i][d].box.cx);
-        EXPECT_EQ(single[d].box.cy, batched[i][d].box.cy);
-        EXPECT_EQ(single[d].box.w, batched[i][d].box.w);
-        EXPECT_EQ(single[d].box.h, batched[i][d].box.h);
-        EXPECT_EQ(single[d].confidence, batched[i][d].confidence);
-        EXPECT_EQ(single[d].cls, batched[i][d].cls);
-        EXPECT_EQ(single[d].gt_id, batched[i][d].gt_id);
-      }
-    }
-  }
-}
-
 TEST(SimulatedDetectorTest, HighRecallAtFullScale) {
   sim::Clip clip = TestClip();
   SimulatedDetector det(StandardDetectorArchs()[0]);

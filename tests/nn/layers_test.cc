@@ -47,11 +47,7 @@ Tensor RandomTensor(std::vector<int> shape, Rng* rng) {
 void CheckInputGradient(Layer* layer, Tensor input, double tol = 2e-2) {
   Tensor out = layer->Forward(input);
   Tensor grad = layer->Backward(out);  // dL/dout = out for HalfSumSquares.
-  auto loss = [&]() {
-    Tensor o = layer->Forward(input);
-    layer->ClearCache();
-    return HalfSumSquares(o);
-  };
+  auto loss = [&]() { return HalfSumSquares(layer->Infer(input)); };
   // Check a sample of entries.
   const int64_t step = std::max<int64_t>(1, input.size() / 24);
   for (int64_t i = 0; i < input.size(); i += step) {
@@ -69,11 +65,7 @@ void CheckParameterGradients(Layer* layer, const Tensor& input,
   for (Parameter* p : params) p->ZeroGrad();
   Tensor out = layer->Forward(input);
   layer->Backward(out);
-  auto loss = [&]() {
-    Tensor o = layer->Forward(input);
-    layer->ClearCache();
-    return HalfSumSquares(o);
-  };
+  auto loss = [&]() { return HalfSumSquares(layer->Infer(input)); };
   for (Parameter* p : params) {
     const int64_t step = std::max<int64_t>(1, p->value.size() / 16);
     for (int64_t i = 0; i < p->value.size(); i += step) {
@@ -178,7 +170,6 @@ TEST(LinearTest, ForwardComputesAffine) {
   x[0] = 1.0f;
   x[1] = -1.0f;
   Tensor y = lin.Forward(x);
-  lin.ClearCache();
   EXPECT_FLOAT_EQ(y[0], 2.0f - 3.0f + 1.0f);
 }
 
@@ -194,7 +185,6 @@ TEST(Conv2dTest, OutputShape) {
   Conv2d conv(2, 3, 3, 2, &rng);
   Tensor in({2, 9, 11});
   Tensor out = conv.Forward(in);
-  conv.ClearCache();
   EXPECT_EQ(out.dim(0), 3);
   EXPECT_EQ(out.dim(1), 5);   // ceil(9/2)
   EXPECT_EQ(out.dim(2), 6);   // ceil(11/2)
@@ -210,7 +200,6 @@ TEST(Conv2dTest, IdentityKernelReproducesInput) {
   params[1]->value.Fill(0.0f);
   Tensor in = RandomTensor({1, 6, 7}, &rng);
   Tensor out = conv.Forward(in);
-  conv.ClearCache();
   for (int64_t i = 0; i < in.size(); ++i) {
     EXPECT_NEAR(out[i], in[i], 1e-6f);
   }
@@ -289,7 +278,6 @@ TEST(GruCellTest, StepShapesAndRange) {
   Tensor x = RandomTensor({3}, &rng);
   Tensor h = Tensor::Zeros({5});
   Tensor h1 = gru.Step(x, h);
-  gru.ClearCache();
   EXPECT_EQ(h1.size(), 5);
   for (int64_t i = 0; i < h1.size(); ++i) {
     EXPECT_GE(h1[i], -1.0f);
@@ -312,11 +300,7 @@ TEST(GruCellTest, GradientCheckSingleStep) {
   Tensor h_new = gru.Step(x, h);
   auto [gx, gh] = gru.StepBackward(h_new);  // dL/dh_new = h_new.
 
-  auto loss = [&]() {
-    Tensor out = gru.Step(x, h);
-    gru.ClearCache();
-    return HalfSumSquares(out);
-  };
+  auto loss = [&]() { return HalfSumSquares(gru.StepInfer(x, h)); };
   for (int64_t i = 0; i < x.size(); ++i) {
     EXPECT_NEAR(gx[i], NumericalGrad(loss, &x[i]), 2e-2) << "x[" << i << "]";
   }
@@ -349,10 +333,7 @@ TEST(GruCellTest, GradientCheckThroughTime) {
   auto [gx1, gh0] = gru.StepBackward(gh1);
 
   auto loss = [&]() {
-    Tensor a = gru.Step(x1, h0);
-    Tensor b = gru.Step(x2, a);
-    gru.ClearCache();
-    return HalfSumSquares(b);
+    return HalfSumSquares(gru.StepInfer(x2, gru.StepInfer(x1, h0)));
   };
   for (int64_t i = 0; i < x1.size(); ++i) {
     EXPECT_NEAR(gx1[i], NumericalGrad(loss, &x1[i]), 2e-2) << "x1[" << i << "]";
@@ -476,7 +457,6 @@ TEST(Conv2dTest, ForwardStillUsesReferencePath) {
   Conv2d conv(2, 3, 3, 1, &rng);
   const Tensor input = RandomTensor({2, 6, 6}, &rng);
   const Tensor fwd = conv.Forward(input);
-  conv.ClearCache();
   const Tensor ref = conv.InferReference(input);
   for (int64_t i = 0; i < ref.size(); ++i) ASSERT_EQ(ref[i], fwd[i]);
 }
@@ -614,7 +594,6 @@ class ReferenceConv : public Layer {
   void CollectParameters(std::vector<Parameter*>* out) override {
     conv_.CollectParameters(out);
   }
-  void ClearCache() override { cache_.clear(); }
 
  private:
   Conv2d conv_;
@@ -641,13 +620,11 @@ TEST(Conv2dTest, TrainingMatchesReferenceLayersOverAdamSteps) {
   Sequential gemm_net, ref_net;
   BuildProxyStack<Conv2d>(41, &gemm_net);
   BuildProxyStack<ReferenceConv>(41, &ref_net);
-  Adam::Options opts;
-  opts.learning_rate = 2e-3;
   std::vector<Parameter*> gemm_params, ref_params;
   gemm_net.CollectParameters(&gemm_params);
   ref_net.CollectParameters(&ref_params);
-  Adam gemm_adam(gemm_params, opts);
-  Adam ref_adam(ref_params, opts);
+  Adam gemm_adam(gemm_params, 2e-3);
+  Adam ref_adam(ref_params, 2e-3);
 
   Rng rng(42);
   for (int step = 0; step < 20; ++step) {

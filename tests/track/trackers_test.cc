@@ -86,9 +86,7 @@ TEST(SortTrackerTest, TwoCrossingObjectsKeepIdentities) {
 }
 
 TEST(SortTrackerTest, MissToleranceBridgesGaps) {
-  SortTracker::Options opts;
-  opts.max_misses = 3;
-  SortTracker sort(opts);
+  SortTracker sort;
   // Object missing on frames 4-5 (e.g. detector misses).
   for (int t = 0; t < 12; ++t) {
     FrameDetections dets;
