@@ -1,5 +1,6 @@
 #include "core/best_config.h"
 
+#include <memory>
 #include <utility>
 
 #include "obs/run_progress.h"
@@ -14,9 +15,9 @@ EvalResult EvaluateConfig(const PipelineConfig& config,
                           const std::vector<sim::Clip>& clips,
                           const AccuracyFn& accuracy_fn) {
   Pipeline pipeline(config, trained);
-  // Register the sweep with the live-progress registry (no-op when
-  // introspection is off): one run generation per EvaluateConfig call,
-  // totals in sampled frames per clip (what Pipeline::Run commits).
+  // This call's live-progress run, null while introspection is off: totals
+  // in sampled frames per clip, what Pipeline::Run processes.
+  std::shared_ptr<obs::RunProgress::Run> progress;
   if (obs::ProgressEnabled()) {
     std::vector<int64_t> totals;
     totals.reserve(clips.size());
@@ -24,7 +25,8 @@ EvalResult EvaluateConfig(const PipelineConfig& config,
       totals.push_back((clip.num_frames() + config.sampling_gap - 1) /
                        config.sampling_gap);
     }
-    obs::RunProgress::Global().BeginRun("serial", std::move(totals));
+    progress = obs::RunProgress::Global().BeginRun(config.ToString(),
+                                                   std::move(totals));
   }
   // Clips are independent; run them across the worker pool. Results come
   // back ordered by clip index, and the simulated clock keeps independent
@@ -37,9 +39,20 @@ EvalResult EvaluateConfig(const PipelineConfig& config,
                     // with the clip index (the tuner, Otif::Execute and the
                     // harness all funnel here).
                     telemetry::timeline::ScopedContext ctx({.clip = i});
-                    return pipeline.Run(clips[static_cast<size_t>(i)]);
+                    PipelineResult r =
+                        pipeline.Run(clips[static_cast<size_t>(i)]);
+                    if (progress != nullptr) {
+                      // A quarantined clip processed no frames.
+                      progress->CommitFrames(static_cast<int>(i),
+                                             r.frames_processed);
+                      if (!r.status.ok()) {
+                        progress->MarkQuarantined(static_cast<int>(i),
+                                                  r.status.ToString());
+                      }
+                    }
+                    return r;
                   });
-  if (obs::ProgressEnabled()) obs::RunProgress::Global().EndRun();
+  if (progress != nullptr) progress->End();
   EvalResult result;
   for (size_t i = 0; i < per_clip.size(); ++i) {
     PipelineResult& r = per_clip[i];

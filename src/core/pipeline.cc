@@ -10,7 +10,6 @@
 #include <utility>
 #include <vector>
 
-#include "obs/run_progress.h"
 #include "track/recurrent_tracker.h"
 #include "track/sort_tracker.h"
 #include "util/fault_injection.h"
@@ -162,17 +161,13 @@ Status AttemptStage(fault::Site* site, int64_t clip, int group,
 }
 
 /// The result of a quarantined clip: the failure and nothing else. Reported
-/// through the quarantine counter, the live-progress registry (/statusz) and
-/// the flight recorder.
+/// through the quarantine counter, the log and the flight recorder
+/// (EvaluateConfig also lists it in its live-progress run).
 PipelineResult Quarantine(int64_t clip, Status status, int retries) {
   QuarantinedCounter()->Add(1);
   OTIF_LOG(kWarning) << "clip " << clip << " quarantined after " << retries
                      << " retrie(s): " << status.ToString()
                      << " — remaining clips continue";
-  if (obs::ProgressEnabled()) {
-    obs::RunProgress::Global().MarkClipQuarantined(static_cast<int>(clip),
-                                                   status.ToString());
-  }
   telemetry::timeline::ReportError(
       status, "pipeline: quarantined clip " + std::to_string(clip));
   PipelineResult result;
@@ -599,7 +594,7 @@ PipelineResult Pipeline::Run(const sim::Clip& clip) const {
   std::vector<FrameContext*> batch;
   batch.reserve(ctxs.size());
   // The clip the scheduler tagged on this thread (-1 outside per-clip work):
-  // keys fault decisions and attributes live progress.
+  // keys fault decisions.
   const int64_t clip_index = telemetry::timeline::CurrentContext().clip;
   for (int f = 0, group = 0; f < clip.num_frames(); ++group) {
     batch.clear();
@@ -648,14 +643,6 @@ PipelineResult Pipeline::Run(const sim::Clip& clip) const {
     {
       telemetry::ScopedSpan span(StageSpan(models::CostCategory::kTrack));
       for (FrameContext* ctx : batch) run.Track(ctx, &result);
-    }
-    // Live progress: with introspection off this is the one relaxed flag
-    // load; with it on, the group is attributed to the clip the scheduler
-    // tagged on this thread (-1 outside per-clip work still advances the
-    // run total and the stall watchdog).
-    if (obs::ProgressEnabled()) {
-      obs::RunProgress::Global().OnFramesCommitted(
-          static_cast<int>(clip_index), static_cast<int64_t>(batch.size()));
     }
   }
   {

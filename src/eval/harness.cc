@@ -1,6 +1,8 @@
 #include "eval/harness.h"
 
 #include <algorithm>
+#include <iterator>
+#include <string_view>
 
 #include "baselines/catdet.h"
 #include "baselines/centertrack.h"
@@ -22,6 +24,10 @@ double SecondsForQueries(const baselines::MethodPoint& point, int queries) {
 
 namespace {
 
+/// The baselines ExperimentOptions::methods may name.
+constexpr std::string_view kBaselineMethods[] = {
+    "miris", "chameleon", "noscope", "catdet", "centertrack"};
+
 /// The experiment body; the public wrapper routes failures through the
 /// flight recorder.
 StatusOr<TrackExperimentResult> RunTrackExperimentImpl(
@@ -29,6 +35,14 @@ StatusOr<TrackExperimentResult> RunTrackExperimentImpl(
   InitObservabilityFromEnv();
   obs::InitIntrospectionFromEnv();
   OTIF_SPAN("harness/experiment");
+  // Check the names before Prepare trains and tunes; the baselines
+  // themselves are built after it (NoScope needs a trained proxy).
+  for (const std::string& method : options.methods) {
+    if (std::find(std::begin(kBaselineMethods), std::end(kBaselineMethods),
+                  method) == std::end(kBaselineMethods)) {
+      return Status::InvalidArgument("unknown method \"" + method + "\"");
+    }
+  }
   TrackExperimentResult result;
   const TrackWorkload workload = MakeTrackWorkload(id);
   result.dataset = workload.spec.name;
@@ -91,10 +105,9 @@ StatusOr<TrackExperimentResult> RunTrackExperimentImpl(
           result.otif->trained().proxies.back().get());
     } else if (method == "catdet") {
       baseline = std::make_unique<baselines::CaTDet>();
-    } else if (method == "centertrack") {
-      baseline = std::make_unique<baselines::CenterTrack>();
     } else {
-      return Status::InvalidArgument("unknown method \"" + method + "\"");
+      OTIF_CHECK(method == "centertrack") << method;
+      baseline = std::make_unique<baselines::CenterTrack>();
     }
     OTIF_LOG(kInfo) << "[" << result.dataset << "] running "
                     << baseline->name();

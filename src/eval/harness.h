@@ -38,8 +38,8 @@ struct ExperimentOptions {
 };
 
 /// Runs the full track-query experiment on one dataset. Fails with
-/// InvalidArgument on an unknown method name in `options.methods`; a
-/// non-OK return also triggers the timeline flight recorder
+/// InvalidArgument, before any training, on an unknown method name in
+/// `options.methods`; a non-OK return also triggers the timeline flight recorder
 /// (timeline::ReportError) so postmortems carry the last trace events and
 /// a telemetry snapshot.
 StatusOr<TrackExperimentResult> RunTrackExperiment(

@@ -3,11 +3,10 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -22,63 +21,9 @@
 #include "util/logging.h"
 #include "util/strings.h"
 #include "util/trace.h"
-#include "util/trace_timeline.h"
 
 namespace otif::obs {
 namespace {
-
-/// Completed spans /tracez returns (newest first) without ?n=.
-constexpr int kTracezDefaultSpans = 200;
-
-/// One completed span paired up from the timeline rings.
-struct CompletedSpan {
-  std::string name;
-  int64_t start_ns = 0;
-  int64_t dur_ns = 0;
-  uint64_t tid = 0;
-  int64_t clip = -1;
-};
-
-/// Pairs begin/end events (per thread, LIFO nesting — the Chrome trace
-/// model the rings follow) into completed spans, newest-ending first,
-/// capped at `limit`. Unmatched begins (still running or end overwritten)
-/// are dropped.
-std::vector<CompletedSpan> PairCompletedSpans(
-    const std::vector<telemetry::timeline::Event>& events, int limit) {
-  std::map<uint64_t, std::vector<const telemetry::timeline::Event*>> stacks;
-  std::vector<CompletedSpan> done;
-  for (const telemetry::timeline::Event& e : events) {
-    std::vector<const telemetry::timeline::Event*>& stack = stacks[e.tid];
-    if (e.phase == 'B') {
-      stack.push_back(&e);
-      continue;
-    }
-    // End event: unwind to the matching begin (a ring that overwrote some
-    // begins can leave strays below; mismatches discard the stray begin).
-    while (!stack.empty() && stack.back()->name != e.name) stack.pop_back();
-    if (stack.empty()) continue;
-    const telemetry::timeline::Event* begin = stack.back();
-    stack.pop_back();
-    CompletedSpan span;
-    span.name = e.name;
-    span.start_ns = begin->ts_ns;
-    span.dur_ns = e.ts_ns - begin->ts_ns;
-    span.tid = e.tid;
-    span.clip = begin->clip;
-    done.push_back(std::move(span));
-  }
-  // Events arrive sorted by timestamp, so `done` is ordered by end time;
-  // newest first, capped.
-  std::vector<CompletedSpan> out;
-  const size_t keep =
-      limit > 0 ? std::min(done.size(), static_cast<size_t>(limit))
-                : done.size();
-  out.reserve(keep);
-  for (size_t i = 0; i < keep; ++i) {
-    out.push_back(std::move(done[done.size() - 1 - i]));
-  }
-  return out;
-}
 
 std::string RenderStatusz() {
   // Snapshot first (the snapshot takes only the brief lock the progress
@@ -94,7 +39,6 @@ std::string RenderStatusz() {
   w.Key("seq").Value(progress.run_seq);
   w.Key("in_flight").Value(progress.run_in_flight);
   w.Key("uptime_seconds").Value(progress.run_uptime_seconds);
-  w.Key("seconds_since_last_commit").Value(progress.seconds_since_last_commit);
   w.Key("frames_committed").Value(progress.frames_committed);
   w.Key("frames_total").Value(progress.frames_total);
   w.Key("clips_done").Value(progress.clips_done);
@@ -121,37 +65,10 @@ std::string RenderStatusz() {
   return std::move(w).TakeString();
 }
 
-std::string RenderTracez(int limit) {
-  const bool armed = telemetry::timeline::CollectionEnabled();
-  std::vector<CompletedSpan> spans;
-  if (armed) {
-    spans = PairCompletedSpans(telemetry::timeline::SnapshotEvents(), limit);
-  }
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("timeline_armed").Value(armed);
-  w.Key("span_count").Value(static_cast<int64_t>(spans.size()));
-  w.Key("spans").BeginArray();
-  for (const CompletedSpan& s : spans) {
-    w.BeginObject();
-    w.Key("name").Value(s.name);
-    w.Key("start_ns").Value(s.start_ns);
-    w.Key("dur_ns").Value(s.dur_ns);
-    w.Key("tid").Value(static_cast<uint64_t>(s.tid));
-    w.Key("clip").Value(s.clip);
-    w.EndObject();
-  }
-  w.EndArray();
-  w.EndObject();
-  return std::move(w).TakeString();
-}
-
 const char kIndexBody[] =
     "otif introspection endpoints:\n"
     "  /metrics   Prometheus text exposition of the telemetry registry\n"
-    "  /healthz   liveness + commit-stall watchdog\n"
     "  /statusz   JSON run status (per-clip progress, quarantined clips)\n"
-    "  /tracez    last completed spans from the timeline rings (?n=<1..10000>)\n"
     "  /profilez  sampling CPU profile (?seconds=<0.01..60>, "
     "?fmt=collapsed|json)\n";
 
@@ -178,22 +95,6 @@ bool ParseFiniteDouble(const std::string& s, double* out) {
   if (!(value == value) || value > 1e300 || value < -1e300) return false;
   *out = value;
   return true;
-}
-
-/// Bounded-cardinality endpoint label for the request counters. Anything
-/// outside the known path set (404s, typos) folds into "other" so a
-/// scanning client cannot mint unbounded metric names.
-const char* EndpointLabel(const std::string& path_with_query) {
-  std::string_view path(path_with_query);
-  const size_t query = path.find('?');
-  if (query != std::string_view::npos) path = path.substr(0, query);
-  if (path == "/metrics") return "metrics";
-  if (path == "/statusz") return "statusz";
-  if (path == "/healthz") return "healthz";
-  if (path == "/tracez") return "tracez";
-  if (path == "/profilez") return "profilez";
-  if (path == "/" || path.empty()) return "index";
-  return "other";
 }
 
 /// HTTP method tokens are uppercase letters; anything else on the front of
@@ -234,17 +135,13 @@ bool ParseQueryString(std::string_view query,
   }
 }
 
-IntrospectionServer::IntrospectionServer(const Options& options)
-    : options_(options) {}
-
 StatusOr<std::unique_ptr<IntrospectionServer>> IntrospectionServer::Start(
-    const Options& options) {
-  if (options.port < 0 || options.port > 65535) {
+    int port) {
+  if (port < 0 || port > 65535) {
     return Status::InvalidArgument(StrFormat(
-        "introspection port must be in [0, 65535], got %d", options.port));
+        "introspection port must be in [0, 65535], got %d", port));
   }
-  std::unique_ptr<IntrospectionServer> server(
-      new IntrospectionServer(options));
+  std::unique_ptr<IntrospectionServer> server(new IntrospectionServer());
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {
     return Status::IoError(StrFormat("socket(): %s", std::strerror(errno)));
@@ -255,12 +152,11 @@ StatusOr<std::unique_ptr<IntrospectionServer>> IntrospectionServer::Start(
   std::memset(&addr, 0, sizeof(addr));
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<uint16_t>(options.port));
+  addr.sin_port = htons(static_cast<uint16_t>(port));
   if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
       0) {
     const Status status = Status::IoError(
-        StrFormat("bind(127.0.0.1:%d): %s", options.port,
-                  std::strerror(errno)));
+        StrFormat("bind(127.0.0.1:%d): %s", port, std::strerror(errno)));
     ::close(fd);
     return status;
   }
@@ -307,17 +203,32 @@ void IntrospectionServer::AcceptLoop() {
 }
 
 void IntrospectionServer::ServeConnection(int fd) const {
+  // Connections are served one at a time, so bound how long one client can
+  // hold the loop: a read or write that waits kConnectionTimeoutMs fails
+  // instead of blocking every later scrape.
+  timeval timeout{};
+  timeout.tv_sec = kConnectionTimeoutMs / 1000;
+  timeout.tv_usec = (kConnectionTimeoutMs % 1000) * 1000;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
   // Read until the end of the request head (we never use a body). Cap the
   // head so a misbehaving client cannot make the server buffer unboundedly.
   std::string head;
+  bool timed_out = false;
   char buf[1024];
   while (head.size() < kMaxHeadBytes &&
          head.find("\r\n\r\n") == std::string::npos) {
     const ssize_t n = ::read(fd, buf, sizeof(buf));
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      timed_out = true;
+      break;
+    }
     if (n <= 0) break;
     head.append(buf, static_cast<size_t>(n));
   }
-  const Response response = HandleRequest(head);
+  const Response response =
+      timed_out ? Response{400, "text/plain", "request head incomplete\n"}
+                : HandleRequest(head);
   const char* reason = response.status == 200   ? "OK"
                        : response.status == 400 ? "Bad Request"
                        : response.status == 404 ? "Not Found"
@@ -340,37 +251,19 @@ void IntrospectionServer::ServeConnection(int fd) const {
 
 IntrospectionServer::Response IntrospectionServer::HandleRequest(
     const std::string& head) const {
-  const auto started = std::chrono::steady_clock::now();
   const size_t line_end = head.find("\r\n");
-  Response response;
-  const char* endpoint = "other";
   if (line_end == std::string::npos && head.size() >= kMaxHeadBytes) {
-    response = {400, "text/plain", "request line too large\n"};
-  } else {
-    const std::vector<std::string> parts = StrSplit(
-        line_end == std::string::npos ? head : head.substr(0, line_end), ' ');
-    if (parts.size() < 2 || !IsMethodToken(parts[0])) {
-      response = {400, "text/plain", "bad request\n"};
-    } else if (parts[0] != "GET" && parts[0] != "HEAD") {
-      response = {405, "text/plain", "only GET and HEAD are supported\n"};
-    } else {
-      endpoint = EndpointLabel(parts[1]);
-      response = Handle(parts[1]);
-    }
+    return {400, "text/plain", "request line too large\n"};
   }
-  // Self-instrumentation: the server shows up in its own /metrics like any
-  // other subsystem. Bounded name cardinality: EndpointLabel folds unknown
-  // paths into "other" and the status set is the fixed table above.
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - started)
-          .count();
-  telemetry::MetricsRegistry& registry = telemetry::MetricsRegistry::Global();
-  registry.GetHistogram("obs.scrape_seconds")->Record(elapsed);
-  registry
-      .GetCounter(
-          StrFormat("obs.http.requests.%s.%d", endpoint, response.status))
-      ->Add(1);
-  return response;
+  const std::vector<std::string> parts = StrSplit(
+      line_end == std::string::npos ? head : head.substr(0, line_end), ' ');
+  if (parts.size() < 2 || !IsMethodToken(parts[0])) {
+    return {400, "text/plain", "bad request\n"};
+  }
+  if (parts[0] != "GET" && parts[0] != "HEAD") {
+    return {405, "text/plain", "only GET and HEAD are supported\n"};
+  }
+  return Handle(parts[1]);
 }
 
 IntrospectionServer::Response IntrospectionServer::Handle(
@@ -383,23 +276,6 @@ IntrospectionServer::Response IntrospectionServer::Handle(
       return BadQuery("malformed query string");
     }
     path.resize(query);
-  }
-  if (path == "/tracez") {
-    int limit = kTracezDefaultSpans;
-    if (const auto it = params.find("n"); it != params.end()) {
-      int64_t n = 0;
-      if (!ParseInt64(it->second, &n) || n < 1 || n > 10000) {
-        return BadQuery("tracez: n must be an integer in [1, 10000]");
-      }
-      limit = static_cast<int>(n);
-      params.erase(it);
-    }
-    if (!params.empty()) {
-      return BadQuery(
-          StrFormat("tracez: unknown parameter \"%s\"",
-                    params.begin()->first.c_str()));
-    }
-    return {200, "application/json", RenderTracez(limit)};
   }
   if (path == "/profilez") {
     double seconds = 2.0;
@@ -452,20 +328,6 @@ IntrospectionServer::Response IntrospectionServer::Handle(
   if (path == "/statusz") {
     return {200, "application/json", RenderStatusz()};
   }
-  if (path == "/healthz") {
-    const double idle = RunProgress::Global().SecondsSinceRunAdvanced();
-    const bool stalled = idle >= 0.0 && idle > options_.stall_seconds;
-    JsonWriter w;
-    w.BeginObject();
-    w.Key("status").Value(stalled  ? "stalled"
-                          : idle < 0 ? "idle"
-                                     : "ok");
-    w.Key("seconds_since_advance").Value(idle);
-    w.Key("stall_window_seconds").Value(options_.stall_seconds);
-    w.EndObject();
-    return {stalled ? 503 : 200, "application/json",
-            std::move(w).TakeString()};
-  }
   if (path == "/" || path.empty()) {
     return {200, "text/plain", kIndexBody};
   }
@@ -479,7 +341,6 @@ IntrospectionServer* InitIntrospectionFromEnv() {
     InitProfilerFromEnv();
     const char* port_env = std::getenv("OTIF_METRICS_PORT");
     if (port_env == nullptr || *port_env == '\0') return nullptr;
-    IntrospectionServer::Options options;
     int64_t port = 0;
     if (!ParseInt64(port_env, &port) || port < 0 || port > 65535) {
       OTIF_LOG(kWarning) << "OTIF_METRICS_PORT=\"" << port_env
@@ -487,24 +348,9 @@ IntrospectionServer* InitIntrospectionFromEnv() {
                             "server off";
       return nullptr;
     }
-    options.port = static_cast<int>(port);
-    if (const char* stall = std::getenv("OTIF_STALL_SEC")) {
-      double window = 0.0;
-      if (ParseFiniteDouble(stall, &window) && window > 0.0) {
-        options.stall_seconds = window;
-      } else {
-        OTIF_LOG(kWarning) << "OTIF_STALL_SEC=\"" << stall
-                           << "\" is not a positive number; using "
-                           << options.stall_seconds << " s";
-      }
-    }
     SetProgressEnabled(true);
-    // Arm the timeline rings so /tracez has spans to show. Harmless to
-    // outputs (the timeline never affects results) and only reached when
-    // the operator asked for live introspection.
-    telemetry::timeline::SetCollectionEnabled(true);
     StatusOr<std::unique_ptr<IntrospectionServer>> started =
-        IntrospectionServer::Start(options);
+        IntrospectionServer::Start(static_cast<int>(port));
     if (!started.ok()) {
       OTIF_LOG(kError) << "introspection server disabled: "
                        << started.status().ToString();

@@ -3,6 +3,8 @@
 #include <chrono>
 #include <utility>
 
+#include "util/logging.h"
+
 namespace otif::obs {
 namespace {
 
@@ -26,41 +28,46 @@ void SetProgressEnabled(bool enabled) {
   telemetry::internal::SetFlag(telemetry::kProgressFlag, enabled);
 }
 
+RunProgress::Run::Run(std::string label, int64_t seq,
+                      std::vector<int64_t> clip_totals)
+    : label_(std::move(label)),
+      seq_(seq),
+      start_ns_(MonotonicNowNs()),
+      totals_(std::move(clip_totals)),
+      committed_(totals_.size()) {}
+
+void RunProgress::Run::CommitFrames(int clip, int64_t frames) {
+  OTIF_CHECK_LT(static_cast<size_t>(clip), committed_.size());
+  committed_[static_cast<size_t>(clip)].fetch_add(frames,
+                                                  std::memory_order_relaxed);
+}
+
+void RunProgress::Run::MarkQuarantined(int clip, std::string reason) {
+  std::lock_guard<std::mutex> lock(quarantine_mu_);
+  quarantined_.push_back(QuarantineSample{clip, std::move(reason)});
+}
+
+void RunProgress::Run::End() {
+  // Release pairs with Snapshot's acquire: a snapshot that sees the run
+  // finished also sees every commit made before End.
+  in_flight_.store(false, std::memory_order_release);
+}
+
 RunProgress& RunProgress::Global() {
-  // Leaked: commit paths may still report during static destruction.
+  // Leaked: runs may still report during static destruction.
   static RunProgress* progress = new RunProgress();
   return *progress;
 }
 
-void RunProgress::BeginRun(std::string label,
-                           std::vector<int64_t> clip_total_frames) {
-  if (!ProgressEnabled()) return;
-  auto state = std::make_shared<RunState>();
-  state->label = std::move(label);
-  state->start_ns = MonotonicNowNs();
-  state->clips.reserve(clip_total_frames.size());
-  for (const int64_t total : clip_total_frames) {
-    auto clip = std::make_unique<ClipState>();
-    clip->total = total;
-    state->frames_total += total;
-    state->clips.push_back(std::move(clip));
-  }
+std::shared_ptr<RunProgress::Run> RunProgress::BeginRun(
+    std::string label, std::vector<int64_t> clip_total_frames) {
+  if (!ProgressEnabled()) return nullptr;
   ProcessStartNs();  // Anchor uptime no later than the first run.
   std::lock_guard<std::mutex> lock(mu_);
-  state->seq = next_seq_++;
-  state_ = std::move(state);
-  // A harness-set phase ("prepare", "baselines", ...) outlives the runs it
-  // contains; only the default idle phase flips to "running".
-  if (phase_ == "idle") phase_ = "running";
-}
-
-void RunProgress::EndRun() {
-  if (!ProgressEnabled()) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  if (state_ != nullptr) {
-    state_->in_flight.store(false, std::memory_order_relaxed);
-  }
-  if (phase_ == "running") phase_ = "idle";
+  std::shared_ptr<Run> run(
+      new Run(std::move(label), next_seq_++, std::move(clip_total_frames)));
+  latest_ = run;
+  return run;
 }
 
 void RunProgress::SetPhase(std::string phase) {
@@ -69,81 +76,39 @@ void RunProgress::SetPhase(std::string phase) {
   phase_ = std::move(phase);
 }
 
-void RunProgress::OnFramesCommitted(int clip, int64_t frames) {
-  if (!ProgressEnabled()) return;
-  const std::shared_ptr<RunState> state = CurrentState();
-  if (state == nullptr) return;
-  state->frames_committed.fetch_add(frames, std::memory_order_relaxed);
-  state->last_commit_ns.store(MonotonicNowNs(), std::memory_order_relaxed);
-  if (clip >= 0 && static_cast<size_t>(clip) < state->clips.size()) {
-    state->clips[clip]->committed.fetch_add(frames,
-                                            std::memory_order_relaxed);
-  }
-}
-
-void RunProgress::MarkClipQuarantined(int clip, std::string reason) {
-  if (!ProgressEnabled()) return;
-  const std::shared_ptr<RunState> state = CurrentState();
-  if (state == nullptr) return;
-  std::lock_guard<std::mutex> lock(state->quarantine_mu);
-  state->quarantined.push_back(QuarantineSample{clip, std::move(reason)});
-}
-
-std::shared_ptr<RunProgress::RunState> RunProgress::CurrentState() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return state_;
-}
-
 ProgressSnapshot RunProgress::Snapshot() const {
   ProgressSnapshot out;
   const int64_t now_ns = MonotonicNowNs();
   out.process_uptime_seconds =
       static_cast<double>(now_ns - ProcessStartNs()) * 1e-9;
-  std::shared_ptr<RunState> state;
+  std::shared_ptr<const Run> run;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    state = state_;
+    run = latest_;
     out.phase = phase_;
   }
-  if (state == nullptr) return out;
-  out.run_label = state->label;
-  out.run_seq = state->seq;
-  out.run_in_flight = state->in_flight.load(std::memory_order_relaxed);
+  if (run == nullptr) return out;
+  out.run_label = run->label_;
+  out.run_seq = run->seq_;
+  out.run_in_flight = run->in_flight_.load(std::memory_order_acquire);
   out.run_uptime_seconds =
-      static_cast<double>(now_ns - state->start_ns) * 1e-9;
-  out.frames_committed =
-      state->frames_committed.load(std::memory_order_relaxed);
-  out.frames_total = state->frames_total;
-  const int64_t last_ns =
-      state->last_commit_ns.load(std::memory_order_relaxed);
-  out.seconds_since_last_commit =
-      last_ns >= 0 ? static_cast<double>(now_ns - last_ns) * 1e-9 : -1.0;
-  out.clips.reserve(state->clips.size());
-  for (size_t i = 0; i < state->clips.size(); ++i) {
+      static_cast<double>(now_ns - run->start_ns_) * 1e-9;
+  out.clips.reserve(run->totals_.size());
+  for (size_t i = 0; i < run->totals_.size(); ++i) {
     ClipProgressSample clip;
     clip.clip = static_cast<int>(i);
-    clip.committed = state->clips[i]->committed.load(std::memory_order_relaxed);
-    clip.total = state->clips[i]->total;
+    clip.committed = run->committed_[i].load(std::memory_order_relaxed);
+    clip.total = run->totals_[i];
+    out.frames_committed += clip.committed;
+    out.frames_total += clip.total;
     if (clip.total > 0 && clip.committed >= clip.total) ++out.clips_done;
     out.clips.push_back(clip);
   }
   {
-    std::lock_guard<std::mutex> lock(state->quarantine_mu);
-    out.quarantined = state->quarantined;
+    std::lock_guard<std::mutex> lock(run->quarantine_mu_);
+    out.quarantined = run->quarantined_;
   }
   return out;
-}
-
-double RunProgress::SecondsSinceRunAdvanced() const {
-  const std::shared_ptr<RunState> state = CurrentState();
-  if (state == nullptr ||
-      !state->in_flight.load(std::memory_order_relaxed)) {
-    return -1.0;
-  }
-  const int64_t last_ns =
-      state->last_commit_ns.load(std::memory_order_relaxed);
-  const int64_t anchor_ns = last_ns >= 0 ? last_ns : state->start_ns;
-  return static_cast<double>(MonotonicNowNs() - anchor_ns) * 1e-9;
 }
 
 }  // namespace otif::obs

@@ -7,7 +7,10 @@
 #include <utility>
 
 #include "eval/harness.h"
+#include "obs/run_progress.h"
 #include "util/logging.h"
+#include "util/telemetry.h"
+#include "util/trace.h"
 
 namespace otif::eval {
 namespace {
@@ -32,6 +35,17 @@ const TrackExperimentResult& SharedResult() {
 }
 
 TEST(HarnessErrorTest, UnknownMethodReturnsInvalidArgument) {
+  // With progress armed (as under OTIF_METRICS_PORT), an unknown name must
+  // fail before Prepare runs and leave /statusz's phase idle.
+  const bool telemetry_was_enabled = telemetry::Enabled();
+  const bool progress_was_enabled = obs::ProgressEnabled();
+  telemetry::SetEnabled(true);
+  obs::SetProgressEnabled(true);
+  obs::RunProgress::Global().SetPhase("idle");
+  telemetry::SpanSite* const prepare_span =
+      telemetry::GetSpan("harness/prepare");
+  const int64_t prepares_before = prepare_span->Sample().count;
+
   ExperimentOptions options;
   options.scale.train_clips = 1;
   options.scale.valid_clips = 1;
@@ -42,8 +56,14 @@ TEST(HarnessErrorTest, UnknownMethodReturnsInvalidArgument) {
   options.methods = {"no_such_method"};
   const StatusOr<TrackExperimentResult> result =
       RunTrackExperiment(sim::DatasetId::kSynthetic, options);
-  ASSERT_FALSE(result.ok());
+  EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(prepare_span->Sample().count, prepares_before);
+  EXPECT_EQ(obs::RunProgress::Global().Snapshot().phase, "idle");
+
+  obs::RunProgress::Global().SetPhase("idle");
+  obs::SetProgressEnabled(progress_was_enabled);
+  telemetry::SetEnabled(telemetry_was_enabled);
 }
 
 TEST(HarnessIntegrationTest, RunsAllRequestedMethods) {

@@ -1,22 +1,23 @@
-// Introspection server endpoint tests: handler rendering for all four
-// endpoints, the /healthz stall watchdog, one real-socket HTTP round trip,
-// concurrent /metrics scrapes racing telemetry writers (the TSan target),
-// and the bit-identity contract — a config evaluation with the server up
-// and progress armed must match the server-off evaluation exactly.
+// Introspection server endpoint tests: handler rendering for all three
+// endpoints, real-socket HTTP round trips (including a client that
+// connects and sends nothing), concurrent scrapes racing telemetry writers
+// (the TSan target), and the bit-identity contract — a config evaluation
+// with the server up and progress armed must match the server-off
+// evaluation exactly.
 
 #include "obs/introspection_server.h"
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
-#include <cstring>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,8 +30,6 @@
 #include "util/status.h"
 #include "util/telemetry.h"
 #include "util/thread_pool.h"
-#include "util/trace.h"
-#include "util/trace_timeline.h"
 
 namespace otif::obs {
 namespace {
@@ -41,7 +40,6 @@ class ScopedProgress {
  public:
   ScopedProgress() : previous_(ProgressEnabled()) { SetProgressEnabled(true); }
   ~ScopedProgress() {
-    RunProgress::Global().EndRun();
     RunProgress::Global().SetPhase("idle");
     SetProgressEnabled(previous_);
   }
@@ -50,10 +48,9 @@ class ScopedProgress {
   const bool previous_;
 };
 
-std::unique_ptr<IntrospectionServer> StartOrDie(
-    IntrospectionServer::Options options = {}) {
+std::unique_ptr<IntrospectionServer> StartOrDie() {
   StatusOr<std::unique_ptr<IntrospectionServer>> server =
-      IntrospectionServer::Start(options);
+      IntrospectionServer::Start(0);
   EXPECT_TRUE(server.ok()) << server.status().ToString();
   return std::move(*server);
 }
@@ -68,10 +65,8 @@ TEST(IntrospectionServerTest, RejectsPortsOutsideRangeWithoutBinding) {
   // Truncated to 16 bits these would bind 4464 and 65535. Socket failures
   // are IoError, so InvalidArgument means no socket was opened.
   for (const int port : {70000, -1}) {
-    IntrospectionServer::Options options;
-    options.port = port;
     const StatusOr<std::unique_ptr<IntrospectionServer>> server =
-        IntrospectionServer::Start(options);
+        IntrospectionServer::Start(port);
     ASSERT_FALSE(server.ok()) << "port " << port;
     EXPECT_EQ(server.status().code(), StatusCode::kInvalidArgument)
         << server.status().ToString();
@@ -95,8 +90,9 @@ TEST(IntrospectionServerTest, MetricsEndpointServesExposition) {
 
 TEST(IntrospectionServerTest, StatuszReportsRunAndClips) {
   ScopedProgress scoped;
-  RunProgress::Global().BeginRun("statusz_unit", {5, 5});
-  RunProgress::Global().OnFramesCommitted(0, 2);
+  const std::shared_ptr<RunProgress::Run> run =
+      RunProgress::Global().BeginRun("statusz_unit", {5, 5});
+  run->CommitFrames(0, 2);
   auto server = StartOrDie();
   const IntrospectionServer::Response r = server->Handle("/statusz");
   EXPECT_EQ(r.status, 200);
@@ -105,43 +101,7 @@ TEST(IntrospectionServerTest, StatuszReportsRunAndClips) {
   EXPECT_NE(r.body.find("statusz_unit"), std::string::npos);
   EXPECT_NE(r.body.find("\"committed\""), std::string::npos);
   EXPECT_NE(r.body.find("\"quarantined\""), std::string::npos);
-}
-
-TEST(IntrospectionServerTest, HealthzFlipsToStalledAndBack) {
-  ScopedProgress scoped;
-  IntrospectionServer::Options options;
-  options.stall_seconds = 0.02;
-  auto server = StartOrDie(options);
-
-  // No run in flight: idle is healthy.
-  IntrospectionServer::Response r = server->Handle("/healthz");
-  EXPECT_EQ(r.status, 200);
-  EXPECT_NE(r.body.find("idle"), std::string::npos);
-
-  // A run that stops committing trips the watchdog after stall_seconds.
-  RunProgress::Global().BeginRun("healthz_unit", {100});
-  RunProgress::Global().OnFramesCommitted(0, 1);
-  std::this_thread::sleep_for(std::chrono::milliseconds(60));
-  r = server->Handle("/healthz");
-  EXPECT_EQ(r.status, 503);
-  EXPECT_NE(r.body.find("stalled"), std::string::npos);
-
-  // A fresh commit revives it; ending the run returns it to idle.
-  RunProgress::Global().OnFramesCommitted(0, 1);
-  EXPECT_EQ(server->Handle("/healthz").status, 200);
-  RunProgress::Global().EndRun();
-  r = server->Handle("/healthz");
-  EXPECT_EQ(r.status, 200);
-  EXPECT_NE(r.body.find("idle"), std::string::npos);
-}
-
-TEST(IntrospectionServerTest, TracezReportsArmedState) {
-  auto server = StartOrDie();
-  const IntrospectionServer::Response r = server->Handle("/tracez");
-  EXPECT_EQ(r.status, 200);
-  EXPECT_NE(r.content_type.find("application/json"), std::string::npos);
-  EXPECT_NE(r.body.find("\"timeline_armed\""), std::string::npos);
-  EXPECT_NE(r.body.find("\"spans\""), std::string::npos);
+  run->End();
 }
 
 TEST(IntrospectionServerTest, IndexAndNotFound) {
@@ -153,7 +113,7 @@ TEST(IntrospectionServerTest, IndexAndNotFound) {
   EXPECT_EQ(server->Handle("/nope").status, 404);
   // Parameters an endpoint does not define are rejected, not ignored: a
   // scraper typo ("?seconds=2" on the wrong path) should fail loudly.
-  EXPECT_EQ(server->Handle("/healthz?verbose=1").status, 400);
+  EXPECT_EQ(server->Handle("/statusz?verbose=1").status, 400);
 }
 
 TEST(IntrospectionServerTest, ParseQueryStringTable) {
@@ -183,25 +143,6 @@ TEST(IntrospectionServerTest, ParseQueryStringTable) {
   ASSERT_EQ(params.size(), 2u);
   EXPECT_EQ(params["n"], "25");
   EXPECT_EQ(params["fmt"], "json");
-}
-
-TEST(IntrospectionServerTest, TracezLimitParameter) {
-  telemetry::timeline::SetCollectionEnabled(true);
-  for (int i = 0; i < 5; ++i) {
-    OTIF_SPAN("obs_test/tracez_span");
-  }
-  auto server = StartOrDie();
-  const IntrospectionServer::Response r = server->Handle("/tracez?n=2");
-  EXPECT_EQ(r.status, 200);
-  EXPECT_NE(r.body.find("\"span_count\": 2"), std::string::npos) << r.body;
-  // Range and grammar violations are 400s, not silent defaults.
-  EXPECT_EQ(server->Handle("/tracez?n=0").status, 400);
-  EXPECT_EQ(server->Handle("/tracez?n=10001").status, 400);
-  EXPECT_EQ(server->Handle("/tracez?n=abc").status, 400);
-  EXPECT_EQ(server->Handle("/tracez?n=5x").status, 400);
-  EXPECT_EQ(server->Handle("/tracez?m=5").status, 400);
-  EXPECT_EQ(server->Handle("/tracez?n=5&n=6").status, 400);
-  telemetry::timeline::SetCollectionEnabled(false);
 }
 
 TEST(IntrospectionServerTest, ProfilezValidatesParameters) {
@@ -238,7 +179,7 @@ TEST(IntrospectionServerTest, ProfilezServesAWindow) {
 TEST(IntrospectionServerTest, RequestLineEdgeCases) {
   auto server = StartOrDie();
   // Well-formed GET dispatches to the endpoint.
-  EXPECT_EQ(server->HandleRequest("GET /healthz HTTP/1.1\r\n\r\n").status,
+  EXPECT_EQ(server->HandleRequest("GET /statusz HTTP/1.1\r\n\r\n").status,
             200);
   EXPECT_EQ(server->HandleRequest("HEAD / HTTP/1.1\r\n\r\n").status, 200);
   // Known methods we do not serve: 405. Garbage methods: 400.
@@ -262,58 +203,65 @@ TEST(IntrospectionServerTest, RequestLineEdgeCases) {
   EXPECT_EQ(server->HandleRequest(long_path).status, 404);
 }
 
-TEST(IntrospectionServerTest, RequestsAreCountedPerEndpointAndStatus) {
-  auto server = StartOrDie();
-  telemetry::MetricsRegistry& registry = telemetry::MetricsRegistry::Global();
-  const int64_t healthz_before =
-      registry.GetCounter("obs.http.requests.healthz.200")->value();
-  const int64_t other_before =
-      registry.GetCounter("obs.http.requests.other.404")->value();
-  const int64_t bad_before =
-      registry.GetCounter("obs.http.requests.other.400")->value();
-  const auto scrapes_before =
-      registry.GetHistogram("obs.scrape_seconds")->count();
-  server->HandleRequest("GET /healthz HTTP/1.1\r\n\r\n");
-  server->HandleRequest("GET /unknown/path HTTP/1.1\r\n\r\n");
-  server->HandleRequest("bogus\r\n\r\n");
-  EXPECT_EQ(registry.GetCounter("obs.http.requests.healthz.200")->value(),
-            healthz_before + 1);
-  EXPECT_EQ(registry.GetCounter("obs.http.requests.other.404")->value(),
-            other_before + 1);
-  EXPECT_EQ(registry.GetCounter("obs.http.requests.other.400")->value(),
-            bad_before + 1);
-  EXPECT_EQ(registry.GetHistogram("obs.scrape_seconds")->count(),
-            scrapes_before + 3);
-  // The self-instrumentation shows up in the exposition like any metric.
-  const IntrospectionServer::Response metrics = server->Handle("/metrics");
-  EXPECT_NE(metrics.body.find("otif_obs_http_requests_healthz_200"),
-            std::string::npos);
-  EXPECT_NE(metrics.body.find("otif_obs_scrape_seconds"), std::string::npos);
-}
-
-TEST(IntrospectionServerTest, RealSocketRoundTrip) {
-  auto server = StartOrDie();
+/// Opens a loopback TCP connection to `port`; -1 on failure.
+int ConnectLoopback(int port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
+  if (fd < 0) return -1;
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(server->port()));
-  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  if (::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr) != 1 ||
+      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// Sends `path` as a GET on `fd` and reads the response until the server
+/// closes the connection (or the socket's receive timeout expires).
+std::string Get(int fd, const std::string& path) {
   const std::string request =
-      "GET /healthz HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n";
-  ASSERT_EQ(::send(fd, request.data(), request.size(), 0),
-            static_cast<ssize_t>(request.size()));
+      "GET " + path + " HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n";
+  if (::send(fd, request.data(), request.size(), 0) !=
+      static_cast<ssize_t>(request.size())) {
+    return "";
+  }
   std::string response;
   char buf[4096];
   ssize_t n;
   while ((n = ::read(fd, buf, sizeof(buf))) > 0) response.append(buf, n);
+  return response;
+}
+
+TEST(IntrospectionServerTest, RealSocketRoundTrip) {
+  auto server = StartOrDie();
+  const int fd = ConnectLoopback(server->port());
+  ASSERT_GE(fd, 0);
+  const std::string response = Get(fd, "/statusz");
   ::close(fd);
   EXPECT_EQ(response.rfind("HTTP/1.1 200 OK\r\n", 0), 0u) << response;
   EXPECT_NE(response.find("Content-Length: "), std::string::npos);
   EXPECT_NE(response.find("Connection: close"), std::string::npos);
   EXPECT_NE(response.find("\r\n\r\n"), std::string::npos);
+}
+
+TEST(IntrospectionServerTest, IdleClientDoesNotBlockLaterScrapes) {
+  // The server serves one connection at a time: a client that connects and
+  // sends nothing must time out instead of holding every later scrape.
+  auto server = StartOrDie();
+  const int idle = ConnectLoopback(server->port());
+  ASSERT_GE(idle, 0);
+  const int fd = ConnectLoopback(server->port());
+  ASSERT_GE(fd, 0);
+  timeval timeout{};
+  timeout.tv_sec = 10;
+  ASSERT_EQ(
+      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout)), 0);
+  const std::string response = Get(fd, "/statusz");
+  ::close(fd);
+  ::close(idle);
+  EXPECT_EQ(response.rfind("HTTP/1.1 200 OK\r\n", 0), 0u) << response;
 }
 
 // The TSan satellite: scrapers hammer every endpoint while writer threads
@@ -326,7 +274,8 @@ TEST(IntrospectionServerTest, ConcurrentScrapesRaceTelemetryUpdates) {
       telemetry::MetricsRegistry::Global().GetCounter("obs_test.race_counter");
   telemetry::Histogram* hist = telemetry::MetricsRegistry::Global()
       .GetHistogram("obs_test.race_hist", {0.5, 1.0});
-  RunProgress::Global().BeginRun("race_unit", {1000, 1000});
+  const std::shared_ptr<RunProgress::Run> run =
+      RunProgress::Global().BeginRun("race_unit", {1000, 1000});
 
   std::atomic<bool> stop{false};
   std::vector<std::thread> writers;
@@ -336,7 +285,7 @@ TEST(IntrospectionServerTest, ConcurrentScrapesRaceTelemetryUpdates) {
       while (!stop.load(std::memory_order_relaxed)) {
         counter->Add(1);
         hist->Record((i % 3) * 0.4);
-        RunProgress::Global().OnFramesCommitted(t, 1);
+        run->CommitFrames(t, 1);
         ++i;
       }
     });
@@ -344,11 +293,11 @@ TEST(IntrospectionServerTest, ConcurrentScrapesRaceTelemetryUpdates) {
   std::vector<std::thread> scrapers;
   for (int t = 0; t < 4; ++t) {
     scrapers.emplace_back([&, t] {
-      const char* paths[] = {"/metrics", "/statusz", "/healthz", "/tracez"};
+      const char* paths[] = {"/metrics", "/statusz"};
       for (int i = 0; i < 50; ++i) {
         const IntrospectionServer::Response r =
-            server->Handle(paths[(t + i) % 4]);
-        EXPECT_TRUE(r.status == 200 || r.status == 503);
+            server->Handle(paths[(t + i) % 2]);
+        EXPECT_EQ(r.status, 200);
         EXPECT_FALSE(r.body.empty());
       }
     });
@@ -356,6 +305,7 @@ TEST(IntrospectionServerTest, ConcurrentScrapesRaceTelemetryUpdates) {
   for (std::thread& t : scrapers) t.join();
   stop.store(true, std::memory_order_relaxed);
   for (std::thread& t : writers) t.join();
+  run->End();
 }
 
 /// Exact equality over every observable of a config evaluation: the
@@ -414,7 +364,6 @@ TEST(IntrospectionServerTest, RunsAreBitIdenticalWithServerOnOrOff) {
       while (!stop.load(std::memory_order_relaxed)) {
         server->Handle("/metrics");
         server->Handle("/statusz");
-        server->Handle("/healthz");
       }
     });
     const core::EvalResult on =

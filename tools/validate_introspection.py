@@ -3,10 +3,10 @@
 
 Usage: validate_introspection.py <port-file>
 
-Runs against bench_preprocess_smoke launched with OTIF_METRICS_PORT=0,
-OTIF_METRICS_PORT_FILE=<port-file>, a sub-second OTIF_STALL_SEC watchdog
-window and an OTIF_FAULTS stall spec that holds an extraction in flight;
-waits for the port file, then checks against 127.0.0.1:<port>:
+Runs against `bench_preprocess_smoke 4 30` launched with
+OTIF_METRICS_PORT=0, OTIF_METRICS_PORT_FILE=<port-file> and an OTIF_FAULTS
+stall spec that holds extraction clip 3 in flight; waits for the port file,
+then checks against 127.0.0.1:<port>:
 
   - /metrics  is legal Prometheus 0.0.4 text exposition: every line is a
               `# TYPE` comment or a sample, names match the exposition
@@ -15,13 +15,12 @@ waits for the port file, then checks against 127.0.0.1:<port>:
               p50 <= p90 <= p99. The expected series appear with their
               kinds: pipeline frames, the stage/detect span and thread-pool
               tasks.
-  - /statusz  is JSON with the documented sections (phase, run) and
-              per-clip `committed` counters that advance
-              monotonically within one run generation (`run.seq`).
-  - /healthz  answers throughout, and flips to 503 "stalled" while a run
-              is in flight and held by the injected stall.
-  - /tracez   is JSON with `timeline_armed` true and a `spans` list
-              (OTIF_METRICS_PORT arms timeline collection).
+  - /statusz  is JSON with the documented sections (phase, run), no clip
+              ever committed past its total, and per-clip `committed`
+              counters that advance monotonically within one run
+              generation (`run.seq`). While the stall holds the 4-clip
+              extraction in flight, it shows that run with 1 to 3 clips
+              done: each clip commits when its pipeline run returns.
 
 Exits non-zero with a diagnostic on the first violation.
 """
@@ -198,6 +197,11 @@ def statusz(port):
         die(f"/statusz content type {content_type!r}")
     doc = json.loads(body)
     validate_statusz_schema(doc)
+    for clip in doc["run"]["clips"]:
+        if clip["committed"] > clip["total"]:
+            die(f"/statusz clip {clip['clip']} of run {doc['run']['seq']} "
+                f"committed {clip['committed']} frames, over its total "
+                f"{clip['total']}")
     return doc
 
 
@@ -223,18 +227,19 @@ def check_monotonic_commits(port, deadline_seconds=120.0):
     die("never observed one run generation across two /statusz scrapes")
 
 
-def await_stall(port, deadline_seconds=180.0):
-    """The injected stall must trip the /healthz watchdog (503) while a run
-    is in flight."""
+def check_held_extraction(port, clips=4, deadline_seconds=180.0):
+    """While the injected stall holds extraction clip 3, /statusz must show
+    the 4-clip extraction in flight with some but not all of its clips
+    done (Prepare's runs have 3 clips)."""
     end = time.monotonic() + deadline_seconds
     while time.monotonic() < end:
-        doc = statusz(port)
-        if doc["run"]["in_flight"]:
-            status, _, body = fetch(port, "/healthz")
-            if status == 503 and "stalled" in body:
-                return
+        run = statusz(port)["run"]
+        if (run["in_flight"] and len(run["clips"]) == clips
+                and 1 <= run["clips_done"] <= clips - 1):
+            return run["clips_done"]
         time.sleep(0.02)
-    die("/healthz never reported stalled during the injected stall")
+    die(f"never saw a {clips}-clip run in flight with 1 to {clips - 1} "
+        "clips done while the injected stall held extraction clip 3")
 
 
 def main():
@@ -253,24 +258,11 @@ def main():
             die(f"/metrics never exported expected series {missing}")
         time.sleep(0.05)
 
-    status, _, body = fetch(port, "/healthz")
-    if status not in (200, 503):
-        die(f"/healthz returned {status}")
-    json.loads(body)
-
-    status, content_type, body = fetch(port, "/tracez")
-    if status != 200 or "application/json" not in content_type:
-        die(f"/tracez returned {status} ({content_type})")
-    tracez = json.loads(body)
-    if tracez.get("timeline_armed") is not True:
-        die("/tracez reports timeline_armed false under OTIF_METRICS_PORT")
-    if not isinstance(tracez.get("spans"), list):
-        die("/tracez has no spans list")
-
     seq = check_monotonic_commits(port)
-    await_stall(port)
+    done = check_held_extraction(port)
     print(f"live introspection ok: {series} metric series, monotonic "
-          f"commits in run seq {seq}, watchdog flipped to stalled")
+          f"commits in run seq {seq}, held extraction showed {done} of 4 "
+          f"clips done")
 
 
 if __name__ == "__main__":

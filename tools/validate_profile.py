@@ -7,8 +7,8 @@ Runs against bench_preprocess_smoke launched with OTIF_METRICS_PORT=0 and
 OTIF_METRICS_PORT_FILE=<port-file>, sized to outlive this check; waits for
 the port file, then against 127.0.0.1:<port>:
 
-  - Malformed /profilez and /tracez query parameters must 400 (never start
-    a window or fall back to silent defaults).
+  - Malformed /profilez query parameters must 400 (never start a window
+    or fall back to silent defaults).
   - /profilez?seconds=2&fmt=collapsed must return flamegraph-compatible
     collapsed stacks: every line is `seg;seg;...;seg <count>` with a
     positive integer count, at least 100 samples total (97 Hz over 2 s of
@@ -61,8 +61,7 @@ def parse_collapsed(body):
 def check_negative_cases(port):
     for path in ("/profilez?seconds=abc", "/profilez?seconds=0",
                  "/profilez?seconds=61", "/profilez?fmt=svg",
-                 "/profilez?bogus=1", "/profilez?seconds=2&seconds=3",
-                 "/tracez?n=abc", "/tracez?n=0"):
+                 "/profilez?bogus=1", "/profilez?seconds=2&seconds=3"):
         status, _, _ = fetch(port, path)
         if status != 400:
             die(f"GET {path} returned {status}, want 400")
