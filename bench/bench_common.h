@@ -12,11 +12,11 @@
 namespace otif::bench {
 
 /// The one startup hook every bench binary runs (directly or via
-/// BenchScale): applies OTIF_LOG_LEVEL, arms the timeline tracer / flight
-/// recorder from the environment (OTIF_TRACE_TIMELINE, OTIF_DUMP_ON_ERROR,
-/// ...), and starts the live introspection server when asked
-/// (OTIF_METRICS_PORT). Keep per-binary env parsing out of bench mains —
-/// add shared switches here.
+/// BenchScale): applies OTIF_LOG_LEVEL, arms the timeline tracer and fault
+/// injection from the environment (OTIF_TRACE_TIMELINE, OTIF_FAULTS), and
+/// starts the live introspection server when asked (OTIF_METRICS_PORT).
+/// Keep per-binary env parsing out of bench mains — add shared switches
+/// here.
 inline void BenchInit() {
   InitObservabilityFromEnv();
   obs::InitIntrospectionFromEnv();

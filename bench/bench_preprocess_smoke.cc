@@ -8,9 +8,8 @@
 // Prepare is sized by bench::BenchScale() (OTIF_BENCH_SCALE=tiny|large),
 // which also applies the observability switches every bench honours
 // (OTIF_METRICS_PORT, OTIF_TRACE_TIMELINE, OTIF_PROFILE, OTIF_FAULTS,
-// OTIF_DUMP_ON_ERROR, ...). Execute then extracts `clips` test-split clips
-// of `clip_seconds` each (default 4 of 30 s) under perfbench's extraction
-// configuration.
+// ...). Execute then extracts `clips` test-split clips of `clip_seconds`
+// each (default 4 of 30 s) under perfbench's extraction configuration.
 //
 // Prints one JSON report on stdout:
 //   prepare_digest  FNV-1a over theta_best and the tuner's curve;

@@ -17,7 +17,7 @@
 int main() {
   using namespace otif;
 
-  // OTIF_LOG_LEVEL / OTIF_TRACE_TIMELINE / OTIF_DUMP_ON_ERROR.
+  // OTIF_LOG_LEVEL / OTIF_TRACE_TIMELINE / OTIF_FAULTS.
   InitObservabilityFromEnv();
   otif::obs::InitIntrospectionFromEnv();
 

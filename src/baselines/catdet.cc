@@ -31,11 +31,10 @@ std::vector<MethodPoint> CaTDet::Run(
       // is what CaTDet's proposal stage does.
       track::FrameDetections last_dets;
 
+      // CaTDet decodes every frame at native resolution.
       clock.Charge(models::CostCategory::kDecode,
-                   clip.num_frames() *
-                       (costs.decode_sec_per_frame +
-                        static_cast<double>(spec.width) * spec.height *
-                            costs.decode_sec_per_pixel));
+                   models::DecodeSeconds(spec.width, spec.height,
+                                         clip.num_frames(), 1, 1.0));
       for (int f = 0; f < clip.num_frames(); ++f) {
         track::FrameDetections dets;
         if (f % refresh == 0 || last_dets.empty()) {

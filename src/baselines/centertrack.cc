@@ -49,12 +49,9 @@ std::vector<MethodPoint> CenterTrack::Run(
         topts.max_misses = 1;
         track::IouTracker tracker(topts);
 
-        const int samples = (clip.num_frames() + gap - 1) / gap;
         clock.Charge(models::CostCategory::kDecode,
-                     samples * std::min(gap, 9) *
-                         (costs.decode_sec_per_frame +
-                          spec.width * scale * spec.height * scale *
-                              costs.decode_sec_per_pixel));
+                     models::DecodeSeconds(spec.width, spec.height,
+                                           clip.num_frames(), gap, scale));
         for (int f = 0; f < clip.num_frames(); f += gap) {
           clock.Charge(models::CostCategory::kDetect,
                        detector.FullFrameSeconds(clip, scale));

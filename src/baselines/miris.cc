@@ -88,13 +88,10 @@ std::vector<std::vector<track::Track>> Miris::RunAtGap(
     track::IouTracker tracker(topts);
 
     // Decode cost at the detector resolution (same model as the pipeline).
-    const int samples = (clip.num_frames() + gap - 1) / gap;
-    const double frames_per_sample = gap < 16 ? gap : 9.0;
     clock->Charge(models::CostCategory::kDecode,
-                  samples * frames_per_sample *
-                      (costs.decode_sec_per_frame +
-                       spec.width * detector_scale * spec.height *
-                           detector_scale * costs.decode_sec_per_pixel));
+                  models::DecodeSeconds(spec.width, spec.height,
+                                        clip.num_frames(), gap,
+                                        detector_scale));
 
     for (int f = 0; f < clip.num_frames(); f += gap) {
       clock->Charge(models::CostCategory::kDetect,

@@ -51,10 +51,8 @@ std::vector<MethodPoint> NoScope::Run(
 
       // NoScope decodes every frame at native resolution.
       clock.Charge(models::CostCategory::kDecode,
-                   clip.num_frames() *
-                       (costs.decode_sec_per_frame +
-                        static_cast<double>(spec.width) * spec.height *
-                            costs.decode_sec_per_pixel));
+                   models::DecodeSeconds(spec.width, spec.height,
+                                         clip.num_frames(), 1, 1.0));
       for (int f = 0; f < clip.num_frames(); ++f) {
         double frame_score = 1.0;
         if (skip_threshold > 0.0) {

@@ -161,47 +161,17 @@ Status AttemptStage(fault::Site* site, int64_t clip, int group,
 }
 
 /// The result of a quarantined clip: the failure and nothing else. Reported
-/// through the quarantine counter, the log and the flight recorder
-/// (EvaluateConfig also lists it in its live-progress run).
+/// through the quarantine counter and the log (EvaluateConfig also lists it
+/// in EvalResult::failed_clips and in its live-progress run).
 PipelineResult Quarantine(int64_t clip, Status status, int retries) {
   QuarantinedCounter()->Add(1);
   OTIF_LOG(kWarning) << "clip " << clip << " quarantined after " << retries
                      << " retrie(s): " << status.ToString()
                      << " — remaining clips continue";
-  telemetry::timeline::ReportError(
-      status, "pipeline: quarantined clip " + std::to_string(clip));
   PipelineResult result;
   result.status = std::move(status);
   result.retries = retries;
   return result;
-}
-
-// Frames per group of pictures (one I-frame, then P-frames that each
-// reference the previous frame) in the analytic decode-cost model below;
-// nothing is actually decoded, frames come from the rasterizer.
-constexpr int kGopSize = 16;
-
-/// Simulated decode seconds for a clip at the configured gap and detector
-/// resolution: frames are decoded along GOP reference chains at the
-/// detector resolution (paper Sec 4 "Implementation").
-double SimulatedDecodeSeconds(const PipelineConfig& config,
-                              const sim::Clip& clip) {
-  const models::CostConstants& costs = models::DefaultCostConstants();
-  const int g = config.sampling_gap;
-  const int samples = (clip.num_frames() + g - 1) / g;
-  // Reference chains: with g below the GOP size every frame must be
-  // decoded; above it, seeking to the preceding I-frame decodes an average
-  // of GOP/2 + 1 frames per sample.
-  const double frames_per_sample =
-      g < kGopSize ? static_cast<double>(g)
-                   : static_cast<double>(kGopSize) / 2.0 + 1.0;
-  const double frames_decoded = samples * frames_per_sample;
-  // Frames are decoded at the detector resolution (paper Sec 4).
-  const double px_per_frame = static_cast<double>(clip.spec().width) *
-                              clip.spec().height * config.detector_scale *
-                              config.detector_scale;
-  return frames_decoded * (costs.decode_sec_per_frame +
-                           px_per_frame * costs.decode_sec_per_pixel);
 }
 
 /// One sampled frame's working state as it moves through the proxy,
@@ -578,8 +548,12 @@ PipelineResult Pipeline::Run(const sim::Clip& clip) const {
   ClipRun run(config_, trained_, clip);
   {
     telemetry::ScopedSpan span(StageSpan(models::CostCategory::kDecode));
-    result.clock.Charge(models::CostCategory::kDecode,
-                        SimulatedDecodeSeconds(config_, clip));
+    // Frames are decoded at the detector resolution (paper Sec 4).
+    result.clock.Charge(
+        models::CostCategory::kDecode,
+        models::DecodeSeconds(clip.spec().width, clip.spec().height,
+                              clip.num_frames(), config_.sampling_gap,
+                              config_.detector_scale));
   }
 
   // Sampled frames run through proxy -> detect -> track in groups of
@@ -609,7 +583,7 @@ PipelineResult Pipeline::Run(const sim::Clip& clip) const {
     if (fault::Enabled()) {
       if (run.has_proxy() && !result.proxy_degraded) {
         static fault::Site* const proxy_site =
-            fault::GetSite("proxy.invoke");
+            fault::GetSite(fault::kProxySite);
         const Status st =
             AttemptStage(proxy_site, clip_index, group, &result.retries);
         if (!st.ok()) {
@@ -624,7 +598,8 @@ PipelineResult Pipeline::Run(const sim::Clip& clip) const {
               << "); degrading to full-frame detection — accuracy may drop";
         }
       }
-      static fault::Site* const detect_site = fault::GetSite("detect.invoke");
+      static fault::Site* const detect_site =
+          fault::GetSite(fault::kDetectSite);
       Status st =
           AttemptStage(detect_site, clip_index, group, &result.retries);
       // Detection has no degraded fallback: the clip is quarantined.

@@ -272,7 +272,6 @@ std::vector<TunerPoint> Tuner::Run(const PipelineConfig& theta_best) {
   current.refine = options_.enable_refine &&
                    trained_->refiner != nullptr &&
                    !(*validation_)[0].spec().moving_camera;
-  if (!options_.enable_gap_tuning) current.sampling_gap = theta_best.sampling_gap;
 
   std::vector<TunerPoint> curve;
   {

@@ -28,9 +28,9 @@ namespace {
 constexpr std::string_view kBaselineMethods[] = {
     "miris", "chameleon", "noscope", "catdet", "centertrack"};
 
-/// The experiment body; the public wrapper routes failures through the
-/// flight recorder.
-StatusOr<TrackExperimentResult> RunTrackExperimentImpl(
+}  // namespace
+
+StatusOr<TrackExperimentResult> RunTrackExperiment(
     sim::DatasetId id, const ExperimentOptions& options) {
   InitObservabilityFromEnv();
   obs::InitIntrospectionFromEnv();
@@ -132,17 +132,6 @@ StatusOr<TrackExperimentResult> RunTrackExperimentImpl(
     for (const baselines::MethodPoint& p : points) {
       result.best_accuracy = std::max(result.best_accuracy, p.accuracy);
     }
-  }
-  return result;
-}
-
-}  // namespace
-
-StatusOr<TrackExperimentResult> RunTrackExperiment(
-    sim::DatasetId id, const ExperimentOptions& options) {
-  StatusOr<TrackExperimentResult> result = RunTrackExperimentImpl(id, options);
-  if (!result.ok()) {
-    telemetry::timeline::ReportError(result.status(), "eval/harness");
   }
   return result;
 }

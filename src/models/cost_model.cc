@@ -3,6 +3,12 @@
 #include "util/logging.h"
 
 namespace otif::models {
+namespace {
+
+/// Frames per group of pictures in DecodeSeconds' model.
+constexpr int kGopSize = 16;
+
+}  // namespace
 
 const char* CostCategoryName(CostCategory c) {
   switch (c) {
@@ -48,6 +54,20 @@ void SimClock::Merge(const SimClock& other) {
 const CostConstants& DefaultCostConstants() {
   static const CostConstants kConstants;
   return kConstants;
+}
+
+double DecodeSeconds(int width, int height, int num_frames, int gap,
+                     double scale) {
+  const CostConstants& costs = DefaultCostConstants();
+  const int samples = (num_frames + gap - 1) / gap;
+  const double frames_per_sample =
+      gap < kGopSize ? static_cast<double>(gap)
+                     : static_cast<double>(kGopSize) / 2.0 + 1.0;
+  const double frames_decoded = samples * frames_per_sample;
+  const double px_per_frame =
+      static_cast<double>(width) * height * scale * scale;
+  return frames_decoded * (costs.decode_sec_per_frame +
+                           px_per_frame * costs.decode_sec_per_pixel);
 }
 
 }  // namespace otif::models

@@ -73,6 +73,18 @@ struct CostConstants {
 /// Returns the default calibrated constants.
 const CostConstants& DefaultCostConstants();
 
+/// Simulated seconds to decode every `gap`-th frame of a `num_frames`-frame
+/// clip of `width` x `height` native pixels at `scale` of that resolution
+/// (paper Sec 4 "Implementation"): the one decode charge of the pipeline
+/// and of every baseline that decodes. Frames decode along the reference
+/// chains of 16-frame groups of pictures (one I-frame, then P-frames that
+/// each reference the previous frame): with `gap` below the GOP size every
+/// frame must be decoded; above it, seeking to the preceding I-frame
+/// decodes an average of GOP / 2 + 1 frames per sample. Nothing is actually
+/// decoded; frames come from the rasterizer.
+double DecodeSeconds(int width, int height, int num_frames, int gap,
+                     double scale);
+
 }  // namespace otif::models
 
 #endif  // OTIF_MODELS_COST_MODEL_H_

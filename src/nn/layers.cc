@@ -430,29 +430,6 @@ Tensor Relu::Backward(const Tensor& grad_output) {
   return grad_in;
 }
 
-Tensor Tanh::Forward(const Tensor& input) {
-  Tensor out = Infer(input);
-  cache_.push_back(out);
-  return out;
-}
-
-Tensor Tanh::Infer(const Tensor& input) const {
-  Tensor out = input;
-  for (int64_t i = 0; i < out.size(); ++i) out[i] = std::tanh(out[i]);
-  return out;
-}
-
-Tensor Tanh::Backward(const Tensor& grad_output) {
-  OTIF_CHECK(!cache_.empty());
-  const Tensor out = std::move(cache_.back());
-  cache_.pop_back();
-  Tensor grad_in = grad_output;
-  for (int64_t i = 0; i < grad_in.size(); ++i) {
-    grad_in[i] *= 1.0f - out[i] * out[i];
-  }
-  return grad_in;
-}
-
 // --- GRU ---------------------------------------------------------------------
 
 namespace {

@@ -146,17 +146,6 @@ class Relu : public Layer {
   std::vector<Tensor> cache_;  // Cached outputs (mask source).
 };
 
-/// Elementwise tanh.
-class Tanh : public Layer {
- public:
-  Tensor Forward(const Tensor& input) override;
-  Tensor Infer(const Tensor& input) const override;
-  Tensor Backward(const Tensor& grad_output) override;
-
- private:
-  std::vector<Tensor> cache_;
-};
-
 /// Gated recurrent unit cell. Step() consumes (x, h) and returns h'; the
 /// sequence wrapper below manages hidden-state plumbing. Backward follows
 /// the same LIFO discipline as Layer but with a two-gradient signature.

@@ -131,8 +131,10 @@ Status ConfigureFaults(const std::string& spec) {
     }
     Entry entry;
     entry.site = fields[0];
-    if (entry.site.empty()) {
-      return Status::InvalidArgument("fault spec entry has empty site name");
+    if (entry.site != kProxySite && entry.site != kDetectSite) {
+      return Status::InvalidArgument(
+          StrFormat("fault spec \"%s\": unknown site (want %s or %s)",
+                    entry.site.c_str(), kProxySite, kDetectSite));
     }
     if (!ParseKind(fields[1], &entry.config.kind)) {
       return Status::InvalidArgument(

@@ -23,6 +23,12 @@ struct Injection {
   int stall_ms = 0;  // Only meaningful for kStall.
 };
 
+/// The instrumented sites, both consulted by Pipeline::Run before each frame
+/// group: the proxy invocation (only for configurations that use the proxy)
+/// and the detector invocation. ConfigureFaults rejects any other name.
+inline constexpr char kProxySite[] = "proxy.invoke";
+inline constexpr char kDetectSite[] = "detect.invoke";
+
 /// Whether any fault site is armed (one relaxed load of the shared
 /// observability flag word — the same everything-off contract as spans).
 inline bool Enabled() {
@@ -84,9 +90,9 @@ Site* GetSite(const std::string& name);
 
 /// Parses and installs a fault spec: comma-separated entries of
 ///   site:kind:rate:seed[:clip=K][:ms=N]
-/// where kind is error|stall, rate is a probability in
-/// [0, 1], seed is a non-negative integer, clip=K limits firing to clip K,
-/// and ms=N sets the stall duration (default 1). Example:
+/// where site is kProxySite or kDetectSite, kind is error|stall, rate is a
+/// probability in [0, 1], seed is a non-negative integer, clip=K limits
+/// firing to clip K, and ms=N sets the stall duration (default 1). Example:
 ///   OTIF_FAULTS=detect.invoke:error:0.5:7:clip=1,proxy.invoke:stall:1:9:ms=2
 /// Replaces any previous configuration and sets the fault flag when at
 /// least one site is armed. Not synchronized with in-flight runs: call

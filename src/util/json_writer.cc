@@ -145,11 +145,4 @@ JsonWriter& JsonWriter::Null() {
   return *this;
 }
 
-JsonWriter& JsonWriter::RawValue(std::string_view json) {
-  BeforeValue();
-  out_ += json;
-  if (scopes_.empty()) done_ = true;
-  return *this;
-}
-
 }  // namespace otif

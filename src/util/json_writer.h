@@ -8,8 +8,8 @@
 
 namespace otif {
 
-/// Minimal streaming JSON emitter shared by the telemetry exporters, the
-/// bench run reports, the timeline trace export, and the baseline files —
+/// Minimal streaming JSON emitter shared by /statusz, the profiler, the
+/// bench run reports (perfbench's included) and the timeline trace export —
 /// one implementation of escaping, separators, and number formatting
 /// instead of hand-rolled printf JSON per binary.
 ///
@@ -56,10 +56,6 @@ class JsonWriter {
   JsonWriter& Value(int value) { return Value(static_cast<int64_t>(value)); }
   JsonWriter& Value(bool value);
   JsonWriter& Null();
-
-  /// Splices a pre-rendered JSON value verbatim (e.g. a nested document
-  /// produced by another writer). The caller vouches for its validity.
-  JsonWriter& RawValue(std::string_view json);
 
   /// The document so far (valid JSON once every container is closed).
   const std::string& str() const { return out_; }

@@ -74,17 +74,6 @@ bool InitLogLevelFromEnv() {
 }
 
 namespace internal {
-namespace {
-
-std::atomic<FatalHandler> g_fatal_handler{nullptr};
-/// Guards against a handler that itself CHECK-fails: the dump runs once.
-std::atomic<bool> g_fatal_handler_ran{false};
-
-}  // namespace
-
-void SetFatalHandler(FatalHandler handler) {
-  g_fatal_handler.store(handler, std::memory_order_relaxed);
-}
 
 LogMessage::LogMessage(LogLevel level, const char* file, int line)
     : level_(level) {
@@ -99,14 +88,7 @@ LogMessage::~LogMessage() {
   stream_ << "\n";
   const std::string message = stream_.str();
   std::fputs(message.c_str(), stderr);
-  if (level_ == LogLevel::kFatal) {
-    const FatalHandler handler =
-        g_fatal_handler.load(std::memory_order_relaxed);
-    if (handler != nullptr && !g_fatal_handler_ran.exchange(true)) {
-      handler(message.c_str());
-    }
-    std::abort();
-  }
+  if (level_ == LogLevel::kFatal) std::abort();
 }
 
 }  // namespace internal

@@ -32,18 +32,6 @@ bool InitLogLevelFromEnv();
 
 namespace internal {
 
-/// Callback invoked (at most once per process, with the failure message)
-/// right before a kFatal log aborts — the timeline flight recorder
-/// registers itself here so fatal CHECK failures leave a postmortem dump.
-/// The handler must be async-signal-unsafe-tolerant only in the sense that
-/// it runs on the failing thread with the process still alive.
-using FatalHandler = void (*)(const char* message);
-void SetFatalHandler(FatalHandler handler);
-
-}  // namespace internal
-
-namespace internal {
-
 /// Stream-style log message; emits on destruction. kFatal aborts.
 class LogMessage {
  public:

@@ -11,16 +11,10 @@ const char* StatusCodeName(StatusCode code) {
       return "OK";
     case StatusCode::kInvalidArgument:
       return "InvalidArgument";
-    case StatusCode::kNotFound:
-      return "NotFound";
-    case StatusCode::kOutOfRange:
-      return "OutOfRange";
     case StatusCode::kFailedPrecondition:
       return "FailedPrecondition";
     case StatusCode::kInternal:
       return "Internal";
-    case StatusCode::kUnimplemented:
-      return "Unimplemented";
     case StatusCode::kIoError:
       return "IoError";
   }

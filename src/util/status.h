@@ -13,11 +13,8 @@ namespace otif {
 enum class StatusCode : uint8_t {
   kOk = 0,
   kInvalidArgument,
-  kNotFound,
-  kOutOfRange,
   kFailedPrecondition,
   kInternal,
-  kUnimplemented,
   kIoError,
 };
 
@@ -39,20 +36,11 @@ class Status {
   static Status InvalidArgument(std::string msg) {
     return Status(StatusCode::kInvalidArgument, std::move(msg));
   }
-  static Status NotFound(std::string msg) {
-    return Status(StatusCode::kNotFound, std::move(msg));
-  }
-  static Status OutOfRange(std::string msg) {
-    return Status(StatusCode::kOutOfRange, std::move(msg));
-  }
   static Status FailedPrecondition(std::string msg) {
     return Status(StatusCode::kFailedPrecondition, std::move(msg));
   }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));
-  }
-  static Status Unimplemented(std::string msg) {
-    return Status(StatusCode::kUnimplemented, std::move(msg));
   }
   static Status IoError(std::string msg) {
     return Status(StatusCode::kIoError, std::move(msg));

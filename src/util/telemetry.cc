@@ -1,10 +1,8 @@
 #include "util/telemetry.h"
 
-#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 
-#include "util/json_writer.h"
 #include "util/logging.h"
 
 namespace otif::telemetry {
@@ -94,30 +92,6 @@ std::string PrometheusMetricName(const std::string& name) {
     out.push_back(legal ? c : '_');
   }
   return out;
-}
-
-double HistogramQuantile(const HistogramSample& sample, double q) {
-  if (sample.count <= 0) return 0.0;
-  q = std::min(1.0, std::max(0.0, q));
-  const double rank = q * static_cast<double>(sample.count);
-  int64_t cumulative = 0;
-  for (size_t i = 0; i < sample.buckets.size(); ++i) {
-    const int64_t in_bucket = sample.buckets[i];
-    if (in_bucket == 0) continue;
-    if (static_cast<double>(cumulative + in_bucket) >= rank) {
-      if (i >= sample.bounds.size()) {
-        // Overflow bucket: no upper bound to interpolate toward.
-        return sample.bounds.empty() ? 0.0 : sample.bounds.back();
-      }
-      const double lo = i > 0 ? sample.bounds[i - 1] : 0.0;
-      const double hi = sample.bounds[i];
-      const double fraction =
-          (rank - static_cast<double>(cumulative)) / in_bucket;
-      return lo + (hi - lo) * std::min(1.0, std::max(0.0, fraction));
-    }
-    cumulative += in_bucket;
-  }
-  return sample.bounds.empty() ? 0.0 : sample.bounds.back();
 }
 
 const CounterSample* FindCounter(const TelemetrySnapshot& snapshot,
@@ -231,50 +205,6 @@ void MetricsRegistry::Reset() {
   for (const auto& [name, counter] : counters_) counter->Reset();
   for (const auto& [name, gauge] : gauges_) gauge->Reset();
   for (const auto& [name, histogram] : histograms_) histogram->Reset();
-}
-
-std::string SnapshotToJson(const TelemetrySnapshot& snapshot) {
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("counters").BeginObject();
-  for (const CounterSample& s : snapshot.counters) {
-    w.Key(s.name).Value(s.value);
-  }
-  w.EndObject();
-  w.Key("gauges").BeginObject();
-  for (const GaugeSample& s : snapshot.gauges) {
-    w.Key(s.name).Value(s.value);
-  }
-  w.EndObject();
-  w.Key("histograms").BeginObject();
-  for (const HistogramSample& s : snapshot.histograms) {
-    w.Key(s.name).BeginObject();
-    w.Key("count").Value(s.count);
-    w.Key("sum").Value(s.sum);
-    w.Key("p50").Value(HistogramQuantile(s, 0.50));
-    w.Key("p90").Value(HistogramQuantile(s, 0.90));
-    w.Key("p99").Value(HistogramQuantile(s, 0.99));
-    w.Key("bounds").BeginArray();
-    for (const double b : s.bounds) w.Value(b);
-    w.EndArray();
-    w.Key("buckets").BeginArray();
-    for (const int64_t b : s.buckets) w.Value(b);
-    w.EndArray();
-    w.EndObject();
-  }
-  w.EndObject();
-  w.Key("spans").BeginObject();
-  for (const SpanSample& s : snapshot.spans) {
-    w.Key(s.name).BeginObject();
-    w.Key("count").Value(s.count);
-    w.Key("total_seconds").Value(s.total_seconds);
-    w.Key("min_seconds").Value(s.min_seconds);
-    w.Key("max_seconds").Value(s.max_seconds);
-    w.EndObject();
-  }
-  w.EndObject();
-  w.EndObject();
-  return std::move(w).TakeString();
 }
 
 }  // namespace otif::telemetry

@@ -144,14 +144,6 @@ struct TelemetrySnapshot {
 /// checking and the /metrics exporter so the two can never disagree.
 std::string PrometheusMetricName(const std::string& name);
 
-/// Estimated q-quantile (q in [0, 1]) of a histogram sample: finds the
-/// bucket containing the quantile rank and interpolates linearly inside it
-/// (the first bucket interpolates from 0, matching the non-negative metrics
-/// the registry records). Ranks landing in the overflow bucket report the
-/// last finite bound — a lower bound on the true quantile. Returns 0 for an
-/// empty histogram.
-double HistogramQuantile(const HistogramSample& sample, double q);
-
 /// Lookup helpers for report builders; return nullptr when absent.
 const CounterSample* FindCounter(const TelemetrySnapshot& snapshot,
                                  const std::string& name);
@@ -217,13 +209,6 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;  // mu_.
   std::map<std::string, NameClaim> claimed_names_;                // mu_.
 };
-
-// --- Exporters ---------------------------------------------------------------
-
-/// Renders a snapshot as a JSON object with "counters", "gauges",
-/// "histograms", and "spans" keys (stable name order, machine-readable).
-/// Histogram entries carry "p50"/"p90"/"p99" estimates (HistogramQuantile).
-std::string SnapshotToJson(const TelemetrySnapshot& snapshot);
 
 }  // namespace otif::telemetry
 

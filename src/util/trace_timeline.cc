@@ -118,12 +118,12 @@ class ThreadBuffer {
 };
 
 /// Owns every thread's ring. Buffers are never freed (a thread that exits
-/// leaves its events readable for the flight recorder) and registration is
-/// the only locked operation.
+/// leaves its events readable for the export at process exit) and
+/// registration is the only locked operation.
 class BufferRegistry {
  public:
   static BufferRegistry& Global() {
-    // Leaked: events may be emitted and dumped during static destruction.
+    // Leaked: events may be emitted and exported during static destruction.
     static BufferRegistry* registry = new BufferRegistry();
     return *registry;
   }
@@ -164,17 +164,10 @@ ThreadBuffer* LocalBuffer() {
   return buffer;
 }
 
-/// Flight-recorder arming and the dump destination, configured by
-/// InitFromEnv (plain bools/strings: written once at startup).
-struct RecorderConfig {
-  bool dump_on_error = false;
-  std::string dump_path = "otif_flight_record.json";
-  std::string export_path;  // Empty: no atexit export.
-};
-
-RecorderConfig& Config() {
-  static RecorderConfig* config = new RecorderConfig();
-  return *config;
+/// Where ExportAtExit writes the trace, set once by InitFromEnv.
+std::string& ExportPath() {
+  static std::string* path = new std::string();
+  return *path;
 }
 
 bool EnvIsFalse(const char* value) {
@@ -188,30 +181,10 @@ bool EnvIsTrue(const char* value) {
           std::strcmp(value, "true") == 0);
 }
 
-Status WriteFile(const std::string& path, const std::string& contents) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IoError("cannot open " + path + " for writing");
-  out << contents << "\n";
-  out.flush();
-  if (!out) return Status::IoError("short write to " + path);
-  return Status::OK();
-}
-
 void ExportAtExit() {
-  const Status status = WriteChromeTrace(Config().export_path);
+  const Status status = WriteChromeTrace(ExportPath());
   if (!status.ok()) {
     OTIF_LOG(kError) << "timeline export failed: " << status.ToString();
-  }
-}
-
-/// Fatal-CHECK hook: dump the flight record before the process aborts.
-/// Reentrancy guard in logging.cc (the handler is called at most once).
-void FatalDumpHandler(const char* message) {
-  const Status status = WriteFlightRecord(
-      Config().dump_path, std::string("fatal: ") + message);
-  if (status.ok()) {
-    std::fprintf(stderr, "flight record written to %s\n",
-                 Config().dump_path.c_str());
   }
 }
 
@@ -284,54 +257,21 @@ std::string ToChromeTraceJson(const std::vector<Event>& events) {
 }
 
 Status WriteChromeTrace(const std::string& path) {
-  return WriteFile(path, ToChromeTraceJson(SnapshotEvents()));
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  if (!out) return Status::IoError("cannot open " + path + " for writing");
+  out << ToChromeTraceJson(SnapshotEvents()) << "\n";
+  out.flush();
+  if (!out) return Status::IoError("short write to " + path);
+  return Status::OK();
 }
-
-Status WriteFlightRecord(const std::string& path, const std::string& reason) {
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("reason").Value(reason);
-  w.Key("trace").RawValue(ToChromeTraceJson(SnapshotEvents()));
-  w.Key("telemetry").RawValue(SnapshotToJson(CaptureSnapshot()));
-  w.EndObject();
-  return WriteFile(path, std::move(w).TakeString());
-}
-
-void ReportError(const Status& status, const std::string& where) {
-  if (status.ok()) return;
-  if (!Config().dump_on_error && !CollectionEnabled()) return;
-  const std::string reason = where + ": " + status.ToString();
-  const Status write_status = WriteFlightRecord(Config().dump_path, reason);
-  if (write_status.ok()) {
-    OTIF_LOG(kError) << reason << " — flight record written to "
-                     << Config().dump_path;
-  } else {
-    OTIF_LOG(kError) << reason << " — flight record failed: "
-                     << write_status.ToString();
-  }
-}
-
-std::string DumpPath() { return Config().dump_path; }
 
 void InitFromEnv() {
   static const bool initialized = [] {
-    if (const char* env = std::getenv("OTIF_DUMP_PATH")) {
-      if (*env != '\0') Config().dump_path = env;
-    }
     const char* timeline = std::getenv("OTIF_TRACE_TIMELINE");
     if (!EnvIsFalse(timeline)) {
       SetCollectionEnabled(true);
-      Config().export_path = EnvIsTrue(timeline) ? "otif_trace.json"
-                                                 : timeline;
+      ExportPath() = EnvIsTrue(timeline) ? "otif_trace.json" : timeline;
       std::atexit(ExportAtExit);
-    }
-    if (EnvIsTrue(std::getenv("OTIF_DUMP_ON_ERROR"))) {
-      SetCollectionEnabled(true);
-      Config().dump_on_error = true;
-    }
-    // Any armed collector doubles as a crash flight recorder.
-    if (CollectionEnabled()) {
-      otif::internal::SetFatalHandler(FatalDumpHandler);
     }
     return true;
   }();

@@ -14,8 +14,7 @@ class SpanSite;  // trace.h
 
 /// Timeline tracing: per-thread lock-free ring buffers of begin/end events
 /// that export as Chrome trace-event JSON (loadable in Perfetto or
-/// chrome://tracing), plus a flight recorder that dumps the last events and
-/// a telemetry snapshot when something goes wrong.
+/// chrome://tracing).
 ///
 /// Unlike the SpanSite aggregates in trace.h (which fold every span into
 /// count/total/min/max), the timeline keeps *individual* events with
@@ -114,29 +113,11 @@ std::string ToChromeTraceJson(const std::vector<Event>& events);
 /// SnapshotEvents() + ToChromeTraceJson() written to `path`.
 Status WriteChromeTrace(const std::string& path);
 
-/// Writes a flight record to `path`: {"reason": ..., "trace": <chrome
-/// trace of the last events>, "telemetry": <full snapshot>}.
-Status WriteFlightRecord(const std::string& path, const std::string& reason);
-
-/// Postmortem hook for fallible boundaries (pipeline driver, harness): on a
-/// non-OK status, writes a flight record to the configured dump path when
-/// the recorder is armed (collection on, or OTIF_DUMP_ON_ERROR=1). OK
-/// statuses and disarmed recorders return immediately.
-void ReportError(const Status& status, const std::string& where);
-
-/// Where ReportError and the fatal-CHECK handler write their dump
-/// (OTIF_DUMP_PATH, default "otif_flight_record.json").
-std::string DumpPath();
-
 /// Applies the timeline environment configuration once per process:
 ///  - OTIF_TRACE_TIMELINE: "1"/"on"/"true" arms collection and exports a
 ///    Chrome trace to "otif_trace.json" at process exit; any other
 ///    non-empty, non-false value does the same with the value as the output
 ///    path; unset/"0"/"off"/"false" leaves the timeline off.
-///  - OTIF_DUMP_ON_ERROR=1: arms collection and enables the flight
-///    recorder (ReportError dumps, and fatal OTIF_CHECK failures dump
-///    before aborting).
-///  - OTIF_DUMP_PATH: flight-record output path.
 void InitFromEnv();
 
 }  // namespace timeline
@@ -145,8 +126,9 @@ void InitFromEnv();
 namespace otif {
 
 /// One-stop observability startup hook for binaries and the harness:
-/// applies OTIF_LOG_LEVEL (InitLogLevelFromEnv) and the timeline/flight
-/// recorder environment (timeline::InitFromEnv). Idempotent.
+/// applies OTIF_LOG_LEVEL (InitLogLevelFromEnv), the timeline environment
+/// (timeline::InitFromEnv, once per process) and OTIF_FAULTS
+/// (fault::InitFaultsFromEnv, again on every call).
 void InitObservabilityFromEnv();
 
 }  // namespace otif

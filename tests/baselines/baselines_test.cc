@@ -5,6 +5,7 @@
 #include "baselines/centertrack.h"
 #include "baselines/chameleon.h"
 #include "baselines/miris.h"
+#include "core/best_config.h"
 #include "eval/workload.h"
 #include "query/queries.h"
 #include "track/metrics.h"
@@ -85,6 +86,27 @@ TEST(MirisTest, RefinementExtendsTracksAtHighGap) {
     }
   }
   EXPECT_TRUE(has_refined_frame);
+}
+
+TEST(MirisTest, DecodeChargeMatchesThePipelines) {
+  // One decode-cost model: below the GOP size (every frame decoded) and
+  // above it (seek from the I-frame), Miris is charged exactly what
+  // EvaluateConfig charges a SORT, no-proxy config at the same gap and full
+  // scale.
+  const auto clips = TestClips(2, 150);
+  for (const int gap : {4, 32}) {
+    models::SimClock clock;
+    Miris::RunAtGap(clips, gap, 1.0, &clock);
+    core::PipelineConfig config;
+    config.tracker = core::TrackerKind::kSort;
+    config.sampling_gap = gap;
+    const core::EvalResult r = core::EvaluateConfig(
+        config, nullptr, clips,
+        [](const std::vector<std::vector<track::Track>>&) { return 0.0; });
+    EXPECT_EQ(clock.Seconds(models::CostCategory::kDecode),
+              r.clock.Seconds(models::CostCategory::kDecode))
+        << "gap " << gap;
+  }
 }
 
 TEST(MirisTest, EntireRuntimeIsQuerySpecific) {

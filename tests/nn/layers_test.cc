@@ -236,12 +236,6 @@ TEST(ActivationTest, ReluForwardBackward) {
   EXPECT_FLOAT_EQ(gx[2], 1);
 }
 
-TEST(ActivationTest, TanhGradientCheck) {
-  Rng rng(9);
-  Tanh tanh_layer;
-  CheckInputGradient(&tanh_layer, RandomTensor({6}, &rng), 1e-2);
-}
-
 TEST(SequentialTest, ComposesLayersAndGradients) {
   Rng rng(10);
   Sequential seq;

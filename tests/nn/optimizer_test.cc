@@ -54,7 +54,7 @@ TEST(AdamTest, TrainsXorMlp) {
   Rng rng(77);
   Sequential mlp;
   mlp.Add(std::make_unique<Linear>(2, 8, &rng));
-  mlp.Add(std::make_unique<Tanh>());
+  mlp.Add(std::make_unique<Relu>());
   mlp.Add(std::make_unique<Linear>(8, 1, &rng));
 
   std::vector<Parameter*> params;

@@ -1,6 +1,7 @@
-// Deterministic fault-injection registry tests: spec parsing, the
-// everything-off default, seeded replayability, rate endpoints, clip
-// scoping, and the injected-fault counters.
+// Deterministic fault-injection registry tests: spec parsing (only the two
+// instrumented sites are accepted), the everything-off default, seeded
+// replayability, rate endpoints, clip scoping, and the injected-fault
+// counters.
 
 #include "util/fault_injection.h"
 
@@ -25,18 +26,17 @@ TEST_F(FaultInjectionTest, DisabledByDefault) {
   EXPECT_FALSE(Enabled());
   Injection inj;
   // A probe on an unarmed site never fires.
-  EXPECT_FALSE(
-      GetSite("test.default")->Inject(/*clip=*/0, /*token=*/0, &inj));
+  EXPECT_FALSE(GetSite(kDetectSite)->Inject(/*clip=*/0, /*token=*/0, &inj));
 }
 
 TEST_F(FaultInjectionTest, ConfigureArmsAndClearDisarms) {
-  ASSERT_TRUE(ConfigureFaults("test.arm:error:1:42").ok());
+  ASSERT_TRUE(ConfigureFaults("detect.invoke:error:1:42").ok());
   EXPECT_TRUE(Enabled());
   const std::vector<std::string> armed = ArmedSites();
-  EXPECT_NE(std::find(armed.begin(), armed.end(), "test.arm"), armed.end());
+  EXPECT_NE(std::find(armed.begin(), armed.end(), kDetectSite), armed.end());
 
   Injection inj;
-  Site* site = GetSite("test.arm");
+  Site* site = GetSite(kDetectSite);
   EXPECT_TRUE(site->Inject(/*clip=*/0, /*token=*/0, &inj));
   EXPECT_EQ(inj.kind, Kind::kError);
 
@@ -47,38 +47,41 @@ TEST_F(FaultInjectionTest, ConfigureArmsAndClearDisarms) {
 }
 
 TEST_F(FaultInjectionTest, MalformedSpecsRejectedAndPreviousConfigKept) {
-  ASSERT_TRUE(ConfigureFaults("test.keep:error:1:7").ok());
+  ASSERT_TRUE(ConfigureFaults("detect.invoke:error:1:7").ok());
   for (const char* bad :
-       {"site_only", "a:b", "a:notakind:0.5:1", "a:error:1.5:1",
-        "a:error:-0.1:1", "a:error:0.5:notanumber", "a:error:0.5:1:bogus=3",
-        ":error:0.5:1", "a:error:0.5:1:clip=-2", "a:corrupt:0.5:1",
-        "a:deny:0.5:1"}) {
+       {"site_only", "a:b", "proxy.invoke:notakind:0.5:1",
+        "proxy.invoke:error:1.5:1", "proxy.invoke:error:-0.1:1",
+        "proxy.invoke:error:0.5:notanumber",
+        "proxy.invoke:error:0.5:1:bogus=3", ":error:0.5:1",
+        "proxy.invoke:error:0.5:1:clip=-2", "proxy.invoke:corrupt:0.5:1",
+        "proxy.invoke:deny:0.5:1", "detect.invok:error:1:7"}) {
     EXPECT_EQ(ConfigureFaults(bad).code(), StatusCode::kInvalidArgument)
         << "spec: " << bad;
   }
   // The last good configuration survived every rejected attempt.
   EXPECT_TRUE(Enabled());
   Injection inj;
-  EXPECT_TRUE(GetSite("test.keep")->Inject(/*clip=*/0, /*token=*/0, &inj));
+  EXPECT_TRUE(GetSite(kDetectSite)->Inject(/*clip=*/0, /*token=*/0, &inj));
 }
 
 TEST_F(FaultInjectionTest, ParsesOptionsAndMultipleEntries) {
-  ASSERT_TRUE(
-      ConfigureFaults("test.a:stall:1:3:ms=25, test.b:error:1:4:clip=2").ok());
+  ASSERT_TRUE(ConfigureFaults(
+                  "proxy.invoke:stall:1:3:ms=25, detect.invoke:error:1:4:clip=2")
+                  .ok());
   Injection inj;
-  ASSERT_TRUE(GetSite("test.a")->Inject(/*clip=*/0, /*token=*/0, &inj));
+  ASSERT_TRUE(GetSite(kProxySite)->Inject(/*clip=*/0, /*token=*/0, &inj));
   EXPECT_EQ(inj.kind, Kind::kStall);
   EXPECT_EQ(inj.stall_ms, 25);
 
-  // test.b is scoped to clip 2 only.
-  EXPECT_FALSE(GetSite("test.b")->Inject(/*clip=*/0, /*token=*/0, &inj));
-  ASSERT_TRUE(GetSite("test.b")->Inject(/*clip=*/2, /*token=*/0, &inj));
+  // The detector site is scoped to clip 2 only.
+  EXPECT_FALSE(GetSite(kDetectSite)->Inject(/*clip=*/0, /*token=*/0, &inj));
+  ASSERT_TRUE(GetSite(kDetectSite)->Inject(/*clip=*/2, /*token=*/0, &inj));
   EXPECT_EQ(inj.kind, Kind::kError);
 }
 
 TEST_F(FaultInjectionTest, SeededDecisionsAreDeterministicPerToken) {
-  ASSERT_TRUE(ConfigureFaults("test.det:error:0.5:1234").ok());
-  Site* site = GetSite("test.det");
+  ASSERT_TRUE(ConfigureFaults("detect.invoke:error:0.5:1234").ok());
+  Site* site = GetSite(kDetectSite);
   std::vector<bool> first;
   Injection inj;
   for (int64_t token = 0; token < 256; ++token) {
@@ -94,7 +97,7 @@ TEST_F(FaultInjectionTest, SeededDecisionsAreDeterministicPerToken) {
   EXPECT_LT(fired, 192);
 
   // A different seed produces a different decision sequence.
-  ASSERT_TRUE(ConfigureFaults("test.det:error:0.5:99").ok());
+  ASSERT_TRUE(ConfigureFaults("detect.invoke:error:0.5:99").ok());
   std::vector<bool> reseeded;
   for (int64_t token = 0; token < 256; ++token) {
     reseeded.push_back(site->Inject(/*clip=*/0, token, &inj));
@@ -103,28 +106,28 @@ TEST_F(FaultInjectionTest, SeededDecisionsAreDeterministicPerToken) {
 }
 
 TEST_F(FaultInjectionTest, RateEndpoints) {
-  ASSERT_TRUE(ConfigureFaults("test.never:error:0:1,test.always:error:1:1")
-                  .ok());
+  ASSERT_TRUE(
+      ConfigureFaults("proxy.invoke:error:0:1,detect.invoke:error:1:1").ok());
   Injection inj;
   for (int64_t token = 0; token < 64; ++token) {
-    EXPECT_FALSE(GetSite("test.never")->Inject(/*clip=*/0, token, &inj));
-    EXPECT_TRUE(GetSite("test.always")->Inject(/*clip=*/0, token, &inj));
+    EXPECT_FALSE(GetSite(kProxySite)->Inject(/*clip=*/0, token, &inj));
+    EXPECT_TRUE(GetSite(kDetectSite)->Inject(/*clip=*/0, token, &inj));
   }
 }
 
 TEST_F(FaultInjectionTest, InjectedCounterCountsFiredFaultsOnly) {
   telemetry::Counter* counter =
       telemetry::MetricsRegistry::Global().GetCounter(
-          "fault.injected.test.count");
+          "fault.injected.detect.invoke");
   const int64_t before = counter->value();
-  ASSERT_TRUE(ConfigureFaults("test.count:error:1:1").ok());
+  ASSERT_TRUE(ConfigureFaults("detect.invoke:error:1:1").ok());
   Injection inj;
-  Site* site = GetSite("test.count");
+  Site* site = GetSite(kDetectSite);
   EXPECT_TRUE(site->Inject(/*clip=*/0, /*token=*/0, &inj));
   EXPECT_TRUE(site->Inject(/*clip=*/0, /*token=*/1, &inj));
   EXPECT_EQ(counter->value(), before + 2);
 
-  ASSERT_TRUE(ConfigureFaults("test.count:error:0:1").ok());
+  ASSERT_TRUE(ConfigureFaults("detect.invoke:error:0:1").ok());
   EXPECT_FALSE(site->Inject(/*clip=*/0, /*token=*/2, &inj));
   EXPECT_EQ(counter->value(), before + 2);
 }

@@ -74,20 +74,6 @@ TEST(JsonWriterTest, EscapesControlCharactersQuotesAndBackslashes) {
             "{\"path\\\\key\": \"line1\\nline2\\t\\\"quoted\\\"\\u0001\"}");
 }
 
-TEST(JsonWriterTest, RawValueSplicesVerbatim) {
-  JsonWriter inner;
-  inner.BeginObject();
-  inner.Key("n").Value(1);
-  inner.EndObject();
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("nested").RawValue(std::move(inner).TakeString());
-  w.Key("after").Value(2);
-  w.EndObject();
-  EXPECT_EQ(std::move(w).TakeString(),
-            "{\"nested\": {\"n\": 1}, \"after\": 2}");
-}
-
 TEST(JsonWriterTest, TopLevelScalarDocument) {
   JsonWriter w;
   w.Value(42);

@@ -205,71 +205,6 @@ TEST(TraceTest, CaptureSnapshotIncludesSpans) {
   EXPECT_EQ(span->count, 1);
 }
 
-TEST(TelemetryQuantileTest, InterpolatesWithinBuckets) {
-  // 100 values uniformly spread over (0, 10) across bounds {5, 10} — bucket
-  // midpoints, so none sits on a bound: 50 per bucket. Linear interpolation
-  // puts p50 at the first bound and p90 at 10 * 0.9.
-  MetricsRegistry registry;
-  Histogram* hist = registry.GetHistogram("q.uniform", {5.0, 10.0});
-  for (int i = 0; i < 100; ++i) hist->Record((i + 0.5) / 10.0);
-  TelemetrySnapshot snapshot = registry.Snapshot();
-  const HistogramSample& sample = snapshot.histograms.at(0);
-  EXPECT_DOUBLE_EQ(HistogramQuantile(sample, 0.50), 5.0);
-  EXPECT_DOUBLE_EQ(HistogramQuantile(sample, 0.90), 9.0);
-  EXPECT_DOUBLE_EQ(HistogramQuantile(sample, 0.25), 2.5);
-  // The first bucket interpolates from zero.
-  EXPECT_DOUBLE_EQ(HistogramQuantile(sample, 0.10), 1.0);
-}
-
-TEST(TelemetryQuantileTest, EdgeCases) {
-  // Empty histogram: every quantile is zero.
-  EXPECT_DOUBLE_EQ(HistogramQuantile(HistogramSample{}, 0.5), 0.0);
-
-  MetricsRegistry registry;
-  Histogram* hist = registry.GetHistogram("q.overflow", {1.0, 2.0});
-  hist->Record(0.5);
-  hist->Record(100.0);  // Lands in the unbounded overflow bucket.
-  TelemetrySnapshot snapshot = registry.Snapshot();
-  const HistogramSample& sample = snapshot.histograms.at(0);
-  // Quantiles that fall in the overflow bucket clamp to the last finite
-  // bound rather than inventing an upper edge.
-  EXPECT_DOUBLE_EQ(HistogramQuantile(sample, 0.99), 2.0);
-  // Quantiles are clamped into [0, 1].
-  EXPECT_DOUBLE_EQ(HistogramQuantile(sample, -0.5),
-                   HistogramQuantile(sample, 0.0));
-  EXPECT_DOUBLE_EQ(HistogramQuantile(sample, 1.5),
-                   HistogramQuantile(sample, 1.0));
-}
-
-TEST(TelemetryQuantileTest, SingleSample) {
-  MetricsRegistry registry;
-  Histogram* hist = registry.GetHistogram("q.single", {1.0, 2.0});
-  hist->Record(1.5);  // One sample, second bucket.
-  TelemetrySnapshot snapshot = registry.Snapshot();
-  const HistogramSample& sample = snapshot.histograms.at(0);
-  // Every quantile lands in the one occupied bucket and interpolates
-  // inside it; the result stays within that bucket's bounds.
-  for (const double q : {0.0, 0.25, 0.5, 0.99, 1.0}) {
-    const double v = HistogramQuantile(sample, q);
-    EXPECT_GE(v, 1.0) << "q=" << q;
-    EXPECT_LE(v, 2.0) << "q=" << q;
-  }
-  EXPECT_DOUBLE_EQ(HistogramQuantile(sample, 1.0), 2.0);
-}
-
-TEST(TelemetryQuantileTest, AllSamplesInOneBucket) {
-  MetricsRegistry registry;
-  Histogram* hist = registry.GetHistogram("q.onebucket", {10.0, 20.0});
-  for (int i = 0; i < 100; ++i) hist->Record(15.0);
-  TelemetrySnapshot snapshot = registry.Snapshot();
-  const HistogramSample& sample = snapshot.histograms.at(0);
-  // Interpolation spreads the mass linearly across (10, 20]; the quantile
-  // must never escape the occupied bucket.
-  EXPECT_DOUBLE_EQ(HistogramQuantile(sample, 0.5), 15.0);
-  EXPECT_GT(HistogramQuantile(sample, 0.01), 10.0);
-  EXPECT_DOUBLE_EQ(HistogramQuantile(sample, 1.0), 20.0);
-}
-
 TEST(PrometheusNameTest, SanitizesSlashesAndDots) {
   EXPECT_EQ(PrometheusMetricName("stage/detect.sim_seconds"),
             "otif_stage_detect_sim_seconds");
@@ -306,33 +241,6 @@ TEST(PrometheusNameDeathTest, ExternalNamesJoinTheCollisionTable) {
   registry.RegisterExternalName("span", "col/ext");
   EXPECT_DEATH(registry.GetCounter("col.ext"),
                "telemetry metric name collision");
-}
-
-TEST(TelemetryExportTest, JsonContainsAllSections) {
-  MetricsRegistry registry;
-  registry.GetCounter("json.counter")->Add(3);
-  registry.GetGauge("json.gauge")->Set(0.5);
-  registry.GetHistogram("json.histogram", {1.0})->Record(2.0);
-  TelemetrySnapshot snapshot = registry.Snapshot();
-  snapshot.spans.push_back({"json.span", 2, 1.5, 0.5, 1.0});
-
-  const std::string json = SnapshotToJson(snapshot);
-  EXPECT_NE(json.find("\"json.counter\": 3"), std::string::npos);
-  EXPECT_NE(json.find("\"json.gauge\": 0.5"), std::string::npos);
-  EXPECT_NE(json.find("\"json.histogram\""), std::string::npos);
-  EXPECT_NE(json.find("\"buckets\": [0, 1]"), std::string::npos);
-  // Exporters surface percentiles for every histogram.
-  EXPECT_NE(json.find("\"p50\":"), std::string::npos);
-  EXPECT_NE(json.find("\"p90\":"), std::string::npos);
-  EXPECT_NE(json.find("\"p99\":"), std::string::npos);
-  EXPECT_NE(json.find("\"json.span\""), std::string::npos);
-  EXPECT_NE(json.find("\"total_seconds\": 1.5"), std::string::npos);
-}
-
-TEST(TelemetryExportTest, EmptySnapshotIsValidJson) {
-  const std::string json = SnapshotToJson(TelemetrySnapshot{});
-  EXPECT_NE(json.find("\"counters\": {}"), std::string::npos);
-  EXPECT_NE(json.find("\"spans\": {}"), std::string::npos);
 }
 
 }  // namespace

@@ -1,16 +1,13 @@
 // Tests for the timeline tracing layer: ring-buffer round trips and
 // wraparound, trace-context propagation (nesting and across the thread
-// pool), Chrome trace-event JSON rendering, the flight recorder, and
-// concurrent producers racing a snapshot (run under TSan by check.sh).
+// pool), Chrome trace-event JSON rendering, and concurrent producers racing
+// a snapshot (run under TSan by check.sh).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
-#include <fstream>
 #include <mutex>
 #include <set>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -181,42 +178,6 @@ TEST_F(TraceTimelineTest, ChromeTraceJsonShape) {
   EXPECT_NE(json.find("\"tid\": 3"), std::string::npos);
   EXPECT_NE(json.find("\"args\": {\"clip\": 11}"), std::string::npos);
   EXPECT_NE(json.find("\"displayTimeUnit\": \"ms\""), std::string::npos);
-}
-
-TEST_F(TraceTimelineTest, FlightRecordCarriesTraceAndTelemetry) {
-  SetCollectionEnabled(true);
-  SpanSite* site = TestSite("timeline_test/flight");
-  EmitBegin(site);
-  EmitEnd(site);
-  SetCollectionEnabled(false);
-
-  const std::string path =
-      ::testing::TempDir() + "/otif_flight_record_test.json";
-  const Status status = WriteFlightRecord(path, "test reason");
-  ASSERT_TRUE(status.ok()) << status.ToString();
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::stringstream contents;
-  contents << in.rdbuf();
-  const std::string record = contents.str();
-  std::remove(path.c_str());
-  EXPECT_NE(record.find("\"reason\": \"test reason\""), std::string::npos);
-  EXPECT_NE(record.find("\"trace\": {\"traceEvents\""), std::string::npos);
-  EXPECT_NE(record.find("timeline_test/flight"), std::string::npos);
-  EXPECT_NE(record.find("\"telemetry\": {"), std::string::npos);
-  EXPECT_NE(record.find("\"counters\""), std::string::npos);
-}
-
-TEST_F(TraceTimelineTest, ReportErrorIgnoresOkAndDisarmedStates) {
-  // OK statuses never dump, and with the recorder fully disarmed a failure
-  // must not leave a record behind either.
-  SetCollectionEnabled(false);
-  const std::string path = DumpPath();
-  std::remove(path.c_str());
-  ReportError(Status::OK(), "timeline_test");
-  ReportError(Status::Internal("boom"), "timeline_test");
-  std::ifstream in(path);
-  EXPECT_FALSE(in.good());
 }
 
 TEST_F(TraceTimelineTest, ConcurrentProducersAndSnapshotsStayUntorn) {

@@ -25,9 +25,8 @@
 #
 # Usage: tools/chaos_matrix.sh [build_dir] [clips] [clip_seconds]
 #
-# Flight-recorder dumps (armed via OTIF_DUMP_ON_ERROR) and each spec's
-# report land under <build_dir>/chaos_dumps/ so CI can upload them when a
-# run fails.
+# Each run's report lands under <build_dir>/chaos_reports/ so CI can upload
+# them when a run fails.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -35,13 +34,13 @@ BUILD_DIR="${1:-build}"
 CLIPS="${2:-4}"
 CLIP_SECONDS="${3:-30}"
 SMOKE="$BUILD_DIR/bench/bench_preprocess_smoke"
-DUMP_DIR="$BUILD_DIR/chaos_dumps"
+REPORT_DIR="$BUILD_DIR/chaos_reports"
 
 if [[ ! -x "$SMOKE" ]]; then
   echo "ERROR: $SMOKE not built" >&2
   exit 2
 fi
-mkdir -p "$DUMP_DIR"
+mkdir -p "$REPORT_DIR"
 
 SPECS=(
   # Proxy invocation: persistent failure degrades to full-frame detection;
@@ -59,14 +58,14 @@ SPECS=(
 )
 
 echo "== chaos: fault-free reference =="
-REFERENCE="$DUMP_DIR/reference.report.json"
+REFERENCE="$REPORT_DIR/reference.report.json"
 OTIF_LOG_LEVEL=warning "$SMOKE" "$CLIPS" "$CLIP_SECONDS" > "$REFERENCE"
 
 fail=0
 RUNS=()  # spec, report path, spec, report path, ...
 
 echo "== chaos: heap poison (GLIBC_TUNABLES, no faults) =="
-POISON="$DUMP_DIR/heap_poison.report.json"
+POISON="$REPORT_DIR/heap_poison.report.json"
 if GLIBC_TUNABLES=glibc.malloc.tcache_count=0:glibc.malloc.perturb=165 \
     OTIF_LOG_LEVEL=warning "$SMOKE" "$CLIPS" "$CLIP_SECONDS" > "$POISON"; then
   RUNS+=("heap-poison" "$POISON")
@@ -76,12 +75,11 @@ else
 fi
 
 for spec in "${SPECS[@]}"; do
-  # One dump file per spec, named by the first site in the spec.
+  # One report per spec, named after the spec.
   tag="$(echo "$spec" | tr ':,=' '___' | cut -c1-60)"
-  report="$DUMP_DIR/$tag.report.json"
+  report="$REPORT_DIR/$tag.report.json"
   echo "== chaos: OTIF_FAULTS='$spec' =="
   if OTIF_LOG_LEVEL=warning OTIF_FAULTS="$spec" \
-      OTIF_DUMP_ON_ERROR=1 OTIF_DUMP_PATH="$DUMP_DIR/$tag.json" \
       "$SMOKE" "$CLIPS" "$CLIP_SECONDS" > "$report"; then
     RUNS+=("$spec" "$report")
   else
@@ -143,7 +141,7 @@ EOF
 fi
 
 if [[ "$fail" -ne 0 ]]; then
-  echo "== chaos matrix FAILED — dumps in $DUMP_DIR =="
+  echo "== chaos matrix FAILED — reports in $REPORT_DIR =="
   exit 1
 fi
 echo "== chaos matrix passed: ${#SPECS[@]} specs and the heap-poison run survived with the expected outcomes =="
