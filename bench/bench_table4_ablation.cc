@@ -68,13 +68,15 @@ int Main() {
       core::Tuner tuner(valid.get(), &otif_system.trained(), valid_fn, opts);
       curves.push_back(tuner.Run(otif_system.theta_best()));
     }
-    // Evaluate each curve point on the test set.
+    // Evaluate each curve point on the test set. The points re-score the
+    // same test frames, so they share the proxy score memo.
+    const core::TrainedModels& trained = otif_system.trained();
     double best_acc = 0.0;
     std::vector<std::vector<std::pair<double, double>>> test_points(4);
     for (int r = 0; r < 4; ++r) {
       for (const core::TunerPoint& p : curves[static_cast<size_t>(r)]) {
-        const core::EvalResult e =
-            otif_system.Execute(p.config, *test, test_fn);
+        const core::EvalResult e = core::EvaluateConfig(
+            p.config, &trained, *test, test_fn, &trained.proxy_cache);
         test_points[static_cast<size_t>(r)].push_back({e.seconds, e.accuracy});
         best_acc = std::max(best_acc, e.accuracy);
       }

@@ -13,8 +13,9 @@ namespace otif::core {
 EvalResult EvaluateConfig(const PipelineConfig& config,
                           const TrainedModels* trained,
                           const std::vector<sim::Clip>& clips,
-                          const AccuracyFn& accuracy_fn) {
-  Pipeline pipeline(config, trained);
+                          const AccuracyFn& accuracy_fn,
+                          const ProxyScoreCache* memo) {
+  Pipeline pipeline(config, trained, memo);
   // This call's live-progress run, null while introspection is off: totals
   // in sampled frames per clip, what Pipeline::Run processes.
   std::shared_ptr<obs::RunProgress::Run> progress;

@@ -41,11 +41,14 @@ struct EvalResult {
 
 /// Runs the pipeline under `config` over every clip and scores the outputs.
 /// Clips run independently across the default worker pool, one
-/// Pipeline::Run each; results are bit-identical at any pool width.
+/// Pipeline::Run each; results are bit-identical at any pool width. `memo`
+/// is the proxy score memo the runs share (see Pipeline): callers that
+/// evaluate the same clips more than once pass one, a single pass none.
 EvalResult EvaluateConfig(const PipelineConfig& config,
                           const TrainedModels* trained,
                           const std::vector<sim::Clip>& clips,
-                          const AccuracyFn& accuracy_fn);
+                          const AccuracyFn& accuracy_fn,
+                          const ProxyScoreCache* memo = nullptr);
 
 // Pass-throughs kept only so the source of the perfbench/ benchmark, which
 // names an executor kind, still compiles. Nothing else may call them: the

@@ -77,7 +77,11 @@ class Otif {
   const TunerPoint& FastestWithinTolerance(double tolerance) const;
 
   /// Runs a tuned configuration over a clip set, returning per-clip tracks
-  /// and the total simulated cost.
+  /// and the total simulated cost. A single pass reads no frame's proxy
+  /// scores twice, so Execute scores every frame straight through and
+  /// leaves trained().proxy_cache as it found it. Loops that execute
+  /// several configurations over the same clips call EvaluateConfig with
+  /// &trained().proxy_cache instead; the outputs are the same.
   EvalResult Execute(const PipelineConfig& config,
                      const std::vector<sim::Clip>& clips,
                      const AccuracyFn& accuracy_fn) const;

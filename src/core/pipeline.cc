@@ -224,7 +224,7 @@ struct FrameContext {
 class ClipRun {
  public:
   ClipRun(const PipelineConfig& config, const TrainedModels* trained,
-          const sim::Clip& clip);
+          const ProxyScoreCache* memo, const sim::Clip& clip);
 
   /// Whether this run scores frames with the proxy model.
   bool has_proxy() const { return proxy_ != nullptr; }
@@ -236,10 +236,10 @@ class ClipRun {
            trained_->refiner != nullptr && !clip_.spec().moving_camera;
   }
 
-  /// For each frame in order: renders it, looks its scores up in the
-  /// shared cache and on a miss scores and inserts them, groups its
-  /// positive cells into detector windows, and charges the per-frame proxy
-  /// cost.
+  /// For each frame in order: renders it, scores it (through the memo
+  /// when the run has one: look up, and on a miss score and insert), groups
+  /// its positive cells into detector windows, and charges the per-frame
+  /// proxy cost.
   void Proxy(const std::vector<FrameContext*>& batch, PipelineResult* result);
 
   /// Runs the detector inside the proxy's windows when they exist, over
@@ -264,6 +264,7 @@ class ClipRun {
 
   const PipelineConfig& config_;
   const TrainedModels* trained_;  // Not owned; may be null.
+  const ProxyScoreCache* memo_;   // Not owned; may be null.
   const sim::Clip& clip_;
   // Render service shared by the proxy and the recurrent tracker. It points
   // at `clip_` and caches that clip's backgrounds, so it lives as long as
@@ -281,9 +282,10 @@ class ClipRun {
 };
 
 ClipRun::ClipRun(const PipelineConfig& config, const TrainedModels* trained,
-                 const sim::Clip& clip)
+                 const ProxyScoreCache* memo, const sim::Clip& clip)
     : config_(config),
       trained_(trained),
+      memo_(memo),
       clip_(clip),
       raster_(&clip),
       detector_(models::ArchByName(models::StandardDetectorArchs(),
@@ -350,14 +352,18 @@ void ClipRun::Proxy(const std::vector<FrameContext*>& batch,
       ctx->have_low_res_frame = true;
     }
     {
-      // Cell scores are cached across tuner evaluations (many thresholds
-      // score the same frames); the cache is shared and thread-safe.
+      // Loops that re-score the same frames share a thread-safe memo (the
+      // tuner scores its validation frames under many thresholds); a single
+      // pass scores straight through.
       OTIF_SPAN("proxy/score");
-      const ProxyScoreCache::Key key = std::make_tuple(
-          clip_.clip_seed(), ctx->frame, config_.proxy_resolution_index);
-      if (!trained_->proxy_cache.Lookup(key, &scores)) {
-        scores = trained_->proxy_cache.Insert(
-            key, proxy_->Score(ctx->low_res_frame));
+      if (memo_ == nullptr) {
+        scores = proxy_->Score(ctx->low_res_frame);
+      } else {
+        const ProxyScoreCache::Key key = std::make_tuple(
+            clip_.clip_seed(), ctx->frame, config_.proxy_resolution_index);
+        if (!memo_->Lookup(key, &scores)) {
+          scores = memo_->Insert(key, proxy_->Score(ctx->low_res_frame));
+        }
       }
     }
     ComputeWindows(scores, ctx);
@@ -521,8 +527,9 @@ std::vector<double> StandardProxyThresholds() {
   return {0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9};
 }
 
-Pipeline::Pipeline(PipelineConfig config, const TrainedModels* trained)
-    : config_(std::move(config)), trained_(trained) {
+Pipeline::Pipeline(PipelineConfig config, const TrainedModels* trained,
+                   const ProxyScoreCache* memo)
+    : config_(std::move(config)), trained_(trained), memo_(memo) {
   OTIF_CHECK_GE(config_.sampling_gap, 1);
   OTIF_CHECK_GE(config_.frame_batch, 1);
   OTIF_CHECK_GT(config_.detector_scale, 0.0);
@@ -545,7 +552,7 @@ PipelineResult Pipeline::Run(const sim::Clip& clip) const {
   // with telemetry off each costs one relaxed load.
   OTIF_SPAN("pipeline/run");
   PipelineResult result;
-  ClipRun run(config_, trained_, clip);
+  ClipRun run(config_, trained_, memo_, clip);
   {
     telemetry::ScopedSpan span(StageSpan(models::CostCategory::kDecode));
     // Frames are decoded at the detector resolution (paper Sec 4).

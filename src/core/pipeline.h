@@ -72,9 +72,11 @@ struct TrainedModels {
   std::vector<WindowSize> window_sizes;
   std::unique_ptr<track::TrackRefiner> refiner;
 
-  /// Thread-safe cache of proxy scores keyed by (clip seed, frame,
-  /// resolution index); tuner evaluations re-score the same frames under
-  /// many thresholds, possibly from several worker threads.
+  /// The tuner's memo of proxy scores keyed by (clip seed, frame,
+  /// resolution index): its evaluations re-score the same validation frames
+  /// under many thresholds, possibly from several worker threads. Runs use
+  /// it only when handed it as Pipeline's `memo` (see ProxyScoreCache for
+  /// who passes it and why its size stays bounded); Otif::Execute does not.
   ProxyScoreCache proxy_cache;
 };
 
@@ -104,8 +106,12 @@ struct PipelineResult {
 class Pipeline {
  public:
   /// `trained` may be null only for configurations with use_proxy = false
-  /// and tracker = kSort and refine = false.
-  Pipeline(PipelineConfig config, const TrainedModels* trained);
+  /// and tracker = kSort and refine = false. `memo`, when not null, is
+  /// where the proxy looks its scores up and stores them (the tuner and the
+  /// loops that re-score the same clips pass one); when null, every frame
+  /// is scored straight through.
+  Pipeline(PipelineConfig config, const TrainedModels* trained,
+           const ProxyScoreCache* memo = nullptr);
 
   const PipelineConfig& config() const { return config_; }
 
@@ -124,6 +130,7 @@ class Pipeline {
  private:
   PipelineConfig config_;
   const TrainedModels* trained_;  // Not owned; may be null (see ctor).
+  const ProxyScoreCache* memo_;   // Not owned; may be null (see ctor).
 };
 
 /// The standard detector-scale ladder used by the tuner: each step reduces

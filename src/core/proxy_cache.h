@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <mutex>
 #include <tuple>
@@ -12,27 +11,31 @@
 
 namespace otif::core {
 
-/// Thread-safe bounded cache of proxy model scores, keyed by
-/// (clip seed, frame, resolution index). Tuner evaluations re-score the
-/// same validation frames under many thresholds and configurations, so the
-/// hit rate is high; the bound keeps long tuning sessions from growing the
-/// cache without limit (FIFO eviction — recomputation is deterministic, so
-/// eviction never changes results, only timing).
+/// Thread-safe memo of proxy model scores, keyed by (clip seed, frame,
+/// resolution index). A frame's scores are a deterministic function of that
+/// key, so the memo only saves work and never changes a result.
 ///
-/// All methods are const and internally synchronized: the cache lives in
-/// TrainedModels, which pipeline runs share across worker threads.
+/// Only loops that score the same frames more than once pass a memo to
+/// Pipeline / EvaluateConfig: the tuner, which re-scores its validation
+/// frames under many thresholds and configurations, and the harness and
+/// Table 4 loops that execute every curve point on the same test clips.
+/// Otif::Execute passes none, so a single pass over a dataset scores each
+/// frame straight through and stores nothing. The memo therefore holds at
+/// most the validation and test frames of one run times the trained
+/// resolutions, and needs no eviction.
+///
+/// All methods are const and internally synchronized: the memo lives in
+/// TrainedModels, and pipeline runs share it across worker threads.
 class ProxyScoreCache {
  public:
   using Key = std::tuple<uint64_t, int, int>;
 
-  static constexpr size_t kDefaultCapacity = 1 << 16;
-
-  explicit ProxyScoreCache(size_t capacity = kDefaultCapacity);
+  ProxyScoreCache() = default;
 
   ProxyScoreCache(const ProxyScoreCache&) = delete;
   ProxyScoreCache& operator=(const ProxyScoreCache&) = delete;
 
-  /// Lookup probes the cache and counts a hit or a miss; it never computes.
+  /// Lookup probes the memo and counts a hit or a miss; it never computes.
   /// On a miss the caller scores the frame outside the lock, since scoring
   /// is the expensive part, and stores the result with Insert.
   /// Pipeline::Run and the tuner's caching phase both score one frame at a
@@ -42,27 +45,19 @@ class ProxyScoreCache {
   bool Lookup(const Key& key, nn::Tensor* out) const;
   nn::Tensor Insert(const Key& key, nn::Tensor value) const;
 
-  /// Drops all entries. Counters are kept *by design*: Clear is used to
-  /// bound memory between phases while hit/miss/evict statistics keep
-  /// describing the whole session.
+  /// Drops all entries. Counters are kept *by design*: hits and misses
+  /// count over the memo's whole life, not just the resident set.
   void Clear() const;
 
   int64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   int64_t misses() const { return misses_.load(std::memory_order_relaxed); }
-  int64_t evictions() const {
-    return evictions_.load(std::memory_order_relaxed);
-  }
   size_t size() const;
-  size_t capacity() const { return capacity_; }
 
  private:
-  const size_t capacity_;
   mutable std::mutex mu_;
   mutable std::map<Key, nn::Tensor> entries_;  // Guarded by mu_.
-  mutable std::deque<Key> insertion_order_;    // Guarded by mu_.
   mutable std::atomic<int64_t> hits_{0};
   mutable std::atomic<int64_t> misses_{0};
-  mutable std::atomic<int64_t> evictions_{0};
 };
 
 }  // namespace otif::core

@@ -28,6 +28,11 @@ Tuner::Tuner(const std::vector<sim::Clip>* validation,
   }
 }
 
+EvalResult Tuner::Evaluate(const PipelineConfig& config) const {
+  return EvaluateConfig(config, trained_, *validation_, accuracy_fn_,
+                        &trained_->proxy_cache);
+}
+
 void Tuner::CacheDetectionModule(const PipelineConfig& theta_best) {
   OTIF_SPAN("tuner/cache_detection");
   // For every (architecture, resolution): runtime is analytic; accuracy is
@@ -56,8 +61,7 @@ void Tuner::CacheDetectionModule(const PipelineConfig& theta_best) {
         config.use_proxy = false;
         config.tracker = TrackerKind::kSort;
         config.refine = false;
-        return EvaluateConfig(config, trained_, *validation_, accuracy_fn_)
-            .accuracy;
+        return Evaluate(config).accuracy;
       });
   for (size_t i = 0; i < profiles.size(); ++i) {
     profiles[i].accuracy = accuracies[i];
@@ -68,10 +72,10 @@ void Tuner::CacheDetectionModule(const PipelineConfig& theta_best) {
 
 void Tuner::CacheProxyModule(const PipelineConfig& theta_best) {
   OTIF_SPAN("tuner/cache_proxy");
-  // For every (resolution, threshold): score validation frames (cached in
-  // TrainedModels), group cells into windows, and record the windowed
-  // detector cost relative to a full-frame pass plus the recall against
-  // theta_best detections (Sec 3.5.2).
+  // For every (resolution, threshold): score validation frames (memoized in
+  // TrainedModels::proxy_cache), group cells into windows, and record the
+  // windowed detector cost relative to a full-frame pass plus the recall
+  // against theta_best detections (Sec 3.5.2).
   const sim::DatasetSpec& spec = (*validation_)[0].spec();
   const models::DetectorArch arch = models::ArchByName(
       models::StandardDetectorArchs(), theta_best.detector_arch);
@@ -106,7 +110,7 @@ void Tuner::CacheProxyModule(const PipelineConfig& theta_best) {
   std::vector<nn::Tensor> scores(sampled.size());
   for (size_t res = 0; res < trained_->proxies.size(); ++res) {
     models::ProxyModel* proxy = trained_->proxies[res].get();
-    // Score the sampled frames with the pipeline's cache protocol: look up,
+    // Score the sampled frames with the pipeline's memo protocol: look up,
     // and on a miss score the frame and insert it.
     for (size_t i = 0; i < sampled.size(); ++i) {
       const SampledFrame& s = sampled[i];
@@ -275,8 +279,7 @@ std::vector<TunerPoint> Tuner::Run(const PipelineConfig& theta_best) {
 
   std::vector<TunerPoint> curve;
   {
-    EvalResult r = EvaluateConfig(current, trained_, *validation_,
-                                  accuracy_fn_);
+    EvalResult r = Evaluate(current);
     ++evaluations_;
     curve.push_back({current, r.seconds, r.accuracy, "init"});
   }
@@ -313,8 +316,7 @@ std::vector<TunerPoint> Tuner::Run(const PipelineConfig& theta_best) {
         ThreadPool::Default(), static_cast<int64_t>(candidates.size()),
         [&](int64_t i) {
           telemetry::ScopedSpan span(telemetry::GetSpan("tuner/evaluate"));
-          return EvaluateConfig(candidates[static_cast<size_t>(i)], trained_,
-                                *validation_, accuracy_fn_);
+          return Evaluate(candidates[static_cast<size_t>(i)]);
         });
     double best_accuracy = -1.0;
     TunerPoint best_point;

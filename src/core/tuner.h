@@ -86,6 +86,10 @@ class Tuner {
   int evaluations_performed() const { return evaluations_; }
 
  private:
+  /// Evaluates `config` on the validation set through the proxy score memo
+  /// (TrainedModels::proxy_cache), which every evaluation of the run shares.
+  EvalResult Evaluate(const PipelineConfig& config) const;
+
   void CacheDetectionModule(const PipelineConfig& theta_best);
   void CacheProxyModule(const PipelineConfig& theta_best);
 

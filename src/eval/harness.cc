@@ -69,10 +69,13 @@ StatusOr<TrackExperimentResult> RunTrackExperiment(
   {
     telemetry::ScopedSpan span(telemetry::GetSpan("harness/execute_curve"));
     obs::RunProgress::Global().SetPhase("execute_curve");
+    // Every curve point runs over the same test clips, so the points share
+    // the proxy score memo (Execute alone would score each frame again).
+    const core::TrainedModels& trained = result.otif->trained();
     std::vector<baselines::MethodPoint> points;
     for (const core::TunerPoint& tp : result.otif->curve()) {
-      core::EvalResult r =
-          result.otif->Execute(tp.config, *test, test_accuracy);
+      core::EvalResult r = core::EvaluateConfig(
+          tp.config, &trained, *test, test_accuracy, &trained.proxy_cache);
       baselines::MethodPoint p;
       p.label = tp.config.ToString();
       p.seconds = r.seconds;

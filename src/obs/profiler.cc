@@ -320,6 +320,8 @@ void PublishSelfMetrics(ProfilerState& state) {
   state.published_handler_ns = handler_ns_now;
 }
 
+#ifndef OTIF_PROFILER_SANITIZED
+// Only Start's sampling branch runs the collector.
 void CollectorLoop(ProfilerState& state) {
   std::unique_lock<std::mutex> lock(state.collector_mu);
   while (!state.collector_stop) {
@@ -331,6 +333,7 @@ void CollectorLoop(ProfilerState& state) {
     lock.lock();
   }
 }
+#endif
 
 const std::string& CachedSymbol(ProfilerState& state, void* pc) {
   auto it = state.symbols.find(pc);

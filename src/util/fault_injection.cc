@@ -199,16 +199,20 @@ void ClearFaults() {
 }
 
 void InitFaultsFromEnv() {
-  const char* spec = std::getenv("OTIF_FAULTS");
-  if (spec == nullptr || spec[0] == '\0') return;
-  const Status status = ConfigureFaults(spec);
-  if (!status.ok()) {
-    OTIF_LOG(kWarning) << "ignoring OTIF_FAULTS: " << status.ToString();
-    return;
-  }
-  std::vector<std::string> armed = ArmedSites();
-  OTIF_LOG(kWarning) << "fault injection armed for " << armed.size()
-                     << " site(s): " << StrJoin(armed, ", ");
+  static const bool initialized = [] {
+    const char* spec = std::getenv("OTIF_FAULTS");
+    if (spec == nullptr || spec[0] == '\0') return true;
+    const Status status = ConfigureFaults(spec);
+    if (!status.ok()) {
+      OTIF_LOG(kWarning) << "ignoring OTIF_FAULTS: " << status.ToString();
+      return true;
+    }
+    std::vector<std::string> armed = ArmedSites();
+    OTIF_LOG(kWarning) << "fault injection armed for " << armed.size()
+                       << " site(s): " << StrJoin(armed, ", ");
+    return true;
+  }();
+  (void)initialized;
 }
 
 std::vector<std::string> ArmedSites() {

@@ -102,9 +102,10 @@ Status ConfigureFaults(const std::string& spec);
 /// Disarms every site and clears the fault flag.
 void ClearFaults();
 
-/// Applies OTIF_FAULTS from the environment (no-op when unset; logs a
-/// warning and stays disarmed on a malformed spec). Called by
-/// InitObservabilityFromEnv.
+/// Applies OTIF_FAULTS from the environment once per process (no-op when
+/// unset; logs a warning and stays disarmed on a malformed spec). Later
+/// calls do nothing, so they never replace a configuration installed with
+/// ConfigureFaults after the first. Called by InitObservabilityFromEnv.
 void InitFaultsFromEnv();
 
 /// Names of currently armed sites, sorted (introspection and tests).

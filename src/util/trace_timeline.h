@@ -126,9 +126,9 @@ void InitFromEnv();
 namespace otif {
 
 /// One-stop observability startup hook for binaries and the harness:
-/// applies OTIF_LOG_LEVEL (InitLogLevelFromEnv), the timeline environment
-/// (timeline::InitFromEnv, once per process) and OTIF_FAULTS
-/// (fault::InitFaultsFromEnv, again on every call).
+/// applies OTIF_LOG_LEVEL (InitLogLevelFromEnv, on every call), and the
+/// timeline environment (timeline::InitFromEnv) and OTIF_FAULTS
+/// (fault::InitFaultsFromEnv) once per process.
 void InitObservabilityFromEnv();
 
 }  // namespace otif

@@ -32,6 +32,21 @@ RunScale TestScale() {
   return scale;
 }
 
+// A set-up small enough for the sanitizer builds, for the tests that run
+// Prepare themselves at several pool widths.
+RunScale SmallScale() {
+  RunScale scale;
+  scale.train_clips = 2;
+  scale.valid_clips = 1;
+  scale.test_clips = 1;
+  scale.clip_seconds = 8;
+  scale.proxy_train_steps = 30;
+  scale.tracker_train_steps = 60;
+  scale.proxy_resolutions = 3;
+  scale.window_sample_frames = 8;
+  return scale;
+}
+
 struct PreparedOtif {
   std::unique_ptr<Otif> otif;
   std::vector<sim::Clip> valid;
@@ -148,15 +163,7 @@ TEST(OtifTest, PrepareIsIdenticalAcrossPoolWidths) {
   // Prepare trains its proxies and the tracker net as concurrent tasks;
   // every trained artifact must be bitwise the same at one lane and at
   // four.
-  RunScale scale;
-  scale.train_clips = 2;
-  scale.valid_clips = 1;
-  scale.test_clips = 1;
-  scale.clip_seconds = 8;
-  scale.proxy_train_steps = 30;
-  scale.tracker_train_steps = 60;
-  scale.proxy_resolutions = 3;
-  scale.window_sample_frames = 8;
+  const RunScale scale = SmallScale();
   Tuner::Options topts;
   topts.max_iterations = 2;
   const eval::TrackWorkload workload =
@@ -227,6 +234,74 @@ TEST(OtifTest, PrepareIsIdenticalAcrossPoolWidths) {
   }
   EXPECT_EQ(serial.simulated_training_seconds(),
             parallel.simulated_training_seconds());
+}
+
+TEST(OtifTest, ExecuteLeavesTheMemoAsItFoundIt) {
+  // Execute is one pass over its clips: at four lanes it scores every
+  // frame straight through, so the tuner's memo keeps its entries and
+  // counters, and its outputs equal those of runs through a memo (the
+  // first inserting every frame, the second hitting every frame).
+  Tuner::Options topts;
+  topts.max_iterations = 2;
+  const eval::TrackWorkload workload =
+      eval::MakeTrackWorkload(sim::DatasetId::kSynthetic);
+  Otif otif(workload.spec, SmallScale());
+  const std::vector<sim::Clip> valid = otif.ValidClips();
+  otif.Prepare(workload.MakeAccuracyFn(&valid), topts);
+  const TrainedModels& trained = otif.trained();
+  ASSERT_GT(trained.proxy_cache.size(), 0u);
+
+  PipelineConfig config = otif.theta_best();
+  config.use_proxy = true;
+  config.proxy_threshold = 0.3;
+  config.tracker = TrackerKind::kRecurrent;
+  config.refine = true;
+  const std::vector<sim::Clip> test = otif.TestClips();
+  const AccuracyFn test_fn = workload.MakeAccuracyFn(&test);
+  const int previous_width = ThreadPool::Default()->num_threads();
+  ThreadPool::SetDefaultThreads(4);
+
+  const size_t size = trained.proxy_cache.size();
+  const int64_t hits = trained.proxy_cache.hits();
+  const int64_t misses = trained.proxy_cache.misses();
+  const EvalResult executed = otif.Execute(config, test, test_fn);
+  EXPECT_EQ(trained.proxy_cache.size(), size);
+  EXPECT_EQ(trained.proxy_cache.hits(), hits);
+  EXPECT_EQ(trained.proxy_cache.misses(), misses);
+
+  ProxyScoreCache memo;
+  for (int pass = 0; pass < 2; ++pass) {
+    const EvalResult memoized =
+        EvaluateConfig(config, &trained, test, test_fn, &memo);
+    for (int c = 0; c < models::kNumCostCategories; ++c) {
+      const auto category = static_cast<models::CostCategory>(c);
+      EXPECT_EQ(executed.clock.Seconds(category),
+                memoized.clock.Seconds(category))
+          << "pass " << pass << " category " << c;
+    }
+    ASSERT_EQ(executed.tracks_per_clip.size(), memoized.tracks_per_clip.size());
+    for (size_t clip = 0; clip < executed.tracks_per_clip.size(); ++clip) {
+      const std::vector<track::Track>& a = executed.tracks_per_clip[clip];
+      const std::vector<track::Track>& b = memoized.tracks_per_clip[clip];
+      ASSERT_EQ(a.size(), b.size()) << "pass " << pass << " clip " << clip;
+      for (size_t t = 0; t < a.size(); ++t) {
+        ASSERT_EQ(a[t].detections.size(), b[t].detections.size());
+        for (size_t d = 0; d < a[t].detections.size(); ++d) {
+          const track::Detection& da = a[t].detections[d];
+          const track::Detection& db = b[t].detections[d];
+          EXPECT_EQ(da.frame, db.frame);
+          EXPECT_EQ(da.box.cx, db.box.cx);
+          EXPECT_EQ(da.box.cy, db.box.cy);
+          EXPECT_EQ(da.box.w, db.box.w);
+          EXPECT_EQ(da.box.h, db.box.h);
+          EXPECT_EQ(da.confidence, db.confidence);
+        }
+      }
+    }
+  }
+  EXPECT_GT(memo.size(), 0u);
+  EXPECT_EQ(memo.hits(), memo.misses());
+  ThreadPool::SetDefaultThreads(previous_width);
 }
 
 TEST(TunerTest, ProxyProfilesMatchPerFrameReference) {

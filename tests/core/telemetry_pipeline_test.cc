@@ -125,10 +125,8 @@ TEST_F(PipelineTelemetryTest, OutputsBitForBitIdenticalOnVsOff) {
     const TrainedModels* t = use_proxy ? trained.get() : nullptr;
 
     telemetry::SetEnabled(false);
-    if (t != nullptr) trained->proxy_cache.Clear();
     const EvalResult off = EvaluateConfig(config, t, clips_, fn);
     telemetry::SetEnabled(true);
-    if (t != nullptr) trained->proxy_cache.Clear();
     const EvalResult on = EvaluateConfig(config, t, clips_, fn);
     ExpectIdentical(off, on);
   }
@@ -147,10 +145,8 @@ TEST_F(PipelineTelemetryTest, OutputsBitForBitIdenticalTimelineOnVsOff) {
   ThreadPool::SetDefaultThreads(3);
 
   telemetry::timeline::SetCollectionEnabled(false);
-  trained->proxy_cache.Clear();
   const EvalResult off = EvaluateConfig(config, trained.get(), clips_, fn);
   telemetry::timeline::SetCollectionEnabled(true);
-  trained->proxy_cache.Clear();
   const EvalResult on = EvaluateConfig(config, trained.get(), clips_, fn);
   telemetry::timeline::SetCollectionEnabled(false);
   EXPECT_FALSE(telemetry::timeline::SnapshotEvents().empty());
@@ -288,8 +284,8 @@ TEST_F(PipelineTelemetryTest, ParallelRunsAggregateExactCounts) {
   config.sampling_gap = 2;
   const auto fn = CountAccuracyFn(&clips_);
   ThreadPool::SetDefaultThreads(4);
-  trained->proxy_cache.Clear();
-  EvaluateConfig(config, trained.get(), clips_, fn);
+  const ProxyScoreCache& memo = trained->proxy_cache;
+  EvaluateConfig(config, trained.get(), clips_, fn, &memo);
 
   const telemetry::TelemetrySnapshot snapshot = telemetry::CaptureSnapshot();
   const telemetry::CounterSample* runs =
@@ -301,10 +297,19 @@ TEST_F(PipelineTelemetryTest, ParallelRunsAggregateExactCounts) {
   const telemetry::CounterSample* misses =
       telemetry::FindCounter(snapshot, "proxy_cache.misses");
   ASSERT_NE(misses, nullptr);
-  // Telemetry mirrors the cache's own counters for this interval.
+  // Telemetry mirrors the memo's own counters for this interval.
   const int64_t mirrored_hits = hits != nullptr ? hits->value : 0;
-  EXPECT_EQ(mirrored_hits, trained->proxy_cache.hits());
-  EXPECT_EQ(misses->value, trained->proxy_cache.misses());
+  EXPECT_EQ(mirrored_hits, memo.hits());
+  EXPECT_EQ(misses->value, memo.misses());
+
+  // A run without the memo adds no lookups to the mirrors.
+  EvaluateConfig(config, trained.get(), clips_, fn);
+  const telemetry::TelemetrySnapshot after = telemetry::CaptureSnapshot();
+  const telemetry::CounterSample* hits_after =
+      telemetry::FindCounter(after, "proxy_cache.hits");
+  EXPECT_EQ(hits_after != nullptr ? hits_after->value : 0, mirrored_hits);
+  EXPECT_EQ(telemetry::FindCounter(after, "proxy_cache.misses")->value,
+            misses->value);
 }
 
 TEST_F(PipelineTelemetryTest, PrepareSpansCountEveryPhase) {

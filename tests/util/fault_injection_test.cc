@@ -1,18 +1,22 @@
 // Deterministic fault-injection registry tests: spec parsing (only the two
 // instrumented sites are accepted), the everything-off default, seeded
-// replayability, rate endpoints, clip scoping, and the injected-fault
-// counters.
+// replayability, rate endpoints, clip scoping, the injected-fault
+// counters, and OTIF_FAULTS applied once per process.
 
 #include "util/fault_injection.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "util/status.h"
+#include "util/strings.h"
 #include "util/telemetry.h"
+#include "util/trace_timeline.h"
 
 namespace otif::fault {
 namespace {
@@ -130,6 +134,31 @@ TEST_F(FaultInjectionTest, InjectedCounterCountsFiredFaultsOnly) {
   ASSERT_TRUE(ConfigureFaults("detect.invoke:error:0:1").ok());
   EXPECT_FALSE(site->Inject(/*clip=*/0, /*token=*/2, &inj));
   EXPECT_EQ(counter->value(), before + 2);
+}
+
+TEST(FaultInjectionDeathTest, EnvSpecInstallsOncePerProcess) {
+  // The harness calls InitObservabilityFromEnv once per experiment after
+  // the binary's own call. A later call must neither re-arm OTIF_FAULTS nor
+  // replace what a caller installed with ConfigureFaults in between. The
+  // once-guard is per process, so the check runs in a fresh child.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        setenv("OTIF_FAULTS", "detect.invoke:error:1:7", /*overwrite=*/1);
+        InitObservabilityFromEnv();
+        const bool env_armed =
+            ArmedSites() == std::vector<std::string>{kDetectSite};
+        const bool configured = ConfigureFaults("proxy.invoke:stall:1:9").ok();
+        InitObservabilityFromEnv();
+        const std::vector<std::string> armed = ArmedSites();
+        std::fprintf(stderr, "armed after the second init: %s\n",
+                     StrJoin(armed, ", ").c_str());
+        std::exit(env_armed && configured &&
+                          armed == std::vector<std::string>{kProxySite}
+                      ? 0
+                      : 1);
+      },
+      ::testing::ExitedWithCode(0), "armed after the second init: proxy");
 }
 
 }  // namespace

@@ -2,9 +2,10 @@
 # The ThreadSanitizer test list, shared by tools/check.sh and CI's tsan job:
 # builds the concurrency-sensitive test binaries in BUILD_DIR and runs each
 # with its filter (thread pool, telemetry registry/spans, timeline ring
-# buffers, fault-injection registry, proxy score cache, pipeline
-# determinism with concurrent proxy scoring, fault recovery, concurrent
-# model training in Prepare, live introspection).
+# buffers, fault-injection registry, proxy score memo, pipeline
+# determinism with concurrent proxy scoring with and without the memo,
+# fault recovery, concurrent model training in Prepare, extraction next to
+# the tuner's memo, live introspection).
 #
 # Usage: tools/tsan_tests.sh BUILD_DIR
 #   BUILD_DIR must already be configured with -DOTIF_SANITIZE=thread.
@@ -22,7 +23,7 @@ cmake --build "$BUILD_DIR" -j"$(nproc)" \
 "$BUILD_DIR"/tests/util_test \
   --gtest_filter='ThreadPool*:Telemetry*:Trace*:TraceTimeline*:FaultInjection*'
 "$BUILD_DIR"/tests/core_test \
-  --gtest_filter='PipelineStagesDeterminismTest.*:ProxyScoreCache*:PipelineTelemetry*:PipelineFaultTest.*:OtifTest.PrepareIsIdenticalAcrossPoolWidths'
+  --gtest_filter='PipelineStagesDeterminismTest.*:ProxyScoreCache*:PipelineTelemetry*:PipelineFaultTest.*:OtifTest.PrepareIsIdenticalAcrossPoolWidths:OtifTest.ExecuteLeavesTheMemoAsItFoundIt'
 # Profiler live-sampling tests self-skip under TSan (the profiler refuses
 # to start there); the filter still exercises the renderers, option
 # validation, and the refusal path.
