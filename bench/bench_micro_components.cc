@@ -52,10 +52,14 @@ void BM_RasterizeFrame(benchmark::State& state) {
 }
 BENCHMARK(BM_RasterizeFrame)->Arg(40)->Arg(104);
 
-// One frame's proxy forward pass, as Pipeline::Run scores each cache miss:
-// staging, activations and im2col panels all in the thread's scratch arena.
+// One frame's proxy forward pass, as Pipeline::Run scores each frame:
+// staging, activations and padded conv input planes all in the thread's
+// scratch arena. The argument indexes StandardProxyResolutions(): 0 is the
+// 104x64 raster perfbench extracts at, 4 the smallest (40x24).
 void BM_ProxyInference(benchmark::State& state) {
-  models::ProxyModel proxy(models::StandardProxyResolutions()[4], 1);
+  models::ProxyModel proxy(
+      models::StandardProxyResolutions()[static_cast<size_t>(state.range(0))],
+      1);
   sim::Rasterizer raster(&BenchClip());
   const video::Image frame = raster.Render(
       0, proxy.resolution().raster_w(), proxy.resolution().raster_h());
@@ -63,10 +67,11 @@ void BM_ProxyInference(benchmark::State& state) {
     benchmark::DoNotOptimize(proxy.Score(frame));
   }
 }
-BENCHMARK(BM_ProxyInference);
+BENCHMARK(BM_ProxyInference)->Arg(0)->Arg(4);
 
-// Conv engine at detector-typical window shapes: the im2col+GEMM inference
-// path versus the naive reference loops it replaced.
+// Conv inference at a detector-typical window shape: the direct kernel
+// (ConvDirect, the variant picked for this CPU) versus the naive reference
+// loops.
 nn::Conv2d& DetectorShapeConv() {
   static Rng rng(3);
   static nn::Conv2d conv(16, 32, 3, 1, &rng);
@@ -91,14 +96,14 @@ void BM_ConvNaive(benchmark::State& state) {
 }
 BENCHMARK(BM_ConvNaive);
 
-void BM_ConvGemm(benchmark::State& state) {
+void BM_ConvDirect(benchmark::State& state) {
   nn::Conv2d& conv = DetectorShapeConv();
   const nn::Tensor input = DetectorShapeInput();
   for (auto _ : state) {
     benchmark::DoNotOptimize(conv.Infer(input));
   }
 }
-BENCHMARK(BM_ConvGemm);
+BENCHMARK(BM_ConvDirect);
 
 void BM_CellGrouping(benchmark::State& state) {
   Rng rng(5);

@@ -109,19 +109,23 @@ void Tuner::CacheProxyModule(const PipelineConfig& theta_best) {
 
   std::vector<nn::Tensor> scores(sampled.size());
   for (size_t res = 0; res < trained_->proxies.size(); ++res) {
-    models::ProxyModel* proxy = trained_->proxies[res].get();
+    const models::ProxyModel* proxy = trained_->proxies[res].get();
     // Score the sampled frames with the pipeline's memo protocol: look up,
-    // and on a miss score the frame and insert it.
-    for (size_t i = 0; i < sampled.size(); ++i) {
-      const SampledFrame& s = sampled[i];
-      const ProxyScoreCache::Key key((*validation_)[s.clip].clip_seed(),
-                                     s.frame, static_cast<int>(res));
-      if (trained_->proxy_cache.Lookup(key, &scores[i])) continue;
-      scores[i] = trained_->proxy_cache.Insert(
-          key, proxy->Score(rasters[s.clip].Render(
-                   s.frame, proxy->resolution().raster_w(),
-                   proxy->resolution().raster_h())));
-    }
+    // and on a miss score the frame and insert it. Frames are scored in
+    // parallel: Render, Score and the memo are thread-safe, each frame's
+    // key is distinct and its scores land in its own slot.
+    ThreadPool::Default()->ParallelFor(
+        static_cast<int64_t>(sampled.size()), [&](int64_t fi) {
+          const size_t i = static_cast<size_t>(fi);
+          const SampledFrame& s = sampled[i];
+          const ProxyScoreCache::Key key((*validation_)[s.clip].clip_seed(),
+                                         s.frame, static_cast<int>(res));
+          if (trained_->proxy_cache.Lookup(key, &scores[i])) return;
+          scores[i] = trained_->proxy_cache.Insert(
+              key, proxy->Score(rasters[s.clip].Render(
+                       s.frame, proxy->resolution().raster_w(),
+                       proxy->resolution().raster_h())));
+        });
     // Thresholds only re-read the shared scores; profile them in parallel
     // and append in threshold order (tie-breaking below scans in order).
     const std::vector<double> thresholds = StandardProxyThresholds();

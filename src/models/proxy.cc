@@ -72,9 +72,9 @@ nn::Tensor ProxyModel::ForwardLogits(const video::Image& frame) {
 nn::Tensor ProxyModel::Score(const video::Image& frame) const {
   // The same layers as ScoreReference's net_.Infer, with every
   // intermediate in the arena: the staged input, each conv's output
-  // (ReLU applied in place) and, in InferInto's inner scope, its im2col
-  // panel. At the largest resolution the peak is conv2's, 56,576 floats,
-  // which fits the arena's first chunk.
+  // (ReLU applied in place) and, in InferInto's inner scope, its padded
+  // input planes. At the largest resolution the peak is conv2's, 44,048
+  // floats, which fits the arena's first chunk.
   nn::ScratchArena& arena = nn::ScratchArena::ThreadLocal();
   nn::ScratchScope scope(arena);
   int h = resolution_.raster_h(), w = resolution_.raster_w();

@@ -54,12 +54,12 @@ class ProxyModel {
 
   /// Scores a frame (any resolution; resized to the raster input size).
   /// Returns per-cell probabilities in a (grid_h, grid_w) tensor. The whole
-  /// forward pass (staged input, activations, im2col panels) runs in one
-  /// scope of the calling thread's ScratchArena; only the returned
-  /// probabilities come from the heap. Uses the cache-free inference path,
-  /// so concurrent calls on a shared trained model are safe (TrainStep
-  /// mutates the model: one model trains on one thread at a time, while
-  /// distinct models may train concurrently).
+  /// forward pass (staged input, activations, each conv's padded input
+  /// planes) runs in one scope of the calling thread's ScratchArena; only
+  /// the returned probabilities come from the heap. Uses the cache-free
+  /// inference path, so concurrent calls on a shared trained model are safe
+  /// (TrainStep mutates the model: one model trains on one thread at a
+  /// time, while distinct models may train concurrently).
   nn::Tensor Score(const video::Image& frame) const;
 
   /// Score through Sequential::Infer on heap tensors: the test oracle that

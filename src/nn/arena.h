@@ -7,8 +7,9 @@
 
 namespace otif::nn {
 
-/// Bump-pointer scratch arena for inference temporaries (im2col panels,
-/// packed weight panels, a proxy frame's staged input and activations).
+/// Bump-pointer scratch arena for inference and backward temporaries (the
+/// direct conv's padded input planes, im2col panels, transposed weights, a
+/// proxy frame's staged input and activations).
 /// Memory is organized as a list of chunks that are never reallocated, so
 /// pointers returned by Alloc stay valid until the enclosing ScratchScope
 /// unwinds — even if later allocations grow the arena. Chunks are retained
@@ -21,10 +22,11 @@ class ScratchArena {
  public:
   /// Size of the first chunk a thread's arena reserves: big enough for one
   /// frame's whole proxy forward pass at the largest resolution (input,
-  /// two activations and the largest im2col panel, 56,576 floats), so
-  /// scoring never chains chunks. Code that tiles its scratch (the conv
-  /// backward pass) sizes each scope to fit here, adding no arena memory
-  /// beyond what inference already reserved.
+  /// three activations and conv2's padded input planes, 44,048 floats), so
+  /// scoring never chains chunks, and for the conv backward pass, which
+  /// sizes each of its scopes to fit here (the largest proxy's
+  /// weight-gradient scope is 37,760 floats), adding no arena memory beyond
+  /// what inference already reserved.
   static constexpr size_t kMinChunkFloats = size_t{1} << 16;  // 256 KiB.
 
   ScratchArena() = default;

@@ -21,7 +21,7 @@ namespace otif::nn {
 ///   bias + A[i][0]*B[0][j] + A[i][1]*B[1][j] + ... (k ascending)
 /// with no reassociation across k, so the result is bit-identical to the
 /// naive triple loop regardless of the register-blocking used internally.
-/// The GEMM conv path relies on this to reproduce the reference loops
+/// The conv backward pass relies on this to reproduce the reference loops
 /// exactly.
 void GemmBias(int m, int n, int k, const float* a, const float* b,
               const float* bias_row, const float* bias_col, float* c);
@@ -35,7 +35,8 @@ void GemmBias(int m, int n, int k, const float* a, const float* b,
 void GemmAccumulate(int m, int n, int k, const float* a, const float* b,
                     float* c);
 
-/// Unrolls conv input patches into the im2col panel consumed by GemmBias.
+/// Unrolls conv input patches into the im2col panel consumed by the conv
+/// backward pass's weight-gradient GEMM.
 ///
 ///   input: (channels, h, w) row-major
 ///   out:   (channels * kernel * kernel) x (oh * ow) row-major
@@ -48,6 +49,60 @@ void GemmAccumulate(int m, int n, int k, const float* a, const float* b,
 /// panel (K x N) with K accumulated in the same order as the naive loops.
 void Im2Col(const float* input, int channels, int h, int w, int kernel,
             int stride, int oh, int ow, float* out);
+
+/// One 'same'-padded convolution over an (in_channels, h, w) image: odd
+/// kernel, pad = kernel / 2, output (out_channels, oh(), ow()).
+struct ConvShape {
+  int in_channels = 0;
+  int out_channels = 0;
+  int kernel = 1;
+  int stride = 1;
+  int h = 0;
+  int w = 0;
+
+  int oh() const { return (h + stride - 1) / stride; }
+  int ow() const { return (w + stride - 1) / stride; }
+};
+
+/// Floats of scratch ConvDirect needs for its zero-padded input planes.
+size_t ConvDirectScratchFloats(const ConvShape& shape);
+
+/// Direct convolution, the inference path of Conv2d:
+///
+///   input:   (in_channels, h, w) row-major
+///   weight:  (out_channels, in_channels, kernel, kernel) row-major
+///   bias:    out_channels
+///   scratch: ConvDirectScratchFloats(shape) floats, fully overwritten
+///   out:     (out_channels, oh, ow) row-major, fully overwritten
+///
+/// Copies the input once into zero-padded planes in `scratch`, split into
+/// `stride` column phases so that every tap of 8 adjacent outputs reads 8
+/// contiguous floats, then computes register tiles of up to 4 output
+/// channels x 8 output columns. Determinism contract: every output is one
+/// accumulator chain
+///   bias + w[ic=0][0][0]*x + ... (taps (ic, ky, kx) ascending)
+/// with each product rounded before it is added (no fused multiply-add),
+/// padding taps included as +-0 products: the same chain as GemmBias over
+/// the Im2Col panel, so the result is bit-identical to it (and to
+/// Conv2d::InferReference, which skips the padding taps; DESIGN.md,
+/// "Inference engine").
+void ConvDirect(const ConvShape& shape, const float* input,
+                const float* weight, const float* bias, float* scratch,
+                float* out);
+
+/// The instruction sets ConvDirect's one kernel source is compiled for.
+/// Both variants give the same bits.
+enum class ConvIsa { kBaseline, kAvx2 };
+
+/// The variant ConvDirect runs, picked once per process: kAvx2 on an x86
+/// build whose CPU supports AVX2, otherwise kBaseline.
+ConvIsa ConvDirectIsa();
+
+/// ConvDirect through the `isa` variant, so tests can check each one.
+/// kAvx2 requires ConvDirectIsa() == ConvIsa::kAvx2.
+void ConvDirectWith(ConvIsa isa, const ConvShape& shape, const float* input,
+                    const float* weight, const float* bias, float* scratch,
+                    float* out);
 
 }  // namespace otif::nn
 

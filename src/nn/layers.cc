@@ -67,14 +67,14 @@ Tensor Conv2d::Forward(const Tensor& input) {
 
 void Conv2d::InferInto(const float* input, int h, int w, int oh, int ow,
                        float* out) const {
-  const int k = in_channels_ * kernel_ * kernel_;
-  const int n = oh * ow;
+  const ConvShape shape{in_channels_, out_channels_, kernel_, stride_, h, w};
+  OTIF_CHECK_EQ(oh, shape.oh());
+  OTIF_CHECK_EQ(ow, shape.ow());
   ScratchArena& arena = ScratchArena::ThreadLocal();
   ScratchScope scope(arena);
-  float* panel = arena.Alloc(static_cast<size_t>(k) * n);
-  Im2Col(input, in_channels_, h, w, kernel_, stride_, oh, ow, panel);
-  GemmBias(out_channels_, n, k, weight_.value.data(), panel,
-           bias_.value.data(), nullptr, out);
+  float* planes = arena.Alloc(ConvDirectScratchFloats(shape));
+  ConvDirect(shape, input, weight_.value.data(), bias_.value.data(), planes,
+             out);
 }
 
 Tensor Conv2d::Infer(const Tensor& input) const {

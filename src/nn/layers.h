@@ -51,13 +51,13 @@ class Layer {
 /// 2-D convolution over (C, H, W) tensors with 'same' padding (k odd) and
 /// integer stride. Output is (out_channels, ceil(H/stride), ceil(W/stride)).
 ///
-/// Every pass runs on the im2col + blocked-GEMM engine (gemm.h) and is
-/// bit-identical to the naive reference loops, which survive only as test
-/// oracles (InferReference, BackwardReference):
-///   - Infer() runs InferInto() into a new tensor; Forward() is Infer()
-///     plus the activation cache.
-///   - Backward() keeps the reference loop's accumulation order for every
-///     gradient (bias: output positions ascending; weights: dW = dY * col^T,
+/// Every pass is bit-identical to the naive reference loops, which survive
+/// only as test oracles (InferReference, BackwardReference):
+///   - Infer() runs InferInto() (the direct conv kernel, gemm.h) into a new
+///     tensor; Forward() is Infer() plus the activation cache.
+///   - Backward() runs on the im2col + blocked-GEMM engine (gemm.h) and
+///     keeps the reference loop's accumulation order for every gradient
+///     (bias: output positions ascending; weights: dW = dY * col^T,
 ///     output positions ascending; input: dX = W~ * D per stride phase,
 ///     with D's rows ordered (out channel ascending, ky descending, kx
 ///     descending)). Terms the reference skips (zero upstream gradient,
@@ -76,16 +76,18 @@ class Conv2d : public Layer {
   Tensor Backward(const Tensor& grad_output) override;
   void CollectParameters(std::vector<Parameter*>* out) override;
 
-  /// im2col + GEMM over one (in_channels, h, w) image laid out at `input`;
+  /// ConvDirect over one (in_channels, h, w) image laid out at `input`;
   /// writes the (out_channels, oh, ow) result to `out`, where oh and ow are
-  /// ceil(h / stride) and ceil(w / stride). The im2col panel comes from the
-  /// calling thread's ScratchArena, in a scope of its own, so `input` and
-  /// `out` may live in that arena too (ProxyModel::Score).
+  /// ceil(h / stride) and ceil(w / stride). The kernel's zero-padded input
+  /// planes come from the calling thread's ScratchArena, in a scope of
+  /// their own, so `input` and `out` may live in that arena too
+  /// (ProxyModel::Score). Runs the AVX2 variant when the CPU has it; both
+  /// variants give the same bits.
   void InferInto(const float* input, int h, int w, int oh, int ow,
                  float* out) const;
 
   /// Reference (naive loop) inference over a single 3-D input: the ground
-  /// truth the GEMM path must reproduce exactly (tests and benchmarks).
+  /// truth InferInto must reproduce exactly (tests and benchmarks).
   Tensor InferReference(const Tensor& input) const;
 
   /// Reference (naive loop) backward for one Forward over `input`: adds

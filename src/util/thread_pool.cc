@@ -4,6 +4,10 @@
 #include <chrono>
 #include <cstdlib>
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 #include "util/logging.h"
 #include "util/telemetry.h"
 
@@ -50,16 +54,11 @@ void RunTask(const std::function<void(int64_t)>& fn, int64_t index) {
   t.tasks->Add(1);
 }
 
-int HardwareThreadCount() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
-}
-
 int DefaultThreadCount() {
   if (const char* env = std::getenv("OTIF_WORKERS")) {
-    return ThreadPool::ParseWorkerEnv(env, HardwareThreadCount());
+    return ThreadPool::ParseWorkerEnv(env, ThreadPool::AvailableCpus());
   }
-  return HardwareThreadCount();
+  return ThreadPool::AvailableCpus();
 }
 
 std::mutex g_default_mu;
@@ -177,6 +176,18 @@ int ThreadPool::ParseWorkerEnv(const char* value, int fallback) {
                      << "\" is not a positive integer; using " << fallback
                      << " worker thread(s)";
   return fallback;
+}
+
+int ThreadPool::AvailableCpus() {
+#ifdef __linux__
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0 && CPU_COUNT(&set) > 0) {
+    return CPU_COUNT(&set);
+  }
+#endif
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
 ThreadPool* ThreadPool::Default() {

@@ -57,10 +57,16 @@ class ThreadPool {
   void ParallelFor(int64_t n, const std::function<void(int64_t)>& fn);
 
   /// The process-wide default pool. Sized from the OTIF_WORKERS environment
-  /// variable when set, otherwise std::thread::hardware_concurrency().
-  /// Invalid OTIF_WORKERS values (non-numeric, trailing garbage, < 1) fall
-  /// back to the hardware width with a logged warning.
+  /// variable when set, otherwise AvailableCpus(). Invalid OTIF_WORKERS
+  /// values (non-numeric, trailing garbage, < 1) fall back to
+  /// AvailableCpus() with a logged warning.
   static ThreadPool* Default();
+
+  /// CPUs the calling thread may run on: the count of its affinity mask
+  /// (sched_getaffinity), so a pinned or cpuset-limited process gets one
+  /// lane per CPU it has; std::thread::hardware_concurrency() where the mask
+  /// is unavailable. At least 1.
+  static int AvailableCpus();
 
   /// Parses an OTIF_WORKERS-style value. Returns the parsed count when
   /// `value` is a positive decimal integer; otherwise logs a warning naming

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -44,47 +45,55 @@ TEST(ProxyModelTest, ScoreShapeAndRange) {
 }
 
 TEST(ProxyModelTest, ScoreMatchesReferenceExactly) {
-  ProxyModel model({160, 96}, 21);
-  // Distinct frames, including one at a non-raster size to exercise the
-  // shared resize path.
-  std::vector<video::Image> frames;
-  frames.emplace_back(40, 24, 0.2f);
-  frames.emplace_back(40, 24, 0.8f);
-  frames.emplace_back(80, 48, 0.5f);
-  video::Image gradient(40, 24, 0.0f);
-  for (int y = 0; y < gradient.height(); ++y) {
-    for (int x = 0; x < gradient.width(); ++x) {
-      gradient.set(x, y, static_cast<float>(x + y) / 64.0f);
+  // The smallest resolution and the largest, whose 104x64 raster is the
+  // one perfbench extracts at.
+  for (const ProxyResolution res :
+       {ProxyResolution{160, 96}, ProxyResolution{416, 256}}) {
+    const std::string tag = std::to_string(res.world_w) + "x" +
+                            std::to_string(res.world_h) + " ";
+    ProxyModel model(res, 21);
+    const int w = res.raster_w(), h = res.raster_h();
+    // Distinct frames, including one at a non-raster size to exercise the
+    // shared resize path.
+    std::vector<video::Image> frames;
+    frames.emplace_back(w, h, 0.2f);
+    frames.emplace_back(w, h, 0.8f);
+    frames.emplace_back(80, 48, 0.5f);
+    video::Image gradient(w, h, 0.0f);
+    for (int y = 0; y < gradient.height(); ++y) {
+      for (int x = 0; x < gradient.width(); ++x) {
+        gradient.set(x, y, static_cast<float>(x + y) / (w + h));
+      }
     }
-  }
-  frames.push_back(gradient);
+    frames.push_back(gradient);
 
-  const auto expect_reference = [&](const nn::Tensor& got, size_t i,
-                                    const char* pass) {
-    const nn::Tensor want = model.ScoreReference(frames[i]);
-    ASSERT_EQ(want.shape(), got.shape()) << pass << " frame " << i;
-    for (int64_t j = 0; j < want.size(); ++j) {
-      ASSERT_EQ(want[j], got[j]) << pass << " frame " << i << " cell " << j;
+    const auto expect_reference = [&](const nn::Tensor& got, size_t i,
+                                      const std::string& pass) {
+      const nn::Tensor want = model.ScoreReference(frames[i]);
+      ASSERT_EQ(want.shape(), got.shape()) << pass << " frame " << i;
+      for (int64_t j = 0; j < want.size(); ++j) {
+        ASSERT_EQ(want[j], got[j]) << pass << " frame " << i << " cell " << j;
+      }
+    };
+    // Twice through the frames in alternating order, so each Score reuses
+    // arena memory a different frame's pass left behind: a read of stale
+    // scratch would show as a mismatch.
+    for (size_t i = 0; i < frames.size(); ++i) {
+      expect_reference(model.Score(frames[i]), i, tag + "forward");
     }
-  };
-  // Twice through the frames in alternating order, so each Score reuses
-  // arena memory a different frame's pass left behind: a read of stale
-  // scratch would show as a mismatch.
-  for (size_t i = 0; i < frames.size(); ++i) {
-    expect_reference(model.Score(frames[i]), i, "forward");
-  }
-  for (size_t i = frames.size(); i-- > 0;) {
-    expect_reference(model.Score(frames[i]), i, "backward");
-  }
-  // Once more on a fresh thread, whose arena starts cold.
-  std::vector<nn::Tensor> fresh;
-  std::thread worker([&] {
-    for (const video::Image& f : frames) fresh.push_back(model.Score(f));
-  });
-  worker.join();
-  ASSERT_EQ(fresh.size(), frames.size());
-  for (size_t i = 0; i < frames.size(); ++i) {
-    expect_reference(fresh[i], i, "fresh thread");
+    for (size_t i = frames.size(); i-- > 0;) {
+      expect_reference(model.Score(frames[i]), i, tag + "backward");
+    }
+    // Once more on a fresh thread, whose arena starts cold.
+    std::vector<nn::Tensor> fresh;
+    std::thread worker([&] {
+      for (const video::Image& f : frames) fresh.push_back(model.Score(f));
+    });
+    worker.join();
+    ASSERT_EQ(fresh.size(), frames.size());
+    for (size_t i = 0; i < frames.size(); ++i) {
+      expect_reference(fresh[i], i, tag + "fresh thread");
+    }
   }
 }
 

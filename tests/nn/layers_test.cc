@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "nn/gemm.h"
 #include "nn/optimizer.h"
 #include "util/rng.h"
 
@@ -418,21 +419,27 @@ TEST(BceWithLogitsTest, EmptyMaskGivesZeroLoss) {
   EXPECT_DOUBLE_EQ(BceWithLogits(logits, targets, &mask, &grad), 0.0);
 }
 
+// Inference shapes: the proxy's four convs at the largest resolution, then
+// strides, channel counts, kernel sizes and odd spatial dims that exercise
+// every tile edge (channel remainders of 1 to 3, partial column tiles), a
+// stride above the kernel size (input rows and columns no tap reads) and a
+// 9x9 kernel, whose tap offsets do not fit the kernel's stack table.
+struct InferCase {
+  int in_c, out_c, kernel, stride, h, w;
+};
+constexpr InferCase kInferCases[] = {
+    {1, 8, 3, 2, 64, 104}, {8, 16, 3, 2, 32, 52}, {16, 16, 3, 2, 16, 26},
+    {16, 1, 3, 1, 8, 13},  {3, 5, 5, 1, 9, 7},    {2, 4, 3, 3, 10, 11},
+    {1, 1, 1, 1, 4, 4},    {4, 3, 3, 2, 5, 5},    {2, 3, 1, 2, 8, 10},
+    {2, 7, 9, 2, 12, 11},
+};
+
 TEST(Conv2dTest, GemmInferMatchesReferenceBitForBit) {
-  // The im2col+GEMM engine must reproduce the naive reference loops exactly
-  // (one ascending-k accumulator chain per output; see gemm.h), across
-  // strides, channel counts, kernel sizes, and odd spatial dims that
-  // exercise every tile-edge case.
+  // Infer, through the direct kernel variant picked for this CPU, must
+  // reproduce the naive reference loops exactly (one ascending chain of
+  // taps per output; see ConvDirect in gemm.h).
   Rng rng(11);
-  struct Case {
-    int in_c, out_c, kernel, stride, h, w;
-  };
-  const Case cases[] = {
-      {1, 8, 3, 2, 64, 104}, {8, 16, 3, 2, 32, 52}, {16, 16, 3, 2, 16, 26},
-      {16, 1, 3, 1, 8, 13},  {3, 5, 5, 1, 9, 7},    {2, 4, 3, 3, 10, 11},
-      {1, 1, 1, 1, 4, 4},    {4, 3, 3, 2, 5, 5},
-  };
-  for (const Case& c : cases) {
+  for (const InferCase& c : kInferCases) {
     Conv2d conv(c.in_c, c.out_c, c.kernel, c.stride, &rng);
     const Tensor input = RandomTensor({c.in_c, c.h, c.w}, &rng);
     const Tensor want = conv.InferReference(input);
@@ -465,6 +472,59 @@ Tensor GradWithZeros(std::vector<int> shape, Rng* rng) {
     if (pick == 1) t[i] = -0.0f;
   }
   return t;
+}
+
+// Runs ConvDirect's `isa` variant over every inference case, once on
+// random inputs and biases and once on inputs in which about a third of
+// the entries are exact zeros of either sign (biases left at +0), and
+// checks it bit for bit against the reference loops. Every buffer is an
+// exactly-sized heap array: a read past the padded planes leaves its heap
+// block, where ASan sees it, whereas inside an arena chunk it would not.
+void ExpectDirectMatchesReference(ConvIsa isa) {
+  Rng rng(17);
+  for (const InferCase& c : kInferCases) {
+    for (const bool zeros : {false, true}) {
+      Conv2d conv(c.in_c, c.out_c, c.kernel, c.stride, &rng);
+      std::vector<Parameter*> params;
+      conv.CollectParameters(&params);
+      Tensor& bias = params[1]->value;
+      if (!zeros) {
+        for (int64_t i = 0; i < bias.size(); ++i) {
+          bias[i] = static_cast<float>(rng.Uniform(-0.5, 0.5));
+        }
+      }
+      const Tensor input = zeros ? GradWithZeros({c.in_c, c.h, c.w}, &rng)
+                                 : RandomTensor({c.in_c, c.h, c.w}, &rng);
+      const ConvShape shape{c.in_c, c.out_c, c.kernel, c.stride, c.h, c.w};
+      std::vector<float> scratch(ConvDirectScratchFloats(shape));
+      std::vector<float> got(static_cast<size_t>(c.out_c) * shape.oh() *
+                             shape.ow());
+      ConvDirectWith(isa, shape, input.data(), params[0]->value.data(),
+                     bias.data(), scratch.data(), got.data());
+      const Tensor want = conv.InferReference(input);
+      ASSERT_EQ(static_cast<size_t>(want.size()), got.size());
+      for (int64_t i = 0; i < want.size(); ++i) {
+        // Compare bits: ASSERT_EQ would let -0 pass for +0.
+        ASSERT_EQ(std::signbit(want[i]), std::signbit(got[i]))
+            << "ic=" << c.in_c << " oc=" << c.out_c << " k=" << c.kernel
+            << " s=" << c.stride << " zeros=" << zeros << " at " << i;
+        ASSERT_EQ(want[i], got[i])
+            << "ic=" << c.in_c << " oc=" << c.out_c << " k=" << c.kernel
+            << " s=" << c.stride << " zeros=" << zeros << " at " << i;
+      }
+    }
+  }
+}
+
+TEST(ConvDirectTest, BaselineMatchesReferenceBitForBit) {
+  ExpectDirectMatchesReference(ConvIsa::kBaseline);
+}
+
+TEST(ConvDirectTest, Avx2MatchesReferenceBitForBit) {
+  if (ConvDirectIsa() != ConvIsa::kAvx2) {
+    GTEST_SKIP() << "this CPU (or build) has no AVX2";
+  }
+  ExpectDirectMatchesReference(ConvIsa::kAvx2);
 }
 
 // Fills every parameter gradient with random values: gradients already

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 #include <atomic>
 #include <string>
 #include <vector>
@@ -93,6 +97,29 @@ TEST(ThreadPoolTest, DefaultPoolIsReplaceable) {
   ThreadPool::SetDefaultThreads(1);
   EXPECT_EQ(ThreadPool::Default()->num_threads(), 1);
 }
+
+#ifdef __linux__
+TEST(ThreadPoolTest, AvailableCpusFollowsTheAffinityMask) {
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  const int all = CPU_COUNT(&saved);
+  EXPECT_EQ(ThreadPool::AvailableCpus(), all);
+
+  // Pin this thread to the first CPU it may run on, as `taskset -c` pins
+  // a process: one CPU, so one lane.
+  int first = 0;
+  while (!CPU_ISSET(first, &saved)) ++first;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const int pinned = ThreadPool::AvailableCpus();
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(pinned, 1);
+  EXPECT_EQ(ThreadPool::AvailableCpus(), all);
+}
+#endif
 
 }  // namespace
 }  // namespace otif
