@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the individual components:
-// frame simulation and rasterization, proxy CNN inference, cell grouping,
-// Hungarian assignment, tracker steps, track clustering, and query
-// post-processing.
+// frame simulation, rasterization and its sensor noise, proxy CNN
+// inference, cell grouping, Hungarian assignment, tracker steps, track
+// clustering, and query post-processing.
 
 #include <benchmark/benchmark.h>
 
@@ -41,16 +41,48 @@ void BM_SimulateClip(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulateClip)->Arg(100)->Arg(400);
 
+// The sizes runs render at: the tracker's appearance raster (40x24) and the
+// largest proxy resolution's raster (104x64, the one perfbench extracts at).
+void RasterSizes(benchmark::internal::Benchmark* b) {
+  b->Args({models::TrackerNet::kAppearanceRasterW,
+           models::TrackerNet::kAppearanceRasterH});
+  const models::ProxyResolution proxy = models::StandardProxyResolutions()[0];
+  b->Args({proxy.raster_w(), proxy.raster_h()});
+}
+
 void BM_RasterizeFrame(benchmark::State& state) {
   sim::Rasterizer raster(&BenchClip());
   int frame = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        raster.Render(frame++ % 300, static_cast<int>(state.range(0)),
-                      static_cast<int>(state.range(0)) * 3 / 5));
+    benchmark::DoNotOptimize(raster.Render(frame++ % 300,
+                                           static_cast<int>(state.range(0)),
+                                           static_cast<int>(state.range(1))));
   }
 }
-BENCHMARK(BM_RasterizeFrame)->Arg(40)->Arg(104);
+BENCHMARK(BM_RasterizeFrame)->Apply(RasterSizes);
+
+// The sensor-noise pass alone over a 104x64 frame, per variant: 0 is the
+// scalar loop, 1 the AVX2 pass (skipped where SensorNoiseIsa() is not it).
+void BM_SensorNoise(benchmark::State& state) {
+  const sim::NoiseIsa isa =
+      state.range(0) == 0 ? sim::NoiseIsa::kScalar : sim::NoiseIsa::kAvx2;
+  if (isa == sim::NoiseIsa::kAvx2 &&
+      sim::SensorNoiseIsa() != sim::NoiseIsa::kAvx2) {
+    state.SkipWithError("this CPU (or build) has no AVX2 noise pass");
+    return;
+  }
+  const models::ProxyResolution proxy = models::StandardProxyResolutions()[0];
+  std::vector<float> pixels(
+      static_cast<size_t>(proxy.raster_w()) * proxy.raster_h(), 0.5f);
+  uint64_t seed = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        sim::AddSensorNoise(isa, seed++, pixels.data(), pixels.size()));
+    benchmark::DoNotOptimize(pixels.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_SensorNoise)->Arg(0)->Arg(1);
 
 // One frame's proxy forward pass, as Pipeline::Run scores each frame:
 // staging, activations and padded conv input planes all in the thread's

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <vector>
 
+#include "util/cpu.h"
 #include "util/logging.h"
 
 namespace otif::nn {
@@ -20,6 +21,12 @@ constexpr int kNr = 16;
 // Column blocking: B strips of this many columns stay resident in L1/L2
 // while every row of A streams over them.
 constexpr int kNc = 512;
+
+}  // namespace
+
+// The kernels have external linkage so that profiles (dladdr) name them;
+// the compiler keeps them out of line. (A clone it specializes for
+// constant arguments is a local symbol again, which dladdr cannot name.)
 
 // Full kMr x kNr register tile over the complete k range. Each accumulator
 // starts at C's current value when kAccumulate, else at its column's
@@ -89,6 +96,8 @@ inline void EdgeKernel(int k, int n, int mb, int nb, const float* a,
     for (int j = 0; j < nb; ++j) crow[j] = acc[i][j];
   }
 }
+
+namespace {
 
 // Shared loop nest of GemmBias and GemmAccumulate (no bias; chains start
 // from C).
@@ -349,14 +358,10 @@ size_t ConvDirectScratchFloats(const ConvShape& shape) {
 }
 
 ConvIsa ConvDirectIsa() {
-  static const ConvIsa isa = [] {
 #ifdef OTIF_CONV_AVX2
-    __builtin_cpu_init();
-    if (__builtin_cpu_supports("avx2")) return ConvIsa::kAvx2;
+  if (CpuHasAvx2()) return ConvIsa::kAvx2;
 #endif
-    return ConvIsa::kBaseline;
-  }();
-  return isa;
+  return ConvIsa::kBaseline;
 }
 
 void ConvDirectWith(ConvIsa isa, const ConvShape& shape, const float* input,

@@ -94,8 +94,8 @@ void ConvDirect(const ConvShape& shape, const float* input,
 /// Both variants give the same bits.
 enum class ConvIsa { kBaseline, kAvx2 };
 
-/// The variant ConvDirect runs, picked once per process: kAvx2 on an x86
-/// build whose CPU supports AVX2, otherwise kBaseline.
+/// The variant ConvDirect runs: kAvx2 on an x86 build whose CPU supports
+/// AVX2 (CpuHasAvx2(), probed once per process), otherwise kBaseline.
 ConvIsa ConvDirectIsa();
 
 /// ConvDirect through the `isa` variant, so tests can check each one.

@@ -170,8 +170,13 @@ struct FoldKeyHash {
 
 /// Resolves one pc to a human-readable frame, collapsed-stack safe (no ';',
 /// no spaces). dladdr needs the symbol in the dynamic table — executables
-/// link with -rdynamic for exactly this — and inlined code resolves to its
-/// enclosing exported function (the GEMM microkernel reports as GemmBias).
+/// link with -rdynamic for exactly this — so inlined code resolves to its
+/// enclosing exported function, and a function with internal linkage (an
+/// anonymous-namespace helper the compiler kept out of line) to the
+/// binary's name. The GEMM kernels have external linkage and report as
+/// themselves, "void_otif::nn::MicroKernel<false>" under GemmBias (a
+/// function template's name keeps its return type), except the clones the
+/// compiler specializes for constant arguments, which are local again.
 std::string SymbolizePc(void* pc) {
   Dl_info info;
   std::string name;

@@ -3,11 +3,46 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/cpu.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
+// The AVX2 noise pass calls glibc's libmvec, which x86-64 glibc ships from
+// 2.22 on; libm.so's link script pulls it in as needed.
+#if defined(__x86_64__) && defined(__GLIBC__) && \
+    (__GLIBC__ > 2 || (__GLIBC__ == 2 && __GLIBC_MINOR__ >= 22))
+#define OTIF_NOISE_AVX2 1
+#include <immintrin.h>
+
+// libmvec's AVX2 variants (x86-64 vector function ABI, 4 doubles per call).
+// glibc states at most 4 ulp of error for each.
+extern "C" {
+__attribute__((target("avx2"))) __m256d _ZGVdN4v_log(__m256d x);
+__attribute__((target("avx2"))) __m256d _ZGVdN4v_sin(__m256d x);
+__attribute__((target("avx2"))) __m256d _ZGVdN4v_cos(__m256d x);
+}
+#endif
+
 namespace otif::sim {
 namespace {
+
+// Per-pixel sensor noise: one zero-mean Gaussian of this sigma per pixel.
+constexpr double kSensorNoiseSigma = 0.015;
+
+// Uniform pairs drawn per stack chunk of the noise pass (6 KiB of stack).
+constexpr size_t kNoiseChunkPairs = 256;
+
+// One pair's noise by the scalar expression Rng::Gaussian(0.0,
+// kSensorNoiseSigma) evaluates: the cosine term, then the sine term that
+// Gaussian() caches for the next call.
+inline void NoisePairExact(double u1, double u2, float* noise) {
+  const double r = std::sqrt(-2.0 * std::log(u1));
+  const double theta = 2.0 * M_PI * u2;
+  noise[0] =
+      static_cast<float>(0.0 + kSensorNoiseSigma * (r * std::cos(theta)));
+  noise[1] =
+      static_cast<float>(0.0 + kSensorNoiseSigma * (r * std::sin(theta)));
+}
 
 // Deterministic per-pixel hash noise in [0, 1).
 double HashNoise(uint64_t seed, int x, int y) {
@@ -29,7 +64,120 @@ float ObjectIntensity(int64_t id) {
   return static_cast<float>(0.75 + 0.4 * (u - 0.5));
 }
 
+#ifdef OTIF_NOISE_AVX2
+// The rounding test's guard. libm and libmvec each land within a few ulp of
+// the exact log, sin and cos, so the scalar and vector doubles of one noise
+// value differ by under 2^-47 of it; 2^-40 leaves a wide margin, and the
+// absolute 2^-80 sends values near zero to the exact path.
+constexpr double kRoundingGuardRel = 0x1p-40;
+constexpr double kRoundingGuardAbs = 0x1p-80;
+
+// Rounds four noise values to float. Returns a mask with bit l set when
+// lane l's float is proven equal to static_cast<float> of the scalar
+// expression's double: both ends of n +- (|n| 2^-40 + 2^-80) round to the
+// same float, the scalar double lies between them, and rounding is
+// monotone.
+__attribute__((target("avx2"))) inline int RoundProven(__m256d n,
+                                                       __m128* out) {
+  const __m256d magnitude = _mm256_andnot_pd(_mm256_set1_pd(-0.0), n);
+  const __m256d guard =
+      _mm256_add_pd(_mm256_mul_pd(magnitude, _mm256_set1_pd(kRoundingGuardRel)),
+                    _mm256_set1_pd(kRoundingGuardAbs));
+  const __m128 lo = _mm256_cvtpd_ps(_mm256_sub_pd(n, guard));
+  const __m128 hi = _mm256_cvtpd_ps(_mm256_add_pd(n, guard));
+  *out = lo;
+  return _mm_movemask_ps(_mm_castsi128_ps(
+      _mm_cmpeq_epi32(_mm_castps_si128(lo), _mm_castps_si128(hi))));
+}
+#endif
+
 }  // namespace
+
+#ifdef OTIF_NOISE_AVX2
+// External linkage, so that profiles (dladdr) name the variant that ran.
+// AVX2 alone, not FMA: every step rounds where the scalar expression does.
+__attribute__((target("avx2"))) size_t SensorNoiseAvx2(const double* u1,
+                                                       const double* u2,
+                                                       size_t pairs,
+                                                       float* noise) {
+  const __m256d two_pi = _mm256_set1_pd(2.0 * M_PI);
+  const __m256d minus_two = _mm256_set1_pd(-2.0);
+  const __m256d sigma = _mm256_set1_pd(kSensorNoiseSigma);
+  const __m256d zero = _mm256_setzero_pd();
+  size_t exact = 0;
+  size_t k = 0;
+  for (; k + 4 <= pairs; k += 4) {
+    const __m256d theta = _mm256_mul_pd(two_pi, _mm256_loadu_pd(u2 + k));
+    const __m256d r = _mm256_sqrt_pd(
+        _mm256_mul_pd(minus_two, _ZGVdN4v_log(_mm256_loadu_pd(u1 + k))));
+    const __m256d cos_term = _mm256_add_pd(
+        zero, _mm256_mul_pd(sigma, _mm256_mul_pd(r, _ZGVdN4v_cos(theta))));
+    const __m256d sin_term = _mm256_add_pd(
+        zero, _mm256_mul_pd(sigma, _mm256_mul_pd(r, _ZGVdN4v_sin(theta))));
+    __m128 c, s;
+    const int proven = RoundProven(cos_term, &c) & RoundProven(sin_term, &s);
+    // Interleave: pair k + l writes its cosine term, then its sine term.
+    _mm_storeu_ps(noise + 2 * k, _mm_unpacklo_ps(c, s));
+    _mm_storeu_ps(noise + 2 * k + 4, _mm_unpackhi_ps(c, s));
+    if (proven == 0xf) continue;
+    for (size_t l = 0; l < 4; ++l) {
+      if ((proven >> l) & 1) continue;
+      NoisePairExact(u1[k + l], u2[k + l], noise + 2 * (k + l));
+      ++exact;
+    }
+  }
+  for (; k < pairs; ++k) NoisePairExact(u1[k], u2[k], noise + 2 * k);
+  return exact;
+}
+#endif
+
+NoiseIsa SensorNoiseIsa() {
+#ifdef OTIF_NOISE_AVX2
+  if (CpuHasAvx2()) return NoiseIsa::kAvx2;
+#endif
+  return NoiseIsa::kScalar;
+}
+
+size_t SensorNoiseTransform(NoiseIsa isa, const double* u1, const double* u2,
+                            size_t pairs, float* noise) {
+  if (isa == NoiseIsa::kAvx2) {
+    OTIF_CHECK(SensorNoiseIsa() == NoiseIsa::kAvx2)
+        << "the AVX2 noise pass needs an x86-64 glibc build and an AVX2 CPU";
+#ifdef OTIF_NOISE_AVX2
+    return SensorNoiseAvx2(u1, u2, pairs, noise);
+#endif
+  }
+  for (size_t k = 0; k < pairs; ++k) {
+    NoisePairExact(u1[k], u2[k], noise + 2 * k);
+  }
+  return 0;
+}
+
+size_t AddSensorNoise(NoiseIsa isa, uint64_t seed, float* pixels,
+                      size_t count) {
+  Rng rng(seed);
+  double u1[kNoiseChunkPairs];
+  double u2[kNoiseChunkPairs];
+  float noise[2 * kNoiseChunkPairs];
+  size_t exact = 0;
+  for (size_t done = 0; done < count;) {
+    const size_t values = std::min(count - done, 2 * kNoiseChunkPairs);
+    const size_t pairs = (values + 1) / 2;
+    for (size_t k = 0; k < pairs; ++k) {
+      // Rng::Gaussian's draws, in its order: u1 (redrawn while it is
+      // <= 1e-300, so log(u1) stays finite), then u2.
+      double draw = 0.0;
+      while (draw <= 1e-300) draw = rng.NextDouble();
+      u1[k] = draw;
+      u2[k] = rng.NextDouble();
+    }
+    exact += SensorNoiseTransform(isa, u1, u2, pairs, noise);
+    // An odd count leaves the last pair's sine term unused.
+    for (size_t i = 0; i < values; ++i) pixels[done + i] += noise[i];
+    done += values;
+  }
+  return exact;
+}
 
 Rasterizer::Rasterizer(const Clip* clip) : clip_(clip) {
   OTIF_CHECK(clip != nullptr);
@@ -173,14 +321,10 @@ void Rasterizer::RenderInto(int frame, int width, int height,
   }
 
   // Per-frame sensor noise, deterministic in (clip seed, frame).
-  Rng noise_rng(clip_->clip_seed() * 1315423911ULL +
-                static_cast<uint64_t>(frame));
-  for (int y = 0; y < height; ++y) {
-    float* row = img.row(y);
-    for (int x = 0; x < width; ++x) {
-      row[x] += static_cast<float>(noise_rng.Gaussian(0.0, 0.015));
-    }
-  }
+  AddSensorNoise(SensorNoiseIsa(),
+                 clip_->clip_seed() * 1315423911ULL +
+                     static_cast<uint64_t>(frame),
+                 img.data(), img.size());
   img.Clamp();
 }
 
