@@ -5,32 +5,16 @@
 #include <cstring>
 
 #include "core/otif.h"
-#include "obs/introspection_server.h"
 #include "util/logging.h"
-#include "util/trace_timeline.h"
 
 namespace otif::bench {
-
-/// The one startup hook every bench binary runs (directly or via
-/// BenchScale): applies OTIF_LOG_LEVEL, arms the timeline tracer and fault
-/// injection from the environment (OTIF_TRACE_TIMELINE, OTIF_FAULTS), and
-/// starts the live introspection server when asked (OTIF_METRICS_PORT).
-/// Keep per-binary env parsing out of bench mains — add shared switches
-/// here.
-inline void BenchInit() {
-  InitObservabilityFromEnv();
-  obs::InitIntrospectionFromEnv();
-}
 
 /// Experiment scale shared by the table/figure harnesses. Paper scale is 60
 /// one-minute clips per split; CPU budgets here default to a few short
 /// clips. OTIF_BENCH_SCALE=tiny shrinks further for smoke runs;
-/// OTIF_BENCH_SCALE=large grows toward the paper's setting.
-///
-/// Also runs BenchInit() (every bench main reaches this first), so sweeps
-/// can silence the stderr log or capture a timeline without a rebuild.
+/// OTIF_BENCH_SCALE=large grows toward the paper's setting. Unset or empty
+/// runs the default scale; any other value does too, with a warning.
 inline core::RunScale BenchScale() {
-  BenchInit();
   core::RunScale scale;
   scale.train_clips = 3;
   scale.valid_clips = 3;
@@ -56,6 +40,9 @@ inline core::RunScale BenchScale() {
     scale.proxy_train_steps = 600;
     scale.tracker_train_steps = 1500;
     scale.proxy_resolutions = 5;
+  } else if (env != nullptr && env[0] != '\0') {
+    OTIF_LOG(kWarning) << "OTIF_BENCH_SCALE=\"" << env
+                       << "\" is not tiny or large; using the default scale";
   }
   return scale;
 }

@@ -7,11 +7,13 @@
 
 #include "bench/bench_common.h"
 #include "eval/harness.h"
+#include "obs/introspection_server.h"
 
 namespace otif {
 namespace {
 
 int Main() {
+  obs::InitFromEnv();
   const core::RunScale scale = bench::BenchScale();
   std::printf("=== Figure 5: runtime-accuracy curves ===\n");
   bench::PrintScale(scale);

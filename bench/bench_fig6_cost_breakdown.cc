@@ -10,6 +10,7 @@
 
 #include "bench/bench_common.h"
 #include "eval/workload.h"
+#include "obs/introspection_server.h"
 #include "util/strings.h"
 #include "util/table.h"
 #include "util/telemetry.h"
@@ -39,6 +40,7 @@ double StageWallSeconds(const telemetry::TelemetrySnapshot& snapshot,
 }
 
 int Main() {
+  obs::InitFromEnv();
   const core::RunScale scale = bench::BenchScale();
   // The execution breakdown below is read back from the stage telemetry, so
   // collection must be on for this bench.

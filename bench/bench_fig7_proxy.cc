@@ -13,6 +13,7 @@
 #include "core/otif.h"
 #include "core/window_select.h"
 #include "eval/workload.h"
+#include "obs/introspection_server.h"
 #include "sim/raster.h"
 #include "track/metrics.h"
 #include "util/strings.h"
@@ -21,6 +22,7 @@ namespace otif {
 namespace {
 
 int Main() {
+  obs::InitFromEnv();
   core::RunScale scale = bench::BenchScale();
   scale.proxy_resolutions = 5;  // Figure 7 needs all five resolutions.
   std::printf("=== Figure 7: segmentation proxy model on Caldot1 ===\n");

@@ -13,6 +13,7 @@
 #include "bench/bench_common.h"
 #include "eval/workload.h"
 #include "models/detector.h"
+#include "obs/introspection_server.h"
 #include "util/table.h"
 #include "util/strings.h"
 
@@ -20,6 +21,7 @@ namespace otif {
 namespace {
 
 int Main() {
+  obs::InitFromEnv();
   const core::RunScale scale = bench::BenchScale();
   std::printf("=== Figure 8 analogue: detector quality vs query accuracy ===\n");
   bench::PrintScale(scale);

@@ -9,12 +9,12 @@
 #include <utility>
 #include <vector>
 
-#include "bench/bench_common.h"
 #include "core/cell_grouping.h"
 #include "models/proxy.h"
 #include "models/tracker_net.h"
 #include "nn/layers.h"
 #include "nn/tensor.h"
+#include "obs/introspection_server.h"
 #include "query/queries.h"
 #include "sim/raster.h"
 #include "track/hungarian.h"
@@ -299,9 +299,10 @@ BENCHMARK(BM_TrackClustering)->Arg(20)->Arg(100);
 
 void BM_LimitQueryPostProcess(benchmark::State& state) {
   // Post-processing latency on extracted tracks: the "sub-second query"
-  // claim. 60 tracks over 600 frames.
+  // claim. 60 tracks over one clip of 600 frames.
   Rng rng(13);
-  std::vector<track::Track> tracks;
+  std::vector<std::vector<track::Track>> clips(1);
+  std::vector<track::Track>& tracks = clips[0];
   for (int i = 0; i < 60; ++i) {
     track::Track t;
     t.id = i;
@@ -316,9 +317,10 @@ void BM_LimitQueryPostProcess(benchmark::State& state) {
     tracks.push_back(std::move(t));
   }
   query::CountPredicate predicate(4);
+  const std::vector<int> clip_frames = {600};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        query::ExecuteLimitQuery(tracks, predicate, 600, 25, 50));
+    benchmark::DoNotOptimize(query::ExecuteLimitQueryMultiClip(
+        clips, predicate, clip_frames, 25, 50));
   }
 }
 BENCHMARK(BM_LimitQueryPostProcess);
@@ -328,7 +330,7 @@ BENCHMARK(BM_LimitQueryPostProcess);
 
 // Expanded BENCHMARK_MAIN so the shared observability init runs first.
 int main(int argc, char** argv) {
-  otif::bench::BenchInit();
+  otif::obs::InitFromEnv();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

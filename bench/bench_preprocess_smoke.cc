@@ -32,6 +32,7 @@
 #include "bench/bench_common.h"
 #include "core/otif.h"
 #include "eval/workload.h"
+#include "obs/introspection_server.h"
 #include "sim/world.h"
 #include "util/json_writer.h"
 #include "util/strings.h"
@@ -114,6 +115,7 @@ core::PipelineConfig ExtractionConfig(const core::PipelineConfig& best) {
 }
 
 int Main(int argc, char** argv) {
+  obs::InitFromEnv();
   const core::RunScale scale = bench::BenchScale();
   const int num_clips = argc > 1 ? std::atoi(argv[1]) : 4;
   const int clip_seconds = argc > 2 ? std::atoi(argv[2]) : 30;

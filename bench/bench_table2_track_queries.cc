@@ -7,6 +7,7 @@
 
 #include "bench/bench_common.h"
 #include "eval/harness.h"
+#include "obs/introspection_server.h"
 #include "util/strings.h"
 #include "util/table.h"
 
@@ -14,6 +15,7 @@ namespace otif {
 namespace {
 
 int Main() {
+  obs::InitFromEnv();
   const core::RunScale scale = bench::BenchScale();
   std::printf("=== Table 2: object track queries ===\n");
   bench::PrintScale(scale);

@@ -12,6 +12,7 @@
 #include "bench/bench_common.h"
 #include "eval/harness.h"
 #include "models/cost_model.h"
+#include "obs/introspection_server.h"
 #include "util/strings.h"
 #include "util/table.h"
 
@@ -26,6 +27,7 @@ struct MethodTotals {
 };
 
 int Main() {
+  obs::InitFromEnv();
   const core::RunScale scale = bench::BenchScale();
   std::printf("=== Table 3: frame-level limit queries ===\n");
   bench::PrintScale(scale);

@@ -11,6 +11,7 @@
 
 #include "bench/bench_common.h"
 #include "eval/workload.h"
+#include "obs/introspection_server.h"
 #include "util/strings.h"
 #include "util/table.h"
 
@@ -25,6 +26,7 @@ struct AblationRow {
 };
 
 int Main() {
+  obs::InitFromEnv();
   const core::RunScale scale = bench::BenchScale();
   std::printf("=== Table 4: ablation study (Caldot1, Warsaw) ===\n");
   bench::PrintScale(scale);

@@ -10,14 +10,13 @@
 #include "eval/workload.h"
 #include "query/queries.h"
 #include "obs/introspection_server.h"
-#include "util/trace_timeline.h"
 
 int main() {
   using namespace otif;
 
-  // OTIF_LOG_LEVEL / OTIF_TRACE_TIMELINE / OTIF_FAULTS.
-  InitObservabilityFromEnv();
-  otif::obs::InitIntrospectionFromEnv();
+  // OTIF_LOG_LEVEL, OTIF_TRACE_TIMELINE, OTIF_FAULTS, OTIF_METRICS_PORT,
+  // OTIF_PROFILE.
+  obs::InitFromEnv();
 
   const eval::TrackWorkload workload =
       eval::MakeTrackWorkload(sim::DatasetId::kJackson);

@@ -56,18 +56,13 @@ CountRegressor::CountRegressor(uint64_t seed) {
 namespace {
 
 nn::Tensor ImageToTensor32(const video::Image& frame) {
-  video::Image sized = frame;
-  if (frame.width() != CountRegressor::kInputSide ||
-      frame.height() != CountRegressor::kInputSide) {
-    sized = frame.Resized(CountRegressor::kInputSide,
-                          CountRegressor::kInputSide);
-  }
-  nn::Tensor t({1, CountRegressor::kInputSide, CountRegressor::kInputSide});
-  for (int y = 0; y < sized.height(); ++y) {
-    for (int x = 0; x < sized.width(); ++x) {
-      t.at3(0, y, x) = sized.at(x, y) - 0.5f;
-    }
-  }
+  constexpr int kSide = CountRegressor::kInputSide;
+  OTIF_CHECK(frame.width() == kSide && frame.height() == kSide)
+      << "count regressor input is " << kSide << "x" << kSide << ", got "
+      << frame.width() << "x" << frame.height();
+  nn::Tensor t = nn::Tensor::Uninitialized({1, kSide, kSide});
+  const float* src = frame.data();
+  for (int64_t i = 0; i < t.size(); ++i) t[i] = src[i] - 0.5f;
   return t;
 }
 

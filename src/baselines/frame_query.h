@@ -54,10 +54,12 @@ class CountRegressor {
   CountRegressor(const CountRegressor&) = delete;
   CountRegressor& operator=(const CountRegressor&) = delete;
 
-  /// Predicted target value for a frame (rendered at 32x32).
+  /// Predicted target value for a frame rendered at kInputSide x
+  /// kInputSide (any other size fails a check).
   double Predict(const video::Image& frame32) const;
 
-  /// One MSE training step; returns the loss.
+  /// One MSE training step on a kInputSide x kInputSide frame; returns the
+  /// loss.
   double TrainStep(const video::Image& frame32, double target);
 
   /// Input side length the regressor consumes.

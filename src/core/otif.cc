@@ -152,13 +152,12 @@ bool Otif::TrainTrackerNet() {
   std::map<std::pair<int, int>, video::Image> render_cache;
   auto appearance = [&](size_t track_idx, const track::Detection& d) {
     const int ci = s_star_clip_[track_idx];
-    const int local = d.frame - s_star_offset_[track_idx];
-    auto it = render_cache.find({ci, local});
+    auto it = render_cache.find({ci, d.frame});
     if (it == render_cache.end()) {
       it = render_cache
-               .emplace(std::make_pair(ci, local),
+               .emplace(std::make_pair(ci, d.frame),
                         rasters[static_cast<size_t>(ci)]->Render(
-                            local, models::TrackerNet::kAppearanceRasterW,
+                            d.frame, models::TrackerNet::kAppearanceRasterW,
                             models::TrackerNet::kAppearanceRasterH))
                .first;
     }
@@ -166,18 +165,18 @@ bool Otif::TrainTrackerNet() {
                                                spec_.height);
   };
 
-  // Index S* tracks; detections in the same (globally offset) frame of
+  // Index S* tracks; detections in the same frame of the same clip from
   // other tracks act as matching negatives.
   std::vector<size_t> usable;
   for (size_t i = 0; i < s_star_.size(); ++i) {
     if (s_star_[i].detections.size() >= 4) usable.push_back(i);
   }
   if (usable.empty()) return false;
-  // Frame -> detections of all tracks (for negatives).
-  std::map<int, track::FrameDetections> by_frame;
-  for (const track::Track& t : s_star_) {
-    for (const track::Detection& d : t.detections) {
-      by_frame[d.frame].push_back(d);
+  // (clip, frame) -> detections of all tracks (for negatives).
+  std::map<std::pair<int, int>, track::FrameDetections> by_frame;
+  for (size_t i = 0; i < s_star_.size(); ++i) {
+    for (const track::Detection& d : s_star_[i].detections) {
+      by_frame[{s_star_clip_[i], d.frame}].push_back(d);
     }
   }
 
@@ -221,7 +220,7 @@ bool Otif::TrainTrackerNet() {
     const track::Detection& before_last = k >= 2 ? *sub[k - 2] : last;
     // Candidates: the truth plus other detections in the truth's frame.
     std::vector<const track::Detection*> candidates = {&truth};
-    auto it = by_frame.find(truth.frame);
+    auto it = by_frame.find({s_star_clip_[track_idx], truth.frame});
     if (it != by_frame.end()) {
       for (const track::Detection& d : it->second) {
         if (d.gt_id != truth.gt_id || d.box.cx != truth.box.cx) {
@@ -308,14 +307,13 @@ void Otif::Prepare(const AccuracyFn& validation_accuracy,
                                    &theta_best_accuracy_);
   }
 
-  // 2. Compute S*: tracks under theta_best over the training set. Frames
-  //    are offset per clip so S* detections carry globally unique frames
-  //    (used by tracker training to find same-frame negatives).
+  // 2. Compute S*: tracks under theta_best over the training set, with
+  //    each track's clip in s_star_clip_.
   {
     OTIF_SPAN("prepare/sstar");
     Pipeline pipeline(theta_best_, nullptr);
-    // Per-clip runs are independent; the offset bookkeeping below stays
-    // serial in clip order so S* is identical to a serial pass.
+    // Per-clip runs are independent; they are appended in clip order so S*
+    // is identical to a serial pass.
     std::vector<PipelineResult> per_clip = ParallelMap(
         ThreadPool::Default(), static_cast<int64_t>(train_clips_.size()),
         [&](int64_t ci) {
@@ -324,17 +322,12 @@ void Otif::Prepare(const AccuracyFn& validation_accuracy,
           telemetry::timeline::ScopedContext ctx({.clip = ci});
           return pipeline.Run(train_clips_[static_cast<size_t>(ci)]);
         });
-    int frame_offset = 0;
     for (size_t ci = 0; ci < train_clips_.size(); ++ci) {
-      PipelineResult& r = per_clip[ci];
-      for (track::Track& t : r.tracks) {
-        for (track::Detection& d : t.detections) d.frame += frame_offset;
+      for (track::Track& t : per_clip[ci].tracks) {
         t.id = static_cast<int64_t>(s_star_.size());
         s_star_.push_back(std::move(t));
         s_star_clip_.push_back(static_cast<int>(ci));
-        s_star_offset_.push_back(frame_offset);
       }
-      frame_offset += train_clips_[ci].num_frames() + 1024;
     }
   }
 

@@ -112,13 +112,11 @@ class Otif {
   RunScale scale_;
   PipelineConfig theta_best_;
   double theta_best_accuracy_ = 0.0;
-  /// Tracks computed by theta_best over the training set (S*). Frames are
-  /// offset per clip so they are globally unique; s_star_clip_ and
-  /// s_star_offset_ map each track back to its source clip for appearance
-  /// lookups during tracker training.
+  /// Tracks computed by theta_best over the training set (S*), frames local
+  /// to their clip; s_star_clip_ holds each track's train clip index, for
+  /// same-frame negatives and appearance lookups during tracker training.
   std::vector<track::Track> s_star_;
   std::vector<int> s_star_clip_;
-  std::vector<int> s_star_offset_;
   std::vector<sim::Clip> train_clips_;
   TrainedModels trained_;
   std::vector<TunerPoint> curve_;

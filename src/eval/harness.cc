@@ -14,7 +14,6 @@
 #include "util/logging.h"
 #include "util/thread_pool.h"
 #include "util/trace.h"
-#include "util/trace_timeline.h"
 
 namespace otif::eval {
 
@@ -32,8 +31,7 @@ constexpr std::string_view kBaselineMethods[] = {
 
 StatusOr<TrackExperimentResult> RunTrackExperiment(
     sim::DatasetId id, const ExperimentOptions& options) {
-  InitObservabilityFromEnv();
-  obs::InitIntrospectionFromEnv();
+  obs::InitFromEnv();
   OTIF_SPAN("harness/experiment");
   // Check the names before Prepare trains and tunes; the baselines
   // themselves are built after it (NoScope needs a trained proxy).

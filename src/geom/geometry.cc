@@ -70,19 +70,6 @@ bool Polygon::Contains(const Point& p) const {
   return inside;
 }
 
-BBox Polygon::Bounds() const {
-  OTIF_CHECK(!vertices_.empty());
-  double x0 = vertices_[0].x, x1 = vertices_[0].x;
-  double y0 = vertices_[0].y, y1 = vertices_[0].y;
-  for (const Point& v : vertices_) {
-    x0 = std::min(x0, v.x);
-    x1 = std::max(x1, v.x);
-    y0 = std::min(y0, v.y);
-    y1 = std::max(y1, v.y);
-  }
-  return BBox::FromCorners(x0, y0, x1, y1);
-}
-
 double PolylineLength(const std::vector<Point>& polyline) {
   double length = 0.0;
   for (size_t i = 1; i < polyline.size(); ++i) {

@@ -82,9 +82,6 @@ class Polygon {
   /// Even-odd rule point-in-polygon test; boundary points count as inside.
   bool Contains(const Point& p) const;
 
-  /// Axis-aligned bounding box of the polygon.
-  BBox Bounds() const;
-
  private:
   std::vector<Point> vertices_;
 };

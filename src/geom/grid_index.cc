@@ -1,7 +1,6 @@
 #include "geom/grid_index.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "util/logging.h"
 
@@ -23,33 +22,6 @@ void GridIndex::Insert(const Point& p, int64_t id) {
     max_y_ = std::max(max_y_, p.y);
   }
   ++num_points_;
-}
-
-std::vector<int64_t> GridIndex::QueryRadius(const Point& center,
-                                            double radius) const {
-  OTIF_CHECK_GE(radius, 0.0);
-  std::unordered_set<int64_t> seen;
-  std::vector<int64_t> out;
-  const int64_t cx0 =
-      static_cast<int64_t>(std::floor((center.x - radius) / cell_size_));
-  const int64_t cx1 =
-      static_cast<int64_t>(std::floor((center.x + radius) / cell_size_));
-  const int64_t cy0 =
-      static_cast<int64_t>(std::floor((center.y - radius) / cell_size_));
-  const int64_t cy1 =
-      static_cast<int64_t>(std::floor((center.y + radius) / cell_size_));
-  for (int64_t cx = cx0; cx <= cx1; ++cx) {
-    for (int64_t cy = cy0; cy <= cy1; ++cy) {
-      auto it = cells_.find(CellKey{cx, cy});
-      if (it == cells_.end()) continue;
-      for (const Entry& e : it->second) {
-        if (e.p.DistanceTo(center) <= radius && seen.insert(e.id).second) {
-          out.push_back(e.id);
-        }
-      }
-    }
-  }
-  return out;
 }
 
 std::vector<int64_t> GridIndex::QueryNearest(const Point& center,

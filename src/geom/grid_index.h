@@ -22,9 +22,6 @@ class GridIndex {
   /// cluster center polyline inserts one entry per sample point).
   void Insert(const Point& p, int64_t id);
 
-  /// Returns de-duplicated ids of all points within `radius` of `center`.
-  std::vector<int64_t> QueryRadius(const Point& center, double radius) const;
-
   /// Returns de-duplicated ids of points whose distance to `center` is
   /// among the smallest, expanding the search ring until at least
   /// `min_results` unique ids are found (or the index is exhausted).

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 
-#include "mem/view.h"
 #include "nn/arena.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -37,21 +36,15 @@ ProxyModel::ProxyModel(ProxyResolution resolution, uint64_t seed)
 }
 
 void ProxyModel::StageInto(const video::Image& frame, float* dst) const {
-  OTIF_CHECK(!frame.empty());
   OTIF_CHECK(dst != nullptr);
   const int rh = resolution_.raster_h(), rw = resolution_.raster_w();
+  OTIF_CHECK(frame.width() == rw && frame.height() == rh)
+      << "proxy input is " << rw << "x" << rh << ", got " << frame.width()
+      << "x" << frame.height();
+  // Center around zero for conditioning.
+  const float* src = frame.data();
   const size_t plane = static_cast<size_t>(rh) * rw;
-  if (frame.width() == rw && frame.height() == rh) {
-    // Already at raster size: stream pixels straight into `dst`, centering
-    // around zero for conditioning. No copy, no temporary.
-    const float* src = frame.data();
-    for (size_t i = 0; i < plane; ++i) dst[i] = src[i] - 0.5f;
-  } else {
-    // Resize directly into `dst`, then center in place. Same float op
-    // order as resize-then-subtract through a temporary image.
-    frame.ResizedInto(mem::ImageView{dst, rw, rh, rw});
-    for (size_t i = 0; i < plane; ++i) dst[i] -= 0.5f;
-  }
+  for (size_t i = 0; i < plane; ++i) dst[i] = src[i] - 0.5f;
 }
 
 nn::Tensor ProxyModel::ImageToTensor(const video::Image& frame) const {

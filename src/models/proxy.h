@@ -52,10 +52,11 @@ class ProxyModel {
 
   const ProxyResolution& resolution() const { return resolution_; }
 
-  /// Scores a frame (any resolution; resized to the raster input size).
-  /// Returns per-cell probabilities in a (grid_h, grid_w) tensor. The whole
-  /// forward pass (staged input, activations, each conv's padded input
-  /// planes) runs in one scope of the calling thread's ScratchArena; only
+  /// Scores a frame rendered at the raster input size (raster_w x
+  /// raster_h; any other size fails a check). Returns per-cell
+  /// probabilities in a (grid_h, grid_w) tensor. The whole forward pass
+  /// (staged input, activations, each conv's padded input planes) runs in
+  /// one scope of the calling thread's ScratchArena; only
   /// the returned probabilities come from the heap. Uses the cache-free
   /// inference path, so concurrent calls on a shared trained model are safe
   /// (TrainStep mutates the model: one model trains on one thread at a
@@ -66,15 +67,14 @@ class ProxyModel {
   /// Score must match bit for bit.
   nn::Tensor ScoreReference(const video::Image& frame) const;
 
-  /// Writes `frame`, resized to the raster input size and centered around
-  /// zero (pixel - 0.5), to the raster_h x raster_w plane at `dst`. A frame
-  /// already at raster size streams through one subtract pass; other sizes
-  /// resize straight into `dst` and are centered in place. Every element of
-  /// the plane is written.
+  /// Writes `frame`, which must be at the raster input size, centered
+  /// around zero (pixel - 0.5) to the raster_h x raster_w plane at `dst`
+  /// in one subtract pass.
   void StageInto(const video::Image& frame, float* dst) const;
 
   /// One training step on (frame, cell labels); returns the BCE loss.
-  /// `labels` must be (grid_h, grid_w) with 0/1 entries.
+  /// `frame` must be at the raster input size, and `labels` (grid_h,
+  /// grid_w) with 0/1 entries.
   double TrainStep(const video::Image& frame, const nn::Tensor& labels);
 
   /// Builds 0/1 cell labels for a frame: cell = 1 iff it intersects any

@@ -129,11 +129,6 @@ nn::Tensor TrackerNet::InitialHidden() const {
   return nn::Tensor::Zeros({kHiddenSize});
 }
 
-nn::Tensor TrackerNet::EncodeDet(const nn::Tensor& feature) {
-  OTIF_CHECK_EQ(feature.size(), kDetFeatureDim);
-  return det_encoder_.Forward(feature);
-}
-
 nn::Tensor TrackerNet::MatcherInput(const nn::Tensor& hidden,
                                     const nn::Tensor& encoded,
                                     const nn::Tensor& pair_feature) const {
@@ -189,7 +184,7 @@ std::vector<double> TrackerNet::ScorePairs(
   constexpr int kMatcherIn = kHiddenSize + kEncodedDim + kPairFeatureDim;
   constexpr int kDetPairDim = kEncodedDim + kPairFeatureDim;
 
-  // Each row is bit-identical to EncodeDet's 1-D path on that feature.
+  // Each row is bit-identical to ScorePair's 1-D encoding of that feature.
   const nn::Tensor encoded = det_encoder_.Infer(det_features);
 
   nn::ScratchArena& arena = nn::ScratchArena::ThreadLocal();
@@ -211,7 +206,7 @@ std::vector<double> TrackerNet::ScorePairs(
   // prefix depends on the track alone, so compute it once per track...
   float* prefix = arena.Alloc(static_cast<size_t>(n_tracks) * kMatcherWidth);
   nn::GemmBias(n_tracks, kMatcherWidth, kHiddenSize, hidden.data(), w_in_t,
-               nullptr, matcher_in_->bias().data(), prefix);
+               matcher_in_->bias().data(), prefix);
   // ...then seed each pair's chain with its track's prefix and continue it
   // over the pair's [e; p] row.
   float* act = arena.Alloc(static_cast<size_t>(n_pairs) * kMatcherWidth);
@@ -239,7 +234,7 @@ std::vector<double> TrackerNet::ScorePairs(
   // (kMatcherWidth x 1) B operand.
   float* logits = arena.Alloc(static_cast<size_t>(n_pairs));
   nn::GemmBias(n_pairs, 1, kMatcherWidth, act, matcher_out_->weight().data(),
-               nullptr, matcher_out_->bias().data(), logits);
+               matcher_out_->bias().data(), logits);
   std::vector<double> probs(static_cast<size_t>(n_pairs));
   for (int i = 0; i < n_pairs; ++i) {
     probs[static_cast<size_t>(i)] = nn::StableSigmoid(logits[i]);

@@ -138,7 +138,6 @@ class TrackerNet {
   /// Width of the matcher's hidden layer.
   static constexpr int kMatcherWidth = 32;
 
-  nn::Tensor EncodeDet(const nn::Tensor& feature);
   nn::Tensor MatcherInput(const nn::Tensor& hidden, const nn::Tensor& encoded,
                           const nn::Tensor& pair_feature) const;
 

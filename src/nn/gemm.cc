@@ -30,11 +30,10 @@ constexpr int kNc = 512;
 
 // Full kMr x kNr register tile over the complete k range. Each accumulator
 // starts at C's current value when kAccumulate, else at its column's
-// init_col entry when init_col is non-null, else at its row's init.
+// init_col entry when init_col is non-null, else at 0.
 template <bool kAccumulate>
 inline void MicroKernel(int k, int n, const float* a0, const float* a1,
                         const float* a2, const float* a3, const float* b,
-                        float init0, float init1, float init2, float init3,
                         const float* init_col, float* c0, float* c1,
                         float* c2, float* c3) {
   float acc0[kNr], acc1[kNr], acc2[kNr], acc3[kNr];
@@ -44,10 +43,10 @@ inline void MicroKernel(int k, int n, const float* a0, const float* a1,
     }
   } else {
     for (int j = 0; j < kNr; ++j) {
-      acc0[j] = kAccumulate ? c0[j] : init0;
-      acc1[j] = kAccumulate ? c1[j] : init1;
-      acc2[j] = kAccumulate ? c2[j] : init2;
-      acc3[j] = kAccumulate ? c3[j] : init3;
+      acc0[j] = kAccumulate ? c0[j] : 0.0f;
+      acc1[j] = kAccumulate ? c1[j] : 0.0f;
+      acc2[j] = kAccumulate ? c2[j] : 0.0f;
+      acc3[j] = kAccumulate ? c3[j] : 0.0f;
     }
   }
   for (int p = 0; p < k; ++p) {
@@ -72,16 +71,15 @@ inline void MicroKernel(int k, int n, const float* a0, const float* a1,
 // ascending-k accumulator chain as the full tile.
 template <bool kAccumulate>
 inline void EdgeKernel(int k, int n, int mb, int nb, const float* a,
-                       const float* b, const float* bias_row,
-                       const float* bias_col, int i0, int j0, float* c) {
+                       const float* b, const float* bias_col, int i0, int j0,
+                       float* c) {
   float acc[kMr][kNr];
   for (int i = 0; i < mb; ++i) {
     const float* crow = c + static_cast<size_t>(i0 + i) * n + j0;
-    const float init = bias_row != nullptr ? bias_row[i0 + i] : 0.0f;
     for (int j = 0; j < nb; ++j) {
       acc[i][j] = kAccumulate           ? crow[j]
                   : bias_col != nullptr ? bias_col[j0 + j]
-                                        : init;
+                                        : 0.0f;
     }
   }
   for (int p = 0; p < k; ++p) {
@@ -103,7 +101,7 @@ namespace {
 // from C).
 template <bool kAccumulate>
 void Gemm(int m, int n, int k, const float* a, const float* b,
-          const float* bias_row, const float* bias_col, float* c) {
+          const float* bias_col, float* c) {
   // Column panels: for each strip of B, stream all rows of A over it.
   for (int jc = 0; jc < n; jc += kNc) {
     const int nc = std::min(kNc, n - jc);
@@ -113,27 +111,23 @@ void Gemm(int m, int n, int k, const float* a, const float* b,
       const float* a1 = a0 + k;
       const float* a2 = a1 + k;
       const float* a3 = a2 + k;
-      const float init0 = bias_row != nullptr ? bias_row[i] : 0.0f;
-      const float init1 = bias_row != nullptr ? bias_row[i + 1] : 0.0f;
-      const float init2 = bias_row != nullptr ? bias_row[i + 2] : 0.0f;
-      const float init3 = bias_row != nullptr ? bias_row[i + 3] : 0.0f;
       int j = 0;
       for (; j + kNr <= nc; j += kNr) {
         float* crow = c + static_cast<size_t>(i) * n + jc + j;
         MicroKernel<kAccumulate>(
-            k, n, a0, a1, a2, a3, b + jc + j, init0, init1, init2, init3,
+            k, n, a0, a1, a2, a3, b + jc + j,
             bias_col != nullptr ? bias_col + jc + j : nullptr, crow,
             crow + n, crow + 2 * n, crow + 3 * n);
       }
       for (; j < nc; j += kNr) {
         EdgeKernel<kAccumulate>(k, n, kMr, std::min(kNr, nc - j), a, b,
-                                bias_row, bias_col, i, jc + j, c);
+                                bias_col, i, jc + j, c);
       }
     }
     if (i < m) {
       for (int j = 0; j < nc; j += kNr) {
         EdgeKernel<kAccumulate>(k, n, m - i, std::min(kNr, nc - j), a, b,
-                                bias_row, bias_col, i, jc + j, c);
+                                bias_col, i, jc + j, c);
       }
     }
   }
@@ -142,13 +136,13 @@ void Gemm(int m, int n, int k, const float* a, const float* b,
 }  // namespace
 
 void GemmBias(int m, int n, int k, const float* a, const float* b,
-              const float* bias_row, const float* bias_col, float* c) {
-  Gemm</*kAccumulate=*/false>(m, n, k, a, b, bias_row, bias_col, c);
+              const float* bias_col, float* c) {
+  Gemm</*kAccumulate=*/false>(m, n, k, a, b, bias_col, c);
 }
 
 void GemmAccumulate(int m, int n, int k, const float* a, const float* b,
                     float* c) {
-  Gemm</*kAccumulate=*/true>(m, n, k, a, b, nullptr, nullptr, c);
+  Gemm</*kAccumulate=*/true>(m, n, k, a, b, nullptr, c);
 }
 
 namespace {

@@ -5,17 +5,17 @@
 
 namespace otif::nn {
 
-/// C = A * B with an optional bias folded into the accumulator start.
+/// C = A * B with an optional column bias folded into the accumulator
+/// start.
 ///
 ///   A: m x k, row-major, leading dimension k
 ///   B: k x n, row-major, leading dimension n
 ///   C: m x n, row-major, leading dimension n (fully overwritten)
-///   bias_row: length m, added per row of C (pass nullptr for none)
 ///   bias_col: length n, added per column of C (pass nullptr for none)
 ///
-/// At most one of bias_row / bias_col may be non-null; the bias is the
-/// accumulator's *initial* value, matching a scalar loop that starts at the
-/// bias and accumulates products in ascending-k order.
+/// The bias is the accumulator's *initial* value (0 without one), matching
+/// a scalar loop that starts at the bias and accumulates products in
+/// ascending-k order.
 ///
 /// Determinism contract: every C[i][j] is produced by one accumulator chain
 ///   bias + A[i][0]*B[0][j] + A[i][1]*B[1][j] + ... (k ascending)
@@ -24,7 +24,7 @@ namespace otif::nn {
 /// The conv backward pass relies on this to reproduce the reference loops
 /// exactly.
 void GemmBias(int m, int n, int k, const float* a, const float* b,
-              const float* bias_row, const float* bias_col, float* c);
+              const float* bias_col, float* c);
 
 /// C += A * B with the shapes above. Every C[i][j]'s chain starts from its
 /// current value:

@@ -261,7 +261,7 @@ Tensor Conv2d::InputGrad(const Tensor& grad_output, int h, int w) const {
             }
           }
         }
-        GemmBias(in_channels_, n, kd, wt, d, nullptr, nullptr, c);
+        GemmBias(in_channels_, n, kd, wt, d, nullptr, c);
         for (int ic = 0; ic < in_channels_; ++ic) {
           for (int r = 0; r < rows; ++r) {
             const float* src = c + static_cast<size_t>(ic) * n +
@@ -363,7 +363,7 @@ Tensor Linear::Infer(const Tensor& input) const {
             wdata[static_cast<size_t>(o) * in_features_ + i];
       }
     }
-    GemmBias(nb, out_features_, in_features_, input.data(), wt, nullptr,
+    GemmBias(nb, out_features_, in_features_, input.data(), wt,
              bias_.value.data(), out.data());
     return out;
   }
@@ -552,8 +552,8 @@ Tensor GruCell::StepInferBatch(const Tensor& x, const Tensor& h_prev) const {
     float* ut = arena.Alloc(static_cast<size_t>(hidden_size_) * hidden_size_);
     Transpose(u.value.data(), hidden_size_, hidden_size_, ut);
     float* out = arena.Alloc(cells);
-    GemmBias(n, hidden_size_, input_size_, x.data(), wt, nullptr,
-             b.value.data(), out);
+    GemmBias(n, hidden_size_, input_size_, x.data(), wt, b.value.data(),
+             out);
     GemmAccumulate(n, hidden_size_, hidden_size_, hin, ut, out);
     return out;
   };

@@ -17,10 +17,12 @@
 #include "obs/profiler.h"
 #include "obs/prometheus.h"
 #include "obs/run_progress.h"
+#include "util/fault_injection.h"
 #include "util/json_writer.h"
 #include "util/logging.h"
 #include "util/strings.h"
 #include "util/trace.h"
+#include "util/trace_timeline.h"
 
 namespace otif::obs {
 namespace {
@@ -334,19 +336,20 @@ IntrospectionServer::Response IntrospectionServer::Handle(
   return {404, "text/plain", std::string("not found\n\n") + kIndexBody};
 }
 
-IntrospectionServer* InitIntrospectionFromEnv() {
-  static IntrospectionServer* server = []() -> IntrospectionServer* {
-    // Whole-run profiling (OTIF_PROFILE=<path>) rides the same init hook
-    // so every entry point that arms introspection also honors it.
+void InitFromEnv() {
+  InitLogLevelFromEnv();
+  telemetry::timeline::InitFromEnv();
+  fault::InitFaultsFromEnv();
+  static const bool initialized = [] {
     InitProfilerFromEnv();
     const char* port_env = std::getenv("OTIF_METRICS_PORT");
-    if (port_env == nullptr || *port_env == '\0') return nullptr;
+    if (port_env == nullptr || *port_env == '\0') return true;
     int64_t port = 0;
     if (!ParseInt64(port_env, &port) || port < 0 || port > 65535) {
       OTIF_LOG(kWarning) << "OTIF_METRICS_PORT=\"" << port_env
                          << "\" is not a port in [0, 65535]; introspection "
                             "server off";
-      return nullptr;
+      return true;
     }
     SetProgressEnabled(true);
     StatusOr<std::unique_ptr<IntrospectionServer>> started =
@@ -354,7 +357,7 @@ IntrospectionServer* InitIntrospectionFromEnv() {
     if (!started.ok()) {
       OTIF_LOG(kError) << "introspection server disabled: "
                        << started.status().ToString();
-      return nullptr;
+      return true;
     }
     IntrospectionServer* raw = started.value().release();  // Leaked.
     OTIF_LOG(kInfo) << "introspection server listening on 127.0.0.1:"
@@ -367,9 +370,9 @@ IntrospectionServer* InitIntrospectionFromEnv() {
                            << port_file;
       }
     }
-    return raw;
+    return true;
   }();
-  return server;
+  (void)initialized;
 }
 
 }  // namespace otif::obs

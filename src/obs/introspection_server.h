@@ -110,25 +110,25 @@ class IntrospectionServer {
   std::thread thread_;
 };
 
-/// Applies the introspection environment configuration once per process
-/// (idempotent; later calls return the first outcome):
+/// The one startup hook: every binary's main and eval::RunTrackExperiment
+/// call it first. Applies the observability environment:
 ///
-///  - OTIF_METRICS_PORT: when set, arms run-progress recording, starts a
-///    process-lifetime IntrospectionServer on that port (0 = ephemeral),
-///    and logs the bound address. Unset leaves the whole subsystem off
+///  - OTIF_LOG_LEVEL (InitLogLevelFromEnv), on every call;
+///  - OTIF_TRACE_TIMELINE (telemetry::timeline::InitFromEnv) and OTIF_FAULTS
+///    (fault::InitFaultsFromEnv), once per process;
+///  - OTIF_PROFILE=<path>: whole-run CPU profile, dumped to <path> at exit
+///    (InitProfilerFromEnv; see profiler.h), once per process;
+///  - OTIF_METRICS_PORT: once per process, arms run-progress recording,
+///    starts a process-lifetime IntrospectionServer on that port (0 =
+///    ephemeral), and logs the bound address. Unset leaves the server off
 ///    (cost: nothing beyond the flag word); so does a value that is not a
-///    decimal integer in [0, 65535], with a warning naming it.
+///    decimal integer in [0, 65535], with a warning naming it, and a failed
+///    bind, which is logged, never fatal: introspection must not take down
+///    a run;
 ///  - OTIF_METRICS_PORT_FILE: when set alongside OTIF_METRICS_PORT, the
 ///    bound port is also written (as one decimal line) to this file so
 ///    scripts can find an ephemeral port.
-///  - OTIF_PROFILE=<path>: whole-run CPU profile, dumped to <path> at exit
-///    (delegated to InitProfilerFromEnv; see profiler.h). Works with or
-///    without the HTTP server.
-///
-/// Returns the running server (nullptr when OTIF_METRICS_PORT is unset or
-/// the bind failed — the failure is logged, never fatal: introspection must
-/// not take down a run).
-IntrospectionServer* InitIntrospectionFromEnv();
+void InitFromEnv();
 
 }  // namespace otif::obs
 

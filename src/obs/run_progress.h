@@ -15,7 +15,7 @@ namespace otif::obs {
 /// Whether live run-progress recording is armed. One bit of the shared
 /// telemetry flag word (telemetry::kProgressFlag), so a caller pays a
 /// single relaxed atomic load to find out — the same "everything off" cost
-/// contract the spans follow. Armed by InitIntrospectionFromEnv when
+/// contract the spans follow. Armed by obs::InitFromEnv when
 /// OTIF_METRICS_PORT is set, or explicitly by tests.
 inline bool ProgressEnabled() {
   return (telemetry::Flags() & telemetry::kProgressFlag) != 0;

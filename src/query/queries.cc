@@ -214,49 +214,6 @@ std::vector<geom::BBox> VehicleBoxesAt(const std::vector<track::Track>& tracks,
   return boxes;
 }
 
-std::vector<int> ExecuteLimitQuery(const std::vector<track::Track>& tracks,
-                                   const FramePredicate& predicate,
-                                   int num_frames, int limit,
-                                   int min_separation_frames) {
-  OTIF_CHECK_GT(limit, 0);
-  struct Candidate {
-    int frame;
-    double score;
-  };
-  std::vector<Candidate> candidates;
-  for (int f = 0; f < num_frames; ++f) {
-    const std::vector<geom::BBox> boxes = VehicleBoxesAt(tracks, f);
-    if (!predicate.Matches(boxes)) continue;
-    // Score: minimum remaining visible duration among tracks at this frame
-    // (frames backed by long tracks are less likely spurious).
-    double min_duration = 1e9;
-    for (const track::Track& t : tracks) {
-      if (t.empty() || f < t.StartFrame() || f > t.EndFrame()) continue;
-      min_duration = std::min(min_duration,
-                              static_cast<double>(t.DurationFrames()));
-    }
-    candidates.push_back({f, min_duration >= 1e9 ? 0.0 : min_duration});
-  }
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Candidate& a, const Candidate& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.frame < b.frame;
-            });
-  std::vector<int> chosen;
-  for (const Candidate& c : candidates) {
-    if (static_cast<int>(chosen.size()) >= limit) break;
-    bool ok = true;
-    for (int f : chosen) {
-      if (std::abs(f - c.frame) < min_separation_frames) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) chosen.push_back(c.frame);
-  }
-  return chosen;
-}
-
 std::vector<std::pair<int, int>> ExecuteLimitQueryMultiClip(
     const std::vector<std::vector<track::Track>>& tracks_per_clip,
     const FramePredicate& predicate, const std::vector<int>& clip_frames,
@@ -272,6 +229,7 @@ std::vector<std::pair<int, int>> ExecuteLimitQueryMultiClip(
     const auto& tracks = tracks_per_clip[c];
     for (int f = 0; f < clip_frames[c]; ++f) {
       if (!predicate.Matches(VehicleBoxesAt(tracks, f))) continue;
+      // Frames backed by long tracks are less likely spurious.
       double min_duration = 1e9;
       for (const track::Track& t : tracks) {
         if (t.empty() || f < t.StartFrame() || f > t.EndFrame()) continue;

@@ -98,19 +98,13 @@ class HotSpotPredicate : public FramePredicate {
 std::vector<geom::BBox> VehicleBoxesAt(const std::vector<track::Track>& tracks,
                                        int frame);
 
-/// Executes a frame-level limit query over extracted tracks: scans frames,
-/// scores matches by the minimum remaining duration of visible tracks
-/// (OTIF picks frames "where the visible tracks have the highest minimum
-/// duration", Sec 4.2), and returns up to `limit` matching frames at least
-/// `min_separation_frames` apart, best first.
-std::vector<int> ExecuteLimitQuery(const std::vector<track::Track>& tracks,
-                                   const FramePredicate& predicate,
-                                   int num_frames, int limit,
-                                   int min_separation_frames);
-
-/// Multi-clip limit query: matching frames across all clips ranked by the
-/// per-clip score, limited globally with per-clip separation. Returns
-/// (clip index, frame) pairs.
+/// Executes a frame-level limit query over extracted tracks: scans the
+/// first clip_frames[c] frames of each clip c, scores matches by the
+/// minimum duration of the visible tracks (OTIF picks frames "where the
+/// visible tracks have the highest minimum duration", Sec 4.2), and returns
+/// up to `limit` matching (clip index, frame) pairs, best first (ties by
+/// clip, then frame), frames of one clip at least `min_separation_frames`
+/// apart.
 std::vector<std::pair<int, int>> ExecuteLimitQueryMultiClip(
     const std::vector<std::vector<track::Track>>& tracks_per_clip,
     const FramePredicate& predicate, const std::vector<int>& clip_frames,

@@ -54,10 +54,4 @@ geom::BBox KalmanBoxFilter::StateBox() const {
   return geom::BBox(cx_, cy_, w, h);
 }
 
-geom::BBox KalmanBoxFilter::PredictedBox(double dt_frames) const {
-  const double w = std::sqrt(std::max(1.0, s_ * r_));
-  const double h = std::max(1.0, w / std::max(0.05, r_));
-  return geom::BBox(cx_ + vcx_ * dt_frames, cy_ + vcy_ * dt_frames, w, h);
-}
-
 }  // namespace otif::track

@@ -24,9 +24,6 @@ class KalmanBoxFilter {
   /// Current state as a box.
   geom::BBox StateBox() const;
 
-  /// Predicted box `dt_frames` ahead without mutating the filter.
-  geom::BBox PredictedBox(double dt_frames) const;
-
   /// Velocity of the center, pixels per frame.
   geom::Point Velocity() const { return {vcx_, vcy_}; }
 

@@ -105,7 +105,7 @@ void ClearFaults();
 /// Applies OTIF_FAULTS from the environment once per process (no-op when
 /// unset; logs a warning and stays disarmed on a malformed spec). Later
 /// calls do nothing, so they never replace a configuration installed with
-/// ConfigureFaults after the first. Called by InitObservabilityFromEnv.
+/// ConfigureFaults after the first. Called by obs::InitFromEnv.
 void InitFaultsFromEnv();
 
 /// Names of currently armed sites, sorted (introspection and tests).

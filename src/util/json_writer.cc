@@ -138,11 +138,4 @@ JsonWriter& JsonWriter::Value(bool value) {
   return *this;
 }
 
-JsonWriter& JsonWriter::Null() {
-  BeforeValue();
-  out_ += "null";
-  if (scopes_.empty()) done_ = true;
-  return *this;
-}
-
 }  // namespace otif

@@ -55,7 +55,6 @@ class JsonWriter {
   JsonWriter& Value(uint64_t value);
   JsonWriter& Value(int value) { return Value(static_cast<int64_t>(value)); }
   JsonWriter& Value(bool value);
-  JsonWriter& Null();
 
   /// The document so far (valid JSON once every container is closed).
   const std::string& str() const { return out_; }

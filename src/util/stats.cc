@@ -13,16 +13,6 @@ double Mean(const std::vector<double>& values) {
          static_cast<double>(values.size());
 }
 
-double Median(std::vector<double> values) {
-  if (values.empty()) return 0.0;
-  const size_t mid = values.size() / 2;
-  std::nth_element(values.begin(), values.begin() + mid, values.end());
-  double hi = values[mid];
-  if (values.size() % 2 == 1) return hi;
-  double lo = *std::max_element(values.begin(), values.begin() + mid);
-  return 0.5 * (lo + hi);
-}
-
 double WeightedMedian(const std::vector<double>& values,
                       const std::vector<double>& weights) {
   OTIF_CHECK_EQ(values.size(), weights.size());

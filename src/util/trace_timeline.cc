@@ -9,7 +9,6 @@
 #include <memory>
 #include <mutex>
 
-#include "util/fault_injection.h"
 #include "util/json_writer.h"
 #include "util/logging.h"
 #include "util/strings.h"
@@ -279,13 +278,3 @@ void InitFromEnv() {
 }
 
 }  // namespace otif::telemetry::timeline
-
-namespace otif {
-
-void InitObservabilityFromEnv() {
-  InitLogLevelFromEnv();
-  telemetry::timeline::InitFromEnv();
-  fault::InitFaultsFromEnv();
-}
-
-}  // namespace otif

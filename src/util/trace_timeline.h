@@ -123,14 +123,4 @@ void InitFromEnv();
 }  // namespace timeline
 }  // namespace otif::telemetry
 
-namespace otif {
-
-/// One-stop observability startup hook for binaries and the harness:
-/// applies OTIF_LOG_LEVEL (InitLogLevelFromEnv, on every call), and the
-/// timeline environment (timeline::InitFromEnv) and OTIF_FAULTS
-/// (fault::InitFaultsFromEnv) once per process.
-void InitObservabilityFromEnv();
-
-}  // namespace otif
-
 #endif  // OTIF_UTIL_TRACE_TIMELINE_H_

@@ -6,7 +6,6 @@
 #include <memory>
 #include <utility>
 
-#include "mem/view.h"
 #include "util/logging.h"
 
 namespace otif::video {
@@ -17,9 +16,7 @@ namespace otif::video {
 ///
 /// Each image owns one plain heap array of pixels. Copy-assignment and
 /// ResizeUninitialized reuse the array when it is large enough
-/// (Pipeline::Run's frame slots and the Rasterizer rely on this); view()
-/// borrows the pixels as a non-owning mem::ImageView for strided/zero-copy
-/// consumers.
+/// (Pipeline::Run's frame slots and the Rasterizer rely on this).
 class Image {
  public:
   Image() = default;
@@ -75,11 +72,6 @@ class Image {
     return data() + static_cast<size_t>(y) * width_;
   }
 
-  /// Borrows the pixels as a non-owning view (see mem/view.h for lifetime
-  /// rules: the view must not outlive this image or span a reallocation).
-  mem::ImageView view() { return {data(), width_, height_, width_}; }
-  mem::ConstImageView view() const { return {data(), width_, height_, width_}; }
-
   /// Reshapes to `width` x `height` without initializing pixels, reusing
   /// the current array when it is large enough. Callers must write every
   /// pixel before reading any.
@@ -87,23 +79,6 @@ class Image {
 
   /// Clamps all pixels into [0, 1].
   void Clamp();
-
-  /// Area-averaged downscale (or bilinear upscale) to the given size.
-  Image Resized(int new_width, int new_height) const;
-
-  /// Resized, but writing into `out` (its array reused when large enough;
-  /// zero allocation at steady state). Safe when `out` aliases this image —
-  /// the result is then routed through a temporary. Bit-identical to
-  /// Resized: both run the same kernel.
-  void ResizedInto(int new_width, int new_height, Image* out) const;
-
-  /// Resized into a caller-provided view (e.g. proxy input staging); `out`'s
-  /// dimensions select the target size and must be positive. `out` must not
-  /// alias this image's pixels.
-  void ResizedInto(mem::ImageView out) const;
-
-  /// Mean pixel value (0 for an empty image).
-  float Mean() const;
 
   /// Mean absolute per-pixel difference against another image of identical
   /// dimensions.

@@ -68,6 +68,14 @@ TEST(CountRegressorTest, LearnsToCount) {
       << "regressor does not separate 0 objects from 4";
 }
 
+TEST(CountRegressorDeathTest, RejectsFrameNotAt32x32) {
+  CountRegressor regressor(5);
+  EXPECT_DEATH(regressor.Predict(video::Image(64, 64)),
+               "count regressor input is 32x32, got 64x64");
+  EXPECT_DEATH(regressor.TrainStep(video::Image(32, 16), 1.0),
+               "count regressor input is 32x32, got 32x16");
+}
+
 TEST(VerifyByScoreTest, RespectsLimitAndSeparation) {
   const auto clips = TestClips(1, 200);
   // Oracle scores: ground-truth counts.

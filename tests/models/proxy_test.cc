@@ -53,12 +53,11 @@ TEST(ProxyModelTest, ScoreMatchesReferenceExactly) {
                             std::to_string(res.world_h) + " ";
     ProxyModel model(res, 21);
     const int w = res.raster_w(), h = res.raster_h();
-    // Distinct frames, including one at a non-raster size to exercise the
-    // shared resize path.
+    // Distinct frames.
     std::vector<video::Image> frames;
     frames.emplace_back(w, h, 0.2f);
     frames.emplace_back(w, h, 0.8f);
-    frames.emplace_back(80, 48, 0.5f);
+    frames.emplace_back(w, h, 0.5f);
     video::Image gradient(w, h, 0.0f);
     for (int y = 0; y < gradient.height(); ++y) {
       for (int x = 0; x < gradient.width(); ++x) {
@@ -123,25 +122,18 @@ TEST(ProxyModelTest, TrainingStaysWithinTheArenaFirstChunk) {
   EXPECT_EQ(after_train, nn::ScratchArena::kMinChunkFloats);
 }
 
-TEST(ProxyModelTest, ScoreOfResizedFrameMatchesDirectScore) {
-  // The fused resize+center staging path must be bit-identical to resizing
-  // first and scoring the raster-size result.
-  ProxyModel model({160, 96}, 23);
-  video::Image big(80, 48, 0.0f);
-  for (int y = 0; y < big.height(); ++y) {
-    for (int x = 0; x < big.width(); ++x) {
-      big.set(x, y, static_cast<float>((x * 13 + y * 7) % 41) / 40.0f);
-    }
-  }
-  const video::Image sized =
-      big.Resized(model.resolution().raster_w(),
-                  model.resolution().raster_h());
-  const nn::Tensor via_resize = model.Score(sized);
-  const nn::Tensor fused = model.Score(big);
-  ASSERT_EQ(via_resize.shape(), fused.shape());
-  for (int64_t i = 0; i < via_resize.size(); ++i) {
-    ASSERT_EQ(via_resize[i], fused[i]) << "cell " << i;
-  }
+TEST(ProxyModelDeathTest, RejectsFrameNotAtRasterSize) {
+  // Every caller renders at the raster size; nothing resizes.
+  ProxyModel model({160, 96}, 23);  // 40x24 raster.
+  const nn::Tensor labels(
+      {model.resolution().grid_h(), model.resolution().grid_w()});
+  EXPECT_DEATH(model.Score(video::Image(80, 24)),
+               "proxy input is 40x24, got 80x24");
+  EXPECT_DEATH(model.Score(video::Image(40, 48)),
+               "proxy input is 40x24, got 40x48");
+  EXPECT_DEATH(model.Score(video::Image()), "proxy input is 40x24, got 0x0");
+  EXPECT_DEATH(model.TrainStep(video::Image(20, 12), labels),
+               "proxy input is 40x24, got 20x12");
 }
 
 TEST(ProxyModelTest, StageIntoWritesCenteredPixels) {

@@ -21,14 +21,11 @@ std::vector<float> RandomVec(size_t n, Rng* rng) {
 std::vector<float> NaiveGemmBias(int m, int n, int k,
                                  const std::vector<float>& a,
                                  const std::vector<float>& b,
-                                 const float* bias_row,
                                  const float* bias_col) {
   std::vector<float> c(static_cast<size_t>(m) * n);
   for (int i = 0; i < m; ++i) {
     for (int j = 0; j < n; ++j) {
-      float acc = bias_row != nullptr ? bias_row[i]
-                  : bias_col != nullptr ? bias_col[j]
-                                        : 0.0f;
+      float acc = bias_col != nullptr ? bias_col[j] : 0.0f;
       for (int p = 0; p < k; ++p) {
         acc += a[static_cast<size_t>(i) * k + p] *
                b[static_cast<size_t>(p) * n + j];
@@ -39,20 +36,16 @@ std::vector<float> NaiveGemmBias(int m, int n, int k,
   return c;
 }
 
-void ExpectBitIdentical(int m, int n, int k, bool row_bias, bool col_bias,
-                        uint64_t seed) {
+void ExpectBitIdentical(int m, int n, int k, bool col_bias, uint64_t seed) {
   Rng rng(seed);
   const std::vector<float> a = RandomVec(static_cast<size_t>(m) * k, &rng);
   const std::vector<float> b = RandomVec(static_cast<size_t>(k) * n, &rng);
-  const std::vector<float> br = RandomVec(static_cast<size_t>(m), &rng);
   const std::vector<float> bc = RandomVec(static_cast<size_t>(n), &rng);
-  const float* bias_row = row_bias ? br.data() : nullptr;
   const float* bias_col = col_bias ? bc.data() : nullptr;
 
-  const std::vector<float> want = NaiveGemmBias(m, n, k, a, b, bias_row,
-                                                bias_col);
+  const std::vector<float> want = NaiveGemmBias(m, n, k, a, b, bias_col);
   std::vector<float> got(static_cast<size_t>(m) * n, -1.0f);
-  GemmBias(m, n, k, a.data(), b.data(), bias_row, bias_col, got.data());
+  GemmBias(m, n, k, a.data(), b.data(), bias_col, got.data());
   for (size_t i = 0; i < want.size(); ++i) {
     ASSERT_EQ(want[i], got[i])
         << "m=" << m << " n=" << n << " k=" << k << " at " << i;
@@ -69,18 +62,16 @@ TEST(GemmBiasTest, MatchesNaiveChainExactlyAcrossTileEdges) {
   for (int m : ms) {
     for (int n : ns) {
       for (int k : ks) {
-        ExpectBitIdentical(m, n, k, /*row_bias=*/true, /*col_bias=*/false,
-                           seed++);
-        ExpectBitIdentical(m, n, k, /*row_bias=*/false, /*col_bias=*/false,
-                           seed++);
+        ExpectBitIdentical(m, n, k, /*col_bias=*/true, seed++);
+        ExpectBitIdentical(m, n, k, /*col_bias=*/false, seed++);
       }
     }
   }
 }
 
 TEST(GemmBiasTest, ColumnPanelBoundary) {
-  ExpectBitIdentical(6, 520, 27, /*row_bias=*/true, /*col_bias=*/false, 99);
-  ExpectBitIdentical(4, 1024, 9, /*row_bias=*/true, /*col_bias=*/false, 100);
+  ExpectBitIdentical(6, 520, 27, /*col_bias=*/true, 99);
+  ExpectBitIdentical(4, 1024, 9, /*col_bias=*/true, 100);
 }
 
 TEST(GemmBiasTest, ColumnBiasMatchesNaive) {
@@ -88,8 +79,7 @@ TEST(GemmBiasTest, ColumnBiasMatchesNaive) {
   uint64_t seed = 200;
   for (int m : {1, 4, 7}) {
     for (int n : ns) {
-      ExpectBitIdentical(m, n, 24, /*row_bias=*/false, /*col_bias=*/true,
-                         seed++);
+      ExpectBitIdentical(m, n, 24, /*col_bias=*/true, seed++);
     }
   }
 }

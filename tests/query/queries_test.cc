@@ -154,26 +154,28 @@ TEST(VehicleBoxesAtTest, InterpolatesWithinSpan) {
 }
 
 TEST(ExecuteLimitQueryTest, RespectsLimitAndSeparation) {
-  // One long track visible frames 0..100; predicate matches everywhere.
-  std::vector<track::Track> tracks;
-  tracks.push_back(MakeTrack(1, track::ObjectClass::kCar,
-                             {{0, {0, 0}}, {100, {100, 0}}}));
+  // One clip with one long track visible frames 0..100; predicate matches
+  // everywhere.
+  std::vector<std::vector<track::Track>> clips(1);
+  clips[0].push_back(MakeTrack(1, track::ObjectClass::kCar,
+                               {{0, {0, 0}}, {100, {100, 0}}}));
   CountPredicate p(1);
-  const auto frames = ExecuteLimitQuery(tracks, p, 101, 3, 25);
+  const auto frames = ExecuteLimitQueryMultiClip(clips, p, {101}, 3, 25);
   ASSERT_EQ(frames.size(), 3u);
   for (size_t i = 0; i < frames.size(); ++i) {
+    EXPECT_EQ(frames[i].first, 0);
     for (size_t j = i + 1; j < frames.size(); ++j) {
-      EXPECT_GE(std::abs(frames[i] - frames[j]), 25);
+      EXPECT_GE(std::abs(frames[i].second - frames[j].second), 25);
     }
   }
 }
 
 TEST(ExecuteLimitQueryTest, NoMatchesNoOutput) {
-  std::vector<track::Track> tracks;
-  tracks.push_back(MakeTrack(1, track::ObjectClass::kCar,
-                             {{0, {0, 0}}, {10, {100, 0}}}));
+  std::vector<std::vector<track::Track>> clips(1);
+  clips[0].push_back(MakeTrack(1, track::ObjectClass::kCar,
+                               {{0, {0, 0}}, {10, {100, 0}}}));
   CountPredicate p(5);
-  EXPECT_TRUE(ExecuteLimitQuery(tracks, p, 50, 10, 5).empty());
+  EXPECT_TRUE(ExecuteLimitQueryMultiClip(clips, p, {50}, 10, 5).empty());
 }
 
 TEST(LimitQueryAccuracyTest, ChecksGroundTruth) {

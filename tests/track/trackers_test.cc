@@ -40,9 +40,9 @@ TEST(KalmanTest, LearnsConstantVelocity) {
   // Velocity should approximate (5, 2) px/frame.
   EXPECT_NEAR(kf.Velocity().x, 5.0, 1.5);
   EXPECT_NEAR(kf.Velocity().y, 2.0, 1.0);
-  // The 3-frame prediction should land near the extrapolated position.
-  const geom::BBox pred = kf.PredictedBox(3.0);
-  EXPECT_NEAR(pred.cx, 5.0 * 33, 8.0);
+  // A 3-frame prediction should land near the extrapolated position.
+  kf.Predict(3.0);
+  EXPECT_NEAR(kf.StateBox().cx, 5.0 * 33, 8.0);
 }
 
 TEST(KalmanTest, PredictionWithGapFrames) {

@@ -13,10 +13,10 @@
 #include <string>
 #include <vector>
 
+#include "obs/introspection_server.h"
 #include "util/status.h"
 #include "util/strings.h"
 #include "util/telemetry.h"
-#include "util/trace_timeline.h"
 
 namespace otif::fault {
 namespace {
@@ -137,19 +137,19 @@ TEST_F(FaultInjectionTest, InjectedCounterCountsFiredFaultsOnly) {
 }
 
 TEST(FaultInjectionDeathTest, EnvSpecInstallsOncePerProcess) {
-  // The harness calls InitObservabilityFromEnv once per experiment after
-  // the binary's own call. A later call must neither re-arm OTIF_FAULTS nor
+  // The harness calls obs::InitFromEnv once per experiment after the
+  // binary's own call. A later call must neither re-arm OTIF_FAULTS nor
   // replace what a caller installed with ConfigureFaults in between. The
   // once-guard is per process, so the check runs in a fresh child.
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_EXIT(
       {
         setenv("OTIF_FAULTS", "detect.invoke:error:1:7", /*overwrite=*/1);
-        InitObservabilityFromEnv();
+        obs::InitFromEnv();
         const bool env_armed =
             ArmedSites() == std::vector<std::string>{kDetectSite};
         const bool configured = ConfigureFaults("proxy.invoke:stall:1:9").ok();
-        InitObservabilityFromEnv();
+        obs::InitFromEnv();
         const std::vector<std::string> armed = ArmedSites();
         std::fprintf(stderr, "armed after the second init: %s\n",
                      StrJoin(armed, ", ").c_str());

@@ -11,13 +11,6 @@ TEST(StatsTest, MeanBasic) {
   EXPECT_DOUBLE_EQ(Mean({-5}), -5.0);
 }
 
-TEST(StatsTest, MedianOddAndEven) {
-  EXPECT_DOUBLE_EQ(Median({3, 1, 2}), 2.0);
-  EXPECT_DOUBLE_EQ(Median({4, 1, 3, 2}), 2.5);
-  EXPECT_DOUBLE_EQ(Median({}), 0.0);
-  EXPECT_DOUBLE_EQ(Median({7}), 7.0);
-}
-
 TEST(StatsTest, WeightedMedianSkewsTowardWeight) {
   // Value 10 carries most of the weight.
   EXPECT_DOUBLE_EQ(WeightedMedian({1, 10, 100}, {1, 10, 1}), 10.0);
