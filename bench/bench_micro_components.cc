@@ -62,13 +62,12 @@ void BM_RasterizeFrame(benchmark::State& state) {
 BENCHMARK(BM_RasterizeFrame)->Apply(RasterSizes);
 
 // The sensor-noise pass alone over a 104x64 frame, per variant: 0 is the
-// scalar loop, 1 the AVX2 pass (skipped where SensorNoiseIsa() is not it).
+// scalar loop, 1 the AVX2 pass and 2 the AVX-512 one (each skipped where
+// this CPU or build lacks it).
 void BM_SensorNoise(benchmark::State& state) {
-  const sim::NoiseIsa isa =
-      state.range(0) == 0 ? sim::NoiseIsa::kScalar : sim::NoiseIsa::kAvx2;
-  if (isa == sim::NoiseIsa::kAvx2 &&
-      sim::SensorNoiseIsa() != sim::NoiseIsa::kAvx2) {
-    state.SkipWithError("this CPU (or build) has no AVX2 noise pass");
+  const auto isa = static_cast<sim::NoiseIsa>(state.range(0));
+  if (isa > sim::SensorNoiseIsa()) {
+    state.SkipWithError("this CPU (or build) lacks this noise pass");
     return;
   }
   const models::ProxyResolution proxy = models::StandardProxyResolutions()[0];
@@ -82,12 +81,13 @@ void BM_SensorNoise(benchmark::State& state) {
     benchmark::ClobberMemory();
   }
 }
-BENCHMARK(BM_SensorNoise)->Arg(0)->Arg(1);
+BENCHMARK(BM_SensorNoise)->Arg(0)->Arg(1)->Arg(2);
 
 // One frame's proxy forward pass, as Pipeline::Run scores each frame:
-// staging, activations and padded conv input planes all in the thread's
-// scratch arena. The argument indexes StandardProxyResolutions(): 0 is the
-// 104x64 raster perfbench extracts at, 4 the smallest (40x24).
+// activations and padded conv input planes (whose fills apply the staging
+// and the ReLUs) all in the thread's scratch arena. The argument indexes
+// StandardProxyResolutions(): 0 is the 104x64 raster perfbench extracts
+// at, 4 the smallest (40x24).
 void BM_ProxyInference(benchmark::State& state) {
   models::ProxyModel proxy(
       models::StandardProxyResolutions()[static_cast<size_t>(state.range(0))],

@@ -35,15 +35,19 @@ ProxyModel::ProxyModel(ProxyResolution resolution, uint64_t seed)
   optimizer_ = std::make_unique<nn::Adam>(std::move(params), 2e-3);
 }
 
-void ProxyModel::StageInto(const video::Image& frame, float* dst) const {
-  OTIF_CHECK(dst != nullptr);
+void ProxyModel::CheckRasterSize(const video::Image& frame) const {
   const int rh = resolution_.raster_h(), rw = resolution_.raster_w();
   OTIF_CHECK(frame.width() == rw && frame.height() == rh)
       << "proxy input is " << rw << "x" << rh << ", got " << frame.width()
       << "x" << frame.height();
+}
+
+void ProxyModel::StageInto(const video::Image& frame, float* dst) const {
+  OTIF_CHECK(dst != nullptr);
+  CheckRasterSize(frame);
   // Center around zero for conditioning.
   const float* src = frame.data();
-  const size_t plane = static_cast<size_t>(rh) * rw;
+  const size_t plane = frame.size();
   for (size_t i = 0; i < plane; ++i) dst[i] = src[i] - 0.5f;
 }
 
@@ -63,26 +67,24 @@ nn::Tensor ProxyModel::ForwardLogits(const video::Image& frame) {
 }
 
 nn::Tensor ProxyModel::Score(const video::Image& frame) const {
-  // The same layers as ScoreReference's net_.Infer, with every
-  // intermediate in the arena: the staged input, each conv's output
-  // (ReLU applied in place) and, in InferInto's inner scope, its padded
-  // input planes. At the largest resolution the peak is conv2's, 44,048
-  // floats, which fits the arena's first chunk.
+  // The same layers as net_.Infer, with every intermediate in the arena:
+  // each conv's output and, in InferInto's inner scope, its padded input
+  // planes. The staging (pixel - 0.5) and each ReLU run inside the next
+  // conv's copy into those planes, the same float operations on the same
+  // values. At the largest resolution the peak is conv2's, 37,392 floats,
+  // which fits the arena's first chunk.
+  CheckRasterSize(frame);
   nn::ScratchArena& arena = nn::ScratchArena::ThreadLocal();
   nn::ScratchScope scope(arena);
   int h = resolution_.raster_h(), w = resolution_.raster_w();
-  float* x = arena.Alloc(static_cast<size_t>(h) * w);
-  StageInto(frame, x);
-  for (size_t i = 0; i < convs_.size(); ++i) {
-    const nn::Conv2d& conv = *convs_[i];
-    const int oh = (h + conv.stride() - 1) / conv.stride();
-    const int ow = (w + conv.stride() - 1) / conv.stride();
-    const size_t n = static_cast<size_t>(conv.out_channels()) * oh * ow;
-    float* y = arena.Alloc(n);
-    conv.InferInto(x, h, w, oh, ow, y);
-    if (i + 1 < convs_.size()) {
-      for (size_t j = 0; j < n; ++j) y[j] = std::max(0.0f, y[j]);
-    }
+  const float* x = frame.data();
+  nn::ConvInputMap map = nn::ConvInputMap::kCenter;
+  for (const nn::Conv2d* conv : convs_) {
+    const int oh = (h + conv->stride() - 1) / conv->stride();
+    const int ow = (w + conv->stride() - 1) / conv->stride();
+    float* y = arena.Alloc(static_cast<size_t>(conv->out_channels()) * oh * ow);
+    conv->InferInto(x, h, w, oh, ow, map, y);
+    map = nn::ConvInputMap::kRelu;  // ReLU follows every conv but the last.
     x = y;
     h = oh;
     w = ow;
@@ -97,13 +99,22 @@ nn::Tensor ProxyModel::Score(const video::Image& frame) const {
 }
 
 nn::Tensor ProxyModel::ScoreReference(const video::Image& frame) const {
-  nn::Tensor logits = net_.Infer(ImageToTensor(frame));
-  OTIF_CHECK_EQ(logits.dim(0), 1);
-  OTIF_CHECK_EQ(logits.dim(1), resolution_.grid_h());
-  OTIF_CHECK_EQ(logits.dim(2), resolution_.grid_w());
+  // The naive loops of every conv, with each ReLU as Relu::Infer applies
+  // it: nothing here runs ConvDirect, so a kernel fault cannot hide on both
+  // sides of the comparison.
+  nn::Tensor x = ImageToTensor(frame);
+  for (size_t i = 0; i < convs_.size(); ++i) {
+    x = convs_[i]->InferReference(x);
+    if (i + 1 < convs_.size()) {
+      for (int64_t j = 0; j < x.size(); ++j) x[j] = std::max(0.0f, x[j]);
+    }
+  }
+  OTIF_CHECK_EQ(x.dim(0), 1);
+  OTIF_CHECK_EQ(x.dim(1), resolution_.grid_h());
+  OTIF_CHECK_EQ(x.dim(2), resolution_.grid_w());
   nn::Tensor probs({resolution_.grid_h(), resolution_.grid_w()});
   for (int64_t i = 0; i < probs.size(); ++i) {
-    probs[i] = nn::StableSigmoid(logits[i]);
+    probs[i] = nn::StableSigmoid(x[i]);
   }
   return probs;
 }
@@ -118,7 +129,8 @@ double ProxyModel::TrainStep(const video::Image& frame,
   for (int64_t i = 0; i < labels.size(); ++i) target[i] = labels[i];
   nn::Tensor grad;
   const double loss = nn::BceWithLogits(logits, target, nullptr, &grad);
-  net_.Backward(grad);
+  // The frame needs no gradient: the first conv skips its input gradient.
+  net_.BackwardParams(grad);
   optimizer_->Step();
   return loss;
 }

@@ -55,16 +55,19 @@ class ProxyModel {
   /// Scores a frame rendered at the raster input size (raster_w x
   /// raster_h; any other size fails a check). Returns per-cell
   /// probabilities in a (grid_h, grid_w) tensor. The whole forward pass
-  /// (staged input, activations, each conv's padded input planes) runs in
-  /// one scope of the calling thread's ScratchArena; only
-  /// the returned probabilities come from the heap. Uses the cache-free
-  /// inference path, so concurrent calls on a shared trained model are safe
-  /// (TrainStep mutates the model: one model trains on one thread at a
-  /// time, while distinct models may train concurrently).
+  /// (activations, each conv's padded input planes, into whose fill the
+  /// staging and each ReLU are folded) runs in one scope of the calling
+  /// thread's ScratchArena; only the returned probabilities come from the
+  /// heap. Uses the cache-free inference path, so concurrent calls on a
+  /// shared trained model are safe (TrainStep mutates the model: one model
+  /// trains on one thread at a time, while distinct models may train
+  /// concurrently).
   nn::Tensor Score(const video::Image& frame) const;
 
-  /// Score through Sequential::Infer on heap tensors: the test oracle that
-  /// Score must match bit for bit.
+  /// Score through every conv's naive reference loops
+  /// (Conv2d::InferReference) and a plain ReLU loop on heap tensors: the
+  /// test oracle that Score must match bit for bit, independent of the
+  /// direct conv kernel.
   nn::Tensor ScoreReference(const video::Image& frame) const;
 
   /// Writes `frame`, which must be at the raster input size, centered
@@ -88,6 +91,8 @@ class ProxyModel {
   int64_t train_steps() const { return optimizer_->steps_taken(); }
 
  private:
+  /// Fails a check unless `frame` is raster_w x raster_h.
+  void CheckRasterSize(const video::Image& frame) const;
   nn::Tensor ImageToTensor(const video::Image& frame) const;
   nn::Tensor ForwardLogits(const video::Image& frame);
 

@@ -9,7 +9,7 @@ namespace otif::nn {
 
 /// Bump-pointer scratch arena for inference and backward temporaries (the
 /// direct conv's padded input planes, im2col panels, transposed weights, a
-/// proxy frame's staged input and activations).
+/// proxy frame's activations).
 /// Memory is organized as a list of chunks that are never reallocated, so
 /// pointers returned by Alloc stay valid until the enclosing ScratchScope
 /// unwinds — even if later allocations grow the arena. Chunks are retained
@@ -21,8 +21,8 @@ namespace otif::nn {
 class ScratchArena {
  public:
   /// Size of the first chunk a thread's arena reserves: big enough for one
-  /// frame's whole proxy forward pass at the largest resolution (input,
-  /// three activations and conv2's padded input planes, 44,048 floats), so
+  /// frame's whole proxy forward pass at the largest resolution (conv1's
+  /// and conv2's outputs and conv2's padded input planes, 37,392 floats), so
   /// scoring never chains chunks, and for the conv backward pass, which
   /// sizes each of its scopes to fit here (the largest proxy's
   /// weight-gradient scope is 37,760 floats), adding no arena memory beyond

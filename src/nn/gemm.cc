@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <type_traits>
 #include <vector>
 
 #include "util/cpu.h"
@@ -147,15 +148,39 @@ void GemmAccumulate(int m, int n, int k, const float* a, const float* b,
 
 namespace {
 
-// ConvDirect's register tile: kConvChans output channels x kConvCols
-// output columns. Its vectors are the widest the variant's instruction set
-// has: a channel's 8 columns are two Float4s (SSE) in the baseline build and
-// one Float8 (AVX) in the AVX2 build, so every accumulator stays in a
-// register.
+// ConvDirect's register tile: kConvChains accumulator vectors, each a run
+// of output columns of one (channel, row). Each tap adds into all of them
+// at once, and they are independent chains, so the adds overlap instead
+// of waiting on each other's latency. A tile spans up to kConvChans
+// output channels; rows make up the rest (RowsPerTile). Its vectors are
+// the widest the variant's instruction set has: 16 floats (AVX-512), 8
+// (AVX) or 4 (SSE, two per tile row so that a row spans 8 columns).
 constexpr int kConvChans = 4;
-constexpr int kConvCols = 8;
+constexpr int kConvChains = 8;
 typedef float Float4 __attribute__((vector_size(4 * sizeof(float))));
 typedef float Float8 __attribute__((vector_size(8 * sizeof(float))));
+typedef float Float16 __attribute__((vector_size(16 * sizeof(float))));
+// The helpers below take and return these vectors by value. They are all
+// inlined into the variant that uses them, so no call crosses the
+// baseline ABI that GCC warns would change under AVX.
+#pragma GCC diagnostic ignored "-Wpsabi"
+
+// Output columns per tile row: one vector, or two 4-float ones.
+template <typename Vec>
+constexpr int TileCols() {
+  return sizeof(Vec) / sizeof(float) < 8 ? 8 : sizeof(Vec) / sizeof(float);
+}
+
+// The widest tile row any variant computes; the planes are laid out for
+// it, so their size does not depend on the variant.
+constexpr int kMaxTileCols = 16;
+
+// Rows per tile of kChans channels: enough for kConvChains chains.
+template <typename Vec, int kChans>
+constexpr int RowsPerTile() {
+  return kConvChains / (kChans * (TileCols<Vec>() * sizeof(float) /
+                                  sizeof(Vec)));
+}
 
 // One input channel's tap offsets fit on the stack up to a 7x7 kernel.
 constexpr int kStackTaps = 49;
@@ -164,8 +189,9 @@ constexpr int kStackTaps = 49;
 // floats. Row r holds input row r - pad; phase p's column t holds input
 // column p + stride*t - pad; zeros stand in for the padding. Tap (ky, kx)
 // of output (oy, ox) then reads phase kx % stride, row oy*stride + ky,
-// column ox + kx / stride, so a tile's 8 columns read 8 adjacent floats.
-// Each plane is wide enough for a whole tile past the last output column.
+// column ox + kx / stride, so a tile row's columns read adjacent floats.
+// Each plane is wide enough for a whole tile row past the last output
+// column.
 struct PhasePlanes {
   int pad = 0, oh = 0, ow = 0, rows = 0, cols = 0;
   size_t floats = 0;  // One phase plane: rows * cols.
@@ -177,54 +203,174 @@ PhasePlanes Layout(const ConvShape& s) {
   g.oh = s.oh();
   g.ow = s.ow();
   g.rows = (g.oh - 1) * s.stride + s.kernel;
-  g.cols = (g.ow + kConvCols - 1) / kConvCols * kConvCols +
+  g.cols = (g.ow + kMaxTileCols - 1) / kMaxTileCols * kMaxTileCols +
            (s.kernel - 1) / s.stride;
   g.floats = static_cast<size_t>(g.rows) * g.cols;
   return g;
 }
 
-// dst[t] = src[stride * t] for t < n. The proxy's strides (1 and 2) are
-// compile-time constants here, so their copies vectorize.
-template <int kStride>
-void CopyStrided(const float* src, int stride, int n, float* dst) {
-  const int st = kStride > 0 ? kStride : stride;
-  for (int t = 0; t < n; ++t) dst[t] = src[st * t];
+template <ConvInputMap kMap>
+[[gnu::always_inline]] inline float MapInput(float x) {
+  if constexpr (kMap == ConvInputMap::kRelu) {
+    return std::max(0.0f, x);
+  } else if constexpr (kMap == ConvInputMap::kCenter) {
+    return x - 0.5f;
+  } else {
+    return x;
+  }
 }
 
-// Zeroes the planes, then copies every input sample that some tap reads
-// once, into its phase. (With a stride above the kernel size, the last
-// input rows and columns can lie past every tap.)
-void FillPhasePlanes(const ConvShape& s, const PhasePlanes& g,
-                     const float* input, float* planes) {
+// MapInput on 8 samples at once, lane by lane the same operation: the
+// vector select (x > 0 ? x : 0) is std::max(0.0f, x) (which returns its
+// first argument unless 0 < x), -0 and NaN included.
+template <ConvInputMap kMap>
+[[gnu::always_inline]] inline Float8 MapInput(Float8 x) {
+  if constexpr (kMap == ConvInputMap::kRelu) {
+    const Float8 zero = {};
+    return x > zero ? x : zero;
+  } else if constexpr (kMap == ConvInputMap::kCenter) {
+    return x - 0.5f;
+  } else {
+    return x;
+  }
+}
+
+// The fill moves 8 floats per vector in every variant (two SSE registers
+// in the baseline build): plane rows are short, so a wider vector would
+// leave most rows to the scalar tail.
+constexpr int kFillLanes = 8;
+
+// Unaligned vector loads and stores.
+template <typename Vec>
+[[gnu::always_inline]] inline Vec LoadVec(const float* src) {
+  Vec v;
+  std::memcpy(&v, src, sizeof(v));
+  return v;
+}
+
+template <typename Vec>
+[[gnu::always_inline]] inline void StoreVec(float* dst, Vec v) {
+  std::memcpy(dst, &v, sizeof(v));
+}
+
+// dst[t] = map(src[t]) for t < n. Whole vectors; a ragged end redoes the
+// last 8 (the same values), so only rows under 8 floats run scalar.
+template <ConvInputMap kMap>
+[[gnu::always_inline]] inline void CopyMapped(const float* src, int n,
+                                              float* dst) {
+  if (n < kFillLanes) {
+    for (int t = 0; t < n; ++t) dst[t] = MapInput<kMap>(src[t]);
+    return;
+  }
+  for (int t = 0;; t += kFillLanes) {
+    if (t > n - kFillLanes) t = n - kFillLanes;
+    StoreVec(dst + t, MapInput<kMap>(LoadVec<Float8>(src + t)));
+    if (t == n - kFillLanes) return;
+  }
+}
+
+// Stride 2: dst0[u] = map(src[2u]) and dst1[u] = map(src[2u + 1]) for
+// u < pairs, one pass over the input row that splits its samples between
+// the two phases with vector shuffles. A ragged end redoes the last 8
+// pairs, as CopyMapped does.
+template <ConvInputMap kMap>
+[[gnu::always_inline]] inline void SplitMapped(const float* src, int pairs,
+                                               float* dst0, float* dst1) {
+  if (pairs < kFillLanes) {
+    for (int u = 0; u < pairs; ++u) {
+      dst0[u] = MapInput<kMap>(src[2 * u]);
+      dst1[u] = MapInput<kMap>(src[2 * u + 1]);
+    }
+    return;
+  }
+  for (int u = 0;; u += kFillLanes) {
+    if (u > pairs - kFillLanes) u = pairs - kFillLanes;
+    const Float8 a = LoadVec<Float8>(src + 2 * u);
+    const Float8 b = LoadVec<Float8>(src + 2 * u + kFillLanes);
+    StoreVec(dst0 + u, MapInput<kMap>(__builtin_shufflevector(
+                           a, b, 0, 2, 4, 6, 8, 10, 12, 14)));
+    StoreVec(dst1 + u, MapInput<kMap>(__builtin_shufflevector(
+                           a, b, 1, 3, 5, 7, 9, 11, 13, 15)));
+    if (u == pairs - kFillLanes) return;
+  }
+}
+
+// Which plane columns of phase `ph` hold input samples: [t_lo, t_hi), the
+// columns t whose input column ph + stride*t - pad lies in [0, w), up to
+// the plane's width. (With a stride above the kernel size, the last input
+// rows and columns can lie past every tap.) Empty when t_lo == t_hi.
+struct PhaseColumns {
+  int t_lo = 0, t_hi = 0;
+};
+
+PhaseColumns ColumnsOf(const ConvShape& s, const PhasePlanes& g, int ph) {
   const int st = s.stride;
-  std::fill_n(planes, static_cast<size_t>(s.in_channels) * st * g.floats,
-              0.0f);
+  const int first = g.pad - ph;           // Smallest st*t.
+  const int last = s.w - 1 + g.pad - ph;  // Largest st*t.
+  PhaseColumns c;
+  c.t_lo = first <= 0 ? 0 : (first + st - 1) / st;
+  c.t_hi = std::min(last < 0 ? 0 : last / st + 1, g.cols);
+  if (c.t_hi <= c.t_lo) c = PhaseColumns{};
+  return c;
+}
+
+// Zeroes each channel's planes in one pass, then writes every input sample
+// that some tap reads, mapped, into its phase. (Zeroing only the padding,
+// row by row, measured slower at the proxy's row widths than one memset
+// per channel whose lines the samples then overwrite in cache.)
+template <ConvInputMap kMap>
+[[gnu::always_inline]] inline void FillPhasePlanes(const ConvShape& s,
+                                                   const PhasePlanes& g,
+                                                   const float* input,
+                                                   float* planes) {
+  const int st = s.stride;
   const int rows = std::min(s.h, g.rows - g.pad);  // Input rows read.
+  PhaseColumns cols[2];
+  // Stride 2 over an even width: each phase takes every other sample of a
+  // row (sample x goes to phase (x + pad) % 2, column (x + pad) / 2), so
+  // one pass splits the row when neither phase is cut short by the plane
+  // width.
+  bool split = false;
+  if (st == 2) {
+    cols[0] = ColumnsOf(s, g, 0);
+    cols[1] = ColumnsOf(s, g, 1);
+    split = s.w % 2 == 0 && cols[0].t_hi - cols[0].t_lo == s.w / 2 &&
+            cols[1].t_hi - cols[1].t_lo == s.w / 2;
+  }
   for (int ic = 0; ic < s.in_channels; ++ic) {
     const float* channel = input + static_cast<size_t>(ic) * s.h * s.w;
+    float* channel_planes = planes + static_cast<size_t>(ic) * st * g.floats;
+    std::fill_n(channel_planes, static_cast<size_t>(st) * g.floats, 0.0f);
+    if (split) {
+      // The even samples x = 2u go to phase pad % 2, the odd ones to the
+      // other phase.
+      const int even = g.pad % 2;
+      float* p_even = channel_planes + static_cast<size_t>(even) * g.floats +
+                      static_cast<size_t>(g.pad) * g.cols + cols[even].t_lo;
+      float* p_odd = channel_planes +
+                     static_cast<size_t>(1 - even) * g.floats +
+                     static_cast<size_t>(g.pad) * g.cols + cols[1 - even].t_lo;
+      for (int iy = 0; iy < rows; ++iy) {
+        const size_t row = static_cast<size_t>(iy) * g.cols;
+        SplitMapped<kMap>(channel + static_cast<size_t>(iy) * s.w, s.w / 2,
+                          p_even + row, p_odd + row);
+      }
+      continue;
+    }
     for (int ph = 0; ph < st; ++ph) {
-      // Columns t whose input column ph + st*t - pad lies in [0, w).
-      const int first = g.pad - ph;           // Smallest st*t.
-      const int last = s.w - 1 + g.pad - ph;  // Largest st*t.
-      const int t_lo = first <= 0 ? 0 : (first + st - 1) / st;
-      const int t_hi = std::min(last < 0 ? 0 : last / st + 1, g.cols);
-      const int n = t_hi - t_lo;
-      if (n <= 0) continue;
-      const int x0 = ph + st * t_lo - g.pad;  // Input column of t_lo.
-      float* plane = planes + (static_cast<size_t>(ic) * st + ph) * g.floats;
+      const PhaseColumns c = ColumnsOf(s, g, ph);
+      const int n = c.t_hi - c.t_lo;
+      if (n == 0) continue;
+      const int x0 = ph + st * c.t_lo - g.pad;  // Input column of t_lo.
+      float* plane = channel_planes + static_cast<size_t>(ph) * g.floats +
+                     static_cast<size_t>(g.pad) * g.cols + c.t_lo;
       for (int iy = 0; iy < rows; ++iy) {
         const float* src = channel + static_cast<size_t>(iy) * s.w + x0;
-        float* dst = plane + static_cast<size_t>(iy + g.pad) * g.cols + t_lo;
-        switch (st) {
-          case 1:
-            CopyStrided<1>(src, st, n, dst);
-            break;
-          case 2:
-            CopyStrided<2>(src, st, n, dst);
-            break;
-          default:
-            CopyStrided<0>(src, st, n, dst);
-            break;
+        float* dst = plane + static_cast<size_t>(iy) * g.cols;
+        if (st == 1) {
+          CopyMapped<kMap>(src, n, dst);
+        } else {
+          for (int t = 0; t < n; ++t) dst[t] = MapInput<kMap>(src[st * t]);
         }
       }
     }
@@ -242,47 +388,104 @@ void TapOffsets(const ConvShape& s, const PhasePlanes& g, size_t* offsets) {
   }
 }
 
-// One register tile: output channels oc0 .. oc0 + kChans - 1, row oy,
-// columns ox0 .. ox0 + 7 (those below ow are stored). Each accumulator
-// starts at its channel's bias and adds the taps (ic, ky, kx) in ascending
-// order, a rounded product at a time.
-template <typename Vec, int kChans>
-[[gnu::always_inline]] inline void ConvTile(
-    const ConvShape& s, const PhasePlanes& g, const float* planes,
-    const size_t* tap_offsets, const float* weight, const float* bias,
-    int oc0, int oy, int ox0, float* out) {
+// What every tile of one ConvDirect call reads.
+struct ConvArgs {
+  const ConvShape& s;
+  const PhasePlanes& g;
+  const float* planes;
+  const size_t* tap_offsets;
+  const float* weight;
+  const float* bias;
+  float* out;
+};
+
+// One register tile: output channels oc0 .. oc0 + kChans - 1, rows oy0 ..
+// oy0 + kRows - 1, columns ox0 .. ox0 + TileCols - 1 (those below ow are
+// stored). Each accumulator starts at its channel's bias and adds the taps
+// (ic, ky, kx) in ascending order, a rounded product at a time.
+template <typename Vec, int kChans, int kRows>
+[[gnu::always_inline]] inline void ConvTile(const ConvArgs& a, int oc0,
+                                            int oy0, int ox0) {
   constexpr int kLanes = sizeof(Vec) / sizeof(float);
-  constexpr int kVecs = kConvCols / kLanes;
+  constexpr int kCols = TileCols<Vec>();
+  constexpr int kVecs = kCols / kLanes;
+  const ConvShape& s = a.s;
+  const PhasePlanes& g = a.g;
   const int channel_taps = s.kernel * s.kernel;
   const size_t taps = static_cast<size_t>(s.in_channels) * channel_taps;
-  Vec acc[kChans][kVecs];
+  const size_t row_step = static_cast<size_t>(s.stride) * g.cols;
+  Vec acc[kChans][kRows][kVecs];
+#pragma GCC unroll 32
   for (int c = 0; c < kChans; ++c) {
-    for (int v = 0; v < kVecs; ++v) {
-      for (int l = 0; l < kLanes; ++l) acc[c][v][l] = bias[oc0 + c];
+    // Every lane the bias: b - (+0) is b for every b, -0 included.
+    const Vec b = a.bias[oc0 + c] - Vec{};
+#pragma GCC unroll 32
+    for (int r = 0; r < kRows; ++r) {
+#pragma GCC unroll 32
+      for (int v = 0; v < kVecs; ++v) acc[c][r][v] = b;
     }
   }
-  const float* w = weight + static_cast<size_t>(oc0) * taps;
-  const float* window =
-      planes + static_cast<size_t>(oy) * s.stride * g.cols + ox0;
+  const float* w = a.weight + static_cast<size_t>(oc0) * taps;
+  const float* window = a.planes + static_cast<size_t>(oy0) * row_step + ox0;
   for (int ic = 0; ic < s.in_channels; ++ic, window += s.stride * g.floats) {
     for (int j = 0; j < channel_taps; ++j, ++w) {
-      Vec x[kVecs];
-      for (int v = 0; v < kVecs; ++v) {
-        std::memcpy(&x[v], window + tap_offsets[j] + v * kLanes, sizeof(Vec));
-      }
-      for (int c = 0; c < kChans; ++c) {
-        const float wc = w[c * taps];
-        for (int v = 0; v < kVecs; ++v) acc[c][v] += wc * x[v];
+      const float* x = window + a.tap_offsets[j];
+#pragma GCC unroll 32
+      for (int r = 0; r < kRows; ++r) {
+#pragma GCC unroll 32
+        for (int v = 0; v < kVecs; ++v) {
+          const Vec xv = LoadVec<Vec>(x + r * row_step + v * kLanes);
+#pragma GCC unroll 32
+          for (int c = 0; c < kChans; ++c) acc[c][r][v] += w[c * taps] * xv;
+        }
       }
     }
   }
-  const int n = std::min(kConvCols, g.ow - ox0);
+  const int n = std::min(kCols, g.ow - ox0);
+#pragma GCC unroll 32
   for (int c = 0; c < kChans; ++c) {
-    float* dst = out + (static_cast<size_t>(oc0 + c) * g.oh + oy) * g.ow + ox0;
-    if (n == kConvCols) {
-      std::memcpy(dst, acc[c], sizeof(acc[c]));
-    } else {
-      for (int j = 0; j < n; ++j) dst[j] = acc[c][j / kLanes][j % kLanes];
+#pragma GCC unroll 32
+    for (int r = 0; r < kRows; ++r) {
+      float* dst =
+          a.out + (static_cast<size_t>(oc0 + c) * g.oh + oy0 + r) * g.ow + ox0;
+      if (n == kCols) {  // A fixed-size copy: plain vector stores.
+        std::memcpy(dst, acc[c][r], sizeof(acc[c][r]));
+      } else {
+        std::memcpy(dst, acc[c][r], static_cast<size_t>(n) * sizeof(float));
+      }
+    }
+  }
+}
+
+// Half a Float16: the AVX-512 variant's tile for the last 8 columns or
+// fewer of a row, so that a ragged end computes no more than 8 lanes.
+template <typename Vec>
+using HalfOf = std::conditional_t<sizeof(Vec) == sizeof(Float16), Float8, Vec>;
+
+// Tiles of kChans channels for every channel group oc_begin, oc_begin +
+// kChans, ... below oc_end, over the output rows from oy_begin: blocks of
+// kRows rows, then what is left in blocks of half as many, down to one.
+template <typename Vec, int kChans, int kRows>
+[[gnu::always_inline]] inline void ConvTiles(const ConvArgs& a, int oc_begin,
+                                             int oc_end, int oy_begin) {
+  using Half = HalfOf<Vec>;
+  int oy = oy_begin;
+  for (; oy + kRows <= a.g.oh; oy += kRows) {
+    int ox0 = 0;
+    for (; a.g.ow - ox0 > TileCols<Half>(); ox0 += TileCols<Vec>()) {
+      for (int oc = oc_begin; oc < oc_end; oc += kChans) {
+        ConvTile<Vec, kChans, kRows>(a, oc, oy, ox0);
+      }
+    }
+    if (ox0 < a.g.ow) {
+      for (int oc = oc_begin; oc < oc_end; oc += kChans) {
+        ConvTile<Half, kChans, kRows>(a, oc, oy, ox0);
+      }
+    }
+  }
+  if constexpr (kRows > 1) {
+    if (oy < a.g.oh) {
+      ConvTiles<Vec, kChans, kRows / 2>(a, oc_begin, oc_end, oy);
     }
   }
 }
@@ -290,37 +493,40 @@ template <typename Vec, int kChans>
 // The one kernel source, inlined into each instruction-set variant below
 // with that variant's vector type.
 template <typename Vec>
-[[gnu::always_inline]] inline void ConvDirectBody(const ConvShape& s,
-                                                  const float* input,
-                                                  const float* weight,
-                                                  const float* bias,
-                                                  float* scratch, float* out) {
+[[gnu::always_inline]] inline void ConvDirectBody(
+    const ConvShape& s, ConvInputMap map, const float* input,
+    const float* weight, const float* bias, float* scratch, float* out) {
   const PhasePlanes g = Layout(s);
-  FillPhasePlanes(s, g, input, scratch);
+  switch (map) {
+    case ConvInputMap::kIdentity:
+      FillPhasePlanes<ConvInputMap::kIdentity>(s, g, input, scratch);
+      break;
+    case ConvInputMap::kRelu:
+      FillPhasePlanes<ConvInputMap::kRelu>(s, g, input, scratch);
+      break;
+    case ConvInputMap::kCenter:
+      FillPhasePlanes<ConvInputMap::kCenter>(s, g, input, scratch);
+      break;
+  }
   const int channel_taps = s.kernel * s.kernel;
-  std::array<size_t, kStackTaps> stack_offsets{};
+  std::array<size_t, kStackTaps> stack_offsets;
   std::vector<size_t> heap_offsets(
       channel_taps > kStackTaps ? channel_taps : 0);
   size_t* offsets = channel_taps > kStackTaps ? heap_offsets.data()
                                               : stack_offsets.data();
   TapOffsets(s, g, offsets);
-  for (int oy = 0; oy < g.oh; ++oy) {
-    for (int ox0 = 0; ox0 < g.ow; ox0 += kConvCols) {
-      int oc = 0;
-      for (; oc + kConvChans <= s.out_channels; oc += kConvChans) {
-        ConvTile<Vec, kConvChans>(s, g, scratch, offsets, weight, bias, oc,
-                                  oy, ox0, out);
-      }
-      if (s.out_channels - oc >= 2) {
-        ConvTile<Vec, 2>(s, g, scratch, offsets, weight, bias, oc, oy, ox0,
-                         out);
-        oc += 2;
-      }
-      if (oc < s.out_channels) {
-        ConvTile<Vec, 1>(s, g, scratch, offsets, weight, bias, oc, oy, ox0,
-                         out);
-      }
-    }
+  const ConvArgs a{s, g, scratch, offsets, weight, bias, out};
+  // Groups of kConvChans channels, then a group of 2 and one of 1 for the
+  // remainder.
+  const int full = s.out_channels / kConvChans * kConvChans;
+  ConvTiles<Vec, kConvChans, RowsPerTile<Vec, kConvChans>()>(a, 0, full, 0);
+  int oc = full;
+  if (s.out_channels - oc >= 2) {
+    ConvTiles<Vec, 2, RowsPerTile<Vec, 2>()>(a, oc, oc + 2, 0);
+    oc += 2;
+  }
+  if (oc < s.out_channels) {
+    ConvTiles<Vec, 1, RowsPerTile<Vec, 1>()>(a, oc, oc + 1, 0);
   }
 }
 
@@ -328,20 +534,28 @@ template <typename Vec>
 
 // The variants have external linkage so that profiles (dladdr) name the
 // one that ran.
-void ConvDirectBaseline(const ConvShape& s, const float* input,
-                        const float* weight, const float* bias,
-                        float* scratch, float* out) {
-  ConvDirectBody<Float4>(s, input, weight, bias, scratch, out);
+void ConvDirectBaseline(const ConvShape& s, ConvInputMap map,
+                        const float* input, const float* weight,
+                        const float* bias, float* scratch, float* out) {
+  ConvDirectBody<Float4>(s, map, input, weight, bias, scratch, out);
 }
 
 #if defined(__x86_64__) || defined(__i386__)
-#define OTIF_CONV_AVX2 1
+#define OTIF_CONV_X86 1
 // AVX2 alone, not FMA: a fused multiply-add rounds once where the chain
 // rounds twice, which would change outputs.
 __attribute__((target("avx2"))) void ConvDirectAvx2(
-    const ConvShape& s, const float* input, const float* weight,
-    const float* bias, float* scratch, float* out) {
-  ConvDirectBody<Float8>(s, input, weight, bias, scratch, out);
+    const ConvShape& s, ConvInputMap map, const float* input,
+    const float* weight, const float* bias, float* scratch, float* out) {
+  ConvDirectBody<Float8>(s, map, input, weight, bias, scratch, out);
+}
+
+// AVX-512F has fused multiply-adds of its own; -ffp-contract=off (set for
+// every target) keeps the compiler from using them.
+__attribute__((target("avx512f"))) void ConvDirectAvx512(
+    const ConvShape& s, ConvInputMap map, const float* input,
+    const float* weight, const float* bias, float* scratch, float* out) {
+  ConvDirectBody<Float16>(s, map, input, weight, bias, scratch, out);
 }
 #endif
 
@@ -352,31 +566,40 @@ size_t ConvDirectScratchFloats(const ConvShape& shape) {
 }
 
 ConvIsa ConvDirectIsa() {
-#ifdef OTIF_CONV_AVX2
+#ifdef OTIF_CONV_X86
+  if (CpuHasAvx512f()) return ConvIsa::kAvx512;
   if (CpuHasAvx2()) return ConvIsa::kAvx2;
 #endif
   return ConvIsa::kBaseline;
 }
 
-void ConvDirectWith(ConvIsa isa, const ConvShape& shape, const float* input,
-                    const float* weight, const float* bias, float* scratch,
-                    float* out) {
+void ConvDirectWith(ConvIsa isa, const ConvShape& shape, ConvInputMap map,
+                    const float* input, const float* weight,
+                    const float* bias, float* scratch, float* out) {
+  OTIF_CHECK(isa <= ConvDirectIsa())
+      << "this CPU lacks the instruction set of conv variant "
+      << static_cast<int>(isa);
   if (shape.oh() <= 0 || shape.ow() <= 0) return;
-  if (isa == ConvIsa::kAvx2) {
-    OTIF_CHECK(ConvDirectIsa() == ConvIsa::kAvx2)
-        << "the AVX2 conv kernel needs a CPU with AVX2";
-#ifdef OTIF_CONV_AVX2
-    ConvDirectAvx2(shape, input, weight, bias, scratch, out);
+  switch (isa) {
+#ifdef OTIF_CONV_X86
+    case ConvIsa::kAvx512:
+      ConvDirectAvx512(shape, map, input, weight, bias, scratch, out);
+      return;
+    case ConvIsa::kAvx2:
+      ConvDirectAvx2(shape, map, input, weight, bias, scratch, out);
+      return;
 #endif
-    return;
+    default:
+      ConvDirectBaseline(shape, map, input, weight, bias, scratch, out);
+      return;
   }
-  ConvDirectBaseline(shape, input, weight, bias, scratch, out);
 }
 
-void ConvDirect(const ConvShape& shape, const float* input,
+void ConvDirect(const ConvShape& shape, ConvInputMap map, const float* input,
                 const float* weight, const float* bias, float* scratch,
                 float* out) {
-  ConvDirectWith(ConvDirectIsa(), shape, input, weight, bias, scratch, out);
+  ConvDirectWith(ConvDirectIsa(), shape, map, input, weight, bias, scratch,
+                 out);
 }
 
 void Im2Col(const float* input, int channels, int h, int w, int kernel,

@@ -67,42 +67,55 @@ struct ConvShape {
 /// Floats of scratch ConvDirect needs for its zero-padded input planes.
 size_t ConvDirectScratchFloats(const ConvShape& shape);
 
+/// What ConvDirect applies to each input sample as it copies it into its
+/// padded planes. The copy happens anyway, so an activation or a staging
+/// step folded into it costs no pass of its own. Padding stays +0.
+enum class ConvInputMap {
+  kIdentity,  // x
+  kRelu,      // std::max(0.0f, x): -0 and NaN become +0, as in Relu
+  kCenter,    // x - 0.5f: a [0, 1] pixel centred on zero
+};
+
 /// Direct convolution, the inference path of Conv2d:
 ///
-///   input:   (in_channels, h, w) row-major
+///   input:   (in_channels, h, w) row-major; each sample enters as
+///            map(sample)
 ///   weight:  (out_channels, in_channels, kernel, kernel) row-major
 ///   bias:    out_channels
 ///   scratch: ConvDirectScratchFloats(shape) floats, fully overwritten
 ///   out:     (out_channels, oh, ow) row-major, fully overwritten
 ///
-/// Copies the input once into zero-padded planes in `scratch`, split into
-/// `stride` column phases so that every tap of 8 adjacent outputs reads 8
-/// contiguous floats, then computes register tiles of up to 4 output
-/// channels x 8 output columns. Determinism contract: every output is one
-/// accumulator chain
+/// Copies the mapped input once into zero-padded planes in `scratch`,
+/// split into `stride` column phases so that every tap of adjacent outputs
+/// reads contiguous floats, then computes register tiles of 8 independent
+/// accumulator vectors: up to 4 output channels x up to 8 output rows x
+/// one row of columns (DESIGN.md, "Direct convolution"). Determinism
+/// contract: every output is one accumulator chain
 ///   bias + w[ic=0][0][0]*x + ... (taps (ic, ky, kx) ascending)
 /// with each product rounded before it is added (no fused multiply-add),
 /// padding taps included as +-0 products: the same chain as GemmBias over
 /// the Im2Col panel, so the result is bit-identical to it (and to
-/// Conv2d::InferReference, which skips the padding taps; DESIGN.md,
-/// "Inference engine").
-void ConvDirect(const ConvShape& shape, const float* input,
+/// Conv2d::InferReference over the mapped input, which skips the padding
+/// taps; DESIGN.md, "Inference engine").
+void ConvDirect(const ConvShape& shape, ConvInputMap map, const float* input,
                 const float* weight, const float* bias, float* scratch,
                 float* out);
 
-/// The instruction sets ConvDirect's one kernel source is compiled for.
-/// Both variants give the same bits.
-enum class ConvIsa { kBaseline, kAvx2 };
+/// The instruction sets ConvDirect's one kernel source is compiled for, in
+/// order: a CPU that runs one runs every one before it. All give the same
+/// bits.
+enum class ConvIsa { kBaseline, kAvx2, kAvx512 };
 
-/// The variant ConvDirect runs: kAvx2 on an x86 build whose CPU supports
-/// AVX2 (CpuHasAvx2(), probed once per process), otherwise kBaseline.
+/// The variant ConvDirect runs, probed once per process: on an x86 build,
+/// kAvx512 where the CPU has AVX-512F (CpuHasAvx512f()), else kAvx2 where
+/// it has AVX2 (CpuHasAvx2()); kBaseline otherwise.
 ConvIsa ConvDirectIsa();
 
 /// ConvDirect through the `isa` variant, so tests can check each one.
-/// kAvx2 requires ConvDirectIsa() == ConvIsa::kAvx2.
-void ConvDirectWith(ConvIsa isa, const ConvShape& shape, const float* input,
-                    const float* weight, const float* bias, float* scratch,
-                    float* out);
+/// Requires isa <= ConvDirectIsa().
+void ConvDirectWith(ConvIsa isa, const ConvShape& shape, ConvInputMap map,
+                    const float* input, const float* weight,
+                    const float* bias, float* scratch, float* out);
 
 }  // namespace otif::nn
 

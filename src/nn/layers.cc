@@ -66,15 +66,15 @@ Tensor Conv2d::Forward(const Tensor& input) {
 }
 
 void Conv2d::InferInto(const float* input, int h, int w, int oh, int ow,
-                       float* out) const {
+                       ConvInputMap map, float* out) const {
   const ConvShape shape{in_channels_, out_channels_, kernel_, stride_, h, w};
   OTIF_CHECK_EQ(oh, shape.oh());
   OTIF_CHECK_EQ(ow, shape.ow());
   ScratchArena& arena = ScratchArena::ThreadLocal();
   ScratchScope scope(arena);
   float* planes = arena.Alloc(ConvDirectScratchFloats(shape));
-  ConvDirect(shape, input, weight_.value.data(), bias_.value.data(), planes,
-             out);
+  ConvDirect(shape, map, input, weight_.value.data(), bias_.value.data(),
+             planes, out);
 }
 
 Tensor Conv2d::Infer(const Tensor& input) const {
@@ -83,7 +83,7 @@ Tensor Conv2d::Infer(const Tensor& input) const {
   const int h = input.dim(1), w = input.dim(2);
   const int oh = OutDim(h, stride_), ow = OutDim(w, stride_);
   Tensor out({out_channels_, oh, ow});
-  InferInto(input.data(), h, w, oh, ow, out.data());
+  InferInto(input.data(), h, w, oh, ow, ConvInputMap::kIdentity, out.data());
   return out;
 }
 
@@ -128,12 +128,18 @@ Tensor Conv2d::InferReference(const Tensor& input) const {
 
 Tensor Conv2d::Backward(const Tensor& grad_output) {
   OTIF_CHECK(!cache_.empty()) << "Backward without matching Forward";
+  const int h = cache_.back().dim(1), w = cache_.back().dim(2);
+  BackwardParams(grad_output);
+  return InputGrad(grad_output, h, w);
+}
+
+void Conv2d::BackwardParams(const Tensor& grad_output) {
+  OTIF_CHECK(!cache_.empty()) << "Backward without matching Forward";
   const Tensor input = std::move(cache_.back());
   cache_.pop_back();
   CheckBackwardShapes(input, grad_output, in_channels_, out_channels_,
                       stride_);
   AccumulateParamGrads(input, grad_output);
-  return InputGrad(grad_output, input.dim(1), input.dim(2));
 }
 
 void Conv2d::AccumulateParamGrads(const Tensor& input,
@@ -658,6 +664,13 @@ Tensor Sequential::Backward(const Tensor& grad_output) {
     g = (*it)->Backward(g);
   }
   return g;
+}
+
+void Sequential::BackwardParams(const Tensor& grad_output) {
+  if (layers_.empty()) return;
+  Tensor g = grad_output;
+  for (size_t i = layers_.size() - 1; i > 0; --i) g = layers_[i]->Backward(g);
+  layers_[0]->BackwardParams(g);
 }
 
 void Sequential::CollectParameters(std::vector<Parameter*>* out) {

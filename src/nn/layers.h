@@ -4,6 +4,7 @@
 #include <memory>
 #include <vector>
 
+#include "nn/gemm.h"
 #include "nn/tensor.h"
 
 namespace otif::nn {
@@ -44,6 +45,14 @@ class Layer {
   /// and returns the gradient with respect to that forward's input.
   virtual Tensor Backward(const Tensor& grad_output) = 0;
 
+  /// Backward for a caller that has no use for the input gradient (the
+  /// first layer of a net over raw input): the same parameter gradients,
+  /// bit for bit, and the same cache pop. The default runs Backward and
+  /// drops its result; Conv2d skips computing it.
+  virtual void BackwardParams(const Tensor& grad_output) {
+    Backward(grad_output);
+  }
+
   /// Appends this layer's parameters (may be none).
   virtual void CollectParameters(std::vector<Parameter*>* /*out*/) {}
 };
@@ -74,17 +83,19 @@ class Conv2d : public Layer {
   Tensor Forward(const Tensor& input) override;
   Tensor Infer(const Tensor& input) const override;
   Tensor Backward(const Tensor& grad_output) override;
+  void BackwardParams(const Tensor& grad_output) override;
   void CollectParameters(std::vector<Parameter*>* out) override;
 
-  /// ConvDirect over one (in_channels, h, w) image laid out at `input`;
-  /// writes the (out_channels, oh, ow) result to `out`, where oh and ow are
-  /// ceil(h / stride) and ceil(w / stride). The kernel's zero-padded input
-  /// planes come from the calling thread's ScratchArena, in a scope of
-  /// their own, so `input` and `out` may live in that arena too
-  /// (ProxyModel::Score). Runs the AVX2 variant when the CPU has it; both
-  /// variants give the same bits.
+  /// ConvDirect over one (in_channels, h, w) image laid out at `input`,
+  /// each sample taken as map(sample) (ConvInputMap: ProxyModel::Score
+  /// folds its staging and each ReLU in here); writes the (out_channels,
+  /// oh, ow) result to `out`, where oh and ow are ceil(h / stride) and
+  /// ceil(w / stride). The kernel's zero-padded input planes come from the
+  /// calling thread's ScratchArena, in a scope of their own, so `input` and
+  /// `out` may live in that arena too. Runs the widest variant the CPU has;
+  /// every variant gives the same bits.
   void InferInto(const float* input, int h, int w, int oh, int ow,
-                 float* out) const;
+                 ConvInputMap map, float* out) const;
 
   /// Reference (naive loop) inference over a single 3-D input: the ground
   /// truth InferInto must reproduce exactly (tests and benchmarks).
@@ -208,6 +219,8 @@ class Sequential : public Layer {
   Tensor Forward(const Tensor& input) override;
   Tensor Infer(const Tensor& input) const override;
   Tensor Backward(const Tensor& grad_output) override;
+  /// Backward through every layer, the first by its BackwardParams.
+  void BackwardParams(const Tensor& grad_output) override;
   void CollectParameters(std::vector<Parameter*>* out) override;
 
   size_t num_layers() const { return layers_.size(); }

@@ -7,19 +7,28 @@
 #include "util/logging.h"
 #include "util/rng.h"
 
-// The AVX2 noise pass calls glibc's libmvec, which x86-64 glibc ships from
-// 2.22 on; libm.so's link script pulls it in as needed.
+// The vector noise passes call glibc's libmvec, which x86-64 glibc ships
+// from 2.22 on (with its AVX2 and AVX-512 variants); libm.so's link script
+// pulls it in as needed.
 #if defined(__x86_64__) && defined(__GLIBC__) && \
     (__GLIBC__ > 2 || (__GLIBC__ == 2 && __GLIBC_MINOR__ >= 22))
-#define OTIF_NOISE_AVX2 1
+#define OTIF_NOISE_X86 1
+// GCC 12 warns that some AVX-512 intrinsics' internal pass-through operand
+// "may be used uninitialized" (GCC bug 105593, fixed in GCC 13).
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #include <immintrin.h>
+#pragma GCC diagnostic pop
 
-// libmvec's AVX2 variants (x86-64 vector function ABI, 4 doubles per call).
-// glibc states at most 4 ulp of error for each.
+// libmvec's AVX2 and AVX-512 variants (x86-64 vector function ABI, 4 and 8
+// doubles per call). glibc states at most 4 ulp of error for each.
 extern "C" {
 __attribute__((target("avx2"))) __m256d _ZGVdN4v_log(__m256d x);
 __attribute__((target("avx2"))) __m256d _ZGVdN4v_sin(__m256d x);
 __attribute__((target("avx2"))) __m256d _ZGVdN4v_cos(__m256d x);
+__attribute__((target("avx512f"))) __m512d _ZGVeN8v_log(__m512d x);
+__attribute__((target("avx512f"))) __m512d _ZGVeN8v_sin(__m512d x);
+__attribute__((target("avx512f"))) __m512d _ZGVeN8v_cos(__m512d x);
 }
 #endif
 
@@ -64,7 +73,7 @@ float ObjectIntensity(int64_t id) {
   return static_cast<float>(0.75 + 0.4 * (u - 0.5));
 }
 
-#ifdef OTIF_NOISE_AVX2
+#ifdef OTIF_NOISE_X86
 // The rounding test's guard. libm and libmvec each land within a few ulp of
 // the exact log, sin and cos, so the scalar and vector doubles of one noise
 // value differ by under 2^-47 of it; 2^-40 leaves a wide margin, and the
@@ -89,11 +98,25 @@ __attribute__((target("avx2"))) inline int RoundProven(__m256d n,
   return _mm_movemask_ps(_mm_castsi128_ps(
       _mm_cmpeq_epi32(_mm_castps_si128(lo), _mm_castps_si128(hi))));
 }
+
+// RoundProven for eight noise values.
+__attribute__((target("avx512f"))) inline int RoundProven8(__m512d n,
+                                                          __m256* out) {
+  const __m512d guard =
+      _mm512_add_pd(_mm512_mul_pd(_mm512_abs_pd(n),
+                                  _mm512_set1_pd(kRoundingGuardRel)),
+                    _mm512_set1_pd(kRoundingGuardAbs));
+  const __m256 lo = _mm512_cvtpd_ps(_mm512_sub_pd(n, guard));
+  const __m256 hi = _mm512_cvtpd_ps(_mm512_add_pd(n, guard));
+  *out = lo;
+  return _mm256_movemask_ps(_mm256_castsi256_ps(
+      _mm256_cmpeq_epi32(_mm256_castps_si256(lo), _mm256_castps_si256(hi))));
+}
 #endif
 
 }  // namespace
 
-#ifdef OTIF_NOISE_AVX2
+#ifdef OTIF_NOISE_X86
 // External linkage, so that profiles (dladdr) name the variant that ran.
 // AVX2 alone, not FMA: every step rounds where the scalar expression does.
 __attribute__((target("avx2"))) size_t SensorNoiseAvx2(const double* u1,
@@ -129,10 +152,49 @@ __attribute__((target("avx2"))) size_t SensorNoiseAvx2(const double* u1,
   for (; k < pairs; ++k) NoisePairExact(u1[k], u2[k], noise + 2 * k);
   return exact;
 }
+
+// SensorNoiseAvx2 eight pairs at a time with libmvec's AVX-512 variants.
+// External linkage, for the same reason.
+__attribute__((target("avx512f"))) size_t SensorNoiseAvx512(
+    const double* u1, const double* u2, size_t pairs, float* noise) {
+  const __m512d two_pi = _mm512_set1_pd(2.0 * M_PI);
+  const __m512d minus_two = _mm512_set1_pd(-2.0);
+  const __m512d sigma = _mm512_set1_pd(kSensorNoiseSigma);
+  const __m512d zero = _mm512_setzero_pd();
+  size_t exact = 0;
+  size_t k = 0;
+  for (; k + 8 <= pairs; k += 8) {
+    const __m512d theta = _mm512_mul_pd(two_pi, _mm512_loadu_pd(u2 + k));
+    const __m512d r = _mm512_sqrt_pd(
+        _mm512_mul_pd(minus_two, _ZGVeN8v_log(_mm512_loadu_pd(u1 + k))));
+    const __m512d cos_term = _mm512_add_pd(
+        zero, _mm512_mul_pd(sigma, _mm512_mul_pd(r, _ZGVeN8v_cos(theta))));
+    const __m512d sin_term = _mm512_add_pd(
+        zero, _mm512_mul_pd(sigma, _mm512_mul_pd(r, _ZGVeN8v_sin(theta))));
+    __m256 c, s;
+    const int proven = RoundProven8(cos_term, &c) & RoundProven8(sin_term, &s);
+    // Interleave: pair k + l writes its cosine term, then its sine term.
+    // The unpacks pair lanes within each 128-bit half; the permutes put
+    // the halves in order.
+    const __m256 lo = _mm256_unpacklo_ps(c, s);
+    const __m256 hi = _mm256_unpackhi_ps(c, s);
+    _mm256_storeu_ps(noise + 2 * k, _mm256_permute2f128_ps(lo, hi, 0x20));
+    _mm256_storeu_ps(noise + 2 * k + 8, _mm256_permute2f128_ps(lo, hi, 0x31));
+    if (proven == 0xff) continue;
+    for (size_t l = 0; l < 8; ++l) {
+      if ((proven >> l) & 1) continue;
+      NoisePairExact(u1[k + l], u2[k + l], noise + 2 * (k + l));
+      ++exact;
+    }
+  }
+  for (; k < pairs; ++k) NoisePairExact(u1[k], u2[k], noise + 2 * k);
+  return exact;
+}
 #endif
 
 NoiseIsa SensorNoiseIsa() {
-#ifdef OTIF_NOISE_AVX2
+#ifdef OTIF_NOISE_X86
+  if (CpuHasAvx512f()) return NoiseIsa::kAvx512;
   if (CpuHasAvx2()) return NoiseIsa::kAvx2;
 #endif
   return NoiseIsa::kScalar;
@@ -140,13 +202,15 @@ NoiseIsa SensorNoiseIsa() {
 
 size_t SensorNoiseTransform(NoiseIsa isa, const double* u1, const double* u2,
                             size_t pairs, float* noise) {
-  if (isa == NoiseIsa::kAvx2) {
-    OTIF_CHECK(SensorNoiseIsa() == NoiseIsa::kAvx2)
-        << "the AVX2 noise pass needs an x86-64 glibc build and an AVX2 CPU";
-#ifdef OTIF_NOISE_AVX2
-    return SensorNoiseAvx2(u1, u2, pairs, noise);
-#endif
+  OTIF_CHECK(isa <= SensorNoiseIsa())
+      << "this build or CPU lacks the instruction set of noise variant "
+      << static_cast<int>(isa);
+#ifdef OTIF_NOISE_X86
+  if (isa == NoiseIsa::kAvx512) {
+    return SensorNoiseAvx512(u1, u2, pairs, noise);
   }
+  if (isa == NoiseIsa::kAvx2) return SensorNoiseAvx2(u1, u2, pairs, noise);
+#endif
   for (size_t k = 0; k < pairs; ++k) {
     NoisePairExact(u1[k], u2[k], noise + 2 * k);
   }

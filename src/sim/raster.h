@@ -12,12 +12,13 @@
 
 namespace otif::sim {
 
-/// The instruction sets the sensor-noise pass is built for. Both variants
-/// give the same bits.
-enum class NoiseIsa { kScalar, kAvx2 };
+/// The instruction sets the sensor-noise pass is built for, in order: a
+/// CPU that runs one runs every one before it. All give the same bits.
+enum class NoiseIsa { kScalar, kAvx2, kAvx512 };
 
-/// The variant every render runs: kAvx2 on an x86-64 glibc build (which has
-/// libmvec) whose CPU supports AVX2 (CpuHasAvx2()), otherwise kScalar.
+/// The variant every render runs. On an x86-64 glibc build (which has
+/// libmvec): kAvx512 where the CPU has AVX-512F (CpuHasAvx512f()), else
+/// kAvx2 where it has AVX2 (CpuHasAvx2()). kScalar otherwise.
 NoiseIsa SensorNoiseIsa();
 
 /// The sensor-noise pass of every render (DESIGN.md, "Frame source"):
@@ -27,8 +28,8 @@ NoiseIsa SensorNoiseIsa();
 /// cosine term of the k-th Box-Muller pair and pixel 2k + 1 its sine term.
 /// The uniforms are drawn in that order, a stack chunk at a time, and
 /// SensorNoiseTransform turns them into noise. Returns the number of pairs
-/// the rounding test sent to the exact path (0 for kScalar). kAvx2 requires
-/// SensorNoiseIsa() == NoiseIsa::kAvx2.
+/// the rounding test sent to the exact path (0 for kScalar). Requires
+/// isa <= SensorNoiseIsa().
 size_t AddSensorNoise(NoiseIsa isa, uint64_t seed, float* pixels,
                       size_t count);
 
@@ -36,11 +37,13 @@ size_t AddSensorNoise(NoiseIsa isa, uint64_t seed, float* pixels,
 /// u2[k] in [0, 1)) into noise[2k] = float(0.015 * (r cos theta)) and
 /// noise[2k + 1] = float(0.015 * (r sin theta)), with r = sqrt(-2 log u1)
 /// and theta = 2 pi u2, exactly as Rng::Gaussian(0.0, 0.015) computes them.
-/// kAvx2 transforms four pairs at a time with libmvec and keeps a lane only
-/// when a rounding test proves its floats equal the scalar expression's;
-/// other lanes, and a tail of fewer than four pairs, run that expression.
-/// Returns the number of pairs the rounding test sent to it (0 for
-/// kScalar). Exposed so tests can feed the rounding test chosen pairs.
+/// kAvx2 and kAvx512 transform four and eight pairs at a time with
+/// libmvec and keep a lane only when a rounding test proves its floats
+/// equal the scalar expression's; other lanes, and a tail of fewer pairs
+/// than a vector holds, run that expression. Returns the number of pairs
+/// the rounding test sent to it (0 for kScalar). Requires isa <=
+/// SensorNoiseIsa(). Exposed so tests can feed the rounding test chosen
+/// pairs.
 size_t SensorNoiseTransform(NoiseIsa isa, const double* u1, const double* u2,
                             size_t pairs, float* noise);
 

@@ -14,4 +14,16 @@ bool CpuHasAvx2() {
   return has_avx2;
 }
 
+bool CpuHasAvx512f() {
+  static const bool has_avx512f = [] {
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_cpu_init();
+    return CpuHasAvx2() && __builtin_cpu_supports("avx512f") != 0;
+#else
+    return false;
+#endif
+  }();
+  return has_avx512f;
+}
+
 }  // namespace otif

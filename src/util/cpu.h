@@ -9,6 +9,12 @@ namespace otif {
 /// non-x86 build.
 bool CpuHasAvx2();
 
+/// Whether the CPU supports AVX-512F as well as AVX2 (every AVX-512 CPU
+/// has both), so a kernel's AVX-512 variant may use AVX2 instructions too.
+/// Probed once per process, like CpuHasAvx2(); always false on a non-x86
+/// build.
+bool CpuHasAvx512f();
+
 }  // namespace otif
 
 #endif  // OTIF_UTIL_CPU_H_

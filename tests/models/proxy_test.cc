@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
@@ -45,33 +48,51 @@ TEST(ProxyModelTest, ScoreShapeAndRange) {
 }
 
 TEST(ProxyModelTest, ScoreMatchesReferenceExactly) {
-  // The smallest resolution and the largest, whose 104x64 raster is the
-  // one perfbench extracts at.
-  for (const ProxyResolution res :
-       {ProxyResolution{160, 96}, ProxyResolution{416, 256}}) {
+  // Every standard resolution: their conv grids include odd row and column
+  // counts (88x56's last conv is 7x11), which the tiles' row and column
+  // remainders must handle. Each model trains a few steps first, so that
+  // its biases are no longer all +0: a tile that added the bias last
+  // instead of first would then differ.
+  for (const ProxyResolution& res : StandardProxyResolutions()) {
     const std::string tag = std::to_string(res.world_w) + "x" +
                             std::to_string(res.world_h) + " ";
     ProxyModel model(res, 21);
     const int w = res.raster_w(), h = res.raster_h();
-    // Distinct frames.
+    // Distinct frames. A uniform 0.5 frame stages to exact +0s; a frame
+    // of hard black and white blocks drives many ReLU inputs below zero,
+    // so the next conv's planes hold exact zeros from the ReLU; NaN pixels
+    // make NaN activations, which ReLU turns into +0 like any negative.
     std::vector<video::Image> frames;
     frames.emplace_back(w, h, 0.2f);
     frames.emplace_back(w, h, 0.8f);
     frames.emplace_back(w, h, 0.5f);
     video::Image gradient(w, h, 0.0f);
-    for (int y = 0; y < gradient.height(); ++y) {
-      for (int x = 0; x < gradient.width(); ++x) {
+    video::Image blocks(w, h, 0.0f);
+    video::Image nans(w, h, 0.5f);
+    for (int y = 0; y < h; ++y) {
+      for (int x = 0; x < w; ++x) {
         gradient.set(x, y, static_cast<float>(x + y) / (w + h));
+        blocks.set(x, y, ((x / 5 + y / 3) % 2) == 0 ? 0.0f : 1.0f);
+        if ((x * 7 + y * 3) % 11 == 0) nans.set(x, y, std::nanf(""));
       }
     }
     frames.push_back(gradient);
+    frames.push_back(blocks);
+    frames.push_back(nans);
+    nn::Tensor labels({res.grid_h(), res.grid_w()});
+    for (int64_t i = 0; i < labels.size(); i += 3) labels[i] = 1.0f;
+    for (int step = 0; step < 4; ++step) {
+      model.TrainStep(frames[static_cast<size_t>(step) % 4], labels);
+    }
 
     const auto expect_reference = [&](const nn::Tensor& got, size_t i,
                                       const std::string& pass) {
       const nn::Tensor want = model.ScoreReference(frames[i]);
       ASSERT_EQ(want.shape(), got.shape()) << pass << " frame " << i;
       for (int64_t j = 0; j < want.size(); ++j) {
-        ASSERT_EQ(want[j], got[j]) << pass << " frame " << i << " cell " << j;
+        ASSERT_EQ(std::bit_cast<uint32_t>(want[j]),
+                  std::bit_cast<uint32_t>(got[j]))
+            << pass << " frame " << i << " cell " << j;
       }
     };
     // Twice through the frames in alternating order, so each Score reuses

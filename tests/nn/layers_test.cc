@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -12,6 +14,7 @@
 
 #include "nn/gemm.h"
 #include "nn/optimizer.h"
+#include "util/cpu.h"
 #include "util/rng.h"
 
 namespace otif::nn {
@@ -421,17 +424,19 @@ TEST(BceWithLogitsTest, EmptyMaskGivesZeroLoss) {
 
 // Inference shapes: the proxy's four convs at the largest resolution, then
 // strides, channel counts, kernel sizes and odd spatial dims that exercise
-// every tile edge (channel remainders of 1 to 3, partial column tiles), a
-// stride above the kernel size (input rows and columns no tap reads) and a
-// 9x9 kernel, whose tap offsets do not fit the kernel's stack table.
+// every tile edge (channel remainders of 1 to 3, row remainders of every
+// tile height, partial column tiles), the 88x56 proxy's last conv (a 7x11
+// grid), a stride above the kernel size (input rows and columns no tap
+// reads) and a 9x9 kernel, whose tap offsets do not fit the kernel's stack
+// table.
 struct InferCase {
   int in_c, out_c, kernel, stride, h, w;
 };
 constexpr InferCase kInferCases[] = {
     {1, 8, 3, 2, 64, 104}, {8, 16, 3, 2, 32, 52}, {16, 16, 3, 2, 16, 26},
-    {16, 1, 3, 1, 8, 13},  {3, 5, 5, 1, 9, 7},    {2, 4, 3, 3, 10, 11},
-    {1, 1, 1, 1, 4, 4},    {4, 3, 3, 2, 5, 5},    {2, 3, 1, 2, 8, 10},
-    {2, 7, 9, 2, 12, 11},
+    {16, 1, 3, 1, 8, 13},  {16, 1, 3, 1, 7, 11},  {8, 6, 3, 2, 14, 22},
+    {3, 5, 5, 1, 9, 7},    {2, 4, 3, 3, 10, 11},  {1, 1, 1, 1, 4, 4},
+    {4, 3, 3, 2, 5, 5},    {2, 3, 1, 2, 8, 10},   {2, 7, 9, 2, 12, 11},
 };
 
 TEST(Conv2dTest, GemmInferMatchesReferenceBitForBit) {
@@ -499,8 +504,9 @@ void ExpectDirectMatchesReference(ConvIsa isa) {
       std::vector<float> scratch(ConvDirectScratchFloats(shape));
       std::vector<float> got(static_cast<size_t>(c.out_c) * shape.oh() *
                              shape.ow());
-      ConvDirectWith(isa, shape, input.data(), params[0]->value.data(),
-                     bias.data(), scratch.data(), got.data());
+      ConvDirectWith(isa, shape, ConvInputMap::kIdentity, input.data(),
+                     params[0]->value.data(), bias.data(), scratch.data(),
+                     got.data());
       const Tensor want = conv.InferReference(input);
       ASSERT_EQ(static_cast<size_t>(want.size()), got.size());
       for (int64_t i = 0; i < want.size(); ++i) {
@@ -521,10 +527,106 @@ TEST(ConvDirectTest, BaselineMatchesReferenceBitForBit) {
 }
 
 TEST(ConvDirectTest, Avx2MatchesReferenceBitForBit) {
-  if (ConvDirectIsa() != ConvIsa::kAvx2) {
+  if (ConvDirectIsa() < ConvIsa::kAvx2) {
     GTEST_SKIP() << "this CPU (or build) has no AVX2";
   }
   ExpectDirectMatchesReference(ConvIsa::kAvx2);
+}
+
+TEST(ConvDirectTest, Avx512MatchesReferenceBitForBit) {
+  if (ConvDirectIsa() < ConvIsa::kAvx512) {
+    GTEST_SKIP() << "this CPU (or build) has no AVX-512F";
+  }
+  ExpectDirectMatchesReference(ConvIsa::kAvx512);
+}
+
+// Keeps the fast path from going missing: an x86 build on a CPU with
+// AVX-512F must pick that variant, and one with AVX2 alone the AVX2 one.
+TEST(ConvDirectTest, PicksTheWidestVariantTheCpuHas) {
+#if defined(__x86_64__) || defined(__i386__)
+  const ConvIsa want = CpuHasAvx512f() ? ConvIsa::kAvx512
+                       : CpuHasAvx2()  ? ConvIsa::kAvx2
+                                       : ConvIsa::kBaseline;
+  EXPECT_EQ(ConvDirectIsa(), want);
+#else
+  EXPECT_EQ(ConvDirectIsa(), ConvIsa::kBaseline);
+#endif
+}
+
+// What ConvDirect's fill applies to a sample, written out as the separate
+// passes it replaces: Relu::Infer's and ProxyModel::StageInto's.
+float ApplyMap(ConvInputMap map, float x) {
+  switch (map) {
+    case ConvInputMap::kRelu:
+      return std::max(0.0f, x);
+    case ConvInputMap::kCenter:
+      return x - 0.5f;
+    case ConvInputMap::kIdentity:
+      break;
+  }
+  return x;
+}
+
+// A map folded into the fill must give the bits of that map applied in a
+// pass of its own before an identity conv. The inputs hold exact zeros of
+// both signs, negatives (which ReLU zeroes), NaNs for ReLU (which it
+// zeroes too) and exact 0.5s for the centring (which it makes +0); the
+// biases are -0, so an output whose products are all zeros keeps the sign
+// that the mapped zeros give it: a ReLU that let -0 through would flip it.
+void ExpectFoldedMapsMatchSeparatePasses(ConvIsa isa) {
+  Rng rng(19);
+  for (const InferCase& c : kInferCases) {
+    for (const ConvInputMap map :
+         {ConvInputMap::kRelu, ConvInputMap::kCenter}) {
+      Conv2d conv(c.in_c, c.out_c, c.kernel, c.stride, &rng);
+      std::vector<Parameter*> params;
+      conv.CollectParameters(&params);
+      params[1]->value.Fill(-0.0f);
+      Tensor input = RandomTensor({c.in_c, c.h, c.w}, &rng);
+      for (int64_t i = 0; i < input.size(); ++i) {
+        const uint64_t pick = rng.UniformInt(5);
+        if (map == ConvInputMap::kCenter) {
+          input[i] = pick < 2 ? 0.5f : static_cast<float>(rng.NextDouble());
+        } else if (pick == 0) {
+          input[i] = 0.0f;
+        } else if (pick == 1) {
+          input[i] = -0.0f;
+        } else if (pick == 2) {
+          input[i] = std::nanf("");
+        }
+      }
+      Tensor mapped = input;
+      for (int64_t i = 0; i < mapped.size(); ++i) {
+        mapped[i] = ApplyMap(map, mapped[i]);
+      }
+      const ConvShape shape{c.in_c, c.out_c, c.kernel, c.stride, c.h, c.w};
+      std::vector<float> scratch(ConvDirectScratchFloats(shape));
+      const size_t n = static_cast<size_t>(c.out_c) * shape.oh() * shape.ow();
+      std::vector<float> want(n), got(n);
+      const float* w = params[0]->value.data();
+      const float* b = params[1]->value.data();
+      ConvDirectWith(isa, shape, ConvInputMap::kIdentity, mapped.data(), w, b,
+                     scratch.data(), want.data());
+      ConvDirectWith(isa, shape, map, input.data(), w, b, scratch.data(),
+                     got.data());
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(std::bit_cast<uint32_t>(want[i]),
+                  std::bit_cast<uint32_t>(got[i]))
+            << "map=" << static_cast<int>(map) << " ic=" << c.in_c
+            << " oc=" << c.out_c << " k=" << c.kernel << " s=" << c.stride
+            << " at " << i;
+      }
+    }
+  }
+}
+
+TEST(ConvDirectTest, FoldedMapsMatchSeparatePasses) {
+  for (const ConvIsa isa :
+       {ConvIsa::kBaseline, ConvIsa::kAvx2, ConvIsa::kAvx512}) {
+    if (isa > ConvDirectIsa()) continue;
+    SCOPED_TRACE(static_cast<int>(isa));
+    ExpectFoldedMapsMatchSeparatePasses(isa);
+  }
 }
 
 // Fills every parameter gradient with random values: gradients already
@@ -670,14 +772,19 @@ void BuildProxyStack(uint64_t seed, Sequential* net) {
 
 TEST(Conv2dTest, TrainingMatchesReferenceLayersOverAdamSteps) {
   // 20 Adam steps of the proxy stack at its largest raster (64x104): every
-  // parameter must stay bitwise equal to training through the oracle.
-  Sequential gemm_net, ref_net;
+  // parameter must stay bitwise equal to training through the oracle, both
+  // for a full Backward and for BackwardParams, which skips the first
+  // conv's input gradient as ProxyModel::TrainStep does.
+  Sequential gemm_net, params_net, ref_net;
   BuildProxyStack<Conv2d>(41, &gemm_net);
+  BuildProxyStack<Conv2d>(41, &params_net);
   BuildProxyStack<ReferenceConv>(41, &ref_net);
-  std::vector<Parameter*> gemm_params, ref_params;
+  std::vector<Parameter*> gemm_params, params_params, ref_params;
   gemm_net.CollectParameters(&gemm_params);
+  params_net.CollectParameters(&params_params);
   ref_net.CollectParameters(&ref_params);
   Adam gemm_adam(gemm_params, 2e-3);
+  Adam params_adam(params_params, 2e-3);
   Adam ref_adam(ref_params, 2e-3);
 
   Rng rng(42);
@@ -687,18 +794,25 @@ TEST(Conv2dTest, TrainingMatchesReferenceLayersOverAdamSteps) {
     for (int64_t i = 0; i < labels.size(); ++i) {
       labels[i] = rng.UniformInt(3) == 0 ? 1.0f : 0.0f;
     }
-    Tensor gemm_grad, ref_grad;
+    Tensor gemm_grad, params_grad, ref_grad;
     const double gemm_loss = BceWithLogits(gemm_net.Forward(input), labels,
                                            nullptr, &gemm_grad);
+    const double params_loss = BceWithLogits(params_net.Forward(input),
+                                             labels, nullptr, &params_grad);
     const double ref_loss =
         BceWithLogits(ref_net.Forward(input), labels, nullptr, &ref_grad);
     ASSERT_EQ(ref_loss, gemm_loss) << "step " << step;
+    ASSERT_EQ(ref_loss, params_loss) << "step " << step;
     gemm_net.Backward(gemm_grad);
+    params_net.BackwardParams(params_grad);
     ref_net.Backward(ref_grad);
     gemm_adam.Step();
+    params_adam.Step();
     ref_adam.Step();
   }
   ExpectSameParameters(&ref_net, &gemm_net, /*grads=*/false, "after 20 steps");
+  ExpectSameParameters(&ref_net, &params_net, /*grads=*/false,
+                       "BackwardParams after 20 steps");
 }
 
 TEST(LinearTest, BatchedInferMatchesPerRowExactly) {

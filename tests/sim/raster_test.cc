@@ -163,29 +163,35 @@ constexpr size_t kNoiseCounts[] = {104 * 64, 40 * 24, 37 * 21, 150,
                                    3 * 512 + 1, 2 * 512 + 6, 1, 2, 0};
 
 // Checks the `isa` variant bit for bit against the loop it replaced, one
-// Rng::Gaussian(0.0, 0.015) per pixel, over `seeds` frames of every count.
-// Pixels live in exactly-sized heap arrays, where ASan sees a tail overrun.
-// Adds the pairs sent to the exact path to `*exact`.
+// Rng::Gaussian(0.0, 0.015) per pixel, over one frame of `count` pixels
+// seeded with `seed`. Pixels live in exactly-sized heap arrays, where ASan
+// sees a tail overrun. Adds the pairs sent to the exact path to `*exact`.
+void ExpectNoiseMatchesGaussianLoopAt(NoiseIsa isa, uint64_t seed,
+                                      size_t count, size_t* exact) {
+  std::vector<float> base(count);
+  for (size_t i = 0; i < count; ++i) {
+    base[i] = 0.1f + 0.8f * static_cast<float>(i % 97) / 97.0f;
+  }
+  std::vector<float> want = base;
+  Rng rng(seed);
+  for (float& pixel : want) {
+    pixel += static_cast<float>(rng.Gaussian(0.0, 0.015));
+  }
+  std::vector<float> got = base;
+  *exact += AddSensorNoise(isa, seed, got.data(), got.size());
+  for (size_t i = 0; i < count; ++i) {
+    ASSERT_EQ(std::bit_cast<uint32_t>(want[i]),
+              std::bit_cast<uint32_t>(got[i]))
+        << "count " << count << " seed " << seed << " pixel " << i;
+  }
+}
+
+// The check above over `seeds` frames of every count.
 void ExpectNoiseMatchesGaussianLoop(NoiseIsa isa, int seeds, size_t* exact) {
   for (const size_t count : kNoiseCounts) {
     for (int seed = 0; seed < seeds; ++seed) {
-      std::vector<float> base(count);
-      for (size_t i = 0; i < count; ++i) {
-        base[i] = 0.1f + 0.8f * static_cast<float>(i % 97) / 97.0f;
-      }
-      std::vector<float> want = base;
-      Rng rng(static_cast<uint64_t>(seed) * 7919 + count);
-      for (float& pixel : want) {
-        pixel += static_cast<float>(rng.Gaussian(0.0, 0.015));
-      }
-      std::vector<float> got = base;
-      *exact += AddSensorNoise(isa, static_cast<uint64_t>(seed) * 7919 + count,
-                              got.data(), got.size());
-      for (size_t i = 0; i < count; ++i) {
-        ASSERT_EQ(std::bit_cast<uint32_t>(want[i]),
-                  std::bit_cast<uint32_t>(got[i]))
-            << "count " << count << " seed " << seed << " pixel " << i;
-      }
+      ExpectNoiseMatchesGaussianLoopAt(
+          isa, static_cast<uint64_t>(seed) * 7919 + count, count, exact);
     }
   }
 }
@@ -196,33 +202,61 @@ TEST(SensorNoiseTest, ScalarMatchesGaussianLoopBitForBit) {
   EXPECT_EQ(exact, 0u);
 }
 
-TEST(SensorNoiseTest, Avx2MatchesGaussianLoopBitForBit) {
-  if (SensorNoiseIsa() != NoiseIsa::kAvx2) {
-    GTEST_SKIP() << "this CPU (or build) has no AVX2 noise pass";
-  }
-  // About 4 in 100,000 pairs fail the rounding test, so 128 frames of every
-  // count (711,424 pairs, of which 29 take the exact path with glibc 2.36)
-  // must send some to the exact path, and far fewer than 1 in 2,000: a
-  // rounding test that failed lanes wholesale would keep the bits and lose
-  // the speed.
+// About 4 in 100,000 pairs fail the rounding test, so 128 frames of every
+// count (711,424 pairs, of which 29 take the exact path with glibc 2.36 on
+// the AVX2 pass) must send some to the exact path, and far fewer than 1 in
+// 2,000: a rounding test that failed lanes wholesale would keep the bits
+// and lose the speed.
+void ExpectVectorNoiseMatchesGaussianLoop(NoiseIsa isa) {
   constexpr int kSeeds = 128;
   size_t exact = 0;
-  ExpectNoiseMatchesGaussianLoop(NoiseIsa::kAvx2, kSeeds, &exact);
+  ExpectNoiseMatchesGaussianLoop(isa, kSeeds, &exact);
   size_t pairs = 0;
   for (const size_t count : kNoiseCounts) pairs += kSeeds * ((count + 1) / 2);
   EXPECT_GT(exact, 0u);
   EXPECT_LT(exact, pairs / 2000);
 }
 
-// Random frames cannot catch a broken rounding test: with no guard at all,
-// libmvec's values still round like libm's almost always. So this feeds the
-// AVX2 transform pairs whose scalar noise value lies within 2^-44
-// (relative) of a float rounding midpoint, well inside the 2^-40 guard:
-// each must take the exact path, and every value must match.
-TEST(SensorNoiseTest, RoundingTestSendsNearMidpointPairsToExactPath) {
-  if (SensorNoiseIsa() != NoiseIsa::kAvx2) {
+TEST(SensorNoiseTest, Avx2MatchesGaussianLoopBitForBit) {
+  if (SensorNoiseIsa() < NoiseIsa::kAvx2) {
     GTEST_SKIP() << "this CPU (or build) has no AVX2 noise pass";
   }
+  ExpectVectorNoiseMatchesGaussianLoop(NoiseIsa::kAvx2);
+}
+
+TEST(SensorNoiseTest, Avx512MatchesGaussianLoopBitForBit) {
+  if (SensorNoiseIsa() < NoiseIsa::kAvx512) {
+    GTEST_SKIP() << "this CPU (or build) has no AVX-512 noise pass";
+  }
+  ExpectVectorNoiseMatchesGaussianLoop(NoiseIsa::kAvx512);
+}
+
+// Rng::Gaussian redraws a u1 of 0, which shifts the rest of the stream by
+// one word. Only a raw word below 2^11 gives one, so no random seed finds
+// it: this seed's SplitMix64 expansion makes the generator's second state
+// word 0, and xoshiro256** then returns 0 first. Every variant must match
+// the Gaussian loop from there, over a frame and over a 3-pair tail.
+TEST(SensorNoiseTest, EveryVariantRedrawsAZeroUniformAsGaussianDoes) {
+  const uint64_t seed = 0 - 2 * 0x9e3779b97f4a7c15ULL;
+  Rng rng(seed);
+  ASSERT_EQ(rng.NextUint64(), 0u);
+  for (const NoiseIsa isa :
+       {NoiseIsa::kScalar, NoiseIsa::kAvx2, NoiseIsa::kAvx512}) {
+    if (isa > SensorNoiseIsa()) continue;
+    for (const size_t count : {size_t{104 * 64}, size_t{5}}) {
+      SCOPED_TRACE(static_cast<int>(isa));
+      size_t exact = 0;
+      ExpectNoiseMatchesGaussianLoopAt(isa, seed, count, &exact);
+    }
+  }
+}
+
+// Random frames cannot catch a broken rounding test: with no guard at all,
+// libmvec's values still round like libm's almost always. So this feeds the
+// `isa` transform pairs whose scalar noise value lies within 2^-44
+// (relative) of a float rounding midpoint, well inside the 2^-40 guard:
+// each must take the exact path, and every value must match.
+void ExpectNearMidpointPairsTakeExactPath(NoiseIsa isa) {
   constexpr size_t kPairs = 256;
   std::vector<double> u1, u2;
   Rng rng(2718);
@@ -257,8 +291,8 @@ TEST(SensorNoiseTest, RoundingTestSendsNearMidpointPairsToExactPath) {
   EXPECT_EQ(SensorNoiseTransform(NoiseIsa::kScalar, u1.data(), u2.data(),
                                  kPairs, want.data()),
             0u);
-  EXPECT_EQ(SensorNoiseTransform(NoiseIsa::kAvx2, u1.data(), u2.data(),
-                                 kPairs, got.data()),
+  EXPECT_EQ(SensorNoiseTransform(isa, u1.data(), u2.data(), kPairs,
+                                 got.data()),
             kPairs);
   for (size_t i = 0; i < 2 * kPairs; ++i) {
     ASSERT_EQ(std::bit_cast<uint32_t>(want[i]), std::bit_cast<uint32_t>(got[i]))
@@ -266,16 +300,41 @@ TEST(SensorNoiseTest, RoundingTestSendsNearMidpointPairsToExactPath) {
   }
 }
 
+TEST(SensorNoiseTest, RoundingTestSendsNearMidpointPairsToExactPath) {
+  if (SensorNoiseIsa() < NoiseIsa::kAvx2) {
+    GTEST_SKIP() << "this CPU (or build) has no AVX2 noise pass";
+  }
+  ExpectNearMidpointPairsTakeExactPath(NoiseIsa::kAvx2);
+}
+
+TEST(SensorNoiseTest, Avx512RoundingTestSendsNearMidpointPairsToExactPath) {
+  if (SensorNoiseIsa() < NoiseIsa::kAvx512) {
+    GTEST_SKIP() << "this CPU (or build) has no AVX-512 noise pass";
+  }
+  ExpectNearMidpointPairsTakeExactPath(NoiseIsa::kAvx512);
+}
+
 // Keeps the fast path from going missing: on an x86-64 glibc build running
-// on an AVX2 CPU (every CI runner), renders must pick the vector pass, so a
+// on an AVX2 CPU (every CI runner), renders must pick a vector pass, so a
 // build change that loses it fails here instead of only slowing down.
 TEST(SensorNoiseTest, PicksAvx2OnX86GlibcWithAvx2) {
 #if defined(__x86_64__) && defined(__GLIBC__) && \
     (__GLIBC__ > 2 || (__GLIBC__ == 2 && __GLIBC_MINOR__ >= 22))
   if (!CpuHasAvx2()) GTEST_SKIP() << "this CPU has no AVX2";
-  EXPECT_EQ(SensorNoiseIsa(), NoiseIsa::kAvx2);
+  EXPECT_GE(SensorNoiseIsa(), NoiseIsa::kAvx2);
 #else
   EXPECT_EQ(SensorNoiseIsa(), NoiseIsa::kScalar);
+#endif
+}
+
+// Likewise, a CPU with AVX-512F must get the eight-pair pass.
+TEST(SensorNoiseTest, PicksAvx512OnX86GlibcWithAvx512f) {
+#if defined(__x86_64__) && defined(__GLIBC__) && \
+    (__GLIBC__ > 2 || (__GLIBC__ == 2 && __GLIBC_MINOR__ >= 22))
+  if (!CpuHasAvx512f()) GTEST_SKIP() << "this CPU has no AVX-512F";
+  EXPECT_EQ(SensorNoiseIsa(), NoiseIsa::kAvx512);
+#else
+  EXPECT_NE(SensorNoiseIsa(), NoiseIsa::kAvx512);
 #endif
 }
 
