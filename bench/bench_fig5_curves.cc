@@ -19,12 +19,8 @@ int Main() {
   bench::PrintScale(scale);
 
   for (sim::DatasetId id : sim::AllPaperDatasets()) {
-    eval::ExperimentOptions options;
-    options.scale = scale;
-    StatusOr<eval::TrackExperimentResult> result_or =
-        eval::RunTrackExperiment(id, options);
-    OTIF_CHECK(result_or.ok()) << result_or.status().ToString();
-    const eval::TrackExperimentResult& result = *result_or;
+    const eval::TrackExperimentResult result =
+        eval::RunTrackExperiment(id, scale);
     std::printf("# dataset=%s (best accuracy %.3f)\n", result.dataset.c_str(),
                 result.best_accuracy);
     std::printf("method,runtime_sec,accuracy\n");

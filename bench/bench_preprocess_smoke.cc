@@ -23,7 +23,7 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -114,12 +114,26 @@ core::PipelineConfig ExtractionConfig(const core::PipelineConfig& best) {
   return c;
 }
 
+/// Reads argv[i], when given, as a whole positive int into `out`, so "4x"
+/// is a usage error rather than 4.
+bool PositiveArg(int argc, char** argv, int i, int* out) {
+  if (i >= argc) return true;
+  int64_t value = 0;
+  if (!ParseInt64(argv[i], &value) || value < 1 ||
+      value > std::numeric_limits<int>::max()) {
+    return false;
+  }
+  *out = static_cast<int>(value);
+  return true;
+}
+
 int Main(int argc, char** argv) {
   obs::InitFromEnv();
   const core::RunScale scale = bench::BenchScale();
-  const int num_clips = argc > 1 ? std::atoi(argv[1]) : 4;
-  const int clip_seconds = argc > 2 ? std::atoi(argv[2]) : 30;
-  if (argc > 3 || num_clips < 1 || clip_seconds < 1) {
+  int num_clips = 4;
+  int clip_seconds = 30;
+  if (argc > 3 || !PositiveArg(argc, argv, 1, &num_clips) ||
+      !PositiveArg(argc, argv, 2, &clip_seconds)) {
     std::fprintf(stderr, "usage: %s [clips] [clip_seconds]\n", argv[0]);
     return 2;
   }

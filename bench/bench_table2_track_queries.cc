@@ -31,12 +31,8 @@ int Main() {
        "BestAcc"});
 
   for (sim::DatasetId id : sim::AllPaperDatasets()) {
-    eval::ExperimentOptions options;
-    options.scale = scale;
-    StatusOr<eval::TrackExperimentResult> result_or =
-        eval::RunTrackExperiment(id, options);
-    OTIF_CHECK(result_or.ok()) << result_or.status().ToString();
-    const eval::TrackExperimentResult& result = *result_or;
+    const eval::TrackExperimentResult result =
+        eval::RunTrackExperiment(id, scale);
 
     std::vector<std::string> row1 = {result.dataset};
     std::vector<std::string> row5 = {result.dataset};

@@ -4,6 +4,12 @@
 #include "util/rng.h"
 
 namespace otif::baselines {
+namespace {
+
+/// Training steps of the query-specific count proxy.
+constexpr int kTrainSteps = 400;
+
+}  // namespace
 
 double BlazeIt::ProxySecondsPerFrame() {
   // 64x64 specialized NN plus decode overhead; calibrated so that a 1-hour
@@ -26,7 +32,7 @@ FrameQueryReport BlazeIt::RunQuery(const std::vector<sim::Clip>& train,
   for (const sim::Clip& clip : train) {
     train_rasters.push_back(std::make_unique<sim::Rasterizer>(&clip));
   }
-  for (int step = 0; step < options.train_steps; ++step) {
+  for (int step = 0; step < kTrainSteps; ++step) {
     const size_t ci = static_cast<size_t>(
         rng.UniformInt(static_cast<uint64_t>(train.size())));
     const int f = static_cast<int>(

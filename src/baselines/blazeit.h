@@ -13,7 +13,6 @@ namespace otif::baselines {
 class BlazeIt {
  public:
   struct Options {
-    int train_steps = 400;
     int limit = 25;
     int min_separation_sec = 5;
   };

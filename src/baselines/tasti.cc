@@ -8,6 +8,9 @@
 namespace otif::baselines {
 namespace {
 
+/// Reference frames labeled for kNN scoring (from training clips).
+constexpr int kReferenceFrames = 400;
+
 /// Reference frames averaged by the kNN scoring model.
 constexpr size_t kNearestReferences = 8;
 
@@ -42,7 +45,7 @@ FrameQueryReport Tasti::RunQuery(const Index& index,
   for (const sim::Clip& clip : train) {
     rasters.push_back(std::make_unique<sim::Rasterizer>(&clip));
   }
-  for (int i = 0; i < options.reference_frames; ++i) {
+  for (int i = 0; i < kReferenceFrames; ++i) {
     const size_t ci = static_cast<size_t>(
         rng.UniformInt(static_cast<uint64_t>(train.size())));
     const int f = static_cast<int>(

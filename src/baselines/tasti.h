@@ -17,8 +17,6 @@ namespace otif::baselines {
 class Tasti {
  public:
   struct Options {
-    /// Reference frames labeled for kNN scoring (from training clips).
-    int reference_frames = 400;
     int limit = 25;
     int min_separation_sec = 5;
   };

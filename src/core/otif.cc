@@ -18,6 +18,9 @@ namespace {
 /// Largest power-of-two gap sampled in tracker-training augmentation.
 constexpr int kMaxTrainingGap = 32;
 
+/// Training frames sampled for window-size selection.
+constexpr int kWindowSampleFrames = 40;
+
 }  // namespace
 
 Otif::Otif(sim::DatasetSpec spec, RunScale scale)
@@ -254,7 +257,7 @@ void Otif::SelectWindows() {
 
   std::vector<CellGrid> grids;
   Rng rng(spec_.seed * 17 + 3);
-  for (int s = 0; s < scale_.window_sample_frames; ++s) {
+  for (int s = 0; s < kWindowSampleFrames; ++s) {
     const size_t ci = static_cast<size_t>(
         rng.UniformInt(static_cast<uint64_t>(train_clips_.size())));
     const sim::Clip& clip = train_clips_[ci];

@@ -30,8 +30,6 @@ struct RunScale {
   /// standard set has 5. Figure 7 uses all 5; the main tables use fewer to
   /// bound training cost.
   int proxy_resolutions = 3;
-  /// Frames sampled for window-size selection.
-  int window_sample_frames = 40;
 };
 
 /// Accuracy tolerance of the paper's selection rule for Tables 2-4: run the
@@ -55,7 +53,8 @@ class Otif {
   std::vector<sim::Clip> TestClips() const;
 
   /// Runs the full preparation workflow against an accuracy metric defined
-  /// on the validation clips. Idempotent per instance.
+  /// on the validation clips. Runs once per instance: a second call is a
+  /// fatal error.
   void Prepare(const AccuracyFn& validation_accuracy,
                const Tuner::Options& tuner_options);
 

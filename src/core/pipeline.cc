@@ -277,7 +277,7 @@ class ClipRun {
   std::vector<WindowSize> scaled_sizes_;
   double scaled_w_ = 0.0;
   double scaled_h_ = 0.0;
-  std::unique_ptr<track::Tracker> sort_tracker_;
+  std::unique_ptr<track::SortTracker> sort_tracker_;
   std::unique_ptr<track::RecurrentTracker> recurrent_tracker_;
 };
 
@@ -484,11 +484,10 @@ void ClipRun::Track(FrameContext* ctx, PipelineResult* result) {
 }
 
 std::vector<track::Track> ClipRun::Finish() {
-  track::Tracker* tracker = sort_tracker_ != nullptr
-                                ? sort_tracker_.get()
-                                : recurrent_tracker_.get();
   // Paper Sec 3.4: prune single-detection tracks as likely noise.
-  return tracker->Finish(2);
+  constexpr int kMinDetections = 2;
+  return sort_tracker_ != nullptr ? sort_tracker_->Finish(kMinDetections)
+                                  : recurrent_tracker_->Finish(kMinDetections);
 }
 
 void ClipRun::Refine(PipelineResult* result) {

@@ -1,8 +1,6 @@
 #include "eval/harness.h"
 
 #include <algorithm>
-#include <iterator>
-#include <string_view>
 
 #include "baselines/catdet.h"
 #include "baselines/centertrack.h"
@@ -21,31 +19,15 @@ double SecondsForQueries(const baselines::MethodPoint& point, int queries) {
   return point.reusable_seconds + point.query_seconds * queries;
 }
 
-namespace {
-
-/// The baselines ExperimentOptions::methods may name.
-constexpr std::string_view kBaselineMethods[] = {
-    "miris", "chameleon", "noscope", "catdet", "centertrack"};
-
-}  // namespace
-
-StatusOr<TrackExperimentResult> RunTrackExperiment(
-    sim::DatasetId id, const ExperimentOptions& options) {
+TrackExperimentResult RunTrackExperiment(sim::DatasetId id,
+                                         const core::RunScale& scale) {
   obs::InitFromEnv();
   OTIF_SPAN("harness/experiment");
-  // Check the names before Prepare trains and tunes; the baselines
-  // themselves are built after it (NoScope needs a trained proxy).
-  for (const std::string& method : options.methods) {
-    if (std::find(std::begin(kBaselineMethods), std::end(kBaselineMethods),
-                  method) == std::end(kBaselineMethods)) {
-      return Status::InvalidArgument("unknown method \"" + method + "\"");
-    }
-  }
   TrackExperimentResult result;
   const TrackWorkload workload = MakeTrackWorkload(id);
   result.dataset = workload.spec.name;
 
-  result.otif = std::make_shared<core::Otif>(workload.spec, options.scale);
+  result.otif = std::make_shared<core::Otif>(workload.spec, scale);
   // Clip sets are deterministic; keep stable copies for the closures.
   auto valid = std::make_shared<std::vector<sim::Clip>>(
       result.otif->ValidClips());
@@ -86,33 +68,24 @@ StatusOr<TrackExperimentResult> RunTrackExperiment(
   }
 
   // --- Baselines ---
-  // Construct every requested baseline first, then run them across the
-  // worker pool: the methods are independent of one another and only read
-  // the shared clip sets. Curves are inserted in baseline order afterwards
-  // so the result is identical to the serial loop.
+  // Construct every baseline first (NoScope needs OTIF's trained proxy),
+  // then run them across the worker pool: the methods are independent of
+  // one another and only read the shared clip sets. Curves are inserted in
+  // baseline order afterwards so the result is identical to a serial loop.
+  OTIF_CHECK(!result.otif->trained().proxies.empty());
   std::vector<std::unique_ptr<baselines::TrackBaseline>> to_run;
-  for (const std::string& method : options.methods) {
-    if (method == "centertrack" && workload.spec.moving_camera) {
-      continue;  // Paper Table 2 reports "-" for CenterTrack on UAV.
-    }
-    std::unique_ptr<baselines::TrackBaseline> baseline;
-    if (method == "miris") {
-      baseline = std::make_unique<baselines::Miris>();
-    } else if (method == "chameleon") {
-      baseline = std::make_unique<baselines::Chameleon>();
-    } else if (method == "noscope") {
-      OTIF_CHECK(!result.otif->trained().proxies.empty());
-      baseline = std::make_unique<baselines::NoScope>(
-          result.otif->trained().proxies.back().get());
-    } else if (method == "catdet") {
-      baseline = std::make_unique<baselines::CaTDet>();
-    } else {
-      OTIF_CHECK(method == "centertrack") << method;
-      baseline = std::make_unique<baselines::CenterTrack>();
-    }
+  to_run.push_back(std::make_unique<baselines::Miris>());
+  to_run.push_back(std::make_unique<baselines::Chameleon>());
+  to_run.push_back(std::make_unique<baselines::NoScope>(
+      result.otif->trained().proxies.back().get()));
+  to_run.push_back(std::make_unique<baselines::CaTDet>());
+  if (!workload.spec.moving_camera) {
+    // Paper Table 2 reports "-" for CenterTrack on UAV.
+    to_run.push_back(std::make_unique<baselines::CenterTrack>());
+  }
+  for (const auto& baseline : to_run) {
     OTIF_LOG(kInfo) << "[" << result.dataset << "] running "
                     << baseline->name();
-    to_run.push_back(std::move(baseline));
   }
   obs::RunProgress::Global().SetPhase("baselines");
   std::vector<std::vector<baselines::MethodPoint>> curves = ParallelMap(

@@ -9,7 +9,6 @@
 #include "baselines/baseline.h"
 #include "core/otif.h"
 #include "eval/workload.h"
-#include "util/status.h"
 
 namespace otif::eval {
 
@@ -27,21 +26,11 @@ struct TrackExperimentResult {
   std::shared_ptr<core::Otif> otif;
 };
 
-/// Options controlling experiment size (CPU-bounded defaults).
-struct ExperimentOptions {
-  core::RunScale scale;
-  /// Baselines to run (all by default); OTIF always runs. CenterTrack is
-  /// skipped on moving-camera datasets (the paper's "-" for UAV in
-  /// Table 2).
-  std::vector<std::string> methods = {"miris", "chameleon", "noscope",
-                                      "catdet", "centertrack"};
-};
-
-/// Runs the full track-query experiment on one dataset. Fails with
-/// InvalidArgument, before any training, on an unknown method name in
-/// `options.methods`.
-StatusOr<TrackExperimentResult> RunTrackExperiment(
-    sim::DatasetId id, const ExperimentOptions& options);
+/// Runs the full track-query experiment on one dataset at `scale`: OTIF,
+/// then Miris, Chameleon, NoScope, CaTDet and CenterTrack. CenterTrack is
+/// skipped on moving-camera datasets (the paper's "-" for UAV in Table 2).
+TrackExperimentResult RunTrackExperiment(sim::DatasetId id,
+                                         const core::RunScale& scale);
 
 /// Runtime (seconds) of a method for Q queries, given its fastest point
 /// within tolerance: reusable_seconds + query_seconds * Q.

@@ -74,31 +74,6 @@ const char kIndexBody[] =
     "  /profilez  sampling CPU profile (?seconds=<0.01..60>, "
     "?fmt=collapsed|json)\n";
 
-/// Strict decimal integer parse: the whole string must be consumed and fit
-/// in int64_t. atoi-style silent prefixes would turn "5xyz" into 5, which a
-/// query validator must reject.
-bool ParseInt64(const std::string& s, int64_t* out) {
-  if (s.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const long long value = std::strtoll(s.c_str(), &end, 10);
-  if (errno != 0 || end != s.c_str() + s.size()) return false;
-  *out = static_cast<int64_t>(value);
-  return true;
-}
-
-/// Strict finite double parse (whole string consumed).
-bool ParseFiniteDouble(const std::string& s, double* out) {
-  if (s.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(s.c_str(), &end);
-  if (errno != 0 || end != s.c_str() + s.size()) return false;
-  if (!(value == value) || value > 1e300 || value < -1e300) return false;
-  *out = value;
-  return true;
-}
-
 /// HTTP method tokens are uppercase letters; anything else on the front of
 /// the request line is noise, not a method we should answer 405 for.
 bool IsMethodToken(const std::string& token) {
@@ -283,7 +258,7 @@ IntrospectionServer::Response IntrospectionServer::Handle(
     double seconds = 2.0;
     bool as_json = false;
     if (const auto it = params.find("seconds"); it != params.end()) {
-      if (!ParseFiniteDouble(it->second, &seconds) || seconds < 0.01 ||
+      if (!ParseDouble(it->second, &seconds) || seconds < 0.01 ||
           seconds > 60.0) {
         return BadQuery("profilez: seconds must be a number in [0.01, 60]");
       }

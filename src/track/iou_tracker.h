@@ -3,7 +3,7 @@
 
 #include <vector>
 
-#include "track/tracker.h"
+#include "track/types.h"
 
 namespace otif::track {
 
@@ -12,7 +12,7 @@ namespace otif::track {
 /// trackers only compare pairs of consecutive frames (Miris' GNN matcher is
 /// modeled as this plus a displacement gate; also used by the NoScope /
 /// CaTDet pipelines, which pre-date learned trackers).
-class IouTracker : public Tracker {
+class IouTracker {
  public:
   struct Options {
     /// Maximum center displacement as a fraction of the frame diagonal per
@@ -25,8 +25,13 @@ class IouTracker : public Tracker {
 
   explicit IouTracker(Options options);
 
-  void ProcessFrame(int frame, const FrameDetections& detections) override;
-  std::vector<Track> Finish(int min_detections) override;
+  /// Processes one frame's detections; `frame` must be strictly increasing
+  /// across calls.
+  void ProcessFrame(int frame, const FrameDetections& detections);
+
+  /// Finalizes and returns all tracks with at least `min_detections`
+  /// detections, and resets the tracker.
+  std::vector<Track> Finish(int min_detections);
 
  private:
   struct ActiveTrack {

@@ -12,6 +12,9 @@ namespace {
 /// A track is dropped after this many processed frames without a match.
 constexpr int kMaxMisses = 3;
 
+/// Minimum match probability to accept an assignment.
+constexpr double kMatchThreshold = 0.5;
+
 }  // namespace
 
 RecurrentTracker::RecurrentTracker(const models::TrackerNet* net,
@@ -19,13 +22,6 @@ RecurrentTracker::RecurrentTracker(const models::TrackerNet* net,
     : net_(net), options_(options) {
   OTIF_CHECK(net != nullptr);
   OTIF_CHECK_GT(options_.fps, 0);
-}
-
-void RecurrentTracker::ProcessFrame(int frame,
-                                    const FrameDetections& detections) {
-  ProcessFrameWithAppearance(
-      frame, detections,
-      std::vector<std::pair<double, double>>(detections.size(), {0.5, 0.1}));
 }
 
 std::vector<int> RecurrentTracker::MatchDetections(
@@ -88,8 +84,7 @@ std::vector<int> RecurrentTracker::MatchDetections(
   det_for_track = SolveAssignment(cost);
   for (size_t t = 0; t < n_tracks; ++t) {
     const int d = det_for_track[t];
-    if (d >= 0 &&
-        cost[t][static_cast<size_t>(d)] > 1.0 - options_.match_threshold) {
+    if (d >= 0 && cost[t][static_cast<size_t>(d)] > 1.0 - kMatchThreshold) {
       det_for_track[t] = -1;
     }
   }

@@ -1,10 +1,11 @@
 #ifndef OTIF_TRACK_RECURRENT_TRACKER_H_
 #define OTIF_TRACK_RECURRENT_TRACKER_H_
 
+#include <utility>
 #include <vector>
 
 #include "models/tracker_net.h"
-#include "track/tracker.h"
+#include "track/types.h"
 
 namespace otif::track {
 
@@ -17,11 +18,9 @@ namespace otif::track {
 /// (TrackerNet::ScorePairs), and its matched and new tracks are folded into
 /// their GRU states in one batched step (TrackerNet::AdvanceBatch); both
 /// are bit-identical to the per-pair ScorePair and Advance.
-class RecurrentTracker : public Tracker {
+class RecurrentTracker {
  public:
   struct Options {
-    /// Minimum match probability to accept an assignment.
-    double match_threshold = 0.5;
     /// Frame dimensions used for feature normalization.
     double frame_w = 1280;
     double frame_h = 720;
@@ -33,16 +32,16 @@ class RecurrentTracker : public Tracker {
   /// one trained model across threads).
   RecurrentTracker(const models::TrackerNet* net, Options options);
 
-  void ProcessFrame(int frame, const FrameDetections& detections) override;
-
-  /// Per-detection appearance statistics (mean, std of the patch in a
-  /// low-resolution render); `appearance` has one entry per detection. The
-  /// plain ProcessFrame uses neutral statistics.
+  /// Processes the detections of one frame; `frame` must be strictly
+  /// increasing across calls. `appearance` holds one (mean, std) pair per
+  /// detection: the statistics of its patch in a low-resolution render.
   void ProcessFrameWithAppearance(
       int frame, const FrameDetections& detections,
       const std::vector<std::pair<double, double>>& appearance);
 
-  std::vector<Track> Finish(int min_detections) override;
+  /// Finalizes and returns all tracks (including still-active ones) with at
+  /// least `min_detections` detections, and resets the tracker.
+  std::vector<Track> Finish(int min_detections);
 
   size_t num_active() const { return active_.size(); }
 

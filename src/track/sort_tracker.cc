@@ -12,11 +12,10 @@ namespace {
 /// (so the tolerance in frames scales with the sampling gap).
 constexpr int kMaxMisses = 3;
 
-}  // namespace
+/// Minimum IoU between a predicted box and a detection to allow a match.
+constexpr double kIouThreshold = 0.25;
 
-SortTracker::SortTracker(Options options) : options_(options) {
-  OTIF_CHECK_GT(options_.iou_threshold, 0.0);
-}
+}  // namespace
 
 void SortTracker::ProcessFrame(int frame, const FrameDetections& detections) {
   OTIF_CHECK_GT(frame, last_processed_frame_);
@@ -44,8 +43,7 @@ void SortTracker::ProcessFrame(int frame, const FrameDetections& detections) {
     // Reject matches below the IoU threshold.
     for (size_t t = 0; t < n_tracks; ++t) {
       const int d = det_for_track[t];
-      if (d >= 0 && cost[t][static_cast<size_t>(d)] >
-                        1.0 - options_.iou_threshold) {
+      if (d >= 0 && cost[t][static_cast<size_t>(d)] > 1.0 - kIouThreshold) {
         det_for_track[t] = -1;
       }
     }

@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "track/kalman.h"
-#include "track/tracker.h"
+#include "track/types.h"
 
 namespace otif::track {
 
@@ -12,18 +12,18 @@ namespace otif::track {
 /// constant-velocity prediction + Hungarian assignment on IoU. This is the
 /// heuristic tracker the paper uses inside the best-accuracy configuration
 /// theta_best and in the "+ Sampling Rate" ablation row.
-class SortTracker : public Tracker {
+class SortTracker {
  public:
-  struct Options {
-    /// Minimum IoU between a predicted box and a detection to allow a match.
-    double iou_threshold = 0.25;
-  };
+  /// Processes the detections of one frame; `frame` must be strictly
+  /// increasing across calls (frames may be arbitrarily spaced for
+  /// reduced-rate tracking).
+  void ProcessFrame(int frame, const FrameDetections& detections);
 
-  explicit SortTracker(Options options);
-  SortTracker() : SortTracker(Options{}) {}
-
-  void ProcessFrame(int frame, const FrameDetections& detections) override;
-  std::vector<Track> Finish(int min_detections) override;
+  /// Finalizes and returns all tracks (including still-active ones) and
+  /// resets the tracker. Tracks with fewer than `min_detections` detections
+  /// are pruned; the paper prunes single-detection tracks as likely
+  /// spurious (Sec 3.4).
+  std::vector<Track> Finish(int min_detections);
 
   /// Number of currently active (not yet dropped) tracks.
   size_t num_active() const { return active_.size(); }
@@ -36,7 +36,6 @@ class SortTracker : public Tracker {
     int last_frame = 0;
   };
 
-  Options options_;
   int64_t next_id_ = 0;
   int last_processed_frame_ = -1;
   std::vector<ActiveTrack> active_;

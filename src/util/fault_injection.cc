@@ -1,8 +1,7 @@
 #include "util/fault_injection.h"
 
-#include <cerrno>
 #include <cstdlib>
-#include <map>
+#include <limits>
 #include <mutex>
 
 #include "util/logging.h"
@@ -28,7 +27,11 @@ double MixToUnit(uint64_t z) {
 
 struct Registry {
   std::mutex mu;
-  std::map<std::string, Site*> sites;  // Values leak (process lifetime).
+  // The two sites, in name order (ArmedSites lists them sorted). Each is
+  // created on first use, so a run that never consults or arms a site
+  // registers no fault.injected.* counter. Leaked (process lifetime).
+  Site* detect = nullptr;  // Guarded by mu.
+  Site* proxy = nullptr;   // Guarded by mu.
   // Configs published to sites. Retired on reconfigure but leaked rather
   // than freed: a racing reader may still hold the pointer, and chaos runs
   // reconfigure a handful of times per process at most.
@@ -38,6 +41,16 @@ struct Registry {
 Registry& GetRegistry() {
   static Registry* const registry = new Registry;
   return *registry;
+}
+
+/// Returns the site for kDetectSite or kProxySite, creating it on first
+/// use. Caller holds registry.mu.
+Site* SiteLocked(Registry& registry, std::string_view name) {
+  OTIF_CHECK(name == kDetectSite || name == kProxySite)
+      << "unknown fault site \"" << name << "\"";
+  Site*& site = name == kDetectSite ? registry.detect : registry.proxy;
+  if (site == nullptr) site = new Site(std::string(name));
+  return site;
 }
 
 bool ParseKind(std::string_view text, Kind* out) {
@@ -51,33 +64,11 @@ bool ParseKind(std::string_view text, Kind* out) {
   return true;
 }
 
-bool ParseInt64(std::string_view text, int64_t* out) {
-  if (text.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const std::string copy(text);
-  const long long value = std::strtoll(copy.c_str(), &end, 10);
-  if (errno != 0 || end != copy.c_str() + copy.size()) return false;
-  *out = value;
-  return true;
-}
-
-bool ParseRate(std::string_view text, double* out) {
-  if (text.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const std::string copy(text);
-  const double value = std::strtod(copy.c_str(), &end);
-  if (errno != 0 || end != copy.c_str() + copy.size()) return false;
-  if (value < 0.0 || value > 1.0) return false;
-  *out = value;
-  return true;
-}
-
-/// Uninstalls every site's config under the registry lock. Returns whether
-/// any site had been armed (for logging).
+/// Uninstalls every created site's config. Caller holds registry.mu.
 void DisarmAllLocked(Registry& registry) {
-  for (auto& [name, site] : registry.sites) site->SetConfig(nullptr);
+  for (Site* site : {registry.detect, registry.proxy}) {
+    if (site != nullptr) site->SetConfig(nullptr);
+  }
 }
 
 }  // namespace
@@ -105,11 +96,7 @@ bool Site::Inject(int64_t clip, int64_t token, Injection* out) {
 Site* GetSite(const std::string& name) {
   Registry& registry = GetRegistry();
   std::lock_guard<std::mutex> lock(registry.mu);
-  auto it = registry.sites.find(name);
-  if (it == registry.sites.end()) {
-    it = registry.sites.emplace(name, new Site(name)).first;
-  }
-  return it->second;
+  return SiteLocked(registry, name);
 }
 
 Status ConfigureFaults(const std::string& spec) {
@@ -141,7 +128,9 @@ Status ConfigureFaults(const std::string& spec) {
           StrFormat("fault spec \"%s\": unknown kind \"%s\"",
                     entry.site.c_str(), fields[1].c_str()));
     }
-    if (!ParseRate(fields[2], &entry.config.rate)) {
+    // ParseDouble rejects NaN, which would pass both range comparisons.
+    if (!ParseDouble(fields[2], &entry.config.rate) ||
+        entry.config.rate < 0.0 || entry.config.rate > 1.0) {
       return Status::InvalidArgument(
           StrFormat("fault spec \"%s\": rate \"%s\" not in [0, 1]",
                     entry.site.c_str(), fields[2].c_str()));
@@ -162,7 +151,7 @@ Status ConfigureFaults(const std::string& spec) {
         entry.config.clip = value;
       } else if (StartsWith(option, "ms=") &&
                  ParseInt64(std::string_view(option).substr(3), &value) &&
-                 value >= 0) {
+                 value >= 0 && value <= std::numeric_limits<int>::max()) {
         entry.config.stall_ms = static_cast<int>(value);
       } else {
         return Status::InvalidArgument(
@@ -178,13 +167,9 @@ Status ConfigureFaults(const std::string& spec) {
     std::lock_guard<std::mutex> lock(registry.mu);
     DisarmAllLocked(registry);
     for (const Entry& entry : entries) {
-      auto it = registry.sites.find(entry.site);
-      if (it == registry.sites.end()) {
-        it = registry.sites.emplace(entry.site, new Site(entry.site)).first;
-      }
       auto* config = new internal::SiteConfig(entry.config);
       registry.configs.push_back(config);
-      it->second->SetConfig(config);
+      SiteLocked(registry, entry.site)->SetConfig(config);
     }
   }
   telemetry::internal::SetFlag(telemetry::kFaultFlag, !entries.empty());
@@ -219,8 +204,8 @@ std::vector<std::string> ArmedSites() {
   Registry& registry = GetRegistry();
   std::lock_guard<std::mutex> lock(registry.mu);
   std::vector<std::string> armed;
-  for (const auto& [name, site] : registry.sites) {
-    if (site->armed()) armed.push_back(name);
+  for (const Site* site : {registry.detect, registry.proxy}) {
+    if (site != nullptr && site->armed()) armed.push_back(site->name());
   }
   return armed;
 }

@@ -48,8 +48,8 @@ struct SiteConfig {
 };
 }  // namespace internal
 
-/// A named point where a fault may be injected. Sites live forever in a
-/// process-wide registry (like telemetry::SpanSite): hot paths resolve the
+/// One of the two instrumented points where a fault may be injected. Each
+/// is created on first use and lives for the process: hot paths resolve the
 /// pointer once and afterwards pay one flag-word load per decision while
 /// disarmed.
 class Site {
@@ -82,17 +82,19 @@ class Site {
   telemetry::Counter* const injected_;
 };
 
-/// Returns the site registered under `name`, creating it on first use. The
-/// pointer is stable for the process lifetime (function-local-static
-/// friendly, same idiom as telemetry::GetSpan). Instrumented layers check
-/// Enabled() first, so a disarmed site costs one relaxed flag-word load.
+/// Returns the site named `name` (kProxySite or kDetectSite; any other name
+/// is a fatal error), creating it on first use. The pointer is stable for
+/// the process lifetime (function-local-static friendly, same idiom as
+/// telemetry::GetSpan). Instrumented layers check Enabled() first, so a
+/// disarmed site costs one relaxed flag-word load.
 Site* GetSite(const std::string& name);
 
 /// Parses and installs a fault spec: comma-separated entries of
 ///   site:kind:rate:seed[:clip=K][:ms=N]
 /// where site is kProxySite or kDetectSite, kind is error|stall, rate is a
-/// probability in [0, 1], seed is a non-negative integer, clip=K limits
-/// firing to clip K, and ms=N sets the stall duration (default 1). Example:
+/// probability in [0, 1] (NaN is rejected), seed is a non-negative integer,
+/// clip=K limits firing to clip K, and ms=N sets the stall duration in
+/// [0, INT_MAX] milliseconds (default 1). Example:
 ///   OTIF_FAULTS=detect.invoke:error:0.5:7:clip=1,proxy.invoke:stall:1:9:ms=2
 /// Replaces any previous configuration and sets the fault flag when at
 /// least one site is armed. Not synchronized with in-flight runs: call

@@ -1,6 +1,10 @@
 #include "util/strings.h"
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 
 namespace otif {
 
@@ -61,6 +65,36 @@ std::string_view StripWhitespace(std::string_view text) {
     --end;
   }
   return text.substr(begin, end - begin);
+}
+
+bool ParseInt64(std::string_view text, int64_t* out) {
+  // strtoll would skip leading whitespace; a strict parse does not.
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text[0]))) {
+    return false;
+  }
+  const std::string copy(text);
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(copy.c_str(), &end, 10);
+  if (errno != 0 || end != copy.c_str() + copy.size()) return false;
+  *out = value;
+  return true;
+}
+
+bool ParseDouble(std::string_view text, double* out) {
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text[0]))) {
+    return false;
+  }
+  const std::string copy(text);
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(copy.c_str(), &end);
+  if (errno != 0 || end != copy.c_str() + copy.size() ||
+      !std::isfinite(value)) {
+    return false;
+  }
+  *out = value;
+  return true;
 }
 
 }  // namespace otif

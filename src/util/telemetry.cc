@@ -2,6 +2,8 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <utility>
 
 #include "util/logging.h"
 
@@ -18,6 +20,27 @@ bool EnabledFromEnv() {
 std::atomic<uint32_t>& FlagsWord() {
   static std::atomic<uint32_t> flags{EnabledFromEnv() ? kTelemetryFlag : 0u};
   return flags;
+}
+
+void AtomicAdd(std::atomic<double>* target, double delta) {
+  double current = target->load(std::memory_order_relaxed);
+  while (!target->compare_exchange_weak(current, current + delta,
+                                        std::memory_order_relaxed)) {
+  }
+}
+
+void AtomicMin(std::atomic<double>* target, double value) {
+  double current = target->load(std::memory_order_relaxed);
+  while (value < current && !target->compare_exchange_weak(
+                                current, value, std::memory_order_relaxed)) {
+  }
+}
+
+void AtomicMax(std::atomic<double>* target, double value) {
+  double current = target->load(std::memory_order_relaxed);
+  while (value > current && !target->compare_exchange_weak(
+                                current, value, std::memory_order_relaxed)) {
+  }
 }
 
 }  // namespace
@@ -42,12 +65,7 @@ void SetFlag(uint32_t mask, bool enabled) {
 
 }  // namespace internal
 
-void Gauge::Add(double delta) {
-  double current = value_.load(std::memory_order_relaxed);
-  while (!value_.compare_exchange_weak(current, current + delta,
-                                       std::memory_order_relaxed)) {
-  }
-}
+void Gauge::Add(double delta) { AtomicAdd(&value_, delta); }
 
 Histogram::Histogram(std::vector<double> bounds)
     : bounds_(std::move(bounds)),
@@ -77,6 +95,38 @@ void Histogram::Reset() {
   }
   count_.store(0, std::memory_order_relaxed);
   sum_.Reset();
+}
+
+SpanSite::SpanSite(std::string name) : name_(std::move(name)) {
+  min_.store(std::numeric_limits<double>::infinity(),
+             std::memory_order_relaxed);
+}
+
+void SpanSite::Record(double seconds) {
+  count_.fetch_add(1, std::memory_order_relaxed);
+  AtomicAdd(&total_, seconds);
+  AtomicMin(&min_, seconds);
+  AtomicMax(&max_, seconds);
+}
+
+SpanSample SpanSite::Sample() const {
+  SpanSample sample;
+  sample.name = name_;
+  sample.count = count_.load(std::memory_order_relaxed);
+  sample.total_seconds = total_.load(std::memory_order_relaxed);
+  // min_ holds +inf until the first record; report 0 for an idle site.
+  const double min = min_.load(std::memory_order_relaxed);
+  sample.min_seconds = sample.count > 0 ? min : 0.0;
+  sample.max_seconds = max_.load(std::memory_order_relaxed);
+  return sample;
+}
+
+void SpanSite::Reset() {
+  count_.store(0, std::memory_order_relaxed);
+  total_.store(0.0, std::memory_order_relaxed);
+  min_.store(std::numeric_limits<double>::infinity(),
+             std::memory_order_relaxed);
+  max_.store(0.0, std::memory_order_relaxed);
 }
 
 std::vector<double> DefaultLatencyBounds() {
@@ -140,12 +190,6 @@ void MetricsRegistry::ClaimName(const char* kind, const std::string& name) {
   }
 }
 
-void MetricsRegistry::RegisterExternalName(const char* kind,
-                                           const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ClaimName(kind, name);
-}
-
 Counter* MetricsRegistry::GetCounter(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   std::unique_ptr<Counter>& slot = counters_[name];
@@ -177,6 +221,16 @@ Histogram* MetricsRegistry::GetHistogram(const std::string& name,
   return slot.get();
 }
 
+SpanSite* MetricsRegistry::GetSpan(const std::string& name) {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_ptr<SpanSite>& slot = spans_[name];
+  if (slot == nullptr) {
+    ClaimName("span", name);
+    slot = std::make_unique<SpanSite>(name);
+  }
+  return slot.get();
+}
+
 TelemetrySnapshot MetricsRegistry::Snapshot() const {
   TelemetrySnapshot snapshot;
   std::lock_guard<std::mutex> lock(mu_);
@@ -197,6 +251,9 @@ TelemetrySnapshot MetricsRegistry::Snapshot() const {
     sample.sum = histogram->sum();
     snapshot.histograms.push_back(std::move(sample));
   }
+  for (const auto& [name, site] : spans_) {
+    snapshot.spans.push_back(site->Sample());
+  }
   return snapshot;
 }
 
@@ -205,6 +262,7 @@ void MetricsRegistry::Reset() {
   for (const auto& [name, counter] : counters_) counter->Reset();
   for (const auto& [name, gauge] : gauges_) gauge->Reset();
   for (const auto& [name, histogram] : histograms_) histogram->Reset();
+  for (const auto& [name, site] : spans_) site->Reset();
 }
 
 }  // namespace otif::telemetry

@@ -117,8 +117,8 @@ struct HistogramSample {
   double sum = 0.0;
 };
 
-/// Aggregate of one named span site (see trace.h): how often it ran and the
-/// wall-clock it accumulated.
+/// Aggregate of one named span site: how often it ran and the wall-clock it
+/// accumulated.
 struct SpanSample {
   std::string name;
   int64_t count = 0;
@@ -127,9 +127,7 @@ struct SpanSample {
   double max_seconds = 0.0;
 };
 
-/// Point-in-time copy of every registered metric, sorted by name. Spans are
-/// populated by CaptureSnapshot() (trace.h); MetricsRegistry::Snapshot()
-/// alone leaves them empty.
+/// Point-in-time copy of every registered metric, each kind sorted by name.
 struct TelemetrySnapshot {
   std::vector<CounterSample> counters;
   std::vector<GaugeSample> gauges;
@@ -152,13 +150,41 @@ const GaugeSample* FindGauge(const TelemetrySnapshot& snapshot,
 const SpanSample* FindSpan(const TelemetrySnapshot& snapshot,
                            const std::string& name);
 
+/// Aggregation point for one named span (trace.h's ScopedSpan and
+/// OTIF_SPAN): every span that closes over it folds its wall-clock duration
+/// in with relaxed atomics (count, total, min, max) — no locks, no
+/// per-event allocation, contention-free across the worker pool.
+class SpanSite {
+ public:
+  explicit SpanSite(std::string name);
+
+  SpanSite(const SpanSite&) = delete;
+  SpanSite& operator=(const SpanSite&) = delete;
+
+  const std::string& name() const { return name_; }
+
+  /// Folds one completed span of `seconds` into the aggregate.
+  void Record(double seconds);
+
+  SpanSample Sample() const;
+  void Reset();
+
+ private:
+  const std::string name_;
+  std::atomic<int64_t> count_{0};
+  std::atomic<double> total_{0.0};
+  std::atomic<double> min_{0.0};  // Set to +inf by the ctor until recorded.
+  std::atomic<double> max_{0.0};
+};
+
 // --- Registry ----------------------------------------------------------------
 
-/// Process-wide, thread-safe registry of named metrics. Registration takes
-/// a lock; the returned pointers are stable for the process lifetime, so
-/// hot paths resolve a metric once (function-local static) and then update
-/// it lock-free. Metrics are never unregistered; Reset() zeroes values but
-/// keeps registrations.
+/// Process-wide, thread-safe registry of named metrics: counters, gauges,
+/// histograms and span sites. Registration takes a lock; the returned
+/// pointers are stable for the process lifetime, so hot paths resolve a
+/// metric once (function-local static) and then update it lock-free.
+/// Metrics are never unregistered; Reset() zeroes values but keeps
+/// registrations.
 class MetricsRegistry {
  public:
   /// The process-wide registry (leaked singleton: safe to use from worker
@@ -183,12 +209,7 @@ class MetricsRegistry {
   Gauge* GetGauge(const std::string& name);
   Histogram* GetHistogram(const std::string& name,
                           std::vector<double> bounds = DefaultLatencyBounds());
-
-  /// Enters a metric owned by another registry (the span registry in
-  /// trace.cc) into this registry's sanitized-name collision table. Spans
-  /// export to Prometheus under the same namespace as plain metrics, so
-  /// they must claim their exposition names here too.
-  void RegisterExternalName(const char* kind, const std::string& name);
+  SpanSite* GetSpan(const std::string& name);
 
   TelemetrySnapshot Snapshot() const;
   void Reset();
@@ -207,6 +228,7 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Counter>> counters_;      // mu_.
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;          // mu_.
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;  // mu_.
+  std::map<std::string, std::unique_ptr<SpanSite>> spans_;        // mu_.
   std::map<std::string, NameClaim> claimed_names_;                // mu_.
 };
 

@@ -9,6 +9,7 @@
 #endif
 
 #include "util/logging.h"
+#include "util/strings.h"
 #include "util/telemetry.h"
 
 namespace otif {
@@ -165,16 +166,15 @@ void ThreadPool::ParallelFor(int64_t n,
 }
 
 int ThreadPool::ParseWorkerEnv(const char* value, int fallback) {
-  if (value != nullptr && *value != '\0') {
-    char* end = nullptr;
-    const long n = std::strtol(value, &end, 10);
-    if (end != nullptr && *end == '\0' && n >= 1 && n <= 1 << 16) {
-      return static_cast<int>(n);
-    }
+  constexpr int64_t kMaxWorkers = 1 << 16;
+  int64_t n = 0;
+  if (value != nullptr && ParseInt64(value, &n) && n >= 1 &&
+      n <= kMaxWorkers) {
+    return static_cast<int>(n);
   }
   OTIF_LOG(kWarning) << "OTIF_WORKERS=\"" << (value != nullptr ? value : "")
-                     << "\" is not a positive integer; using " << fallback
-                     << " worker thread(s)";
+                     << "\" is not an integer in [1, " << kMaxWorkers
+                     << "]; using " << fallback << " worker thread(s)";
   return fallback;
 }
 

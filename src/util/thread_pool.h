@@ -58,7 +58,7 @@ class ThreadPool {
 
   /// The process-wide default pool. Sized from the OTIF_WORKERS environment
   /// variable when set, otherwise AvailableCpus(). Invalid OTIF_WORKERS
-  /// values (non-numeric, trailing garbage, < 1) fall back to
+  /// values (anything but an integer in [1, 65536]) fall back to
   /// AvailableCpus() with a logged warning.
   static ThreadPool* Default();
 
@@ -69,8 +69,9 @@ class ThreadPool {
   static int AvailableCpus();
 
   /// Parses an OTIF_WORKERS-style value. Returns the parsed count when
-  /// `value` is a positive decimal integer; otherwise logs a warning naming
-  /// the rejected value and returns `fallback`. Exposed for tests.
+  /// `value` is a decimal integer in [1, 65536] (ParseInt64's strict form);
+  /// otherwise logs a warning naming the rejected value and the accepted
+  /// range, and returns `fallback`. Exposed for tests.
   static int ParseWorkerEnv(const char* value, int fallback);
 
   /// Replaces the default pool with one of `num_threads` lanes. Must not be

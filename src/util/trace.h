@@ -1,7 +1,6 @@
 #ifndef OTIF_UTIL_TRACE_H_
 #define OTIF_UTIL_TRACE_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <string>
@@ -11,38 +10,13 @@
 
 namespace otif::telemetry {
 
-/// Aggregation point for one named span: every ScopedSpan that closes over
-/// it folds its wall-clock duration in with relaxed atomics (count, total,
-/// min, max) — no locks, no per-event allocation, contention-free across
-/// the worker pool. Sites live in a process-wide registry keyed by name and
-/// are never destroyed.
-class SpanSite {
- public:
-  explicit SpanSite(std::string name);
-
-  SpanSite(const SpanSite&) = delete;
-  SpanSite& operator=(const SpanSite&) = delete;
-
-  const std::string& name() const { return name_; }
-
-  /// Folds one completed span of `seconds` into the aggregate.
-  void Record(double seconds);
-
-  SpanSample Sample() const;
-  void Reset();
-
- private:
-  const std::string name_;
-  std::atomic<int64_t> count_{0};
-  std::atomic<double> total_{0.0};
-  std::atomic<double> min_{0.0};  // Set to +inf by the ctor until recorded.
-  std::atomic<double> max_{0.0};
-};
-
-/// Returns the span site registered under `name`, creating it on first use.
-/// The pointer is stable for the process lifetime; hot paths should resolve
-/// it once (OTIF_SPAN does this with a function-local static).
-SpanSite* GetSpan(const std::string& name);
+/// Returns the span site registered under `name` in the global metrics
+/// registry, creating it on first use. The pointer is stable for the process
+/// lifetime; hot paths should resolve it once (OTIF_SPAN does this with a
+/// function-local static).
+inline SpanSite* GetSpan(const std::string& name) {
+  return MetricsRegistry::Global().GetSpan(name);
+}
 
 /// RAII span: samples the steady clock on construction and folds the
 /// elapsed wall-clock into `site` on destruction; when the timeline is
@@ -94,12 +68,14 @@ class ScopedSpan {
   std::chrono::steady_clock::time_point start_;
 };
 
-/// Captures every metric *and* every span site, sorted by name.
-TelemetrySnapshot CaptureSnapshot();
+/// Captures every metric of the global registry, span sites included.
+inline TelemetrySnapshot CaptureSnapshot() {
+  return MetricsRegistry::Global().Snapshot();
+}
 
 /// Zeroes all metrics and span aggregates (registrations survive). Call
 /// between benchmark repetitions so run reports do not accumulate.
-void ResetAll();
+inline void ResetAll() { MetricsRegistry::Global().Reset(); }
 
 #define OTIF_SPAN_CONCAT_INNER_(a, b) a##b
 #define OTIF_SPAN_CONCAT_(a, b) OTIF_SPAN_CONCAT_INNER_(a, b)

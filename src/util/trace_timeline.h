@@ -10,13 +10,13 @@
 
 namespace otif::telemetry {
 
-class SpanSite;  // trace.h
+class SpanSite;  // telemetry.h
 
 /// Timeline tracing: per-thread lock-free ring buffers of begin/end events
 /// that export as Chrome trace-event JSON (loadable in Perfetto or
 /// chrome://tracing).
 ///
-/// Unlike the SpanSite aggregates in trace.h (which fold every span into
+/// Unlike the SpanSite aggregates in telemetry.h (which fold every span into
 /// count/total/min/max), the timeline keeps *individual* events with
 /// timestamps and thread ids, so one can see where inside a parallel clip
 /// sweep the wall time goes — at the cost of a bounded ring per thread that

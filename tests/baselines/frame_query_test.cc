@@ -103,7 +103,6 @@ TEST(VerifyByScoreTest, RespectsLimitAndSeparation) {
 TEST(BlazeItTest, EndToEndQuery) {
   const auto clips = TestClips(2, 120);
   BlazeIt::Options opts;
-  opts.train_steps = 200;
   opts.limit = 5;
   opts.min_separation_sec = 2;
   query::CountPredicate predicate(1);
@@ -123,7 +122,6 @@ TEST(TastiTest, IndexReusableAcrossQueries) {
   Tasti::Options opts;
   opts.limit = 5;
   opts.min_separation_sec = 2;
-  opts.reference_frames = 100;
   query::CountPredicate p1(1);
   query::CountPredicate p2(2);
   const FrameQueryReport r1 =

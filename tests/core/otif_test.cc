@@ -28,7 +28,6 @@ RunScale TestScale() {
   scale.proxy_train_steps = 300;
   scale.tracker_train_steps = 700;
   scale.proxy_resolutions = 2;
-  scale.window_sample_frames = 16;
   return scale;
 }
 
@@ -43,7 +42,6 @@ RunScale SmallScale() {
   scale.proxy_train_steps = 30;
   scale.tracker_train_steps = 60;
   scale.proxy_resolutions = 3;
-  scale.window_sample_frames = 8;
   return scale;
 }
 

@@ -323,7 +323,6 @@ TEST_F(PipelineTelemetryTest, PrepareSpansCountEveryPhase) {
   scale.proxy_train_steps = 10;
   scale.tracker_train_steps = 20;
   scale.proxy_resolutions = 3;
-  scale.window_sample_frames = 4;
   Tuner::Options topts;
   topts.max_iterations = 1;
   const eval::TrackWorkload workload =

@@ -1,69 +1,31 @@
 // Integration test: the full Table 2 style experiment on the small
-// synthetic dataset with a reduced method set, checking the cross-module
-// invariants the benches rely on.
+// synthetic dataset, checking the cross-module invariants the benches rely
+// on.
 
 #include <gtest/gtest.h>
 
-#include <utility>
+#include <string>
+#include <vector>
 
 #include "eval/harness.h"
-#include "obs/run_progress.h"
-#include "util/logging.h"
-#include "util/telemetry.h"
-#include "util/trace.h"
 
 namespace otif::eval {
 namespace {
 
 const TrackExperimentResult& SharedResult() {
   static const TrackExperimentResult* result = [] {
-    ExperimentOptions options;
-    options.scale.train_clips = 2;
-    options.scale.valid_clips = 2;
-    options.scale.test_clips = 2;
-    options.scale.clip_seconds = 10;
-    options.scale.proxy_train_steps = 150;
-    options.scale.tracker_train_steps = 400;
-    options.scale.proxy_resolutions = 2;
-    options.methods = {"miris", "chameleon"};
-    StatusOr<TrackExperimentResult> result_or =
-        RunTrackExperiment(sim::DatasetId::kSynthetic, options);
-    OTIF_CHECK(result_or.ok()) << result_or.status().ToString();
-    return new TrackExperimentResult(std::move(result_or).value());
+    core::RunScale scale;
+    scale.train_clips = 2;
+    scale.valid_clips = 2;
+    scale.test_clips = 2;
+    scale.clip_seconds = 10;
+    scale.proxy_train_steps = 150;
+    scale.tracker_train_steps = 400;
+    scale.proxy_resolutions = 2;
+    return new TrackExperimentResult(
+        RunTrackExperiment(sim::DatasetId::kSynthetic, scale));
   }();
   return *result;
-}
-
-TEST(HarnessErrorTest, UnknownMethodReturnsInvalidArgument) {
-  // With progress armed (as under OTIF_METRICS_PORT), an unknown name must
-  // fail before Prepare runs and leave /statusz's phase idle.
-  const bool telemetry_was_enabled = telemetry::Enabled();
-  const bool progress_was_enabled = obs::ProgressEnabled();
-  telemetry::SetEnabled(true);
-  obs::SetProgressEnabled(true);
-  obs::RunProgress::Global().SetPhase("idle");
-  telemetry::SpanSite* const prepare_span =
-      telemetry::GetSpan("harness/prepare");
-  const int64_t prepares_before = prepare_span->Sample().count;
-
-  ExperimentOptions options;
-  options.scale.train_clips = 1;
-  options.scale.valid_clips = 1;
-  options.scale.test_clips = 1;
-  options.scale.clip_seconds = 5;
-  options.scale.proxy_train_steps = 10;
-  options.scale.tracker_train_steps = 10;
-  options.methods = {"no_such_method"};
-  const StatusOr<TrackExperimentResult> result =
-      RunTrackExperiment(sim::DatasetId::kSynthetic, options);
-  EXPECT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(prepare_span->Sample().count, prepares_before);
-  EXPECT_EQ(obs::RunProgress::Global().Snapshot().phase, "idle");
-
-  obs::RunProgress::Global().SetPhase("idle");
-  obs::SetProgressEnabled(progress_was_enabled);
-  telemetry::SetEnabled(telemetry_was_enabled);
 }
 
 TEST(HarnessIntegrationTest, RunsAllRequestedMethods) {
@@ -72,7 +34,28 @@ TEST(HarnessIntegrationTest, RunsAllRequestedMethods) {
   ASSERT_TRUE(r.curves.count("otif"));
   ASSERT_TRUE(r.curves.count("miris"));
   ASSERT_TRUE(r.curves.count("chameleon"));
-  EXPECT_FALSE(r.curves.count("noscope"));
+  ASSERT_TRUE(r.curves.count("noscope"));
+  ASSERT_TRUE(r.curves.count("catdet"));
+  ASSERT_TRUE(r.curves.count("centertrack"));
+  EXPECT_EQ(r.curves.size(), 6u);
+}
+
+TEST(HarnessIntegrationTest, SkipsCenterTrackOnMovingCamera) {
+  // UAV's camera moves, so the harness runs every baseline but CenterTrack
+  // (the paper's "-" for UAV in Table 2).
+  core::RunScale scale;
+  scale.train_clips = 1;
+  scale.valid_clips = 1;
+  scale.test_clips = 1;
+  scale.clip_seconds = 5;
+  scale.proxy_train_steps = 10;
+  scale.tracker_train_steps = 10;
+  const TrackExperimentResult r =
+      RunTrackExperiment(sim::DatasetId::kUav, scale);
+  std::vector<std::string> methods;
+  for (const auto& [method, points] : r.curves) methods.push_back(method);
+  EXPECT_EQ(methods, (std::vector<std::string>{"catdet", "chameleon", "miris",
+                                                "noscope", "otif"}));
 }
 
 TEST(HarnessIntegrationTest, EveryMethodHasPositivePoints) {

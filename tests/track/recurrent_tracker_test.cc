@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "util/rng.h"
 
 namespace otif::track {
@@ -60,14 +63,22 @@ RecurrentTracker::Options SmallFrameOptions() {
   opts.frame_w = 320;
   opts.frame_h = 240;
   opts.fps = 10;
-  opts.match_threshold = 0.3;
   return opts;
+}
+
+// Feeds one frame with the neutral appearance statistics the net was
+// trained on.
+void ProcessFrame(RecurrentTracker* tracker, int frame,
+                  const FrameDetections& detections) {
+  tracker->ProcessFrameWithAppearance(
+      frame, detections,
+      std::vector<std::pair<double, double>>(detections.size(), {0.5, 0.1}));
 }
 
 TEST(RecurrentTrackerTest, SingleObjectSingleTrack) {
   RecurrentTracker tracker(TrainedNet(), SmallFrameOptions());
   for (int t = 0; t < 10; ++t) {
-    tracker.ProcessFrame(t, {MakeDet(t, 50 + 3 * t, 100)});
+    ProcessFrame(&tracker, t, {MakeDet(t, 50 + 3 * t, 100)});
   }
   const auto tracks = tracker.Finish(2);
   ASSERT_EQ(tracks.size(), 1u);
@@ -78,7 +89,7 @@ TEST(RecurrentTrackerTest, ReducedRateKeepsIdentity) {
   RecurrentTracker tracker(TrainedNet(), SmallFrameOptions());
   for (int k = 0; k < 8; ++k) {
     const int t = 8 * k;
-    tracker.ProcessFrame(t, {MakeDet(t, 30 + 3.0 * t, 100)});
+    ProcessFrame(&tracker, t, {MakeDet(t, 30 + 3.0 * t, 100)});
   }
   const auto tracks = tracker.Finish(2);
   ASSERT_EQ(tracks.size(), 1u) << "fragmented at gap 8";
@@ -89,8 +100,9 @@ TEST(RecurrentTrackerTest, TwoObjectsTwoTracks) {
   RecurrentTracker tracker(TrainedNet(), SmallFrameOptions());
   for (int k = 0; k < 6; ++k) {
     const int t = 4 * k;
-    tracker.ProcessFrame(
-        t, {MakeDet(t, 30 + 3.0 * t, 60), MakeDet(t, 290 - 3.0 * t, 180)});
+    ProcessFrame(&tracker, t,
+                 {MakeDet(t, 30 + 3.0 * t, 60),
+                  MakeDet(t, 290 - 3.0 * t, 180)});
   }
   const auto tracks = tracker.Finish(3);
   ASSERT_EQ(tracks.size(), 2u);
@@ -104,20 +116,21 @@ TEST(RecurrentTrackerTest, TwoObjectsTwoTracks) {
 
 TEST(RecurrentTrackerTest, PairScoreAccounting) {
   RecurrentTracker tracker(TrainedNet(), SmallFrameOptions());
-  tracker.ProcessFrame(0, {MakeDet(0, 100, 100)});
+  ProcessFrame(&tracker, 0, {MakeDet(0, 100, 100)});
   EXPECT_EQ(tracker.pair_scores_computed(), 0);
-  tracker.ProcessFrame(1, {MakeDet(1, 103, 100), MakeDet(1, 200, 200)});
+  ProcessFrame(&tracker, 1, {MakeDet(1, 103, 100), MakeDet(1, 200, 200)});
   EXPECT_EQ(tracker.pair_scores_computed(), 2);  // 1 track x 2 detections.
 }
 
 // The distance gate is half the frame diagonal: 200 px in a 320x240 frame.
 TEST(RecurrentTrackerTest, DistanceGateSkipsFarPairs) {
   RecurrentTracker tracker(TrainedNet(), SmallFrameOptions());
-  tracker.ProcessFrame(0, {MakeDet(0, 20, 120)});
+  ProcessFrame(&tracker, 0, {MakeDet(0, 20, 120)});
   // The track's continuation, a detection 199 px away (inside the gate)
   // and one 201 px away (outside it).
-  tracker.ProcessFrame(1, {MakeDet(1, 23, 120), MakeDet(1, 219, 120),
-                           MakeDet(1, 221, 120)});
+  ProcessFrame(&tracker, 1,
+               {MakeDet(1, 23, 120), MakeDet(1, 219, 120),
+                MakeDet(1, 221, 120)});
   EXPECT_EQ(tracker.pair_scores_computed(), 2);
   EXPECT_EQ(tracker.num_active(), 3u);
   const auto tracks = tracker.Finish(1);
@@ -134,8 +147,8 @@ TEST(RecurrentTrackerTest, DistanceGateSkipsFarPairs) {
 // nothing and starts a new track per detection, in detection order.
 TEST(RecurrentTrackerTest, FrameWithOnlyGatedOutPairsStartsNewTracks) {
   RecurrentTracker tracker(TrainedNet(), SmallFrameOptions());
-  tracker.ProcessFrame(0, {MakeDet(0, 20, 20)});
-  tracker.ProcessFrame(1, {MakeDet(1, 300, 220), MakeDet(1, 250, 220)});
+  ProcessFrame(&tracker, 0, {MakeDet(0, 20, 20)});
+  ProcessFrame(&tracker, 1, {MakeDet(1, 300, 220), MakeDet(1, 250, 220)});
   EXPECT_EQ(tracker.pair_scores_computed(), 0);
   EXPECT_EQ(tracker.num_active(), 3u);
   const auto tracks = tracker.Finish(1);
@@ -147,12 +160,12 @@ TEST(RecurrentTrackerTest, FrameWithOnlyGatedOutPairsStartsNewTracks) {
 
 TEST(RecurrentTrackerTest, FinishResetsState) {
   RecurrentTracker tracker(TrainedNet(), SmallFrameOptions());
-  tracker.ProcessFrame(0, {MakeDet(0, 100, 100)});
-  tracker.ProcessFrame(1, {MakeDet(1, 103, 100)});
+  ProcessFrame(&tracker, 0, {MakeDet(0, 100, 100)});
+  ProcessFrame(&tracker, 1, {MakeDet(1, 103, 100)});
   EXPECT_EQ(tracker.Finish(1).size(), 1u);
   EXPECT_EQ(tracker.num_active(), 0u);
   // Frame counter reset: processing frame 0 again is legal.
-  tracker.ProcessFrame(0, {MakeDet(0, 50, 50)});
+  ProcessFrame(&tracker, 0, {MakeDet(0, 50, 50)});
   EXPECT_EQ(tracker.Finish(1).size(), 1u);
 }
 

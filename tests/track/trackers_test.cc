@@ -108,9 +108,7 @@ TEST(SortTrackerTest, PrunesSingleDetectionTracks) {
 
 TEST(SortTrackerTest, ReducedRateTracking) {
   // Detections every 8 frames; Kalman prediction spans the gap.
-  SortTracker::Options opts;
-  opts.iou_threshold = 0.1;
-  SortTracker sort(opts);
+  SortTracker sort;
   for (int k = 0; k < 8; ++k) {
     const int t = 8 * k;
     sort.ProcessFrame(t, {MakeDet(t, 100 + 2.0 * t, 100, 40, 26)});

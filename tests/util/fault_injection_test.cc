@@ -1,4 +1,4 @@
-// Deterministic fault-injection registry tests: spec parsing (only the two
+// Deterministic fault-injection tests: spec parsing (only the two
 // instrumented sites are accepted), the everything-off default, seeded
 // replayability, rate endpoints, clip scoping, the injected-fault
 // counters, and OTIF_FAULTS applied once per process.
@@ -58,7 +58,10 @@ TEST_F(FaultInjectionTest, MalformedSpecsRejectedAndPreviousConfigKept) {
         "proxy.invoke:error:0.5:notanumber",
         "proxy.invoke:error:0.5:1:bogus=3", ":error:0.5:1",
         "proxy.invoke:error:0.5:1:clip=-2", "proxy.invoke:corrupt:0.5:1",
-        "proxy.invoke:deny:0.5:1", "detect.invok:error:1:7"}) {
+        "proxy.invoke:deny:0.5:1", "detect.invok:error:1:7",
+        "detect.invoke:error:nan:7", "detect.invoke:error:NaN:7",
+        "detect.invoke:error:-nan:7", "proxy.invoke:stall:1:9:ms=2147483648",
+        "proxy.invoke:stall:1:9:ms=4294967297"}) {
     EXPECT_EQ(ConfigureFaults(bad).code(), StatusCode::kInvalidArgument)
         << "spec: " << bad;
   }
@@ -134,6 +137,41 @@ TEST_F(FaultInjectionTest, InjectedCounterCountsFiredFaultsOnly) {
   ASSERT_TRUE(ConfigureFaults("detect.invoke:error:0:1").ok());
   EXPECT_FALSE(site->Inject(/*clip=*/0, /*token=*/2, &inj));
   EXPECT_EQ(counter->value(), before + 2);
+}
+
+TEST(FaultInjectionDeathTest, SiteCountersAppearOnlyOnceASiteIsUsed) {
+  // A fault-free run must add no fault.injected.* series to /metrics: each
+  // site, and with it its counter, is created on first use. Checked in a
+  // fresh child, where no other test has touched a site yet.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        auto fault_counters = [] {
+          std::vector<std::string> names;
+          for (const telemetry::CounterSample& c :
+               telemetry::MetricsRegistry::Global().Snapshot().counters) {
+            if (StartsWith(c.name, "fault.injected.")) names.push_back(c.name);
+          }
+          return names;
+        };
+        ClearFaults();
+        const bool none_when_cleared = fault_counters().empty();
+        const bool configured = ConfigureFaults("detect.invoke:error:0:1").ok();
+        const std::vector<std::string> counters = fault_counters();
+        std::fprintf(stderr, "fault counters: %s\n",
+                     StrJoin(counters, ", ").c_str());
+        std::exit(none_when_cleared && configured &&
+                          counters == std::vector<std::string>{
+                                          "fault.injected.detect.invoke"}
+                      ? 0
+                      : 1);
+      },
+      ::testing::ExitedWithCode(0),
+      "fault counters: fault.injected.detect.invoke\n");
+}
+
+TEST(FaultInjectionDeathTest, UnknownSiteIsFatal) {
+  EXPECT_DEATH(GetSite("detect.invok"), "unknown fault site");
 }
 
 TEST(FaultInjectionDeathTest, EnvSpecInstallsOncePerProcess) {

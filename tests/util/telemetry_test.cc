@@ -96,6 +96,32 @@ TEST(TelemetryTest, SnapshotReflectsValuesAndResetZeroes) {
   EXPECT_EQ(snapshot.histograms[0].count, 0);
 }
 
+TEST(TelemetryTest, RegistrySnapshotsAndResetsSpanSites) {
+  // Span sites are the registry's fourth kind: one Snapshot and one Reset
+  // cover them with the other three.
+  MetricsRegistry registry;
+  SpanSite* site = registry.GetSpan("snap/span");
+  EXPECT_EQ(registry.GetSpan("snap/span"), site);
+  site->Record(0.5);
+  site->Record(1.5);
+
+  TelemetrySnapshot snapshot = registry.Snapshot();
+  const SpanSample* span = FindSpan(snapshot, "snap/span");
+  ASSERT_NE(span, nullptr);
+  EXPECT_EQ(span->count, 2);
+  EXPECT_DOUBLE_EQ(span->total_seconds, 2.0);
+  EXPECT_DOUBLE_EQ(span->min_seconds, 0.5);
+  EXPECT_DOUBLE_EQ(span->max_seconds, 1.5);
+
+  registry.Reset();
+  snapshot = registry.Snapshot();
+  span = FindSpan(snapshot, "snap/span");
+  ASSERT_NE(span, nullptr);
+  EXPECT_EQ(span->count, 0);
+  EXPECT_DOUBLE_EQ(span->total_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(span->min_seconds, 0.0);
+}
+
 TEST(TelemetryTest, ConcurrentRegistryUpdatesLoseNothing) {
   // Counters, gauges, and histograms are shared across the pool; N tasks
   // each record once and the totals must be exact.
@@ -238,7 +264,7 @@ TEST(PrometheusNameDeathTest, CrossKindReuseOfOneNameIsFatal) {
 
 TEST(PrometheusNameDeathTest, ExternalNamesJoinTheCollisionTable) {
   MetricsRegistry registry;
-  registry.RegisterExternalName("span", "col/ext");
+  registry.GetSpan("col/ext");
   EXPECT_DEATH(registry.GetCounter("col.ext"),
                "telemetry metric name collision");
 }

@@ -72,7 +72,6 @@ TEST(ParseWorkerEnvTest, AcceptsPositiveIntegers) {
 
 TEST(ParseWorkerEnvTest, RejectsInvalidValuesWithWarning) {
   // Each rejected value falls back and logs a warning naming the value.
-  // (strtol skips leading whitespace, so " 4" would parse; not tested.)
   for (const char* bad : {"", "abc", "4x", "0", "-2", "1e3"}) {
     testing::internal::CaptureStderr();
     EXPECT_EQ(ThreadPool::ParseWorkerEnv(bad, 6), 6) << "value \"" << bad

@@ -2,7 +2,7 @@
 # The ThreadSanitizer test list, shared by tools/check.sh and CI's tsan job:
 # builds the concurrency-sensitive test binaries in BUILD_DIR and runs each
 # with its filter (thread pool, telemetry registry/spans, timeline ring
-# buffers, fault-injection registry, proxy score memo, pipeline
+# buffers, fault-injection sites, proxy score memo, pipeline
 # determinism with concurrent proxy scoring with and without the memo,
 # fault recovery, concurrent model training in Prepare, extraction next to
 # the tuner's memo, live introspection).
