@@ -23,4 +23,30 @@ const MethodPoint* FastestWithinTolerance(
   return fastest;
 }
 
+std::vector<track::Track> DetectAndTrack(
+    const sim::Clip& clip, const models::SimulatedDetector& detector, int gap,
+    double scale, track::IouTracker::Options tracker_options,
+    models::SimClock* clock) {
+  const models::CostConstants& costs = models::DefaultCostConstants();
+  const sim::DatasetSpec& spec = clip.spec();
+  tracker_options.frame_w = spec.width;
+  tracker_options.frame_h = spec.height;
+  track::IouTracker tracker(tracker_options);
+
+  // Decode cost at the detector resolution (same model as the pipeline).
+  clock->Charge(models::CostCategory::kDecode,
+                models::DecodeSeconds(spec.width, spec.height,
+                                      clip.num_frames(), gap, scale));
+  for (int f = 0; f < clip.num_frames(); f += gap) {
+    clock->Charge(models::CostCategory::kDetect,
+                  detector.FullFrameSeconds(clip, scale));
+    track::FrameDetections dets =
+        models::FilterByConfidence(detector.Detect(clip, f, scale), 0.4);
+    clock->Charge(models::CostCategory::kTrack,
+                  costs.sort_sec_per_detection * dets.size());
+    tracker.ProcessFrame(f, dets);
+  }
+  return tracker.Finish(2);
+}
+
 }  // namespace otif::baselines

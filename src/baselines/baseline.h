@@ -5,12 +5,14 @@
 #include <vector>
 
 #include "core/best_config.h"
+#include "models/detector.h"
 #include "sim/world.h"
+#include "track/iou_tracker.h"
 
 namespace otif::baselines {
 
-/// One operating point of a baseline on a clip set: simulated runtime,
-/// accuracy, and the per-clip tracks it produced.
+/// One operating point of a method on a clip set: its label, simulated
+/// runtime and accuracy.
 struct MethodPoint {
   std::string label;
   double seconds = 0.0;
@@ -23,27 +25,24 @@ struct MethodPoint {
   double query_seconds = 0.0;
 };
 
-/// A track-extraction baseline: selects Pareto configurations on the
-/// validation set, then reports test-set points.
-class TrackBaseline {
- public:
-  virtual ~TrackBaseline() = default;
-  virtual std::string name() const = 0;
-
-  /// Returns the speed-accuracy points measured on `test`, using `valid`
-  /// for any parameter selection the method performs.
-  virtual std::vector<MethodPoint> Run(
-      const std::vector<sim::Clip>& valid, const std::vector<sim::Clip>& test,
-      const core::AccuracyFn& valid_accuracy,
-      const core::AccuracyFn& test_accuracy) = 0;
-};
-
 /// Picks the fastest point within `tolerance` of the best accuracy across
 /// `points` (the Table 2 selection rule). `best_accuracy` is the best
 /// accuracy achieved by ANY method on this workload.
 const MethodPoint* FastestWithinTolerance(
     const std::vector<MethodPoint>& points, double best_accuracy,
     double tolerance);
+
+/// The detect-and-track loop of the baselines built on a pairwise tracker
+/// (Miris, CenterTrack), over one clip. Charges `clock` the decode at
+/// (`gap`, `scale`), then on every `gap`-th frame a full-frame `detector`
+/// invocation at `scale` and SORT-rate tracking of the detections kept at
+/// confidence 0.4, which an IouTracker with `tracker_options` links (its
+/// frame size set to the clip's). Returns the tracks with at least two
+/// detections.
+std::vector<track::Track> DetectAndTrack(
+    const sim::Clip& clip, const models::SimulatedDetector& detector, int gap,
+    double scale, track::IouTracker::Options tracker_options,
+    models::SimClock* clock);
 
 }  // namespace otif::baselines
 

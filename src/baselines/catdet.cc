@@ -2,18 +2,13 @@
 
 #include <algorithm>
 
-#include "track/kalman.h"
 #include "track/sort_tracker.h"
 #include "util/strings.h"
 
 namespace otif::baselines {
 
-std::vector<MethodPoint> CaTDet::Run(
-    const std::vector<sim::Clip>& valid, const std::vector<sim::Clip>& test,
-    const core::AccuracyFn& valid_accuracy,
-    const core::AccuracyFn& test_accuracy) {
-  (void)valid;
-  (void)valid_accuracy;
+std::vector<MethodPoint> RunCaTDet(const std::vector<sim::Clip>& test,
+                                   const core::AccuracyFn& test_accuracy) {
   const models::CostConstants& costs = models::DefaultCostConstants();
   const models::DetectorArch arch =
       models::ArchByName(models::StandardDetectorArchs(), "yolov3");
@@ -26,9 +21,8 @@ std::vector<MethodPoint> CaTDet::Run(
     for (const sim::Clip& clip : test) {
       const sim::DatasetSpec& spec = clip.spec();
       track::SortTracker tracker;
-      // Per-track Kalman predictions come from SORT's internals; the
-      // cascade re-derives windows from the last frame's detections, which
-      // is what CaTDet's proposal stage does.
+      // The cascade's proposal stage derives its windows from the last
+      // frame's detections.
       track::FrameDetections last_dets;
 
       // CaTDet decodes every frame at native resolution.

@@ -1,11 +1,10 @@
 #include "baselines/centertrack.h"
 
-#include "track/iou_tracker.h"
 #include "util/strings.h"
 
 namespace otif::baselines {
 
-models::DetectorArch CenterTrack::Backbone() {
+models::DetectorArch CenterTrackBackbone() {
   models::DetectorArch arch;
   arch.name = "centertrack_dla34";
   arch.sec_per_pixel = 6.5e-8;  // Between YOLOv3 and Mask R-CNN.
@@ -22,14 +21,14 @@ models::DetectorArch CenterTrack::Backbone() {
   return arch;
 }
 
-std::vector<MethodPoint> CenterTrack::Run(
-    const std::vector<sim::Clip>& valid, const std::vector<sim::Clip>& test,
-    const core::AccuracyFn& valid_accuracy,
-    const core::AccuracyFn& test_accuracy) {
-  (void)valid;
-  (void)valid_accuracy;
-  const models::CostConstants& costs = models::DefaultCostConstants();
-  models::SimulatedDetector detector(Backbone());
+std::vector<MethodPoint> RunCenterTrack(const std::vector<sim::Clip>& test,
+                                        const core::AccuracyFn& test_accuracy) {
+  models::SimulatedDetector detector(CenterTrackBackbone());
+  // The offset head only regresses small inter-frame motion: tight
+  // displacement gate.
+  track::IouTracker::Options tracker_options;
+  tracker_options.max_center_shift_frac = 0.08;
+  tracker_options.max_misses = 1;
 
   std::vector<MethodPoint> points;
   // CenterTrack's offset head is trained at native resolution; the naive
@@ -39,29 +38,8 @@ std::vector<MethodPoint> CenterTrack::Run(
       models::SimClock clock;
       std::vector<std::vector<track::Track>> tracks_per_clip;
       for (const sim::Clip& clip : test) {
-        const sim::DatasetSpec& spec = clip.spec();
-        track::IouTracker::Options topts;
-        topts.frame_w = spec.width;
-        topts.frame_h = spec.height;
-        // The offset head only regresses small inter-frame motion: tight
-        // displacement gate.
-        topts.max_center_shift_frac = 0.08;
-        topts.max_misses = 1;
-        track::IouTracker tracker(topts);
-
-        clock.Charge(models::CostCategory::kDecode,
-                     models::DecodeSeconds(spec.width, spec.height,
-                                           clip.num_frames(), gap, scale));
-        for (int f = 0; f < clip.num_frames(); f += gap) {
-          clock.Charge(models::CostCategory::kDetect,
-                       detector.FullFrameSeconds(clip, scale));
-          track::FrameDetections dets = models::FilterByConfidence(
-              detector.Detect(clip, f, scale), 0.4);
-          clock.Charge(models::CostCategory::kTrack,
-                       costs.sort_sec_per_detection * dets.size());
-          tracker.ProcessFrame(f, dets);
-        }
-        tracks_per_clip.push_back(tracker.Finish(2));
+        tracks_per_clip.push_back(DetectAndTrack(clip, detector, gap, scale,
+                                                 tracker_options, &clock));
       }
       MethodPoint p;
       p.label = StrFormat("centertrack(scale=%.2f gap=%d)", scale, gap);

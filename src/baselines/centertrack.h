@@ -1,6 +1,8 @@
 #ifndef OTIF_BASELINES_CENTERTRACK_H_
 #define OTIF_BASELINES_CENTERTRACK_H_
 
+#include <vector>
+
 #include "baselines/baseline.h"
 
 namespace otif::baselines {
@@ -11,20 +13,13 @@ namespace otif::baselines {
 /// resolution and framerate tuning (as the paper does in Sec 4). The
 /// integrated network pairs frames, so association quality collapses at
 /// large sampling gaps — modeled by the pairwise tracker with a tight
-/// displacement gate.
-class CenterTrack : public TrackBaseline {
- public:
-  std::string name() const override { return "centertrack"; }
+/// displacement gate. Returns the speed-accuracy points measured on `test`.
+std::vector<MethodPoint> RunCenterTrack(const std::vector<sim::Clip>& test,
+                                        const core::AccuracyFn& test_accuracy);
 
-  std::vector<MethodPoint> Run(
-      const std::vector<sim::Clip>& valid, const std::vector<sim::Clip>& test,
-      const core::AccuracyFn& valid_accuracy,
-      const core::AccuracyFn& test_accuracy) override;
-
-  /// The DLA-34 backbone cost profile (heavier than YOLOv3, close to Mask
-  /// R-CNN), exposed for tests.
-  static models::DetectorArch Backbone();
-};
+/// The DLA-34 backbone cost profile (heavier than YOLOv3, close to Mask
+/// R-CNN).
+models::DetectorArch CenterTrackBackbone();
 
 }  // namespace otif::baselines
 

@@ -5,7 +5,11 @@
 #include "util/strings.h"
 
 namespace otif::baselines {
+namespace {
 
+// Evaluates a plain (no proxy / SORT) pipeline config on a clip set.
+// Everything it outputs is reusable across queries (tracks out), so
+// query_seconds = 0.
 MethodPoint EvaluatePlainConfig(const std::string& label,
                                 const core::PipelineConfig& config,
                                 const std::vector<sim::Clip>& clips,
@@ -20,10 +24,12 @@ MethodPoint EvaluatePlainConfig(const std::string& label,
   return p;
 }
 
-std::vector<MethodPoint> Chameleon::Run(
-    const std::vector<sim::Clip>& valid, const std::vector<sim::Clip>& test,
-    const core::AccuracyFn& valid_accuracy,
-    const core::AccuracyFn& test_accuracy) {
+}  // namespace
+
+std::vector<MethodPoint> RunChameleon(const std::vector<sim::Clip>& valid,
+                                      const std::vector<sim::Clip>& test,
+                                      const core::AccuracyFn& valid_accuracy,
+                                      const core::AccuracyFn& test_accuracy) {
   // Hill climb on the validation set: start from the slowest configuration
   // and repeatedly apply whichever knob update (resolution step, gap
   // doubling, architecture switch) loses the least accuracy; each accepted

@@ -1,8 +1,9 @@
 #ifndef OTIF_BASELINES_CHAMELEON_H_
 #define OTIF_BASELINES_CHAMELEON_H_
 
+#include <vector>
+
 #include "baselines/baseline.h"
-#include "core/pipeline.h"
 
 namespace otif::baselines {
 
@@ -11,24 +12,12 @@ namespace otif::baselines {
 /// configurations, but uses a heuristic tracker and no spatial proxy.
 /// Implemented as a hill-climbing sweep over (arch, scale, gap) with SORT,
 /// mirroring the paper's description of Chameleon as a configuration
-/// adapter for the detection pipeline.
-class Chameleon : public TrackBaseline {
- public:
-  std::string name() const override { return "chameleon"; }
-
-  std::vector<MethodPoint> Run(
-      const std::vector<sim::Clip>& valid, const std::vector<sim::Clip>& test,
-      const core::AccuracyFn& valid_accuracy,
-      const core::AccuracyFn& test_accuracy) override;
-};
-
-/// Shared helper: evaluates a plain (no proxy / SORT) pipeline config on a
-/// clip set and returns a MethodPoint. Everything in these baselines is
-/// reusable across queries (tracks out), so query_seconds = 0.
-MethodPoint EvaluatePlainConfig(const std::string& label,
-                                const core::PipelineConfig& config,
-                                const std::vector<sim::Clip>& clips,
-                                const core::AccuracyFn& accuracy);
+/// adapter for the detection pipeline. Selects the candidates on `valid`
+/// and returns their speed-accuracy points measured on `test`.
+std::vector<MethodPoint> RunChameleon(const std::vector<sim::Clip>& valid,
+                                      const std::vector<sim::Clip>& test,
+                                      const core::AccuracyFn& valid_accuracy,
+                                      const core::AccuracyFn& test_accuracy);
 
 }  // namespace otif::baselines
 

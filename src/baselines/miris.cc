@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "baselines/chameleon.h"
-#include "track/iou_tracker.h"
 #include "util/strings.h"
 
 namespace otif::baselines {
@@ -70,39 +68,19 @@ std::vector<track::Detection> RefineEndpoint(
 
 }  // namespace
 
-std::vector<std::vector<track::Track>> Miris::RunAtGap(
+std::vector<std::vector<track::Track>> RunMirisAtGap(
     const std::vector<sim::Clip>& clips, int gap, double detector_scale,
     models::SimClock* clock) {
-  const models::CostConstants& costs = models::DefaultCostConstants();
   const models::DetectorArch arch =
       models::ArchByName(models::StandardDetectorArchs(), "yolov3");
   models::SimulatedDetector detector(arch);
+  track::IouTracker::Options tracker_options;
+  tracker_options.max_misses = 2;
 
   std::vector<std::vector<track::Track>> out;
   for (const sim::Clip& clip : clips) {
-    const sim::DatasetSpec& spec = clip.spec();
-    track::IouTracker::Options topts;
-    topts.frame_w = spec.width;
-    topts.frame_h = spec.height;
-    topts.max_misses = 2;
-    track::IouTracker tracker(topts);
-
-    // Decode cost at the detector resolution (same model as the pipeline).
-    clock->Charge(models::CostCategory::kDecode,
-                  models::DecodeSeconds(spec.width, spec.height,
-                                        clip.num_frames(), gap,
-                                        detector_scale));
-
-    for (int f = 0; f < clip.num_frames(); f += gap) {
-      clock->Charge(models::CostCategory::kDetect,
-                    detector.FullFrameSeconds(clip, detector_scale));
-      track::FrameDetections dets = models::FilterByConfidence(
-          detector.Detect(clip, f, detector_scale), 0.4);
-      clock->Charge(models::CostCategory::kTrack,
-                    costs.sort_sec_per_detection * dets.size());
-      tracker.ProcessFrame(f, dets);
-    }
-    std::vector<track::Track> tracks = tracker.Finish(2);
+    std::vector<track::Track> tracks = DetectAndTrack(
+        clip, detector, gap, detector_scale, tracker_options, clock);
 
     // Query-specific refinement: recover each track's true start and end by
     // probing extra frames (this cost repeats per query).
@@ -121,19 +99,15 @@ std::vector<std::vector<track::Track>> Miris::RunAtGap(
   return out;
 }
 
-std::vector<MethodPoint> Miris::Run(
-    const std::vector<sim::Clip>& valid, const std::vector<sim::Clip>& test,
-    const core::AccuracyFn& valid_accuracy,
-    const core::AccuracyFn& test_accuracy) {
-  (void)valid;
-  (void)valid_accuracy;
+std::vector<MethodPoint> RunMiris(const std::vector<sim::Clip>& test,
+                                  const core::AccuracyFn& test_accuracy) {
   // Miris exposes its error-tolerance knob, which maps to the sampling gap
-  // plan; sweep gaps directly (the validation step would pick the same
+  // plan; sweep gaps directly (a validation step would pick the same
   // Pareto set since the curve is monotone in the gap).
   std::vector<MethodPoint> points;
   for (int gap : {1, 2, 4, 8, 16, 32}) {
     models::SimClock clock;
-    auto tracks = RunAtGap(test, gap, 1.0, &clock);
+    auto tracks = RunMirisAtGap(test, gap, 1.0, &clock);
     MethodPoint p;
     p.label = StrFormat("miris(gap=%d)", gap);
     p.seconds = clock.TotalSeconds();

@@ -1,6 +1,8 @@
 #ifndef OTIF_BASELINES_MIRIS_H_
 #define OTIF_BASELINES_MIRIS_H_
 
+#include <vector>
+
 #include "baselines/baseline.h"
 #include "models/detector.h"
 
@@ -16,22 +18,15 @@ namespace otif::baselines {
 /// The refinement and rate-planning phases are query-specific, so the
 /// whole execution repeats per query (query_seconds = full runtime); this
 /// is what makes Miris 5x more expensive for five queries (Table 2).
-class Miris : public TrackBaseline {
- public:
-  std::string name() const override { return "miris"; }
+/// Returns the speed-accuracy points measured on `test`.
+std::vector<MethodPoint> RunMiris(const std::vector<sim::Clip>& test,
+                                  const core::AccuracyFn& test_accuracy);
 
-  std::vector<MethodPoint> Run(
-      const std::vector<sim::Clip>& valid, const std::vector<sim::Clip>& test,
-      const core::AccuracyFn& valid_accuracy,
-      const core::AccuracyFn& test_accuracy) override;
-
-  /// Runs Miris at one sampling gap over a clip set. Exposed for tests.
-  /// Returns the per-clip tracks; charges detection/track/refinement costs
-  /// to `clock`.
-  static std::vector<std::vector<track::Track>> RunAtGap(
-      const std::vector<sim::Clip>& clips, int gap, double detector_scale,
-      models::SimClock* clock);
-};
+/// Runs Miris at one sampling gap over a clip set. Returns the per-clip
+/// tracks; charges detection/track/refinement costs to `clock`.
+std::vector<std::vector<track::Track>> RunMirisAtGap(
+    const std::vector<sim::Clip>& clips, int gap, double detector_scale,
+    models::SimClock* clock);
 
 }  // namespace otif::baselines
 

@@ -8,12 +8,9 @@
 
 namespace otif::baselines {
 
-std::vector<MethodPoint> NoScope::Run(
-    const std::vector<sim::Clip>& valid, const std::vector<sim::Clip>& test,
-    const core::AccuracyFn& valid_accuracy,
-    const core::AccuracyFn& test_accuracy) {
-  (void)valid;
-  (void)valid_accuracy;
+std::vector<MethodPoint> RunNoScope(const models::ProxyModel& proxy,
+                                    const std::vector<sim::Clip>& test,
+                                    const core::AccuracyFn& test_accuracy) {
   const models::CostConstants& costs = models::DefaultCostConstants();
   const models::DetectorArch arch =
       models::ArchByName(models::StandardDetectorArchs(), "yolov3");
@@ -25,9 +22,9 @@ std::vector<MethodPoint> NoScope::Run(
     sim::Rasterizer raster(&test[ci]);
     frame_scores[ci].reserve(static_cast<size_t>(test[ci].num_frames()));
     for (int f = 0; f < test[ci].num_frames(); ++f) {
-      const nn::Tensor scores = proxy_->Score(
-          raster.Render(f, proxy_->resolution().raster_w(),
-                        proxy_->resolution().raster_h()));
+      const nn::Tensor scores = proxy.Score(
+          raster.Render(f, proxy.resolution().raster_w(),
+                        proxy.resolution().raster_h()));
       double max_score = 0.0;
       for (int64_t i = 0; i < scores.size(); ++i) {
         max_score = std::max<double>(max_score, scores[i]);
@@ -60,7 +57,7 @@ std::vector<MethodPoint> NoScope::Run(
           clock.Charge(models::CostCategory::kProxy,
                        costs.proxy_sec_per_frame +
                            costs.proxy_sec_per_pixel *
-                               proxy_->resolution().world_pixels());
+                               proxy.resolution().world_pixels());
         }
         track::FrameDetections dets;
         if (frame_score >= skip_threshold) {

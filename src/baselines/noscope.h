@@ -1,6 +1,8 @@
 #ifndef OTIF_BASELINES_NOSCOPE_H_
 #define OTIF_BASELINES_NOSCOPE_H_
 
+#include <vector>
+
 #include "baselines/baseline.h"
 #include "models/proxy.h"
 
@@ -15,24 +17,13 @@ namespace otif::baselines {
 ///
 /// The frame classifier reuses the segmentation proxy architecture at the
 /// smallest resolution with the frame score = max cell score, matching
-/// NoScope's "is anything here" semantics.
-class NoScope : public TrackBaseline {
- public:
-  /// `proxy` is a trained smallest-resolution proxy model (shared with
-  /// OTIF's training products to avoid re-training in experiments); the
-  /// baseline only uses its frame-level max score.
-  explicit NoScope(models::ProxyModel* proxy) : proxy_(proxy) {}
-
-  std::string name() const override { return "noscope"; }
-
-  std::vector<MethodPoint> Run(
-      const std::vector<sim::Clip>& valid, const std::vector<sim::Clip>& test,
-      const core::AccuracyFn& valid_accuracy,
-      const core::AccuracyFn& test_accuracy) override;
-
- private:
-  models::ProxyModel* proxy_;  // Not owned.
-};
+/// NoScope's "is anything here" semantics. `proxy` is a trained
+/// smallest-resolution proxy model (shared with OTIF's training products to
+/// avoid re-training in experiments); only its frame-level max score is
+/// used. Returns the speed-accuracy points measured on `test`.
+std::vector<MethodPoint> RunNoScope(const models::ProxyModel& proxy,
+                                    const std::vector<sim::Clip>& test,
+                                    const core::AccuracyFn& test_accuracy);
 
 }  // namespace otif::baselines
 

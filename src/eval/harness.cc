@@ -1,6 +1,8 @@
 #include "eval/harness.h"
 
 #include <algorithm>
+#include <functional>
+#include <utility>
 
 #include "baselines/catdet.h"
 #include "baselines/centertrack.h"
@@ -68,37 +70,48 @@ TrackExperimentResult RunTrackExperiment(sim::DatasetId id,
   }
 
   // --- Baselines ---
-  // Construct every baseline first (NoScope needs OTIF's trained proxy),
-  // then run them across the worker pool: the methods are independent of
-  // one another and only read the shared clip sets. Curves are inserted in
-  // baseline order afterwards so the result is identical to a serial loop.
+  // Run the baselines across the worker pool: the methods are independent
+  // of one another and only read the shared clip sets (NoScope also reads
+  // OTIF's trained proxy). Curves are inserted in baseline order afterwards
+  // so the result is identical to a serial loop.
   OTIF_CHECK(!result.otif->trained().proxies.empty());
-  std::vector<std::unique_ptr<baselines::TrackBaseline>> to_run;
-  to_run.push_back(std::make_unique<baselines::Miris>());
-  to_run.push_back(std::make_unique<baselines::Chameleon>());
-  to_run.push_back(std::make_unique<baselines::NoScope>(
-      result.otif->trained().proxies.back().get()));
-  to_run.push_back(std::make_unique<baselines::CaTDet>());
+  const models::ProxyModel& noscope_proxy =
+      *result.otif->trained().proxies.back();
+  using BaselineRun = std::function<std::vector<baselines::MethodPoint>()>;
+  std::vector<std::pair<std::string, BaselineRun>> to_run = {
+      {"miris", [&] { return baselines::RunMiris(*test, test_accuracy); }},
+      {"chameleon",
+       [&] {
+         return baselines::RunChameleon(*valid, *test, valid_accuracy,
+                                        test_accuracy);
+       }},
+      {"noscope",
+       [&] {
+         return baselines::RunNoScope(noscope_proxy, *test, test_accuracy);
+       }},
+      {"catdet", [&] { return baselines::RunCaTDet(*test, test_accuracy); }},
+  };
   if (!workload.spec.moving_camera) {
     // Paper Table 2 reports "-" for CenterTrack on UAV.
-    to_run.push_back(std::make_unique<baselines::CenterTrack>());
+    to_run.emplace_back("centertrack", [&] {
+      return baselines::RunCenterTrack(*test, test_accuracy);
+    });
   }
-  for (const auto& baseline : to_run) {
-    OTIF_LOG(kInfo) << "[" << result.dataset << "] running "
-                    << baseline->name();
+  for (const auto& [name, run] : to_run) {
+    OTIF_LOG(kInfo) << "[" << result.dataset << "] running " << name;
   }
   obs::RunProgress::Global().SetPhase("baselines");
   std::vector<std::vector<baselines::MethodPoint>> curves = ParallelMap(
       ThreadPool::Default(), static_cast<int64_t>(to_run.size()),
       [&](int64_t i) {
-        baselines::TrackBaseline* baseline = to_run[static_cast<size_t>(i)].get();
+        const auto& [name, run] = to_run[static_cast<size_t>(i)];
         // Per-baseline span (dynamic name, so resolved per call).
         telemetry::ScopedSpan span(
-            telemetry::GetSpan("harness/baseline/" + baseline->name()));
-        return baseline->Run(*valid, *test, valid_accuracy, test_accuracy);
+            telemetry::GetSpan("harness/baseline/" + name));
+        return run();
       });
   for (size_t i = 0; i < to_run.size(); ++i) {
-    result.curves[to_run[i]->name()] = std::move(curves[i]);
+    result.curves[to_run[i].first] = std::move(curves[i]);
   }
 
   obs::RunProgress::Global().SetPhase("idle");

@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "track/track_book.h"
 #include "track/types.h"
 
 namespace otif::track {
@@ -26,24 +27,21 @@ class IouTracker {
   explicit IouTracker(Options options);
 
   /// Processes one frame's detections; `frame` must be strictly increasing
-  /// across calls.
+  /// across calls, and every detection must carry it.
   void ProcessFrame(int frame, const FrameDetections& detections);
 
   /// Finalizes and returns all tracks with at least `min_detections`
   /// detections, and resets the tracker.
-  std::vector<Track> Finish(int min_detections);
+  std::vector<Track> Finish(int min_detections) {
+    return book_.Finish(min_detections);
+  }
 
  private:
-  struct ActiveTrack {
-    Track track;
-    int misses = 0;
-  };
+  /// The matcher reads only each track's last detection.
+  struct NoState {};
 
   Options options_;
-  int64_t next_id_ = 0;
-  int last_processed_frame_ = -1;
-  std::vector<ActiveTrack> active_;
-  std::vector<Track> finished_;
+  TrackBook<NoState> book_;
 };
 
 }  // namespace otif::track

@@ -19,7 +19,7 @@ constexpr double kMatchThreshold = 0.5;
 
 RecurrentTracker::RecurrentTracker(const models::TrackerNet* net,
                                    Options options)
-    : net_(net), options_(options) {
+    : net_(net), options_(options), book_(kMaxMisses) {
   OTIF_CHECK(net != nullptr);
   OTIF_CHECK_GT(options_.fps, 0);
 }
@@ -29,7 +29,8 @@ std::vector<int> RecurrentTracker::MatchDetections(
   using models::TrackerNet;
   constexpr int kPairDim = TrackerNet::kPairFeatureDim;
   const int hidden_size = net_->hidden_size();
-  const size_t n_tracks = active_.size();
+  const auto active = book_.active();
+  const size_t n_tracks = active.size();
   const size_t n_dets = detections.size();
   std::vector<int> det_for_track(n_tracks, -1);
   if (n_tracks == 0 || n_dets == 0) return det_for_track;
@@ -40,7 +41,7 @@ std::vector<int> RecurrentTracker::MatchDetections(
                                       options_.frame_h * options_.frame_h);
   std::vector<TrackerNet::PairIndex> pairs;
   for (size_t t = 0; t < n_tracks; ++t) {
-    const Detection& last = active_[t].track.detections.back();
+    const Detection& last = active[t].track.detections.back();
     for (size_t d = 0; d < n_dets; ++d) {
       const double dist =
           last.box.Center().DistanceTo(detections[d].box.Center());
@@ -56,14 +57,14 @@ std::vector<int> RecurrentTracker::MatchDetections(
     nn::Tensor hidden = nn::Tensor::Uninitialized(
         {static_cast<int>(n_tracks), hidden_size});
     for (size_t t = 0; t < n_tracks; ++t) {
-      std::copy_n(active_[t].hidden.data(), hidden_size,
+      std::copy_n(active[t].state.data(), hidden_size,
                   hidden.data() + t * hidden_size);
     }
     nn::Tensor pair_features = nn::Tensor::Uninitialized(
         {static_cast<int>(pairs.size()), kPairDim});
     for (size_t i = 0; i < pairs.size(); ++i) {
       const auto& dets_so_far =
-          active_[static_cast<size_t>(pairs[i].track)].track.detections;
+          active[static_cast<size_t>(pairs[i].track)].track.detections;
       const Detection& last = dets_so_far.back();
       const Detection& prev = dets_so_far.size() >= 2
                                   ? dets_so_far[dets_so_far.size() - 2]
@@ -94,13 +95,14 @@ std::vector<int> RecurrentTracker::MatchDetections(
 void RecurrentTracker::ProcessFrameWithAppearance(
     int frame, const FrameDetections& detections,
     const std::vector<std::pair<double, double>>& appearance) {
-  OTIF_CHECK_GT(frame, last_processed_frame_);
+  const int previous_frame = book_.StartFrame(frame, detections);
   OTIF_CHECK_EQ(appearance.size(), detections.size());
   using models::TrackerNet;
   constexpr int kDetDim = TrackerNet::kDetFeatureDim;
   const int hidden_size = net_->hidden_size();
 
-  const size_t n_tracks = active_.size();
+  const auto active = book_.active();
+  const size_t n_tracks = active.size();
   const size_t n_dets = detections.size();
   auto det_feature = [&](size_t d, double t_elapsed_frames) {
     return TrackerNet::DetFeature(detections[d], t_elapsed_frames,
@@ -113,7 +115,7 @@ void RecurrentTracker::ProcessFrameWithAppearance(
   // the previously processed frame (paper Sec 3.4 "Training", last
   // paragraph). The batch calls below take no zero-row matrix.
   const double t_elapsed =
-      last_processed_frame_ >= 0 ? frame - last_processed_frame_ : 1;
+      previous_frame >= 0 ? frame - previous_frame : 1;
   nn::Tensor det_features;
   if (n_dets > 0) {
     det_features =
@@ -153,11 +155,11 @@ void RecurrentTracker::ProcessFrameWithAppearance(
     for (size_t t = 0; t < n_tracks; ++t) {
       const int d = det_for_track[t];
       if (d < 0) continue;
-      const Detection& last = active_[t].track.detections.back();
+      const Detection& last = active[t].track.detections.back();
       const nn::Tensor f =
           det_feature(static_cast<size_t>(d), frame - last.frame);
       std::copy_n(f.data(), kDetDim, features.data() + row * kDetDim);
-      std::copy_n(active_[t].hidden.data(), hidden_size,
+      std::copy_n(active[t].state.data(), hidden_size,
                   hidden.data() + row * hidden_size);
       ++row;
     }
@@ -169,60 +171,21 @@ void RecurrentTracker::ProcessFrameWithAppearance(
     advanced = net_->AdvanceBatch(hidden, features);
   }
 
+  // The book takes the rows in the order they were built: matched tracks
+  // in track order, then new tracks in detection order.
   size_t next_row = 0;
-  for (size_t t = 0; t < n_tracks; ++t) {
-    const int d = det_for_track[t];
-    if (d >= 0) {
-      std::copy_n(advanced.data() + next_row++ * hidden_size, hidden_size,
-                  active_[t].hidden.data());
-      active_[t].track.detections.push_back(
-          detections[static_cast<size_t>(d)]);
-      active_[t].misses = 0;
-    } else {
-      ++active_[t].misses;
-    }
-  }
-
-  for (size_t t = active_.size(); t-- > 0;) {
-    if (active_[t].misses > kMaxMisses) {
-      finished_.push_back(std::move(active_[t].track));
-      active_[t] = std::move(active_.back());
-      active_.pop_back();
-    }
-  }
-
-  for (size_t d : new_dets) {
-    ActiveTrack at;
-    at.track.id = next_id_++;
-    at.track.cls = detections[d].cls;
-    at.track.detections.push_back(detections[d]);
-    at.hidden = nn::Tensor::Uninitialized({hidden_size});
+  const auto take_row = [&](nn::Tensor& hidden) {
     std::copy_n(advanced.data() + next_row++ * hidden_size, hidden_size,
-                at.hidden.data());
-    active_.push_back(std::move(at));
-  }
-
-  last_processed_frame_ = frame;
-}
-
-std::vector<Track> RecurrentTracker::Finish(int min_detections) {
-  std::vector<Track> out;
-  for (Track& t : finished_) {
-    if (static_cast<int>(t.detections.size()) >= min_detections) {
-      out.push_back(std::move(t));
-    }
-  }
-  for (ActiveTrack& at : active_) {
-    if (static_cast<int>(at.track.detections.size()) >= min_detections) {
-      out.push_back(std::move(at.track));
-    }
-  }
-  finished_.clear();
-  active_.clear();
-  last_processed_frame_ = -1;
-  std::sort(out.begin(), out.end(),
-            [](const Track& a, const Track& b) { return a.id < b.id; });
-  return out;
+                hidden.data());
+  };
+  book_.EndFrame(
+      detections, det_for_track,
+      [&](nn::Tensor& hidden, const Detection&) { take_row(hidden); },
+      [&](const Detection&) {
+        nn::Tensor hidden = nn::Tensor::Uninitialized({hidden_size});
+        take_row(hidden);
+        return hidden;
+      });
 }
 
 }  // namespace otif::track

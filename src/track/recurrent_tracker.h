@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "models/tracker_net.h"
+#include "track/track_book.h"
 #include "track/types.h"
 
 namespace otif::track {
@@ -33,29 +34,26 @@ class RecurrentTracker {
   RecurrentTracker(const models::TrackerNet* net, Options options);
 
   /// Processes the detections of one frame; `frame` must be strictly
-  /// increasing across calls. `appearance` holds one (mean, std) pair per
-  /// detection: the statistics of its patch in a low-resolution render.
+  /// increasing across calls, and every detection must carry it.
+  /// `appearance` holds one (mean, std) pair per detection: the statistics
+  /// of its patch in a low-resolution render.
   void ProcessFrameWithAppearance(
       int frame, const FrameDetections& detections,
       const std::vector<std::pair<double, double>>& appearance);
 
   /// Finalizes and returns all tracks (including still-active ones) with at
   /// least `min_detections` detections, and resets the tracker.
-  std::vector<Track> Finish(int min_detections);
+  std::vector<Track> Finish(int min_detections) {
+    return book_.Finish(min_detections);
+  }
 
-  size_t num_active() const { return active_.size(); }
+  size_t num_active() const { return book_.num_active(); }
 
   /// Number of (track, detection) pair scores computed so far; drives the
   /// tracker entry in the cost model.
   int64_t pair_scores_computed() const { return pair_scores_; }
 
  private:
-  struct ActiveTrack {
-    Track track;
-    nn::Tensor hidden;
-    int misses = 0;
-  };
-
   /// Scores every (track, detection) pair inside the distance gate in one
   /// batched pass (`det_features` holds one row per detection) and solves
   /// the assignment. Returns each track's matched detection, or -1.
@@ -64,11 +62,9 @@ class RecurrentTracker {
 
   const models::TrackerNet* net_;  // Not owned.
   Options options_;
-  int64_t next_id_ = 0;
-  int last_processed_frame_ = -1;
   int64_t pair_scores_ = 0;
-  std::vector<ActiveTrack> active_;
-  std::vector<Track> finished_;
+  /// Each track's state is its GRU hidden state.
+  TrackBook<nn::Tensor> book_;
 };
 
 }  // namespace otif::track

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "track/kalman.h"
+#include "track/track_book.h"
 #include "track/types.h"
 
 namespace otif::track {
@@ -14,32 +15,28 @@ namespace otif::track {
 /// theta_best and in the "+ Sampling Rate" ablation row.
 class SortTracker {
  public:
+  SortTracker();
+
   /// Processes the detections of one frame; `frame` must be strictly
   /// increasing across calls (frames may be arbitrarily spaced for
-  /// reduced-rate tracking).
+  /// reduced-rate tracking), and every detection must carry it.
   void ProcessFrame(int frame, const FrameDetections& detections);
 
   /// Finalizes and returns all tracks (including still-active ones) and
   /// resets the tracker. Tracks with fewer than `min_detections` detections
   /// are pruned; the paper prunes single-detection tracks as likely
   /// spurious (Sec 3.4).
-  std::vector<Track> Finish(int min_detections);
-
-  /// Number of currently active (not yet dropped) tracks.
-  size_t num_active() const { return active_.size(); }
+  std::vector<Track> Finish(int min_detections) {
+    return book_.Finish(min_detections);
+  }
 
  private:
-  struct ActiveTrack {
-    Track track;
+  struct State {
     KalmanBoxFilter filter;
-    int misses = 0;
-    int last_frame = 0;
+    int last_frame;
   };
 
-  int64_t next_id_ = 0;
-  int last_processed_frame_ = -1;
-  std::vector<ActiveTrack> active_;
-  std::vector<Track> finished_;
+  TrackBook<State> book_;
 };
 
 }  // namespace otif::track

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "baselines/baseline.h"
 #include "baselines/catdet.h"
 #include "baselines/centertrack.h"
 #include "baselines/chameleon.h"
 #include "baselines/miris.h"
+#include "baselines/noscope.h"
 #include "core/best_config.h"
 #include "eval/workload.h"
 #include "query/queries.h"
@@ -32,6 +35,28 @@ core::AccuracyFn CountFn(const std::vector<sim::Clip>* clips) {
     }
     return sum / clips->size();
   };
+}
+
+// 64-bit FNV-1a over each point's label and the exact bits of its seconds,
+// reusable and query seconds and accuracy: the curve pins below fail on any
+// change to a baseline's output.
+uint64_t CurveDigest(const std::vector<MethodPoint>& points) {
+  uint64_t h = 14695981039346656037ull;
+  const auto add_bytes = [&h](const void* data, size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < n; ++i) {
+      h ^= p[i];
+      h *= 1099511628211ull;
+    }
+  };
+  for (const MethodPoint& p : points) {
+    add_bytes(p.label.data(), p.label.size());
+    for (const double v :
+         {p.seconds, p.reusable_seconds, p.query_seconds, p.accuracy}) {
+      add_bytes(&v, sizeof(v));
+    }
+  }
+  return h;
 }
 
 TEST(FastestWithinToleranceTest, PicksFastestInBand) {
@@ -66,8 +91,8 @@ TEST(FastestWithinToleranceTest, FallsBackToMostAccurate) {
 TEST(MirisTest, GapSweepTradesSpeedForRefinementCost) {
   const auto clips = TestClips(1, 150);
   models::SimClock slow_clock, fast_clock;
-  const auto slow = Miris::RunAtGap(clips, 1, 1.0, &slow_clock);
-  const auto fast = Miris::RunAtGap(clips, 8, 1.0, &fast_clock);
+  const auto slow = RunMirisAtGap(clips, 1, 1.0, &slow_clock);
+  const auto fast = RunMirisAtGap(clips, 8, 1.0, &fast_clock);
   EXPECT_EQ(slow.size(), 1u);
   EXPECT_GT(slow[0].size(), 0u);
   EXPECT_GT(fast[0].size(), 0u);
@@ -77,7 +102,7 @@ TEST(MirisTest, GapSweepTradesSpeedForRefinementCost) {
 TEST(MirisTest, RefinementExtendsTracksAtHighGap) {
   const auto clips = TestClips(1, 200);
   models::SimClock clock;
-  const auto tracks = Miris::RunAtGap(clips, 16, 1.0, &clock);
+  const auto tracks = RunMirisAtGap(clips, 16, 1.0, &clock);
   // Refinement inserts detections at frames that are not multiples of 16.
   bool has_refined_frame = false;
   for (const auto& t : tracks[0]) {
@@ -96,7 +121,7 @@ TEST(MirisTest, DecodeChargeMatchesThePipelines) {
   const auto clips = TestClips(2, 150);
   for (const int gap : {4, 32}) {
     models::SimClock clock;
-    Miris::RunAtGap(clips, gap, 1.0, &clock);
+    RunMirisAtGap(clips, gap, 1.0, &clock);
     core::PipelineConfig config;
     config.tracker = core::TrackerKind::kSort;
     config.sampling_gap = gap;
@@ -111,10 +136,8 @@ TEST(MirisTest, DecodeChargeMatchesThePipelines) {
 
 TEST(MirisTest, EntireRuntimeIsQuerySpecific) {
   const auto clips = TestClips(1, 100);
-  const auto valid = clips;
   const core::AccuracyFn fn = CountFn(&clips);
-  Miris miris;
-  const auto points = miris.Run(valid, clips, fn, fn);
+  const auto points = RunMiris(clips, fn);
   ASSERT_FALSE(points.empty());
   for (const MethodPoint& p : points) {
     EXPECT_DOUBLE_EQ(p.reusable_seconds, 0.0);
@@ -122,11 +145,16 @@ TEST(MirisTest, EntireRuntimeIsQuerySpecific) {
   }
 }
 
+TEST(MirisTest, CurveIsPinned) {
+  const auto clips = TestClips(1, 100);
+  const core::AccuracyFn fn = CountFn(&clips);
+  EXPECT_EQ(CurveDigest(RunMiris(clips, fn)), 0xbe2d00ee4645fbb4ull);
+}
+
 TEST(ChameleonTest, ProducesMonotonicallyFasterCandidates) {
   const auto clips = TestClips(2, 100);
   const core::AccuracyFn fn = CountFn(&clips);
-  Chameleon chameleon;
-  const auto points = chameleon.Run(clips, clips, fn, fn);
+  const auto points = RunChameleon(clips, clips, fn, fn);
   ASSERT_GE(points.size(), 3u);
   // First point is the slowest (naive full configuration).
   for (size_t i = 1; i < points.size(); ++i) {
@@ -136,11 +164,27 @@ TEST(ChameleonTest, ProducesMonotonicallyFasterCandidates) {
   EXPECT_DOUBLE_EQ(points[0].query_seconds, 0.0);
 }
 
+TEST(ChameleonTest, CurveIsPinned) {
+  const auto clips = TestClips(1, 100);
+  const core::AccuracyFn fn = CountFn(&clips);
+  EXPECT_EQ(CurveDigest(RunChameleon(clips, clips, fn, fn)),
+            0x550d805875f7d93full);
+}
+
+// NoScope's frame classifier: an untrained smallest-resolution proxy from a
+// fixed seed.
+TEST(NoScopeTest, CurveIsPinned) {
+  const auto clips = TestClips(1, 100);
+  const core::AccuracyFn fn = CountFn(&clips);
+  const models::ProxyModel proxy(models::StandardProxyResolutions().back(),
+                                 1234);
+  EXPECT_EQ(CurveDigest(RunNoScope(proxy, clips, fn)), 0xa95b9e8b2b0e3b26ull);
+}
+
 TEST(CaTDetTest, CascadeCheaperThanFullRefresh) {
   const auto clips = TestClips(1, 100);
   const core::AccuracyFn fn = CountFn(&clips);
-  CaTDet catdet;
-  const auto points = catdet.Run(clips, clips, fn, fn);
+  const auto points = RunCaTDet(clips, fn);
   ASSERT_GE(points.size(), 3u);
   // refresh=1 (first point) is the most expensive.
   for (size_t i = 1; i < points.size(); ++i) {
@@ -150,8 +194,14 @@ TEST(CaTDetTest, CascadeCheaperThanFullRefresh) {
   EXPECT_GT(points[0].accuracy, 0.5);
 }
 
+TEST(CaTDetTest, CurveIsPinned) {
+  const auto clips = TestClips(1, 100);
+  const core::AccuracyFn fn = CountFn(&clips);
+  EXPECT_EQ(CurveDigest(RunCaTDet(clips, fn)), 0x1041b53dc6dfaa63ull);
+}
+
 TEST(CenterTrackTest, BackboneSlowerThanYolo) {
-  const models::DetectorArch ct = CenterTrack::Backbone();
+  const models::DetectorArch ct = CenterTrackBackbone();
   const models::DetectorArch yolo =
       models::ArchByName(models::StandardDetectorArchs(), "yolov3");
   EXPECT_GT(ct.sec_per_pixel, yolo.sec_per_pixel);
@@ -160,14 +210,19 @@ TEST(CenterTrackTest, BackboneSlowerThanYolo) {
 TEST(CenterTrackTest, NoGoodSpeedAccuracyTradeoff) {
   const auto clips = TestClips(1, 100);
   const core::AccuracyFn fn = CountFn(&clips);
-  CenterTrack ct;
-  const auto points = ct.Run(clips, clips, fn, fn);
+  const auto points = RunCenterTrack(clips, fn);
   ASSERT_FALSE(points.empty());
   // Its fastest point is still detector-bound: more expensive per frame
   // than YOLO-based pipelines would be at the same setting.
   double min_sec = 1e18;
   for (const MethodPoint& p : points) min_sec = std::min(min_sec, p.seconds);
   EXPECT_GT(min_sec, 0.05);
+}
+
+TEST(CenterTrackTest, CurveIsPinned) {
+  const auto clips = TestClips(1, 100);
+  const core::AccuracyFn fn = CountFn(&clips);
+  EXPECT_EQ(CurveDigest(RunCenterTrack(clips, fn)), 0xf484b1db5dc628b6ull);
 }
 
 }  // namespace

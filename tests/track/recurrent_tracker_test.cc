@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "pinned_tracks.h"
 #include "util/rng.h"
 
 namespace otif::track {
@@ -167,6 +168,38 @@ TEST(RecurrentTrackerTest, FinishResetsState) {
   // Frame counter reset: processing frame 0 again is legal.
   ProcessFrame(&tracker, 0, {MakeDet(0, 50, 50)});
   EXPECT_EQ(tracker.Finish(1).size(), 1u);
+}
+
+TEST(RecurrentTrackerTest, TracksArePinned) {
+  const sim::DatasetSpec& spec = pins::Clip().spec();
+  RecurrentTracker::Options opts;
+  opts.frame_w = spec.width;
+  opts.frame_h = spec.height;
+  opts.fps = spec.fps;
+  for (const auto& [gap, digest] : {std::pair{1, 0x37a79b10234f16c6ull},
+                                    std::pair{4, 0x344c7dd3a16b6c28ull}}) {
+    const std::vector<FrameDetections> frames = pins::SampledDetections(gap);
+    RecurrentTracker tracker(TrainedNet(), opts);
+    for (size_t i = 0; i < frames.size(); ++i) {
+      ProcessFrame(&tracker, static_cast<int>(i) * gap, frames[i]);
+    }
+    const std::vector<Track> tracks = tracker.Finish(2);
+    EXPECT_EQ(pins::TracksDigest(tracks), digest)
+        << "gap " << gap << ", " << tracks.size() << " tracks";
+  }
+}
+
+TEST(RecurrentTrackerDeathTest, RepeatedFrameAborts) {
+  RecurrentTracker tracker(TrainedNet(), SmallFrameOptions());
+  ProcessFrame(&tracker, 5, {});
+  EXPECT_DEATH(ProcessFrame(&tracker, 5, {}), "Check failed");
+}
+
+TEST(RecurrentTrackerDeathTest, DetectionFromAnotherFrameAborts) {
+  RecurrentTracker tracker(TrainedNet(), SmallFrameOptions());
+  ProcessFrame(&tracker, 5, {MakeDet(5, 100, 100)});
+  EXPECT_DEATH(ProcessFrame(&tracker, 6, {MakeDet(7, 100, 100)}),
+               "Check failed");
 }
 
 }  // namespace

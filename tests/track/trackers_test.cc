@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <utility>
+#include <vector>
 
+#include "pinned_tracks.h"
 #include "track/iou_tracker.h"
 #include "track/kalman.h"
 #include "track/sort_tracker.h"
@@ -118,10 +122,30 @@ TEST(SortTrackerTest, ReducedRateTracking) {
   EXPECT_EQ(tracks[0].detections.size(), 8u);
 }
 
+TEST(SortTrackerTest, TracksArePinned) {
+  for (const auto& [gap, digest] : {std::pair{1, 0x37a79b10234f16c6ull},
+                                    std::pair{4, 0xae45e2d540794939ull}}) {
+    const std::vector<FrameDetections> frames = pins::SampledDetections(gap);
+    SortTracker sort;
+    for (size_t i = 0; i < frames.size(); ++i) {
+      sort.ProcessFrame(static_cast<int>(i) * gap, frames[i]);
+    }
+    const std::vector<Track> tracks = sort.Finish(2);
+    EXPECT_EQ(pins::TracksDigest(tracks), digest)
+        << "gap " << gap << ", " << tracks.size() << " tracks";
+  }
+}
+
 TEST(SortTrackerDeathTest, NonMonotonicFrameAborts) {
   SortTracker sort;
   sort.ProcessFrame(5, {});
   EXPECT_DEATH(sort.ProcessFrame(5, {}), "Check failed");
+}
+
+TEST(SortTrackerDeathTest, DetectionFromAnotherFrameAborts) {
+  SortTracker sort;
+  sort.ProcessFrame(5, {MakeDet(5, 100, 100)});
+  EXPECT_DEATH(sort.ProcessFrame(6, {MakeDet(7, 100, 100)}), "Check failed");
 }
 
 TEST(IouTrackerTest, TracksSlowObject) {
@@ -153,6 +177,53 @@ TEST(IouTrackerTest, FragmentsAtLargeGapsUnlikeSort) {
   }
   const auto tracks = tracker.Finish(1);
   EXPECT_GT(tracks.size(), 1u);
+}
+
+// The pairwise tracker with Miris' options and with CenterTrack's.
+TEST(IouTrackerTest, TracksArePinned) {
+  IouTracker::Options miris;
+  miris.frame_w = pins::Clip().spec().width;
+  miris.frame_h = pins::Clip().spec().height;
+  miris.max_misses = 2;
+  IouTracker::Options centertrack = miris;
+  centertrack.max_center_shift_frac = 0.08;
+  centertrack.max_misses = 1;
+  const struct {
+    const char* name;
+    IouTracker::Options options;
+    int gap;
+    uint64_t digest;
+  } kPins[] = {
+      {"miris", miris, 1, 0x37a79b10234f16c6ull},
+      {"miris", miris, 4, 0x1a35072a5c3ee2ffull},
+      {"centertrack", centertrack, 1, 0x37a79b10234f16c6ull},
+      {"centertrack", centertrack, 4, 0x42bc66ee41bfb1abull},
+  };
+  for (const auto& pin : kPins) {
+    const std::vector<FrameDetections> frames =
+        pins::SampledDetections(pin.gap);
+    IouTracker tracker(pin.options);
+    for (size_t i = 0; i < frames.size(); ++i) {
+      tracker.ProcessFrame(static_cast<int>(i) * pin.gap, frames[i]);
+    }
+    const std::vector<Track> tracks = tracker.Finish(2);
+    EXPECT_EQ(pins::TracksDigest(tracks), pin.digest)
+        << pin.name << " gap " << pin.gap << ", " << tracks.size()
+        << " tracks";
+  }
+}
+
+TEST(IouTrackerDeathTest, RepeatedFrameAborts) {
+  IouTracker tracker(IouTracker::Options{});
+  tracker.ProcessFrame(5, {});
+  EXPECT_DEATH(tracker.ProcessFrame(5, {}), "Check failed");
+}
+
+TEST(IouTrackerDeathTest, DetectionFromAnotherFrameAborts) {
+  IouTracker tracker(IouTracker::Options{});
+  tracker.ProcessFrame(5, {MakeDet(5, 100, 100)});
+  EXPECT_DEATH(tracker.ProcessFrame(6, {MakeDet(7, 100, 100)}),
+               "Check failed");
 }
 
 }  // namespace
