@@ -65,7 +65,7 @@ BENCHMARK(BM_RasterizeFrame)->Apply(RasterSizes);
 // scalar loop, 1 the AVX2 pass and 2 the AVX-512 one (each skipped where
 // this CPU or build lacks it).
 void BM_SensorNoise(benchmark::State& state) {
-  const auto isa = static_cast<sim::NoiseIsa>(state.range(0));
+  const auto isa = static_cast<Isa>(state.range(0));
   if (isa > sim::SensorNoiseIsa()) {
     state.SkipWithError("this CPU (or build) lacks this noise pass");
     return;
@@ -158,9 +158,9 @@ BENCHMARK(BM_CellGrouping)->Arg(4)->Arg(16)->Arg(64);
 void BM_Hungarian(benchmark::State& state) {
   Rng rng(7);
   const int n = static_cast<int>(state.range(0));
-  std::vector<std::vector<double>> cost(n, std::vector<double>(n));
-  for (auto& row : cost) {
-    for (double& c : row) c = rng.NextDouble();
+  track::CostMatrix cost(n, n, 0.0);
+  for (int r = 0; r < n; ++r) {
+    for (int c = 0; c < n; ++c) cost(r, c) = rng.NextDouble();
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(track::SolveAssignment(cost));

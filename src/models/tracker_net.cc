@@ -5,6 +5,7 @@
 
 #include "nn/arena.h"
 #include "nn/gemm.h"
+#include "util/libmvec.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
@@ -16,15 +17,165 @@ double NormElapsedSec(double frames, double fps) {
   return std::min(frames / fps, 4.0) / 4.0;
 }
 
+// The size term's range: log size ratio clamped to [-2, 2].
+constexpr double kLogRatioClamp = 2.0;
+
+inline float ClampedLogToFloat(double x) {
+  return static_cast<float>(
+      std::clamp(std::log(x), -kLogRatioClamp, kLogRatioClamp));
+}
+
+// Pairs whose tanh and log arguments WritePairFeatures holds on the stack
+// at once (5 KiB of arguments and values).
+constexpr size_t kPairChunk = 64;
+
+// The four tanh arguments of a pair, in this order in its argument block.
+enum TanhArg { kTanhDx, kTanhDy, kTanhResidualX, kTanhResidualY, kTanhArgs };
+
 }  // namespace
+
+#ifdef OTIF_LIBMVEC_TANH
+// The vector passes have external linkage, so that profiles (dladdr) name
+// the variant that ran. AVX2 alone, not FMA.
+__attribute__((target("avx2"))) size_t TanhToFloatsAvx2(const double* x,
+                                                        size_t n,
+                                                        float* out) {
+  size_t exact = 0;
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    __m128 f;
+    const int proven =
+        libmvec::RoundProven(_ZGVdN4v_tanh(_mm256_loadu_pd(x + i)), &f);
+    _mm_storeu_ps(out + i, f);
+    if (proven == 0xf) continue;
+    for (size_t l = 0; l < 4; ++l) {
+      if ((proven >> l) & 1) continue;
+      out[i + l] = static_cast<float>(std::tanh(x[i + l]));
+      ++exact;
+    }
+  }
+  for (; i < n; ++i) out[i] = static_cast<float>(std::tanh(x[i]));
+  return exact;
+}
+
+__attribute__((target("avx512f"))) size_t TanhToFloatsAvx512(const double* x,
+                                                             size_t n,
+                                                             float* out) {
+  size_t exact = 0;
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    __m256 f;
+    const int proven =
+        libmvec::RoundProven8(_ZGVeN8v_tanh(_mm512_loadu_pd(x + i)), &f);
+    _mm256_storeu_ps(out + i, f);
+    if (proven == 0xff) continue;
+    for (size_t l = 0; l < 8; ++l) {
+      if ((proven >> l) & 1) continue;
+      out[i + l] = static_cast<float>(std::tanh(x[i + l]));
+      ++exact;
+    }
+  }
+  for (; i < n; ++i) out[i] = static_cast<float>(std::tanh(x[i]));
+  return exact;
+}
+
+// std::clamp(v, lo, hi) is v < lo ? lo : (hi < v ? hi : v): the blends
+// below, lane by lane, so a NaN stays NaN (and then fails the rounding
+// test).
+__attribute__((target("avx2"))) size_t ClampedLogToFloatsAvx2(
+    const double* x, size_t n, float* out) {
+  const __m256d lo = _mm256_set1_pd(-kLogRatioClamp);
+  const __m256d hi = _mm256_set1_pd(kLogRatioClamp);
+  size_t exact = 0;
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    __m256d v = _ZGVdN4v_log(_mm256_loadu_pd(x + i));
+    v = _mm256_blendv_pd(v, hi, _mm256_cmp_pd(hi, v, _CMP_LT_OQ));
+    v = _mm256_blendv_pd(v, lo, _mm256_cmp_pd(v, lo, _CMP_LT_OQ));
+    __m128 f;
+    const int proven = libmvec::RoundProven(v, &f);
+    _mm_storeu_ps(out + i, f);
+    if (proven == 0xf) continue;
+    for (size_t l = 0; l < 4; ++l) {
+      if ((proven >> l) & 1) continue;
+      out[i + l] = ClampedLogToFloat(x[i + l]);
+      ++exact;
+    }
+  }
+  for (; i < n; ++i) out[i] = ClampedLogToFloat(x[i]);
+  return exact;
+}
+
+__attribute__((target("avx512f"))) size_t ClampedLogToFloatsAvx512(
+    const double* x, size_t n, float* out) {
+  const __m512d lo = _mm512_set1_pd(-kLogRatioClamp);
+  const __m512d hi = _mm512_set1_pd(kLogRatioClamp);
+  size_t exact = 0;
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    __m512d v = _ZGVeN8v_log(_mm512_loadu_pd(x + i));
+    v = _mm512_mask_blend_pd(_mm512_cmp_pd_mask(hi, v, _CMP_LT_OQ), v, hi);
+    v = _mm512_mask_blend_pd(_mm512_cmp_pd_mask(v, lo, _CMP_LT_OQ), v, lo);
+    __m256 f;
+    const int proven = libmvec::RoundProven8(v, &f);
+    _mm256_storeu_ps(out + i, f);
+    if (proven == 0xff) continue;
+    for (size_t l = 0; l < 8; ++l) {
+      if ((proven >> l) & 1) continue;
+      out[i + l] = ClampedLogToFloat(x[i + l]);
+      ++exact;
+    }
+  }
+  for (; i < n; ++i) out[i] = ClampedLogToFloat(x[i]);
+  return exact;
+}
+#endif
+
+Isa PairFeatureIsa() {
+#ifdef OTIF_LIBMVEC_TANH
+  return CpuIsa();
+#else
+  return Isa::kBaseline;
+#endif
+}
+
+size_t TanhToFloats(Isa isa, const double* x, size_t n, float* out) {
+  OTIF_CHECK(isa <= PairFeatureIsa())
+      << "this build or CPU lacks the instruction set of tanh variant "
+      << static_cast<int>(isa);
+#ifdef OTIF_LIBMVEC_TANH
+  if (isa == Isa::kAvx512) return TanhToFloatsAvx512(x, n, out);
+  if (isa == Isa::kAvx2) return TanhToFloatsAvx2(x, n, out);
+#endif
+  for (size_t i = 0; i < n; ++i) out[i] = static_cast<float>(std::tanh(x[i]));
+  return 0;
+}
+
+size_t ClampedLogToFloats(Isa isa, const double* x, size_t n, float* out) {
+  OTIF_CHECK(isa <= PairFeatureIsa())
+      << "this build or CPU lacks the instruction set of log variant "
+      << static_cast<int>(isa);
+#ifdef OTIF_LIBMVEC_TANH
+  if (isa == Isa::kAvx512) return ClampedLogToFloatsAvx512(x, n, out);
+  if (isa == Isa::kAvx2) return ClampedLogToFloatsAvx2(x, n, out);
+#endif
+  for (size_t i = 0; i < n; ++i) out[i] = ClampedLogToFloat(x[i]);
+  return 0;
+}
 
 TrackerNet::TrackerNet(uint64_t seed) {
   Rng rng(seed);
-  det_encoder_.Add(std::make_unique<nn::Linear>(kDetFeatureDim, kEncodedDim,
-                                                &rng));
-  det_encoder_.Add(std::make_unique<nn::Relu>());
-  det_encoder_.Add(std::make_unique<nn::Linear>(kEncodedDim, kEncodedDim,
-                                                &rng));
+  auto encoder_in =
+      std::make_unique<nn::Linear>(kDetFeatureDim, kEncodedDim, &rng);
+  auto encoder_relu = std::make_unique<nn::Relu>();
+  auto encoder_out =
+      std::make_unique<nn::Linear>(kEncodedDim, kEncodedDim, &rng);
+  encoder_in_ = encoder_in.get();
+  encoder_relu_ = encoder_relu.get();
+  encoder_out_ = encoder_out.get();
+  det_encoder_.Add(std::move(encoder_in));
+  det_encoder_.Add(std::move(encoder_relu));
+  det_encoder_.Add(std::move(encoder_out));
   gru_ = std::make_unique<nn::GruCell>(kEncodedDim, kHiddenSize, &rng);
   auto matcher_in = std::make_unique<nn::Linear>(
       kHiddenSize + kEncodedDim + kPairFeatureDim, kMatcherWidth, &rng);
@@ -59,40 +210,73 @@ nn::Tensor TrackerNet::DetFeature(const track::Detection& d,
   return f;
 }
 
+void TrackerNet::WritePairFeatures(Isa isa, std::span<const PairInput> inputs,
+                                   double fps, double frame_w, double frame_h,
+                                   size_t row_stride, float* out) {
+  OTIF_CHECK_GT(fps, 0);
+  double tanh_args[kTanhArgs * kPairChunk];
+  double log_args[kPairChunk];
+  float tanh_values[kTanhArgs * kPairChunk];
+  float log_values[kPairChunk];
+  for (size_t base = 0; base < inputs.size(); base += kPairChunk) {
+    const size_t n = std::min(kPairChunk, inputs.size() - base);
+    for (size_t i = 0; i < n; ++i) {
+      const track::Detection& prev = *inputs[base + i].prev;
+      const track::Detection& last = *inputs[base + i].last;
+      const track::Detection& candidate = *inputs[base + i].candidate;
+      float* f = out + (base + i) * row_stride;
+      double* t = tanh_args + kTanhArgs * i;
+      const double dt_sec =
+          std::max(1.0, static_cast<double>(candidate.frame - last.frame)) /
+          fps;
+      // Displacement in frame-widths per second, squashed to a stable
+      // range (f[0], f[1]).
+      t[kTanhDx] =
+          (candidate.box.cx - last.box.cx) / (frame_w * dt_sec) * 4.0;
+      t[kTanhDy] =
+          (candidate.box.cy - last.box.cy) / (frame_h * dt_sec) * 4.0;
+      f[2] = static_cast<float>(last.box.Iou(candidate.box));
+      // Log size ratio, clamped (f[3]).
+      log_args[i] = std::sqrt(std::max(1.0, candidate.box.Area()) /
+                              std::max(1.0, last.box.Area()));
+      f[4] = static_cast<float>(std::min(dt_sec, 4.0) / 4.0);
+      // Constant-velocity extrapolation residual: predicted position of
+      // the track at the candidate's frame, from the last two detections
+      // (f[5], f[6]).
+      double pred_cx = last.box.cx, pred_cy = last.box.cy;
+      const int prev_span = last.frame - prev.frame;
+      if (prev_span > 0) {
+        const double frames_ahead = candidate.frame - last.frame;
+        pred_cx += (last.box.cx - prev.box.cx) / prev_span * frames_ahead;
+        pred_cy += (last.box.cy - prev.box.cy) / prev_span * frames_ahead;
+      }
+      const double size = std::max(4.0, std::sqrt(last.box.Area()));
+      t[kTanhResidualX] = (candidate.box.cx - pred_cx) / (size * 2.0);
+      t[kTanhResidualY] = (candidate.box.cy - pred_cy) / (size * 2.0);
+    }
+    TanhToFloats(isa, tanh_args, kTanhArgs * n, tanh_values);
+    ClampedLogToFloats(isa, log_args, n, log_values);
+    for (size_t i = 0; i < n; ++i) {
+      float* f = out + (base + i) * row_stride;
+      const float* t = tanh_values + kTanhArgs * i;
+      f[0] = t[kTanhDx];
+      f[1] = t[kTanhDy];
+      f[3] = log_values[i];
+      f[5] = t[kTanhResidualX];
+      f[6] = t[kTanhResidualY];
+    }
+  }
+}
+
 nn::Tensor TrackerNet::PairFeature(const track::Detection& prev,
                                    const track::Detection& last,
                                    const track::Detection& candidate,
                                    double fps, double frame_w,
                                    double frame_h) {
-  OTIF_CHECK_GT(fps, 0);
-  const double dt_sec =
-      std::max(1.0, static_cast<double>(candidate.frame - last.frame)) / fps;
-  nn::Tensor f({kPairFeatureDim});
-  // Displacement in frame-widths per second, squashed to a stable range.
-  f[0] = static_cast<float>(
-      std::tanh((candidate.box.cx - last.box.cx) / (frame_w * dt_sec) * 4.0));
-  f[1] = static_cast<float>(
-      std::tanh((candidate.box.cy - last.box.cy) / (frame_h * dt_sec) * 4.0));
-  f[2] = static_cast<float>(last.box.Iou(candidate.box));
-  const double size_ratio =
-      std::sqrt(std::max(1.0, candidate.box.Area()) /
-                std::max(1.0, last.box.Area()));
-  f[3] = static_cast<float>(std::clamp(std::log(size_ratio), -2.0, 2.0));
-  f[4] = static_cast<float>(std::min(dt_sec, 4.0) / 4.0);
-  // Constant-velocity extrapolation residual: predicted position of the
-  // track at the candidate's frame, from the last two detections.
-  double pred_cx = last.box.cx, pred_cy = last.box.cy;
-  const int prev_span = last.frame - prev.frame;
-  if (prev_span > 0) {
-    const double frames_ahead = candidate.frame - last.frame;
-    pred_cx += (last.box.cx - prev.box.cx) / prev_span * frames_ahead;
-    pred_cy += (last.box.cy - prev.box.cy) / prev_span * frames_ahead;
-  }
-  const double size = std::max(4.0, std::sqrt(last.box.Area()));
-  f[5] = static_cast<float>(
-      std::tanh((candidate.box.cx - pred_cx) / (size * 2.0)));
-  f[6] = static_cast<float>(
-      std::tanh((candidate.box.cy - pred_cy) / (size * 2.0)));
+  nn::Tensor f = nn::Tensor::Uninitialized({kPairFeatureDim});
+  const PairInput input{&prev, &last, &candidate};
+  WritePairFeatures(PairFeatureIsa(), {&input, 1}, fps, frame_w, frame_h,
+                    kPairFeatureDim, f.data());
   return f;
 }
 
@@ -159,25 +343,39 @@ double TrackerNet::ScorePair(const nn::Tensor& hidden,
   return nn::StableSigmoid(logit[0]);
 }
 
-nn::Tensor TrackerNet::AdvanceBatch(const nn::Tensor& hidden,
-                                    const nn::Tensor& det_features) const {
+TrackerNet::BatchWeights TrackerNet::TransposedWeights() const {
+  return {encoder_in_->TransposedWeight(), encoder_out_->TransposedWeight(),
+          gru_->TransposedWeights(), matcher_in_->TransposedWeight()};
+}
+
+nn::Tensor TrackerNet::EncodeRows(const BatchWeights& weights,
+                                  const nn::Tensor& det_features) const {
   OTIF_CHECK_EQ(det_features.ndim(), 2);
   OTIF_CHECK_EQ(det_features.dim(1), kDetFeatureDim);
-  return gru_->StepInferBatch(det_encoder_.Infer(det_features), hidden);
+  return encoder_out_->InferRows(
+      encoder_relu_->Infer(encoder_in_->InferRows(
+          det_features, weights.encoder_in_t.data())),
+      weights.encoder_out_t.data());
+}
+
+nn::Tensor TrackerNet::AdvanceBatch(const BatchWeights& weights,
+                                    const nn::Tensor& hidden,
+                                    const nn::Tensor& det_features) const {
+  return gru_->StepInferBatch(EncodeRows(weights, det_features), hidden,
+                              weights.gru);
 }
 
 std::vector<double> TrackerNet::ScorePairs(
-    const nn::Tensor& hidden, const nn::Tensor& det_features,
-    const std::vector<PairIndex>& pairs,
-    const nn::Tensor& pair_features) const {
+    const BatchWeights& weights, const nn::Tensor& hidden,
+    const nn::Tensor& det_features,
+    std::span<const PairIndex> pairs, std::span<const PairInput> pair_inputs,
+    double fps, double frame_w, double frame_h) const {
   OTIF_CHECK(!pairs.empty());
+  OTIF_CHECK_EQ(pair_inputs.size(), pairs.size());
   OTIF_CHECK_EQ(hidden.ndim(), 2);
   OTIF_CHECK_EQ(hidden.dim(1), kHiddenSize);
   OTIF_CHECK_EQ(det_features.ndim(), 2);
   OTIF_CHECK_EQ(det_features.dim(1), kDetFeatureDim);
-  OTIF_CHECK_EQ(pair_features.ndim(), 2);
-  OTIF_CHECK_EQ(pair_features.dim(0), static_cast<int>(pairs.size()));
-  OTIF_CHECK_EQ(pair_features.dim(1), kPairFeatureDim);
   const int n_tracks = hidden.dim(0);
   const int n_dets = det_features.dim(0);
   const int n_pairs = static_cast<int>(pairs.size());
@@ -185,21 +383,15 @@ std::vector<double> TrackerNet::ScorePairs(
   constexpr int kDetPairDim = kEncodedDim + kPairFeatureDim;
 
   // Each row is bit-identical to ScorePair's 1-D encoding of that feature.
-  const nn::Tensor encoded = det_encoder_.Infer(det_features);
+  const nn::Tensor encoded = EncodeRows(weights, det_features);
 
   nn::ScratchArena& arena = nn::ScratchArena::ThreadLocal();
   nn::ScratchScope scope(arena);
   // The first layer's weight transposed, (kMatcherIn x kMatcherWidth): its
   // first kHiddenSize rows multiply h, the remaining rows [e; p].
-  const float* w_in = matcher_in_->weight().data();
-  float* w_in_t =
-      arena.Alloc(static_cast<size_t>(kMatcherIn) * kMatcherWidth);
-  for (int o = 0; o < kMatcherWidth; ++o) {
-    for (int i = 0; i < kMatcherIn; ++i) {
-      w_in_t[static_cast<size_t>(i) * kMatcherWidth + o] =
-          w_in[static_cast<size_t>(o) * kMatcherIn + i];
-    }
-  }
+  OTIF_CHECK_EQ(weights.matcher_in_t.size(),
+                static_cast<size_t>(kMatcherIn) * kMatcherWidth);
+  const float* w_in_t = weights.matcher_in_t.data();
 
   // The 1-D path's first layer is one chain per output, over
   // [h; e; p] in order: bias + W_h h, then + W_e e, then + W_p p. Its
@@ -208,7 +400,7 @@ std::vector<double> TrackerNet::ScorePairs(
   nn::GemmBias(n_tracks, kMatcherWidth, kHiddenSize, hidden.data(), w_in_t,
                matcher_in_->bias().data(), prefix);
   // ...then seed each pair's chain with its track's prefix and continue it
-  // over the pair's [e; p] row.
+  // over the pair's [e; p] row, whose pair features are written in place.
   float* act = arena.Alloc(static_cast<size_t>(n_pairs) * kMatcherWidth);
   float* det_pair = arena.Alloc(static_cast<size_t>(n_pairs) * kDetPairDim);
   for (int i = 0; i < n_pairs; ++i) {
@@ -217,21 +409,19 @@ std::vector<double> TrackerNet::ScorePairs(
     OTIF_CHECK(pair.det >= 0 && pair.det < n_dets);
     std::copy_n(prefix + static_cast<size_t>(pair.track) * kMatcherWidth,
                 kMatcherWidth, act + static_cast<size_t>(i) * kMatcherWidth);
-    float* row = det_pair + static_cast<size_t>(i) * kDetPairDim;
     std::copy_n(encoded.data() + static_cast<size_t>(pair.det) * kEncodedDim,
-                kEncodedDim, row);
-    std::copy_n(pair_features.data() +
-                    static_cast<size_t>(i) * kPairFeatureDim,
-                kPairFeatureDim, row + kEncodedDim);
+                kEncodedDim, det_pair + static_cast<size_t>(i) * kDetPairDim);
   }
+  WritePairFeatures(PairFeatureIsa(), pair_inputs, fps, frame_w, frame_h,
+                    kDetPairDim, det_pair + kEncodedDim);
   nn::GemmAccumulate(n_pairs, kMatcherWidth, kDetPairDim, det_pair,
                      w_in_t + static_cast<size_t>(kHiddenSize) * kMatcherWidth,
                      act);
   const size_t act_size = static_cast<size_t>(n_pairs) * kMatcherWidth;
   for (size_t i = 0; i < act_size; ++i) act[i] = std::max(0.0f, act[i]);
 
-  // Output layer: its (1 x kMatcherWidth) weight is already the
-  // (kMatcherWidth x 1) B operand.
+  // Output layer: its (1 x kMatcherWidth) weight is the (kMatcherWidth x
+  // 1) B operand, and a one-column GEMM is a dot product per pair.
   float* logits = arena.Alloc(static_cast<size_t>(n_pairs));
   nn::GemmBias(n_pairs, 1, kMatcherWidth, act, matcher_out_->weight().data(),
                matcher_out_->bias().data(), logits);

@@ -1,12 +1,15 @@
 #ifndef OTIF_MODELS_TRACKER_NET_H_
 #define OTIF_MODELS_TRACKER_NET_H_
 
+#include <cstddef>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "nn/layers.h"
 #include "nn/optimizer.h"
 #include "track/types.h"
+#include "util/cpu.h"
 #include "video/image.h"
 
 namespace otif::models {
@@ -51,9 +54,28 @@ class TrackerNet {
                                double frame_w, double frame_h,
                                double patch_mean, double patch_std);
 
-  /// Builds the pair feature vector between a track's last detections and
-  /// a candidate. `prev` is the detection before `last` (pass `last` again
-  /// for single-detection tracks; the velocity term is then zero).
+  /// What a pair's features are built from: a track's last detection,
+  /// the one before it (`last` again for a single-detection track; the
+  /// velocity term is then zero), and a candidate.
+  struct PairInput {
+    const track::Detection* prev;
+    const track::Detection* last;
+    const track::Detection* candidate;
+  };
+
+  /// The one definition of the pair features: writes input i's
+  /// kPairFeatureDim features to out[i * row_stride, ...). First computes
+  /// every row's four tanh and one log argument with the scalar double
+  /// expressions, then evaluates them in one pass through the `isa`
+  /// variant of TanhToFloats and ClampedLogToFloats, so every variant
+  /// writes the bits of the scalar expressions (DESIGN.md, "Tracker
+  /// scoring"). Requires isa <= PairFeatureIsa().
+  static void WritePairFeatures(Isa isa, std::span<const PairInput> inputs,
+                                double fps, double frame_w, double frame_h,
+                                size_t row_stride, float* out);
+
+  /// One pair's features (WritePairFeatures at PairFeatureIsa()), for
+  /// training examples and ScorePair.
   static nn::Tensor PairFeature(const track::Detection& prev,
                                 const track::Detection& last,
                                 const track::Detection& candidate, double fps,
@@ -88,11 +110,26 @@ class TrackerNet {
   double ScorePair(const nn::Tensor& hidden, const nn::Tensor& det_feature,
                    const nn::Tensor& pair_feature) const;
 
+  /// The weight matrices the batched paths multiply by, each transposed
+  /// once into the layout their GEMMs read (the per-row paths and the
+  /// layers' own batch paths transpose them on every call). A copy of the
+  /// net's weights: take it after training, once per tracker
+  /// (RecurrentTracker does), and pass it to AdvanceBatch and ScorePairs.
+  struct BatchWeights {
+    std::vector<float> encoder_in_t;   // Detection encoder, layer 1.
+    std::vector<float> encoder_out_t;  // Detection encoder, layer 2.
+    nn::GruCell::BatchWeights gru;
+    std::vector<float> matcher_in_t;   // Matcher layer 1, [h; e; p] rows.
+  };
+  BatchWeights TransposedWeights() const;
+
   /// Advance over n rows at once: folds row i of `det_features`
   /// (n, kDetFeatureDim) into row i of `hidden` (n, hidden_size) and
   /// returns the (n, hidden_size) new states, each row bit-identical to
-  /// Advance on that row. Thread-safe like Advance.
-  nn::Tensor AdvanceBatch(const nn::Tensor& hidden,
+  /// Advance on that row. `weights` is TransposedWeights(). Thread-safe
+  /// like Advance.
+  nn::Tensor AdvanceBatch(const BatchWeights& weights,
+                          const nn::Tensor& hidden,
                           const nn::Tensor& det_features) const;
 
   /// A (track, detection) pair for ScorePairs: row indices into its
@@ -104,16 +141,22 @@ class TrackerNet {
 
   /// ScorePair over one frame's pairs at once. `hidden` is (tracks,
   /// hidden_size), `det_features` is (detections, kDetFeatureDim), and
-  /// `pair_features` is (pairs.size(), kPairFeatureDim) with row i
-  /// belonging to pairs[i]; `pairs` must be non-empty. Returns one
-  /// probability per pair, each bit-identical to ScorePair on the same
-  /// rows: every detection is encoded once, and the matcher's first layer
-  /// runs the track-only prefix of its accumulation chain once per track
-  /// (DESIGN.md, "Tracker scoring"). Thread-safe like ScorePair.
-  std::vector<double> ScorePairs(const nn::Tensor& hidden,
+  /// pair i's features are built from pair_inputs[i] (with `fps`,
+  /// `frame_w` and `frame_h`, as PairFeature builds them); `pairs` must be
+  /// non-empty. Returns one probability per pair, each bit-identical to
+  /// ScorePair on the same rows and PairFeature of the same input: every
+  /// detection is encoded once, the pair features are written straight
+  /// into the matcher's input rows, and the matcher's first layer runs the
+  /// track-only prefix of its accumulation chain once per track
+  /// (DESIGN.md, "Tracker scoring"). `weights` is TransposedWeights().
+  /// Thread-safe like ScorePair.
+  std::vector<double> ScorePairs(const BatchWeights& weights,
+                                 const nn::Tensor& hidden,
                                  const nn::Tensor& det_features,
-                                 const std::vector<PairIndex>& pairs,
-                                 const nn::Tensor& pair_features) const;
+                                 std::span<const PairIndex> pairs,
+                                 std::span<const PairInput> pair_inputs,
+                                 double fps, double frame_w,
+                                 double frame_h) const;
 
   /// One training example: a track prefix (already gap-subsampled, features
   /// built with their true t_elapsed), candidate detections in the next
@@ -141,7 +184,16 @@ class TrackerNet {
   nn::Tensor MatcherInput(const nn::Tensor& hidden, const nn::Tensor& encoded,
                           const nn::Tensor& pair_feature) const;
 
+  /// det_encoder_ over (n, kDetFeatureDim) rows with the transposed
+  /// weights, each row bit-identical to det_encoder_.Infer on that row.
+  nn::Tensor EncodeRows(const BatchWeights& weights,
+                        const nn::Tensor& det_features) const;
+
   nn::Sequential det_encoder_;
+  // det_encoder_'s layers (owned by det_encoder_), read by EncodeRows.
+  const nn::Linear* encoder_in_ = nullptr;
+  const nn::Relu* encoder_relu_ = nullptr;
+  const nn::Linear* encoder_out_ = nullptr;
   std::unique_ptr<nn::GruCell> gru_;
   nn::Sequential matcher_;
   // matcher_'s two Linear layers (owned by matcher_), read by ScorePairs.
@@ -149,6 +201,25 @@ class TrackerNet {
   const nn::Linear* matcher_out_ = nullptr;  // kMatcherWidth -> 1 logit.
   std::unique_ptr<nn::Adam> optimizer_;
 };
+
+/// The tier the pair features' tanh and log run: CpuIsa() on an x86-64
+/// glibc 2.35 build (whose libmvec has tanh; util/libmvec.h), kBaseline
+/// otherwise.
+Isa PairFeatureIsa();
+
+/// out[i] = static_cast<float>(std::tanh(x[i])) for i < n, bit for bit.
+/// kAvx2 and kAvx512 evaluate 4 and 8 values at a time with libmvec and
+/// keep a lane only when the rounding test (util/libmvec.h) proves its
+/// float; the other lanes, and a tail shorter than a vector, call
+/// std::tanh. Returns how many values the rounding test sent to std::tanh
+/// (0 for kBaseline). Requires isa <= PairFeatureIsa(). Exposed so tests
+/// can feed the rounding test chosen values.
+size_t TanhToFloats(Isa isa, const double* x, size_t n, float* out);
+
+/// out[i] = static_cast<float>(std::clamp(std::log(x[i]), -2.0, 2.0)) for
+/// i < n, the same way: the rounding test runs on the clamped value, which
+/// is the one rounded to float.
+size_t ClampedLogToFloats(Isa isa, const double* x, size_t n, float* out);
 
 }  // namespace otif::models
 

@@ -12,138 +12,329 @@
 namespace otif::nn {
 namespace {
 
-// Register-blocking factors. kMr rows of A are streamed against kNr-wide
-// column strips of B; the kMr x kNr accumulator block lives in registers
-// and the kNr-wide inner loops auto-vectorize (no reduction across lanes,
-// so vectorization cannot reorder the per-output k chain).
-constexpr int kMr = 4;
-constexpr int kNr = 16;
+// The vector types of the kernels' tiers: 16 floats (AVX-512), 8 (AVX) and
+// 4 (SSE). Arithmetic on them is lane by lane, each product rounded before
+// it is added (-ffp-contract=off, set for every target, keeps the compiler
+// from fusing them), so a lane computes what a scalar loop would.
+typedef float Float4 __attribute__((vector_size(4 * sizeof(float))));
+typedef float Float8 __attribute__((vector_size(8 * sizeof(float))));
+typedef float Float16 __attribute__((vector_size(16 * sizeof(float))));
+// The helpers below take and return these vectors by value. They are all
+// inlined into the variant that uses them, so no call crosses the
+// baseline ABI that GCC warns would change under AVX.
+#pragma GCC diagnostic ignored "-Wpsabi"
+
+// Floats per vector; a plain float is a vector of one.
+template <typename Vec>
+constexpr int Lanes() {
+  return sizeof(Vec) / sizeof(float);
+}
+
+// Unaligned vector loads and stores.
+template <typename Vec>
+[[gnu::always_inline]] inline Vec LoadVec(const float* src) {
+  Vec v;
+  std::memcpy(&v, src, sizeof(v));
+  return v;
+}
+
+template <typename Vec>
+[[gnu::always_inline]] inline void StoreVec(float* dst, Vec v) {
+  std::memcpy(dst, &v, sizeof(v));
+}
+
+// The next narrower vector: what a ragged end of a GEMM row runs.
+template <typename Vec>
+using NarrowerOf = std::conditional_t<
+    sizeof(Vec) == sizeof(Float16), Float8,
+    std::conditional_t<sizeof(Vec) == sizeof(Float8), Float4, float>>;
 
 // Column blocking: B strips of this many columns stay resident in L1/L2
 // while every row of A streams over them.
 constexpr int kNc = 512;
 
-}  // namespace
+// What every GEMM tile of one call reads: A (m x k), B (k x n), the column
+// bias or null, and C (m x n).
+struct GemmArgs {
+  int m, n, k;
+  const float* a;
+  const float* b;
+  const float* bias_col;
+  float* c;
+};
 
-// The kernels have external linkage so that profiles (dladdr) name them;
-// the compiler keeps them out of line. (A clone it specializes for
-// constant arguments is a local symbol again, which dladdr cannot name.)
-
-// Full kMr x kNr register tile over the complete k range. Each accumulator
-// starts at C's current value when kAccumulate, else at its column's
-// init_col entry when init_col is non-null, else at 0.
-template <bool kAccumulate>
-inline void MicroKernel(int k, int n, const float* a0, const float* a1,
-                        const float* a2, const float* a3, const float* b,
-                        const float* init_col, float* c0, float* c1,
-                        float* c2, float* c3) {
-  float acc0[kNr], acc1[kNr], acc2[kNr], acc3[kNr];
-  if (!kAccumulate && init_col != nullptr) {
-    for (int j = 0; j < kNr; ++j) {
-      acc0[j] = acc1[j] = acc2[j] = acc3[j] = init_col[j];
-    }
-  } else {
-    for (int j = 0; j < kNr; ++j) {
-      acc0[j] = kAccumulate ? c0[j] : 0.0f;
-      acc1[j] = kAccumulate ? c1[j] : 0.0f;
-      acc2[j] = kAccumulate ? c2[j] : 0.0f;
-      acc3[j] = kAccumulate ? c3[j] : 0.0f;
+// One register tile: rows i0 .. i0 + kRows - 1 of C, columns j0 .. j0 +
+// kVecs * Lanes<Vec>() - 1. Each accumulator starts at C's value when
+// kAccumulate, else at its column's bias (0 without one), and adds
+// A[i][p] * B[p][j] for p ascending, a rounded product at a time.
+template <bool kAccumulate, typename Vec, int kRows, int kVecs>
+[[gnu::always_inline]] inline void GemmTile(const GemmArgs& g, int i0,
+                                            int j0) {
+  constexpr int kLanes = Lanes<Vec>();
+  const size_t n = static_cast<size_t>(g.n);
+  float* c = g.c + static_cast<size_t>(i0) * n + j0;
+  Vec acc[kRows][kVecs];
+#pragma GCC unroll 16
+  for (int r = 0; r < kRows; ++r) {
+#pragma GCC unroll 16
+    for (int v = 0; v < kVecs; ++v) {
+      if (kAccumulate) {
+        acc[r][v] = LoadVec<Vec>(c + r * n + v * kLanes);
+      } else if (g.bias_col != nullptr) {
+        acc[r][v] = LoadVec<Vec>(g.bias_col + j0 + v * kLanes);
+      } else {
+        acc[r][v] = Vec{};
+      }
     }
   }
-  for (int p = 0; p < k; ++p) {
-    const float* brow = b + static_cast<size_t>(p) * n;
-    const float va0 = a0[p], va1 = a1[p], va2 = a2[p], va3 = a3[p];
-    for (int j = 0; j < kNr; ++j) {
-      acc0[j] += va0 * brow[j];
-      acc1[j] += va1 * brow[j];
-      acc2[j] += va2 * brow[j];
-      acc3[j] += va3 * brow[j];
+  const float* a = g.a + static_cast<size_t>(i0) * g.k;
+  const float* brow = g.b + j0;
+  for (int p = 0; p < g.k; ++p, brow += n) {
+    Vec bv[kVecs];
+#pragma GCC unroll 16
+    for (int v = 0; v < kVecs; ++v) bv[v] = LoadVec<Vec>(brow + v * kLanes);
+#pragma GCC unroll 16
+    for (int r = 0; r < kRows; ++r) {
+      const float ar = a[static_cast<size_t>(r) * g.k + p];
+#pragma GCC unroll 16
+      for (int v = 0; v < kVecs; ++v) acc[r][v] += ar * bv[v];
     }
   }
-  for (int j = 0; j < kNr; ++j) {
-    c0[j] = acc0[j];
-    c1[j] = acc1[j];
-    c2[j] = acc2[j];
-    c3[j] = acc3[j];
+#pragma GCC unroll 16
+  for (int r = 0; r < kRows; ++r) {
+#pragma GCC unroll 16
+    for (int v = 0; v < kVecs; ++v) {
+      StoreVec(c + r * n + v * kLanes, acc[r][v]);
+    }
   }
 }
 
-// Edge tile: any mb x nb block (mb <= kMr, nb <= kNr). Same per-output
-// ascending-k accumulator chain as the full tile.
+// The last `cols` columns of a row block, from j0, fewer than one tile of
+// kVecs vectors: tiles of half as many vectors, then of half-width
+// vectors, down to single columns.
+template <bool kAccumulate, typename Vec, int kRows, int kVecs>
+[[gnu::always_inline]] inline void GemmColumnTail(const GemmArgs& g, int i0,
+                                                  int j0, int cols) {
+  if constexpr (kVecs > 1) {
+    constexpr int kHalfCols = kVecs / 2 * Lanes<Vec>();
+    if (cols >= kHalfCols) {
+      GemmTile<kAccumulate, Vec, kRows, kVecs / 2>(g, i0, j0);
+      j0 += kHalfCols;
+      cols -= kHalfCols;
+    }
+    GemmColumnTail<kAccumulate, Vec, kRows, kVecs / 2>(g, i0, j0, cols);
+  } else if constexpr (Lanes<Vec>() > 1) {
+    using Narrower = NarrowerOf<Vec>;
+    constexpr int kNarrowCols = Lanes<Narrower>();
+    if (cols >= kNarrowCols) {
+      GemmTile<kAccumulate, Narrower, kRows, 1>(g, i0, j0);
+      j0 += kNarrowCols;
+      cols -= kNarrowCols;
+    }
+    GemmColumnTail<kAccumulate, Narrower, kRows, 1>(g, i0, j0, cols);
+  } else {
+    for (; cols > 0; ++j0, --cols) {
+      GemmTile<kAccumulate, float, kRows, 1>(g, i0, j0);
+    }
+  }
+}
+
+// Rows i0 .. i0 + kRows - 1 over the panel's columns [jc, jc + nc).
+template <bool kAccumulate, typename Vec, int kRows, int kVecs>
+[[gnu::always_inline]] inline void GemmRowBlock(const GemmArgs& g, int i0,
+                                                int jc, int nc) {
+  constexpr int kCols = kVecs * Lanes<Vec>();
+  int j = 0;
+  for (; j + kCols <= nc; j += kCols) {
+    GemmTile<kAccumulate, Vec, kRows, kVecs>(g, i0, jc + j);
+  }
+  GemmColumnTail<kAccumulate, Vec, kRows, kVecs>(g, i0, jc + j, nc - j);
+}
+
+// The rows from i0 in blocks of kRows, then what is left in blocks of half
+// as many, down to one.
+template <bool kAccumulate, typename Vec, int kRows, int kVecs>
+[[gnu::always_inline]] inline void GemmRows(const GemmArgs& g, int i0,
+                                            int jc, int nc) {
+  for (; i0 + kRows <= g.m; i0 += kRows) {
+    GemmRowBlock<kAccumulate, Vec, kRows, kVecs>(g, i0, jc, nc);
+  }
+  if constexpr (kRows > 1) {
+    if (i0 < g.m) GemmRows<kAccumulate, Vec, kRows / 2, kVecs>(g, i0, jc, nc);
+  }
+}
+
+// n = 1: C's one column is a dot product per row. kDotRows rows at a time
+// keep that many independent chains in flight; each chain starts at C's
+// value when kAccumulate, else at the bias (0 without one), and adds
+// A[i][p] * B[p] for p ascending.
+constexpr int kDotRows = 8;
+
 template <bool kAccumulate>
-inline void EdgeKernel(int k, int n, int mb, int nb, const float* a,
-                       const float* b, const float* bias_col, int i0, int j0,
-                       float* c) {
-  float acc[kMr][kNr];
-  for (int i = 0; i < mb; ++i) {
-    const float* crow = c + static_cast<size_t>(i0 + i) * n + j0;
-    for (int j = 0; j < nb; ++j) {
-      acc[i][j] = kAccumulate           ? crow[j]
-                  : bias_col != nullptr ? bias_col[j0 + j]
-                                        : 0.0f;
+[[gnu::always_inline]] inline void RowDots(const GemmArgs& g) {
+  const size_t k = static_cast<size_t>(g.k);
+  const float init = g.bias_col != nullptr ? g.bias_col[0] : 0.0f;
+  int i = 0;
+  for (; i + kDotRows <= g.m; i += kDotRows) {
+    const float* a = g.a + static_cast<size_t>(i) * k;
+    float acc[kDotRows];
+#pragma GCC unroll 8
+    for (int r = 0; r < kDotRows; ++r) acc[r] = kAccumulate ? g.c[i + r] : init;
+    for (size_t p = 0; p < k; ++p) {
+      const float bp = g.b[p];
+#pragma GCC unroll 8
+      for (int r = 0; r < kDotRows; ++r) acc[r] += a[r * k + p] * bp;
     }
+#pragma GCC unroll 8
+    for (int r = 0; r < kDotRows; ++r) g.c[i + r] = acc[r];
   }
-  for (int p = 0; p < k; ++p) {
-    const float* brow = b + static_cast<size_t>(p) * n + j0;
-    for (int i = 0; i < mb; ++i) {
-      const float va = a[static_cast<size_t>(i0 + i) * k + p];
-      for (int j = 0; j < nb; ++j) acc[i][j] += va * brow[j];
-    }
+  for (; i < g.m; ++i) {
+    const float* a = g.a + static_cast<size_t>(i) * k;
+    float acc = kAccumulate ? g.c[i] : init;
+    for (size_t p = 0; p < k; ++p) acc += a[p] * g.b[p];
+    g.c[i] = acc;
   }
-  for (int i = 0; i < mb; ++i) {
-    float* crow = c + static_cast<size_t>(i0 + i) * n + j0;
-    for (int j = 0; j < nb; ++j) crow[j] = acc[i][j];
+}
+
+}  // namespace
+
+// RowDots for every tier, compiled once for the baseline: its chains run
+// down A's rows, which the wider tiers could only vectorize with gathers,
+// and those measured slower than this scalar loop.
+[[gnu::noinline, gnu::noclone]] void GemmRowDots(bool accumulate, int m,
+                                                 int k, const float* a,
+                                                 const float* b,
+                                                 const float* bias_col,
+                                                 float* c) {
+  const GemmArgs g{m, 1, k, a, b, bias_col, c};
+  if (accumulate) {
+    RowDots<true>(g);
+  } else {
+    RowDots<false>(g);
   }
 }
 
 namespace {
 
-// Shared loop nest of GemmBias and GemmAccumulate (no bias; chains start
-// from C).
-template <bool kAccumulate>
-void Gemm(int m, int n, int k, const float* a, const float* b,
-          const float* bias_col, float* c) {
+// The one GEMM source, inlined into each instruction-set variant below
+// with that variant's vector type and tile of kRows x kVecs vectors.
+template <bool kAccumulate, typename Vec, int kRows, int kVecs>
+[[gnu::always_inline]] inline void GemmBody(const GemmArgs& g) {
+  // The remainder blocks halve the rows and the vectors down to one.
+  static_assert((kRows & (kRows - 1)) == 0 && (kVecs & (kVecs - 1)) == 0);
+  if (g.n == 1) {
+    GemmRowDots(kAccumulate, g.m, g.k, g.a, g.b, g.bias_col, g.c);
+    return;
+  }
   // Column panels: for each strip of B, stream all rows of A over it.
-  for (int jc = 0; jc < n; jc += kNc) {
-    const int nc = std::min(kNc, n - jc);
-    int i = 0;
-    for (; i + kMr <= m; i += kMr) {
-      const float* a0 = a + static_cast<size_t>(i) * k;
-      const float* a1 = a0 + k;
-      const float* a2 = a1 + k;
-      const float* a3 = a2 + k;
-      int j = 0;
-      for (; j + kNr <= nc; j += kNr) {
-        float* crow = c + static_cast<size_t>(i) * n + jc + j;
-        MicroKernel<kAccumulate>(
-            k, n, a0, a1, a2, a3, b + jc + j,
-            bias_col != nullptr ? bias_col + jc + j : nullptr, crow,
-            crow + n, crow + 2 * n, crow + 3 * n);
-      }
-      for (; j < nc; j += kNr) {
-        EdgeKernel<kAccumulate>(k, n, kMr, std::min(kNr, nc - j), a, b,
-                                bias_col, i, jc + j, c);
-      }
-    }
-    if (i < m) {
-      for (int j = 0; j < nc; j += kNr) {
-        EdgeKernel<kAccumulate>(k, n, m - i, std::min(kNr, nc - j), a, b,
-                                bias_col, i, jc + j, c);
-      }
-    }
+  for (int jc = 0; jc < g.n; jc += kNc) {
+    GemmRows<kAccumulate, Vec, kRows, kVecs>(g, 0, jc, std::min(kNc, g.n - jc));
   }
 }
 
 }  // namespace
 
+// The variants have external linkage, and are kept out of line, so that
+// profiles (dladdr) name the one that ran. A tile of 4 rows x 2 vectors
+// holds 8 independent accumulator vectors, 8 columns wide (SSE) or 16
+// (AVX2); AVX-512's 32 registers hold 8 rows x 2 vectors of 16, whose 16
+// chains measured a fifth faster than 8 on the conv backward pass's wide
+// products and no slower on the tracker's.
+[[gnu::noinline]] void GemmBiasBaseline(int m, int n, int k, const float* a,
+                                        const float* b, const float* bias_col,
+                                        float* c) {
+  GemmBody<false, Float4, 4, 2>({m, n, k, a, b, bias_col, c});
+}
+[[gnu::noinline]] void GemmAccumulateBaseline(int m, int n, int k,
+                                              const float* a, const float* b,
+                                              float* c) {
+  GemmBody<true, Float4, 4, 2>({m, n, k, a, b, nullptr, c});
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+#define OTIF_KERNELS_X86 1
+// AVX2 alone, not FMA: a fused multiply-add rounds once where the chain
+// rounds twice, which would change outputs.
+[[gnu::noinline]] __attribute__((target("avx2"))) void GemmBiasAvx2(
+    int m, int n, int k, const float* a, const float* b,
+    const float* bias_col, float* c) {
+  GemmBody<false, Float8, 4, 2>({m, n, k, a, b, bias_col, c});
+}
+[[gnu::noinline]] __attribute__((target("avx2"))) void GemmAccumulateAvx2(
+    int m, int n, int k, const float* a, const float* b, float* c) {
+  GemmBody<true, Float8, 4, 2>({m, n, k, a, b, nullptr, c});
+}
+
+// AVX-512F has fused multiply-adds of its own; -ffp-contract=off keeps the
+// compiler from using them.
+[[gnu::noinline]] __attribute__((target("avx512f"))) void GemmBiasAvx512(
+    int m, int n, int k, const float* a, const float* b,
+    const float* bias_col, float* c) {
+  GemmBody<false, Float16, 8, 2>({m, n, k, a, b, bias_col, c});
+}
+[[gnu::noinline]] __attribute__((target("avx512f"))) void
+GemmAccumulateAvx512(int m, int n, int k, const float* a, const float* b,
+                     float* c) {
+  GemmBody<true, Float16, 8, 2>({m, n, k, a, b, nullptr, c});
+}
+#endif
+
+Isa KernelIsa() {
+#ifdef OTIF_KERNELS_X86
+  return CpuIsa();
+#else
+  return Isa::kBaseline;
+#endif
+}
+
+void GemmBiasWith(Isa isa, int m, int n, int k, const float* a,
+                  const float* b, const float* bias_col, float* c) {
+  OTIF_CHECK(isa <= KernelIsa())
+      << "this CPU lacks the instruction set of GEMM variant "
+      << static_cast<int>(isa);
+  switch (isa) {
+#ifdef OTIF_KERNELS_X86
+    case Isa::kAvx512:
+      GemmBiasAvx512(m, n, k, a, b, bias_col, c);
+      return;
+    case Isa::kAvx2:
+      GemmBiasAvx2(m, n, k, a, b, bias_col, c);
+      return;
+#endif
+    default:
+      GemmBiasBaseline(m, n, k, a, b, bias_col, c);
+      return;
+  }
+}
+
+void GemmAccumulateWith(Isa isa, int m, int n, int k, const float* a,
+                        const float* b, float* c) {
+  OTIF_CHECK(isa <= KernelIsa())
+      << "this CPU lacks the instruction set of GEMM variant "
+      << static_cast<int>(isa);
+  switch (isa) {
+#ifdef OTIF_KERNELS_X86
+    case Isa::kAvx512:
+      GemmAccumulateAvx512(m, n, k, a, b, c);
+      return;
+    case Isa::kAvx2:
+      GemmAccumulateAvx2(m, n, k, a, b, c);
+      return;
+#endif
+    default:
+      GemmAccumulateBaseline(m, n, k, a, b, c);
+      return;
+  }
+}
+
 void GemmBias(int m, int n, int k, const float* a, const float* b,
               const float* bias_col, float* c) {
-  Gemm</*kAccumulate=*/false>(m, n, k, a, b, bias_col, c);
+  GemmBiasWith(KernelIsa(), m, n, k, a, b, bias_col, c);
 }
 
 void GemmAccumulate(int m, int n, int k, const float* a, const float* b,
                     float* c) {
-  Gemm</*kAccumulate=*/true>(m, n, k, a, b, nullptr, c);
+  GemmAccumulateWith(KernelIsa(), m, n, k, a, b, c);
 }
 
 namespace {
@@ -157,13 +348,6 @@ namespace {
 // (AVX) or 4 (SSE, two per tile row so that a row spans 8 columns).
 constexpr int kConvChans = 4;
 constexpr int kConvChains = 8;
-typedef float Float4 __attribute__((vector_size(4 * sizeof(float))));
-typedef float Float8 __attribute__((vector_size(8 * sizeof(float))));
-typedef float Float16 __attribute__((vector_size(16 * sizeof(float))));
-// The helpers below take and return these vectors by value. They are all
-// inlined into the variant that uses them, so no call crosses the
-// baseline ABI that GCC warns would change under AVX.
-#pragma GCC diagnostic ignored "-Wpsabi"
 
 // Output columns per tile row: one vector, or two 4-float ones.
 template <typename Vec>
@@ -239,19 +423,6 @@ template <ConvInputMap kMap>
 // in the baseline build): plane rows are short, so a wider vector would
 // leave most rows to the scalar tail.
 constexpr int kFillLanes = 8;
-
-// Unaligned vector loads and stores.
-template <typename Vec>
-[[gnu::always_inline]] inline Vec LoadVec(const float* src) {
-  Vec v;
-  std::memcpy(&v, src, sizeof(v));
-  return v;
-}
-
-template <typename Vec>
-[[gnu::always_inline]] inline void StoreVec(float* dst, Vec v) {
-  std::memcpy(dst, &v, sizeof(v));
-}
 
 // dst[t] = map(src[t]) for t < n. Whole vectors; a ragged end redoes the
 // last 8 (the same values), so only rows under 8 floats run scalar.
@@ -540,8 +711,7 @@ void ConvDirectBaseline(const ConvShape& s, ConvInputMap map,
   ConvDirectBody<Float4>(s, map, input, weight, bias, scratch, out);
 }
 
-#if defined(__x86_64__) || defined(__i386__)
-#define OTIF_CONV_X86 1
+#ifdef OTIF_KERNELS_X86
 // AVX2 alone, not FMA: a fused multiply-add rounds once where the chain
 // rounds twice, which would change outputs.
 __attribute__((target("avx2"))) void ConvDirectAvx2(
@@ -565,27 +735,19 @@ size_t ConvDirectScratchFloats(const ConvShape& shape) {
          Layout(shape).floats;
 }
 
-ConvIsa ConvDirectIsa() {
-#ifdef OTIF_CONV_X86
-  if (CpuHasAvx512f()) return ConvIsa::kAvx512;
-  if (CpuHasAvx2()) return ConvIsa::kAvx2;
-#endif
-  return ConvIsa::kBaseline;
-}
-
-void ConvDirectWith(ConvIsa isa, const ConvShape& shape, ConvInputMap map,
+void ConvDirectWith(Isa isa, const ConvShape& shape, ConvInputMap map,
                     const float* input, const float* weight,
                     const float* bias, float* scratch, float* out) {
-  OTIF_CHECK(isa <= ConvDirectIsa())
+  OTIF_CHECK(isa <= KernelIsa())
       << "this CPU lacks the instruction set of conv variant "
       << static_cast<int>(isa);
   if (shape.oh() <= 0 || shape.ow() <= 0) return;
   switch (isa) {
-#ifdef OTIF_CONV_X86
-    case ConvIsa::kAvx512:
+#ifdef OTIF_KERNELS_X86
+    case Isa::kAvx512:
       ConvDirectAvx512(shape, map, input, weight, bias, scratch, out);
       return;
-    case ConvIsa::kAvx2:
+    case Isa::kAvx2:
       ConvDirectAvx2(shape, map, input, weight, bias, scratch, out);
       return;
 #endif
@@ -598,7 +760,7 @@ void ConvDirectWith(ConvIsa isa, const ConvShape& shape, ConvInputMap map,
 void ConvDirect(const ConvShape& shape, ConvInputMap map, const float* input,
                 const float* weight, const float* bias, float* scratch,
                 float* out) {
-  ConvDirectWith(ConvDirectIsa(), shape, map, input, weight, bias, scratch,
+  ConvDirectWith(KernelIsa(), shape, map, input, weight, bias, scratch,
                  out);
 }
 

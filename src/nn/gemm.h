@@ -3,6 +3,8 @@
 
 #include <cstddef>
 
+#include "util/cpu.h"
+
 namespace otif::nn {
 
 /// C = A * B with an optional column bias folded into the accumulator
@@ -23,6 +25,10 @@ namespace otif::nn {
 /// naive triple loop regardless of the register-blocking used internally.
 /// The conv backward pass relies on this to reproduce the reference loops
 /// exactly.
+///
+/// Runs the KernelIsa() variant: register tiles of rows x vectors of
+/// columns, each tile's chains independent of each other; with n = 1, a
+/// dot product per row (DESIGN.md, "GEMM blocking and bit-identity").
 void GemmBias(int m, int n, int k, const float* a, const float* b,
               const float* bias_col, float* c);
 
@@ -34,6 +40,18 @@ void GemmBias(int m, int n, int k, const float* a, const float* b,
 /// `c += a * b` loop would. Used by the conv backward pass.
 void GemmAccumulate(int m, int n, int k, const float* a, const float* b,
                     float* c);
+
+/// The tier GemmBias, GemmAccumulate and ConvDirect run: CpuIsa() on an x86
+/// build, which compiles each of their kernel sources for every tier (no
+/// FMA in any), and kBaseline elsewhere.
+Isa KernelIsa();
+
+/// GemmBias and GemmAccumulate through the `isa` variant, so tests can
+/// check each one. Require isa <= KernelIsa().
+void GemmBiasWith(Isa isa, int m, int n, int k, const float* a,
+                  const float* b, const float* bias_col, float* c);
+void GemmAccumulateWith(Isa isa, int m, int n, int k, const float* a,
+                        const float* b, float* c);
 
 /// Unrolls conv input patches into the im2col panel consumed by the conv
 /// backward pass's weight-gradient GEMM.
@@ -101,19 +119,9 @@ void ConvDirect(const ConvShape& shape, ConvInputMap map, const float* input,
                 const float* weight, const float* bias, float* scratch,
                 float* out);
 
-/// The instruction sets ConvDirect's one kernel source is compiled for, in
-/// order: a CPU that runs one runs every one before it. All give the same
-/// bits.
-enum class ConvIsa { kBaseline, kAvx2, kAvx512 };
-
-/// The variant ConvDirect runs, probed once per process: on an x86 build,
-/// kAvx512 where the CPU has AVX-512F (CpuHasAvx512f()), else kAvx2 where
-/// it has AVX2 (CpuHasAvx2()); kBaseline otherwise.
-ConvIsa ConvDirectIsa();
-
 /// ConvDirect through the `isa` variant, so tests can check each one.
-/// Requires isa <= ConvDirectIsa().
-void ConvDirectWith(ConvIsa isa, const ConvShape& shape, ConvInputMap map,
+/// Requires isa <= KernelIsa().
+void ConvDirectWith(Isa isa, const ConvShape& shape, ConvInputMap map,
                     const float* input, const float* weight,
                     const float* bias, float* scratch, float* out);
 

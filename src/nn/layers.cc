@@ -350,29 +350,27 @@ Tensor Linear::Forward(const Tensor& input) {
   return out;
 }
 
+std::vector<float> Linear::TransposedWeight() const {
+  std::vector<float> wt(static_cast<size_t>(in_features_) * out_features_);
+  Transpose(weight_.value.data(), out_features_, in_features_, wt.data());
+  return wt;
+}
+
+Tensor Linear::InferRows(const Tensor& input, const float* weight_t) const {
+  // Batched rows: C (N x out) = X (N x in) * W^T (in x out), bias folded
+  // in as the per-column accumulator start — bit-identical per row to the
+  // 1-D path (float multiply is commutative bitwise and the k order
+  // matches).
+  OTIF_CHECK_EQ(input.ndim(), 2);
+  OTIF_CHECK_EQ(input.dim(1), in_features_);
+  const int nb = input.dim(0);
+  Tensor out = Tensor::Uninitialized({nb, out_features_});
+  GemmBias(nb, out_features_, in_features_, input.data(), weight_t,
+           bias_.value.data(), out.data());
+  return out;
+}
+
 Tensor Linear::Infer(const Tensor& input) const {
-  if (input.ndim() == 2) {
-    // Batched rows: C (N x out) = X (N x in) * W^T (in x out), bias folded
-    // in as the per-column accumulator start — bit-identical per row to the
-    // 1-D path below (float multiply is commutative bitwise and the k order
-    // matches).
-    const int nb = input.dim(0);
-    OTIF_CHECK_EQ(input.dim(1), in_features_);
-    Tensor out({nb, out_features_});
-    const float* wdata = weight_.value.data();
-    ScratchArena& arena = ScratchArena::ThreadLocal();
-    ScratchScope scope(arena);
-    float* wt = arena.Alloc(static_cast<size_t>(in_features_) * out_features_);
-    for (int i = 0; i < in_features_; ++i) {
-      for (int o = 0; o < out_features_; ++o) {
-        wt[static_cast<size_t>(i) * out_features_ + o] =
-            wdata[static_cast<size_t>(o) * in_features_ + i];
-      }
-    }
-    GemmBias(nb, out_features_, in_features_, input.data(), wt,
-             bias_.value.data(), out.data());
-    return out;
-  }
   OTIF_CHECK_EQ(input.size(), in_features_);
   Tensor out({out_features_});
   const float* wdata = weight_.value.data();
@@ -538,7 +536,18 @@ Tensor GruCell::StepInfer(const Tensor& x, const Tensor& h_prev) const {
   return ComputeStep(x, h_prev, &scratch);
 }
 
-Tensor GruCell::StepInferBatch(const Tensor& x, const Tensor& h_prev) const {
+GruCell::BatchWeights GruCell::TransposedWeights() const {
+  const auto transposed = [](const Parameter& p) {
+    std::vector<float> t(static_cast<size_t>(p.value.size()));
+    Transpose(p.value.data(), p.value.dim(0), p.value.dim(1), t.data());
+    return t;
+  };
+  return {transposed(wz_), transposed(uz_), transposed(wr_),
+          transposed(ur_), transposed(wh_), transposed(uh_)};
+}
+
+Tensor GruCell::StepInferBatch(const Tensor& x, const Tensor& h_prev,
+                               const BatchWeights& weights) const {
   OTIF_CHECK_EQ(x.ndim(), 2);
   OTIF_CHECK_EQ(x.dim(1), input_size_);
   OTIF_CHECK_EQ(h_prev.ndim(), 2);
@@ -551,27 +560,23 @@ Tensor GruCell::StepInferBatch(const Tensor& x, const Tensor& h_prev) const {
   ScratchScope scope(arena);
 
   // out (n x hidden) = x W^T + b, then += hin U^T: Affine2's chain per row.
-  auto affine2 = [&](const Parameter& w, const Parameter& u, const Parameter& b,
-                     const float* hin) {
-    float* wt = arena.Alloc(static_cast<size_t>(input_size_) * hidden_size_);
-    Transpose(w.value.data(), hidden_size_, input_size_, wt);
-    float* ut = arena.Alloc(static_cast<size_t>(hidden_size_) * hidden_size_);
-    Transpose(u.value.data(), hidden_size_, hidden_size_, ut);
+  auto affine2 = [&](const std::vector<float>& wt, const std::vector<float>& ut,
+                     const Parameter& b, const float* hin) {
     float* out = arena.Alloc(cells);
-    GemmBias(n, hidden_size_, input_size_, x.data(), wt, b.value.data(),
-             out);
-    GemmAccumulate(n, hidden_size_, hidden_size_, hin, ut, out);
+    GemmBias(n, hidden_size_, input_size_, x.data(), wt.data(),
+             b.value.data(), out);
+    GemmAccumulate(n, hidden_size_, hidden_size_, hin, ut.data(), out);
     return out;
   };
 
-  float* z = affine2(wz_, uz_, bz_, h);
+  float* z = affine2(weights.wz, weights.uz, bz_, h);
   for (size_t i = 0; i < cells; ++i) z[i] = StableSigmoid(z[i]);
-  float* r = affine2(wr_, ur_, br_, h);
+  float* r = affine2(weights.wr, weights.ur, br_, h);
   for (size_t i = 0; i < cells; ++i) r[i] = StableSigmoid(r[i]);
 
   float* rh = arena.Alloc(cells);
   for (size_t i = 0; i < cells; ++i) rh[i] = r[i] * h[i];
-  float* h_cand = affine2(wh_, uh_, bh_, rh);
+  float* h_cand = affine2(weights.wh, weights.uh, bh_, rh);
   for (size_t i = 0; i < cells; ++i) h_cand[i] = std::tanh(h_cand[i]);
 
   Tensor h_new = Tensor::Uninitialized({n, hidden_size_});

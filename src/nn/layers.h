@@ -123,9 +123,9 @@ class Conv2d : public Layer {
   std::vector<Tensor> cache_;  // Cached inputs.
 };
 
-/// Fully connected layer over 1-D tensors. Infer() additionally accepts a
-/// batched 2-D (N, in_features) input, producing (N, out_features) via one
-/// GEMM; each row is bit-identical to the 1-D path.
+/// Fully connected layer over 1-D tensors. InferRows() runs a batched 2-D
+/// (N, in_features) input, producing (N, out_features) via one GEMM; each
+/// row is bit-identical to the 1-D path.
 class Linear : public Layer {
  public:
   Linear(int in_features, int out_features, Rng* rng);
@@ -140,6 +140,16 @@ class Linear : public Layer {
   /// input into parts (TrackerNet::ScorePairs).
   const Tensor& weight() const { return weight_.value; }
   const Tensor& bias() const { return bias_.value; }
+
+  /// The weight transposed, (in_features, out_features) row-major: the B
+  /// operand of InferRows' GEMM. A copy, taken once by a caller that runs
+  /// many batches against the trained layer.
+  std::vector<float> TransposedWeight() const;
+
+  /// Infer over (N, in_features) rows at once, given `weight_t` =
+  /// TransposedWeight(): returns (N, out_features), each row bit-identical
+  /// to Infer on that row.
+  Tensor InferRows(const Tensor& input, const float* weight_t) const;
 
  private:
   int in_features_, out_features_;
@@ -176,13 +186,24 @@ class GruCell {
   /// mutation (thread-safe on a shared trained cell).
   Tensor StepInfer(const Tensor& x, const Tensor& h_prev) const;
 
+  /// The gate matrices transposed into the B operands of StepInferBatch's
+  /// GEMMs: each W as (input_size, hidden_size), each U as (hidden_size,
+  /// hidden_size), row-major. A copy, so it goes stale if the cell trains
+  /// on.
+  struct BatchWeights {
+    std::vector<float> wz, uz, wr, ur, wh, uh;
+  };
+  BatchWeights TransposedWeights() const;
+
   /// StepInfer over n independent rows: x is (n, input_size) and h_prev is
-  /// (n, hidden_size); returns (n, hidden_size). Each gate's
-  /// pre-activation is one GemmBias (W x + b) continued by one
+  /// (n, hidden_size); returns (n, hidden_size). `weights` is
+  /// TransposedWeights(), taken once by a caller that steps many batches.
+  /// Each gate's pre-activation is one GemmBias (W x + b) continued by one
   /// GemmAccumulate (+ U h), the same ascending chain as the 1-D path, so
   /// every row is bit-identical to StepInfer on that row. Scratch comes
   /// from the calling thread's ScratchArena.
-  Tensor StepInferBatch(const Tensor& x, const Tensor& h_prev) const;
+  Tensor StepInferBatch(const Tensor& x, const Tensor& h_prev,
+                        const BatchWeights& weights) const;
 
   /// Backward for the most recent Step: given dL/dh', accumulates parameter
   /// gradients and returns (dL/dx, dL/dh_prev).

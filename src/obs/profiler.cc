@@ -174,9 +174,9 @@ struct FoldKeyHash {
 /// enclosing exported function, and a function with internal linkage (an
 /// anonymous-namespace helper the compiler kept out of line) to the
 /// binary's name. The GEMM kernels have external linkage and report as
-/// themselves, "void_otif::nn::MicroKernel<false>" under GemmBias (a
-/// function template's name keeps its return type), except the clones the
-/// compiler specializes for constant arguments, which are local again.
+/// themselves, "otif::nn::GemmBiasAvx512" under GemmBias (a clone the
+/// compiler specialized for constant arguments would be local again, so
+/// they are kept from having one).
 std::string SymbolizePc(void* pc) {
   Dl_info info;
   std::string name;

@@ -3,34 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/cpu.h"
+#include "util/libmvec.h"
 #include "util/logging.h"
 #include "util/rng.h"
-
-// The vector noise passes call glibc's libmvec, which x86-64 glibc ships
-// from 2.22 on (with its AVX2 and AVX-512 variants); libm.so's link script
-// pulls it in as needed.
-#if defined(__x86_64__) && defined(__GLIBC__) && \
-    (__GLIBC__ > 2 || (__GLIBC__ == 2 && __GLIBC_MINOR__ >= 22))
-#define OTIF_NOISE_X86 1
-// GCC 12 warns that some AVX-512 intrinsics' internal pass-through operand
-// "may be used uninitialized" (GCC bug 105593, fixed in GCC 13).
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-#include <immintrin.h>
-#pragma GCC diagnostic pop
-
-// libmvec's AVX2 and AVX-512 variants (x86-64 vector function ABI, 4 and 8
-// doubles per call). glibc states at most 4 ulp of error for each.
-extern "C" {
-__attribute__((target("avx2"))) __m256d _ZGVdN4v_log(__m256d x);
-__attribute__((target("avx2"))) __m256d _ZGVdN4v_sin(__m256d x);
-__attribute__((target("avx2"))) __m256d _ZGVdN4v_cos(__m256d x);
-__attribute__((target("avx512f"))) __m512d _ZGVeN8v_log(__m512d x);
-__attribute__((target("avx512f"))) __m512d _ZGVeN8v_sin(__m512d x);
-__attribute__((target("avx512f"))) __m512d _ZGVeN8v_cos(__m512d x);
-}
-#endif
 
 namespace otif::sim {
 namespace {
@@ -73,50 +48,9 @@ float ObjectIntensity(int64_t id) {
   return static_cast<float>(0.75 + 0.4 * (u - 0.5));
 }
 
-#ifdef OTIF_NOISE_X86
-// The rounding test's guard. libm and libmvec each land within a few ulp of
-// the exact log, sin and cos, so the scalar and vector doubles of one noise
-// value differ by under 2^-47 of it; 2^-40 leaves a wide margin, and the
-// absolute 2^-80 sends values near zero to the exact path.
-constexpr double kRoundingGuardRel = 0x1p-40;
-constexpr double kRoundingGuardAbs = 0x1p-80;
-
-// Rounds four noise values to float. Returns a mask with bit l set when
-// lane l's float is proven equal to static_cast<float> of the scalar
-// expression's double: both ends of n +- (|n| 2^-40 + 2^-80) round to the
-// same float, the scalar double lies between them, and rounding is
-// monotone.
-__attribute__((target("avx2"))) inline int RoundProven(__m256d n,
-                                                       __m128* out) {
-  const __m256d magnitude = _mm256_andnot_pd(_mm256_set1_pd(-0.0), n);
-  const __m256d guard =
-      _mm256_add_pd(_mm256_mul_pd(magnitude, _mm256_set1_pd(kRoundingGuardRel)),
-                    _mm256_set1_pd(kRoundingGuardAbs));
-  const __m128 lo = _mm256_cvtpd_ps(_mm256_sub_pd(n, guard));
-  const __m128 hi = _mm256_cvtpd_ps(_mm256_add_pd(n, guard));
-  *out = lo;
-  return _mm_movemask_ps(_mm_castsi128_ps(
-      _mm_cmpeq_epi32(_mm_castps_si128(lo), _mm_castps_si128(hi))));
-}
-
-// RoundProven for eight noise values.
-__attribute__((target("avx512f"))) inline int RoundProven8(__m512d n,
-                                                          __m256* out) {
-  const __m512d guard =
-      _mm512_add_pd(_mm512_mul_pd(_mm512_abs_pd(n),
-                                  _mm512_set1_pd(kRoundingGuardRel)),
-                    _mm512_set1_pd(kRoundingGuardAbs));
-  const __m256 lo = _mm512_cvtpd_ps(_mm512_sub_pd(n, guard));
-  const __m256 hi = _mm512_cvtpd_ps(_mm512_add_pd(n, guard));
-  *out = lo;
-  return _mm256_movemask_ps(_mm256_castsi256_ps(
-      _mm256_cmpeq_epi32(_mm256_castps_si256(lo), _mm256_castps_si256(hi))));
-}
-#endif
-
 }  // namespace
 
-#ifdef OTIF_NOISE_X86
+#ifdef OTIF_LIBMVEC
 // External linkage, so that profiles (dladdr) name the variant that ran.
 // AVX2 alone, not FMA: every step rounds where the scalar expression does.
 __attribute__((target("avx2"))) size_t SensorNoiseAvx2(const double* u1,
@@ -138,7 +72,8 @@ __attribute__((target("avx2"))) size_t SensorNoiseAvx2(const double* u1,
     const __m256d sin_term = _mm256_add_pd(
         zero, _mm256_mul_pd(sigma, _mm256_mul_pd(r, _ZGVdN4v_sin(theta))));
     __m128 c, s;
-    const int proven = RoundProven(cos_term, &c) & RoundProven(sin_term, &s);
+    const int proven = libmvec::RoundProven(cos_term, &c) &
+                       libmvec::RoundProven(sin_term, &s);
     // Interleave: pair k + l writes its cosine term, then its sine term.
     _mm_storeu_ps(noise + 2 * k, _mm_unpacklo_ps(c, s));
     _mm_storeu_ps(noise + 2 * k + 4, _mm_unpackhi_ps(c, s));
@@ -172,7 +107,8 @@ __attribute__((target("avx512f"))) size_t SensorNoiseAvx512(
     const __m512d sin_term = _mm512_add_pd(
         zero, _mm512_mul_pd(sigma, _mm512_mul_pd(r, _ZGVeN8v_sin(theta))));
     __m256 c, s;
-    const int proven = RoundProven8(cos_term, &c) & RoundProven8(sin_term, &s);
+    const int proven = libmvec::RoundProven8(cos_term, &c) &
+                       libmvec::RoundProven8(sin_term, &s);
     // Interleave: pair k + l writes its cosine term, then its sine term.
     // The unpacks pair lanes within each 128-bit half; the permutes put
     // the halves in order.
@@ -192,24 +128,24 @@ __attribute__((target("avx512f"))) size_t SensorNoiseAvx512(
 }
 #endif
 
-NoiseIsa SensorNoiseIsa() {
-#ifdef OTIF_NOISE_X86
-  if (CpuHasAvx512f()) return NoiseIsa::kAvx512;
-  if (CpuHasAvx2()) return NoiseIsa::kAvx2;
+Isa SensorNoiseIsa() {
+#ifdef OTIF_LIBMVEC
+  return CpuIsa();
+#else
+  return Isa::kBaseline;
 #endif
-  return NoiseIsa::kScalar;
 }
 
-size_t SensorNoiseTransform(NoiseIsa isa, const double* u1, const double* u2,
+size_t SensorNoiseTransform(Isa isa, const double* u1, const double* u2,
                             size_t pairs, float* noise) {
   OTIF_CHECK(isa <= SensorNoiseIsa())
       << "this build or CPU lacks the instruction set of noise variant "
       << static_cast<int>(isa);
-#ifdef OTIF_NOISE_X86
-  if (isa == NoiseIsa::kAvx512) {
+#ifdef OTIF_LIBMVEC
+  if (isa == Isa::kAvx512) {
     return SensorNoiseAvx512(u1, u2, pairs, noise);
   }
-  if (isa == NoiseIsa::kAvx2) return SensorNoiseAvx2(u1, u2, pairs, noise);
+  if (isa == Isa::kAvx2) return SensorNoiseAvx2(u1, u2, pairs, noise);
 #endif
   for (size_t k = 0; k < pairs; ++k) {
     NoisePairExact(u1[k], u2[k], noise + 2 * k);
@@ -217,7 +153,7 @@ size_t SensorNoiseTransform(NoiseIsa isa, const double* u1, const double* u2,
   return 0;
 }
 
-size_t AddSensorNoise(NoiseIsa isa, uint64_t seed, float* pixels,
+size_t AddSensorNoise(Isa isa, uint64_t seed, float* pixels,
                       size_t count) {
   Rng rng(seed);
   double u1[kNoiseChunkPairs];

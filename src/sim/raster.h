@@ -8,18 +8,14 @@
 #include <utility>
 
 #include "sim/world.h"
+#include "util/cpu.h"
 #include "video/image.h"
 
 namespace otif::sim {
 
-/// The instruction sets the sensor-noise pass is built for, in order: a
-/// CPU that runs one runs every one before it. All give the same bits.
-enum class NoiseIsa { kScalar, kAvx2, kAvx512 };
-
-/// The variant every render runs. On an x86-64 glibc build (which has
-/// libmvec): kAvx512 where the CPU has AVX-512F (CpuHasAvx512f()), else
-/// kAvx2 where it has AVX2 (CpuHasAvx2()). kScalar otherwise.
-NoiseIsa SensorNoiseIsa();
+/// The variant every render runs: CpuIsa() on an x86-64 glibc build (which
+/// has libmvec, util/libmvec.h), kBaseline (the scalar loop) otherwise.
+Isa SensorNoiseIsa();
 
 /// The sensor-noise pass of every render (DESIGN.md, "Frame source"):
 /// pixel i of `pixels[0, count)` gains
@@ -28,9 +24,9 @@ NoiseIsa SensorNoiseIsa();
 /// cosine term of the k-th Box-Muller pair and pixel 2k + 1 its sine term.
 /// The uniforms are drawn in that order, a stack chunk at a time, and
 /// SensorNoiseTransform turns them into noise. Returns the number of pairs
-/// the rounding test sent to the exact path (0 for kScalar). Requires
+/// the rounding test sent to the exact path (0 for kBaseline). Requires
 /// isa <= SensorNoiseIsa().
-size_t AddSensorNoise(NoiseIsa isa, uint64_t seed, float* pixels,
+size_t AddSensorNoise(Isa isa, uint64_t seed, float* pixels,
                       size_t count);
 
 /// The Box-Muller transform of `pairs` uniform pairs (u1[k] in (0, 1),
@@ -41,10 +37,10 @@ size_t AddSensorNoise(NoiseIsa isa, uint64_t seed, float* pixels,
 /// libmvec and keep a lane only when a rounding test proves its floats
 /// equal the scalar expression's; other lanes, and a tail of fewer pairs
 /// than a vector holds, run that expression. Returns the number of pairs
-/// the rounding test sent to it (0 for kScalar). Requires isa <=
+/// the rounding test sent to it (0 for kBaseline). Requires isa <=
 /// SensorNoiseIsa(). Exposed so tests can feed the rounding test chosen
 /// pairs.
-size_t SensorNoiseTransform(NoiseIsa isa, const double* u1, const double* u2,
+size_t SensorNoiseTransform(Isa isa, const double* u1, const double* u2,
                             size_t pairs, float* noise);
 
 /// Renders grayscale frames of a clip at arbitrary resolutions. The frame

@@ -1,55 +1,69 @@
 #include "track/hungarian.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "util/logging.h"
 
 namespace otif::track {
 
-std::vector<int> SolveAssignment(
-    const std::vector<std::vector<double>>& cost) {
-  const int n_rows = static_cast<int>(cost.size());
+void CostMatrix::Reset(int rows, int cols, double fill) {
+  OTIF_CHECK_GE(rows, 0);
+  OTIF_CHECK_GE(cols, 0);
+  rows_ = rows;
+  cols_ = cols;
+  values_.assign(static_cast<size_t>(rows) * cols, fill);
+}
+
+std::vector<int> SolveAssignment(const CostMatrix& cost) {
+  const int n_rows = cost.rows();
   if (n_rows == 0) return {};
-  const int n_cols = static_cast<int>(cost[0].size());
-  for (const auto& row : cost) {
-    OTIF_CHECK_EQ(static_cast<int>(row.size()), n_cols);
-  }
+  const int n_cols = cost.cols();
   if (n_cols == 0) return std::vector<int>(static_cast<size_t>(n_rows), -1);
 
   // Pad to a square matrix with large-but-finite costs so the augmenting
   // path algorithm can always complete; padded matches become -1.
   const int n = std::max(n_rows, n_cols);
   double max_abs = 1.0;
-  for (const auto& row : cost) {
-    for (double c : row) max_abs = std::max(max_abs, std::abs(c));
+  for (int r = 0; r < n_rows; ++r) {
+    for (int c = 0; c < n_cols; ++c) {
+      max_abs = std::max(max_abs, std::abs(cost(r, c)));
+    }
   }
   const double pad = max_abs * 4 + 1;
-  auto at = [&](int r, int c) -> double {
-    if (r < n_rows && c < n_cols) return cost[static_cast<size_t>(r)][static_cast<size_t>(c)];
-    return pad;
-  };
+  const size_t side = static_cast<size_t>(n);
+  std::vector<double> padded(side * side, pad);
+  for (int r = 0; r < n_rows; ++r) {
+    for (int c = 0; c < n_cols; ++c) {
+      padded[static_cast<size_t>(r) * side + static_cast<size_t>(c)] =
+          cost(r, c);
+    }
+  }
 
   // Jonker-Volgenant style shortest augmenting path (1-indexed internals).
   const double kInf = std::numeric_limits<double>::infinity();
-  std::vector<double> u(static_cast<size_t>(n) + 1, 0.0);
-  std::vector<double> v(static_cast<size_t>(n) + 1, 0.0);
-  std::vector<int> match_col(static_cast<size_t>(n) + 1, 0);  // col -> row
-  std::vector<int> way(static_cast<size_t>(n) + 1, 0);
+  std::vector<double> u(side + 1, 0.0);
+  std::vector<double> v(side + 1, 0.0);
+  std::vector<int> match_col(side + 1, 0);  // col -> row
+  std::vector<int> way(side + 1, 0);
+  std::vector<double> minv(side + 1);
+  std::vector<char> used(side + 1);
 
   for (int i = 1; i <= n; ++i) {
     match_col[0] = i;
     int j0 = 0;
-    std::vector<double> minv(static_cast<size_t>(n) + 1, kInf);
-    std::vector<char> used(static_cast<size_t>(n) + 1, 0);
+    std::fill(minv.begin(), minv.end(), kInf);
+    std::fill(used.begin(), used.end(), 0);
     do {
       used[static_cast<size_t>(j0)] = 1;
       const int i0 = match_col[static_cast<size_t>(j0)];
+      const double* row = padded.data() + static_cast<size_t>(i0 - 1) * side;
       double delta = kInf;
       int j1 = 0;
       for (int j = 1; j <= n; ++j) {
         if (used[static_cast<size_t>(j)]) continue;
-        const double cur = at(i0 - 1, j - 1) - u[static_cast<size_t>(i0)] -
+        const double cur = row[j - 1] - u[static_cast<size_t>(i0)] -
                            v[static_cast<size_t>(j)];
         if (cur < minv[static_cast<size_t>(j)]) {
           minv[static_cast<size_t>(j)] = cur;
@@ -87,12 +101,11 @@ std::vector<int> SolveAssignment(
   return row_to_col;
 }
 
-std::vector<int> GreedyAssignment(
-    const std::vector<std::vector<double>>& cost, double max_cost) {
-  const int n_rows = static_cast<int>(cost.size());
+std::vector<int> GreedyAssignment(const CostMatrix& cost, double max_cost) {
+  const int n_rows = cost.rows();
   std::vector<int> row_to_col(static_cast<size_t>(n_rows), -1);
   if (n_rows == 0) return row_to_col;
-  const int n_cols = static_cast<int>(cost[0].size());
+  const int n_cols = cost.cols();
   struct Entry {
     double c;
     int r;
@@ -100,10 +113,8 @@ std::vector<int> GreedyAssignment(
   };
   std::vector<Entry> entries;
   for (int r = 0; r < n_rows; ++r) {
-    OTIF_CHECK_EQ(static_cast<int>(cost[static_cast<size_t>(r)].size()),
-                  n_cols);
     for (int c = 0; c < n_cols; ++c) {
-      const double value = cost[static_cast<size_t>(r)][static_cast<size_t>(c)];
+      const double value = cost(r, c);
       if (value <= max_cost) entries.push_back({value, r, c});
     }
   }

@@ -25,8 +25,8 @@ void IouTracker::ProcessFrame(int frame, const FrameDetections& detections) {
 
   std::vector<int> det_for_track(n_tracks, -1);
   if (n_tracks > 0 && n_dets > 0) {
-    std::vector<std::vector<double>> cost(
-        n_tracks, std::vector<double>(n_dets, 2.0));
+    CostMatrix cost(static_cast<int>(n_tracks), static_cast<int>(n_dets),
+                    2.0);
     for (size_t t = 0; t < n_tracks; ++t) {
       const Detection& last = active[t].track.detections.back();
       for (size_t d = 0; d < n_dets; ++d) {
@@ -36,7 +36,8 @@ void IouTracker::ProcessFrame(int frame, const FrameDetections& detections) {
         const double iou = last.box.Iou(detections[d].box);
         // Cost mixes IoU and normalized displacement so matching still
         // works when boxes at reduced rates no longer overlap.
-        cost[t][d] = (1.0 - iou) * 0.5 + (shift / diag) * 0.5;
+        cost(static_cast<int>(t), static_cast<int>(d)) =
+            (1.0 - iou) * 0.5 + (shift / diag) * 0.5;
       }
     }
     det_for_track = GreedyAssignment(cost, 1.0 - kIouThreshold * 0.5);

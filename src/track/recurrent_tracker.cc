@@ -15,19 +15,24 @@ constexpr int kMaxMisses = 3;
 /// Minimum match probability to accept an assignment.
 constexpr double kMatchThreshold = 0.5;
 
+const models::TrackerNet& NonNull(const models::TrackerNet* net) {
+  OTIF_CHECK(net != nullptr);
+  return *net;
+}
+
 }  // namespace
 
 RecurrentTracker::RecurrentTracker(const models::TrackerNet* net,
                                    Options options)
-    : net_(net), options_(options), book_(kMaxMisses) {
-  OTIF_CHECK(net != nullptr);
+    : net_(net),
+      weights_(NonNull(net).TransposedWeights()),
+      options_(options),
+      book_(kMaxMisses) {
   OTIF_CHECK_GT(options_.fps, 0);
 }
 
 std::vector<int> RecurrentTracker::MatchDetections(
     const FrameDetections& detections, const nn::Tensor& det_features) {
-  using models::TrackerNet;
-  constexpr int kPairDim = TrackerNet::kPairFeatureDim;
   const int hidden_size = net_->hidden_size();
   const auto active = book_.active();
   const size_t n_tracks = active.size();
@@ -39,20 +44,24 @@ std::vector<int> RecurrentTracker::MatchDetections(
   // frame diagonal); keeps pair scoring near-linear.
   const double gate = 0.5 * std::sqrt(options_.frame_w * options_.frame_w +
                                       options_.frame_h * options_.frame_h);
-  std::vector<TrackerNet::PairIndex> pairs;
+  pairs_.clear();
+  pair_inputs_.clear();
   for (size_t t = 0; t < n_tracks; ++t) {
-    const Detection& last = active[t].track.detections.back();
+    const auto& dets_so_far = active[t].track.detections;
+    const Detection& last = dets_so_far.back();
+    const Detection& prev =
+        dets_so_far.size() >= 2 ? dets_so_far[dets_so_far.size() - 2] : last;
     for (size_t d = 0; d < n_dets; ++d) {
       const double dist =
           last.box.Center().DistanceTo(detections[d].box.Center());
       if (dist > gate) continue;
-      pairs.push_back({static_cast<int>(t), static_cast<int>(d)});
+      pairs_.push_back({static_cast<int>(t), static_cast<int>(d)});
+      pair_inputs_.push_back({&prev, &last, &detections[d]});
     }
   }
 
-  std::vector<std::vector<double>> cost(n_tracks,
-                                        std::vector<double>(n_dets, 1.0));
-  if (!pairs.empty()) {
+  cost_.Reset(static_cast<int>(n_tracks), static_cast<int>(n_dets), 1.0);
+  if (!pairs_.empty()) {
     // Score every gated pair of the frame in one batched pass.
     nn::Tensor hidden = nn::Tensor::Uninitialized(
         {static_cast<int>(n_tracks), hidden_size});
@@ -60,32 +69,18 @@ std::vector<int> RecurrentTracker::MatchDetections(
       std::copy_n(active[t].state.data(), hidden_size,
                   hidden.data() + t * hidden_size);
     }
-    nn::Tensor pair_features = nn::Tensor::Uninitialized(
-        {static_cast<int>(pairs.size()), kPairDim});
-    for (size_t i = 0; i < pairs.size(); ++i) {
-      const auto& dets_so_far =
-          active[static_cast<size_t>(pairs[i].track)].track.detections;
-      const Detection& last = dets_so_far.back();
-      const Detection& prev = dets_so_far.size() >= 2
-                                  ? dets_so_far[dets_so_far.size() - 2]
-                                  : last;
-      const nn::Tensor f = TrackerNet::PairFeature(
-          prev, last, detections[static_cast<size_t>(pairs[i].det)],
-          options_.fps, options_.frame_w, options_.frame_h);
-      std::copy_n(f.data(), kPairDim, pair_features.data() + i * kPairDim);
-    }
     const std::vector<double> probs =
-        net_->ScorePairs(hidden, det_features, pairs, pair_features);
-    for (size_t i = 0; i < pairs.size(); ++i) {
-      cost[static_cast<size_t>(pairs[i].track)]
-          [static_cast<size_t>(pairs[i].det)] = 1.0 - probs[i];
+        net_->ScorePairs(weights_, hidden, det_features, pairs_, pair_inputs_,
+                         options_.fps, options_.frame_w, options_.frame_h);
+    for (size_t i = 0; i < pairs_.size(); ++i) {
+      cost_(pairs_[i].track, pairs_[i].det) = 1.0 - probs[i];
     }
-    pair_scores_ += static_cast<int64_t>(pairs.size());
+    pair_scores_ += static_cast<int64_t>(pairs_.size());
   }
-  det_for_track = SolveAssignment(cost);
+  det_for_track = SolveAssignment(cost_);
   for (size_t t = 0; t < n_tracks; ++t) {
     const int d = det_for_track[t];
-    if (d >= 0 && cost[t][static_cast<size_t>(d)] > 1.0 - kMatchThreshold) {
+    if (d >= 0 && cost_(static_cast<int>(t), d) > 1.0 - kMatchThreshold) {
       det_for_track[t] = -1;
     }
   }
@@ -129,27 +124,17 @@ void RecurrentTracker::ProcessFrameWithAppearance(
   const std::vector<int> det_for_track =
       MatchDetections(detections, det_features);
 
-  // GRU rows to advance in one batched step: each matched track, in track
-  // order, with its detection's t_elapsed re-derived relative to the
-  // track's own last detection; then one new track per unmatched
-  // detection, in detection order, from the zero initial state.
-  std::vector<char> det_used(n_dets, 0);
-  size_t n_matched = 0;
-  for (size_t t = 0; t < n_tracks; ++t) {
-    if (det_for_track[t] < 0) continue;
-    det_used[static_cast<size_t>(det_for_track[t])] = 1;
-    ++n_matched;
-  }
-  std::vector<size_t> new_dets;
-  for (size_t d = 0; d < n_dets; ++d) {
-    if (!det_used[d]) new_dets.push_back(d);
-  }
-  const size_t n_rows = n_matched + new_dets.size();
+  // GRU rows to advance in one batched step, one per detection: each
+  // matched track, in track order, with its detection's t_elapsed
+  // re-derived relative to the track's own last detection; then one new
+  // track per unmatched detection, in detection order, from the zero
+  // initial state.
+  const std::vector<char>& det_used = book_.MarkMatched(det_for_track, n_dets);
   nn::Tensor advanced;
-  if (n_rows > 0) {
+  if (n_dets > 0) {
     nn::Tensor features =
-        nn::Tensor::Uninitialized({static_cast<int>(n_rows), kDetDim});
-    nn::Tensor hidden = nn::Tensor::Zeros({static_cast<int>(n_rows),
+        nn::Tensor::Uninitialized({static_cast<int>(n_dets), kDetDim});
+    nn::Tensor hidden = nn::Tensor::Zeros({static_cast<int>(n_dets),
                                            hidden_size});
     size_t row = 0;
     for (size_t t = 0; t < n_tracks; ++t) {
@@ -163,12 +148,13 @@ void RecurrentTracker::ProcessFrameWithAppearance(
                   hidden.data() + row * hidden_size);
       ++row;
     }
-    for (size_t d : new_dets) {
+    for (size_t d = 0; d < n_dets; ++d) {
+      if (det_used[d]) continue;
       std::copy_n(det_features.data() + d * kDetDim, kDetDim,
                   features.data() + row * kDetDim);
       ++row;
     }
-    advanced = net_->AdvanceBatch(hidden, features);
+    advanced = net_->AdvanceBatch(weights_, hidden, features);
   }
 
   // The book takes the rows in the order they were built: matched tracks

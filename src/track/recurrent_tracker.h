@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "models/tracker_net.h"
+#include "track/hungarian.h"
 #include "track/track_book.h"
 #include "track/types.h"
 
@@ -61,10 +62,20 @@ class RecurrentTracker {
                                    const nn::Tensor& det_features);
 
   const models::TrackerNet* net_;  // Not owned.
+  // The net's weights as the batched paths read them, transposed once per
+  // tracker instead of once per frame.
+  const models::TrackerNet::BatchWeights weights_;
   Options options_;
   int64_t pair_scores_ = 0;
   /// Each track's state is its GRU hidden state.
   TrackBook<nn::Tensor> book_;
+  // The frame path's buffers, kept so that a frame reuses them instead of
+  // allocating: the gated pairs with their feature inputs, and the
+  // assignment's cost matrix. The inputs point at the frame's detections
+  // and tracks, so they are read only within the frame that fills them.
+  std::vector<models::TrackerNet::PairIndex> pairs_;
+  std::vector<models::TrackerNet::PairInput> pair_inputs_;
+  CostMatrix cost_;
 };
 
 }  // namespace otif::track

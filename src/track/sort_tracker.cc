@@ -30,19 +30,20 @@ void SortTracker::ProcessFrame(int frame, const FrameDetections& detections) {
   const size_t n_dets = detections.size();
   std::vector<int> det_for_track(n_tracks, -1);
   if (n_tracks > 0 && n_dets > 0) {
-    std::vector<std::vector<double>> cost(
-        n_tracks, std::vector<double>(n_dets, 1.0));
+    CostMatrix cost(static_cast<int>(n_tracks), static_cast<int>(n_dets),
+                    1.0);
     for (size_t t = 0; t < n_tracks; ++t) {
       const geom::BBox predicted = active[t].state.filter.StateBox();
       for (size_t d = 0; d < n_dets; ++d) {
-        cost[t][d] = 1.0 - predicted.Iou(detections[d].box);
+        cost(static_cast<int>(t), static_cast<int>(d)) =
+            1.0 - predicted.Iou(detections[d].box);
       }
     }
     det_for_track = SolveAssignment(cost);
     // Reject matches below the IoU threshold.
     for (size_t t = 0; t < n_tracks; ++t) {
       const int d = det_for_track[t];
-      if (d >= 0 && cost[t][static_cast<size_t>(d)] > 1.0 - kIouThreshold) {
+      if (d >= 0 && cost(static_cast<int>(t), d) > 1.0 - kIouThreshold) {
         det_for_track[t] = -1;
       }
     }

@@ -57,6 +57,20 @@ class TrackBook {
   std::span<Entry> active() { return active_; }
   size_t num_active() const { return active_.size(); }
 
+  /// Marks the detections a match takes: entry d of the returned mask is 1
+  /// when `det_for_track` (as EndFrame takes it) gives detection d to a
+  /// track, and 0 when EndFrame will start a track from it. The mask lives
+  /// in a buffer the book reuses, so a frame allocates none; it holds until
+  /// the next MarkMatched or EndFrame.
+  const std::vector<char>& MarkMatched(const std::vector<int>& det_for_track,
+                                       size_t n_dets) {
+    det_used_.assign(n_dets, 0);
+    for (const int d : det_for_track) {
+      if (d >= 0) det_used_[static_cast<size_t>(d)] = 1;
+    }
+    return det_used_;
+  }
+
   /// Applies the frame's match: `det_for_track[t]` is the index in
   /// `detections` of active track t's match, or -1. `update(state,
   /// detection)` folds a match into its track's state (step 1);
@@ -66,7 +80,8 @@ class TrackBook {
                 const std::vector<int>& det_for_track, Update update,
                 Start start) {
     OTIF_CHECK_EQ(det_for_track.size(), active_.size());
-    std::vector<char> det_used(detections.size(), 0);
+    const std::vector<char>& det_used =
+        MarkMatched(det_for_track, detections.size());
     for (size_t t = 0; t < active_.size(); ++t) {
       Entry& e = active_[t];
       const int d = det_for_track[t];
@@ -75,7 +90,6 @@ class TrackBook {
         continue;
       }
       const Detection& det = detections[static_cast<size_t>(d)];
-      det_used[static_cast<size_t>(d)] = 1;
       update(e.state, det);
       e.track.detections.push_back(det);
       e.misses = 0;
@@ -126,6 +140,7 @@ class TrackBook {
   int last_frame_ = -1;
   std::vector<Entry> active_;
   std::vector<Track> retired_;
+  std::vector<char> det_used_;  // MarkMatched's mask.
 };
 
 }  // namespace otif::track

@@ -2,28 +2,18 @@
 
 namespace otif {
 
-bool CpuHasAvx2() {
-  static const bool has_avx2 = [] {
+Isa CpuIsa() {
+  static const Isa isa = [] {
 #if defined(__x86_64__) || defined(__i386__)
     __builtin_cpu_init();
-    return __builtin_cpu_supports("avx2") != 0;
+    if (__builtin_cpu_supports("avx2") == 0) return Isa::kBaseline;
+    if (__builtin_cpu_supports("avx512f") == 0) return Isa::kAvx2;
+    return Isa::kAvx512;
 #else
-    return false;
+    return Isa::kBaseline;
 #endif
   }();
-  return has_avx2;
-}
-
-bool CpuHasAvx512f() {
-  static const bool has_avx512f = [] {
-#if defined(__x86_64__) || defined(__i386__)
-    __builtin_cpu_init();
-    return CpuHasAvx2() && __builtin_cpu_supports("avx512f") != 0;
-#else
-    return false;
-#endif
-  }();
-  return has_avx512f;
+  return isa;
 }
 
 }  // namespace otif

@@ -3,17 +3,22 @@
 
 namespace otif {
 
-/// Whether the CPU this process runs on supports AVX2. Probed once per
-/// process, so every kernel that picks an AVX2 variant (the direct conv,
-/// the sensor-noise pass) makes the same decision. Always false on a
-/// non-x86 build.
-bool CpuHasAvx2();
+/// The instruction-set tiers the vector kernels (the direct conv, the GEMM,
+/// the sensor-noise pass and the pair features' tanh and log) are built
+/// for, in order: a CPU that runs one runs every one before it. Every
+/// variant of a kernel gives the same bits.
+///   kBaseline: the build's target (SSE2 on x86-64), or any non-x86 CPU
+///   kAvx2:     AVX2 without FMA
+///   kAvx512:   AVX-512F (with AVX2), FMA left unused
+enum class Isa { kBaseline, kAvx2, kAvx512 };
 
-/// Whether the CPU supports AVX-512F as well as AVX2 (every AVX-512 CPU
-/// has both), so a kernel's AVX-512 variant may use AVX2 instructions too.
-/// Probed once per process, like CpuHasAvx2(); always false on a non-x86
-/// build.
-bool CpuHasAvx512f();
+/// The highest tier this CPU runs, probed once per process so that every
+/// kernel makes the same decision: kAvx512 where it has AVX-512F and AVX2,
+/// kAvx2 where it has AVX2, kBaseline otherwise and on a non-x86 build.
+/// A kernel runs the lower of this and the highest tier its build
+/// compiled: kBaseline for the noise pass and the pair features' tanh
+/// where the build lacks libmvec (util/libmvec.h).
+Isa CpuIsa();
 
 }  // namespace otif
 

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
+#include "util/cpu.h"
 #include "util/rng.h"
 
 namespace otif::models {
@@ -234,13 +237,17 @@ TEST(TrackerNetTest, ScorePairsMatchesScorePairBitForBit) {
       every};
   for (const Pairs& pairs : lists) {
     std::vector<nn::Tensor> pair_rows;
+    std::vector<TrackerNet::PairInput> pair_inputs;
     for (const TrackerNet::PairIndex& p : pairs) {
       const track::Detection& last = f.lasts[static_cast<size_t>(p.track)];
-      pair_rows.push_back(TrackerNet::PairFeature(
-          last, last, f.dets[static_cast<size_t>(p.det)], 10.0, 640, 360));
+      const track::Detection& det = f.dets[static_cast<size_t>(p.det)];
+      pair_rows.push_back(
+          TrackerNet::PairFeature(last, last, det, 10.0, 640, 360));
+      pair_inputs.push_back({&last, &last, &det});
     }
     const std::vector<double> got =
-        net.ScorePairs(hidden, det_features, pairs, StackRows(pair_rows));
+        net.ScorePairs(net.TransposedWeights(), hidden, det_features, pairs,
+                       pair_inputs, 10.0, 640, 360);
     ASSERT_EQ(got.size(), pairs.size());
     for (size_t i = 0; i < pairs.size(); ++i) {
       const double want =
@@ -266,7 +273,8 @@ TEST(TrackerNetTest, AdvanceBatchMatchesAdvanceBitForBit) {
   hidden.push_back(net.InitialHidden());
   const std::vector<nn::Tensor>& features = f.det_features;
   const nn::Tensor got =
-      net.AdvanceBatch(StackRows(hidden), StackRows(features));
+      net.AdvanceBatch(net.TransposedWeights(), StackRows(hidden),
+                       StackRows(features));
   ASSERT_EQ(got.ndim(), 2);
   ASSERT_EQ(got.dim(0), 5);
   ASSERT_EQ(got.dim(1), net.hidden_size());
@@ -301,6 +309,328 @@ TEST(TrackerNetTest, TrainStepAllNegatives) {
   ex.positive_index = -1;
   const double loss = net.TrainStep(ex);
   EXPECT_GE(loss, 0.0);
+}
+
+// The pair features as PairFeature computed them before the vector pass:
+// every feature one scalar expression, rounded to float on its own.
+std::vector<float> ScalarPairFeature(const track::Detection& prev,
+                                     const track::Detection& last,
+                                     const track::Detection& candidate,
+                                     double fps, double frame_w,
+                                     double frame_h) {
+  const double dt_sec =
+      std::max(1.0, static_cast<double>(candidate.frame - last.frame)) / fps;
+  std::vector<float> f(TrackerNet::kPairFeatureDim);
+  f[0] = static_cast<float>(
+      std::tanh((candidate.box.cx - last.box.cx) / (frame_w * dt_sec) * 4.0));
+  f[1] = static_cast<float>(
+      std::tanh((candidate.box.cy - last.box.cy) / (frame_h * dt_sec) * 4.0));
+  f[2] = static_cast<float>(last.box.Iou(candidate.box));
+  const double size_ratio = std::sqrt(std::max(1.0, candidate.box.Area()) /
+                                      std::max(1.0, last.box.Area()));
+  f[3] = static_cast<float>(std::clamp(std::log(size_ratio), -2.0, 2.0));
+  f[4] = static_cast<float>(std::min(dt_sec, 4.0) / 4.0);
+  double pred_cx = last.box.cx, pred_cy = last.box.cy;
+  const int prev_span = last.frame - prev.frame;
+  if (prev_span > 0) {
+    const double frames_ahead = candidate.frame - last.frame;
+    pred_cx += (last.box.cx - prev.box.cx) / prev_span * frames_ahead;
+    pred_cy += (last.box.cy - prev.box.cy) / prev_span * frames_ahead;
+  }
+  const double size = std::max(4.0, std::sqrt(last.box.Area()));
+  f[5] = static_cast<float>(
+      std::tanh((candidate.box.cx - pred_cx) / (size * 2.0)));
+  f[6] = static_cast<float>(
+      std::tanh((candidate.box.cy - pred_cy) / (size * 2.0)));
+  return f;
+}
+
+uint32_t Bits(float x) { return std::bit_cast<uint32_t>(x); }
+
+// Tracks (prev, last) and candidates in a 1280x720, 10 fps frame, with the
+// cases every feature has to get right: a single-detection track (prev is
+// last), a candidate on the last detection's frame, a candidate that does
+// not move (tanh of +-0), boxes under one pixel of area and of no area, a
+// box the size of the frame, and jumps far past tanh's saturation.
+struct PairCases {
+  std::vector<track::Detection> prevs, lasts, candidates;
+  std::vector<TrackerNet::PairInput> inputs;
+};
+
+PairCases MakePairCases(size_t n, Rng* rng) {
+  PairCases c;
+  c.prevs.reserve(n);
+  c.lasts.reserve(n);
+  c.candidates.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    const int last_frame = 20 + static_cast<int>(rng->UniformInt(uint64_t{8}));
+    track::Detection last = MakeDet(last_frame, rng->Uniform(0, 1280),
+                                    rng->Uniform(0, 720), rng->Uniform(4, 200),
+                                    rng->Uniform(4, 120));
+    track::Detection prev =
+        MakeDet(last_frame - 1 - static_cast<int>(rng->UniformInt(uint64_t{4})),
+                last.box.cx + rng->Uniform(-40, 40),
+                last.box.cy + rng->Uniform(-30, 30), last.box.w, last.box.h);
+    track::Detection cand =
+        MakeDet(last_frame + 1 + static_cast<int>(rng->UniformInt(uint64_t{8})),
+                last.box.cx + rng->Uniform(-150, 150),
+                last.box.cy + rng->Uniform(-100, 100),
+                last.box.w * rng->Uniform(0.3, 3.0),
+                last.box.h * rng->Uniform(0.3, 3.0));
+    switch (i % 8) {
+      case 1: prev = last; break;
+      case 2: cand.frame = last.frame; break;
+      case 3: cand.box = last.box; prev = last; break;
+      case 4: cand.box = geom::BBox(cand.box.cx, cand.box.cy, 0.5, 0.25);
+              last.box = geom::BBox(last.box.cx, last.box.cy, 0.0, 0.0);
+              break;
+      case 5: cand.box = geom::BBox(640, 360, 1280, 720); break;
+      case 6: cand.box.cx += rng->Uniform(-1.0, 1.0) < 0 ? -5e5 : 5e5; break;
+      default: break;
+    }
+    c.prevs.push_back(prev);
+    c.lasts.push_back(last);
+    c.candidates.push_back(cand);
+  }
+  for (size_t i = 0; i < n; ++i) {
+    c.inputs.push_back({&c.prevs[i], &c.lasts[i], &c.candidates[i]});
+  }
+  return c;
+}
+
+// WritePairFeatures through every variant this CPU and build have must
+// write, bit for bit, what the scalar expressions give, over more pairs
+// than one stack chunk holds, into rows wider than the features (the
+// floats between rows stay as they were).
+TEST(PairFeatureTest, EveryVariantMatchesScalarExpressionsBitForBit) {
+  constexpr int kDim = TrackerNet::kPairFeatureDim;
+  constexpr size_t kStride = 31;
+  Rng rng(31);
+  for (const size_t n : {size_t{1}, size_t{5}, size_t{64}, size_t{150}}) {
+    const PairCases c = MakePairCases(n, &rng);
+    for (const Isa isa : {Isa::kBaseline, Isa::kAvx2, Isa::kAvx512}) {
+      if (isa > PairFeatureIsa()) continue;
+      std::vector<float> rows(n * kStride, -7.0f);
+      TrackerNet::WritePairFeatures(isa, c.inputs, 10.0, 1280, 720, kStride,
+                                    rows.data() + 3);
+      for (size_t i = 0; i < n; ++i) {
+        const std::vector<float> want = ScalarPairFeature(
+            c.prevs[i], c.lasts[i], c.candidates[i], 10.0, 1280, 720);
+        for (int j = 0; j < kDim; ++j) {
+          ASSERT_EQ(Bits(want[static_cast<size_t>(j)]),
+                    Bits(rows[i * kStride + 3 + static_cast<size_t>(j)]))
+              << "isa " << static_cast<int>(isa) << ", " << n
+              << " pairs, pair " << i << " feature " << j;
+        }
+      }
+      for (size_t i = 0; i < rows.size(); ++i) {
+        const size_t col = (i + kStride - 3) % kStride;
+        if (col >= kDim) {
+          ASSERT_EQ(rows[i], -7.0f) << "float " << i;
+        }
+      }
+      // PairFeature is the same writer, one row.
+      const nn::Tensor one = TrackerNet::PairFeature(
+          c.prevs[0], c.lasts[0], c.candidates[0], 10.0, 1280, 720);
+      for (int j = 0; j < kDim; ++j) {
+        EXPECT_EQ(Bits(one[j]), Bits(rows[3 + static_cast<size_t>(j)]));
+      }
+    }
+  }
+}
+
+// Checks the `isa` tanh and clamped-log passes against the scalar calls,
+// bit for bit, on arguments where vector and scalar results are most
+// likely to part: saturating ones (|x| > 20, and past the clamp), tiny
+// ones (< 2^-40, and log arguments within 2^-40 of 1), +-0 and exact 1,
+// and subnormals. Lengths cover whole vectors and every tail.
+void ExpectTanhAndLogMatchScalarOnEdgeArguments(Isa isa) {
+  std::vector<double> tanh_args = {0.0,     -0.0,     0x1p-41, -0x1p-41,
+                                   0x1p-60, -0x1p-90, 4e-320,  -4e-320,
+                                   20.5,    -20.5,    35.0,    -700.0,
+                                   1e300,   -1e300,   0.75,    -3.5};
+  std::vector<double> log_args = {1.0,        1.0 + 0x1p-41, 1.0 - 0x1p-42,
+                                  0x1p-60,    1e-300,        1e300,
+                                  std::exp(2.0), std::exp(-2.0), 7.38905,
+                                  0.135335,   2.5,           0.4,
+                                  4e-320,     1.0 + 0x1p-52, 54.6,  0.02};
+  for (size_t n = 0; n <= tanh_args.size(); ++n) {
+    std::vector<float> got(n), want(n);
+    TanhToFloats(isa, tanh_args.data(), n, got.data());
+    TanhToFloats(Isa::kBaseline, tanh_args.data(), n, want.data());
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(Bits(static_cast<float>(std::tanh(tanh_args[i]))),
+                Bits(want[i]));
+      ASSERT_EQ(Bits(want[i]), Bits(got[i]))
+          << "tanh(" << tanh_args[i] << "), n " << n;
+    }
+  }
+  for (size_t n = 0; n <= log_args.size(); ++n) {
+    std::vector<float> got(n), want(n);
+    ClampedLogToFloats(isa, log_args.data(), n, got.data());
+    ClampedLogToFloats(Isa::kBaseline, log_args.data(), n, want.data());
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(Bits(static_cast<float>(
+                    std::clamp(std::log(log_args[i]), -2.0, 2.0))),
+                Bits(want[i]));
+      ASSERT_EQ(Bits(want[i]), Bits(got[i]))
+          << "clamped log(" << log_args[i] << "), n " << n;
+    }
+  }
+}
+
+TEST(PairFeatureTest, Avx2MatchesScalarOnEdgeArguments) {
+  if (PairFeatureIsa() < Isa::kAvx2) {
+    GTEST_SKIP() << "this CPU (or build) has no AVX2 tanh pass";
+  }
+  ExpectTanhAndLogMatchScalarOnEdgeArguments(Isa::kAvx2);
+}
+
+TEST(PairFeatureTest, Avx512MatchesScalarOnEdgeArguments) {
+  if (PairFeatureIsa() < Isa::kAvx512) {
+    GTEST_SKIP() << "this CPU (or build) has no AVX-512 tanh pass";
+  }
+  ExpectTanhAndLogMatchScalarOnEdgeArguments(Isa::kAvx512);
+}
+
+// Random arguments cannot catch a broken rounding test: with no guard at
+// all, libmvec's values still round like libm's almost always. So this
+// feeds the `isa` passes arguments whose scalar result lies within 2^-44
+// (relative) of a float rounding midpoint, well inside the 2^-40 guard:
+// each must take the exact path, and every value must match. Ordinary
+// arguments, by contrast, must almost all stay on the vector path.
+void ExpectNearMidpointValuesTakeExactPath(Isa isa) {
+  constexpr size_t kValues = 256;
+  Rng rng(2718);
+  // Arguments x = f^-1(target) with the target within 2^-44 of a midpoint,
+  // kept only where the scalar f(x) itself lands that close.
+  const auto near_midpoint = [&](auto f, auto f_inverse, double lo,
+                                 double hi) {
+    std::vector<double> args;
+    while (args.size() < kValues) {
+      const float v = static_cast<float>(rng.Uniform(lo, hi));
+      if (v == 0.0f) continue;
+      const double midpoint =
+          0.5 * (static_cast<double>(v) +
+                 static_cast<double>(std::nextafter(v, 2.0f * v)));
+      const double target = midpoint * (1.0 + rng.Uniform(-1.0, 1.0) * 0x1p-44);
+      const double x = f_inverse(target);
+      if (std::abs(f(x) - midpoint) > std::abs(midpoint) * 0x1p-44) continue;
+      args.push_back(x);
+    }
+    return args;
+  };
+  const std::vector<double> tanh_args = near_midpoint(
+      [](double x) { return std::tanh(x); },
+      [](double t) { return std::atanh(t); }, -0.95, 0.95);
+  const std::vector<double> log_args = near_midpoint(
+      [](double x) { return std::clamp(std::log(x), -2.0, 2.0); },
+      [](double t) { return std::exp(t); }, -1.99, 1.99);
+  std::vector<float> got(kValues), want(kValues);
+  EXPECT_EQ(TanhToFloats(isa, tanh_args.data(), kValues, got.data()),
+            kValues);
+  TanhToFloats(Isa::kBaseline, tanh_args.data(), kValues, want.data());
+  for (size_t i = 0; i < kValues; ++i) {
+    ASSERT_EQ(Bits(want[i]), Bits(got[i])) << "tanh(" << tanh_args[i] << ")";
+  }
+  EXPECT_EQ(ClampedLogToFloats(isa, log_args.data(), kValues, got.data()),
+            kValues);
+  ClampedLogToFloats(Isa::kBaseline, log_args.data(), kValues, want.data());
+  for (size_t i = 0; i < kValues; ++i) {
+    ASSERT_EQ(Bits(want[i]), Bits(got[i])) << "log(" << log_args[i] << ")";
+  }
+
+  // Ordinary arguments: 4,096 of each, of which at most a handful may fail
+  // the test (a test that failed lanes wholesale would keep the bits and
+  // lose the speed).
+  std::vector<double> x(4096), y(4096);
+  for (size_t i = 0; i < x.size(); ++i) {
+    x[i] = rng.Gaussian(0.0, 1.5);
+    y[i] = std::exp(rng.Uniform(-2.5, 2.5));
+  }
+  std::vector<float> out(x.size());
+  EXPECT_LT(TanhToFloats(isa, x.data(), x.size(), out.data()), 8u);
+  EXPECT_LT(ClampedLogToFloats(isa, y.data(), y.size(), out.data()), 8u);
+}
+
+TEST(PairFeatureTest, RoundingTestSendsNearMidpointValuesToExactPath) {
+  if (PairFeatureIsa() < Isa::kAvx2) {
+    GTEST_SKIP() << "this CPU (or build) has no AVX2 tanh pass";
+  }
+  ExpectNearMidpointValuesTakeExactPath(Isa::kAvx2);
+}
+
+TEST(PairFeatureTest, Avx512RoundingTestSendsNearMidpointValuesToExactPath) {
+  if (PairFeatureIsa() < Isa::kAvx512) {
+    GTEST_SKIP() << "this CPU (or build) has no AVX-512 tanh pass";
+  }
+  ExpectNearMidpointValuesTakeExactPath(Isa::kAvx512);
+}
+
+// Keeps the fast path from going missing: an x86-64 glibc 2.35 build on an
+// AVX2 CPU (every CI runner) must run a vector pass.
+TEST(PairFeatureTest, PicksTheWidestVariantTheCpuHas) {
+#if defined(__x86_64__) && defined(__GLIBC__) && \
+    (__GLIBC__ > 2 || (__GLIBC__ == 2 && __GLIBC_MINOR__ >= 35))
+  EXPECT_EQ(PairFeatureIsa(), CpuIsa());
+#else
+  EXPECT_EQ(PairFeatureIsa(), Isa::kBaseline);
+#endif
+}
+
+// ScorePairs on frames the tracker makes: tracks with two detections (so
+// the velocity term is live), pair lists that leave tracks and detections
+// out, and lists shorter and longer than one pair-feature chunk and one
+// GEMM row block.
+TEST(TrackerNetTest, ScorePairsMatchesScorePairOverRaggedPairLists) {
+  const TrackerNet& net = *TrainedNet();
+  Rng rng(37);
+  constexpr int kTracks = 12, kDets = 15;
+  const double fw = 1280, fh = 720, fps = 10.0;
+  const PairCases c = MakePairCases(kTracks, &rng);
+  std::vector<nn::Tensor> hidden, det_features;
+  for (int t = 0; t < kTracks; ++t) {
+    nn::Tensor h = net.InitialHidden();
+    for (int s = 0; s <= t % 3; ++s) {
+      h = net.Advance(h, TrackerNet::DetFeature(c.lasts[static_cast<size_t>(t)],
+                                                s + 1, fps, fw, fh, 0.5, 0.1));
+    }
+    hidden.push_back(std::move(h));
+  }
+  std::vector<track::Detection> dets;
+  for (int d = 0; d < kDets; ++d) {
+    dets.push_back(c.candidates[static_cast<size_t>(d % kTracks)]);
+    dets.back().box.cx += 3.0 * d;
+    det_features.push_back(TrackerNet::DetFeature(
+        dets.back(), 2, fps, fw, fh, rng.Uniform(0.2, 0.8), 0.1));
+  }
+  const nn::Tensor hidden_rows = StackRows(hidden);
+  const nn::Tensor det_rows = StackRows(det_features);
+  for (const size_t n : {size_t{1}, size_t{7}, size_t{9}, size_t{65},
+                         size_t{150}}) {
+    std::vector<TrackerNet::PairIndex> pairs;
+    std::vector<TrackerNet::PairInput> inputs;
+    while (pairs.size() < n) {
+      const int t = static_cast<int>(rng.UniformInt(uint64_t{kTracks - 1}));
+      const int d = static_cast<int>(rng.UniformInt(uint64_t{kDets - 1}));
+      pairs.push_back({t, d});
+      inputs.push_back({&c.prevs[static_cast<size_t>(t)],
+                        &c.lasts[static_cast<size_t>(t)],
+                        &dets[static_cast<size_t>(d)]});
+    }
+    const std::vector<double> got =
+        net.ScorePairs(net.TransposedWeights(), hidden_rows, det_rows, pairs,
+                       inputs, fps, fw, fh);
+    ASSERT_EQ(got.size(), n);
+    for (size_t i = 0; i < n; ++i) {
+      const double want = net.ScorePair(
+          hidden[static_cast<size_t>(pairs[i].track)],
+          det_features[static_cast<size_t>(pairs[i].det)],
+          TrackerNet::PairFeature(*inputs[i].prev, *inputs[i].last,
+                                  *inputs[i].candidate, fps, fw, fh));
+      EXPECT_EQ(want, got[i]) << n << " pairs, pair " << i;
+    }
+  }
 }
 
 }  // namespace

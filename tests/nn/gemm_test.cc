@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "nn/arena.h"
@@ -131,6 +133,124 @@ TEST(GemmAccumulateTest, ContinuesEachChainFromC) {
       }
     }
   }
+}
+
+// Checks the `isa` variant of GemmBias (with and without a column bias)
+// and of GemmAccumulate bit for bit against the naive chains, over shapes
+// that cut every tier's tiles: n below, at and past a 4-, 8-, 16- and
+// 32-column tile, n = 1 (the row-dot path, whose blocks are 8 rows), row
+// remainders, the column-panel boundary, and k = 1. A and B hold zeros of
+// either sign, so a chain that starts from the wrong zero shows in the
+// sign bit. Every buffer is an exactly-sized heap array, where ASan sees a
+// tile that reads or writes past the matrix.
+void ExpectVariantMatchesNaiveChains(Isa isa) {
+  const int ms[] = {1, 2, 3, 4, 5, 7, 8, 9, 17};
+  const int ns[] = {1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 24, 31, 32, 33,
+                    40, 48, 63, 64, 65, 520};
+  const int ks[] = {1, 8, 31};
+  const auto bits = [](float x) { return std::bit_cast<uint32_t>(x); };
+  uint64_t seed = 500;
+  for (int m : ms) {
+    for (int n : ns) {
+      for (int k : ks) {
+        Rng rng(seed++);
+        std::vector<float> a = RandomVec(static_cast<size_t>(m) * k, &rng);
+        std::vector<float> b = RandomVec(static_cast<size_t>(k) * n, &rng);
+        for (float& x : a) {
+          if (rng.UniformInt(uint64_t{5}) == 0) x = x < 0 ? -0.0f : 0.0f;
+        }
+        for (float& x : b) {
+          if (rng.UniformInt(uint64_t{5}) == 0) x = x < 0 ? -0.0f : 0.0f;
+        }
+        const std::vector<float> bias =
+            RandomVec(static_cast<size_t>(n), &rng);
+        const std::vector<float> c0 =
+            RandomVec(static_cast<size_t>(m) * n, &rng);
+        for (const bool with_bias : {true, false}) {
+          const float* bias_col = with_bias ? bias.data() : nullptr;
+          const std::vector<float> want =
+              NaiveGemmBias(m, n, k, a, b, bias_col);
+          std::vector<float> got(static_cast<size_t>(m) * n, -1.0f);
+          GemmBiasWith(isa, m, n, k, a.data(), b.data(), bias_col, got.data());
+          for (size_t i = 0; i < want.size(); ++i) {
+            ASSERT_EQ(bits(want[i]), bits(got[i]))
+                << "GemmBias m=" << m << " n=" << n << " k=" << k
+                << " bias=" << with_bias << " at " << i;
+          }
+        }
+        std::vector<float> want = c0;
+        for (int i = 0; i < m; ++i) {
+          for (int j = 0; j < n; ++j) {
+            float acc = want[static_cast<size_t>(i) * n + j];
+            for (int p = 0; p < k; ++p) {
+              acc += a[static_cast<size_t>(i) * k + p] *
+                     b[static_cast<size_t>(p) * n + j];
+            }
+            want[static_cast<size_t>(i) * n + j] = acc;
+          }
+        }
+        std::vector<float> got = c0;
+        GemmAccumulateWith(isa, m, n, k, a.data(), b.data(), got.data());
+        for (size_t i = 0; i < want.size(); ++i) {
+          ASSERT_EQ(bits(want[i]), bits(got[i]))
+              << "GemmAccumulate m=" << m << " n=" << n << " k=" << k
+              << " at " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(GemmVariantsTest, BaselineMatchesNaiveChainsBitForBit) {
+  ExpectVariantMatchesNaiveChains(Isa::kBaseline);
+}
+
+TEST(GemmVariantsTest, Avx2MatchesNaiveChainsBitForBit) {
+  if (KernelIsa() < Isa::kAvx2) {
+    GTEST_SKIP() << "this CPU (or build) has no AVX2";
+  }
+  ExpectVariantMatchesNaiveChains(Isa::kAvx2);
+}
+
+TEST(GemmVariantsTest, Avx512MatchesNaiveChainsBitForBit) {
+  if (KernelIsa() < Isa::kAvx512) {
+    GTEST_SKIP() << "this CPU (or build) has no AVX-512F";
+  }
+  ExpectVariantMatchesNaiveChains(Isa::kAvx512);
+}
+
+// A zero-row or zero-column product writes nothing, and k = 0 leaves each
+// output at its chain's start: the bias (0 without one) or C's value.
+TEST(GemmVariantsTest, EmptyShapes) {
+  for (const Isa isa : {Isa::kBaseline, Isa::kAvx2, Isa::kAvx512}) {
+    if (isa > KernelIsa()) continue;
+    SCOPED_TRACE(static_cast<int>(isa));
+    const float bias[3] = {1.5f, -0.0f, 2.0f};
+    for (const int n : {1, 3}) {
+      std::vector<float> c(static_cast<size_t>(2) * n, 7.0f);
+      GemmBiasWith(isa, 0, n, 4, nullptr, nullptr, bias, c.data());
+      GemmBiasWith(isa, 2, 0, 4, nullptr, nullptr, bias, c.data());
+      GemmAccumulateWith(isa, 2, n, 0, nullptr, nullptr, c.data());
+      for (float x : c) EXPECT_EQ(x, 7.0f);
+      GemmBiasWith(isa, 2, n, 0, nullptr, nullptr, bias, c.data());
+      for (int i = 0; i < 2 * n; ++i) {
+        EXPECT_EQ(std::bit_cast<uint32_t>(c[static_cast<size_t>(i)]),
+                  std::bit_cast<uint32_t>(bias[i % n]));
+      }
+      GemmBiasWith(isa, 2, n, 0, nullptr, nullptr, nullptr, c.data());
+      for (float x : c) EXPECT_EQ(std::bit_cast<uint32_t>(x), 0u);
+    }
+  }
+}
+
+// Keeps the fast path from going missing: an x86 build must run the
+// widest tier the CPU has.
+TEST(GemmVariantsTest, PicksTheWidestVariantTheCpuHas) {
+#if defined(__x86_64__) || defined(__i386__)
+  EXPECT_EQ(KernelIsa(), CpuIsa());
+#else
+  EXPECT_EQ(KernelIsa(), Isa::kBaseline);
+#endif
 }
 
 TEST(Im2ColTest, ReproducesPaddedPatchSampling) {

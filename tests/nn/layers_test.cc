@@ -343,8 +343,8 @@ TEST(GruCellTest, GradientCheckThroughTime) {
 
 TEST(GruCellTest, StepInferBatchMatchesStepInferBitForBit) {
   // (24, 32) is the tracker net's cell; (7, 19) leaves a partial column
-  // strip. n = 1 and 3 run only the GEMM edge tile, n >= 4 also the full
-  // 4-row micro-kernel.
+  // strip. n = 1 and 3 run only the GEMM's remainder row blocks, n >= 4
+  // also full ones (8 rows in the AVX-512 variant: n = 17).
   for (const auto& [in, hidden] : {std::pair{24, 32}, std::pair{7, 19}}) {
     Rng rng(static_cast<uint64_t>(in * 100 + hidden));
     GruCell gru(in, hidden, &rng);
@@ -359,7 +359,7 @@ TEST(GruCellTest, StepInferBatchMatchesStepInferBitForBit) {
     for (const int n : {1, 3, 4, 5, 17}) {
       const Tensor x = RandomTensor({n, in}, &rng);
       const Tensor h = RandomTensor({n, hidden}, &rng);
-      const Tensor got = gru.StepInferBatch(x, h);
+      const Tensor got = gru.StepInferBatch(x, h, gru.TransposedWeights());
       ASSERT_EQ(got.ndim(), 2);
       ASSERT_EQ(got.dim(0), n);
       ASSERT_EQ(got.dim(1), hidden);
@@ -485,7 +485,7 @@ Tensor GradWithZeros(std::vector<int> shape, Rng* rng) {
 // checks it bit for bit against the reference loops. Every buffer is an
 // exactly-sized heap array: a read past the padded planes leaves its heap
 // block, where ASan sees it, whereas inside an arena chunk it would not.
-void ExpectDirectMatchesReference(ConvIsa isa) {
+void ExpectDirectMatchesReference(Isa isa) {
   Rng rng(17);
   for (const InferCase& c : kInferCases) {
     for (const bool zeros : {false, true}) {
@@ -523,33 +523,30 @@ void ExpectDirectMatchesReference(ConvIsa isa) {
 }
 
 TEST(ConvDirectTest, BaselineMatchesReferenceBitForBit) {
-  ExpectDirectMatchesReference(ConvIsa::kBaseline);
+  ExpectDirectMatchesReference(Isa::kBaseline);
 }
 
 TEST(ConvDirectTest, Avx2MatchesReferenceBitForBit) {
-  if (ConvDirectIsa() < ConvIsa::kAvx2) {
+  if (KernelIsa() < Isa::kAvx2) {
     GTEST_SKIP() << "this CPU (or build) has no AVX2";
   }
-  ExpectDirectMatchesReference(ConvIsa::kAvx2);
+  ExpectDirectMatchesReference(Isa::kAvx2);
 }
 
 TEST(ConvDirectTest, Avx512MatchesReferenceBitForBit) {
-  if (ConvDirectIsa() < ConvIsa::kAvx512) {
+  if (KernelIsa() < Isa::kAvx512) {
     GTEST_SKIP() << "this CPU (or build) has no AVX-512F";
   }
-  ExpectDirectMatchesReference(ConvIsa::kAvx512);
+  ExpectDirectMatchesReference(Isa::kAvx512);
 }
 
 // Keeps the fast path from going missing: an x86 build on a CPU with
 // AVX-512F must pick that variant, and one with AVX2 alone the AVX2 one.
 TEST(ConvDirectTest, PicksTheWidestVariantTheCpuHas) {
 #if defined(__x86_64__) || defined(__i386__)
-  const ConvIsa want = CpuHasAvx512f() ? ConvIsa::kAvx512
-                       : CpuHasAvx2()  ? ConvIsa::kAvx2
-                                       : ConvIsa::kBaseline;
-  EXPECT_EQ(ConvDirectIsa(), want);
+  EXPECT_EQ(KernelIsa(), CpuIsa());
 #else
-  EXPECT_EQ(ConvDirectIsa(), ConvIsa::kBaseline);
+  EXPECT_EQ(KernelIsa(), Isa::kBaseline);
 #endif
 }
 
@@ -573,7 +570,7 @@ float ApplyMap(ConvInputMap map, float x) {
 // zeroes too) and exact 0.5s for the centring (which it makes +0); the
 // biases are -0, so an output whose products are all zeros keeps the sign
 // that the mapped zeros give it: a ReLU that let -0 through would flip it.
-void ExpectFoldedMapsMatchSeparatePasses(ConvIsa isa) {
+void ExpectFoldedMapsMatchSeparatePasses(Isa isa) {
   Rng rng(19);
   for (const InferCase& c : kInferCases) {
     for (const ConvInputMap map :
@@ -621,9 +618,9 @@ void ExpectFoldedMapsMatchSeparatePasses(ConvIsa isa) {
 }
 
 TEST(ConvDirectTest, FoldedMapsMatchSeparatePasses) {
-  for (const ConvIsa isa :
-       {ConvIsa::kBaseline, ConvIsa::kAvx2, ConvIsa::kAvx512}) {
-    if (isa > ConvDirectIsa()) continue;
+  for (const Isa isa :
+       {Isa::kBaseline, Isa::kAvx2, Isa::kAvx512}) {
+    if (isa > KernelIsa()) continue;
     SCOPED_TRACE(static_cast<int>(isa));
     ExpectFoldedMapsMatchSeparatePasses(isa);
   }
@@ -827,7 +824,7 @@ TEST(LinearTest, BatchedInferMatchesPerRowExactly) {
               batch.data() + static_cast<int64_t>(b) * in);
     rows.push_back(std::move(row));
   }
-  const Tensor got = linear.Infer(batch);
+  const Tensor got = linear.InferRows(batch, linear.TransposedWeight().data());
   ASSERT_EQ(got.ndim(), 2);
   ASSERT_EQ(got.dim(0), nb);
   ASSERT_EQ(got.dim(1), out);

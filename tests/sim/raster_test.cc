@@ -166,7 +166,7 @@ constexpr size_t kNoiseCounts[] = {104 * 64, 40 * 24, 37 * 21, 150,
 // Rng::Gaussian(0.0, 0.015) per pixel, over one frame of `count` pixels
 // seeded with `seed`. Pixels live in exactly-sized heap arrays, where ASan
 // sees a tail overrun. Adds the pairs sent to the exact path to `*exact`.
-void ExpectNoiseMatchesGaussianLoopAt(NoiseIsa isa, uint64_t seed,
+void ExpectNoiseMatchesGaussianLoopAt(Isa isa, uint64_t seed,
                                       size_t count, size_t* exact) {
   std::vector<float> base(count);
   for (size_t i = 0; i < count; ++i) {
@@ -187,7 +187,7 @@ void ExpectNoiseMatchesGaussianLoopAt(NoiseIsa isa, uint64_t seed,
 }
 
 // The check above over `seeds` frames of every count.
-void ExpectNoiseMatchesGaussianLoop(NoiseIsa isa, int seeds, size_t* exact) {
+void ExpectNoiseMatchesGaussianLoop(Isa isa, int seeds, size_t* exact) {
   for (const size_t count : kNoiseCounts) {
     for (int seed = 0; seed < seeds; ++seed) {
       ExpectNoiseMatchesGaussianLoopAt(
@@ -198,7 +198,7 @@ void ExpectNoiseMatchesGaussianLoop(NoiseIsa isa, int seeds, size_t* exact) {
 
 TEST(SensorNoiseTest, ScalarMatchesGaussianLoopBitForBit) {
   size_t exact = 0;
-  ExpectNoiseMatchesGaussianLoop(NoiseIsa::kScalar, 4, &exact);
+  ExpectNoiseMatchesGaussianLoop(Isa::kBaseline, 4, &exact);
   EXPECT_EQ(exact, 0u);
 }
 
@@ -207,7 +207,7 @@ TEST(SensorNoiseTest, ScalarMatchesGaussianLoopBitForBit) {
 // the AVX2 pass) must send some to the exact path, and far fewer than 1 in
 // 2,000: a rounding test that failed lanes wholesale would keep the bits
 // and lose the speed.
-void ExpectVectorNoiseMatchesGaussianLoop(NoiseIsa isa) {
+void ExpectVectorNoiseMatchesGaussianLoop(Isa isa) {
   constexpr int kSeeds = 128;
   size_t exact = 0;
   ExpectNoiseMatchesGaussianLoop(isa, kSeeds, &exact);
@@ -218,17 +218,17 @@ void ExpectVectorNoiseMatchesGaussianLoop(NoiseIsa isa) {
 }
 
 TEST(SensorNoiseTest, Avx2MatchesGaussianLoopBitForBit) {
-  if (SensorNoiseIsa() < NoiseIsa::kAvx2) {
+  if (SensorNoiseIsa() < Isa::kAvx2) {
     GTEST_SKIP() << "this CPU (or build) has no AVX2 noise pass";
   }
-  ExpectVectorNoiseMatchesGaussianLoop(NoiseIsa::kAvx2);
+  ExpectVectorNoiseMatchesGaussianLoop(Isa::kAvx2);
 }
 
 TEST(SensorNoiseTest, Avx512MatchesGaussianLoopBitForBit) {
-  if (SensorNoiseIsa() < NoiseIsa::kAvx512) {
+  if (SensorNoiseIsa() < Isa::kAvx512) {
     GTEST_SKIP() << "this CPU (or build) has no AVX-512 noise pass";
   }
-  ExpectVectorNoiseMatchesGaussianLoop(NoiseIsa::kAvx512);
+  ExpectVectorNoiseMatchesGaussianLoop(Isa::kAvx512);
 }
 
 // Rng::Gaussian redraws a u1 of 0, which shifts the rest of the stream by
@@ -240,8 +240,8 @@ TEST(SensorNoiseTest, EveryVariantRedrawsAZeroUniformAsGaussianDoes) {
   const uint64_t seed = 0 - 2 * 0x9e3779b97f4a7c15ULL;
   Rng rng(seed);
   ASSERT_EQ(rng.NextUint64(), 0u);
-  for (const NoiseIsa isa :
-       {NoiseIsa::kScalar, NoiseIsa::kAvx2, NoiseIsa::kAvx512}) {
+  for (const Isa isa :
+       {Isa::kBaseline, Isa::kAvx2, Isa::kAvx512}) {
     if (isa > SensorNoiseIsa()) continue;
     for (const size_t count : {size_t{104 * 64}, size_t{5}}) {
       SCOPED_TRACE(static_cast<int>(isa));
@@ -256,7 +256,7 @@ TEST(SensorNoiseTest, EveryVariantRedrawsAZeroUniformAsGaussianDoes) {
 // `isa` transform pairs whose scalar noise value lies within 2^-44
 // (relative) of a float rounding midpoint, well inside the 2^-40 guard:
 // each must take the exact path, and every value must match.
-void ExpectNearMidpointPairsTakeExactPath(NoiseIsa isa) {
+void ExpectNearMidpointPairsTakeExactPath(Isa isa) {
   constexpr size_t kPairs = 256;
   std::vector<double> u1, u2;
   Rng rng(2718);
@@ -288,7 +288,7 @@ void ExpectNearMidpointPairsTakeExactPath(NoiseIsa isa) {
     u2.push_back(b);
   }
   std::vector<float> want(2 * kPairs), got(2 * kPairs);
-  EXPECT_EQ(SensorNoiseTransform(NoiseIsa::kScalar, u1.data(), u2.data(),
+  EXPECT_EQ(SensorNoiseTransform(Isa::kBaseline, u1.data(), u2.data(),
                                  kPairs, want.data()),
             0u);
   EXPECT_EQ(SensorNoiseTransform(isa, u1.data(), u2.data(), kPairs,
@@ -301,17 +301,17 @@ void ExpectNearMidpointPairsTakeExactPath(NoiseIsa isa) {
 }
 
 TEST(SensorNoiseTest, RoundingTestSendsNearMidpointPairsToExactPath) {
-  if (SensorNoiseIsa() < NoiseIsa::kAvx2) {
+  if (SensorNoiseIsa() < Isa::kAvx2) {
     GTEST_SKIP() << "this CPU (or build) has no AVX2 noise pass";
   }
-  ExpectNearMidpointPairsTakeExactPath(NoiseIsa::kAvx2);
+  ExpectNearMidpointPairsTakeExactPath(Isa::kAvx2);
 }
 
 TEST(SensorNoiseTest, Avx512RoundingTestSendsNearMidpointPairsToExactPath) {
-  if (SensorNoiseIsa() < NoiseIsa::kAvx512) {
+  if (SensorNoiseIsa() < Isa::kAvx512) {
     GTEST_SKIP() << "this CPU (or build) has no AVX-512 noise pass";
   }
-  ExpectNearMidpointPairsTakeExactPath(NoiseIsa::kAvx512);
+  ExpectNearMidpointPairsTakeExactPath(Isa::kAvx512);
 }
 
 // Keeps the fast path from going missing: on an x86-64 glibc build running
@@ -320,10 +320,10 @@ TEST(SensorNoiseTest, Avx512RoundingTestSendsNearMidpointPairsToExactPath) {
 TEST(SensorNoiseTest, PicksAvx2OnX86GlibcWithAvx2) {
 #if defined(__x86_64__) && defined(__GLIBC__) && \
     (__GLIBC__ > 2 || (__GLIBC__ == 2 && __GLIBC_MINOR__ >= 22))
-  if (!CpuHasAvx2()) GTEST_SKIP() << "this CPU has no AVX2";
-  EXPECT_GE(SensorNoiseIsa(), NoiseIsa::kAvx2);
+  if (CpuIsa() < Isa::kAvx2) GTEST_SKIP() << "this CPU has no AVX2";
+  EXPECT_GE(SensorNoiseIsa(), Isa::kAvx2);
 #else
-  EXPECT_EQ(SensorNoiseIsa(), NoiseIsa::kScalar);
+  EXPECT_EQ(SensorNoiseIsa(), Isa::kBaseline);
 #endif
 }
 
@@ -331,10 +331,10 @@ TEST(SensorNoiseTest, PicksAvx2OnX86GlibcWithAvx2) {
 TEST(SensorNoiseTest, PicksAvx512OnX86GlibcWithAvx512f) {
 #if defined(__x86_64__) && defined(__GLIBC__) && \
     (__GLIBC__ > 2 || (__GLIBC__ == 2 && __GLIBC_MINOR__ >= 22))
-  if (!CpuHasAvx512f()) GTEST_SKIP() << "this CPU has no AVX-512F";
-  EXPECT_EQ(SensorNoiseIsa(), NoiseIsa::kAvx512);
+  if (CpuIsa() < Isa::kAvx512) GTEST_SKIP() << "this CPU has no AVX-512F";
+  EXPECT_EQ(SensorNoiseIsa(), Isa::kAvx512);
 #else
-  EXPECT_NE(SensorNoiseIsa(), NoiseIsa::kAvx512);
+  EXPECT_NE(SensorNoiseIsa(), Isa::kAvx512);
 #endif
 }
 

@@ -26,17 +26,36 @@ inline const sim::Clip& Clip() {
   return *clip;
 }
 
-/// YOLOv3 detections of Clip() at full scale, kept at confidence 0.4, on
+/// A busier pinned clip: 60 frames of the Warsaw preset, about 13
+/// detections per frame. On the synthetic clip every tracker gives the same
+/// tracks at gap 1, so its pins fix only the lifecycle; here the matchers'
+/// choices differ at gap 1 too.
+inline const sim::Clip& WarsawClip() {
+  static const sim::Clip* clip = [] {
+    const sim::DatasetSpec spec = sim::MakeDataset(sim::DatasetId::kWarsaw);
+    return new sim::Clip(sim::SimulateClip(spec, sim::ClipSeed(spec, 2, 0),
+                                           60));
+  }();
+  return *clip;
+}
+
+/// YOLOv3 detections of `clip` at full scale, kept at confidence 0.4, on
 /// every `gap`-th frame: one entry per processed frame.
-inline std::vector<FrameDetections> SampledDetections(int gap) {
+inline std::vector<FrameDetections> SampledDetections(const sim::Clip& clip,
+                                                      int gap) {
   const models::SimulatedDetector detector(
       models::ArchByName(models::StandardDetectorArchs(), "yolov3"));
   std::vector<FrameDetections> frames;
-  for (int f = 0; f < Clip().num_frames(); f += gap) {
+  for (int f = 0; f < clip.num_frames(); f += gap) {
     frames.push_back(
-        models::FilterByConfidence(detector.Detect(Clip(), f, 1.0), 0.4));
+        models::FilterByConfidence(detector.Detect(clip, f, 1.0), 0.4));
   }
   return frames;
+}
+
+/// SampledDetections of the synthetic Clip().
+inline std::vector<FrameDetections> SampledDetections(int gap) {
+  return SampledDetections(Clip(), gap);
 }
 
 /// 64-bit FNV-1a over the fields perfbench's TracksDigest hashes.

@@ -189,6 +189,29 @@ TEST(RecurrentTrackerTest, TracksArePinned) {
   }
 }
 
+// The pins above cannot tell the matchers apart at gap 1; on the busier
+// Warsaw clip the recurrent tracker's tracks differ from SORT's at every
+// gap, so these pin its scoring and assignment too.
+TEST(RecurrentTrackerTest, WarsawClipTracksArePinned) {
+  const sim::DatasetSpec& spec = pins::WarsawClip().spec();
+  RecurrentTracker::Options opts;
+  opts.frame_w = spec.width;
+  opts.frame_h = spec.height;
+  opts.fps = spec.fps;
+  for (const auto& [gap, digest] : {std::pair{1, 0xcfbe4103984fdab4ull},
+                                    std::pair{2, 0xded0b0df4f286651ull}}) {
+    const std::vector<FrameDetections> frames =
+        pins::SampledDetections(pins::WarsawClip(), gap);
+    RecurrentTracker tracker(TrainedNet(), opts);
+    for (size_t i = 0; i < frames.size(); ++i) {
+      ProcessFrame(&tracker, static_cast<int>(i) * gap, frames[i]);
+    }
+    const std::vector<Track> tracks = tracker.Finish(2);
+    EXPECT_EQ(pins::TracksDigest(tracks), digest)
+        << "gap " << gap << ", " << tracks.size() << " tracks";
+  }
+}
+
 TEST(RecurrentTrackerDeathTest, RepeatedFrameAborts) {
   RecurrentTracker tracker(TrainedNet(), SmallFrameOptions());
   ProcessFrame(&tracker, 5, {});

@@ -136,6 +136,23 @@ TEST(SortTrackerTest, TracksArePinned) {
   }
 }
 
+// SORT over the Warsaw clip whose recurrent-tracker tracks
+// recurrent_tracker_test pins; the two differ at gap 1.
+TEST(SortTrackerTest, WarsawClipTracksArePinned) {
+  for (const auto& [gap, digest] : {std::pair{1, 0xd9151805e6ba09a1ull},
+                                    std::pair{2, 0x3109d5ecd8fabab5ull}}) {
+    const std::vector<FrameDetections> frames =
+        pins::SampledDetections(pins::WarsawClip(), gap);
+    SortTracker sort;
+    for (size_t i = 0; i < frames.size(); ++i) {
+      sort.ProcessFrame(static_cast<int>(i) * gap, frames[i]);
+    }
+    const std::vector<Track> tracks = sort.Finish(2);
+    EXPECT_EQ(pins::TracksDigest(tracks), digest)
+        << "gap " << gap << ", " << tracks.size() << " tracks";
+  }
+}
+
 TEST(SortTrackerDeathTest, NonMonotonicFrameAborts) {
   SortTracker sort;
   sort.ProcessFrame(5, {});
